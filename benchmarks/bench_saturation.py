@@ -1,16 +1,14 @@
 """Saturation-engine acceptance: the fast chase is faster *and* plan-identical.
 
-Three claims, each of which the perf gate (``tools/check_perf.py``) holds
+Two claims, each of which the perf gate (``tools/check_perf.py``) holds
 this benchmark to:
 
-* **Byte-identity (serial)** — for every one of the 57 benchkit pipelines,
-  the optimized engine (hash-consed canonical terms, indexed matching,
+* **Byte-identity** — for every one of the 57 benchkit pipelines, the
+  optimized engine (hash-consed canonical terms, indexed matching,
   semi-naive delta rounds) extracts exactly the plan of the *reference*
-  configuration (linear relation scans, full re-evaluation every round —
-  the pre-optimization engine, kept behind ``use_instance_index=False`` /
-  ``use_index=False`` / ``use_delta=False`` precisely for this comparison).
-* **Byte-identity (parallel)** — ``chase_workers=2`` extracts exactly the
-  serial engine's plans on all 57 pipelines.
+  engine (every constraint every round, full searches, linear relation
+  scans — ``SaturationEngine(use_index=False)``, kept precisely for this
+  comparison).
 * **Speedup** — on the *chase-bound* pipelines (the ones whose saturation
   materializes at least ``CHASE_BOUND_ATOMS`` atoms; the chase, not
   encoding or extraction, dominates their latency) the median cold-plan
@@ -18,7 +16,7 @@ this benchmark to:
   Most of the 57 pipelines saturate in a couple of milliseconds under
   either engine — the asymptotic win only shows where the instance grows,
   so the latency claim is scoped to where the work is; the identity
-  claims always cover all 57.
+  claim always covers all 57.
 
 The summary also reports the chase counters (rounds, matches attempted,
 atoms materialized, delta attempts) totalled over the full sweep; they are
@@ -37,6 +35,7 @@ import time
 
 from repro.benchkit.datasets import ROLE_BINDINGS_DENSE, benchmark_catalog
 from repro.benchkit.pipelines import build_pipeline, default_roles, pipeline_names
+from repro.chase.saturation import SaturationEngine
 from repro.planner import PlanSession
 
 #: A pipeline is chase-bound when its saturation materializes this many
@@ -48,17 +47,16 @@ CHASE_BOUND_ATOMS = 100
 _SUMMARIES: dict = {}
 
 
-def _sweep(catalog, pipelines, configure=None, chase_workers: int = 1):
+def _sweep(catalog, pipelines, reference: bool = False):
     """Cold-plan every pipeline; per-pipeline latency, plan and counters."""
     out = {}
     for name, expr in pipelines:
-        session = PlanSession(catalog, chase_workers=chase_workers)
-        if configure is not None:
-            configure(session.engine)
+        session = PlanSession(catalog)
+        if reference:
+            session.engine = SaturationEngine(session.program, use_index=False)
         started = time.perf_counter()
         result = session.rewrite(expr)
         elapsed = time.perf_counter() - started
-        session.engine.close()
         sat = result.saturation
         out[name] = {
             "seconds": elapsed,
@@ -68,16 +66,8 @@ def _sweep(catalog, pipelines, configure=None, chase_workers: int = 1):
             "matches_attempted": sat.matches_attempted,
             "atoms_materialized": sat.atoms_materialized,
             "delta_attempts": sat.delta_attempts,
-            "parallel_rounds": sat.parallel_rounds,
         }
     return out
-
-
-def _reference(engine) -> None:
-    """The pre-optimization engine: linear scans, full re-evaluation."""
-    engine.use_index = False
-    engine.use_delta = False
-    engine.use_instance_index = False
 
 
 def measure(scale: float = 0.01) -> dict:
@@ -89,20 +79,13 @@ def measure(scale: float = 0.01) -> dict:
     pipelines = [(name, build_pipeline(name, roles)) for name in pipeline_names()]
 
     optimized = _sweep(catalog, pipelines)
-    reference = _sweep(catalog, pipelines, configure=_reference)
-    parallel = _sweep(catalog, pipelines, chase_workers=2)
+    reference = _sweep(catalog, pipelines, reference=True)
 
     serial_mismatched = [
         name
         for name, row in optimized.items()
         if (row["plan"], row["cost"])
         != (reference[name]["plan"], reference[name]["cost"])
-    ]
-    parallel_mismatched = [
-        name
-        for name, row in optimized.items()
-        if (row["plan"], row["cost"])
-        != (parallel[name]["plan"], parallel[name]["cost"])
     ]
     chase_bound = sorted(
         name
@@ -136,15 +119,10 @@ def measure(scale: float = 0.01) -> dict:
         "chase_bound_pipelines": chase_bound,
         "acceptance": {
             "byte_identical_serial": not serial_mismatched,
-            "byte_identical_parallel": not parallel_mismatched,
             "serial_mismatched": serial_mismatched,
-            "parallel_mismatched": parallel_mismatched,
             "median_chase_bound_reference_seconds": median_reference,
             "median_chase_bound_optimized_seconds": median_optimized,
             "median_chase_bound_speedup": median_reference / median_optimized,
-            "parallel_rounds_observed": sum(
-                row["parallel_rounds"] for row in parallel.values()
-            ),
         },
         "optimized": totals(optimized),
         "reference": totals(reference),
@@ -157,7 +135,6 @@ def test_optimized_plans_byte_identical_to_reference_on_all_57_pipelines():
     assert summary["pipelines"] == 57
     acceptance = summary["acceptance"]
     assert acceptance["byte_identical_serial"], acceptance["serial_mismatched"]
-    assert acceptance["byte_identical_parallel"], acceptance["parallel_mismatched"]
 
 
 def test_chase_bound_median_latency_improves_3x():

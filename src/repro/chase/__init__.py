@@ -5,7 +5,9 @@ Two engines are provided, matching the two places the paper uses the chase:
 * :mod:`repro.chase.saturation` — the chase of the relationally encoded LA
   expression with the MMC / view constraints (§6.3, §7.3).  It operates on a
   :class:`~repro.vrem.instance.VremInstance` (equivalence classes + atoms)
-  and supports the cost-threshold pruning of Prune_prov.
+  and supports the cost-threshold pruning of Prune_prov.  One production
+  engine (serial, trigger-indexed, semi-naive); ``use_index=False`` builds
+  the linear-scan reference engine the tests compare it against.
 * :mod:`repro.chase.pacb` — a classic Provenance-Aware Chase & Backchase for
   conjunctive queries and conjunctive-query views, used for the relational
   (RA) part of hybrid queries.

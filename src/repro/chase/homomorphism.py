@@ -83,8 +83,8 @@ def _candidate_atoms(pattern: Atom, binding: Binding, instance: VremInstance,
 
     The smallest index entry over all constant / already-bound argument
     positions is used; if no argument is bound the whole relation is scanned.
-    ``indexed=False`` always scans the whole relation — the pre-index
-    behaviour, kept as the saturation benchmark's reference configuration.
+    ``indexed=False`` always scans the whole relation — the matcher of the
+    ``SaturationEngine(use_index=False)`` reference engine.
     """
     if not indexed:
         return instance.atoms(pattern.relation)
@@ -159,8 +159,8 @@ def find_instance_matches(
     (given the current binding) is matched next, and candidates are fetched
     through the instance's positional index rather than by scanning whole
     relations.  ``indexed=False`` scans relations linearly instead (the
-    reference configuration of ``bench_saturation.py``); the set of
-    matches is identical either way.
+    ``SaturationEngine(use_index=False)`` reference engine the tests
+    compare against); the set of matches is identical either way.
     """
     initial = dict(initial_binding or {})
     for var, value in list(initial.items()):

@@ -85,47 +85,6 @@ class ConstraintProgram:
                     self.producers_by_relation.setdefault(relation, []).append(
                         constraint.name
                     )
-        self._parallel_groups: Optional[List[List[int]]] = None
-
-    def parallel_groups(self) -> List[List[int]]:
-        """Partition of constraint positions into trigger-independent groups.
-
-        Two constraints land in the same group when their premise trigger
-        relations overlap (shape-reading premises share the pseudo-relation
-        ``size``), transitively: the groups are the connected components of
-        the trigger-overlap graph.  Constraints in different groups read
-        disjoint parts of the instance, so their premise matching for one
-        round can run concurrently against the same snapshot.  Groups are
-        returned sorted by first constraint position, each group sorted by
-        position — the deterministic merge order of the parallel chase.
-        """
-        if self._parallel_groups is not None:
-            return self._parallel_groups
-        count = len(self.compiled)
-        parent = list(range(count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        relation_members: Dict[str, int] = {}
-        for position, compiled in enumerate(self.compiled):
-            keys = set(compiled.trigger_relations)
-            if compiled.uses_shapes:
-                keys.add("size")
-            for relation in keys:
-                anchor = relation_members.setdefault(relation, position)
-                ra, rb = find(anchor), find(position)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-
-        groups: Dict[int, List[int]] = {}
-        for position in range(count):
-            groups.setdefault(find(position), []).append(position)
-        self._parallel_groups = sorted(groups.values())
-        return self._parallel_groups
 
     @staticmethod
     def _compile(constraint: Constraint) -> CompiledConstraint:

@@ -13,22 +13,19 @@ This is the chase of §6.3 as extended by §7.3 (PACB++ / Prune_prov):
 * hard budgets on rounds, atoms and classes bound the work even for
   non-terminating constraint sets.
 
-Two orthogonal accelerations keep the fixpoint identical while skipping
-work:
+There is one production engine: serial, trigger-indexed and semi-naive.
+A constraint none of whose trigger relations changed since its last attempt
+is skipped; a re-attempted constraint only searches for matches that touch
+the *delta* — the atoms added or re-canonicalised (and classes newly shaped)
+since its previous attempt, read off the instance's append-only delta logs.
+Anything else was already found, applied, satisfied, or pruned last time;
+the chase is monotone, so none of those outcomes can revert.  Candidate
+atoms come from the instance's positional index.
 
-* **Semi-naive delta matching** (``use_index=True``): beyond skipping
-  constraints whose trigger relations are unchanged, a re-attempted
-  constraint only searches for matches that touch the *delta* — the atoms
-  added or re-canonicalised (and classes newly shaped) since its previous
-  attempt, read off the instance's append-only delta logs.  Anything else
-  was already found, applied, satisfied, or pruned last time; the chase is
-  monotone, so none of those outcomes can revert.
-* **Parallel matching** (``chase_workers > 1``): per round, the premise
-  homomorphism searches of trigger-independent constraint groups run in a
-  process pool against the round-start snapshot; the resulting bindings are
-  merged serially in constraint order with the exact same applicability /
-  pruning checks as the serial path.  The serial path (the default) is
-  byte-identical to previous releases.
+``SaturationEngine(..., use_index=False)`` is the *reference* engine the
+tests and ``bench_saturation.py`` compare against: every constraint is
+attempted every round, every attempt is a full search, and the matcher
+scans relations linearly.  It reaches the same fixpoint, only slower.
 
 The saturated instance is then handed to the extraction step
 (:mod:`repro.core.extraction`), which plays the role of the provenance-based
@@ -150,10 +147,6 @@ class SaturationResult:
     #: Constraint attempts that searched only the delta (semi-naive) rather
     #: than the full instance.
     delta_attempts: int = 0
-    #: Rounds whose premise matching ran in the worker pool.
-    parallel_rounds: int = 0
-    #: Trigger-independent constraint groups (0 when never partitioned).
-    constraint_groups: int = 0
 
 
 class SaturationEngine:
@@ -165,17 +158,9 @@ class SaturationEngine:
     :class:`~repro.planner.session.PlanSession` does the latter, so the
     per-rewrite path never re-analyses the constraints.
 
-    With ``use_index=True`` (the default) each round only attempts the
-    constraints whose premise trigger relations actually changed since the
-    constraint was last attempted, and a re-attempt only matches against the
-    delta; the reached fixpoint is identical to the unindexed chase, only
-    the dormant or already-performed homomorphism searches are skipped.
-
-    With ``chase_workers > 1`` the premise matching of independent
-    constraint groups runs in a process pool (see
-    :mod:`repro.chase.parallel`); applications are merged serially and
-    deterministically.  ``chase_workers=1`` (the default) never touches the
-    pool machinery.
+    ``use_index=True`` (the default) is the production engine;
+    ``use_index=False`` builds the reference engine of the module docstring,
+    which reaches the identical fixpoint by exhaustive search.
     """
 
     def __init__(
@@ -186,9 +171,6 @@ class SaturationEngine:
         max_classes: int = 8_000,
         raise_on_budget: bool = False,
         use_index: bool = True,
-        chase_workers: int = 1,
-        use_delta: bool = True,
-        use_instance_index: bool = True,
     ):
         self.program = ConstraintProgram.coerce(constraints)
         self.constraints = self.program.constraints
@@ -197,36 +179,6 @@ class SaturationEngine:
         self.max_classes = max_classes
         self.raise_on_budget = raise_on_budget
         self.use_index = use_index
-        self.chase_workers = max(1, int(chase_workers))
-        #: Semi-naive delta matching on re-attempts; off = full re-search
-        #: (the benchmark's reference configuration).  Requires use_index.
-        self.use_delta = use_delta
-        #: Positional-index candidate lookup in the matcher; off = linear
-        #: relation scans (the pre-optimization matcher, kept only as
-        #: ``bench_saturation.py``'s reference configuration).
-        self.use_instance_index = use_instance_index
-        self._pool = None
-
-    # ------------------------------------------------------------------ pool
-    def _ensure_pool(self):
-        if self._pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.chase_workers, mp_context=context
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the worker pool (no-op for the serial engine)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
     # ------------------------------------------------------------------ helpers
     @staticmethod
@@ -282,12 +234,12 @@ class SaturationEngine:
         stats: SaturationResult,
         matches: Iterable[Binding],
     ) -> int:
-        """Apply precomputed premise bindings (the serial merge half)."""
+        """Apply the premise bindings that are not yet satisfied or pruned."""
         applications = 0
         for binding in matches:
             stats.matches_attempted += 1
             if is_satisfied(
-                tgd.conclusion, instance, binding, indexed=self.use_instance_index
+                tgd.conclusion, instance, binding, indexed=self.use_index
             ):
                 continue
             if pruner is not None:
@@ -396,9 +348,6 @@ class SaturationEngine:
         # ``delta_marks`` has never been attempted and gets a full search.
         delta_marks: Dict[int, Dict[str, int]] = {}
         shape_marks: Dict[int, int] = {}
-        parallel = self.chase_workers > 1 and len(self.program.parallel_groups()) > 1
-        if parallel:
-            stats.constraint_groups = len(self.program.parallel_groups())
 
         def finish() -> SaturationResult:
             stats.elapsed_seconds = time.perf_counter() - start
@@ -419,7 +368,7 @@ class SaturationEngine:
             one well-ordered full search, so semi-naive restriction is only
             worth it while the delta is selective (the late-round regime it
             exists for)."""
-            if not self.use_index or not self.use_delta or position not in delta_marks:
+            if not self.use_index or position not in delta_marks:
                 return None
             marks = delta_marks[position]
             delta: Dict[str, List[Atom]] = {}
@@ -441,23 +390,18 @@ class SaturationEngine:
                 return None
             return delta, shaped
 
-        def note_attempt(compiled: CompiledConstraint, position: int) -> None:
-            """Record pre-attempt watermarks (the attempt consumes up to here)."""
+        def collect_matches(compiled: CompiledConstraint, position: int) -> List[Binding]:
+            premise = compiled.constraint.premise
+            sliced = premise_delta(compiled, position)
+            # Pre-attempt watermarks: this attempt consumes the logs up to here.
             delta_marks[position] = {
                 relation: len(instance.relation_log(relation))
                 for relation in compiled.trigger_relations
             }
             shape_marks[position] = len(instance.shape_log())
-
-        def collect_matches(compiled: CompiledConstraint, position: int) -> List[Binding]:
-            premise = compiled.constraint.premise
-            sliced = premise_delta(compiled, position)
-            note_attempt(compiled, position)
             if sliced is None:
                 return list(
-                    find_instance_matches(
-                        premise, instance, indexed=self.use_instance_index
-                    )
+                    find_instance_matches(premise, instance, indexed=self.use_index)
                 )
             stats.delta_attempts += 1
             delta, shaped = sliced
@@ -492,38 +436,25 @@ class SaturationEngine:
         for round_index in range(self.max_rounds):
             stats.rounds = round_index + 1
             changed = 0
-            if parallel:
-                changed = self._parallel_round(
-                    instance, stats, last_stamp, delta_marks, collect_matches,
-                    note_attempt, apply_matches, over_budget,
-                )
-                if changed < 0:  # budget exceeded inside the round
+            for position, compiled in enumerate(self.program.compiled):
+                if self.use_index:
+                    stamp = compiled.stamp(instance)
+                    if last_stamp.get(position) == stamp:
+                        stats.constraints_skipped += 1
+                        continue
+                    # Record the pre-attempt stamp: applications made by this
+                    # very constraint bump the versions past it, correctly
+                    # re-queueing recursive constraints for the next round.
+                    last_stamp[position] = stamp
+                matches = collect_matches(compiled, position)
+                changed += apply_matches(compiled, matches)
+                if over_budget():
                     if self.raise_on_budget:
                         raise ChaseBudgetExceeded(
                             f"saturation exceeded budget: atoms={instance.num_atoms()}, "
                             f"classes={instance.num_classes()}"
                         )
                     return finish()
-            else:
-                for position, compiled in enumerate(self.program.compiled):
-                    if self.use_index:
-                        stamp = compiled.stamp(instance)
-                        if last_stamp.get(position) == stamp:
-                            stats.constraints_skipped += 1
-                            continue
-                        # Record the pre-attempt stamp: applications made by this
-                        # very constraint bump the versions past it, correctly
-                        # re-queueing recursive constraints for the next round.
-                        last_stamp[position] = stamp
-                    matches = collect_matches(compiled, position)
-                    changed += apply_matches(compiled, matches)
-                    if over_budget():
-                        if self.raise_on_budget:
-                            raise ChaseBudgetExceeded(
-                                f"saturation exceeded budget: atoms={instance.num_atoms()}, "
-                                f"classes={instance.num_classes()}"
-                            )
-                        return finish()
             if changed == 0:
                 stats.reached_fixpoint = True
                 break
@@ -532,108 +463,3 @@ class SaturationEngine:
                 if bound is not None:
                     pruner.tighten(bound)
         return finish()
-
-    # ------------------------------------------------------------------ parallel
-    def _parallel_round(
-        self,
-        instance: VremInstance,
-        stats: SaturationResult,
-        last_stamp: Dict[int, Tuple[int, ...]],
-        delta_marks: Dict[int, Dict[str, int]],
-        collect_matches,
-        note_attempt,
-        apply_matches,
-        over_budget,
-    ) -> int:
-        """One saturation round with speculative pooled premise matching.
-
-        The pool runs the expensive *full* (first-attempt) premise searches
-        against the round-start snapshot; the merge sweep then replays the
-        exact serial round — same constraint order, same stamp checks, same
-        application path — substituting a speculative result only when the
-        constraint's trigger state is still byte-for-byte what the worker
-        saw.  A constraint whose triggers were written by an earlier merge
-        this round is recomputed live instead, so mid-round visibility (and
-        with it the reached state under round budgets) matches the serial
-        engine exactly.  Returns the number of applications, or -1 when a
-        budget tripped.
-        """
-        from repro.chase.parallel import match_premises
-
-        compiled_list = self.program.compiled
-
-        def trigger_signature(compiled: CompiledConstraint) -> Tuple:
-            lengths = tuple(
-                len(instance.relation_log(relation))
-                for relation in compiled.trigger_relations
-            )
-            if compiled.uses_shapes:
-                return lengths + (len(instance.shape_log()),)
-            return lengths
-
-        # ---- speculation pass: read-only, no stats, no watermark writes.
-        # Only never-attempted positions are shipped: their full homomorphism
-        # search is the expensive half; delta re-attempts are cheap locally.
-        ship = [
-            position
-            for position, compiled in enumerate(compiled_list)
-            if position not in delta_marks
-            and not (self.use_index and last_stamp.get(position) == compiled.stamp(instance))
-        ]
-        speculative: Dict[int, List[Binding]] = {}
-        signatures: Dict[int, Tuple] = {}
-        if ship:
-            shipset = set(ship)
-            jobs_by_group = []
-            for group in self.program.parallel_groups():
-                jobs = [
-                    (position, tuple(compiled_list[position].constraint.premise))
-                    for position in group
-                    if position in shipset
-                ]
-                if jobs:
-                    jobs_by_group.append(jobs)
-            for position in ship:
-                signatures[position] = trigger_signature(compiled_list[position])
-            if len(jobs_by_group) == 1:
-                # One active group: the pool round-trip buys nothing.
-                for position, bindings in match_premises(instance, jobs_by_group[0]):
-                    speculative[position] = bindings
-            else:
-                pool = self._ensure_pool()
-                futures = [
-                    pool.submit(match_premises, instance, jobs)
-                    for jobs in jobs_by_group
-                ]
-                for future in futures:
-                    for position, bindings in future.result():
-                        speculative[position] = bindings
-                stats.parallel_rounds += 1
-
-        # ---- merge sweep: the serial round, with speculation as fast path.
-        changed = 0
-        for position, compiled in enumerate(compiled_list):
-            if self.use_index:
-                stamp = compiled.stamp(instance)
-                if last_stamp.get(position) == stamp:
-                    stats.constraints_skipped += 1
-                    continue
-                last_stamp[position] = stamp
-            if (
-                position in speculative
-                and trigger_signature(compiled) == signatures[position]
-            ):
-                note_attempt(compiled, position)
-                matches = speculative[position]
-            else:
-                matches = collect_matches(compiled, position)
-            changed += apply_matches(compiled, matches)
-            if over_budget():
-                return -1
-        return changed
-
-    def __del__(self):  # pragma: no cover - interpreter-shutdown best effort
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -125,14 +125,7 @@ class PlannerConfig:
     normalized_matrices: Tuple[Tuple[str, Tuple[str, str, str]], ...] = ()
     cache_size: int = 256
     enable_cache: bool = True
-    use_constraint_index: bool = True
     tighten_thresholds: bool = True
-    #: Worker processes for the parallel chase: independent constraint
-    #: groups have their premise matching evaluated concurrently per
-    #: saturation round.  ``1`` (the default) is the serial engine,
-    #: byte-identical to previous releases; values > 1 must still extract
-    #: identical plans (enforced by ``bench_saturation.py``'s acceptance).
-    chase_workers: int = 1
     #: Registered sparsity-estimator name (``"naive"`` | ``"mnc"`` | custom);
     #: resolved through :func:`repro.cost.resolve_estimator` when the session
     #: is built without an explicit estimator object.  Membership is checked
@@ -160,7 +153,6 @@ class PlannerConfig:
             "prune",
             "reorder_matmul_chains",
             "enable_cache",
-            "use_constraint_index",
             "tighten_thresholds",
         ):
             _require_bool(name, flag, getattr(self, flag))
@@ -169,7 +161,6 @@ class PlannerConfig:
         _require_int(name, "max_classes", self.max_classes, 1)
         _require_int(name, "alternatives_limit", self.alternatives_limit, 0)
         _require_int(name, "cache_size", self.cache_size, 1)
-        _require_int(name, "chase_workers", self.chase_workers, 1)
         _require_str(name, "estimator", self.estimator)
         _require_str(name, "verify_constraints", self.verify_constraints)
         if self.verify_constraints not in ("off", "warn", "strict"):

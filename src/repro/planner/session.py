@@ -31,6 +31,7 @@ result crossing the session boundary is a private copy
 from __future__ import annotations
 
 import time
+from dataclasses import fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.catalog.footprint import PlanFootprint
@@ -49,8 +50,36 @@ from repro.planner.cache import CacheKey, RewriteCache
 from repro.planner.stages import DEFAULT_STAGES, PlanContext, Stage
 
 
+#: Options a session holds as plain attributes named after their
+#: :class:`PlannerConfig` field.  The other two fields live on owned objects:
+#: ``estimator`` on the live estimator object (see ``estimator_name``) and
+#: ``cache_size`` on ``cache.capacity``.
+_ATTRIBUTE_OPTIONS: Tuple[str, ...] = tuple(
+    f.name for f in fields(PlannerConfig) if f.name not in ("estimator", "cache_size")
+)
+
+
 class PlanSession:
     """Reusable planning state plus the staged rewrite pipeline."""
+
+    # Declared for type checkers; ``__init__`` assigns every
+    # ``_ATTRIBUTE_OPTIONS`` name from the config.
+    include_decompositions: bool
+    include_systemml_rules: bool
+    include_morpheus_rules: bool
+    include_view_voi: bool
+    max_rounds: int
+    max_atoms: int
+    max_classes: int
+    prune: bool
+    reorder_matmul_chains: bool
+    alternatives_limit: int
+    normalized_matrices: Dict[str, Tuple[str, str, str]]
+    enable_cache: bool
+    tighten_thresholds: bool
+    #: Static-verification mode ("off" | "warn" | "strict"); consulted
+    #: again whenever ``set_views`` recompiles the program.
+    verify_constraints: str
 
     def __init__(
         self,
@@ -58,69 +87,22 @@ class PlanSession:
         views: Sequence[LAView] = (),
         estimator=None,
         constraints: Optional[Sequence[Constraint]] = None,
-        include_decompositions: bool = False,
-        include_systemml_rules: bool = True,
-        include_morpheus_rules: bool = False,
-        include_view_voi: bool = True,
-        max_rounds: int = 4,
-        max_atoms: int = 2_500,
-        max_classes: int = 1_200,
-        prune: bool = True,
-        reorder_matmul_chains: bool = True,
-        alternatives_limit: int = 6,
-        normalized_matrices: Optional[Dict[str, Tuple[str, str, str]]] = None,
-        cache_size: int = 256,
-        enable_cache: bool = True,
-        use_constraint_index: bool = True,
-        tighten_thresholds: bool = True,
-        chase_workers: int = 1,
-        verify_constraints: str = "off",
+        *,
         stages: Optional[Sequence[Stage]] = None,
         config: Optional[PlannerConfig] = None,
+        **planner_kwargs,
     ):
-        # Options always travel as one validated, frozen PlannerConfig —
-        # the legacy keyword arguments are folded into one (and validated
-        # by it) when no config is given, so both construction paths share
-        # a single source of truth.  ``config``, when provided, wins.
+        # Options always travel as one validated, frozen PlannerConfig.
+        # ``planner_kwargs`` are its fields given inline; they are folded
+        # into one even when ``config`` is provided (and wins), so an
+        # unknown name or an invalid value always fails here, naming the
+        # field.
+        keyword_config = PlannerConfig(**planner_kwargs)
         if config is None:
-            config = PlannerConfig(
-                include_decompositions=include_decompositions,
-                include_systemml_rules=include_systemml_rules,
-                include_morpheus_rules=include_morpheus_rules,
-                include_view_voi=include_view_voi,
-                max_rounds=max_rounds,
-                max_atoms=max_atoms,
-                max_classes=max_classes,
-                prune=prune,
-                reorder_matmul_chains=reorder_matmul_chains,
-                alternatives_limit=alternatives_limit,
-                normalized_matrices=normalized_matrices or {},
-                cache_size=cache_size,
-                enable_cache=enable_cache,
-                use_constraint_index=use_constraint_index,
-                tighten_thresholds=tighten_thresholds,
-                chase_workers=chase_workers,
-                verify_constraints=verify_constraints,
-            )
+            config = keyword_config
         options = config.session_kwargs()
-        include_decompositions = options["include_decompositions"]
-        include_systemml_rules = options["include_systemml_rules"]
-        include_morpheus_rules = options["include_morpheus_rules"]
-        include_view_voi = options["include_view_voi"]
-        max_rounds = options["max_rounds"]
-        max_atoms = options["max_atoms"]
-        max_classes = options["max_classes"]
-        prune = options["prune"]
-        reorder_matmul_chains = options["reorder_matmul_chains"]
-        alternatives_limit = options["alternatives_limit"]
-        cache_size = options["cache_size"]
-        enable_cache = options["enable_cache"]
-        use_constraint_index = options["use_constraint_index"]
-        tighten_thresholds = options["tighten_thresholds"]
-        chase_workers = options["chase_workers"]
-        #: Static-verification mode ("off" | "warn" | "strict"); consulted
-        #: again whenever ``set_views`` recompiles the program.
-        self.verify_constraints = options["verify_constraints"]
+        for name in _ATTRIBUTE_OPTIONS:
+            setattr(self, name, options[name])
 
         self.catalog = catalog
         self.views = list(views)
@@ -133,58 +115,34 @@ class PlanSession:
         if estimator is None:
             estimator = resolve_estimator(self._declared_estimator_name)
         self.estimator = estimator
-        # Remember the constructor knobs so façades can clone the session
-        # (``with_views``) without silently dropping options.
-        self.include_decompositions = include_decompositions
-        self.include_systemml_rules = include_systemml_rules
-        self.include_morpheus_rules = include_morpheus_rules
-        self.include_view_voi = include_view_voi
-        self.normalized_matrices = dict(options["normalized_matrices"])
         if constraints is None:
             constraints = default_constraints(
-                include_decompositions=include_decompositions,
-                include_systemml=include_systemml_rules,
-                include_morpheus=include_morpheus_rules or bool(self.normalized_matrices),
+                include_decompositions=self.include_decompositions,
+                include_systemml=self.include_systemml_rules,
+                include_morpheus=self.include_morpheus_rules or bool(self.normalized_matrices),
             )
         self.base_constraints = list(constraints)
         self._register_view_metadata()
         self.view_constraints = constraints_for_views(
-            self.views, catalog, include_voi=include_view_voi
+            self.views, catalog, include_voi=self.include_view_voi
         )
         #: Compiled once; every rewrite reuses the indexed program.
         self.program = ConstraintProgram(
             self.base_constraints + self.view_constraints, validate=False
         )
         self._verify_program()
-        self.max_rounds = max_rounds
-        self.max_atoms = max_atoms
-        self.max_classes = max_classes
-        self.prune = prune
-        self.reorder_matmul_chains = reorder_matmul_chains
-        self.alternatives_limit = alternatives_limit
-        self.tighten_thresholds = tighten_thresholds
-        self.engine = SaturationEngine(
-            self.program,
-            max_rounds=max_rounds,
-            max_atoms=max_atoms,
-            max_classes=max_classes,
-            use_index=use_constraint_index,
-            chase_workers=chase_workers,
-        )
+        self.engine = self._build_engine()
         self.stages: Tuple[Stage, ...] = tuple(stages) if stages is not None else DEFAULT_STAGES
-        self.enable_cache = enable_cache
-        self.cache = RewriteCache(cache_size)
+        self.cache = RewriteCache(options["cache_size"])
         #: The construction-time half of :meth:`options_key`, frozen here:
         #: these options are baked into the compiled constraint program and
         #: cannot take effect through attribute mutation, so the cache key
         #: deliberately uses the values the program was *built* with.
         self._constructed_options_key: Tuple = (
-            include_decompositions,
-            include_systemml_rules,
-            include_morpheus_rules,
-            include_view_voi,
-            use_constraint_index,
-            chase_workers,
+            self.include_decompositions,
+            self.include_systemml_rules,
+            self.include_morpheus_rules,
+            self.include_view_voi,
         )
 
     # ------------------------------------------------------------------ setup
@@ -223,6 +181,14 @@ class PlanSession:
             f"constraint program has static-verification errors: {rendered}",
             UserWarning,
             stacklevel=3,
+        )
+
+    def _build_engine(self) -> SaturationEngine:
+        return SaturationEngine(
+            self.program,
+            max_rounds=self.max_rounds,
+            max_atoms=self.max_atoms,
+            max_classes=self.max_classes,
         )
 
     def _register_view_metadata(self) -> None:
@@ -287,14 +253,7 @@ class PlanSession:
             self.base_constraints + self.view_constraints, validate=False
         )
         self._verify_program()
-        self.engine = SaturationEngine(
-            self.program,
-            max_rounds=self.max_rounds,
-            max_atoms=self.max_atoms,
-            max_classes=self.max_classes,
-            use_index=self.engine.use_index,
-            chase_workers=self.engine.chase_workers,
-        )
+        self.engine = self._build_engine()
         self.invalidate()
 
     def set_normalized_matrices(
@@ -349,25 +308,9 @@ class PlanSession:
         set requires a new session (the compiled constraint program is not
         re-derived by mutation).
         """
+        live = {name: getattr(self, name) for name in _ATTRIBUTE_OPTIONS}
         return PlannerConfig(
-            include_decompositions=self.include_decompositions,
-            include_systemml_rules=self.include_systemml_rules,
-            include_morpheus_rules=self.include_morpheus_rules,
-            include_view_voi=self.include_view_voi,
-            max_rounds=self.max_rounds,
-            max_atoms=self.max_atoms,
-            max_classes=self.max_classes,
-            prune=self.prune,
-            reorder_matmul_chains=self.reorder_matmul_chains,
-            alternatives_limit=self.alternatives_limit,
-            normalized_matrices=self.normalized_matrices,
-            cache_size=self.cache.capacity,
-            enable_cache=self.enable_cache,
-            use_constraint_index=self.engine.use_index,
-            tighten_thresholds=self.tighten_thresholds,
-            chase_workers=self.engine.chase_workers,
-            estimator=self.estimator_name,
-            verify_constraints=self.verify_constraints,
+            estimator=self.estimator_name, cache_size=self.cache.capacity, **live
         )
 
     @property
@@ -518,31 +461,16 @@ class PlanSession:
     def with_views(self, views: Sequence[LAView]) -> "PlanSession":
         """A copy of this session using a different view set.
 
-        Every constructor option is preserved — including ``include_view_voi``
-        and the normalized-matrix declarations that drive Morpheus rule
-        inclusion — so derived sessions cannot silently regress to defaults.
+        Every option is preserved (the live :meth:`current_config`, plus the
+        live estimator object and base constraints), so derived sessions
+        cannot silently regress to defaults.
         """
         return PlanSession(
             catalog=self.catalog,
             views=views,
             estimator=self.estimator,
             constraints=self.base_constraints,
-            include_decompositions=self.include_decompositions,
-            include_systemml_rules=self.include_systemml_rules,
-            include_morpheus_rules=self.include_morpheus_rules,
-            include_view_voi=self.include_view_voi,
-            max_rounds=self.max_rounds,
-            max_atoms=self.max_atoms,
-            max_classes=self.max_classes,
-            prune=self.prune,
-            reorder_matmul_chains=self.reorder_matmul_chains,
-            alternatives_limit=self.alternatives_limit,
-            normalized_matrices=self.normalized_matrices,
-            cache_size=self.cache.capacity,
-            enable_cache=self.enable_cache,
-            use_constraint_index=self.engine.use_index,
-            tighten_thresholds=self.tighten_thresholds,
-            chase_workers=self.engine.chase_workers,
+            config=self.current_config(),
         )
 
 

@@ -46,12 +46,6 @@ class Const:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        # __slots__ + the immutability guard break default pickling; rebuild
-        # through the constructor (also re-derives the cached hash, which is
-        # not stable across processes for str values).
-        return (Const, (self.value,))
-
     def __repr__(self) -> str:
         return f"~{self.value!r}"
 
@@ -78,9 +72,6 @@ class Var:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return (Var, (self.name,))
 
     def __repr__(self) -> str:
         return f"?{self.name}"
@@ -117,9 +108,6 @@ class Atom:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return (Atom, (self.relation, self.args))
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(arg) for arg in self.args)

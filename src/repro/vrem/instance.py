@@ -470,50 +470,5 @@ class VremInstance:
                     break
         return result
 
-    # ------------------------------------------------------------------ pickling
-    def __getstate__(self) -> dict:
-        """Picklable snapshot (for the parallel chase's worker processes).
-
-        The interner rebuilds from the stored atoms on the other side; the
-        defaultdicts are converted to plain dicts so no factory lambdas leak
-        into the payload.
-        """
-        return {
-            "parent": dict(self._parent),
-            "next_id": self._next_id,
-            "atoms": [
-                (atom.relation, atom.args, sorted(labels))
-                for atom, labels in self._atom_provenance.items()
-            ],
-            "shape": dict(self._shape),
-            "scalar_value": dict(self._scalar_value),
-            "version": self.version,
-            "shape_version": self.shape_version,
-            "relation_versions": dict(self._relation_versions),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__()
-        self._parent = dict(state["parent"])
-        self._next_id = int(state["next_id"])
-        self._num_classes = len({self.find(cid) for cid in self._parent})
-        for relation, args, labels in state["atoms"]:
-            atom = self._interner.intern(relation, tuple(args))
-            self._atom_provenance[atom] = set(labels)
-            self._by_relation[relation].add(atom)
-            for position, arg in enumerate(atom.args):
-                self._by_position[(relation, position, arg)].add(atom)
-                if isinstance(arg, int):
-                    self._atoms_by_class[arg].add(atom)
-            key = self._congruence_key(atom)
-            if key is not None:
-                self._congruence.setdefault(key, atom)
-        self._shape = {int(cid): (int(s[0]), int(s[1])) for cid, s in state["shape"].items()}
-        self._scalar_value = dict(state["scalar_value"])
-        self.version = int(state["version"])
-        self.shape_version = int(state["shape_version"])
-        for relation, version in state["relation_versions"].items():
-            self._relation_versions[relation] = version
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"VremInstance(classes={self.num_classes()}, atoms={self.num_atoms()})"

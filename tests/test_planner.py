@@ -218,12 +218,11 @@ class TestConstraintIndex:
     def test_session_plans_match_without_index(self, small_catalog):
         expr = sum_all(colsums(transpose(matrix("N")) @ transpose(matrix("M"))))
         fast = PlanSession(small_catalog).rewrite(expr)
-        slow = PlanSession(
-            small_catalog,
-            use_constraint_index=False,
-            tighten_thresholds=False,
-            enable_cache=False,
-        ).rewrite(expr)
+        reference = PlanSession(
+            small_catalog, tighten_thresholds=False, enable_cache=False
+        )
+        reference.engine = SaturationEngine(reference.program, use_index=False)
+        slow = reference.rewrite(expr)
         assert fast.best == slow.best
         assert fast.best_cost == pytest.approx(slow.best_cost)
 

