@@ -11,7 +11,7 @@ import pytest
 from scipy import sparse
 
 from repro.backends.morpheus import MorpheusBackend, NormalizedMatrix
-from repro.core import HadadOptimizer
+from repro.planner import PlanSession
 from repro.data.catalog import Catalog
 from repro.lang import colsums, matrix, rowsums, sum_all, transpose
 
@@ -41,7 +41,7 @@ def _environment(n_entities: int, seed: int = 3):
 @pytest.mark.parametrize("name", sorted(FIG12_PIPELINES))
 def test_rwfind_on_morpheus_pipelines(benchmark, name):
     catalog, _ = _environment(20_000)
-    optimizer = HadadOptimizer(catalog)
+    optimizer = PlanSession(catalog)
     benchmark(optimizer.rewrite, FIG12_PIPELINES[name](matrix("Mjoin")))
 
 
@@ -50,7 +50,7 @@ def test_fig12_overhead_report():
     for name, build in sorted(FIG12_PIPELINES.items()):
         for n_entities in (5_000, 20_000, 80_000):
             catalog, backend = _environment(n_entities)
-            optimizer = HadadOptimizer(catalog)
+            optimizer = PlanSession(catalog)
             expr = build(matrix("Mjoin"))
             result = optimizer.rewrite(expr)
             execution = backend.timed(result.best)

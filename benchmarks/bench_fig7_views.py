@@ -5,7 +5,7 @@ import pytest
 from repro.benchkit.harness import materialize_views, run_pipeline
 from repro.benchkit.pipelines import build_pipeline
 from repro.benchkit.views_vexp import VIEWS_USED_BY_PIPELINE, build_vexp_views
-from repro.core import HadadOptimizer
+from repro.planner import PlanSession
 from repro.cost import NaiveMetadataEstimator
 
 FIG7_PIPELINES = ["P2.14", "P2.21", "P2.25", "P2.27"]
@@ -15,7 +15,7 @@ FIG7_PIPELINES = ["P2.14", "P2.21", "P2.25", "P2.27"]
 def views_env(catalog, roles):
     views = build_vexp_views(roles)
     materialize_views(views, catalog)
-    optimizer = HadadOptimizer(catalog, views=views, estimator=NaiveMetadataEstimator())
+    optimizer = PlanSession(catalog, views=views, estimator=NaiveMetadataEstimator())
     return views, optimizer
 
 

@@ -13,7 +13,7 @@ from scipy import sparse
 
 from repro.backends.base import values_allclose
 from repro.backends.morpheus import MorpheusBackend, NormalizedMatrix
-from repro.core import HadadOptimizer
+from repro.planner import PlanSession
 from repro.data.catalog import Catalog
 from repro.lang import colsums, matrix, rowsums, sum_all
 
@@ -68,7 +68,7 @@ def test_morpheus_without_hadad(benchmark, name):
 def test_morpheus_with_hadad(benchmark, name):
     catalog, backend = _build_environment(tuple_ratio=10, feature_ratio=2)
     expr = FIG9_PIPELINES[name](*_operands(name))
-    optimizer = HadadOptimizer(catalog)
+    optimizer = PlanSession(catalog)
     result = optimizer.rewrite(expr)
     benchmark(backend.evaluate, result.best)
 
@@ -80,7 +80,7 @@ def test_fig9_grid_report():
             for feature_ratio in (1, 2, 4):
                 catalog, backend = _build_environment(tuple_ratio, feature_ratio)
                 expr = FIG9_PIPELINES[name](*_operands(name))
-                optimizer = HadadOptimizer(catalog)
+                optimizer = PlanSession(catalog)
                 rewritten = optimizer.rewrite(expr).best
                 base = backend.timed(expr)
                 improved = backend.timed(rewritten)

@@ -2,7 +2,7 @@
 
 Drives the asyncio gateway (:mod:`repro.server`) with N concurrent clients
 per grid point via :func:`repro.benchkit.harness.run_gateway_sweep`.  Each
-point gets a fresh gateway over a fresh service (cold pool, cold caches);
+point gets a fresh gateway over a fresh engine (cold pool, cold caches);
 clients connect simultaneously and fire their requests back to back, so the
 first wave measures true admission concurrency.
 
@@ -57,7 +57,6 @@ from repro.benchkit.harness import (
 from repro.benchkit.pipelines import build_pipeline, default_roles
 from repro.benchkit.views_vexp import build_vexp_views
 from repro.planner import PlanSession
-from repro.service import AnalyticsService
 
 #: Structurally distinct pipelines, small enough that cold-planning them
 #: keeps a grid point fast (the same sample bench_rewrite_cache sweeps).
@@ -70,6 +69,10 @@ CONCURRENCY_LEVELS = (16, 64)
 ACCEPTANCE_CONCURRENCY = 220
 
 
+def _engine(catalog, max_sessions: int = 8) -> Engine:
+    return Engine(catalog, config={"service": {"max_sessions": max_sessions}})
+
+
 def _pipelines(names=SAMPLE):
     roles = default_roles(ROLE_BINDINGS_DENSE)
     return [(name, build_pipeline(name, roles)) for name in names]
@@ -80,12 +83,12 @@ def measure(scale: float = 0.01) -> dict:
     catalog = benchmark_catalog(scale=scale)
     pipelines = _pipelines()
 
-    def service_factory():
-        return AnalyticsService(catalog, max_sessions=8)
+    def engine_factory():
+        return _engine(catalog)
 
     summary = run_gateway_sweep(
         pipelines,
-        service_factory=service_factory,
+        engine_factory=engine_factory,
         concurrency_levels=CONCURRENCY_LEVELS,
         batch_windows=BATCH_WINDOWS,
         requests_per_client=3,
@@ -93,7 +96,7 @@ def measure(scale: float = 0.01) -> dict:
     )
     acceptance = run_gateway_sweep(
         pipelines,
-        service_factory=service_factory,
+        engine_factory=engine_factory,
         concurrency_levels=(ACCEPTANCE_CONCURRENCY,),
         batch_windows=(0.01,),
         requests_per_client=2,
@@ -180,7 +183,7 @@ def test_gateway_sustains_200_inflight(catalog):
     plans byte-identical to serial, nothing rejected at this bound."""
     summary = run_gateway_sweep(
         _pipelines(),
-        service_factory=lambda: AnalyticsService(catalog, max_sessions=8),
+        engine_factory=lambda: _engine(catalog),
         concurrency_levels=(ACCEPTANCE_CONCURRENCY,),
         batch_windows=(0.01,),
         requests_per_client=2,
@@ -199,7 +202,7 @@ def test_admission_control_rejects_over_limit(catalog):
     admitted request still completes with a correct plan."""
     summary = run_gateway_sweep(
         _pipelines(),
-        service_factory=lambda: AnalyticsService(catalog, max_sessions=4),
+        engine_factory=lambda: _engine(catalog, max_sessions=4),
         concurrency_levels=(48,),
         batch_windows=(0.05,),
         requests_per_client=1,

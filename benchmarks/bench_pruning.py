@@ -12,7 +12,6 @@ from repro.chase.saturation import CostThresholdPruner, SaturationEngine
 from repro.constraints import default_constraints
 from repro.cost import NaiveMetadataEstimator
 from repro.cost.model import expression_cost
-from repro.core import HadadOptimizer
 from repro.lang import matrix
 from repro.vrem.encoder import encode_expression
 

@@ -1,8 +1,8 @@
 """End-to-end service throughput: concurrency sweep over the 57 pipelines.
 
-The sweep drives :meth:`repro.service.AnalyticsService.submit_many` over the
+The sweep drives :meth:`repro.api.Engine.submit_many` over the
 full Tables 2/3 pipeline batch at several worker counts, each on a fresh
-service (cold pool, cold caches), and compares every concurrent plan against
+engine (cold pool, cold caches), and compares every concurrent plan against
 a serial ``rewrite_all`` reference — concurrency must never change a plan.
 
 Run under pytest (``python -m pytest benchmarks/bench_service_throughput.py``)
@@ -15,13 +15,18 @@ from __future__ import annotations
 
 import json
 
+from repro.api import Engine
 from repro.benchkit.datasets import ROLE_BINDINGS_DENSE, benchmark_catalog
 from repro.benchkit.harness import run_service_sweep
 from repro.benchkit.pipelines import build_pipeline, default_roles, pipeline_names
 from repro.planner import PlanSession
-from repro.service import AnalyticsService, ServiceRequest
+from repro.service import ServiceRequest
 
 WORKER_COUNTS = (1, 2, 4, 8)
+
+
+def _engine(catalog, max_sessions: int = 8) -> Engine:
+    return Engine(catalog, config={"service": {"max_sessions": max_sessions}})
 
 
 def _pipelines(names=None):
@@ -34,7 +39,7 @@ def measure(scale: float = 0.01, worker_counts=WORKER_COUNTS, names=None) -> dic
     catalog = benchmark_catalog(scale=scale)
     summary = run_service_sweep(
         _pipelines(names),
-        service_factory=lambda: AnalyticsService(catalog, max_sessions=8),
+        engine_factory=lambda: _engine(catalog),
         worker_counts=worker_counts,
         execute=False,
         session_factory=lambda: PlanSession(catalog),
@@ -48,7 +53,7 @@ def test_concurrent_plans_byte_identical_to_serial(catalog):
     a serial ``rewrite_all`` plan for plan."""
     summary = run_service_sweep(
         _pipelines(),
-        service_factory=lambda: AnalyticsService(catalog, max_sessions=8),
+        engine_factory=lambda: _engine(catalog),
         worker_counts=(8,),
         execute=False,
         session_factory=lambda: PlanSession(catalog),
@@ -63,14 +68,14 @@ def test_concurrent_plans_byte_identical_to_serial(catalog):
 def test_batch_dedupes_before_fanout(catalog):
     names = ["P1.1", "P1.4", "P1.13"]
     pipelines = _pipelines(names) * 3
-    service = AnalyticsService(catalog, max_sessions=4)
+    engine = _engine(catalog, max_sessions=4)
     requests = [
         ServiceRequest(expression=expr, name=name, execute=False)
         for name, expr in pipelines
     ]
-    results = service.submit_many(requests, workers=4)
+    results = engine.submit_many(requests, workers=4)
     assert len(results) == 9
-    assert service.pool.stats.plans_computed == len(names)
+    assert engine.pool.stats.plans_computed == len(names)
     assert sum(r.rewrite.cache_hit for r in results) == 6
 
 

@@ -8,7 +8,7 @@ from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.systemml_like import SystemMLLikeBackend
 from repro.benchkit.datasets import ROLE_BINDINGS_DENSE, benchmark_catalog
 from repro.benchkit.pipelines import default_roles
-from repro.core import HadadOptimizer
+from repro.planner import PlanSession
 from repro.cost import MNCEstimator, NaiveMetadataEstimator
 
 #: Scale factor applied to the paper's matrix dimensions (Tables 4/5).  The
@@ -39,9 +39,9 @@ def systemml_backend(catalog):
 
 @pytest.fixture(scope="session")
 def optimizer_naive(catalog):
-    return HadadOptimizer(catalog, estimator=NaiveMetadataEstimator())
+    return PlanSession(catalog, estimator=NaiveMetadataEstimator())
 
 
 @pytest.fixture(scope="session")
 def optimizer_mnc(catalog):
-    return HadadOptimizer(catalog, estimator=MNCEstimator())
+    return PlanSession(catalog, estimator=MNCEstimator())

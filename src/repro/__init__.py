@@ -24,10 +24,9 @@ execution backends through a capability-negotiated
 :class:`~repro.service.ExecutionRouter`), the execution substrates
 (``engine.execute``) and the asyncio serving gateway
 (``await engine.serve()``).  Options travel as frozen, validated config
-dataclasses (:class:`EngineConfig` and friends).  The historical entry
-points — :class:`HadadOptimizer`, ``HybridOptimizer``,
-:class:`AnalyticsService`, ``AnalyticsGateway`` — remain as
-behavior-preserving deprecation shims.
+dataclasses (:class:`EngineConfig` and friends).  The engine builds the
+service and the gateway itself; a bare :class:`PlanSession` is the
+single-threaded planning core underneath.
 
 Quick start::
 
@@ -49,7 +48,7 @@ and the ``benchmarks/`` directory for the reproduction of the paper's
 evaluation.
 """
 
-from repro.core import HadadOptimizer, LAView, PlanSession, RewriteResult
+from repro.core import LAView, PlanSession, RewriteResult
 from repro.data import Catalog, MatrixData, MatrixMeta, Table
 from repro.cost import MNCEstimator, NaiveMetadataEstimator
 from repro.service import (
@@ -74,7 +73,7 @@ from repro.api import (
     WorkspaceRegistry,
 )
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Engine",
@@ -89,7 +88,6 @@ __all__ = [
     "BackendRegistry",
     "BackendCapabilities",
     "ConfigError",
-    "HadadOptimizer",
     "LAView",
     "PlanSession",
     "RewriteResult",

@@ -1,110 +1,12 @@
-"""Deprecation machinery for the pre-``repro.api`` entry points.
+"""What is left of the 1.x deprecation layer: one no-op."""
 
-Since the :class:`repro.api.Engine` consolidation, the four historical front
-doors — ``HadadOptimizer``, ``HybridOptimizer``, ``AnalyticsService`` and
-``AnalyticsGateway`` — are kept as behavior-preserving shims over the same
-config-driven core the engine drives.  Constructing one directly emits a
-:class:`DeprecationWarning` **once per entry point per process** (a migration
-nudge, not a log flood); the engine itself builds the very same classes
-internally under :func:`suppress_legacy_warnings`, so going through the new
-API never warns.
-
-This module is deliberately dependency-free (stdlib only): it is imported by
-``repro.core``, ``repro.service``, ``repro.hybrid`` and ``repro.server``
-alike, and must never participate in an import cycle.
-"""
-
-from __future__ import annotations
-
-import threading
-import warnings
 from contextlib import contextmanager
-from typing import Iterator, Set
-
-#: Entry points that have already warned in this process.
-_warned: Set[str] = set()
-_lock = threading.Lock()
-_suppressed = threading.local()
-
-#: Name of the workspace the legacy single-catalog constructors map onto.
-DEFAULT_WORKSPACE = "default"
+from typing import Iterator
 
 
-def default_workspace_registry(
-    catalog=None, views=(), estimator=None, planner=None
-):
-    """The single-catalog → multi-workspace compatibility shim.
-
-    ``Engine(catalog, views=...)`` — the historical one-tenant constructor —
-    is, since the Workspace redesign, exactly an engine whose registry holds
-    one workspace named :data:`DEFAULT_WORKSPACE` carrying that catalog,
-    view set and planner config.  This builds that registry; imports are
-    deferred so this module stays dependency-free for the packages that
-    import it at their own import time.
-    """
-    from repro.api.workspace import Workspace, WorkspaceRegistry
-
-    registry = WorkspaceRegistry()
-    registry.add(
-        Workspace(
-            name=DEFAULT_WORKSPACE,
-            catalog=catalog,
-            views=tuple(views),
-            config=planner,
-            estimator=estimator,
-        )
-    )
-    return registry
-
-
-def warn_legacy_entry_point(name: str, replacement: str) -> None:
-    """Emit the once-per-process deprecation warning for ``name``.
-
-    ``replacement`` names the :mod:`repro.api` surface to migrate to; the
-    docs' migration guide (``docs/api.md``) is referenced so the warning is
-    actionable on its own.
-    """
-    if getattr(_suppressed, "depth", 0) > 0:
-        return
-    with _lock:
-        if name in _warned:
-            return
-        _warned.add(name)
-    warnings.warn(
-        f"{name} is a legacy entry point kept for compatibility; use "
-        f"{replacement} instead (see the migration guide in docs/api.md). "
-        f"This warning is shown once per process.",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
+# Sole importer: benchmarks/layered/workloads/hybrid.py, which the PR that
+# removed the legacy entry points was not allowed to touch.  The next
+# benchmark PR drops that import and deletes this module.
 @contextmanager
 def suppress_legacy_warnings() -> Iterator[None]:
-    """Context manager under which legacy constructors do not warn.
-
-    Used by :class:`repro.api.Engine` (and the benchmark harness) when it
-    instantiates the legacy classes as internal building blocks.  Re-entrant
-    and thread-local: suppression on one thread never hides a user's direct
-    construction on another.
-    """
-    _suppressed.depth = getattr(_suppressed, "depth", 0) + 1
-    try:
-        yield
-    finally:
-        _suppressed.depth -= 1
-
-
-def reset_legacy_warnings() -> None:
-    """Forget which entry points already warned (test isolation helper)."""
-    with _lock:
-        _warned.clear()
-
-
-__all__ = [
-    "DEFAULT_WORKSPACE",
-    "default_workspace_registry",
-    "reset_legacy_warnings",
-    "suppress_legacy_warnings",
-    "warn_legacy_entry_point",
-]
+    yield

@@ -1,9 +1,7 @@
 """``repro.api`` — the single typed entry point over the whole stack.
 
-One :class:`Engine` replaces the four historical front doors
-(``HadadOptimizer``, ``HybridOptimizer``, ``AnalyticsService``,
-``AnalyticsGateway``), which remain as behavior-preserving deprecation
-shims — and serves many named tenant **workspaces** side by side: a
+One :class:`Engine` is the only way in — it builds the service and the
+gateway itself — and serves many named tenant **workspaces** side by side: a
 :class:`WorkspaceRegistry` holds versioned (catalog, views,
 ``PlannerConfig``) bundles, ``engine.workspace(name)`` returns a typed
 :class:`WorkspaceHandle` over the full rewrite/submit/execute ladder, and
@@ -27,8 +25,8 @@ Quick start::
     answers = engine.submit_many(batch)       # concurrent service path
     gateway = await engine.serve()            # asyncio HTTP front door
 
-See ``docs/api.md`` for the full reference and the migration guide from
-the legacy entry points.
+See ``docs/api.md`` for the full reference and the table of names removed
+in 2.0.
 """
 
 from repro.backends.registry import BackendCapabilities, BackendRegistry

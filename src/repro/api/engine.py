@@ -8,15 +8,13 @@ planner config bundles, see :mod:`repro.api.workspace`) side by side.
 
 Two construction modes, one behaviour:
 
-* **single-catalog** (the historical surface, kept byte-identical)::
+* **single-catalog** (the quickstart)::
 
       engine = Engine(catalog, views=[...])
       engine.rewrite(expr)                  # plans in the "default" workspace
 
-  Internally this is a compatibility shim
-  (:func:`repro._compat.default_workspace_registry`): the catalog/views
-  become the registry's ``"default"`` workspace and every engine-level
-  method delegates to it.
+  The catalog/views become the registry's ``"default"`` workspace and
+  every engine-level method delegates to it.
 
 * **multi-workspace**::
 
@@ -37,8 +35,9 @@ cached plans untouched.
 
 Options flow through one frozen, validated
 :class:`~repro.config.EngineConfig`; its ``service``/``gateway`` parts are
-engine-wide, while the planning knobs live per workspace (the shim maps
-``config.planner`` onto the default workspace).
+engine-wide, while the planning knobs live per workspace (the
+single-catalog constructor maps ``config.planner`` onto the default
+workspace).
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ import dataclasses
 import threading
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro._compat import default_workspace_registry, suppress_legacy_warnings
-from repro.api.workspace import Workspace, WorkspaceRegistry
+from repro.api.workspace import DEFAULT_WORKSPACE, Workspace, WorkspaceRegistry
 from repro.backends.registry import BackendRegistry
 from repro.config import EngineConfig, GatewayConfig, PlannerConfig
 from repro.constraints.views import LAView
@@ -145,15 +143,14 @@ class _WorkspaceRuntime:
             router = self.router  # resolved before _lock (router takes it too)
             with self._lock:
                 if self._service is None:
-                    with suppress_legacy_warnings():
-                        self._service = AnalyticsService(
-                            catalog,
-                            views=list(self.workspace.views),
-                            pool=self.pool,
-                            router=router,
-                            config=self.engine.config.service,
-                            workspace=self.workspace.name,
-                        )
+                    self._service = AnalyticsService(
+                        catalog,
+                        views=list(self.workspace.views),
+                        pool=self.pool,
+                        router=router,
+                        config=self.engine.config.service,
+                        workspace=self.workspace.name,
+                    )
         return self._service
 
 
@@ -371,15 +368,16 @@ class Engine:
                 )
             self.workspaces = workspaces
         else:
-            # The legacy single-catalog constructor: a default-workspace
-            # shim (repro._compat), built eagerly so configuration errors
-            # (bad estimator name, invalid views) surface here.
-            self.workspaces = default_workspace_registry(
+            self.workspaces = WorkspaceRegistry()
+            self.workspaces.register(
+                DEFAULT_WORKSPACE,
                 catalog=catalog,
                 views=views,
+                config=self.config.planner,
                 estimator=estimator,
-                planner=self.config.planner,
             )
+            # Built eagerly so configuration errors (bad estimator name,
+            # invalid views) surface here.
             self.workspace()
         #: The AnalyticsGateway once built; typed loosely because the
         #: server package is imported lazily (``serve`` is optional).
@@ -516,9 +514,8 @@ class Engine:
         return self.workspace(name)
 
     # ------------------------------------------------------------------ default-workspace surface
-    # The historical single-catalog attribute and method surface, delegated
-    # to the default workspace so existing callers (and the parity
-    # benchmarks) are untouched by the multi-workspace redesign.
+    # The single-catalog attribute and method surface, delegated to the
+    # default workspace.
     @property
     def catalog(self) -> Optional[Catalog]:
         return self._default_handle("Engine.catalog").catalog
@@ -548,11 +545,10 @@ class Engine:
     def rewrite(self, expr: mx.Expr) -> RewriteResult:
         """Find the minimum-cost equivalent of ``expr``.
 
-        Synchronous, thread-safe, and byte-identical to the legacy
-        ``HadadOptimizer.rewrite`` path: plans in the default workspace,
-        whose pooled sessions are built from the same
-        :class:`~repro.config.PlannerConfig` the façade folds its keywords
-        into.
+        Synchronous, thread-safe, and byte-identical to a bare
+        :meth:`PlanSession.rewrite <repro.planner.PlanSession.rewrite>`
+        under the same :class:`~repro.config.PlannerConfig`: plans in the
+        default workspace, through its pooled sessions.
         """
         return self._default_handle("Engine.rewrite").rewrite(expr)
 
@@ -686,12 +682,9 @@ class Engine:
             # holding plan-only workspaces still serves every other tenant;
             # unservable workspaces answer 422 per request instead of
             # failing the whole gateway here.
-            with suppress_legacy_warnings():
-                self._gateway = AnalyticsGateway(
-                    config=gateway_config,
-                    workspaces=self,
-                    worker_factory=worker_factory,
-                )
+            self._gateway = AnalyticsGateway(
+                self, gateway_config, worker_factory=worker_factory
+            )
         elif overrides or worker_factory is not None:
             raise ConfigError(
                 "this engine already built its gateway; configure it via "

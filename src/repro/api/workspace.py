@@ -18,10 +18,8 @@ concurrently.
   replaces a bundle and bumps its version — the engine rebuilds that
   workspace's runtime on next access while every other tenant's pooled
   sessions and cached plans stay untouched.
-* The legacy single-catalog ``Engine(catalog, ...)`` constructor is a shim
-  (:func:`repro._compat.default_workspace_registry`) registering one
-  workspace named ``"default"``, so existing code keeps producing
-  byte-identical plans.
+* The single-catalog ``Engine(catalog, ...)`` constructor registers its
+  arguments as one workspace named :data:`DEFAULT_WORKSPACE`.
 """
 
 from __future__ import annotations
@@ -35,12 +33,15 @@ from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.delta import CatalogDelta
 
-from repro._compat import DEFAULT_WORKSPACE
 from repro.config import PlannerConfig, _coerce
 from repro.cost import estimator_name_for
 from repro.constraints.views import LAView
 from repro.data.catalog import Catalog
 from repro.exceptions import ConfigError, UnknownWorkspaceError
+
+#: Name of the workspace the single-catalog ``Engine(catalog, ...)``
+#: constructor registers, and the route of requests naming no workspace.
+DEFAULT_WORKSPACE = "default"
 
 #: Workspace names are URL- and label-safe by construction: they appear in
 #: gateway paths (``/v1/workspaces/<name>``) and Prometheus label values.
@@ -139,8 +140,8 @@ class WorkspaceRegistry:
 
     One registry backs one multi-tenant :class:`repro.api.Engine`.  The
     ``default_name`` (``"default"`` unless overridden) is where requests
-    without an explicit workspace route — the legacy single-catalog
-    constructor registers exactly that workspace.
+    without an explicit workspace route — the single-catalog
+    ``Engine(catalog, ...)`` constructor registers exactly that workspace.
     """
 
     def __init__(self, default_name: str = DEFAULT_WORKSPACE):

@@ -12,16 +12,15 @@ plus the estimated costs and a numerical-equivalence check of the two
 results (soundness in practice, not just on paper).
 
 The ``optimizer`` argument of :func:`run_pipeline` is anything exposing the
-``rewrite`` protocol — preferably a :class:`repro.api.Engine` (or a
-:class:`~repro.planner.PlanSession`); the legacy
-:class:`~repro.core.optimizer.HadadOptimizer` façade still works.  For
-sweeps over many pipelines (the Fig. 5–12 loops), :func:`run_pipelines`
-plans the whole batch through ``rewrite_all`` so structurally identical
-pipelines are planned once and repeated runs hit the session cache.
+``rewrite`` protocol — a :class:`repro.api.Engine` or a
+:class:`~repro.planner.PlanSession`.  For sweeps over many pipelines (the
+Fig. 5–12 loops), :func:`run_pipelines` plans the whole batch through
+``rewrite_all`` so structurally identical pipelines are planned once and
+repeated runs hit the session cache.
 
 Beyond the per-pipeline measurements, :func:`run_service_sweep` benchmarks
 the whole serving path end to end: the pipeline batch goes through
-:meth:`repro.service.AnalyticsService.submit_many` at several worker
+:meth:`repro.api.Engine.submit_many` at several worker
 counts, reporting latency/throughput per concurrency level, per-phase
 (queue / plan / execute) means, pool counters, and — against a serial
 ``rewrite_all`` reference — whether the concurrent plans are byte-identical
@@ -37,7 +36,6 @@ from dataclasses import dataclass, field
 from statistics import fmean
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro._compat import suppress_legacy_warnings
 from repro.backends.base import values_allclose
 from repro.backends.numpy_backend import NumpyBackend
 from repro.constraints.views import LAView
@@ -153,7 +151,7 @@ def run_pipeline(
     """Optimize and (optionally) execute one pipeline, original vs rewrite.
 
     ``optimizer`` is anything with a ``rewrite(expr)`` method — a
-    :class:`~repro.planner.PlanSession` or the ``HadadOptimizer`` façade.
+    :class:`repro.api.Engine` or a :class:`~repro.planner.PlanSession`.
     """
     result: RewriteResult = optimizer.rewrite(expr)
     return _execute_run(name, expr, result, backend, check_equivalence, execute)
@@ -183,14 +181,14 @@ def run_pipelines(
 
 def run_service_sweep(
     pipelines: Sequence[Tuple[str, mx.Expr]],
-    service_factory: Callable[[], "object"],
+    engine_factory: Callable[[], "object"],
     worker_counts: Sequence[int] = (1, 2, 4, 8),
     execute: bool = False,
     session_factory: Optional[Callable[[], "object"]] = None,
 ) -> dict:
     """End-to-end service benchmark: a concurrency sweep over one batch.
 
-    For each worker count a *fresh* service (cold pool and caches, so the
+    For each worker count a *fresh* engine (cold pool and caches, so the
     points are comparable) plans — and with ``execute=True`` also runs —
     the whole batch through ``submit_many``.  When ``session_factory`` is
     given (anything whose product has ``rewrite_all``), the batch is also
@@ -212,13 +210,13 @@ def run_service_sweep(
 
     sweep: List[dict] = []
     for workers in worker_counts:
-        service = service_factory()
+        engine = engine_factory()
         requests = [
             ServiceRequest(expression=expr, name=name, execute=execute)
             for name, expr in pipelines
         ]
         start = time.perf_counter()
-        results = service.submit_many(requests, workers=workers)
+        results = engine.submit_many(requests, workers=workers)
         seconds = time.perf_counter() - start
         def mean(values: List[float]) -> float:
             return fmean(values) if values else 0.0
@@ -230,7 +228,7 @@ def run_service_sweep(
             "mean_queue_seconds": mean([r.queue_seconds for r in results]),
             "mean_plan_seconds": mean([r.plan_seconds for r in results]),
             "mean_execute_seconds": mean([r.execute_seconds for r in results]),
-            "pool": service.pool.stats_dict(),
+            "pool": engine.pool.stats_dict(),
         }
         if serial_plans is not None:
             point["byte_identical_to_serial"] = (
@@ -249,7 +247,7 @@ def run_service_sweep(
 
 def run_gateway_sweep(
     pipelines: Sequence[Tuple[str, mx.Expr]],
-    service_factory: Callable[[], "object"],
+    engine_factory: Callable[[], "object"],
     concurrency_levels: Sequence[int] = (8, 64, 200),
     batch_windows: Sequence[float] = (0.01,),
     requests_per_client: int = 2,
@@ -260,8 +258,9 @@ def run_gateway_sweep(
 ) -> dict:
     """Load-sweep the asyncio gateway: N concurrent clients per grid point.
 
-    For every ``(batch_window, concurrency)`` pair a *fresh* gateway over a
-    fresh service (cold pool and caches) is started on an ephemeral port.
+    For every ``(batch_window, concurrency)`` pair a *fresh* engine (from
+    ``engine_factory``: cold pool and caches) serves a fresh gateway on an
+    ephemeral port.
     ``concurrency`` client connections open simultaneously; each sends its
     ``requests_per_client`` requests back to back (round-robin over the
     pipeline batch), so the first wave puts the full client count in flight
@@ -276,7 +275,7 @@ def run_gateway_sweep(
     """
     import asyncio
 
-    from repro.server import AnalyticsGateway, GatewayClient, GatewayError
+    from repro.server import GatewayClient, GatewayError
 
     pipelines = list(pipelines)
     serial_plans: Optional[Dict[str, str]] = None
@@ -289,20 +288,15 @@ def run_gateway_sweep(
         }
 
     async def run_point(window: float, concurrency: int) -> dict:
-        service = service_factory()
-        # The gateway is an internal building block of the harness here,
-        # not a user-facing entry point; don't let its legacy-constructor
-        # warning fire at benchmark callers.
-        with suppress_legacy_warnings():
-            gateway = AnalyticsGateway(
-                service,
-                host=host,
-                batch_window_seconds=window,
-                max_batch=max(2, concurrency),
-                max_in_flight=max_in_flight
-                if max_in_flight is not None
-                else max(concurrency * 2, 64),
-            )
+        engine = engine_factory()
+        gateway = engine.build_gateway(
+            host=host,
+            batch_window_seconds=window,
+            max_batch=max(2, concurrency),
+            max_in_flight=max_in_flight
+            if max_in_flight is not None
+            else max(concurrency * 2, 64),
+        )
         await gateway.start()
         rejected = 0
         mismatched: List[str] = []
@@ -362,7 +356,7 @@ def run_gateway_sweep(
             "micro_batching_observed": snapshot["histograms"]["gateway_batch_size"]["max"]
             > 1,
             "no_rejections": rejected == 0,
-            "pool": service.pool.stats_dict(),
+            "pool": engine.pool.stats_dict(),
         }
         if serial_plans is not None:
             point["byte_identical_to_serial"] = not mismatched
@@ -441,15 +435,14 @@ def run_workspace_sweep(
                 )
             }
         total_clients = concurrency * len(tenant_names)
-        with suppress_legacy_warnings():
-            gateway = engine.build_gateway(
-                host=host,
-                batch_window_seconds=window,
-                max_batch=max(2, total_clients),
-                max_in_flight=max_in_flight
-                if max_in_flight is not None
-                else max(total_clients * 2, 64),
-            )
+        gateway = engine.build_gateway(
+            host=host,
+            batch_window_seconds=window,
+            max_batch=max(2, total_clients),
+            max_in_flight=max_in_flight
+            if max_in_flight is not None
+            else max(total_clients * 2, 64),
+        )
         await gateway.start()
         rejected = 0
         mismatched: List[str] = []
@@ -666,16 +659,15 @@ def run_worker_sweep(
         return plans
 
     async def start_gateway(engine, workers: int):
-        with suppress_legacy_warnings():
-            gateway = engine.build_gateway(
-                worker_factory=factory if workers else None,
-                host=host,
-                planner_workers=workers,
-                batch_window_seconds=0.002,
-                max_in_flight=max_in_flight
-                if max_in_flight is not None
-                else max(len(tenant_names) * (hot_factor + 2) * 2, 64),
-            )
+        gateway = engine.build_gateway(
+            worker_factory=factory if workers else None,
+            host=host,
+            planner_workers=workers,
+            batch_window_seconds=0.002,
+            max_in_flight=max_in_flight
+            if max_in_flight is not None
+            else max(len(tenant_names) * (hot_factor + 2) * 2, 64),
+        )
         await gateway.start()
         return gateway
 

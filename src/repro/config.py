@@ -5,8 +5,8 @@ Since the :mod:`repro.api` consolidation these four dataclasses are the
 
 * :class:`PlannerConfig` — every knob of a
   :class:`~repro.planner.session.PlanSession` (rule-set toggles, saturation
-  budgets, pruning, caching).  ``HadadOptimizer``'s historical keyword soup
-  and mutable properties are a façade over exactly these fields.
+  budgets, pruning, caching); the session's keyword arguments fold into
+  exactly these fields.
 * :class:`ServiceConfig` — the :class:`~repro.service.AnalyticsService`
   knobs: pool size, shared-result-cache capacity, batch fan-out, routing
   preference.
@@ -23,8 +23,8 @@ misconfiguration surfaces where it was written, not two layers down.
 Configs are threaded through the stack *unchanged*, so caches can key on
 them: :meth:`PlannerConfig.cache_key` is a stable, hashable tuple of every
 plan-affecting field, and it is a component of the planner's rewrite-cache
-key (mutating a legacy façade property therefore re-keys cached plans
-instead of serving stale ones).
+key (mutating a session option therefore re-keys cached plans instead of
+serving stale ones).
 
 This module is import-neutral (stdlib + :mod:`repro.exceptions` only); the
 planner, service and server layers all import it without cycles.
@@ -107,9 +107,8 @@ def _normalized_matrix_items(
 class PlannerConfig:
     """Every plan-affecting knob of a :class:`~repro.planner.PlanSession`.
 
-    Defaults reproduce the historical ``HadadOptimizer()`` behaviour
-    exactly, so ``PlannerConfig()`` plans byte-identically to the legacy
-    path.
+    ``PlannerConfig()`` plans byte-identically to a ``PlanSession`` built
+    with no options.
     """
 
     include_decompositions: bool = False

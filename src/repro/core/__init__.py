@@ -1,6 +1,6 @@
-"""HADAD's core: the rewriting optimizer.
+"""HADAD's core: extraction, chain ordering and the rewrite result.
 
-The optimizer realises the end-to-end reduction of Figure 1:
+The rewrite realises the end-to-end reduction of Figure 1:
 
 1. the input LA (or hybrid-LA) expression is encoded relationally on the
    VREM schema (:mod:`repro.vrem.encoder`);
@@ -12,15 +12,13 @@ The optimizer realises the end-to-end reduction of Figure 1:
 4. the chosen derivation is decoded back into an LA expression
    (:mod:`repro.vrem.decoder`) that any backend can execute unchanged.
 
-The public entry point is :class:`repro.api.Engine`;
-:class:`repro.core.optimizer.HadadOptimizer` remains as a deprecated thin
-façade over the staged :class:`repro.planner.PlanSession`, which owns the
-long-lived state (compiled constraint program, saturation engine,
-fingerprint-keyed rewrite cache).
+The public entry point is :class:`repro.api.Engine`; the staged
+:class:`repro.planner.PlanSession` (re-exported here) owns the long-lived
+state (compiled constraint program, saturation engine, fingerprint-keyed
+rewrite cache).
 """
 
 from repro.constraints.views import LAView
-from repro.core.optimizer import HadadOptimizer
 from repro.core.result import RewriteResult
 from repro.core.extraction import extract_best_expression, enumerate_equivalent_expressions
 from repro.core.matchain import optimize_matmul_chains
@@ -28,7 +26,6 @@ from repro.planner.session import PlanSession
 
 __all__ = [
     "LAView",
-    "HadadOptimizer",
     "PlanSession",
     "RewriteResult",
     "extract_best_expression",

@@ -14,7 +14,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class RewriteResult:
-    """Outcome of one ``HadadOptimizer.rewrite`` call.
+    """Outcome of one rewrite (``Engine.rewrite`` / ``PlanSession.rewrite``).
 
     Attributes
     ----------

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 
-from repro._compat import warn_legacy_entry_point
 from repro.backends.morpheus import factor_names
 from repro.backends.relational import RelationalEngine
 from repro.constraints.views import LAView
@@ -58,10 +57,9 @@ class HybridRewriteResult:
 class HybridOptimizer:
     """Optimizes hybrid queries (both their RA and LA parts).
 
-    .. deprecated::
-        Direct construction is a legacy entry point; route hybrid queries
-        through :meth:`repro.api.Engine.submit_hybrid`, which drives this
-        same optimizer (and the executor) behind one front door.
+    The only hybrid planner: :meth:`repro.api.Engine.submit_hybrid` drives
+    this class (and the executor) per workspace; construct it directly to
+    plan hybrid queries without executing them.
     """
 
     def __init__(
@@ -89,7 +87,6 @@ class HybridOptimizer:
             derived automatically for :class:`JoinFeatureMatrix` builders
             whose factor matrices are registered in the catalog.
         """
-        warn_legacy_entry_point("HybridOptimizer", "repro.api.Engine.submit_hybrid")
         self.catalog = catalog
         self.la_views = list(la_views)
         self.relational_view_tables = dict(relational_view_tables or {})

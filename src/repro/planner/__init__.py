@@ -1,6 +1,6 @@
 """The staged planner: HADAD's rewrite pipeline as a reusable subsystem.
 
-The planner splits the former monolithic ``HadadOptimizer.rewrite`` into
+The planner is
 
 * a staged pipeline — :class:`~repro.planner.stages.EncodeStage` →
   :class:`~repro.planner.stages.SaturateStage` →
@@ -15,8 +15,9 @@ The planner splits the former monolithic ``HadadOptimizer.rewrite`` into
 * batch planning (``rewrite_all``) that dedupes structurally identical
   expressions before doing any work.
 
-``HadadOptimizer`` remains the stable public entry point, now a thin façade
-over a session.
+The public entry point is :class:`repro.api.Engine`, which pools sessions
+per workspace; a bare :class:`PlanSession` is the single-threaded core the
+tests and benchmarks compare it against.
 """
 
 from repro.planner.cache import RewriteCache

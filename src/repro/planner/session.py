@@ -7,10 +7,8 @@ catalog and estimator references, the constraint set compiled once into a
 fingerprint-keyed :class:`~repro.planner.cache.RewriteCache` — and runs the
 per-rewrite stages of :mod:`repro.planner.stages` over it.
 
-:class:`repro.core.optimizer.HadadOptimizer` is a thin façade over this
-class; new code (the hybrid optimizer, the benchmark harness, services)
-should talk to the session directly to benefit from caching and batch
-deduplication.
+:class:`repro.api.Engine` pools sessions per workspace; the hybrid
+optimizer, the benchmark harness and tests drive a session directly.
 
 Thread safety
 -------------
@@ -107,7 +105,7 @@ class PlanSession:
         self.catalog = catalog
         self.views = list(views)
         #: The declared estimator name.  An explicit estimator *object*
-        #: wins over the config name (legacy construction path); otherwise
+        #: wins over the config name; otherwise
         #: the name is resolved through the registry in :mod:`repro.cost`
         #: — an unknown name raises ConfigError listing the valid choices,
         #: here at construction rather than on the first rewrite.
@@ -290,7 +288,7 @@ class PlanSession:
         """The registered name of the live estimator.
 
         Reverse-resolved from the registry so that swapping the estimator
-        object (the legacy façade setter) is reflected; estimator objects of
+        object is reflected; estimator objects of
         unregistered types keep the declared config name.
         """
         return estimator_name_for(self.estimator) or self._declared_estimator_name
@@ -299,10 +297,10 @@ class PlanSession:
         """The session's *live* options as a frozen :class:`PlannerConfig`.
 
         Recomputed from the current attribute values, so post-construction
-        mutation (the legacy façade setters, or direct attribute writes) is
-        reflected — and validated: an invalid mutated value surfaces as a
+        mutation (direct attribute writes) is reflected — and validated: an
+        invalid mutated value surfaces as a
         :class:`~repro.exceptions.ConfigError` when the snapshot is taken
-        (the façade's ``config`` property, :meth:`with_views` clones).
+        (the ``config`` property, :meth:`with_views` clones).
         Note that the rule-set flags (``include_*``) are construction-time:
         the snapshot reports the attribute values, but changing the rule
         set requires a new session (the compiled constraint program is not
@@ -329,10 +327,10 @@ class PlanSession:
           values and neither mislabels plans nor re-keys spuriously);
         * the **tunable** half — the budgets, pruning, chain-reordering and
           alternatives options plus the estimator's type, all read live by
-          every rewrite.  Mutating one of these — through the legacy façade
-          setters or by assigning session attributes directly — both takes
-          effect on the next rewrite *and* re-keys it, so plans computed
-          under the old options can never be served for the new ones.
+          every rewrite.  Mutating one of these (assigning the session
+          attribute) both takes effect on the next rewrite *and* re-keys
+          it, so plans computed under the old options can never be served
+          for the new ones.
 
         Kept cheap deliberately (a plain attribute tuple, no validation):
         this runs on every cache probe of the serving hot path.

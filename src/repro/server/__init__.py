@@ -16,6 +16,9 @@ single dependency:
 * :mod:`repro.server.gateway` — :class:`AnalyticsGateway`, the asyncio
   server: ``/v1/plan``, ``/v1/pipeline``, ``/metrics``, ``/healthz``,
   admission control with 429 backpressure, and graceful drain;
+* :mod:`repro.server.planner` — the one seam the gateway plans through,
+  and its in-process implementation (a :class:`MicroBatcher` per
+  workspace);
 * :mod:`repro.server.workers` — the multi-process planner tier:
   :class:`HashRing` (consistent workspace → worker sharding),
   :func:`planner_worker_main` (spawn-safe child loop) and

@@ -13,13 +13,15 @@ the production behaviours a load balancer assumes:
 * **workspace routing** — a request body naming a ``workspace`` is
   dispatched to that tenant's service (its own catalog, views, planner
   config and caches); unknown names are answered ``404``.  Requests
-  without the field route to the default workspace.  Each workspace plans
-  through its own :class:`MicroBatcher`, so tenants micro-batch
-  independently and one tenant's slow plans never ride in another's batch;
+  without the field route to the default workspace;
+* **one planner seam** — every admitted request goes through
+  ``gateway.planner`` (:class:`~repro.server.planner.LocalPlanner` in this
+  process, or the sharded :class:`~repro.server.workers.WorkerSupervisor`
+  with ``planner_workers > 0``) and comes back as an envelope that one
+  function maps to the HTTP response and one records in the metrics;
 * **graceful drain** — :meth:`stop` stops accepting connections, lets every
-  admitted request finish (flushing every workspace's batcher), then
-  closes; requests arriving on open connections during the drain get
-  ``503``;
+  admitted request finish, closes the planner, then closes; requests
+  arriving on open connections during the drain get ``503``;
 * **observability** — ``GET /metrics`` renders the full registry in the
   Prometheus text format, including per-workspace labeled series
   (``gateway_workspace_requests_total{workspace="tenant-a"}``); ``GET
@@ -44,17 +46,16 @@ Endpoints
 from __future__ import annotations
 
 import asyncio
-import weakref
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set
 
-from repro._compat import DEFAULT_WORKSPACE, warn_legacy_entry_point
+from repro.api.engine import Engine
 from repro.catalog.delta import CatalogDelta
 from repro.config import GatewayConfig
 from repro.exceptions import CatalogError, ConfigError, UnknownWorkspaceError
-from repro.service.service import AnalyticsService, BatchStats
+from repro.service.service import AnalyticsService, BatchStats, ServiceRequest
 
-from repro.server.batcher import BatcherClosed, MicroBatcher
 from repro.server.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
+from repro.server.planner import LocalPlanner, Planner, error_envelope
 from repro.server.protocol import (
     HttpRequest,
     ProtocolError,
@@ -62,179 +63,55 @@ from repro.server.protocol import (
     json_response,
     parse_plan_request,
     read_http_request,
-    request_to_json,
-    result_to_json,
 )
-from repro.server.workers import SupervisorClosed, WorkerSupervisor
-
-
-class _SingleWorkspaceResolver:
-    """Give a bare :class:`AnalyticsService` the multi-workspace surface.
-
-    The legacy ``AnalyticsGateway(service)`` construction serves exactly
-    one tenant; this adapter presents it as a registry holding one
-    workspace (named after the service's own workspace identity, or
-    ``"default"``), so the gateway's routing, listing and metrics code has
-    a single shape to work against.  It doubles as that workspace's handle.
-    """
-
-    def __init__(self, service: AnalyticsService):
-        self._service = service
-        self._name = service.workspace or DEFAULT_WORKSPACE
-
-    @property
-    def default_workspace_name(self) -> str:
-        return self._name
-
-    def workspace_names(self) -> Tuple[str, ...]:
-        return (self._name,)
-
-    def has_workspace(self, name: str) -> bool:
-        return name == self._name
-
-    def workspace(self, name: str) -> "_SingleWorkspaceResolver":
-        if name != self._name:
-            raise UnknownWorkspaceError(
-                f"unknown workspace {name!r}; registered workspaces: {self._name}"
-            )
-        return self
-
-    @property
-    def service(self) -> AnalyticsService:
-        return self._service
-
-    @property
-    def pool(self):
-        return self._service.pool
-
-    def describe(self) -> dict:
-        # Delegate to the canonical document producer so the single-service
-        # gateway can never drift from Workspace.describe()'s shape.
-        from repro.api.workspace import Workspace
-
-        return Workspace(
-            name=self._name,
-            catalog=self._service.catalog,
-            views=tuple(self._service.views),
-            config=self._service.pool.planner_config,
-        ).describe()
-
-    def describe_workspace(self, name: str) -> dict:
-        return self.workspace(name).describe()
-
-    def describe_workspaces(self) -> list:
-        return [self.describe()]
+from repro.server.workers import WorkerSupervisor
 
 
 class AnalyticsGateway:
-    """Serve tenant workspaces over asyncio-native HTTP/JSON.
+    """Serve an engine's workspaces over asyncio-native HTTP/JSON.
+
+    Built by :meth:`repro.api.Engine.build_gateway` /
+    :meth:`~repro.api.Engine.serve`, which also patch individual
+    :class:`~repro.config.GatewayConfig` fields.
 
     Parameters
     ----------
-    service:
-        A single synchronous service to serve (the legacy single-tenant
-        construction; it becomes the gateway's only — and default —
-        workspace).  May be ``None`` when ``workspaces`` is given and the
-        registry has no default workspace.
-    workspaces:
-        A multi-workspace resolver — typically the
-        :class:`repro.api.Engine` — exposing ``workspace_names()``,
-        ``workspace(name)`` (returning a handle with ``.service`` and
-        ``.pool``), ``describe_workspaces()``, ``describe_workspace(name)``
-        and ``default_workspace_name``.  This is the path
-        :meth:`repro.api.Engine.serve` takes.
-    host / port:
-        Bind address; ``port=0`` picks an ephemeral port (exposed as
-        :attr:`port` after :meth:`start` — what the tests and the load
-        harness use).
-    max_in_flight:
-        Global admission-control bound on concurrently admitted requests
-        (``GatewayConfig.workspace_max_in_flight`` adds per-tenant quotas).
-    batch_window_seconds / max_batch / plan_workers:
-        Micro-batching knobs, applied to every workspace's
-        :class:`MicroBatcher`.
+    engine:
+        The :class:`repro.api.Engine` whose workspaces this gateway
+        routes requests to.
     config:
-        A frozen, validated :class:`~repro.config.GatewayConfig`; when
-        given it supersedes the individual keyword knobs.
-
-    .. deprecated::
-        Constructing ``AnalyticsGateway`` directly is a legacy entry
-        point; ``await repro.api.Engine.serve()`` builds, configures and
-        starts this same class bound to the engine's workspaces.
+        The frozen, validated :class:`~repro.config.GatewayConfig`: bind
+        address (``port=0`` picks an ephemeral port, exposed as
+        :attr:`port` after :meth:`start`), admission bounds,
+        micro-batching knobs, planner-worker pool size.
+    worker_factory:
+        Required iff ``config.planner_workers > 0``: a picklable
+        zero-argument callable building the engine each spawned planner
+        worker plans with.
     """
 
     def __init__(
         self,
-        service: Optional[AnalyticsService] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_in_flight: int = 256,
-        batch_window_seconds: float = 0.005,
-        max_batch: int = 128,
-        plan_workers: int = 8,
-        backlog: int = 2048,
-        config: Optional[GatewayConfig] = None,
-        workspaces=None,
-        worker_factory=None,
+        engine: Engine,
+        config: GatewayConfig,
+        worker_factory: Optional[Callable[[], Engine]] = None,
     ):
-        warn_legacy_entry_point("AnalyticsGateway", "repro.api.Engine.serve")
-        if service is None and workspaces is None:
-            raise ValueError(
-                "AnalyticsGateway needs a service or a workspace resolver"
-            )
-        if config is not None and config.planner_workers > 0 and worker_factory is None:
+        if config.planner_workers > 0 and worker_factory is None:
             raise ConfigError(
                 "GatewayConfig.planner_workers > 0 needs a worker_factory: a "
                 "picklable zero-argument callable building the worker-side "
                 "engine (spawned worker processes cannot inherit this "
                 "process's services)"
             )
-        if config is None:
-            # The keyword path folds into the same validated config object,
-            # so both construction paths share one source of truth.
-            config = GatewayConfig(
-                host=host,
-                port=port,
-                max_in_flight=max_in_flight,
-                batch_window_seconds=batch_window_seconds,
-                max_batch=max_batch,
-                plan_workers=plan_workers,
-                backlog=backlog,
-            )
         self.config = config
-        self.workspaces = (
-            workspaces if workspaces is not None else _SingleWorkspaceResolver(service)
-        )
-        self.host = config.host
-        self._requested_port = config.port
-        #: Listen backlog sized for connect storms: the load sweep opens
-        #: hundreds of connections in one burst, and the kernel's default
-        #: backlog (asyncio passes 100) turns the overflow into 1s+ SYN
-        #: retransmits that silently serialize the storm.
-        self.backlog = config.backlog
+        self.engine = engine
         self.max_in_flight = config.max_in_flight
         self.workspace_max_in_flight = config.workspace_max_in_flight
         self.metrics = MetricsRegistry()
-        #: One micro-batcher per workspace, created on first request so a
-        #: thousand registered tenants cost nothing until they talk.
-        self._batchers: Dict[str, MicroBatcher] = {}
-        #: Drain tasks of batchers replaced by a workspace update; strong
-        #: references (the loop keeps only weak ones) so an in-flight drain
-        #: is never garbage-collected, and :meth:`stop` can await them.
-        self._stale_batcher_drains: Set[asyncio.Task] = set()
-        #: Services whose batch hook is already registered.  A weak *set*
-        #: (not ids): membership is object identity, entries vanish with
-        #: their service, and a recycled id can never mask a new service.
-        self._hooked_services: "weakref.WeakSet[AnalyticsService]" = weakref.WeakSet()
         #: Per-workspace labeled instruments, resolved once per workspace
         #: instead of through the registry lock on every request.
         self._workspace_instruments: Dict[str, dict] = {}
         self._server: Optional[asyncio.Server] = None
-        #: The multi-process planner tier (None on the in-process path).
-        #: Built lazily in :meth:`start` so constructing a gateway object
-        #: never spawns processes.
-        self._worker_factory = worker_factory
-        self._supervisor: Optional[WorkerSupervisor] = None
         self._draining = False
         self._in_flight = 0
         self._workspace_in_flight: Dict[str, int] = {}
@@ -329,28 +206,38 @@ class AnalyticsGateway:
             "repro_plans_kept_warm_total",
             "Cached plans kept warm across a delta (footprint miss)",
         )
-        if service is not None:
-            self._hook_service(service)
+        #: Where every admitted request is planned.  Constructing either
+        #: planner spawns nothing; worker processes start in :meth:`start`.
+        self.planner: Planner
+        if config.planner_workers > 0 and worker_factory is not None:
+            self.planner = WorkerSupervisor(
+                worker_factory,
+                workers=config.planner_workers,
+                metrics=self.metrics,
+                retry_budget=config.worker_retry_budget,
+                backoff_seconds=config.worker_backoff_seconds,
+                workspaces=engine,
+            )
+        else:
+            self.planner = LocalPlanner(
+                engine, config, self.metrics, batch_hook=self._observe_batch
+            )
 
     @property
     def service(self) -> Optional[AnalyticsService]:
         """The default workspace's *current* service.
 
-        Resolved through the workspace surface on every access — never
-        pinned — so a registry update of the default workspace is
-        reflected here and ``/healthz`` / :meth:`stats_dict` cannot report
-        a superseded pool.  ``None`` when there is no default workspace,
-        its runtime was never built (nothing to report yet), or it has no
-        catalog.
+        Resolved through the engine on every access — never pinned — so a
+        registry update of the default workspace is reflected here and
+        ``/healthz`` / :meth:`stats_dict` cannot report a superseded pool.
+        ``None`` when there is no default workspace, its runtime was never
+        built (nothing to report yet), or it has no catalog.
         """
-        default = self.workspaces.default_workspace_name
-        if default is None:
-            return None
-        probe = getattr(self.workspaces, "runtime_ready", None)
-        if probe is not None and not probe(default):
+        default = self.engine.default_workspace_name
+        if default is None or not self.engine.runtime_ready(default):
             return None
         try:
-            return self.workspaces.workspace(default).service
+            return self.engine.workspace(default).service
         except (UnknownWorkspaceError, ConfigError):
             return None
 
@@ -389,17 +276,6 @@ class AnalyticsGateway:
             self._workspace_instruments[workspace_name] = instruments
         return instruments
 
-    def _drain_in_background(self, batcher: MicroBatcher) -> None:
-        """Flush a replaced/reaped batcher without blocking the caller.
-
-        The task is strongly referenced until done (the loop keeps only
-        weak references) and awaited by :meth:`stop`, so accepted requests
-        always complete.
-        """
-        drain = asyncio.get_running_loop().create_task(batcher.drain())
-        self._stale_batcher_drains.add(drain)
-        drain.add_done_callback(self._stale_batcher_drains.discard)
-
     def _unknown_workspace_response(self, error: object, keep_alive: bool) -> bytes:
         """The canonical unknown-workspace ``404`` (counted as a 4xx)."""
         self._unknown_workspace_total.inc()
@@ -408,55 +284,24 @@ class AnalyticsGateway:
             404,
             {
                 "error": str(error),
-                "workspaces": list(self.workspaces.workspace_names()),
+                "workspaces": list(self.engine.workspace_names()),
             },
             keep_alive=keep_alive,
         )
-
-    def _hook_service(self, service: AnalyticsService) -> None:
-        if service not in self._hooked_services:
-            service.add_batch_hook(self._observe_batch)
-            self._hooked_services.add(service)
-
-    def _batcher_for(self, workspace_name: str, handle) -> MicroBatcher:
-        """This workspace's micro-batcher (built on first request).
-
-        A workspace update swaps the underlying service; the stale batcher
-        is then drained in the background (requests it already accepted all
-        complete) and replaced, so requests after the update plan against
-        the new bundle.
-        """
-        batcher = self._batchers.get(workspace_name)
-        service = handle.service
-        if batcher is not None and batcher.service is not service:
-            self._drain_in_background(batcher)
-            batcher = None
-        if batcher is None:
-            self._hook_service(service)
-            batcher = MicroBatcher(
-                service,
-                window_seconds=self.config.batch_window_seconds,
-                max_batch=self.config.max_batch,
-                plan_workers=self.config.plan_workers,
-                metrics=self.metrics,
-            )
-            self._batchers[workspace_name] = batcher
-        return batcher
 
     def _reap_workspace(self, name: str) -> None:
         """Drop the per-workspace state of a workspace no longer registered.
 
         Called when a lookup raises :class:`UnknownWorkspaceError` — the
         same reap-on-access discipline the engine applies to its runtimes,
-        so tenant churn on a long-lived gateway never accumulates batchers
-        (with their services, pools and cached plans), instruments or
-        in-flight counters for deleted tenants.  The labeled series are
-        removed from the registry too, so ``/metrics`` stops rendering a
-        deleted tenant instead of exposing its stale values forever.
+        so tenant churn on a long-lived gateway never accumulates planner
+        state (batchers with their services, pools and cached plans),
+        instruments or in-flight counters for deleted tenants.  The labeled
+        series are removed from the registry too, so ``/metrics`` stops
+        rendering a deleted tenant instead of exposing its stale values
+        forever.
         """
-        batcher = self._batchers.pop(name, None)
-        if batcher is not None:
-            self._drain_in_background(batcher)
+        self.planner.forget(name)
         self._workspace_instruments.pop(name, None)
         # Keep a non-zero in-flight count: requests of the removed bundle
         # still draining must stay visible to the quota of a re-registered
@@ -475,48 +320,24 @@ class AnalyticsGateway:
         """The workspace name a request routes to (``None`` → the default).
 
         A missing default raises :class:`UnknownWorkspaceError`; existence
-        of a *named* workspace is checked separately (cheaply) by
-        :meth:`_workspace_exists` before admission.
+        of a *named* workspace is checked separately (cheaply, through
+        ``engine.has_workspace``) before admission.
         """
         if requested is None:
-            default = self.workspaces.default_workspace_name
+            default = self.engine.default_workspace_name
             if default is None:
-                known = ", ".join(self.workspaces.workspace_names()) or "<none>"
+                known = ", ".join(self.engine.workspace_names()) or "<none>"
                 raise UnknownWorkspaceError(
                     f"this gateway has no default workspace; name one of: {known}"
                 )
             requested = default
         return requested
 
-    def _workspace_exists(self, name: str) -> bool:
-        probe = getattr(self.workspaces, "has_workspace", None)
-        if probe is not None:
-            return bool(probe(name))
-        return name in self.workspaces.workspace_names()
-
-    async def _resolve_handle(self, name: str):
-        """This workspace's handle — resolved after admission.
-
-        Resolving a cached runtime is two dict lookups and stays inline; a
-        first-request (or post-update) resolution *builds* the runtime —
-        an eager pool whose prototype session compiles the constraint
-        program — and is offloaded to a worker thread so one tenant's
-        build never stalls the event loop for every other tenant.  (The
-        caller admitted the request *before* this await, so the build
-        window cannot be used to slip past admission control.)
-        """
-        probe = getattr(self.workspaces, "runtime_ready", None)
-        if probe is not None and not probe(name):
-            return await asyncio.get_running_loop().run_in_executor(
-                None, self.workspaces.workspace, name
-            )
-        return self.workspaces.workspace(name)
-
     # ------------------------------------------------------------------ lifecycle
     @property
     def port(self) -> int:
         if self._server is None or not self._server.sockets:
-            return self._requested_port
+            return self.config.port
         return self._server.sockets[0].getsockname()[1]
 
     @property
@@ -530,24 +351,16 @@ class AnalyticsGateway:
     async def start(self) -> None:
         if self._server is not None:
             raise RuntimeError("gateway already started")
-        if self.config.planner_workers > 0 and self._supervisor is None:
-            supervisor = WorkerSupervisor(
-                self._worker_factory,
-                workers=self.config.planner_workers,
-                metrics=self.metrics,
-                retry_budget=self.config.worker_retry_budget,
-                backoff_seconds=self.config.worker_backoff_seconds,
-                workspaces=self.workspaces,
-            )
-            # start() blocks until every worker's ready handshake (each
-            # child builds a full engine) — run it off the event loop.
-            await asyncio.get_running_loop().run_in_executor(None, supervisor.start)
-            self._supervisor = supervisor
+        await self.planner.open()
         self._server = await asyncio.start_server(
             self._serve_connection,
-            host=self.host,
-            port=self._requested_port,
-            backlog=self.backlog,
+            host=self.config.host,
+            port=self.config.port,
+            # Sized for connect storms: the load sweep opens hundreds of
+            # connections in one burst, and the kernel's default backlog
+            # (asyncio passes 100) turns the overflow into 1s+ SYN
+            # retransmits that silently serialize the storm.
+            backlog=self.config.backlog,
         )
 
     async def stop(self, timeout: Optional[float] = None) -> None:
@@ -568,12 +381,7 @@ class AnalyticsGateway:
                 await waiter
         except asyncio.TimeoutError:
             pass
-        while self._stale_batcher_drains:
-            await asyncio.gather(
-                *list(self._stale_batcher_drains), return_exceptions=True
-            )
-        for batcher in list(self._batchers.values()):
-            await batcher.drain()
+        await self.planner.close()
         # Every admitted request is answered by now; the remaining
         # connections are idle keep-alive clients whose handlers sit in
         # readline.  Close their transports so the handlers return —
@@ -581,12 +389,6 @@ class AnalyticsGateway:
         # would wait on clients that never hang up.
         for writer in list(self._connection_writers):
             writer.close()
-        if self._supervisor is not None:
-            # Every admitted request has been answered (the idle wait
-            # above), so each worker's queue holds at most the shutdown
-            # sentinel: flush, join, reap.
-            supervisor, self._supervisor = self._supervisor, None
-            await asyncio.get_running_loop().run_in_executor(None, supervisor.stop)
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -683,18 +485,17 @@ class AnalyticsGateway:
         return json_response(405, {"error": "method not allowed"}, keep_alive=keep_alive)
 
     def _health_document(self) -> dict:
-        default = self.workspaces.default_workspace_name
+        default = self.engine.default_workspace_name
         document = {
             "status": "draining" if self._draining else "ok",
             "in_flight": self._in_flight,
             "max_in_flight": self.max_in_flight,
-            "workspaces": list(self.workspaces.workspace_names()),
+            "workspaces": list(self.engine.workspace_names()),
             "default_workspace": default,
         }
         if self.service is not None:
             document["pool"] = self.service.pool.stats_dict()
-        if self._supervisor is not None:
-            document["workers"] = self._supervisor.describe()
+        document.update(self.planner.describe())
         return document
 
     def _handle_workspaces(self, path: str, keep_alive: bool) -> bytes:
@@ -704,15 +505,15 @@ class AnalyticsGateway:
             return json_response(
                 200,
                 {
-                    "default": self.workspaces.default_workspace_name,
-                    "workspaces": self.workspaces.describe_workspaces(),
+                    "default": self.engine.default_workspace_name,
+                    "workspaces": self.engine.describe_workspaces(),
                 },
                 keep_alive=keep_alive,
             )
         try:
             # Registry snapshot only — describing a registered-but-idle
             # tenant must not build its runtime (pool, prototype session).
-            description = self.workspaces.describe_workspace(suffix)
+            description = self.engine.describe_workspace(suffix)
         except UnknownWorkspaceError as exc:
             self._reap_workspace(suffix)
             return self._unknown_workspace_response(exc, keep_alive)
@@ -740,16 +541,12 @@ class AnalyticsGateway:
             return json_response(
                 503, {"error": "gateway is draining"}, keep_alive=False
             )
-        apply = getattr(self.workspaces, "apply_delta", None)
-        if apply is None:
-            # The legacy single-service resolver has no registry to mutate.
-            return self._method_not_allowed(keep_alive)
         try:
             delta = CatalogDelta.from_json(request.json())
         except (ProtocolError, ConfigError) as exc:
             self._protocol_errors_total.inc()
             return json_response(400, {"error": str(exc)}, keep_alive=keep_alive)
-        if not self._workspace_exists(name):
+        if not self.engine.has_workspace(name):
             self._reap_workspace(name)
             return self._unknown_workspace_response(
                 f"unknown workspace {name!r}", keep_alive
@@ -758,7 +555,9 @@ class AnalyticsGateway:
         try:
             # Off the event loop: revalidation holds the pool lock and may
             # rebuild a prototype session for view-touching deltas.
-            report = await loop.run_in_executor(None, apply, name, delta)
+            report = await loop.run_in_executor(
+                None, self.engine.apply_delta, name, delta
+            )
         except UnknownWorkspaceError as exc:
             self._reap_workspace(name)
             return self._unknown_workspace_response(exc, keep_alive)
@@ -809,8 +608,8 @@ class AnalyticsGateway:
 
         try:
             workspace_name = self._route_name(service_request.workspace)
-            if not self._workspace_exists(workspace_name):
-                known = ", ".join(self.workspaces.workspace_names()) or "<none>"
+            if not self.engine.has_workspace(workspace_name):
+                known = ", ".join(self.engine.workspace_names()) or "<none>"
                 raise UnknownWorkspaceError(
                     f"unknown workspace {workspace_name!r}; "
                     f"registered workspaces: {known}"
@@ -842,70 +641,23 @@ class AnalyticsGateway:
         # bounds exactly like requests parked in a batcher.
         instruments = self._admit(workspace_name)
         try:
-            if self._supervisor is not None:
-                # Worker-pool tier: the request crosses to the workspace's
-                # sharded worker process as the same typed JSON body the
-                # HTTP wire uses, and the envelope rides back with the full
-                # response payload — plans byte-identical by construction.
-                body = request_to_json(service_request)
-                body["workspace"] = workspace_name
-                envelope = await self._supervisor.submit(workspace_name, body)
-                return self._worker_response(
-                    envelope, service_request, workspace_name, instruments, keep_alive
-                )
-            handle = await self._resolve_handle(workspace_name)
-            result = await self._batcher_for(workspace_name, handle).submit(
-                service_request
-            )
-        except SupervisorClosed:
-            self._drain_rejected_total.inc()
-            return json_response(503, {"error": "gateway is draining"}, keep_alive=False)
-        except UnknownWorkspaceError as exc:
-            # Removed between the existence check and resolution.
-            self._reap_workspace(workspace_name)
-            return self._unknown_workspace_response(exc, keep_alive)
-        except BatcherClosed:
-            self._drain_rejected_total.inc()
-            return json_response(503, {"error": "gateway is draining"}, keep_alive=False)
-        except ConfigError as exc:
-            # A plan-only workspace (registered without a catalog) cannot
-            # go through the service path; a well-formed request against it
-            # is the client's condition to resolve, not a server error.
-            self._responses_4xx.inc()
-            return json_response(
-                422,
-                {"error": str(exc), "workspace": workspace_name},
-                keep_alive=keep_alive,
-            )
-        except Exception as exc:
-            self._responses_5xx.inc()
-            return json_response(
-                500,
-                {"error": f"{type(exc).__name__}: {exc}"},
-                keep_alive=keep_alive,
-            )
+            envelope = await self.planner.submit(workspace_name, service_request)
+        except Exception as exc:  # noqa: BLE001 — unknown workspace, plan-only
+            # workspace, closed planner or a planner bug: each costs one
+            # response of its own status, never the connection.
+            envelope = error_envelope(exc)
         finally:
             self._release(workspace_name, instruments)
-
-        payload = result_to_json(result)
-        planner_failed = any(who == "planner" for who, _ in result.failures)
-        if planner_failed:
-            self._plan_failures_total.inc()
-            self._responses_4xx.inc()
-            return json_response(422, payload, keep_alive=keep_alive)
-        if result.request.execute and result.value is None and result.failures:
-            self._responses_5xx.inc()
-            return json_response(500, payload, keep_alive=keep_alive)
-        self._observe_result(result, workspace_name, instruments)
-        self._responses_2xx.inc()
-        return json_response(200, payload, keep_alive=keep_alive)
+        return self._respond(
+            envelope, service_request, workspace_name, instruments, keep_alive
+        )
 
     # ------------------------------------------------------------------ accounting
     def _admit(self, workspace_name: str) -> dict:
         """Count one request in; returns the workspace's instrument epoch.
 
         The caller hands the returned handle back to :meth:`_release` /
-        :meth:`_observe_result`, which touch it only while it is still the
+        :meth:`_observe`, which touch it only while it is still the
         live epoch — a request outliving its tenant's reap (and even a
         same-name re-registration) can then never resurrect removed series
         or drive a fresh tenant's gauge negative.
@@ -934,57 +686,46 @@ class AnalyticsGateway:
         if self._in_flight == 0:
             self._idle.set()
 
-    def _observe_result(self, result, workspace_name: str, instruments: dict) -> None:
-        if result.rewrite.cache_hit:
-            self._cache_hits_total.inc()
-        else:
-            # Cache hits reuse a plan whose saturation already ran (and was
-            # already counted); only fresh rewrites contribute prune counts.
-            saturation = getattr(result.rewrite, "saturation", None)
-            if saturation is not None:
-                self._chase_pruned_total.inc(saturation.pruned_applications)
-                self._chase_pruned_tightening_total.inc(
-                    saturation.pruned_by_tightening
-                )
-        self._queue_seconds.observe(result.queue_seconds)
-        self._plan_seconds.observe(result.plan_seconds)
-        self._execute_seconds.observe(result.execute_seconds)
-        self._total_seconds.observe(result.total_seconds)
-        if self._workspace_instruments.get(workspace_name) is instruments:
-            instruments["total_seconds"].observe(result.total_seconds)
-
-    def _worker_response(
+    def _respond(
         self,
         envelope: dict,
-        service_request,
+        service_request: ServiceRequest,
         workspace_name: str,
         instruments: dict,
         keep_alive: bool,
     ) -> bytes:
-        """Map a worker envelope to the same HTTP statuses the in-process
-        path produces (404/422/500/200), with identical metrics."""
+        """Map a planner envelope to its HTTP response (404/422/503/500/200)
+        and count it — the one place a planning outcome becomes a status."""
         if not envelope.get("ok"):
             kind = envelope.get("kind")
-            error = envelope.get("error", "worker error")
+            error = envelope.get("error", "planner error")
             if kind == "unknown_workspace":
-                # Removed between the existence check and worker dispatch.
+                # Removed between the existence check and planning.
                 self._reap_workspace(workspace_name)
                 return self._unknown_workspace_response(error, keep_alive)
             if kind == "config":
+                # A plan-only workspace (registered without a catalog)
+                # cannot go through the service path; a well-formed request
+                # against it is the client's condition to resolve.
                 self._responses_4xx.inc()
                 return json_response(
                     422,
                     {"error": error, "workspace": workspace_name},
                     keep_alive=keep_alive,
                 )
+            if kind == "closed":
+                self._drain_rejected_total.inc()
+                return json_response(
+                    503, {"error": "gateway is draining"}, keep_alive=False
+                )
             self._responses_5xx.inc()
             return json_response(500, {"error": error}, keep_alive=keep_alive)
-        payload = dict(envelope["payload"])
-        # Worker attribution rides on the response so clients (and the
-        # isolation benchmark) can verify shard stickiness end to end.
-        payload["worker"] = envelope.get("worker")
-        planner_failed = any(who == "planner" for who, _ in payload["failures"])
-        if planner_failed:
+        payload = envelope["payload"]
+        if envelope.get("worker") is not None:
+            # Worker attribution rides on the response so clients (and the
+            # isolation benchmark) can verify shard stickiness end to end.
+            payload = dict(payload, worker=envelope["worker"])
+        if any(who == "planner" for who, _ in payload["failures"]):
             self._plan_failures_total.inc()
             self._responses_4xx.inc()
             return json_response(422, payload, keep_alive=keep_alive)
@@ -995,15 +736,13 @@ class AnalyticsGateway:
         ):
             self._responses_5xx.inc()
             return json_response(500, payload, keep_alive=keep_alive)
-        self._observe_payload(envelope, payload, workspace_name, instruments)
+        self._observe(envelope, workspace_name, instruments)
         self._responses_2xx.inc()
         return json_response(200, payload, keep_alive=keep_alive)
 
-    def _observe_payload(
-        self, envelope: dict, payload: dict, workspace_name: str, instruments: dict
-    ) -> None:
-        """The worker-path mirror of :meth:`_observe_result`, reading the
-        wire payload instead of a live :class:`ServiceResult`."""
+    def _observe(self, envelope: dict, workspace_name: str, instruments: dict) -> None:
+        """Record one successfully answered request in the metrics."""
+        payload = envelope["payload"]
         if payload.get("cache_hit"):
             self._cache_hits_total.inc()
         else:
@@ -1040,22 +779,14 @@ class AnalyticsGateway:
         }
         if self.service is not None:
             summary["pool"] = self.service.pool.stats_dict()
-        pools = {
-            name: batcher.service.pool.stats_dict()
-            for name, batcher in sorted(self._batchers.items())
-        }
-        if pools:
-            summary["workspace_pools"] = pools
-        if self._supervisor is not None:
-            summary["workers"] = self._supervisor.describe()
-            summary["worker_assignments"] = self._supervisor.assignments()
+        summary.update(self.planner.stats_dict())
         return summary
 
     @property
-    def supervisor(self):
-        """The live :class:`~repro.server.workers.WorkerSupervisor`
-        (``None`` on the in-process path or before :meth:`start`)."""
-        return self._supervisor
+    def supervisor(self) -> Optional[WorkerSupervisor]:
+        """The :class:`~repro.server.workers.WorkerSupervisor` planning for
+        this gateway (``None`` on the in-process path)."""
+        return self.planner if isinstance(self.planner, WorkerSupervisor) else None
 
 
 def run_gateway(gateway: AnalyticsGateway) -> None:

@@ -61,16 +61,19 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.exceptions import ConfigError, UnknownWorkspaceError
+from repro.api.engine import Engine
+from repro.catalog.delta import CatalogDelta
 from repro.server.metrics import MetricsRegistry
-from repro.server.protocol import parse_plan_request, result_to_json
+from repro.server.planner import PlannerClosed, error_envelope, result_envelope
+from repro.server.protocol import parse_plan_request, request_to_json
+from repro.service.service import ServiceRequest
 
 __all__ = ["HashRing", "WorkerSupervisor", "SupervisorClosed", "planner_worker_main"]
 
 
-class SupervisorClosed(RuntimeError):
+class SupervisorClosed(PlannerClosed):
     """Raised by :meth:`WorkerSupervisor.submit` after :meth:`~WorkerSupervisor.stop`."""
 
 
@@ -150,118 +153,104 @@ class HashRing:
 # Worker child process
 # ---------------------------------------------------------------------------
 
-def _resolve_handle(resolver: Any, workspace: str) -> Any:
-    """The workspace handle inside the worker (Engine or bare service)."""
-    lookup = getattr(resolver, "workspace", None)
-    if lookup is not None:
-        return lookup(workspace)
-    # A factory may return a bare AnalyticsService: serve every workspace
-    # name with it (the parent already validated existence).
-    return resolver
+class _Worker:
+    """One planner worker's state and message handling (no pipes here)."""
 
+    def __init__(self, engine: Engine, worker_id: int):
+        self.engine = engine
+        self.worker_id = worker_id
+        self.served = 0
+        #: Forwarded delta chains that could not be applied and were
+        #: answered with a per-workspace invalidation instead.
+        self.delta_fallbacks = 0
 
-def _serve_request(resolver: Any, worker_id: int, body: dict) -> dict:
-    """Plan (and maybe execute) one request; never raises.
+    def handle(self, item: tuple) -> Optional[tuple]:
+        """Process one inbound message; the ``("res", id, envelope)`` reply
+        for ``req`` / ``introspect``, ``None`` for the one-way messages."""
+        kind = item[0]
+        if kind == "req":
+            _, request_id, body = item
+            self.served += 1
+            return ("res", request_id, self._serve(body))
+        if kind == "introspect":
+            return ("res", item[1], self._introspect())
+        if kind == "invalidate":
+            self.engine.invalidate_workspace(item[1])
+        elif kind == "apply_delta":
+            _, name, payloads = item
+            self._apply_delta(name, payloads)
+        return None
 
-    The envelope mirrors what the gateway needs to keep its status mapping
-    and metrics identical to the in-process path: the full
-    ``result_to_json`` payload (plan, failures, timings, ``cache_hit``),
-    plus the chase prune counters that only exist on fresh rewrites.
-    """
-    try:
-        request = parse_plan_request(body)
-        workspace = request.workspace or ""
-        handle = _resolve_handle(resolver, workspace)
-        service = getattr(handle, "service", handle)
-        # submit_many (not submit) for failure parity with the in-process
-        # MicroBatcher path: execution failures ride back on the result
-        # instead of raising.
-        result = service.submit_many([request], workers=1)[0]
-        payload = result_to_json(result)
-        pruned = [0, 0]
-        if not result.rewrite.cache_hit:
-            saturation = getattr(result.rewrite, "saturation", None)
-            if saturation is not None:
-                pruned = [
-                    saturation.pruned_applications,
-                    saturation.pruned_by_tightening,
-                ]
+    def _serve(self, body: dict) -> dict:
+        """Plan (and maybe execute) one request; never raises."""
+        try:
+            request = parse_plan_request(body)
+            service = self.engine.workspace(request.workspace).service
+            # submit_many (not submit) for failure parity with the in-process
+            # MicroBatcher path: execution failures ride back on the result
+            # instead of raising.
+            envelope = result_envelope(service.submit_many([request], workers=1)[0])
+        except Exception as exc:  # noqa: BLE001 — the worker must stay alive
+            envelope = error_envelope(exc)
+        envelope["worker"] = self.worker_id
+        envelope["pid"] = os.getpid()
+        return envelope
+
+    def _introspect(self) -> dict:
+        """Worker-side state for tests and ``/healthz``: what is warm where."""
+        engine = self.engine
         return {
             "ok": True,
-            "worker": worker_id,
+            "worker": self.worker_id,
             "pid": os.getpid(),
-            "payload": payload,
-            "pruned": pruned,
+            "served": self.served,
+            "warm_runtimes": [
+                name for name in engine.workspace_names() if engine.runtime_ready(name)
+            ],
+            "delta_fallbacks": self.delta_fallbacks,
         }
-    except UnknownWorkspaceError as exc:
-        return {"ok": False, "worker": worker_id, "kind": "unknown_workspace",
-                "error": str(exc)}
-    except ConfigError as exc:
-        return {"ok": False, "worker": worker_id, "kind": "config", "error": str(exc)}
-    except Exception as exc:  # noqa: BLE001 — the worker must stay alive
-        return {"ok": False, "worker": worker_id, "kind": "internal",
-                "error": f"{type(exc).__name__}: {exc}"}
 
+    def _apply_delta(self, name: str, payloads: List[dict]) -> None:
+        """Replay a chain of wire-format catalog deltas on the worker engine.
 
-def _introspect(resolver: Any, worker_id: int, served: int) -> dict:
-    """Worker-side state for tests and ``/healthz``: what is warm where."""
-    runtimes: List[str] = []
-    names = getattr(resolver, "workspace_names", None)
-    ready = getattr(resolver, "runtime_ready", None)
-    if names is not None and ready is not None:
-        runtimes = [name for name in names() if ready(name)]
-    return {
-        "ok": True,
-        "worker": worker_id,
-        "pid": os.getpid(),
-        "served": served,
-        "warm_runtimes": sorted(runtimes),
-    }
-
-
-def _apply_worker_delta(resolver: Any, name: str, payloads: List[dict]) -> None:
-    """Replay a chain of wire-format catalog deltas on the worker engine.
-
-    The selective path: the worker's catalog converges to the parent's by
-    applying the same delta documents, and the worker engine's
-    ``apply_delta`` revalidates its warm pool instead of dropping it.  Any
-    failure — an engine without the delta surface, a chain inconsistent
-    with this worker's state (e.g. a respawned worker rebuilt from the
-    factory's original bundle) — falls back to the blunt per-workspace
-    invalidation, which is always safe.
-    """
-    apply = getattr(resolver, "apply_delta", None)
-    if apply is not None:
+        The selective path: the worker's catalog converges to the parent's
+        by applying the same delta documents, and the engine's
+        ``apply_delta`` revalidates its warm pool instead of dropping it.
+        A chain inconsistent with this worker's state (e.g. a respawned
+        worker rebuilt from the factory's original bundle) falls back to
+        the blunt per-workspace invalidation, which is always safe, and is
+        counted in ``delta_fallbacks``.
+        """
         try:
-            from repro.catalog.delta import CatalogDelta
-
             for payload in payloads:
-                apply(name, CatalogDelta.from_json(payload))
-            return
-        except Exception:  # noqa: BLE001 — fall back to full invalidation
-            pass
-    invalidate = getattr(resolver, "invalidate_workspace", None)
-    if invalidate is not None:
-        invalidate(name)
+                self.engine.apply_delta(name, CatalogDelta.from_json(payload))
+        except Exception:  # noqa: BLE001 — any failure degrades to invalidation
+            self.delta_fallbacks += 1
+            self.engine.invalidate_workspace(name)
 
 
 def planner_worker_main(
     worker_id: int,
-    factory: Callable[[], Any],
+    factory: Callable[[], Engine],
     request_conn: Any,
     response_conn: Any,
 ) -> None:
     """Child entry point: build the engine once, serve the pipe until EOF.
 
     Spawn-safe: runs fresh in a spawned interpreter, so ``factory`` must be
-    importable/picklable.  Messages in: ``("req", id, body)``,
-    ``("introspect", id)``, ``("invalidate", name)``,
-    ``("apply_delta", name, [delta_json, ...])``, or the ``None``
-    shutdown sentinel.  Messages out: ``("ready", worker_id, pid)`` once,
-    then ``("res", id, envelope)`` per request.
+    importable/picklable; it must return a :class:`repro.api.Engine`.
+    Messages in: ``("req", id, body)``, ``("introspect", id)``,
+    ``("invalidate", name)``, ``("apply_delta", name, [delta_json, ...])``,
+    or the ``None`` shutdown sentinel.  Messages out: ``("ready",
+    worker_id, pid)`` once (or ``("fatal", worker_id, reason)``), then
+    ``("res", id, envelope)`` per request.
     """
     try:
-        resolver = factory()
+        engine = factory()
+        if not isinstance(engine, Engine):
+            raise TypeError(
+                f"worker factory must return a repro.api.Engine, got {type(engine).__name__}"
+            )
     except BaseException as exc:  # noqa: BLE001 — report, then die
         try:
             response_conn.send(
@@ -271,7 +260,7 @@ def planner_worker_main(
             pass
         return
     response_conn.send(("ready", worker_id, os.getpid()))
-    served = 0
+    worker = _Worker(engine, worker_id)
     while True:
         try:
             item = request_conn.recv()
@@ -279,25 +268,10 @@ def planner_worker_main(
             break
         if item is None:
             break
-        kind = item[0]
         try:
-            if kind == "req":
-                _, request_id, body = item
-                envelope = _serve_request(resolver, worker_id, body)
-                served += 1
-                response_conn.send(("res", request_id, envelope))
-            elif kind == "introspect":
-                _, request_id = item
-                response_conn.send(
-                    ("res", request_id, _introspect(resolver, worker_id, served))
-                )
-            elif kind == "invalidate":
-                invalidate = getattr(resolver, "invalidate_workspace", None)
-                if invalidate is not None:
-                    invalidate(item[1])
-            elif kind == "apply_delta":
-                _, delta_name, payloads = item
-                _apply_worker_delta(resolver, delta_name, payloads)
+            reply = worker.handle(item)
+            if reply is not None:
+                response_conn.send(reply)
         except (OSError, BrokenPipeError):
             break
     try:
@@ -351,9 +325,8 @@ class WorkerSupervisor:
     Parameters
     ----------
     factory:
-        Zero-argument picklable callable building the worker-side resolver
-        (typically a :class:`repro.api.Engine`).  Runs once inside each
-        spawned worker.
+        Zero-argument picklable callable building the worker-side
+        :class:`repro.api.Engine`.  Runs once inside each spawned worker.
     workers:
         Pool size (>= 1).
     metrics:
@@ -369,16 +342,21 @@ class WorkerSupervisor:
         Cadence of the health thread (queue-depth sampling, liveness
         backstop, registry-delta detection).
     workspaces:
-        Optional parent-side resolver (``workspace_names()`` +
-        ``describe_workspaces()``); when given, the health thread watches
-        it and sends ``invalidate`` to the owning worker when a workspace
-        is removed or its version bumps, so worker-side runtimes never
-        serve a superseded bundle.
+        The parent-side :class:`repro.api.Engine`, or ``None``; when given,
+        the health thread watches its registry and forwards delta chains
+        (or ``invalidate``) to the owning worker when a workspace is
+        removed or its version bumps, so worker-side runtimes never serve
+        a superseded bundle.
+
+    Implements the gateway's :class:`~repro.server.planner.Planner` seam
+    (:meth:`open` / :meth:`submit` / :meth:`describe` / :meth:`stats_dict`
+    / :meth:`forget` / :meth:`close`) on top of the blocking
+    :meth:`start` / :meth:`stop` a direct caller drives.
     """
 
     def __init__(
         self,
-        factory: Callable[[], Any],
+        factory: Callable[[], Engine],
         workers: int,
         *,
         metrics: Optional[MetricsRegistry] = None,
@@ -387,7 +365,7 @@ class WorkerSupervisor:
         backoff_cap_seconds: float = 2.0,
         health_interval_seconds: float = 0.25,
         spawn_timeout_seconds: float = 120.0,
-        workspaces: Any = None,
+        workspaces: Optional[Engine] = None,
         ring_replicas: int = 96,
     ):
         if workers < 1:
@@ -455,7 +433,7 @@ class WorkerSupervisor:
                 return
             self._started = True
             if self._workspaces is not None:
-                self._known_versions = self._registry_versions()
+                self._known_versions = self._registry_versions(self._workspaces)
             for slot in self._slots:
                 self._spawn_locked(slot)
         deadline = time.monotonic() + self._spawn_timeout
@@ -516,9 +494,32 @@ class WorkerSupervisor:
                     except OSError:
                         pass
 
+    async def open(self) -> None:
+        # start() blocks until every worker's ready handshake (each child
+        # builds a full engine) — run it off the event loop.
+        await asyncio.get_running_loop().run_in_executor(None, self.start)
+
+    async def close(self) -> None:
+        # The gateway answered every admitted request before closing its
+        # planner, so each worker's queue holds at most the shutdown
+        # sentinel: flush, join, reap.
+        await asyncio.get_running_loop().run_in_executor(None, self.stop)
+
+    def forget(self, workspace: str) -> None:
+        """Nothing to drop here: the health thread already tells the owning
+        worker to invalidate a workspace that left the registry."""
+
     # ------------------------------------------------------------ submission
-    async def submit(self, workspace: str, body: dict) -> dict:
-        """Dispatch one request to the workspace's worker; await the envelope."""
+    async def submit(self, workspace: str, request: Union[ServiceRequest, dict]) -> dict:
+        """Dispatch one request to the workspace's worker; await the envelope.
+
+        The request crosses to the worker process as the same typed JSON
+        body the HTTP wire uses (``request`` may already be that body), so
+        worker plans are byte-identical to the in-process path by
+        construction.  Raises :class:`SupervisorClosed` after :meth:`stop`.
+        """
+        body = dict(request) if isinstance(request, dict) else request_to_json(request)
+        body["workspace"] = workspace
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[dict]" = loop.create_future()
         with self._lock:
@@ -577,20 +578,25 @@ class WorkerSupervisor:
             for name in self._workspaces.workspace_names()
         }
 
-    def describe(self) -> List[dict]:
-        """JSON-ready per-slot state for ``/healthz`` and ``stats_dict``."""
+    def describe(self) -> dict:
+        """JSON-ready per-slot state: the ``workers`` key of ``/healthz``."""
         with self._lock:
-            return [
-                {
-                    "worker": slot.id,
-                    "pid": slot.pid,
-                    "alive": bool(slot.process is not None and slot.process.is_alive()),
-                    "ready": slot.ready.is_set(),
-                    "restarts": slot.restarts,
-                    "in_flight": len(self._by_worker[slot.id]),
-                }
-                for slot in self._slots
-            ]
+            return {
+                "workers": [
+                    {
+                        "worker": slot.id,
+                        "pid": slot.pid,
+                        "alive": bool(slot.process is not None and slot.process.is_alive()),
+                        "ready": slot.ready.is_set(),
+                        "restarts": slot.restarts,
+                        "in_flight": len(self._by_worker[slot.id]),
+                    }
+                    for slot in self._slots
+                ]
+            }
+
+    def stats_dict(self) -> dict:
+        return {**self.describe(), "worker_assignments": self.assignments()}
 
     @property
     def workers(self) -> int:
@@ -774,12 +780,11 @@ class WorkerSupervisor:
             self._fail_pending(pending, "supervisor stopped during respawn")
 
     # ------------------------------------------------------------ health
-    def _registry_versions(self) -> Dict[str, int]:
-        describe = getattr(self._workspaces, "describe_workspaces", None)
-        if describe is None:
-            return {name: 0 for name in self._workspaces.workspace_names()}
+    @staticmethod
+    def _registry_versions(engine: Engine) -> Dict[str, int]:
         return {
-            doc["name"]: int(doc.get("version", 0)) for doc in describe()
+            doc["name"]: int(doc.get("version", 0))
+            for doc in engine.describe_workspaces()
         }
 
     def _health_loop(self) -> None:
@@ -804,7 +809,7 @@ class WorkerSupervisor:
                     ):
                         stale.append(slot.response_conn)
                 if self._workspaces is not None:
-                    self._sync_workspaces_locked()
+                    self._sync_workspaces_locked(self._workspaces)
             for conn in stale:
                 # Force the pump loop's EOF by closing our read end.
                 if conn is not None:
@@ -813,7 +818,7 @@ class WorkerSupervisor:
                     except OSError:
                         pass
 
-    def _sync_workspaces_locked(self) -> None:
+    def _sync_workspaces_locked(self, engine: Engine) -> None:
         """React to registry changes: forward deltas, invalidate otherwise.
 
         The ring itself only changes with the worker count; a registry
@@ -828,22 +833,21 @@ class WorkerSupervisor:
         next request — per-workspace invalidation, never a pool restart.
         """
         try:
-            current = self._registry_versions()
+            current = self._registry_versions(engine)
         except Exception:  # registry mid-mutation; retry next tick
             return
         previous = self._known_versions
         if current == previous:
             return
-        chain_for = getattr(self._workspaces, "delta_chain", None)
         for name, version in current.items():
             prior = previous.get(name)
             if prior == version:
                 continue
             worker_id = self._ring.route(name)
             chain = None
-            if chain_for is not None and prior is not None:
+            if prior is not None:
                 try:
-                    chain = chain_for(name, prior, version)
+                    chain = engine.delta_chain(name, prior, version)
                 except Exception:  # journal mid-mutation; fall back
                     chain = None
             if chain:

@@ -25,20 +25,18 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro._compat import suppress_legacy_warnings, warn_legacy_entry_point
 from repro.backends.base import Value
-from repro.config import PlannerConfig, ServiceConfig
+from repro.config import ServiceConfig
 from repro.constraints.views import LAView
 from repro.core.result import RewriteResult
 from repro.data.catalog import Catalog
-from repro.exceptions import ConfigError, ExecutionError
+from repro.exceptions import ExecutionError
 from repro.lang import matrix_expr as mx
-from repro.planner.session import PlanSession
 from repro.service.pool import PlanSessionPool
-from repro.service.router import DefaultPolicy, ExecutionRouter, RoutingPolicy
+from repro.service.router import ExecutionRouter
 
 
 @dataclass
@@ -157,83 +155,44 @@ RequestLike = Union[ServiceRequest, mx.Expr, Tuple[str, mx.Expr]]
 class AnalyticsService:
     """Concurrent plan-and-execute service over one catalog.
 
+    Built by :class:`repro.api.Engine`, one per workspace
+    (``engine.service`` / ``engine.workspace(name).service``); tests that
+    need a custom pool or router build those two objects and pass them.
+
     Parameters
     ----------
     catalog:
         The shared catalog backing planning metadata and execution values.
     views:
-        Materialized LA views every pooled session plans with.
-    session_options:
-        Extra keyword arguments forwarded to every pooled
-        :class:`PlanSession` (budgets, estimator, rule toggles, …).
-    pool / router:
-        Pre-built components, for tests or custom wiring; by default a
-        :class:`PlanSessionPool` over a factory of identically configured
-        sessions and an :class:`ExecutionRouter` with the stock backends.
-    max_sessions / result_cache_size:
-        Forwarded to the default pool (superseded by ``config``).
-    policy:
-        Routing policy for the default router.
-    config / planner:
-        The :mod:`repro.api` path: a frozen
-        :class:`~repro.config.ServiceConfig` for the service knobs and a
-        :class:`~repro.config.PlannerConfig` every pooled session is built
-        from.  When ``config`` is given it supersedes ``max_sessions`` /
-        ``result_cache_size`` and (absent an explicit ``policy``) selects
-        the default policy's preferred backend.
-
-    .. deprecated::
-        Constructing ``AnalyticsService`` directly is a legacy entry
-        point; use :class:`repro.api.Engine` (``engine.submit`` /
-        ``engine.submit_many`` / ``engine.serve``), which builds this very
-        class internally from an :class:`~repro.config.EngineConfig`.
+        Materialized LA views the hybrid path plans with (the pooled
+        sessions carry their own copy).
+    pool:
+        The :class:`PlanSessionPool` every request plans through.
+    router:
+        The :class:`ExecutionRouter` finished plans execute through.
+    config:
+        The frozen :class:`~repro.config.ServiceConfig`
+        (``plan_workers`` is the default ``submit_many`` width).
+    workspace:
+        Workspace identity of this service (``""`` outside an engine).
     """
 
     def __init__(
         self,
         catalog: Catalog,
         views: Sequence[LAView] = (),
-        session_options: Optional[dict] = None,
-        pool: Optional[PlanSessionPool] = None,
-        router: Optional[ExecutionRouter] = None,
-        max_sessions: int = 8,
-        result_cache_size: int = 1024,
-        policy: Optional[RoutingPolicy] = None,
-        config: Optional[ServiceConfig] = None,
-        planner: Optional[PlannerConfig] = None,
+        *,
+        pool: PlanSessionPool,
+        router: ExecutionRouter,
+        config: ServiceConfig,
         workspace: str = "",
     ):
-        warn_legacy_entry_point("AnalyticsService", "repro.api.Engine")
         self.catalog = catalog
         self.views = list(views)
         self.config = config
-        #: Workspace identity of this service ("" = single-tenant legacy
-        #: use).  Forwarded to the default pool so shared-cache keys carry
-        #: the tenant, and exposed for gateway metrics labels.
         self.workspace = str(workspace)
-        options = dict(session_options or {})
-        if planner is not None:
-            overlap = sorted({f.name for f in dataclass_fields(PlannerConfig)} & set(options))
-            if overlap:
-                raise ConfigError(
-                    f"AnalyticsService got option(s) {overlap} both in session_options "
-                    f"and in the planner config; set them only on the PlannerConfig"
-                )
-            options["config"] = planner
-        if config is not None:
-            max_sessions = config.max_sessions
-            result_cache_size = config.result_cache_size
-            if policy is None:
-                policy = DefaultPolicy(config.preferred_backend)
-        if pool is None:
-            pool = PlanSessionPool(
-                lambda: PlanSession(catalog, views=self.views, **options),
-                max_sessions=max_sessions,
-                result_cache_size=result_cache_size,
-                workspace=self.workspace,
-            )
         self.pool = pool
-        self.router = router if router is not None else ExecutionRouter(catalog, policy=policy)
+        self.router = router
         #: Observers called with a :class:`BatchStats` after every
         #: :meth:`submit_many`; hook errors are swallowed (observability must
         #: never fail a batch).
@@ -321,7 +280,7 @@ class AnalyticsService:
         request in a micro-batch must cost exactly one error response.
         """
         if workers is None:
-            workers = self.config.plan_workers if self.config is not None else 8
+            workers = self.config.plan_workers
         requests = [self.as_request(item) for item in items]
         if not requests:
             return []
@@ -447,10 +406,7 @@ class AnalyticsService:
         from repro.hybrid.optimizer import HybridOptimizer
 
         if self._hybrid_optimizer is None:
-            # Internal building block, not a user-facing entry point here:
-            # the legacy-constructor warning must point at direct callers.
-            with suppress_legacy_warnings():
-                self._hybrid_optimizer = HybridOptimizer(self.catalog, la_views=self.views)
+            self._hybrid_optimizer = HybridOptimizer(self.catalog, la_views=self.views)
         if self._hybrid_executor is None:
             la_backend = self.router.backends.get("numpy")
             self._hybrid_executor = HybridExecutor(self.catalog, la_backend=la_backend)

@@ -2,26 +2,25 @@
 
 Covers the Engine facade, the frozen config dataclasses (validation at
 construction, actionable messages), the capability-declaring backend
-registry, the typed wire schema shared by server and client, the
-deprecation shims over the four legacy entry points (warn exactly once,
-byte-identical results), the property-setter drift regression (mutating
-planner options re-keys cached plans), and the public-API drift check
-against the documented surface in ``docs/api.md``.
+registry, the typed wire schema shared by server and client, byte-identity
+of ``Engine.rewrite`` with a bare ``PlanSession`` on all 57 pipelines, the
+option-mutation drift regression (mutating planner options re-keys cached
+plans), the single version source, and the public-API drift check against
+the documented surface in ``docs/api.md``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
+import importlib.metadata
 import re
-import warnings
 from pathlib import Path
 
 import pytest
 
 import repro
 import repro.api
-from repro._compat import reset_legacy_warnings, suppress_legacy_warnings
 from repro.api import (
     BackendCapabilities,
     BackendRegistry,
@@ -36,19 +35,10 @@ from repro.api import (
 )
 from repro.api.schema import PhaseTimings
 from repro.backends.numpy_backend import NumpyBackend
-from repro.core import HadadOptimizer
 from repro.lang import inv, matrix, sum_all, transpose
 from repro.planner import PlanSession
 from repro.server.protocol import parse_plan_request, request_to_json, result_to_json
-from repro.service import AnalyticsService, DefaultPolicy, ServiceRequest
-
-
-@pytest.fixture(autouse=True)
-def _fresh_deprecation_state():
-    """Each test sees the once-per-process warning machinery reset."""
-    reset_legacy_warnings()
-    yield
-    reset_legacy_warnings()
+from repro.service import AnalyticsService, DefaultPolicy, ExecutionRouter, ServiceRequest
 
 
 def _sample_expr():
@@ -154,20 +144,42 @@ class TestConfigValidation:
 
 
 class TestEngine:
-    def test_rewrite_matches_legacy_paths_and_caches(self, small_catalog):
+    def test_rewrite_matches_a_bare_session_and_caches(self, small_catalog):
         expr = _sample_expr()
         engine = Engine(small_catalog)
         via_engine = engine.rewrite(expr)
-        via_legacy = HadadOptimizer(small_catalog).rewrite(expr)
         via_session = PlanSession(small_catalog).rewrite(expr)
-        assert (
-            via_engine.best.to_string()
-            == via_legacy.best.to_string()
-            == via_session.best.to_string()
-        )
-        assert via_engine.best_cost == via_legacy.best_cost
+        assert via_engine.best.to_string() == via_session.best.to_string()
+        assert via_engine.original_cost == via_session.original_cost
+        assert via_engine.best_cost == via_session.best_cost
+        assert via_engine.used_views == via_session.used_views
         assert via_engine.fingerprint == expr.fingerprint()
         assert not via_engine.cache_hit and engine.rewrite(expr).cache_hit
+
+    def test_engine_is_byte_identical_to_a_bare_session_on_all_pipelines(self):
+        """The 57 benchkit pipelines plan identically through the pooled
+        engine and through one bare session: same plan string, cost, chase
+        work and cache key (the former ``bench_api_parity`` CI step)."""
+        from repro.benchkit.datasets import ROLE_BINDINGS_DENSE, benchmark_catalog
+        from repro.benchkit.pipelines import build_pipeline, default_roles, pipeline_names
+
+        catalog = benchmark_catalog(scale=0.01)
+        roles = default_roles(ROLE_BINDINGS_DENSE)
+        engine = Engine(catalog)
+        session = PlanSession(catalog)
+        pipelines = [(name, build_pipeline(name, roles)) for name in pipeline_names()]
+        assert len(pipelines) == 57
+        with engine.pool.checkout() as pooled:
+            for name, expr in pipelines:
+                assert pooled.cache_key(expr) == session.cache_key(expr), name
+        for name, expr in pipelines:
+            ours, theirs = engine.rewrite(expr), session.rewrite(expr)
+            assert ours.best.to_string() == theirs.best.to_string(), name
+            assert ours.best_cost == theirs.best_cost, name
+            assert (
+                ours.saturation.matches_attempted
+                == theirs.saturation.matches_attempted
+            ), name
 
     def test_rewrite_all_plans_each_fingerprint_once(self, small_catalog):
         engine = Engine(small_catalog)
@@ -220,14 +232,6 @@ class TestEngine:
         assert "VC_inv" in result.used_views
         assert plain.used_views == []
 
-    def test_engine_path_never_emits_deprecation_warnings(self, small_catalog):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            engine = Engine(small_catalog)
-            engine.rewrite(_sample_expr())
-            engine.submit_many([_sample_expr()] * 2)
-            engine.execute(engine.rewrite(_sample_expr()))
-
     def test_serve_binds_the_gateway_to_the_engine(self, small_catalog):
         engine = Engine(
             small_catalog,
@@ -239,9 +243,7 @@ class TestEngine:
         async def round_trip():
             from repro.server import GatewayClient
 
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                gateway = await engine.serve()
+            gateway = await engine.serve()
             assert gateway.config.batch_window_seconds == 0.0
             try:
                 async with GatewayClient("127.0.0.1", gateway.port) as client:
@@ -317,105 +319,26 @@ class TestBackendRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims
-# ---------------------------------------------------------------------------
-
-
-class TestDeprecationShims:
-    def _collect(self, construct):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            construct()
-            construct()
-        return [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-    def test_each_legacy_entry_point_warns_exactly_once(self, small_catalog):
-        from repro.hybrid import HybridOptimizer
-        from repro.server import AnalyticsGateway
-
-        entry_points = {
-            "HadadOptimizer": lambda: HadadOptimizer(small_catalog),
-            "HybridOptimizer": lambda: HybridOptimizer(small_catalog),
-            "AnalyticsService": lambda: AnalyticsService(small_catalog),
-            "AnalyticsGateway": lambda: AnalyticsGateway(
-                AnalyticsService(small_catalog)
-            ),
-        }
-        for name, construct in entry_points.items():
-            reset_legacy_warnings()
-            emitted = [
-                w for w in self._collect(construct) if name in str(w.message)
-            ]
-            assert len(emitted) == 1, f"{name} warned {len(emitted)} times"
-            assert "repro.api" in str(emitted[0].message)
-
-    def test_suppression_context_silences_legacy_constructors(self, small_catalog):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with suppress_legacy_warnings():
-                HadadOptimizer(small_catalog)
-        assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-    def test_shim_produces_identical_rewrite_results(self, small_catalog):
-        expr = _sample_expr()
-        engine = Engine(small_catalog)
-        legacy = HadadOptimizer(small_catalog)
-        ours, theirs = engine.rewrite(expr), legacy.rewrite(expr)
-        assert ours.best.to_string() == theirs.best.to_string()
-        assert ours.original_cost == theirs.original_cost
-        assert ours.best_cost == theirs.best_cost
-        assert ours.used_views == theirs.used_views
-        assert ours.fingerprint == theirs.fingerprint
-        assert legacy.config.cache_key() == engine.config.cache_key()
-
-    def test_legacy_gateway_accepts_the_typed_config(self, small_catalog):
-        from repro.server import AnalyticsGateway
-
-        gateway = AnalyticsGateway(
-            AnalyticsService(small_catalog), config=GatewayConfig(max_in_flight=7)
-        )
-        assert gateway.max_in_flight == 7
-        with pytest.raises(ConfigError, match="max_in_flight"):
-            AnalyticsGateway(AnalyticsService(small_catalog), max_in_flight=0)
-
-
-# ---------------------------------------------------------------------------
-# Property-setter drift (regression)
+# Option-mutation drift (regression)
 # ---------------------------------------------------------------------------
 
 
 class TestSetterDriftRegression:
-    def test_facade_setter_mutation_rekeys_cached_plans(self, small_catalog):
-        expr = _sample_expr()
-        optimizer = HadadOptimizer(small_catalog)
-        before = optimizer.rewrite(expr)
-        assert optimizer.rewrite(expr).cache_hit
-
-        optimizer.max_rounds = 1
-        after = optimizer.rewrite(expr)
-        assert not after.cache_hit  # must not serve the max_rounds=4 plan
-
-        optimizer.max_rounds = 4
-        again = optimizer.rewrite(expr)
-        assert not again.cache_hit
-        assert again.best.to_string() == before.best.to_string()
-
     def test_direct_session_attribute_mutation_rekeys_cached_plans(self, small_catalog):
-        """The historical drift: writing session attributes bypassed the
-        façade setters (and their invalidate()) and silently served plans
-        computed under the old options.  The options-aware cache key makes
-        that impossible."""
+        """The historical drift: writing session attributes without an
+        invalidate() silently served plans computed under the old options.
+        The options-aware cache key makes that impossible."""
         expr = _sample_expr()
-        optimizer = HadadOptimizer(small_catalog)
-        optimizer.rewrite(expr)
-        assert optimizer.rewrite(expr).cache_hit
+        session = PlanSession(small_catalog)
+        session.rewrite(expr)
+        assert session.rewrite(expr).cache_hit
 
-        optimizer.session.prune = False  # no invalidate() anywhere
-        assert not optimizer.rewrite(expr).cache_hit
-        assert optimizer.rewrite(expr).cache_hit  # new options re-cache
+        session.prune = False  # no invalidate() anywhere
+        assert not session.rewrite(expr).cache_hit
+        assert session.rewrite(expr).cache_hit  # new options re-cache
 
-        optimizer.session.reorder_matmul_chains = False
-        assert not optimizer.rewrite(expr).cache_hit
+        session.reorder_matmul_chains = False
+        assert not session.rewrite(expr).cache_hit
 
     def test_options_key_is_part_of_the_cache_key(self, small_catalog):
         expr = _sample_expr()
@@ -485,9 +408,7 @@ class TestWireSchema:
         assert parsed == service_request
 
     def test_plan_response_json_keys_are_exactly_the_fields(self, small_catalog):
-        with suppress_legacy_warnings():
-            service = AnalyticsService(small_catalog)
-        result = service.submit(_sample_expr())
+        result = Engine(small_catalog).submit(_sample_expr())
         response = PlanResponse.from_result(result)
         payload = response.to_json()
         assert set(payload) == {f.name for f in dataclasses.fields(PlanResponse)}
@@ -510,10 +431,15 @@ class TestWireSchema:
         the typed wire response alike."""
         from repro.service import StaticPolicy
 
-        with suppress_legacy_warnings():
-            service = AnalyticsService(
+        engine = Engine(small_catalog)
+        service = AnalyticsService(
+            small_catalog,
+            pool=engine.pool,
+            router=ExecutionRouter(
                 small_catalog, policy=StaticPolicy(("relational", "numpy"))
-            )
+            ),
+            config=engine.config.service,
+        )
         result = service.submit(_sample_expr())
         assert result.backend == "numpy"
         assert result.failures and result.failures[0][0] == "relational"
@@ -566,3 +492,18 @@ class TestPublicSurfaceDrift:
             assert hasattr(repro, name)
         for name in repro.api.__all__:
             assert hasattr(repro.api, name)
+
+    def test_version_has_one_source(self):
+        """``repro.__version__`` is the only literal; the package metadata
+        is derived from it (and agrees wherever the package is installed)."""
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        assert re.search(r'^dynamic = \["version"\]$', pyproject, re.MULTILINE)
+        assert re.search(
+            r'^version = \{ attr = "repro\.__version__" \}$', pyproject, re.MULTILINE
+        )
+        assert not re.search(r'^version = "', pyproject, re.MULTILINE)
+        try:
+            installed = importlib.metadata.version("repro-hadad")
+        except importlib.metadata.PackageNotFoundError:
+            return  # running from the source tree (PYTHONPATH=src)
+        assert installed == repro.__version__

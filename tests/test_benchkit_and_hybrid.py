@@ -13,7 +13,7 @@ from repro.benchkit.pipelines import (
     PIPELINES, P_NO_OPT, P_OPT, P_VIEWS, build_pipeline, default_roles, pipeline_names,
 )
 from repro.benchkit.views_vexp import VIEWS_USED_BY_PIPELINE, build_vexp_views
-from repro.core import HadadOptimizer
+from repro.core import PlanSession
 from repro.cost import NaiveMetadataEstimator
 from repro.cost.model import expression_cost
 from repro.data.datasets import twitter_dataset
@@ -79,7 +79,7 @@ class TestPipelineDefinitions:
 
 class TestHarness:
     def test_run_pipeline_records_speedup(self, bench_catalog, bench_roles):
-        optimizer = HadadOptimizer(bench_catalog)
+        optimizer = PlanSession(bench_catalog)
         backend = NumpyBackend(bench_catalog)
         expr = build_pipeline("P1.15", bench_roles)
         run = run_pipeline("P1.15", expr, optimizer, backend)
@@ -93,7 +93,7 @@ class TestHarness:
         assert bench_catalog.has_matrix_values("V6")
 
     def test_print_report_formats(self, bench_catalog, bench_roles):
-        optimizer = HadadOptimizer(bench_catalog)
+        optimizer = PlanSession(bench_catalog)
         backend = NumpyBackend(bench_catalog)
         runs = [
             run_pipeline(name, build_pipeline(name, bench_roles), optimizer, backend)
@@ -105,7 +105,7 @@ class TestHarness:
     def test_optimizer_improves_most_pnoopt_costs(self, bench_catalog, bench_roles):
         """On the P¬Opt subset the optimizer should lower the estimated cost
         for the large majority of pipelines (the paper's Figure 8 story)."""
-        optimizer = HadadOptimizer(bench_catalog)
+        optimizer = PlanSession(bench_catalog)
         sample = ["P1.1", "P1.3", "P1.4", "P1.5", "P1.13", "P1.15", "P2.10", "P2.11", "P2.13", "P2.25"]
         improved = 0
         for name in sample:

@@ -18,7 +18,7 @@ from repro.chase.pacb import cq
 from repro.chase.saturation import CostThresholdPruner, SaturationEngine
 from repro.constraints import default_constraints
 from repro.constraints.core import egd, tgd
-from repro.core import HadadOptimizer, LAView
+from repro.core import LAView, PlanSession
 from repro.core.extraction import extract_best_expression
 from repro.core.matchain import optimal_chain_order, optimize_matmul_chains
 from repro.core.result import RewriteResult
@@ -47,13 +47,13 @@ class TestExceptionHierarchy:
 
 class TestNeutralElements:
     def test_add_zero_collapses(self, small_catalog):
-        optimizer = HadadOptimizer(small_catalog)
+        optimizer = PlanSession(small_catalog)
         rows, cols = small_catalog.shape("A")
         result = optimizer.rewrite(matrix("A") + zeros(rows, cols))
         assert result.best == matrix("A")
 
     def test_identity_multiplication_collapses(self, small_catalog):
-        optimizer = HadadOptimizer(small_catalog)
+        optimizer = PlanSession(small_catalog)
         n = small_catalog.shape("C")[0]
         result = optimizer.rewrite(identity(n) @ matrix("C"))
         assert result.best == matrix("C")
@@ -65,7 +65,7 @@ class TestNeutralElements:
         assert instance.find(root) in identity_classes
 
     def test_scalar_one_multiplication_collapses(self, small_catalog):
-        optimizer = HadadOptimizer(small_catalog)
+        optimizer = PlanSession(small_catalog)
         result = optimizer.rewrite(mx.ScalarMul(mx.ScalarConst(1.0), matrix("A")))
         assert result.best == matrix("A")
 
@@ -131,7 +131,7 @@ class TestExtractionEdgeCases:
 
 class TestOptimizerWithoutMetadata:
     def test_rewrite_without_catalog_returns_equivalent(self):
-        optimizer = HadadOptimizer(catalog=None, prune=False, reorder_matmul_chains=False)
+        optimizer = PlanSession(catalog=None, prune=False, reorder_matmul_chains=False)
         expr = transpose(transpose(matrix("A")))
         result = optimizer.rewrite(expr)
         # With no metadata every cost is infinite, so the optimizer must not
@@ -147,7 +147,7 @@ class TestOptimizerWithoutMetadata:
         catalog = Catalog()
         catalog.register_metadata(MatrixMeta("Mm", 500, 10, 5000))
         catalog.register_metadata(MatrixMeta("Nm", 10, 500, 5000))
-        optimizer = HadadOptimizer(catalog)
+        optimizer = PlanSession(catalog)
         result = optimizer.rewrite((matrix("Mm") @ matrix("Nm")) @ matrix("Mm"))
         assert result.best == matrix("Mm") @ (matrix("Nm") @ matrix("Mm"))
 
@@ -213,7 +213,7 @@ class TestRewriteResultAndHarness:
     def test_run_pipeline_without_execution(self, small_catalog):
         from repro.benchkit.harness import run_pipeline
 
-        optimizer = HadadOptimizer(small_catalog)
+        optimizer = PlanSession(small_catalog)
         backend = NumpyBackend(small_catalog)
         run = run_pipeline("p", transpose(matrix("M") @ matrix("N")), optimizer, backend, execute=False)
         assert run.q_exec == 0.0 and run.rw_exec == 0.0 and run.equivalent is None
@@ -222,11 +222,11 @@ class TestRewriteResultAndHarness:
 class TestViewEdgeCases:
     def test_view_shadowed_by_existing_catalog_entry(self, small_catalog, rng):
         small_catalog.register_dense("Vshadow", rng.random((7, 7)))
-        optimizer = HadadOptimizer(small_catalog, views=[LAView("Vshadow", inv(matrix("C")))])
+        optimizer = PlanSession(small_catalog, views=[LAView("Vshadow", inv(matrix("C")))])
         assert small_catalog.shape("Vshadow") == (7, 7)
 
     def test_view_on_unknown_matrices_is_skipped_for_metadata(self, small_catalog):
-        optimizer = HadadOptimizer(small_catalog, views=[LAView("Vmissing", inv(matrix("NotThere")))])
+        optimizer = PlanSession(small_catalog, views=[LAView("Vmissing", inv(matrix("NotThere")))])
         assert not small_catalog.has_matrix("Vmissing")
 
     def test_view_based_and_property_rewrites_agree_numerically(self, small_catalog):
@@ -235,8 +235,8 @@ class TestViewEdgeCases:
         backend = NumpyBackend(small_catalog)
         view = LAView("Vdc", matrix("D") @ matrix("C"))
         materialize_views([view], small_catalog)
-        with_views = HadadOptimizer(small_catalog, views=[view])
-        without_views = HadadOptimizer(small_catalog)
+        with_views = PlanSession(small_catalog, views=[view])
+        without_views = PlanSession(small_catalog)
         expr = transpose(matrix("D") @ matrix("C"))
         a = with_views.rewrite(expr).best
         b = without_views.rewrite(expr).best

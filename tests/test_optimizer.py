@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.backends.base import values_allclose
 from repro.backends.numpy_backend import NumpyBackend
 from repro.constraints.views import LAView
-from repro.core import HadadOptimizer, optimize_matmul_chains
+from repro.core import PlanSession, optimize_matmul_chains
 from repro.core.extraction import enumerate_equivalent_expressions
 from repro.core.matchain import optimal_chain_order
 from repro.cost import MNCEstimator, NaiveMetadataEstimator
@@ -27,7 +27,7 @@ from repro.lang import matrix_expr as mx
 
 @pytest.fixture()
 def optimizer(small_catalog):
-    return HadadOptimizer(small_catalog)
+    return PlanSession(small_catalog)
 
 
 @pytest.fixture()
@@ -144,7 +144,7 @@ class TestPropertyRewrites:
 class TestViewRewrites:
     def test_direct_view_match(self, small_catalog, backend):
         view = LAView("V7", inv(matrix("C")))
-        optimizer = HadadOptimizer(small_catalog, views=[view])
+        optimizer = PlanSession(small_catalog, views=[view])
         materialize_views([view], small_catalog)
         result = optimizer.rewrite(trace(inv(matrix("C"))))
         assert result.used_views == ["V7"]
@@ -153,7 +153,7 @@ class TestViewRewrites:
     def test_view_found_through_properties(self, small_catalog, backend):
         """Figure 3 / §6.3: V = N^T + (M^T)^{-1} answers (M^{-1} + N)^T."""
         view = LAView("V0", transpose(matrix("D")) + inv(transpose(matrix("C"))))
-        optimizer = HadadOptimizer(small_catalog, views=[view])
+        optimizer = PlanSession(small_catalog, views=[view])
         materialize_views([view], small_catalog)
         result = optimizer.rewrite(transpose(inv(matrix("C")) + matrix("D")))
         assert result.best == matrix("V0")
@@ -161,7 +161,7 @@ class TestViewRewrites:
 
     def test_ols_with_inverse_view(self, small_catalog, backend):
         view = LAView("V1", inv(matrix("D")))
-        optimizer = HadadOptimizer(small_catalog, views=[view])
+        optimizer = PlanSession(small_catalog, views=[view])
         materialize_views([view], small_catalog)
         expr = inv(transpose(matrix("D")) @ matrix("D")) @ (transpose(matrix("D")) @ matrix("v1"))
         result = optimizer.rewrite(expr)
@@ -170,7 +170,7 @@ class TestViewRewrites:
 
     def test_view_for_subexpression(self, small_catalog, backend):
         view = LAView("V5", matrix("D") @ matrix("C"))
-        optimizer = HadadOptimizer(small_catalog, views=[view])
+        optimizer = PlanSession(small_catalog, views=[view])
         materialize_views([view], small_catalog)
         result = optimizer.rewrite(((matrix("D") @ matrix("C")) @ matrix("C")) @ matrix("C"))
         assert "V5" in result.used_views
@@ -178,27 +178,27 @@ class TestViewRewrites:
 
     def test_commutativity_enables_view(self, small_catalog, backend):
         view = LAView("V9", inv(matrix("D") + matrix("C")))
-        optimizer = HadadOptimizer(small_catalog, views=[view])
+        optimizer = PlanSession(small_catalog, views=[view])
         materialize_views([view], small_catalog)
         result = optimizer.rewrite(trace(inv(matrix("C") + matrix("D"))))
         assert "V9" in result.used_views
         assert_sound(result, backend)
 
     def test_view_metadata_registered_automatically(self, small_catalog):
-        HadadOptimizer(small_catalog, views=[LAView("Vmeta", matrix("M") @ matrix("N"))])
+        PlanSession(small_catalog, views=[LAView("Vmeta", matrix("M") @ matrix("N"))])
         assert small_catalog.has_matrix("Vmeta")
         assert small_catalog.shape("Vmeta") == (40, 40)
 
     def test_unused_view_leaves_result_alone(self, small_catalog, backend):
         view = LAView("Vx", matrix("A") + matrix("B"))
-        optimizer = HadadOptimizer(small_catalog, views=[view])
+        optimizer = PlanSession(small_catalog, views=[view])
         result = optimizer.rewrite(transpose(matrix("M") @ matrix("N")))
         assert "Vx" not in result.used_views
 
 
 class TestAlternativesAndChains:
     def test_alternatives_enumeration(self, small_catalog):
-        optimizer = HadadOptimizer(small_catalog, alternatives_limit=5)
+        optimizer = PlanSession(small_catalog, alternatives_limit=5)
         result = optimizer.rewrite(transpose(inv(matrix("C")) + matrix("D")))
         assert len(result.alternatives) >= 2
         costs = [cost for _, cost in result.alternatives]
@@ -236,12 +236,12 @@ class TestAlternativesAndChains:
 
 class TestEstimatorsInOptimizer:
     def test_mnc_estimator_usable(self, small_catalog, backend):
-        optimizer = HadadOptimizer(small_catalog, estimator=MNCEstimator())
+        optimizer = PlanSession(small_catalog, estimator=MNCEstimator())
         result = optimizer.rewrite((matrix("A") + matrix("B")) @ matrix("vA"))
         assert_sound(result, backend)
 
     def test_with_views_copy(self, small_catalog):
-        optimizer = HadadOptimizer(small_catalog)
+        optimizer = PlanSession(small_catalog)
         derived = optimizer.with_views([LAView("Vd", inv(matrix("C")))])
         assert derived is not optimizer and len(derived.views) == 1
 
@@ -275,7 +275,7 @@ class TestRandomizedSoundness:
     )
     def test_rewrites_preserve_value(self, seed, small_catalog):
         expr = _random_expression(seed)
-        optimizer = HadadOptimizer(small_catalog, max_rounds=3)
+        optimizer = PlanSession(small_catalog, max_rounds=3)
         backend = NumpyBackend(small_catalog)
         result = optimizer.rewrite(expr)
         assert values_allclose(

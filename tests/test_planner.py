@@ -10,7 +10,8 @@ Covers the behaviours the refactor promises:
   set, and the session produces the same plans either way;
 * threshold tightening — ``CostThresholdPruner.tighten`` is exercised by the
   saturation loop and its extra prunes are counted;
-* the ``HadadOptimizer`` façade, including the ``with_views`` option-copy fix.
+* the session's own option surface, including the ``with_views`` option-copy
+  fix.
 """
 
 import pytest
@@ -19,7 +20,6 @@ from repro.chase.program import ConstraintProgram
 from repro.chase.saturation import SaturationEngine
 from repro.constraints import default_constraints
 from repro.constraints.views import LAView
-from repro.core import HadadOptimizer
 from repro.lang import colsums, inv, matrix, rowsums, scalar, sum_all, transpose
 from repro.lang import matrix_expr as mx
 from repro.planner import PlanSession, RewriteCache
@@ -253,11 +253,11 @@ class TestTightening:
 
 
 # ---------------------------------------------------------------------------
-# Stage timings and the façade
+# Stage timings and the session's option surface
 # ---------------------------------------------------------------------------
 
 
-class TestSessionAndFacade:
+class TestSessionOptions:
     def test_stage_timings_recorded(self, small_catalog):
         result = PlanSession(small_catalog).rewrite(transpose(matrix("M") @ matrix("N")))
         assert set(result.stage_timings) == {
@@ -267,16 +267,15 @@ class TestSessionAndFacade:
         assert sum(result.stage_timings.values()) <= result.rewrite_seconds + 1e-6
         assert result.fingerprint == transpose(matrix("M") @ matrix("N")).fingerprint()
 
-    def test_facade_exposes_session(self, small_catalog):
-        optimizer = HadadOptimizer(small_catalog)
-        assert isinstance(optimizer.session, PlanSession)
-        result = optimizer.rewrite(transpose(matrix("M") @ matrix("N")))
+    def test_session_exposes_its_options(self, small_catalog):
+        session = PlanSession(small_catalog, max_rounds=3)
+        result = session.rewrite(transpose(matrix("M") @ matrix("N")))
         assert result.changed
-        assert optimizer.catalog is small_catalog
-        assert optimizer.max_rounds == optimizer.session.max_rounds
+        assert session.catalog is small_catalog
+        assert session.max_rounds == session.config.max_rounds == 3
 
     def test_with_views_preserves_options(self, small_catalog):
-        optimizer = HadadOptimizer(
+        optimizer = PlanSession(
             small_catalog,
             include_view_voi=False,
             include_decompositions=True,
@@ -285,32 +284,30 @@ class TestSessionAndFacade:
             prune=False,
             alternatives_limit=2,
         )
-        derived = optimizer.with_views([LAView("Vd", inv(matrix("C")))])
-        session = derived.session
+        session = optimizer.with_views([LAView("Vd", inv(matrix("C")))])
         assert session.include_view_voi is False
         assert session.include_decompositions is True
         assert session.normalized_matrices == {"M": ("M__S", "M__K", "M__R")}
         assert session.max_rounds == 3 and session.prune is False
         assert session.alternatives_limit == 2
-        assert [view.name for view in derived.views] == ["Vd"]
+        assert [view.name for view in session.views] == ["Vd"]
         # include_view_voi=False means only the V_IO constraint is emitted.
         assert [c.name for c in session.view_constraints] == ["view-io:Vd"]
 
-    def test_facade_attributes_stay_assignable(self, small_catalog):
-        """Post-construction knob assignment worked on the seed optimizer."""
-        optimizer = HadadOptimizer(small_catalog)
+    def test_session_reconfiguration_after_construction(self, small_catalog):
+        """Post-construction knob changes take effect and drop cached plans."""
+        session = PlanSession(small_catalog)
         expr = transpose(matrix("M") @ matrix("N"))
-        optimizer.rewrite(expr)
-        optimizer.prune = False
-        optimizer.max_rounds = 2
-        optimizer.alternatives_limit = 3
-        assert optimizer.session.prune is False
-        assert optimizer.session.engine.max_rounds == 2
-        assert len(optimizer.session.cache) == 0  # knob changes drop cached plans
-        result = optimizer.rewrite(expr)
+        session.rewrite(expr)
+        session.prune = False
+        session.alternatives_limit = 3
+        session.set_budgets(max_rounds=2)
+        assert session.engine.max_rounds == 2
+        assert len(session.cache) == 0  # set_budgets drops cached plans
+        result = session.rewrite(expr)
         assert not result.cache_hit and result.saturation.rounds <= 2
-        optimizer.views = [LAView("Vmn", matrix("M") @ matrix("N"))]
-        assert [c.name for c in optimizer.view_constraints] == [
+        session.set_views([LAView("Vmn", matrix("M") @ matrix("N"))])
+        assert [c.name for c in session.view_constraints] == [
             "view-io:Vmn", "view-oi:Vmn",
         ]
 

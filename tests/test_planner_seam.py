@@ -1,0 +1,370 @@
+"""Tests of the planner seam: the gateway against a fake, a local and a
+worker planner.
+
+The gateway plans through one object (``gateway.planner``) and maps the
+envelope it answers to an HTTP response in one function.  That makes three
+things checkable without a batcher, a socket or a process:
+
+* every status the gateway can answer a submit with (200 hit, 200 miss,
+  422 planner failure, 422 plan-only workspace, 404 unknown workspace, 500
+  execute failure, 503 closed), driven by a ``FakePlanner`` returning canned
+  envelopes — status, body and ``/metrics`` delta each;
+* that the in-process planner and a 1-worker supervisor are the same
+  planner to a client: equal bodies (modulo ``worker``) and equal metric
+  deltas for a miss and a hit;
+* the worker's message handling, including the counted
+  invalidate-instead-of-delta fallback.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+
+import pytest
+
+from repro.api import Engine
+from repro.benchkit.harness import TenantEngineFactory
+from repro.catalog.delta import CatalogDelta, DropRelation
+from repro.lang import matrix, transpose
+from repro.planner import PlanSession
+from repro.server import GatewayClient
+from repro.server.protocol import HttpRequest, expr_to_json, request_to_json
+from repro.server.workers import _Worker
+from repro.service import ServiceRequest
+
+
+def _flat(metrics) -> dict:
+    """Counters, gauge values and histogram counts as one flat dict."""
+    snapshot = metrics.as_dict()
+    flat = dict(snapshot["counters"])
+    flat.update({name: gauge["value"] for name, gauge in snapshot["gauges"].items()})
+    flat.update(
+        {f"{name}:count": histogram["count"] for name, histogram in snapshot["histograms"].items()}
+    )
+    return flat
+
+
+def _delta(before: dict, after: dict) -> dict:
+    return {
+        name: after.get(name, 0) - before.get(name, 0)
+        for name in set(before) | set(after)
+        if after.get(name, 0) != before.get(name, 0)
+    }
+
+
+# ---------------------------------------------------------------------------
+# The gateway against a fake planner
+# ---------------------------------------------------------------------------
+
+
+class FakePlanner:
+    """Answers every submit with one canned envelope."""
+
+    def __init__(self, envelope: dict):
+        self.envelope = envelope
+        self.submitted = []
+        self.forgotten = []
+
+    async def open(self) -> None:
+        pass
+
+    async def submit(self, workspace, request) -> dict:
+        self.submitted.append((workspace, request))
+        return self.envelope
+
+    def describe(self) -> dict:
+        return {}
+
+    def stats_dict(self) -> dict:
+        return {}
+
+    def forget(self, workspace) -> None:
+        self.forgotten.append(workspace)
+
+    async def close(self) -> None:
+        pass
+
+
+def _payload(**overrides) -> dict:
+    payload = {
+        "name": "q",
+        "fingerprint": "f" * 16,
+        "plan": "t(M)",
+        "changed": True,
+        "cache_hit": False,
+        "original_cost": 2.0,
+        "best_cost": 1.0,
+        "used_views": [],
+        "backend": None,
+        "value": None,
+        "failures": [],
+        "timings": {
+            "queue_seconds": 0.001,
+            "plan_seconds": 0.002,
+            "execute_seconds": 0.0,
+            "total_seconds": 0.003,
+        },
+    }
+    payload.update(overrides)
+    return payload
+
+
+def _submit(gateway, endpoint: str):
+    """Drive ``_handle_submit`` with one well-formed request; (status, head, body)."""
+    request = HttpRequest(
+        "POST",
+        endpoint,
+        {},
+        json.dumps({"expression": expr_to_json(matrix("M"))}).encode("utf-8"),
+    )
+    raw = asyncio.run(
+        gateway._handle_submit(request, execute_default=endpoint == "/v1/pipeline")
+    )
+    head, _, answered = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), head, json.loads(answered)
+
+
+WS = '{workspace="default"}'
+ADMITTED = {"gateway_requests_total": 1, f"gateway_workspace_requests_total{WS}": 1}
+OBSERVED = {
+    "gateway_responses_2xx_total": 1,
+    "gateway_queue_seconds:count": 1,
+    "gateway_plan_seconds:count": 1,
+    "gateway_execute_seconds:count": 1,
+    "gateway_total_seconds:count": 1,
+    f"gateway_workspace_total_seconds{WS}:count": 1,
+}
+HIT = _payload(cache_hit=True)
+MISS = _payload()
+UNPLANNABLE = _payload(failures=[["planner", "ShapeError: 40x6 @ 30x8"]])
+UNEXECUTABLE = _payload(failures=[["router", "every candidate failed"]])
+
+#: (id, endpoint, envelope, status, body, metrics delta)
+CASES = [
+    (
+        "200-hit",
+        "/v1/plan",
+        # A hit's prune counters were counted when the plan was made.
+        {"ok": True, "payload": HIT, "pruned": [5, 2], "worker": 3},
+        200,
+        dict(HIT, worker=3),
+        {**ADMITTED, **OBSERVED, "gateway_cache_hits_total": 1},
+    ),
+    (
+        "200-miss",
+        "/v1/plan",
+        {"ok": True, "payload": MISS, "pruned": [5, 2]},
+        200,
+        MISS,
+        {
+            **ADMITTED,
+            **OBSERVED,
+            "repro_chase_pruned_total": 5,
+            "repro_chase_pruned_by_tightening_total": 2,
+        },
+    ),
+    (
+        "422-planner-failure",
+        "/v1/plan",
+        {"ok": True, "payload": UNPLANNABLE, "pruned": [0, 0]},
+        422,
+        UNPLANNABLE,
+        {**ADMITTED, "gateway_plan_failures_total": 1, "gateway_responses_4xx_total": 1},
+    ),
+    (
+        "422-plan-only-workspace",
+        "/v1/plan",
+        {"ok": False, "kind": "config", "error": "registered without a catalog"},
+        422,
+        {"error": "registered without a catalog", "workspace": "default"},
+        {**ADMITTED, "gateway_responses_4xx_total": 1},
+    ),
+    (
+        "404-unknown-workspace",
+        "/v1/plan",
+        {"ok": False, "kind": "unknown_workspace", "error": "unknown workspace 'default'"},
+        404,
+        {"error": "unknown workspace 'default'", "workspaces": ["default"]},
+        # The tenant's labeled series are reaped with it.
+        {
+            "gateway_requests_total": 1,
+            "gateway_unknown_workspace_total": 1,
+            "gateway_responses_4xx_total": 1,
+        },
+    ),
+    (
+        "500-execute-failure",
+        "/v1/pipeline",
+        {"ok": True, "payload": UNEXECUTABLE, "pruned": [0, 0]},
+        500,
+        UNEXECUTABLE,
+        {**ADMITTED, "gateway_responses_5xx_total": 1},
+    ),
+    (
+        "503-closed",
+        "/v1/plan",
+        {"ok": False, "kind": "closed", "error": "batcher is draining"},
+        503,
+        {"error": "gateway is draining"},
+        {**ADMITTED, "gateway_drain_rejected_total": 1},
+    ),
+]
+
+
+class TestGatewayAgainstFakePlanner:
+    @pytest.mark.parametrize(
+        "endpoint, envelope, status, body, delta",
+        [case[1:] for case in CASES],
+        ids=[case[0] for case in CASES],
+    )
+    def test_envelope_maps_to_status_body_and_metrics(
+        self, small_catalog, endpoint, envelope, status, body, delta
+    ):
+        gateway = Engine(small_catalog).build_gateway()
+        gateway.planner = planner = FakePlanner(envelope)
+        before = _flat(gateway.metrics)
+        answered_status, head, answered = _submit(gateway, endpoint)
+        assert answered_status == status
+        assert answered == body
+        assert ("worker" in answered) == ("worker" in envelope)
+        assert _delta(before, _flat(gateway.metrics)) == delta
+        assert gateway.in_flight == 0
+
+        [(workspace, submitted)] = planner.submitted
+        assert workspace == "default"
+        assert isinstance(submitted, ServiceRequest)
+        assert submitted.execute == (endpoint == "/v1/pipeline")
+        assert planner.forgotten == (["default"] if status == 404 else [])
+        if status == 503:
+            assert b"connection: close" in head
+
+    def test_a_raising_planner_costs_one_500(self, small_catalog):
+        class Broken(FakePlanner):
+            async def submit(self, workspace, request):
+                raise RuntimeError("pipe burst")
+
+        gateway = Engine(small_catalog).build_gateway()
+        gateway.planner = Broken({})
+        status, _, answered = _submit(gateway, "/v1/plan")
+        assert status == 500
+        assert answered == {"error": "RuntimeError: pipe burst"}
+        assert gateway.in_flight == 0
+
+
+# ---------------------------------------------------------------------------
+# Local planner vs a 1-worker supervisor: one planner to the client
+# ---------------------------------------------------------------------------
+
+SEAM_FACTORY = TenantEngineFactory(tenants=("solo",), scale=0.01)
+
+#: Series only one planner publishes (micro-batch shape, worker slots).
+_PLANNER_OWN = (
+    "gateway_batch",
+    "gateway_deduped",
+    "service_batch",
+    "service_cache",
+    "repro_worker",
+)
+
+
+def _serve_miss_then_hit(planner_workers: int) -> dict:
+    """``{"miss" | "hit": (status, body, metrics delta)}`` over real HTTP."""
+    from repro.benchkit.datasets import ROLE_BINDINGS_DENSE
+    from repro.benchkit.pipelines import build_pipeline, default_roles
+
+    expression = build_pipeline("P1.4", default_roles(ROLE_BINDINGS_DENSE))
+    engine = SEAM_FACTORY()
+
+    async def main() -> dict:
+        gateway = await engine.serve(
+            worker_factory=SEAM_FACTORY if planner_workers else None,
+            planner_workers=planner_workers,
+            batch_window_seconds=0.0,
+        )
+        outcomes = {}
+        try:
+            async with GatewayClient("127.0.0.1", gateway.port) as client:
+                for kind in ("miss", "hit"):
+                    before = _flat(gateway.metrics)
+                    body = await client.submit(
+                        expression, name=kind, workspace="solo", raise_on_error=False
+                    )
+                    delta = {
+                        name: value
+                        for name, value in _delta(before, _flat(gateway.metrics)).items()
+                        if not name.startswith(_PLANNER_OWN)
+                    }
+                    outcomes[kind] = (body.pop("status", 200), body, delta)
+        finally:
+            await asyncio.wait_for(gateway.stop(), timeout=30)
+        return outcomes
+
+    return asyncio.run(main())
+
+
+@pytest.fixture(scope="module")
+def both_planners():
+    return _serve_miss_then_hit(0), _serve_miss_then_hit(1)
+
+
+class TestLocalAndWorkerPlannersAgree:
+    @pytest.mark.parametrize("kind", ["miss", "hit"])
+    def test_equal_bodies_and_metric_deltas(self, both_planners, kind):
+        local, workers = both_planners
+        local_status, local_body, local_delta = local[kind]
+        worker_status, worker_body, worker_delta = workers[kind]
+        assert local_status == worker_status == 200
+        assert local_body["cache_hit"] is (kind == "hit")
+        assert "worker" not in local_body and worker_body.pop("worker") == 0
+        # Wall-clock fields differ run to run; everything else is the wire.
+        local_body.pop("timings")
+        worker_body.pop("timings")
+        assert json.dumps(local_body) == json.dumps(worker_body)
+        assert local_delta == worker_delta
+        assert local_delta["gateway_responses_2xx_total"] == 1
+        assert ("gateway_cache_hits_total" in local_delta) == (kind == "hit")
+
+
+# ---------------------------------------------------------------------------
+# The worker's message handling, without a pipe
+# ---------------------------------------------------------------------------
+
+
+class TestWorkerMessages:
+    def test_inconsistent_delta_chain_is_counted_and_invalidates(self, small_catalog):
+        """A forwarded chain the worker's catalog rejects falls back to the
+        per-workspace invalidation — counted, and still serving right plans."""
+        expression = transpose(matrix("M") @ matrix("N"))
+        worker = _Worker(Engine(small_catalog), worker_id=0)
+        body = request_to_json(ServiceRequest(expression=expression, execute=False))
+
+        _, _, envelope = worker.handle(("req", 1, body))
+        assert envelope["ok"] and envelope["worker"] == 0
+        _, _, state = worker.handle(("introspect", 2))
+        assert state["warm_runtimes"] == ["default"] and state["delta_fallbacks"] == 0
+
+        # Built against a catalog that has the relation; this worker's has not.
+        chain = [CatalogDelta((DropRelation(name="NeverRegistered"),)).to_json()]
+        assert worker.handle(("apply_delta", "default", chain)) is None
+        _, _, state = worker.handle(("introspect", 3))
+        assert state["delta_fallbacks"] == 1
+        assert state["warm_runtimes"] == []  # invalidated instead
+
+        _, _, envelope = worker.handle(("req", 4, body))
+        expected = PlanSession(small_catalog).rewrite(expression).best.to_string()
+        assert envelope["ok"] and envelope["payload"]["plan"] == expected
+        assert not envelope["payload"]["cache_hit"]  # replanned on a fresh runtime
+        assert worker.served == 2
+
+    def test_request_conditions_travel_as_kinds(self, small_catalog):
+        worker = _Worker(Engine(small_catalog), worker_id=7)
+        body = request_to_json(ServiceRequest(expression=matrix("M"), execute=False))
+        _, _, envelope = worker.handle(("req", 1, dict(body, workspace="nope")))
+        assert (envelope["ok"], envelope["kind"], envelope["worker"]) == (
+            False, "unknown_workspace", 7,
+        )
+        _, _, envelope = _Worker(Engine(), worker_id=7).handle(("req", 1, body))
+        assert (envelope["ok"], envelope["kind"]) == (False, "config")
+        _, _, envelope = worker.handle(("req", 2, {"no": "expression"}))
+        assert (envelope["ok"], envelope["kind"]) == (False, "internal")

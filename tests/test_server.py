@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import Engine
 from repro.backends.numpy_backend import NumpyBackend
 from repro.benchkit.datasets import ROLE_BINDINGS_DENSE
 from repro.benchkit.pipelines import build_pipeline, default_roles, pipeline_names
@@ -42,7 +43,11 @@ from repro.server import (
     parse_prometheus,
 )
 from repro.server.metrics import DEFAULT_SIZE_BUCKETS
-from repro.service import AnalyticsService, ServiceRequest
+from repro.service import ServiceRequest
+
+
+def _engine(catalog, max_sessions=8) -> Engine:
+    return Engine(catalog, config={"service": {"max_sessions": max_sessions}})
 
 
 def _sample_exprs():
@@ -184,7 +189,7 @@ class TestMetrics:
 
 class TestMicroBatcher:
     def test_window_groups_concurrent_requests(self, small_catalog):
-        service = AnalyticsService(small_catalog, max_sessions=4)
+        service = _engine(small_catalog, max_sessions=4).service
         metrics = MetricsRegistry()
         exprs = _sample_exprs()
 
@@ -210,7 +215,7 @@ class TestMicroBatcher:
         assert service.pool.stats.plans_computed == len(exprs)
 
     def test_cancelled_waiter_does_not_poison_batch(self, small_catalog):
-        service = AnalyticsService(small_catalog, max_sessions=4)
+        service = _engine(small_catalog, max_sessions=4).service
         exprs = _sample_exprs()
 
         async def main():
@@ -233,7 +238,7 @@ class TestMicroBatcher:
         assert all(result.ok for result in survivors)
 
     def test_submit_after_drain_raises(self, small_catalog):
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        service = _engine(small_catalog, max_sessions=2).service
 
         async def main():
             batcher = MicroBatcher(service, window_seconds=0.001)
@@ -254,9 +259,9 @@ class TestMicroBatcher:
 # ---------------------------------------------------------------------------
 
 
-def _gateway(service, **kwargs) -> AnalyticsGateway:
-    kwargs.setdefault("batch_window_seconds", 0.01)
-    return AnalyticsGateway(service, **kwargs)
+def _gateway(engine, **overrides) -> AnalyticsGateway:
+    overrides.setdefault("batch_window_seconds", 0.01)
+    return engine.build_gateway(**overrides)
 
 
 class TestGateway:
@@ -265,11 +270,11 @@ class TestGateway:
         exprs = _sample_exprs()
         serial = PlanSession(small_catalog).rewrite_all(exprs)
         expected = [result.best.to_string() for result in serial]
-        service = AnalyticsService(small_catalog, max_sessions=8)
+        engine = _engine(small_catalog, max_sessions=8)
         clients = 64
 
         async def main():
-            gateway = _gateway(service, max_in_flight=256)
+            gateway = _gateway(engine, max_in_flight=256)
             await gateway.start()
             connections = await asyncio.gather(
                 *[
@@ -296,15 +301,15 @@ class TestGateway:
         assert snapshot["histograms"]["gateway_batch_size"]["max"] > 1
         assert snapshot["gauges"]["gateway_in_flight_requests"]["max"] > 1
         # Dedup: 64 requests over 6 distinct fingerprints.
-        assert service.pool.stats.plans_computed == len(exprs)
+        assert engine.pool.stats.plans_computed == len(exprs)
 
     def test_execute_value_matches_backend(self, small_catalog):
         expr = transpose(matrix("M") @ matrix("N"))
         expected = NumpyBackend(small_catalog).evaluate(expr)
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog, max_sessions=2)
 
         async def main():
-            gateway = _gateway(service)
+            gateway = _gateway(engine)
             await gateway.start()
             async with GatewayClient("127.0.0.1", gateway.port) as client:
                 response = await client.execute(expr, name="exec")
@@ -326,7 +331,8 @@ class TestGateway:
         )
 
     def test_backpressure_rejects_over_limit(self, small_catalog):
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog, max_sessions=2)
+        service = engine.service
         original = service.submit_many
 
         def slow_submit_many(requests, workers=8):
@@ -337,7 +343,7 @@ class TestGateway:
         clients = 10
 
         async def main():
-            gateway = _gateway(service, max_in_flight=2, batch_window_seconds=0.02)
+            gateway = _gateway(engine, max_in_flight=2, batch_window_seconds=0.02)
             await gateway.start()
             connections = await asyncio.gather(
                 *[
@@ -372,7 +378,8 @@ class TestGateway:
         assert snapshot["gauges"]["gateway_in_flight_requests"]["max"] <= 2
 
     def test_graceful_drain_completes_inflight_and_503s_late(self, small_catalog):
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog, max_sessions=2)
+        service = engine.service
         original = service.submit_many
 
         def slow_submit_many(requests, workers=8):
@@ -382,7 +389,7 @@ class TestGateway:
         service.submit_many = slow_submit_many  # type: ignore[method-assign]
 
         async def main():
-            gateway = _gateway(service, batch_window_seconds=0.01)
+            gateway = _gateway(engine, batch_window_seconds=0.01)
             await gateway.start()
             early = await GatewayClient("127.0.0.1", gateway.port).connect()
             late = await GatewayClient("127.0.0.1", gateway.port).connect()
@@ -415,10 +422,10 @@ class TestGateway:
         # together with a healthy request, only the poisoned one may fail.
         bad = matrix("M") @ matrix("A")
         good = transpose(matrix("M") @ matrix("N"))
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog, max_sessions=2)
 
         async def main():
-            gateway = _gateway(service, batch_window_seconds=0.05)
+            gateway = _gateway(engine, batch_window_seconds=0.05)
             await gateway.start()
             async with GatewayClient("127.0.0.1", gateway.port) as bad_client:
                 async with GatewayClient("127.0.0.1", gateway.port) as good_client:
@@ -448,10 +455,10 @@ class TestGateway:
     def test_stop_returns_despite_idle_keepalive_connections(self, small_catalog):
         """A client that holds its keep-alive connection open must not hang
         the drain (Server.wait_closed awaits all handlers on 3.12+)."""
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog, max_sessions=2)
 
         async def main():
-            gateway = _gateway(service)
+            gateway = _gateway(engine)
             await gateway.start()
             idle_client = await GatewayClient("127.0.0.1", gateway.port).connect()
             await idle_client.plan(_sample_exprs()[0])
@@ -463,10 +470,10 @@ class TestGateway:
 
     def test_oversized_request_line_answers_400(self, small_catalog):
         """A request line past the stream limit is a 400, not a reset."""
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog, max_sessions=2)
 
         async def main():
-            gateway = _gateway(service)
+            gateway = _gateway(engine)
             await gateway.start()
             reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
             writer.write(b"GET /" + b"a" * 100_000 + b" HTTP/1.1\r\n\r\n")
@@ -480,10 +487,10 @@ class TestGateway:
         assert b"400" in status_line
 
     def test_http_errors(self, small_catalog):
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog, max_sessions=2)
 
         async def main():
-            gateway = _gateway(service)
+            gateway = _gateway(engine)
             await gateway.start()
             async with GatewayClient("127.0.0.1", gateway.port) as client:
                 missing = await client.request("GET", "/nope")
@@ -500,11 +507,11 @@ class TestGateway:
         assert health["status_code"] == 200 and health["status"] == "ok"
 
     def test_metrics_endpoint_exposes_serving_series(self, small_catalog):
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog, max_sessions=2)
         expr = _sample_exprs()[0]
 
         async def main():
-            gateway = _gateway(service)
+            gateway = _gateway(engine)
             await gateway.start()
             async with GatewayClient("127.0.0.1", gateway.port) as client:
                 for _ in range(3):

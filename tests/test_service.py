@@ -18,19 +18,24 @@ import threading
 import numpy as np
 import pytest
 
+from repro.api import Engine
 from repro.backends.base import Backend, values_allclose
 from repro.backends.numpy_backend import NumpyBackend
 from repro.exceptions import ExecutionError
 from repro.lang import colsums, inv, matrix, sum_all, transpose
 from repro.planner import PlanSession
 from repro.service import (
-    AnalyticsService,
     DefaultPolicy,
     ExecutionRouter,
     PlanSessionPool,
     ServiceRequest,
     StaticPolicy,
 )
+
+
+def _service(catalog, max_sessions=8):
+    """The catalog's service, reached the only way there is: through an engine."""
+    return Engine(catalog, config={"service": {"max_sessions": max_sessions}}).service
 
 
 def _factory(catalog, **options):
@@ -244,7 +249,7 @@ class TestExecutionRouter:
 
 class TestAnalyticsService:
     def test_submit_plans_and_executes(self, small_catalog):
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        service = _service(small_catalog, max_sessions=2)
         result = service.submit(sum_all(matrix("M") @ matrix("N")))
         assert result.backend == "numpy"
         assert result.rewrite.changed
@@ -256,7 +261,7 @@ class TestAnalyticsService:
         assert result.plan_seconds > 0.0 and result.execute_seconds > 0.0
 
     def test_submit_plan_only(self, small_catalog):
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        service = _service(small_catalog, max_sessions=2)
         result = service.submit(ServiceRequest(expression=_mn(), execute=False))
         assert result.value is None and result.backend is None
         assert result.execute_seconds == 0.0
@@ -270,7 +275,7 @@ class TestAnalyticsService:
             transpose(matrix("A")) + transpose(matrix("B")),
             sum_all(matrix("M") @ matrix("N")),  # duplicate fingerprint
         ]
-        service = AnalyticsService(small_catalog, max_sessions=4)
+        service = _service(small_catalog, max_sessions=4)
         results = service.submit_many(
             [ServiceRequest(expression=e, execute=False) for e in expressions],
             workers=4,
@@ -294,7 +299,7 @@ class TestAnalyticsService:
 
     def test_submit_many_executes_in_input_order(self, small_catalog):
         expressions = [_mn(), sum_all(matrix("A")), _mn()]
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        service = _service(small_catalog, max_sessions=2)
         results = service.submit_many(expressions, workers=3)
         backend = NumpyBackend(small_catalog)
         for expr, result in zip(expressions, results):
@@ -302,7 +307,7 @@ class TestAnalyticsService:
             assert values_allclose(result.value, backend.evaluate(expr), rtol=1e-4, atol=1e-5)
 
     def test_submit_many_empty_batch(self, small_catalog):
-        service = AnalyticsService(small_catalog)
+        service = _service(small_catalog)
         assert service.submit_many([]) == []
 
     def test_submit_many_isolates_execution_failures(self, small_catalog):
@@ -311,7 +316,7 @@ class TestAnalyticsService:
 
         small_catalog.register_metadata(MatrixMeta("GhostM", 5, 5, 25))
         batch = [_mn(), sum_all(matrix("GhostM")), sum_all(matrix("A"))]
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        service = _service(small_catalog, max_sessions=2)
         results = service.submit_many(batch, workers=2)
         assert len(results) == 3
         assert results[0].value is not None and results[2].value is not None
@@ -322,7 +327,7 @@ class TestAnalyticsService:
             service.submit(sum_all(matrix("GhostM")))
 
     def test_request_coercion(self, small_catalog):
-        service = AnalyticsService(small_catalog)
+        service = _service(small_catalog)
         named = service.as_request(("p1", _mn()))
         assert named.name == "p1" and named.execute
         with pytest.raises(TypeError):
@@ -336,7 +341,7 @@ class TestAnalyticsService:
             key="id", left_columns=("l1",), right_columns=("r1",),
         )
         query = HybridQuery(name="Q", builders=[builder], analysis=colsums(matrix("J")))
-        service = AnalyticsService(small_tables)
+        service = _service(small_tables)
         result = service.submit_hybrid(query)
         hybrid = result.hybrid
         assert hybrid is not None
@@ -358,7 +363,7 @@ class TestAnalyticsService:
             key="id", left_columns=("l1",), right_columns=("r2",),
         )
         query = HybridQuery(name="Q3", builders=[builder], analysis=sum_all(matrix("J3")))
-        service = AnalyticsService(small_tables)
+        service = _service(small_tables)
         first = service.submit_hybrid(query)
         settled = small_tables.version
         warm = service.submit(colsums(matrix("J3")))
@@ -391,7 +396,7 @@ class TestAnalyticsService:
 
 class TestBatchHooksAndIsolation:
     def test_batch_hooks_observe_every_submit_many(self, small_catalog):
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        service = _service(small_catalog, max_sessions=2)
         seen = []
         service.add_batch_hook(seen.append)
         requests = [
@@ -410,7 +415,7 @@ class TestBatchHooksAndIsolation:
         assert stats.as_dict()["size"] == 3
 
     def test_hook_errors_never_fail_a_batch(self, small_catalog):
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        service = _service(small_catalog, max_sessions=2)
 
         def broken_hook(stats):
             raise RuntimeError("observer bug")
@@ -420,7 +425,7 @@ class TestBatchHooksAndIsolation:
         assert len(results) == 1 and results[0].ok
 
     def test_remove_batch_hook(self, small_catalog):
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        service = _service(small_catalog, max_sessions=2)
         seen = []
         hook = service.add_batch_hook(seen.append)
         service.remove_batch_hook(hook)
@@ -432,7 +437,7 @@ class TestBatchHooksAndIsolation:
         result; every other request still plans (and executes) normally."""
         bad = matrix("M") @ matrix("A")  # 40x6 @ 30x8: ShapeError in planning
         good = _mn()
-        service = AnalyticsService(small_catalog, max_sessions=2)
+        service = _service(small_catalog, max_sessions=2)
         results = service.submit_many(
             [
                 ServiceRequest(expression=good, execute=False),

@@ -275,7 +275,6 @@ class TestSupervisorChaos:
             supervisor.stop()
 
     def test_gateway_end_to_end_chaos(self):
-        from repro._compat import suppress_legacy_warnings
         from repro.server import GatewayClient, parse_prometheus
 
         engine = CHAOS_FACTORY()
@@ -283,14 +282,13 @@ class TestSupervisorChaos:
         expression = build_pipeline("P2.17", roles)
 
         async def main():
-            with suppress_legacy_warnings():
-                gateway = engine.build_gateway(
-                    worker_factory=CHAOS_FACTORY,
-                    host="127.0.0.1",
-                    planner_workers=2,
-                    batch_window_seconds=0.0,
-                    worker_backoff_seconds=0.01,
-                )
+            gateway = engine.build_gateway(
+                worker_factory=CHAOS_FACTORY,
+                host="127.0.0.1",
+                planner_workers=2,
+                batch_window_seconds=0.0,
+                worker_backoff_seconds=0.01,
+            )
             await gateway.start()
             try:
                 supervisor = gateway.supervisor

@@ -3,8 +3,8 @@
 Covers the workspace registry (named, versioned bundles), tenant isolation
 (different view sets over the same pipeline fingerprints produce different
 plans and never cross-hit each other's caches; one tenant's catalog bump
-never evicts another's sessions), the single-catalog → default-workspace
-compatibility shim, the workspace field of the wire schema, per-request
+never evicts another's sessions), the single-catalog constructor's default
+workspace, the workspace field of the wire schema, per-request
 gateway routing with 404-on-unknown and per-tenant quotas, per-workspace
 metrics labels, and the pluggable cost-estimator registry.
 """
@@ -17,7 +17,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro._compat import reset_legacy_warnings
 from repro.api import (
     DEFAULT_WORKSPACE,
     ConfigError,
@@ -45,13 +44,6 @@ from repro.lang import inv, matrix, sum_all, transpose
 from repro.planner import PlanSession
 from repro.server.client import GatewayClient, GatewayError
 from repro.server.metrics import MetricsRegistry
-
-
-@pytest.fixture(autouse=True)
-def _fresh_deprecation_state():
-    reset_legacy_warnings()
-    yield
-    reset_legacy_warnings()
 
 
 def _sample_expr():
@@ -268,7 +260,7 @@ class TestEngineWorkspaces:
         assert summary["workspaces"]["plain"]["plans_computed"] == 1
 
 
-class TestDefaultWorkspaceShim:
+class TestSingleCatalogEngine:
     def test_single_catalog_engine_is_the_default_workspace(self, small_catalog):
         engine = Engine(small_catalog)
         assert engine.workspace_names() == (DEFAULT_WORKSPACE,)
@@ -280,7 +272,7 @@ class TestDefaultWorkspaceShim:
         session = PlanSession(small_catalog)
         assert via_engine.best.to_string() == session.rewrite(_sample_expr()).best.to_string()
 
-    def test_registered_default_matches_shim_plans(self, small_catalog):
+    def test_registered_default_matches_single_catalog_plans(self, small_catalog):
         registry = WorkspaceRegistry()
         registry.register(DEFAULT_WORKSPACE, catalog=small_catalog)
         multi = Engine(workspaces=registry)
@@ -511,7 +503,7 @@ class TestWorkspaceGateway:
                     expr, workspace="plain", raise_on_error=False
                 )
                 text = await client.metrics_text()
-                return answer, text, dict(gateway._batchers)
+                return answer, text, dict(gateway.planner.batchers)
 
         answer, text, batchers = self._serve(engine, drive)
         assert answer["status"] == 404
