@@ -122,6 +122,7 @@ def _emit(findings: List[Finding], report: WaiverReport, strict: bool,
     if as_json:
         payload = {
             "findings": [f.as_dict() for f in report.active],
+            "info": [f.as_dict() for f in report.info],
             "waived": [
                 {"finding": f.as_dict(), "reason": w.reason}
                 for f, w in report.waived

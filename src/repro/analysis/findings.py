@@ -21,6 +21,11 @@ Severities
     ``--strict``; accepted ones are recorded in a waiver file with a
     mandatory reason.
 
+``info``
+    Not a defect: a fact about the program worth a reviewer's eye (which TGD
+    conclusions the compiled chase has to search rather than probe).  Info
+    findings are printed, never fail a run and cannot be waived.
+
 Waivers
 -------
 A waiver file is a JSON document::
@@ -53,6 +58,7 @@ from repro.exceptions import ConfigError
 
 ERROR = "error"
 WARNING = "warning"
+INFO = "info"
 
 #: code -> (title, default severity, one-line description).  This table is
 #: the source of the rule-code reference in ``docs/architecture.md``.
@@ -131,6 +137,14 @@ RULES: Dict[str, Tuple[str, str, str]] = {
         "`name`/`scalar_name` facts; a trigger outside that set could fire "
         "on facts a footprint cannot record, so selective delta "
         "revalidation could keep a plan the constraint would have changed.",
+    ),
+    "RPA011": (
+        "conclusion-test-split",
+        INFO,
+        "How many TGD conclusions the compiled chase tests by keyed "
+        "congruence probes and which ones it has to search (an existential "
+        "variable that is no operation's output).  A shipped rule newly "
+        "listed as searched fell off the fast path.",
     ),
     # ------------------------------------------------------------- linter
     "RPA101": (
@@ -223,6 +237,8 @@ class WaiverReport:
     active: List[Finding] = field(default_factory=list)
     waived: List[Tuple[Finding, Waiver]] = field(default_factory=list)
     unused: List[Waiver] = field(default_factory=list)
+    #: Info-severity findings: reported, never failing, not waivable.
+    info: List[Finding] = field(default_factory=list)
 
 
 def load_waivers(path: str) -> List[Waiver]:
@@ -264,6 +280,9 @@ def apply_waivers(
     report = WaiverReport()
     used: set = set()
     for finding in findings:
+        if finding.severity == INFO:
+            report.info.append(finding)
+            continue
         matched = None
         for waiver in waivers:
             if waiver.matches(finding):
@@ -285,7 +304,7 @@ def render_report(
 ) -> str:
     """Human-readable summary of one analyzer run."""
     lines: List[str] = []
-    for finding in report.active:
+    for finding in report.info + report.active:
         lines.append(finding.render())
     for finding, waiver in report.waived:
         lines.append(f"waived {finding.render()}  (reason: {waiver.reason})")
@@ -297,7 +316,7 @@ def render_report(
     errors = sum(1 for f in report.active if f.severity == ERROR)
     warnings = len(report.active) - errors
     lines.append(
-        f"{len(findings)} finding(s): {errors} error(s), {warnings} "
+        f"{len(findings) - len(report.info)} finding(s): {errors} error(s), {warnings} "
         f"warning(s) active, {len(report.waived)} waived"
     )
     return "\n".join(lines)
@@ -313,6 +332,7 @@ def failing(report: WaiverReport, strict: bool) -> List[Finding]:
 __all__ = [
     "ERROR",
     "WARNING",
+    "INFO",
     "RULES",
     "Finding",
     "Waiver",

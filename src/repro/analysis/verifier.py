@@ -29,6 +29,10 @@ integrity-constraint programs that drive the chase; this module checks them
   set where an existential-receiving position still reaches a positional
   cycle is reported one tier lower (``RPA009``).
 
+Besides the checks, one info-level finding per program (``RPA011``) reports
+how many TGD conclusions the compiled chase tests by keyed probes and names
+the ones it has to search (:mod:`repro.chase.kernel`).
+
 EGDs do not add edges to the position graph (they only merge classes), so
 the termination analysis is over the TGD subset — the standard setting of
 the weak-acyclicity result.
@@ -40,7 +44,9 @@ from collections import defaultdict
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
+from repro.chase.kernel import kernel_for
 from repro.constraints.core import Constraint, EGD, TGD
+from repro.exceptions import ChaseError
 from repro.vrem.atoms import Atom, Const, Var
 from repro.vrem.instance import COMMUTATIVE_RELATIONS
 from repro.vrem.schema import VREM_SCHEMA
@@ -617,6 +623,30 @@ def _check_footprint_recordable(program: str, compiled) -> List[Finding]:
     return findings
 
 
+def _report_conclusion_tests(program: str, constraints: Sequence[Constraint]) -> List[Finding]:
+    """RPA011 (info): how the compiled chase tests each TGD's conclusion.
+
+    One finding per program.  Constraints the kernel refuses to compile are
+    left out — they already carry an RPA003."""
+    keyed = 0
+    searched: List[str] = []
+    for constraint in constraints:
+        if not isinstance(constraint, TGD):
+            continue
+        try:
+            kernel = kernel_for(constraint)
+        except ChaseError:
+            continue
+        if kernel.keyed:
+            keyed += 1
+        else:
+            searched.append(constraint.name)
+    message = f"{keyed} TGD conclusions keyed, {len(searched)} searched"
+    if searched:
+        message += ": " + ", ".join(searched)
+    return [Finding(code="RPA011", target=program, message=message)]
+
+
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
@@ -629,6 +659,7 @@ def verify_constraints(
     findings.extend(_check_safety(program, constraints))
     findings.extend(_check_commutativity(program, constraints))
     findings.extend(_check_termination(program, constraints))
+    findings.extend(_report_conclusion_tests(program, constraints))
     return findings
 
 

@@ -12,10 +12,13 @@ Two engines are provided, matching the two places the paper uses the chase:
   conjunctive queries and conjunctive-query views, used for the relational
   (RA) part of hybrid queries.
 
-:mod:`repro.chase.homomorphism` contains the shared homomorphism machinery;
 :mod:`repro.chase.program` compiles constraint lists into reusable, indexed
 :class:`~repro.chase.program.ConstraintProgram` objects so long-lived
-planner sessions never re-analyse their constraints per rewrite.
+planner sessions never re-analyse their constraints per rewrite;
+:mod:`repro.chase.kernel` holds the compiled form of a single constraint
+(slot-addressed premise joins, keyed conclusion probes) the production
+engine runs on; :mod:`repro.chase.homomorphism` is the generic matcher kept
+as the reference.
 """
 
 from repro.chase.saturation import SaturationEngine, SaturationResult, CostThresholdPruner

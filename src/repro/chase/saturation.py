@@ -19,13 +19,15 @@ is skipped; a re-attempted constraint only searches for matches that touch
 the *delta* — the atoms added or re-canonicalised (and classes newly shaped)
 since its previous attempt, read off the instance's append-only delta logs.
 Anything else was already found, applied, satisfied, or pruned last time;
-the chase is monotone, so none of those outcomes can revert.  Candidate
-atoms come from the instance's positional index.
+the chase is monotone, so none of those outcomes can revert.  Matching, the
+conclusion test and the application all run on each constraint's compiled
+form (:mod:`repro.chase.kernel`).
 
 ``SaturationEngine(..., use_index=False)`` is the *reference* engine the
 tests and ``bench_saturation.py`` compare against: every constraint is
-attempted every round, every attempt is a full search, and the matcher
-scans relations linearly.  It reaches the same fixpoint, only slower.
+attempted every round, every attempt is a full search, and both the premise
+match and the conclusion test go through the generic linear-scan matcher of
+:mod:`repro.chase.homomorphism`.  It reaches the same fixpoint, only slower.
 
 The saturated instance is then handed to the extraction step
 (:mod:`repro.core.extraction`), which plays the role of the provenance-based
@@ -39,18 +41,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.constraints.core import Constraint, EGD, TGD
-from repro.chase.homomorphism import (
-    Binding,
-    find_delta_matches,
-    find_instance_matches,
-    is_satisfied,
-)
+from repro.constraints.core import Constraint, TGD
+from repro.chase.homomorphism import find_instance_matches, is_satisfied
+from repro.chase.kernel import ConstraintKernel, Match
 from repro.chase.program import CompiledConstraint, ConstraintProgram
 from repro.exceptions import ChaseBudgetExceeded, ChaseError
-from repro.vrem.atoms import Atom, Const, Var
+from repro.vrem.atoms import Atom, Const
 from repro.vrem.instance import VremInstance
-from repro.vrem.schema import infer_output_shapes, relation_spec
 
 Shape = Tuple[int, int]
 
@@ -180,70 +177,32 @@ class SaturationEngine:
         self.raise_on_budget = raise_on_budget
         self.use_index = use_index
 
-    # ------------------------------------------------------------------ helpers
-    @staticmethod
-    def _resolve_term(term, binding: Binding, fresh: Dict[Var, int], instance: VremInstance):
-        if isinstance(term, Var):
-            if term in binding:
-                return binding[term]
-            if term not in fresh:
-                fresh[term] = instance.new_class()
-            return fresh[term]
-        return term
-
-    def _conclusion_new_shapes(
-        self,
-        tgd: TGD,
-        binding: Binding,
-        instance: VremInstance,
-    ) -> List[Optional[Shape]]:
-        """Estimate the shapes of intermediates a TGD application would create."""
-        shapes: List[Optional[Shape]] = []
-        known: Dict[Var, Optional[Shape]] = {}
-
-        def term_shape(term) -> Optional[Shape]:
-            if isinstance(term, Var):
-                if term in binding:
-                    value = binding[term]
-                    return instance.shape(value) if isinstance(value, int) else (1, 1)
-                return known.get(term)
-            if isinstance(term, int):
-                return instance.shape(term)
-            return (1, 1)
-
-        for atom in tgd.conclusion:
-            spec = relation_spec(atom.relation)
-            if spec.is_fact or not spec.output_positions:
-                continue
-            input_shapes = [term_shape(atom.args[pos]) for pos in spec.input_positions]
-            outputs = infer_output_shapes(atom.relation, input_shapes)
-            for pos, shape in zip(spec.output_positions, outputs):
-                term = atom.args[pos]
-                if isinstance(term, Var) and term not in binding:
-                    known[term] = shape
-                    if not spec.scalar_output:
-                        shapes.append(shape)
-        return shapes
-
     # ------------------------------------------------------------------ TGDs
-    def _apply_tgd_bindings(
+    def _apply_tgd_matches(
         self,
-        tgd: TGD,
+        kernel: ConstraintKernel,
         instance: VremInstance,
         pruner: Optional[CostThresholdPruner],
         stats: SaturationResult,
-        matches: Iterable[Binding],
+        matches: Iterable[Match],
     ) -> int:
-        """Apply the premise bindings that are not yet satisfied or pruned."""
+        """Apply the premise matches that are not yet satisfied or pruned."""
+        tgd = kernel.constraint
+        assert isinstance(tgd, TGD)
         applications = 0
-        for binding in matches:
+        for match in matches:
             stats.matches_attempted += 1
-            if is_satisfied(
-                tgd.conclusion, instance, binding, indexed=self.use_index
-            ):
+            slots = kernel.slots_for(instance, match)
+            if self.use_index:
+                satisfied = kernel.satisfied(instance, slots)
+            else:
+                satisfied = is_satisfied(
+                    tgd.conclusion, instance, dict(zip(kernel.premise_vars, slots))
+                )
+            if satisfied:
                 continue
             if pruner is not None:
-                new_shapes = self._conclusion_new_shapes(tgd, binding, instance)
+                new_shapes = kernel.new_shapes(instance, slots)
                 blocked = [shape for shape in new_shapes if not pruner.allows(shape)]
                 if blocked:
                     by_tightening = all(
@@ -254,13 +213,8 @@ class SaturationEngine:
                     if by_tightening:
                         stats.pruned_by_tightening += 1
                     continue
-            fresh: Dict[Var, int] = {}
             before = instance.num_atoms()
-            for atom in tgd.conclusion:
-                args = tuple(
-                    self._resolve_term(term, binding, fresh, instance) for term in atom.args
-                )
-                instance.add_atom(atom.relation, args, provenance=(tgd.name,))
+            kernel.materialize(instance, slots)
             grown = instance.num_atoms() - before
             if grown > 0:
                 stats.atoms_materialized += grown
@@ -283,19 +237,20 @@ class SaturationEngine:
         instance.set_scalar_value(cid, float(value))
         return cid
 
-    def _apply_egd_bindings(
+    def _apply_egd_matches(
         self,
-        egd: EGD,
+        kernel: ConstraintKernel,
         instance: VremInstance,
         stats: SaturationResult,
-        matches: Iterable[Binding],
+        matches: Iterable[Match],
     ) -> int:
+        egd = kernel.constraint
         applications = 0
-        for binding in matches:
+        for match in matches:
             stats.matches_attempted += 1
-            for left, right in egd.equalities:
-                left_value = binding.get(left, left) if isinstance(left, Var) else left
-                right_value = binding.get(right, right) if isinstance(right, Var) else right
+            for (left_slot, left_const), (right_slot, right_const) in kernel.equalities:
+                left_value = match[left_slot] if left_slot >= 0 else left_const
+                right_value = match[right_slot] if right_slot >= 0 else right_const
                 if isinstance(left_value, Const) and not isinstance(right_value, Const):
                     left_value, right_value = right_value, left_value
                 if isinstance(left_value, int) and isinstance(right_value, int):
@@ -368,7 +323,7 @@ class SaturationEngine:
             one well-ordered full search, so semi-naive restriction is only
             worth it while the delta is selective (the late-round regime it
             exists for)."""
-            if not self.use_index or position not in delta_marks:
+            if position not in delta_marks:
                 return None
             marks = delta_marks[position]
             delta: Dict[str, List[Atom]] = {}
@@ -390,8 +345,14 @@ class SaturationEngine:
                 return None
             return delta, shaped
 
-        def collect_matches(compiled: CompiledConstraint, position: int) -> List[Binding]:
-            premise = compiled.constraint.premise
+        def collect_matches(compiled: CompiledConstraint, position: int) -> List[Match]:
+            kernel = compiled.kernel
+            if not self.use_index:
+                # The reference engine: the generic matcher, linear scans.
+                return [
+                    tuple(binding[var] for var in kernel.premise_vars)
+                    for binding in find_instance_matches(kernel.constraint.premise, instance)
+                ]
             sliced = premise_delta(compiled, position)
             # Pre-attempt watermarks: this attempt consumes the logs up to here.
             delta_marks[position] = {
@@ -400,31 +361,22 @@ class SaturationEngine:
             }
             shape_marks[position] = len(instance.shape_log())
             if sliced is None:
-                return list(
-                    find_instance_matches(premise, instance, indexed=self.use_index)
-                )
+                return kernel.full_matches(instance)
             stats.delta_attempts += 1
             delta, shaped = sliced
-            if not delta and not shaped:
-                return []
-            return list(find_delta_matches(premise, instance, delta, shaped))
+            return kernel.delta_matches(instance, delta, shaped)
 
-        def apply_matches(
-            compiled: CompiledConstraint, matches: List[Binding]
-        ) -> int:
-            constraint = compiled.constraint
-            if isinstance(constraint, TGD):
-                applications = self._apply_tgd_bindings(
-                    constraint, instance, pruner, stats, matches
+        def apply_matches(compiled: CompiledConstraint, matches: List[Match]) -> int:
+            if compiled.is_tgd:
+                applications = self._apply_tgd_matches(
+                    compiled.kernel, instance, pruner, stats, matches
                 )
                 stats.tgd_applications += applications
-            elif isinstance(constraint, EGD):
-                applications = self._apply_egd_bindings(
-                    constraint, instance, stats, matches
+            else:
+                applications = self._apply_egd_matches(
+                    compiled.kernel, instance, stats, matches
                 )
                 stats.egd_applications += applications
-            else:  # pragma: no cover - defensive
-                raise ChaseError(f"unsupported constraint type {type(constraint).__name__}")
             return applications
 
         def over_budget() -> bool:

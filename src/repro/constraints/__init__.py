@@ -24,7 +24,8 @@ Dependencies (EGDs) — over the virtual relations of :mod:`repro.vrem`:
 out of the box.
 """
 
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from repro.constraints.core import Constraint, TGD, EGD, tgd, egd, parse_atoms
 from repro.constraints.matrix_model import matrix_model_constraints
@@ -32,6 +33,27 @@ from repro.constraints.la_properties import la_property_constraints
 from repro.constraints.decompositions import decomposition_constraints
 from repro.constraints.systemml_rules import systemml_rule_constraints
 from repro.constraints.morpheus_rules import morpheus_rule_constraints
+
+
+@lru_cache(maxsize=None)
+def _shipped_constraints(
+    include_decompositions: bool, include_systemml: bool, include_morpheus: bool
+) -> Tuple[Constraint, ...]:
+    """The shipped rules, parsed once per process.
+
+    Constraints are frozen, so every session shares these objects — and with
+    them the kernels the chase compiles onto them on first use
+    (:func:`repro.chase.kernel.kernel_for`)."""
+    constraints: List[Constraint] = []
+    constraints.extend(matrix_model_constraints())
+    constraints.extend(la_property_constraints())
+    if include_decompositions:
+        constraints.extend(decomposition_constraints())
+    if include_systemml:
+        constraints.extend(systemml_rule_constraints())
+    if include_morpheus:
+        constraints.extend(morpheus_rule_constraints())
+    return tuple(constraints)
 
 
 def default_constraints(
@@ -44,17 +66,14 @@ def default_constraints(
 
     MMC = MMC_m ∪ MMC_LAprop ∪ MMC_StatAgg (§6.3); the Morpheus rules are
     only added when optimizing pipelines over normalized matrices because
-    they reference the factorization relations.
+    they reference the factorization relations.  The list is the caller's
+    own; the constraint objects in it are shared process-wide.
     """
-    constraints: List[Constraint] = []
-    constraints.extend(matrix_model_constraints())
-    constraints.extend(la_property_constraints())
-    if include_decompositions:
-        constraints.extend(decomposition_constraints())
-    if include_systemml:
-        constraints.extend(systemml_rule_constraints())
-    if include_morpheus:
-        constraints.extend(morpheus_rule_constraints())
+    constraints = list(
+        _shipped_constraints(
+            bool(include_decompositions), bool(include_systemml), bool(include_morpheus)
+        )
+    )
     if extra:
         constraints.extend(extra)
     return constraints

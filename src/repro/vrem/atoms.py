@@ -146,6 +146,10 @@ class AtomInterner:
             self._table[key] = atom
         return atom
 
+    def has(self, relation: str, args: Tuple[Term, ...]) -> bool:
+        """Whether the pair is interned, without allocating an atom."""
+        return (relation, args) in self._table
+
     def discard(self, atom: Atom) -> None:
         """Forget a stale (pre-merge) canonical form."""
         self._table.pop((atom.relation, atom.args), None)

@@ -68,6 +68,11 @@ class VremInstance:
         self._num_classes = 0
         self._interner = AtomInterner()
         self._atom_provenance: Dict[Atom, Set[str]] = {}
+        #: Per-relation and per-(relation, position, value) indexes.  The
+        #: compiled matcher (:mod:`repro.chase.kernel`) reads these two
+        #: directly — a probe per pending atom per search node — and iterates
+        #: the very set objects: their iteration order is part of the
+        #: chase's deterministic match order.
         self._by_relation: Dict[str, Set[Atom]] = defaultdict(set)
         self._by_position: Dict[Tuple[str, int, object], Set[Atom]] = defaultdict(set)
         #: Per-class occurrence index: which stored atoms mention a class.
@@ -244,6 +249,10 @@ class VremInstance:
         existing = self._atom_provenance.get(atom)
         if existing is not None:
             existing |= labels
+            # A stale twin removed just before may have owned this key:
+            # without re-registering, the table loses the entry and a later
+            # atom over the same inputs is never merged with this one.
+            self._apply_congruence(atom)
             return atom
         self._atom_provenance[atom] = labels
         self._by_relation[relation].add(atom)
@@ -343,8 +352,7 @@ class VremInstance:
         if spec.is_fact:
             raise ChaseError(f"{relation!r} is a fact relation, not an operation")
         canonical_inputs = self._canonical_args(inputs)
-        key = self._operation_key(relation, canonical_inputs)
-        existing = self._congruence.get(key)
+        existing = self.operation_atom(relation, canonical_inputs)
         if existing is not None:
             return tuple(self.find(existing.args[pos]) for pos in spec.output_positions)
         outputs = tuple(self.new_class() for _ in spec.output_positions)
@@ -356,9 +364,21 @@ class VremInstance:
         self.add_atom(relation, args, provenance)
         return tuple(self.find(out) for out in outputs)
 
-    def has_atom(self, relation: str, args: Sequence[Term]) -> bool:
-        canonical = self._canonical_args(args)
-        return Atom(relation, canonical) in self._atom_provenance
+    def operation_atom(
+        self, relation: str, canonical_inputs: Tuple[Term, ...]
+    ) -> Optional[Atom]:
+        """The stored atom of an operation over these canonical inputs, if any.
+
+        Operations are functional, so at rest there is one output per input
+        tuple and this keyed probe answers "is it there, and what is its
+        output" without a search.  For a commutative relation the atom
+        found may be stored with the operands in the other order.
+        """
+        return self._congruence.get(self._operation_key(relation, canonical_inputs))
+
+    def stores(self, relation: str, canonical_args: Tuple[Term, ...]) -> bool:
+        """Whether exactly this atom — canonical args, in this order — is stored."""
+        return self._interner.has(relation, canonical_args)
 
     def contains_atom(self, atom: Atom) -> bool:
         """Whether this exact (already-canonical) atom is currently stored."""
@@ -435,6 +455,30 @@ class VremInstance:
                 # joins over it may produce new matches.
                 self._relation_versions[atom.relation] += 1
                 self._insert_canonical(atom.relation, canonical, labels)
+
+    def check_invariants(self) -> None:
+        """Raise :class:`ChaseError` unless the instance is congruence-closed.
+
+        At rest every stored atom is canonical, every operation atom has a
+        live entry in the congruence table, and atoms sharing a key share
+        their (canonical) outputs — what :meth:`operation_atom` relies on.
+        """
+        if self._pending_unions:
+            raise ChaseError("instance has pending unions; call rebuild() first")
+        for atom in self._atom_provenance:
+            if atom.args != self._canonical_args(atom.args):
+                raise ChaseError(f"stored atom {atom!r} is not canonical")
+            key = self._congruence_key(atom)
+            if key is None:
+                continue
+            owner = self._congruence.get(key)
+            if owner is None or owner not in self._atom_provenance:
+                raise ChaseError(f"operation atom {atom!r} has no live congruence entry")
+            for pos in relation_spec(atom.relation).output_positions:
+                if owner.args[pos] != atom.args[pos]:
+                    raise ChaseError(
+                        f"{atom!r} and {owner!r} agree on their inputs but not their outputs"
+                    )
 
     # ------------------------------------------------------------------ helpers
     def leaf_name(self, cid: int) -> Optional[str]:

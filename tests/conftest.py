@@ -39,6 +39,27 @@ def rng():
 
 
 @pytest.fixture()
+def find_matches():
+    """``(pattern atoms, instance) -> [binding dict, ...]``, asked of both the
+    generic reference matcher and the compiled kernel the production chase
+    runs on: they must agree on what a match is."""
+    from repro.chase.homomorphism import find_instance_matches
+    from repro.chase.kernel import ConstraintKernel
+    from repro.constraints.core import TGD
+
+    def find(pattern, instance):
+        kernel = ConstraintKernel(TGD("pattern", tuple(pattern)))
+        compiled = [
+            dict(zip(kernel.premise_vars, match)) for match in kernel.full_matches(instance)
+        ]
+        reference = list(find_instance_matches(pattern, instance))
+        assert sorted(map(repr, compiled)) == sorted(map(repr, reference))
+        return compiled
+
+    return find
+
+
+@pytest.fixture()
 def small_catalog(rng) -> Catalog:
     """A tiny, fully materialized catalog with the Table 6 role names.
 

@@ -64,6 +64,21 @@ class TestShippedPrograms:
         report = apply_waivers(findings, waivers)
         assert report.unused == []
 
+    def test_conclusion_test_split_is_reported_per_program(self):
+        findings = [f for f in verify_shipped(["default", "views"]) if f.code == "RPA011"]
+        assert [(f.target, f.severity) for f in findings] == [
+            ("default", "info"),
+            ("views", "info"),
+        ]
+        assert findings[0].message == "115 TGD conclusions keyed, 0 searched"
+        assert findings[1].message.startswith(
+            "127 TGD conclusions keyed, 12 searched: view-oi:V1, view-oi:V2, "
+        )
+        # Info findings are reported beside the rest: never failing, not waivable.
+        report = apply_waivers(findings, [Waiver("RPA011", "*", "nothing to accept")])
+        assert report.info == findings and not report.active and not report.waived
+        assert failing(report, strict=True) == []
+
     def test_repo_lint_clean(self):
         from repro.analysis.lint import lint_paths
 
@@ -436,7 +451,7 @@ class TestWaivers:
         for code, (title, severity, description) in RULES.items():
             assert code.startswith("RPA")
             assert title and description
-            assert severity in ("error", "warning")
+            assert severity in ("error", "warning", "info")
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chase.homomorphism import find_instance_matches, is_satisfied
+from repro.chase.homomorphism import is_satisfied
+from repro.chase.kernel import ConstraintKernel
 from repro.chase.pacb import ConjunctiveQuery, PACBRewriter, RelationalView, are_equivalent, cq, is_contained_in
 from repro.chase.saturation import CostThresholdPruner, SaturationEngine
 from repro.constraints import default_constraints
@@ -22,41 +23,46 @@ from repro.vrem.instance import VremInstance
 
 
 class TestHomomorphism:
-    def test_simple_match(self, small_catalog):
+    def test_simple_match(self, small_catalog, find_matches):
         instance, _ = encode_expression(transpose(matrix("M") @ matrix("N")), catalog=small_catalog)
         pattern = [Atom("multi_m", (Var("a"), Var("b"), Var("r")))]
-        matches = list(find_instance_matches(pattern, instance))
-        assert len(matches) == 1
+        assert len(find_matches(pattern, instance)) == 1
 
-    def test_join_across_atoms(self, small_catalog):
+    def test_join_across_atoms(self, small_catalog, find_matches):
         instance, _ = encode_expression(transpose(matrix("M") @ matrix("N")), catalog=small_catalog)
         pattern = [
             Atom("multi_m", (Var("a"), Var("b"), Var("r"))),
             Atom("tr", (Var("r"), Var("t"))),
         ]
-        assert len(list(find_instance_matches(pattern, instance))) == 1
+        assert len(find_matches(pattern, instance)) == 1
         bad_pattern = [
             Atom("multi_m", (Var("a"), Var("b"), Var("r"))),
             Atom("tr", (Var("a"), Var("t"))),
         ]
-        assert not list(find_instance_matches(bad_pattern, instance))
+        assert not find_matches(bad_pattern, instance)
 
-    def test_constant_filtering(self, small_catalog):
+    def test_constant_filtering(self, small_catalog, find_matches):
         instance, _ = encode_expression(matrix("M") @ matrix("N"), catalog=small_catalog)
         pattern = [Atom("name", (Var("m"), Const("M")))]
-        assert len(list(find_instance_matches(pattern, instance))) == 1
+        assert len(find_matches(pattern, instance)) == 1
         pattern = [Atom("name", (Var("m"), Const("Other")))]
-        assert not list(find_instance_matches(pattern, instance))
+        assert not find_matches(pattern, instance)
 
-    def test_size_atoms_match_metadata(self, small_catalog):
+    def test_size_atoms_match_metadata(self, small_catalog, find_matches):
         instance, _ = encode_expression(inv(matrix("C")), catalog=small_catalog)
         square = [Atom("name", (Var("m"), Var("n"))), Atom("size", (Var("m"), Var("k"), Var("k")))]
-        assert list(find_instance_matches(square, instance))
+        assert find_matches(square, instance)
         rectangular = [
             Atom("name", (Var("m"), Const("C"))),
             Atom("size", (Var("m"), Const(3), Var("z"))),
         ]
-        assert not list(find_instance_matches(rectangular, instance))
+        assert not find_matches(rectangular, instance)
+
+    def test_square_size_atom_rejects_rectangles(self, small_catalog, find_matches):
+        instance, _ = encode_expression(matrix("M") @ matrix("C"), catalog=small_catalog)
+        square = [Atom("name", (Var("m"), Var("n"))), Atom("size", (Var("m"), Var("k"), Var("k")))]
+        names = {match[Var("n")].value for match in find_matches(square, instance)}
+        assert names == {"C"}  # M is 40 x 6
 
     def test_is_satisfied_with_partial_binding(self, small_catalog):
         instance, root = encode_expression(transpose(matrix("M")), catalog=small_catalog)
@@ -64,6 +70,14 @@ class TestHomomorphism:
         pattern = [Atom("tr", (Var("x"), Var("y")))]
         assert is_satisfied(pattern, instance, {Var("x"): m_class})
         assert not is_satisfied(pattern, instance, {Var("x"): root})
+        # The compiled test of the same question: premise slots bound, the
+        # existential y determined by the keyed probe.
+        kernel = ConstraintKernel(tgd("t", "name(x, n) -> tr(x, y)"))
+        assert kernel.keyed
+        for match in kernel.full_matches(instance):
+            slots = kernel.slots_for(instance, match)
+            assert kernel.satisfied(instance, slots) == (slots[0] == m_class)
+            assert slots[2] == (root if slots[0] == m_class else None)
 
 
 class TestSaturation:

@@ -308,7 +308,57 @@ def both_planners():
     return _serve_miss_then_hit(0), _serve_miss_then_hit(1)
 
 
+def _modulo_commuted_operands(plan: str) -> str:
+    """A rendered plan with the operands of every ``(X + Y)`` and ``(X * Y)``
+    sorted, so the two orders of a commutative operator compare equal.
+
+    Works on the bracket structure of ``Expr.to_string()`` alone: infix
+    operators are always parenthesised, so a group has at most one operator
+    at its own depth."""
+
+    def closing(text: str, start: int) -> int:
+        depth = 0
+        for index in range(start, len(text)):
+            depth += (text[index] == "(") - (text[index] == ")")
+            if depth == 0:
+                return index
+        raise ValueError(f"unbalanced plan {plan!r}")
+
+    def own_depth_find(text: str, token: str) -> int:
+        depth = 0
+        for index, char in enumerate(text):
+            if depth == 0 and text.startswith(token, index):
+                return index
+            depth += (char == "(") - (char == ")")
+        return -1
+
+    out, index = "", 0
+    while index < len(plan):
+        if plan[index] != "(":
+            out += plan[index]
+            index += 1
+            continue
+        end = closing(plan, index)
+        inner = _modulo_commuted_operands(plan[index + 1 : end])
+        for token in (" + ", " * "):
+            at = own_depth_find(inner, token)
+            if at >= 0:
+                inner = token.join(sorted((inner[:at], inner[at + len(token) :])))
+                break
+        out += f"({inner})"
+        index = end + 1
+    return out
+
+
 class TestLocalAndWorkerPlannersAgree:
+    def test_plan_comparison_sees_through_operand_order_only(self):
+        same = _modulo_commuted_operands
+        assert same("((AL1 %*% Syn7) + t((B * A)))") == same("(t((A * B)) + (AL1 %*% Syn7))")
+        assert same("sum(((B + A))^2)") == same("sum(((A + B))^2)")
+        assert same("(A %*% B)") != same("(B %*% A)")
+        assert same("((A + B) - C)") != same("(C - (A + B))")
+        assert same("(det(A) * (A (+) B))") != same("(det(A) * (B (+) A))")
+
     @pytest.mark.parametrize("kind", ["miss", "hit"])
     def test_equal_bodies_and_metric_deltas(self, both_planners, kind):
         local, workers = both_planners
@@ -320,6 +370,14 @@ class TestLocalAndWorkerPlannersAgree:
         # Wall-clock fields differ run to run; everything else is the wire.
         local_body.pop("timings")
         worker_body.pop("timings")
+        # P1.4's plan has an equal-cost tie between (X + Y) and (Y + X) that
+        # follows the process hash seed, and the worker is a fresh process:
+        # the plans are compared as trees modulo commuted operands, the rest
+        # byte for byte.  The real fix is ROADMAP item 2 (plans that do not
+        # depend on the process); this comparison goes with it.
+        assert _modulo_commuted_operands(local_body.pop("plan")) == _modulo_commuted_operands(
+            worker_body.pop("plan")
+        )
         assert json.dumps(local_body) == json.dumps(worker_body)
         assert local_delta == worker_delta
         assert local_delta["gateway_responses_2xx_total"] == 1

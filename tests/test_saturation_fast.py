@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 from repro.benchkit.datasets import ROLE_BINDINGS_DENSE, benchmark_catalog
 from repro.benchkit.pipelines import build_pipeline, default_roles, pipeline_names
-from repro.chase.homomorphism import find_delta_matches, find_instance_matches
+from repro.chase.homomorphism import find_instance_matches
+from repro.chase.kernel import ConstraintKernel, JoinKernel
 from repro.chase.saturation import CostThresholdPruner, SaturationEngine
 from repro.config import PlannerConfig
 from repro.constraints import default_constraints
+from repro.constraints.core import tgd
 from repro.lang import hadamard, matrix, trace, transpose
 from repro.planner import PlanSession
 from repro.planner.stages import PlanContext
@@ -32,29 +34,36 @@ from repro.vrem.instance import VremInstance
 
 
 class TestUnificationEdgeCases:
-    def test_size_atom_skips_classes_with_unknown_shape(self):
+    def test_size_atom_skips_classes_with_unknown_shape(self, find_matches):
         instance = VremInstance()
         shaped = instance.new_class()
-        unshaped = instance.new_class()
+        instance.new_class()  # never shaped
         instance.set_shape(shaped, (3, 4))
         pattern = [Atom("size", (Var("m"), Var("k"), Var("z")))]
-        matches = list(find_instance_matches(pattern, instance))
+        matches = find_matches(pattern, instance)
         assert [m[Var("m")] for m in matches] == [shaped]
-        # A subject already bound to the unshaped class cannot match.
-        assert not list(
-            find_instance_matches(pattern, instance, {Var("m"): unshaped})
-        )
+        assert matches[0][Var("k")] == Const(3) and matches[0][Var("z")] == Const(4)
 
-    def test_size_atom_with_constant_dimensions(self):
+    def test_size_atom_with_bound_unshaped_subject_cannot_match(self):
+        instance = VremInstance()
+        shaped, unshaped = instance.new_class(), instance.new_class()
+        instance.set_shape(shaped, (3, 4))
+        pattern = [Atom("size", (Var("m"), Var("k"), Var("z")))]
+        assert not list(find_instance_matches(pattern, instance, {Var("m"): unshaped}))
+        join = JoinKernel(pattern, {Var("m"): 0, Var("k"): 1, Var("z"): 2}, prebound=[0])
+        assert not join.search(instance, [unshaped, None, None], None)
+        assert join.search(instance, [shaped, None, None], None)
+
+    def test_size_atom_with_constant_dimensions(self, find_matches):
         instance = VremInstance()
         cid = instance.new_class()
         instance.set_shape(cid, (3, 4))
         good = [Atom("size", (Var("m"), Const(3), Const(4)))]
         bad = [Atom("size", (Var("m"), Const(3), Const(5)))]
-        assert list(find_instance_matches(good, instance))
-        assert not list(find_instance_matches(bad, instance))
+        assert find_matches(good, instance)
+        assert not find_matches(bad, instance)
 
-    def test_constants_do_not_unify_with_classes(self, small_catalog):
+    def test_constants_do_not_unify_with_classes(self, small_catalog, find_matches):
         instance, _ = encode_expression(matrix("M"), catalog=small_catalog)
         # The join binds n to the constant "M"; the second atom then needs a
         # *class* whose name is that constant, and a Const is not a class.
@@ -62,23 +71,23 @@ class TestUnificationEdgeCases:
             Atom("name", (Var("m"), Var("n"))),
             Atom("name", (Var("n"), Const("M"))),
         ]
-        assert not list(find_instance_matches(pattern, instance))
+        assert not find_matches(pattern, instance)
 
-    def test_interned_constants_unify_by_value(self):
+    def test_interned_constants_unify_by_value(self, find_matches):
         instance = VremInstance()
         cid = instance.new_class()
         instance.add_atom("scalar_const", (cid, Const(2.5)))
         # A structurally equal — not identical — Const must still match.
-        assert list(
-            find_instance_matches(
-                [Atom("scalar_const", (Var("s"), Const(2.5)))], instance
-            )
-        )
-        assert not list(
-            find_instance_matches(
-                [Atom("scalar_const", (Var("s"), Const(3.5)))], instance
-            )
-        )
+        assert find_matches([Atom("scalar_const", (Var("s"), Const(2.5)))], instance)
+        assert not find_matches([Atom("scalar_const", (Var("s"), Const(3.5)))], instance)
+
+    def test_variable_repeated_inside_an_atom(self, find_matches):
+        instance = VremInstance()
+        a, b = instance.new_class(), instance.new_class()
+        instance.add_atom("multi_m", (a, a, b))
+        instance.add_atom("multi_m", (a, b, b))
+        pattern = [Atom("multi_m", (Var("x"), Var("x"), Var("r")))]
+        assert find_matches(pattern, instance) == [{Var("x"): a, Var("r"): b}]
 
 
 class TestCanonicalConstruction:
@@ -171,11 +180,33 @@ class TestSemiNaive:
         d = instance.new_class()
         instance.add_atom("tr", (c, d))
         delta = {"tr": instance.relation_log("tr")[mark:]}
-        pattern = [Atom("tr", (Var("x"), Var("y")))]
-        matches = list(find_delta_matches(pattern, instance, delta))
-        assert [(m[Var("x")], m[Var("y")]) for m in matches] == [(c, d)]
+        kernel = ConstraintKernel(tgd("t", "tr(x, y) -> tr(x, y)"))
+        assert kernel.delta_matches(instance, delta) == [(c, d)]
         # Full matching sees both; delta matching only the new atom.
-        assert len(list(find_instance_matches(pattern, instance))) == 2
+        assert sorted(kernel.full_matches(instance)) == [(a, b), (c, d)]
+
+    def test_delta_match_touching_two_delta_atoms_is_kept_once(self):
+        instance = VremInstance()
+        a, b, c = (instance.new_class() for _ in range(3))
+        instance.add_atom("tr", (a, b))
+        instance.add_atom("tr", (b, c))
+        delta = {"tr": instance.relation_log("tr")}
+        kernel = ConstraintKernel(tgd("t", "tr(x, y) & tr(y, z) -> tr(x, z)"))
+        assert kernel.delta_matches(instance, delta) == [(a, b, c)]
+        # A stale log entry (re-canonicalised away) seeds nothing.
+        stale = Atom("tr", (a, instance.new_class()))
+        assert kernel.delta_matches(instance, {"tr": [stale]}) == []
+
+    def test_newly_shaped_class_seeds_size_atoms(self):
+        instance = VremInstance()
+        a, b = instance.new_class(), instance.new_class()
+        instance.add_atom("tr", (a, b))
+        kernel = ConstraintKernel(tgd("t", "size(m, k, k) & tr(m, r) -> tr(m, r)"))
+        mark = len(instance.shape_log())
+        instance.set_shape(a, (4, 4))
+        instance.set_shape(b, (4, 5))
+        shaped = instance.shape_log()[mark:]
+        assert kernel.delta_matches(instance, {}, shaped) == [(a, Const(4), b)]
 
 
 #: The chase-bound pipelines (>= 100 atoms materialised): the reference
@@ -210,6 +241,8 @@ class TestReferenceEngine:
         expr = build_pipeline(name, roles)
         fast = _run_stages(production, expr)
         slow = _run_stages(reference, expr)
+        fast.instance.check_invariants()
+        slow.instance.check_invariants()
         assert fast.saturation.atoms_materialized < 100, "move to _CHASE_BOUND"
         assert (fast.best_expr.to_string(), fast.best_cost) == (
             slow.best_expr.to_string(),
