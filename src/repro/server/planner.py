@@ -32,6 +32,7 @@ planner raises), which is what keeps their HTTP bodies and metrics identical.
 from __future__ import annotations
 
 import asyncio
+import time
 import weakref
 from typing import Dict, Protocol, Set
 
@@ -104,7 +105,12 @@ class LocalPlanner:
 
     Each workspace plans through its own :class:`MicroBatcher`, so tenants
     micro-batch independently and one tenant's slow plans never ride in
-    another's batch.
+    another's batch.  A plan-only request whose plan is already in the
+    workspace's pool never reaches it: :meth:`submit` answers it from
+    :meth:`PlanSessionPool.lookup <repro.service.pool.PlanSessionPool.lookup>`
+    on the event loop, and only what that cannot answer — a miss, a key
+    still being planned, a busy pool lock, any ``execute`` request — is
+    batched.
     """
 
     def __init__(
@@ -135,6 +141,21 @@ class LocalPlanner:
 
     async def submit(self, workspace: str, request: ServiceRequest) -> dict:
         handle = await self._resolve_handle(workspace)
+        if not request.execute:
+            # A warm plan is a lookup: the pool's cache is the store every
+            # delta keeps consistent, and the lookup cannot block the loop
+            # (a busy lock reads as None and takes the batcher path below).
+            started = time.perf_counter()
+            hit = handle.service.pool.lookup(request.expression)
+            if hit is not None:
+                return result_envelope(
+                    ServiceResult(
+                        request=request,
+                        rewrite=hit,
+                        queue_seconds=0.0,
+                        plan_seconds=time.perf_counter() - started,
+                    )
+                )
         result = await self._batcher_for(workspace, handle).submit(request)
         return result_envelope(result)
 
@@ -142,9 +163,12 @@ class LocalPlanner:
         return {}
 
     def stats_dict(self) -> dict:
+        # Keyed by ready runtime, not by batcher: a tenant served only warm
+        # plans is answered on the loop and never gets a batcher.
         pools = {
-            name: batcher.service.pool.stats_dict()
-            for name, batcher in sorted(self.batchers.items())
+            name: self._engine.workspace(name).pool.stats_dict()
+            for name in self._engine.workspace_names()
+            if self._engine.runtime_ready(name)
         }
         return {"workspace_pools": pools} if pools else {}
 

@@ -22,7 +22,11 @@ LRU cache, so N concurrent planners must not share one.  The
   coordinates concurrent requests for the same cache key so that the plan
   is computed exactly once: one thread (the leader) plans, every other
   thread waits on an event and is then served a private copy marked
-  ``cache_hit=True``.
+  ``cache_hit=True``;
+* **non-blocking reads** — :meth:`lookup` answers a key whose plan is
+  already in that cache with the same private copy, and ``None`` in every
+  other case (a miss, a leader still planning, a busy lock), so an event
+  loop can call it and send only the ``None`` cases on to :meth:`plan`.
 
 The pool never inspects expression semantics; keys come from
 :meth:`PlanSession.cache_key`, i.e. *(expression fingerprint, view-set key,
@@ -316,6 +320,39 @@ class PlanSessionPool:
         """
         return (self.workspace, *self._prototype.cache_key(expr))
 
+    def _hit_locked(self, key: CacheKey, start: float) -> Optional[RewriteResult]:
+        """The cached plan under ``key`` as a caller-private hit, or ``None``.
+
+        The one place a shared-cache hit is built (callers hold ``_lock``):
+        the stored result is shared, so a hit is always a copy, marked
+        ``cache_hit=True`` and carrying the lookup time since ``start``.
+        """
+        cached = self.results.get(key)
+        if cached is None:
+            return None
+        self.stats.shared_hits += 1
+        return cached.copy(cache_hit=True, rewrite_seconds=time.perf_counter() - start)
+
+    def lookup(self, expr: mx.Expr) -> Optional[RewriteResult]:
+        """The cached plan of ``expr`` as :meth:`plan` would return it, or ``None``.
+
+        A read that never plans, never waits on an in-flight leader, never
+        checks out a session and never blocks: when another thread holds the
+        pool lock (a delta revalidating, a leader publishing) the answer is
+        ``None`` as well, so it is safe to call from an event loop.  ``None``
+        means "go through :meth:`plan`", not "not cached".
+        """
+        start = time.perf_counter()
+        key = self._shared_key(expr)
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            # An absent key is not counted as a cache miss here: the request
+            # goes on to plan(), whose own probe counts it once.
+            return self._hit_locked(key, start) if key in self.results else None
+        finally:
+            self._lock.release()
+
     def plan(self, expr: mx.Expr) -> RewriteResult:
         """Rewrite ``expr``, planning each distinct cache key exactly once.
 
@@ -340,13 +377,9 @@ class PlanSessionPool:
             # outside the lock stops it from serializing every planner.
             key = self._shared_key(expr)
             with self._lock:
-                cached = self.results.get(key)
-                if cached is not None:
-                    self.stats.shared_hits += 1
-                    return cached.copy(
-                        cache_hit=True,
-                        rewrite_seconds=time.perf_counter() - start,
-                    )
+                hit = self._hit_locked(key, start)
+                if hit is not None:
+                    return hit
                 event = self._inflight.get(key)
                 if event is None:
                     event = threading.Event()

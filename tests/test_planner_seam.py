@@ -26,6 +26,7 @@ import pytest
 from repro.api import Engine
 from repro.benchkit.harness import TenantEngineFactory
 from repro.catalog.delta import CatalogDelta, DropRelation
+from repro.exceptions import ConfigError
 from repro.lang import matrix, transpose
 from repro.planner import PlanSession
 from repro.server import GatewayClient
@@ -382,6 +383,49 @@ class TestLocalAndWorkerPlannersAgree:
         assert local_delta == worker_delta
         assert local_delta["gateway_responses_2xx_total"] == 1
         assert ("gateway_cache_hits_total" in local_delta) == (kind == "hit")
+
+
+# ---------------------------------------------------------------------------
+# The local planner's read path, without a socket
+# ---------------------------------------------------------------------------
+
+
+class TestLocalPlannerAnswersWarmPlansItself:
+    def _submit(self, engine, request) -> tuple:
+        async def main():
+            gateway = engine.build_gateway(batch_window_seconds=0.25)
+            try:
+                envelope = await gateway.planner.submit("default", request)
+                return envelope, list(gateway.planner.batchers)
+            finally:
+                await gateway.planner.close()
+
+        return asyncio.run(main())
+
+    def test_hit_envelope_is_a_batcher_hit_envelope_with_no_queue(self, small_catalog):
+        expression = transpose(matrix("M") @ matrix("N"))
+        engine = Engine(small_catalog)
+        cold = engine.rewrite(expression)
+        envelope, batchers = self._submit(
+            engine, ServiceRequest(expression=expression, name="q", execute=False)
+        )
+        assert envelope["ok"] and envelope["pruned"] == [0, 0]
+        assert batchers == []  # the 250 ms window was never entered
+        payload = envelope["payload"]
+        assert payload["cache_hit"] and payload["name"] == "q"
+        assert payload["plan"] == cold.best.to_string()
+        assert payload["timings"]["queue_seconds"] == 0.0
+        assert payload["backend"] is None and payload["value"] is None
+
+    def test_plan_only_workspace_is_still_a_config_error_when_warm(self):
+        """A workspace without a catalog cannot take the service path; a
+        plan warmed through its handle does not change that answer."""
+        expression = transpose(transpose(matrix("M")))
+        engine = Engine()
+        engine.workspace().rewrite(expression)
+        # Raised to the gateway, which encodes it as the 422 "config" envelope.
+        with pytest.raises(ConfigError, match="without a catalog"):
+            self._submit(engine, ServiceRequest(expression=expression, execute=False))
 
 
 # ---------------------------------------------------------------------------

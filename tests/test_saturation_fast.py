@@ -25,6 +25,7 @@ from repro.chase.saturation import CostThresholdPruner, SaturationEngine
 from repro.config import PlannerConfig
 from repro.constraints import default_constraints
 from repro.constraints.core import tgd
+from repro.cost.model import expression_cost
 from repro.lang import hadamard, matrix, trace, transpose
 from repro.planner import PlanSession
 from repro.planner.stages import PlanContext
@@ -244,14 +245,30 @@ class TestReferenceEngine:
         fast.instance.check_invariants()
         slow.instance.check_invariants()
         assert fast.saturation.atoms_materialized < 100, "move to _CHASE_BOUND"
-        assert (fast.best_expr.to_string(), fast.best_cost) == (
-            slow.best_expr.to_string(),
-            slow.best_cost,
-        )
         assert slow.saturation.constraints_skipped == 0
         assert slow.saturation.delta_attempts == 0
-        if fast.saturation.reached_fixpoint and slow.saturation.reached_fixpoint:
+        same_fixpoint = (
+            fast.saturation.reached_fixpoint and slow.saturation.reached_fixpoint
+        )
+        if same_fixpoint:
             assert set(fast.instance.atoms()) == set(slow.instance.atoms())
+        assert fast.best_cost == slow.best_cost
+        fast_plan, slow_plan = fast.best_expr.to_string(), slow.best_expr.to_string()
+        if fast_plan != slow_plan:
+            # Extraction keeps the first of two equal-cost derivations, in an
+            # insertion order that differs between the two engines and
+            # follows process addresses (Const / Var hash their class
+            # object): P1.17 comes out as ((a * b) * a) or (a * (b * a)).
+            # That is only a tie — not a disagreement — when both engines
+            # stopped on the same fixpoint (asserted above); a budget-bound
+            # pipeline with different plans still fails.  The real fix is
+            # ROADMAP item 2 (one total order for extraction ties); this
+            # branch goes with it.
+            assert same_fixpoint, (fast_plan, slow_plan)
+            catalog, estimator = production.catalog, production.estimator
+            assert expression_cost(fast.best_expr, catalog, estimator) == expression_cost(
+                slow.best_expr, catalog, estimator
+            ), (fast_plan, slow_plan)
 
     # The names are split so the repo-wide grep for removed options stays empty.
     @pytest.mark.parametrize(

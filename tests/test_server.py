@@ -17,15 +17,17 @@ The behaviours the gateway promises:
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.api import Engine
+from repro.api import Engine, WorkspaceRegistry
 from repro.backends.numpy_backend import NumpyBackend
 from repro.benchkit.datasets import ROLE_BINDINGS_DENSE
 from repro.benchkit.pipelines import build_pipeline, default_roles, pipeline_names
+from repro.catalog import CatalogDelta, ReStat
 from repro.lang import colsums, inv, matrix, sum_all, transpose
 from repro.lang import matrix_expr as mx
 from repro.planner import PlanSession
@@ -527,3 +529,195 @@ class TestGateway:
         assert parsed["gateway_total_seconds_count"] == 3
         # 3 identical expressions: at least 2 answered from cached plans.
         assert parsed["gateway_cache_hits_total"] >= 2
+
+
+# ---------------------------------------------------------------------------
+# The read path: a warm plan is a lookup on the event loop
+# ---------------------------------------------------------------------------
+
+
+def _batched(gateway) -> tuple:
+    """(batches, requests that reached a batcher) — 0 before the first batcher."""
+    counters = gateway.metrics.as_dict()["counters"]
+    return (
+        counters.get("gateway_batches_total", 0),
+        counters.get("gateway_batched_requests_total", 0),
+    )
+
+
+class TestWarmPlanReadPath:
+    #: Long enough that a request which met the window cannot pass for one
+    #: that did not.
+    WINDOW = 0.25
+
+    def _serve(self, engine, drive, **overrides):
+        async def main():
+            overrides.setdefault("batch_window_seconds", self.WINDOW)
+            gateway = await engine.serve(**overrides)
+            try:
+                async with GatewayClient("127.0.0.1", gateway.port) as client:
+                    return await drive(gateway, client)
+            finally:
+                await asyncio.wait_for(gateway.stop(), timeout=30)
+
+        return asyncio.run(main())
+
+    def test_warm_plan_is_answered_without_a_batcher(self, small_catalog):
+        expr = _sample_exprs()[0]
+        engine = _engine(small_catalog)
+        engine.rewrite(expr)  # the tenant arrives warm, as serve_churn's do
+
+        async def drive(gateway, client):
+            await client.health()  # connection up before the clock starts
+            started = time.perf_counter()
+            response = await client.plan(expr, name="warm")
+            elapsed = time.perf_counter() - started
+            return response, elapsed, _batched(gateway), dict(gateway.planner.batchers)
+
+        response, elapsed, batched, batchers = self._serve(engine, drive)
+        assert response["cache_hit"] and response["name"] == "warm"
+        assert response["plan"] == PlanSession(small_catalog).rewrite(expr).best.to_string()
+        assert elapsed < 0.05
+        assert batched == (0, 0) and batchers == {}
+        assert response["timings"]["queue_seconds"] == 0.0
+        assert response["timings"]["total_seconds"] == response["timings"]["plan_seconds"]
+
+    def test_tenant_served_only_from_the_loop_is_listed_in_workspace_pools(
+        self, small_catalog
+    ):
+        expr = _sample_exprs()[0]
+        engine = _engine(small_catalog)
+        engine.rewrite(expr)
+
+        async def drive(gateway, client):
+            assert (await client.plan(expr))["cache_hit"]
+            return gateway.stats_dict(), dict(gateway.planner.batchers)
+
+        stats, batchers = self._serve(engine, drive)
+        assert batchers == {}
+        assert list(stats["workspace_pools"]) == ["default"]
+        pool = stats["workspace_pools"]["default"]
+        assert pool == engine.pool.stats_dict()
+        assert pool["shared_hits"] == 1 and pool["plans_computed"] == 1
+
+    def test_warm_pipeline_request_still_goes_through_the_batcher(self, small_catalog):
+        expr = _sample_exprs()[0]
+        engine = _engine(small_catalog)
+        engine.rewrite(expr)
+
+        async def drive(gateway, client):
+            response = await client.execute(expr, name="exec")
+            return response, _batched(gateway), list(gateway.planner.batchers)
+
+        response, batched, batchers = self._serve(engine, drive, batch_window_seconds=0.01)
+        assert response["cache_hit"] and response["value"] is not None
+        assert response["backend"] is not None
+        assert batched == (1, 1) and batchers == ["default"]
+
+    def test_cold_plans_still_batch_and_plan_once(self, small_catalog):
+        expr = _sample_exprs()[1]
+        engine = _engine(small_catalog)
+
+        async def drive(gateway, client):
+            async with GatewayClient("127.0.0.1", gateway.port) as other:
+                responses = await asyncio.gather(
+                    client.plan(expr, name="a"), other.plan(expr, name="b")
+                )
+            return responses, _batched(gateway)
+
+        responses, batched = self._serve(engine, drive, batch_window_seconds=0.05)
+        assert batched == (1, 2)  # one window caught both
+        assert sorted(r["cache_hit"] for r in responses) == [False, True]
+        assert responses[0]["plan"] == responses[1]["plan"]
+        assert engine.pool.stats.plans_computed == 1
+
+    def test_delta_evicts_to_the_batcher_and_keeps_the_rest_on_the_loop(
+        self, small_catalog
+    ):
+        touched = inv(matrix("C")) @ matrix("v1")  # footprint {C, v1}
+        untouched = sum_all(matrix("M") @ matrix("N"))  # footprint {M, N}
+        engine = _engine(small_catalog)
+        engine.rewrite(touched)
+        engine.rewrite(untouched)
+        delta = CatalogDelta((ReStat(name="C", nnz=9),)).to_json()
+
+        async def drive(gateway, client):
+            status, report = await client.request(
+                "POST", "/v1/workspaces/default/delta", delta
+            )
+            assert status == 200
+            reads = []
+            for expr in (untouched, touched, touched):
+                response = await client.plan(expr)
+                reads.append((response, _batched(gateway)[1]))
+            return report, reads
+
+        report, reads = self._serve(engine, drive, batch_window_seconds=0.01)
+        assert report["plans_kept_warm"] == 1 and report["plans_revalidated"] == 1
+        (kept, kept_batched), (miss, miss_batched), (hit, hit_batched) = reads
+        assert kept["cache_hit"] and kept_batched == 0  # outside the footprint
+        assert not miss["cache_hit"] and miss_batched == 1  # re-planned, batched
+        assert hit["cache_hit"] and hit_batched == 1  # and warm again on the loop
+        referee = PlanSession(engine.workspaces.get("default").catalog, enable_cache=False)
+        for response, expr in ((kept, untouched), (miss, touched), (hit, touched)):
+            cold = referee.rewrite(expr)
+            assert response["plan"] == cold.best.to_string()
+            assert response["best_cost"] == cold.best_cost
+            assert response["used_views"] == list(cold.used_views)
+
+    def test_busy_pool_lock_never_stalls_the_loop(self, small_catalog):
+        """A delta holds ``pool._lock`` for a whole revalidation.  While it
+        is held a warm read takes the batcher path (a worker thread waits),
+        the loop keeps serving, and the answer is the hit it would have
+        been: the loop-hit body in every field but ``timings``.
+
+        (A named tenant, not the default workspace: ``/healthz`` reports the
+        default workspace's pool counters and takes that pool's lock.)"""
+        expr = _sample_exprs()[0]
+        registry = WorkspaceRegistry()
+        registry.register("busy", catalog=small_catalog)
+        engine = Engine(workspaces=registry)
+        engine.workspace("busy").rewrite(expr)
+        pool = engine.workspace("busy").pool
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with pool._lock:
+                held.set()
+                release.wait(timeout=10)
+
+        async def drive(gateway, client):
+            loop_hit = await client.plan(expr, name="read", workspace="busy")
+            assert _batched(gateway) == (0, 0)
+            holder = threading.Thread(target=hold)
+            holder.start()
+            try:
+                await asyncio.get_running_loop().run_in_executor(None, held.wait, 5)
+                async with GatewayClient("127.0.0.1", gateway.port) as other:
+                    await other.health()  # connection up before the clock starts
+                    blocked = asyncio.ensure_future(
+                        client.plan(expr, name="read", workspace="busy")
+                    )
+                    await asyncio.sleep(0.02)  # admitted, its lookup refused
+                    started = time.perf_counter()
+                    health = await other.health()
+                    health_seconds = time.perf_counter() - started
+                await asyncio.sleep(0.2)
+                still_waiting = not blocked.done()
+            finally:
+                release.set()
+                holder.join(timeout=10)
+            batcher_hit = await asyncio.wait_for(blocked, timeout=10)
+            return loop_hit, batcher_hit, health, health_seconds, still_waiting, _batched(gateway)
+
+        loop_hit, batcher_hit, health, health_seconds, still_waiting, batched = self._serve(
+            engine, drive, batch_window_seconds=0.0
+        )
+        assert health["status_code"] == 200 and health["in_flight"] == 1
+        assert health_seconds < 0.05
+        assert still_waiting and batched == (1, 1)
+        assert loop_hit["cache_hit"] and batcher_hit["cache_hit"]
+        assert loop_hit["timings"]["queue_seconds"] == 0.0
+        assert batcher_hit["timings"]["plan_seconds"] >= 0.15  # waited, on a thread
+        loop_hit.pop("timings"), batcher_hit.pop("timings")
+        assert loop_hit == batcher_hit

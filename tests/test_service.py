@@ -13,7 +13,9 @@ Covers the behaviours the service layer promises:
   timings add up, and hybrid queries report planning time in their total.
 """
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -159,6 +161,127 @@ class TestPlanSessionPool:
         result = pool.plan(_mn())
         assert not result.cache_hit
         assert pool.stats.plans_computed == 2
+
+    # -- lookup: the read that never plans and never blocks ----------------
+    def test_lookup_on_a_cold_key_is_none_and_plans_nothing(self, small_catalog):
+        pool = PlanSessionPool(_factory(small_catalog), max_sessions=2)
+        before = pool.stats_dict()
+        assert pool.lookup(_mn()) is None
+        # No plan, no session, no hit — and no cache miss either: the miss
+        # is counted once, by the plan() the caller falls back to.
+        assert pool.stats_dict() == before
+        assert before["plans_computed"] == 0 and before["sessions_created"] == 1
+
+    def test_lookup_on_a_warm_key_equals_plans_hit(self, small_catalog):
+        pool = PlanSessionPool(_factory(small_catalog), max_sessions=2)
+        pool.plan(_mn())
+        looked_up = pool.lookup(_mn())
+        planned = pool.plan(_mn())
+        assert looked_up is not None and looked_up.cache_hit and planned.cache_hit
+        assert pool.stats.shared_hits == 2 and pool.stats.plans_computed == 1
+        # Field for field the hit plan() hands out; only the clock differs.
+        assert looked_up.copy(rewrite_seconds=0.0) == planned.copy(rewrite_seconds=0.0)
+
+        looked_up.used_views.append("corrupted")
+        looked_up.stage_timings["corrupted"] = 1.0
+        looked_up.saturation.applications_by_constraint["corrupted"] = 1
+        again = pool.lookup(_mn())
+        assert again.copy(rewrite_seconds=0.0) == planned.copy(rewrite_seconds=0.0)
+
+    def test_lookup_returns_none_at_once_while_the_lock_is_held(self, small_catalog):
+        pool = PlanSessionPool(_factory(small_catalog), max_sessions=2)
+        pool.plan(_mn())
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with pool._lock:
+                held.set()
+                release.wait(timeout=5)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(timeout=5)
+            started = time.perf_counter()
+            assert pool.lookup(_mn()) is None
+            assert time.perf_counter() - started < 0.05
+        finally:
+            release.set()
+            holder.join(timeout=5)
+        assert not holder.is_alive()
+        assert pool.stats.shared_hits == 0
+        assert pool.lookup(_mn()).cache_hit  # the lock is free again
+
+    def test_lookup_does_not_wait_on_an_inflight_leader(self, small_catalog):
+        planning, finish = threading.Event(), threading.Event()
+
+        def slow_factory():
+            session = PlanSession(small_catalog)
+            rewrite = session.rewrite
+
+            def slow_rewrite(expr):
+                planning.set()
+                assert finish.wait(timeout=5)
+                return rewrite(expr)
+
+            session.rewrite = slow_rewrite
+            return session
+
+        pool = PlanSessionPool(slow_factory, max_sessions=2)
+        leader = threading.Thread(target=pool.plan, args=(_mn(),))
+        leader.start()
+        try:
+            assert planning.wait(timeout=5)
+            started = time.perf_counter()
+            assert pool.lookup(_mn()) is None
+            assert time.perf_counter() - started < 0.05
+            assert pool.stats.single_flight_waits == 0
+        finally:
+            finish.set()
+            leader.join(timeout=10)
+        assert not leader.is_alive()
+        assert pool.stats.plans_computed == 1
+        assert pool.lookup(_mn()).cache_hit
+
+    def test_lookups_racing_plans_lose_no_hit(self, small_catalog):
+        """More threads than cores mixing ``lookup`` and ``plan`` under a
+        short switch interval: every hit handed out is counted exactly once
+        and carries the right plan; a refused lookup is never a wrong one."""
+        pool = PlanSessionPool(_factory(small_catalog), max_sessions=4)
+        exprs = [_mn(), sum_all(matrix("M") @ matrix("N"))]
+        expected = [PlanSession(small_catalog).rewrite(e).best.to_string() for e in exprs]
+        hits = [0] * 8
+        errors = []
+        deadline = time.perf_counter() + 0.3
+
+        def worker(slot):
+            try:
+                turn = slot
+                while time.perf_counter() < deadline:
+                    turn += 1
+                    which = turn % 2
+                    read = pool.lookup if turn % 3 else pool.plan
+                    result = read(exprs[which])
+                    if result is None:
+                        continue
+                    assert result.best.to_string() == expected[which]
+                    hits[slot] += result.cache_hit
+            except Exception as exc:  # pragma: no cover - surfaced by assert
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        assert pool.stats.plans_computed == 2
+        assert pool.stats.shared_hits == sum(hits) > 0
 
 
 # ---------------------------------------------------------------------------
