@@ -36,8 +36,15 @@ existential no operation determines (``name(?x, "V")`` of a ``view-oi``
 rule) is searched by a second :class:`JoinKernel` with the premise slots
 pre-bound.
 
-**apply** — conclusion arguments, the fresh classes of the existentials and
-the shapes the pruner asks about are read off the slots.
+**apply** — conclusion arguments and the shapes the pruner asks about are
+read off the slots.  Existentials are resolved against the congruence table
+before anything is allocated: the keyed test walks its whole chain, so an
+unsatisfied conclusion leaves every existential that is the output of an
+already stored operation bound to that stored class, and only the rest get
+fresh ones — nothing is allocated just to be merged away and repaired.  Class
+ids stay deterministic: which existentials resolve depends only on the
+instance, and the others are allocated in slot order as before; the
+reference engine applies through the same walk, so both allocate alike.
 
 A kernel is immutable once built, so constraint programs stay shareable
 across pooled sessions and planning threads.  The generic matcher of
@@ -405,25 +412,33 @@ class ConstraintKernel:
         return tuple(steps)
 
     def satisfied(self, instance: VremInstance, slots: List[object]) -> bool:
-        """Whether some extension of the match already satisfies the conclusion."""
+        """Whether some extension of the match already satisfies the conclusion.
+
+        A keyed chain is walked to its end either way: when the answer is no,
+        every existential that is the output of an operation the instance
+        already stores is left bound to that stored class, the rest stay
+        None (a probe over an unbound input finds nothing) —
+        :meth:`materialize` allocates for those alone.
+        """
         if self._searched is not None:
             return self._searched.search(instance, slots, None)
+        present = True
         for relation, args, inputs, outputs, confirm in self._probes:
-            if inputs is None:
-                if not instance.stores(relation, _values(args, slots)):
-                    return False
-                continue
-            stored = instance.operation_atom(relation, _values(inputs, slots))
-            if stored is None:
-                return False
-            for position, slot, const, bind in outputs:
-                if bind:
-                    slots[slot] = stored.args[position]
-                elif not (stored.args[position] == (slots[slot] if slot >= 0 else const)):
-                    return False
-            if confirm and not instance.stores(relation, _values(args, slots)):
-                return False
-        return True
+            if inputs is not None:
+                stored = instance.operation_atom(relation, _values(inputs, slots))
+                if stored is None:
+                    present = False
+                    continue
+                for position, slot, const, bind in outputs:
+                    if bind:
+                        slots[slot] = stored.args[position]
+                    elif not (stored.args[position] == (slots[slot] if slot >= 0 else const)):
+                        present = False
+                if not confirm:
+                    continue
+            if present and not instance.stores(relation, _values(args, slots)):
+                present = False
+        return present
 
     # ------------------------------------------------------------------ apply
     @staticmethod
@@ -465,9 +480,13 @@ class ConstraintKernel:
         return shapes
 
     def materialize(self, instance: VremInstance, slots: List[object]) -> None:
-        """Add the conclusion, a fresh class for every existential."""
+        """Add the conclusion: a fresh class for every existential that
+        :meth:`satisfied` did not resolve to a stored one (a searched
+        conclusion resolves none: its slots hold the failed search's scratch)."""
+        all_fresh = self._searched is not None
         for slot in range(self.n_premise, len(slots)):
-            slots[slot] = instance.new_class()
+            if all_fresh or slots[slot] is None:
+                slots[slot] = instance.new_class()
         for relation, args in self._conclusion:
             instance.add_atom(relation, _values(args, slots), self._provenance)
 

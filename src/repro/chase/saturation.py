@@ -14,8 +14,11 @@ This is the chase of §6.3 as extended by §7.3 (PACB++ / Prune_prov):
   non-terminating constraint sets.
 
 There is one production engine: serial, trigger-indexed and semi-naive.
-A constraint none of whose trigger relations changed since its last attempt
-is skipped; a re-attempted constraint only searches for matches that touch
+A constraint one of whose trigger relations has no stored atom cannot match
+and is skipped before any stamp or watermark is taken (a ``size``-only
+premise has no trigger relation and is never gated); so is one none of whose
+trigger relations changed since its last attempt — ``constraints_skipped``
+counts both.  A re-attempted constraint only searches for matches that touch
 the *delta* — the atoms added or re-canonicalised (and classes newly shaped)
 since its previous attempt, read off the instance's append-only delta logs.
 Anything else was already found, applied, satisfied, or pruned last time;
@@ -27,7 +30,8 @@ form (:mod:`repro.chase.kernel`).
 tests and ``bench_saturation.py`` compare against: every constraint is
 attempted every round, every attempt is a full search, and both the premise
 match and the conclusion test go through the generic linear-scan matcher of
-:mod:`repro.chase.homomorphism`.  It reaches the same fixpoint, only slower.
+:mod:`repro.chase.homomorphism`; it shares the kernel's application alone,
+class ids included.  It reaches the same fixpoint, only slower.
 
 The saturated instance is then handed to the extraction step
 (:mod:`repro.core.extraction`), which plays the role of the provenance-based
@@ -130,8 +134,8 @@ class SaturationResult:
     pruned_by_tightening: int = 0
     #: How many times the pruner's threshold actually dropped.
     threshold_tightenings: int = 0
-    #: Constraint attempts skipped by the trigger-relation index because none
-    #: of their premise relations changed since the last attempt.
+    #: Constraint attempts skipped without a search: a premise relation is
+    #: empty, or none changed since the last attempt.
     constraints_skipped: int = 0
     #: The pruner's threshold when saturation finished (None without pruning).
     final_threshold: Optional[float] = None
@@ -193,9 +197,10 @@ class SaturationEngine:
         for match in matches:
             stats.matches_attempted += 1
             slots = kernel.slots_for(instance, match)
-            if self.use_index:
-                satisfied = kernel.satisfied(instance, slots)
-            else:
+            # Both engines take the kernel's resolved existentials (and so
+            # allocate the same class ids); the reference takes only those.
+            satisfied = kernel.satisfied(instance, slots)
+            if not self.use_index:
                 satisfied = is_satisfied(
                     tgd.conclusion, instance, dict(zip(kernel.premise_vars, slots))
                 )
@@ -272,10 +277,10 @@ class SaturationEngine:
                             f"EGD {egd.name!r} equates distinct constants "
                             f"{left_value.value!r} and {right_value.value!r}"
                         )
-            if applications:
-                stats.applications_by_constraint[egd.name] = (
-                    stats.applications_by_constraint.get(egd.name, 0) + 1
-                )
+        if applications:
+            stats.applications_by_constraint[egd.name] = (
+                stats.applications_by_constraint.get(egd.name, 0) + applications
+            )
         return applications
 
     # ------------------------------------------------------------------ main loop
@@ -390,6 +395,10 @@ class SaturationEngine:
             changed = 0
             for position, compiled in enumerate(self.program.compiled):
                 if self.use_index:
+                    if not all(map(instance.atom_count, compiled.trigger_relations)):
+                        # A premise relation with no stored atom: no match.
+                        stats.constraints_skipped += 1
+                        continue
                     stamp = compiled.stamp(instance)
                     if last_stamp.get(position) == stamp:
                         stats.constraints_skipped += 1

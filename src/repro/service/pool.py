@@ -495,14 +495,20 @@ class PlanSessionPool:
         )
 
     def stats_dict(self) -> dict:
-        """JSON-ready snapshot: pool counters plus shared-cache stats."""
-        with self._lock:
-            summary = self.stats.as_dict()
-            summary["idle_sessions"] = len(self._idle)
-            summary["result_cache"] = self.results.stats()
-            summary["revalidation_index"] = len(self.revalidation)
-            if self.workspace:
-                summary["workspace"] = self.workspace
+        """JSON-ready snapshot: pool counters plus shared-cache stats.
+
+        Taken without ``_lock``: the gateway's ``/healthz`` calls this on the
+        event loop, and a delta can hold the lock for a whole prototype
+        rebuild.  Every value is one attribute or ``len`` read, so a snapshot
+        taken beside a running plan may be a counter behind, never torn
+        inside a value; at rest it is exact.
+        """
+        summary = self.stats.as_dict()
+        summary["idle_sessions"] = len(self._idle)
+        summary["result_cache"] = self.results.stats()
+        summary["revalidation_index"] = len(self.revalidation)
+        if self.workspace:
+            summary["workspace"] = self.workspace
         return summary
 
 

@@ -358,6 +358,117 @@ class TestKernelTraps:
 
 
 # ---------------------------------------------------------------------------
+# Application asks the congruence table before it allocates
+# ---------------------------------------------------------------------------
+
+
+class TestHashConsedApplication:
+    """An existential that is the output of an operation the instance
+    already stores *is* that stored class: no fresh class to merge away."""
+
+    def _apply_add_assoc(self, inner_stored: bool):
+        """(M + N) + D, optionally beside a stored D + N — the rule's
+        ``N + D`` with the operands swapped — then one application."""
+        kernel = ConstraintKernel(
+            tgd(
+                "add-assoc-fwd",
+                "add_m(M, N, R1) & add_m(R1, D, R2) -> add_m(N, D, R3) & add_m(M, R3, R2)",
+            )
+        )
+        instance = VremInstance()
+        m, n, d = (instance.new_class() for _ in range(3))
+        (r1,) = instance.add_op("add_m", (m, n))
+        (r2,) = instance.add_op("add_m", (r1, d))
+        inner = instance.add_op("add_m", (d, n))[0] if inner_stored else None
+        (match,) = kernel.full_matches(instance)
+        assert match == (m, n, r1, d, r2)
+        before = (instance._next_id, len(instance.relation_log("add_m")), instance.num_atoms())
+        slots = kernel.slots_for(instance, match)
+        assert not kernel.satisfied(instance, slots)
+        assert kernel.new_shapes(instance, slots) == [None]  # the pruner's question
+        kernel.materialize(instance, slots)
+        after = (instance._next_id, len(instance.relation_log("add_m")), instance.num_atoms())
+        grown = tuple(b - a for a, b in zip(before, after))
+        instance.check_invariants()
+        assert kernel.satisfied(instance, kernel.slots_for(instance, match))
+        # No class was ever merged away, and nothing is waiting to be.
+        assert instance.num_classes() == instance._next_id and not instance._pending_unions
+        return instance, (m, n, d, r2, inner), grown
+
+    def test_stored_operation_allocates_nothing_and_queues_no_union(self):
+        instance, (m, n, d, r2, inner), grown = self._apply_add_assoc(True)
+        # No class and no re-canonicalised atom: the log grew by the two
+        # conclusion atoms alone.
+        assert grown == (0, 2, 2)
+        # Stored as D + N, asked for as N + D: same key, same output class.
+        assert instance.stores("add_m", (n, d, inner)) and instance.stores("add_m", (d, n, inner))
+        assert instance.stores("add_m", (m, inner, r2))
+
+    def test_absent_operation_allocates_exactly_one_class(self):
+        instance, (m, n, d, r2, _), grown = self._apply_add_assoc(False)
+        assert grown == (1, 2, 2)
+        fresh = instance._next_id - 1
+        assert instance.stores("add_m", (n, d, fresh)) and instance.stores("add_m", (m, fresh, r2))
+
+    def test_chained_existentials_resolve_as_far_as_the_instance_goes(self):
+        """``tr(M, X) & inv_m(X, Y)``: X is stored, so it is reused and the
+        probe for Y runs on it; Y is absent and the only fresh class."""
+        kernel = ConstraintKernel(tgd("t", "inv_m(M, R) -> tr(M, X) & inv_m(X, Y) & tr(Y, Z)"))
+        instance = VremInstance()
+        m = instance.new_class()
+        instance.add_op("inv_m", (m,))
+        (x,) = instance.add_op("tr", (m,))
+        (match,) = kernel.full_matches(instance)
+        slots = kernel.slots_for(instance, match)
+        assert not kernel.satisfied(instance, slots)
+        assert slots[kernel.n_premise:] == [x, None, None]
+        first_fresh = instance._next_id
+        kernel.materialize(instance, slots)
+        assert slots[kernel.n_premise:] == [x, first_fresh, first_fresh + 1]
+        assert instance._next_id == first_fresh + 2
+        assert instance.num_classes() == instance._next_id  # nothing was merged away
+
+    def test_searched_conclusion_stays_all_fresh(self):
+        """The failed search's scratch bindings are not resolved classes."""
+        kernel = ConstraintKernel(
+            tgd("view-oi:like", 'tr(M, R) -> name(V, "V") & tr(V, W) & tr(W, R)')
+        )
+        assert not kernel.keyed
+        instance = VremInstance()
+        m, v = instance.new_class(), instance.new_class()
+        instance.add_op("tr", (m,))
+        instance.add_atom("name", (v, Const("V")))
+        (w,) = instance.add_op("tr", (v,))  # so the search binds V and W, then fails
+        match = next(found for found in kernel.full_matches(instance) if found[0] == m)
+        slots = kernel.slots_for(instance, match)
+        assert not kernel.satisfied(instance, slots)
+        first_fresh = instance._next_id
+        kernel.materialize(instance, slots)
+        assert slots[kernel.n_premise:] == [first_fresh, first_fresh + 1]
+        instance.check_invariants()
+
+    @pytest.mark.parametrize("name", ["P2.17", "P2.21"])
+    def test_congruence_closed_after_every_round(self, benchkit, name):
+        """The two pipelines whose applications used to be merge-and-repair,
+        under both programs, checked at every round the hook sees."""
+        roles, plain, with_views = benchkit
+        for session in (plain, with_views):
+            ctx = PlanContext(session=session, expr=build_pipeline(name, roles))
+            session.stages[0].run(ctx)
+            rounds = []
+
+            def check(instance: VremInstance) -> None:
+                instance.check_invariants()
+                rounds.append(instance.num_atoms())
+
+            pruner = CostThresholdPruner(max(ctx.original_cost * THRESHOLD_SLACK, THRESHOLD_FLOOR))
+            stats = session.engine.saturate(ctx.instance, pruner, check)
+            ctx.instance.check_invariants()
+            assert len(rounds) >= 3 and rounds == sorted(rounds)
+            assert stats.tgd_applications > 100
+
+
+# ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
 

@@ -210,6 +210,96 @@ class TestSemiNaive:
         assert kernel.delta_matches(instance, {}, shaped) == [(a, Const(4), b)]
 
 
+class TestRelationPresenceGate:
+    """A constraint one of whose premise relations has no stored atom cannot
+    match: the production engine counts it as skipped without searching."""
+
+    RULES = (
+        tgd("needs-add", "add_m(M, N, R) & tr(M, T) -> add_m(N, M, R)"),
+        tgd("makes-add", "tr(M, R) -> add_m(M, R, S)"),
+        tgd("size-only", 'size(M, k, z) -> type(M, "seen")'),
+    )
+
+    def _spied(self, monkeypatch, **engine_kwargs):
+        """(engine, searches): every kernel search, by rule name, in order."""
+        engine = SaturationEngine(list(self.RULES), **engine_kwargs)
+        searches = []
+        for compiled in engine.program.compiled:
+            for method in ("full_matches", "delta_matches"):
+                original = getattr(compiled.kernel, method)
+
+                def spy(*args, _name=compiled.name, _original=original):
+                    searches.append(_name)
+                    return _original(*args)
+
+                monkeypatch.setattr(compiled.kernel, method, spy)
+        return engine, searches
+
+    @staticmethod
+    def _instance():
+        instance = VremInstance()
+        a = instance.new_class()
+        instance.set_shape(a, (3, 3))
+        instance.add_op("tr", (a,))
+        return instance
+
+    def test_gated_until_the_absent_relation_gains_an_atom(self, monkeypatch):
+        engine, searches = self._spied(monkeypatch)
+        instance = self._instance()
+        stats = engine.saturate(instance)
+        assert stats.reached_fixpoint and stats.rounds == 3
+        # Round 1: ``add_m`` is empty, so needs-add is not searched — but
+        # makes-add, later in the same round, stores the first ``add_m`` atom.
+        # Round 2 searches needs-add (a first, hence full, search) and it
+        # fires; round 3 re-searches it over its own conclusion.
+        assert searches == ["makes-add", "size-only", "needs-add", "needs-add"]
+        assert stats.delta_attempts == 0
+        assert stats.applications_by_constraint == {
+            "makes-add": 1, "size-only": 3, "needs-add": 1
+        }
+        # Both kinds of skip are counted: the gate (needs-add, round 1) and
+        # the unchanged stamps of the other two in rounds 2 and 3.
+        assert stats.constraints_skipped == 5
+        assert instance.atom_count("add_m") == 2
+
+    def test_size_only_premise_is_never_gated(self, monkeypatch):
+        engine, searches = self._spied(monkeypatch)
+        instance = VremInstance()
+        instance.set_shape(instance.new_class(), (3, 4))  # shapes, and not one atom
+        stats = engine.saturate(instance)
+        assert searches == ["size-only"]
+        assert stats.applications_by_constraint == {"size-only": 1}
+        assert stats.constraints_skipped == 5  # 2 gated x 2 rounds, 1 unchanged stamp
+
+    def test_reference_engine_stays_exhaustive(self, monkeypatch):
+        engine, searches = self._spied(monkeypatch, use_index=False)
+        instance, twin = self._instance(), self._instance()
+        stats = engine.saturate(instance)
+        assert searches == [] and stats.constraints_skipped == 0  # the generic matcher
+        SaturationEngine(list(self.RULES)).saturate(twin)
+        assert set(instance.atoms()) == set(twin.atoms())
+
+
+class TestApplicationCounts:
+    def test_per_constraint_counts_sum_to_the_totals(self, engine_pair):
+        """``applications_by_constraint`` counts applications, not matches:
+        per kind it adds up to ``tgd_applications`` / ``egd_applications``
+        on every pipeline (EGDs used to be counted once per match seen after
+        their first application)."""
+        session, _, roles = engine_pair
+        tgds = {c.name for c in session.program.compiled if c.is_tgd}
+        egd_total = 0
+        for name in pipeline_names():
+            stats = session.rewrite(build_pipeline(name, roles)).saturation
+            by_kind = {True: 0, False: 0}
+            for rule, count in stats.applications_by_constraint.items():
+                by_kind[rule in tgds] += count
+            assert by_kind[True] == stats.tgd_applications, name
+            assert by_kind[False] == stats.egd_applications, name
+            egd_total += stats.egd_applications
+        assert egd_total > 20  # not vacuous: P2.17, P2.21 and P2.7 merge classes
+
+
 #: The chase-bound pipelines (>= 100 atoms materialised): the reference
 #: engine needs seconds on them, so they are compared only in the perf job
 #: (``benchmarks/bench_saturation.py``, all 57 pipelines).

@@ -671,8 +671,8 @@ class TestWarmPlanReadPath:
         the loop keeps serving, and the answer is the hit it would have
         been: the loop-hit body in every field but ``timings``.
 
-        (A named tenant, not the default workspace: ``/healthz`` reports the
-        default workspace's pool counters and takes that pool's lock.)"""
+        (A named tenant; the default workspace's lock is held in
+        :meth:`test_health_never_waits_for_the_default_pool_lock`.)"""
         expr = _sample_exprs()[0]
         registry = WorkspaceRegistry()
         registry.register("busy", catalog=small_catalog)
@@ -721,3 +721,41 @@ class TestWarmPlanReadPath:
         assert batcher_hit["timings"]["plan_seconds"] >= 0.15  # waited, on a thread
         loop_hit.pop("timings"), batcher_hit.pop("timings")
         assert loop_hit == batcher_hit
+
+    def test_health_never_waits_for_the_default_pool_lock(self, small_catalog):
+        """``/healthz`` and ``gateway.stats_dict()`` report the *default*
+        workspace's pool counters from the event loop: they read them without
+        the pool lock, which a view-touching delta holds for a whole
+        prototype rebuild."""
+        engine = _engine(small_catalog)
+        engine.rewrite(_sample_exprs()[0])
+        pool = engine.pool
+        held = threading.Event()
+
+        def hold():
+            with pool._lock:
+                held.set()
+                time.sleep(0.2)
+
+        async def drive(gateway, client):
+            await client.health()  # connection up before the clock starts
+            holder = threading.Thread(target=hold)
+            holder.start()
+            try:
+                await asyncio.get_running_loop().run_in_executor(None, held.wait, 5)
+                started = time.perf_counter()
+                health = await client.health()
+                stats = gateway.stats_dict()
+                elapsed = time.perf_counter() - started
+                lock_still_held = pool._lock.locked()
+            finally:
+                holder.join(timeout=10)
+            return health, stats, elapsed, lock_still_held, holder.is_alive()
+
+        health, stats, elapsed, lock_still_held, alive = self._serve(engine, drive)
+        assert lock_still_held and not alive
+        assert elapsed < 0.05
+        assert health["status_code"] == 200 and health["status"] == "ok"
+        assert {"in_flight", "max_in_flight", "workspaces", "default_workspace"} <= set(health)
+        assert health["pool"] == stats["pool"] == pool.stats_dict()
+        assert health["pool"]["plans_computed"] == 1
