@@ -26,12 +26,31 @@ the chase is monotone, so none of those outcomes can revert.  Matching, the
 conclusion test and the application all run on each constraint's compiled
 form (:mod:`repro.chase.kernel`).
 
+A round is cascaded — each constraint matches against what the ones before
+it added in the same round — so a few mutually feeding TGDs (associativity,
+``inv`` / ``tr`` over a product) can flood the last round long after the
+plan is found.  The production engine therefore runs a *back-off scheduler*
+(egg's ``BackoffScheduler``): a TGD attempt that collects more premise
+matches than ``BENCH_MATCH_LIMIT << times_benched`` is *benched* — none of
+them is applied, the rule is not attempted for the next ``BENCH_ROUNDS <<
+times_benched`` rounds, and ``rules_benched`` counts it.  Watermarks are
+taken when matches are about to be applied, so a benched attempt leaves
+them where they were and the next one searches the same delta plus what
+accrued: no match is lost, only deferred.  EGDs are never benched (they
+only merge).  A round in which a rule was benched or sat out a ban is not a
+fixpoint; if it changed nothing else the bans are lifted (egg's
+``can_stop``) and the loop goes on, so ``reached_fixpoint`` still means
+that no constraint has an unapplied match.
+
 ``SaturationEngine(..., use_index=False)`` is the *reference* engine the
 tests and ``bench_saturation.py`` compare against: every constraint is
-attempted every round, every attempt is a full search, and both the premise
-match and the conclusion test go through the generic linear-scan matcher of
-:mod:`repro.chase.homomorphism`; it shares the kernel's application alone,
-class ids included.  It reaches the same fixpoint, only slower.
+attempted every round, every attempt is a full search, nothing is ever
+benched, and both the premise match and the conclusion test go through the
+generic linear-scan matcher of :mod:`repro.chase.homomorphism`; it shares
+the kernel's application alone, class ids included.  It reaches the same
+plans, only slower — and the same fixpoint wherever both reach one; on an
+op where a rule is benched neither engine reaches a fixpoint inside the
+budget.
 
 The saturated instance is then handed to the extraction step
 (:mod:`repro.core.extraction`), which plays the role of the provenance-based
@@ -54,6 +73,12 @@ from repro.vrem.atoms import Atom, Const
 from repro.vrem.instance import VremInstance
 
 Shape = Tuple[int, int]
+
+#: Back-off scheduler: a TGD attempt yielding more premise matches than
+#: ``BENCH_MATCH_LIMIT << times_benched`` is benched, not applied, and the
+#: rule sits out the next ``BENCH_ROUNDS << times_benched`` rounds.
+BENCH_MATCH_LIMIT = 100
+BENCH_ROUNDS = 1
 
 
 class CostThresholdPruner:
@@ -135,7 +160,7 @@ class SaturationResult:
     #: How many times the pruner's threshold actually dropped.
     threshold_tightenings: int = 0
     #: Constraint attempts skipped without a search: a premise relation is
-    #: empty, or none changed since the last attempt.
+    #: empty, none changed since the last attempt, or the rule serves a ban.
     constraints_skipped: int = 0
     #: The pruner's threshold when saturation finished (None without pruning).
     final_threshold: Optional[float] = None
@@ -148,6 +173,9 @@ class SaturationResult:
     #: Constraint attempts that searched only the delta (semi-naive) rather
     #: than the full instance.
     delta_attempts: int = 0
+    #: TGD attempts the back-off scheduler benched: their matches exceeded
+    #: the rule's current limit and none of them was applied.
+    rules_benched: int = 0
 
 
 class SaturationEngine:
@@ -160,8 +188,8 @@ class SaturationEngine:
     per-rewrite path never re-analyses the constraints.
 
     ``use_index=True`` (the default) is the production engine;
-    ``use_index=False`` builds the reference engine of the module docstring,
-    which reaches the identical fixpoint by exhaustive search.
+    ``use_index=False`` builds the reference engine of the module docstring:
+    exhaustive search, no scheduler, the same plans.
     """
 
     def __init__(
@@ -308,6 +336,10 @@ class SaturationEngine:
         # ``delta_marks`` has never been attempted and gets a full search.
         delta_marks: Dict[int, Dict[str, int]] = {}
         shape_marks: Dict[int, int] = {}
+        # Back-off scheduler, by position: how often the rule was benched,
+        # and the first round it may be attempted again.
+        times_benched: Dict[int, int] = {}
+        banned_until: Dict[int, int] = {}
 
         def finish() -> SaturationResult:
             stats.elapsed_seconds = time.perf_counter() - start
@@ -359,17 +391,21 @@ class SaturationEngine:
                     for binding in find_instance_matches(kernel.constraint.premise, instance)
                 ]
             sliced = premise_delta(compiled, position)
-            # Pre-attempt watermarks: this attempt consumes the logs up to here.
-            delta_marks[position] = {
-                relation: len(instance.relation_log(relation))
-                for relation in compiled.trigger_relations
-            }
-            shape_marks[position] = len(instance.shape_log())
             if sliced is None:
                 return kernel.full_matches(instance)
             stats.delta_attempts += 1
             delta, shaped = sliced
             return kernel.delta_matches(instance, delta, shaped)
+
+        def consume_logs(compiled: CompiledConstraint, position: int) -> None:
+            """Pre-application watermarks: the matches about to be applied
+            were searched in the logs up to here.  A benched attempt never
+            gets here, so its delta is searched again, plus what accrues."""
+            delta_marks[position] = {
+                relation: len(instance.relation_log(relation))
+                for relation in compiled.trigger_relations
+            }
+            shape_marks[position] = len(instance.shape_log())
 
         def apply_matches(compiled: CompiledConstraint, matches: List[Match]) -> int:
             if compiled.is_tgd:
@@ -393,21 +429,37 @@ class SaturationEngine:
         for round_index in range(self.max_rounds):
             stats.rounds = round_index + 1
             changed = 0
+            # Whether a rule was benched, or sat out a ban, this round: its
+            # matches are still owed, so the round cannot be a fixpoint.
+            held = False
             for position, compiled in enumerate(self.program.compiled):
                 if self.use_index:
                     if not all(map(instance.atom_count, compiled.trigger_relations)):
                         # A premise relation with no stored atom: no match.
                         stats.constraints_skipped += 1
                         continue
+                    if banned_until.get(position, 0) > round_index:
+                        stats.constraints_skipped += 1
+                        held = True
+                        continue
                     stamp = compiled.stamp(instance)
                     if last_stamp.get(position) == stamp:
                         stats.constraints_skipped += 1
                         continue
-                    # Record the pre-attempt stamp: applications made by this
-                    # very constraint bump the versions past it, correctly
+                matches = collect_matches(compiled, position)
+                if self.use_index:
+                    benched = times_benched.get(position, 0)
+                    if compiled.is_tgd and len(matches) > BENCH_MATCH_LIMIT << benched:
+                        times_benched[position] = benched + 1
+                        banned_until[position] = round_index + 1 + (BENCH_ROUNDS << benched)
+                        stats.rules_benched += 1
+                        held = True
+                        continue
+                    # Record the pre-application stamp: applications made by
+                    # this very constraint bump the versions past it, correctly
                     # re-queueing recursive constraints for the next round.
                     last_stamp[position] = stamp
-                matches = collect_matches(compiled, position)
+                    consume_logs(compiled, position)
                 changed += apply_matches(compiled, matches)
                 if over_budget():
                     if self.raise_on_budget:
@@ -417,8 +469,13 @@ class SaturationEngine:
                         )
                     return finish()
             if changed == 0:
-                stats.reached_fixpoint = True
-                break
+                if not held:
+                    stats.reached_fixpoint = True
+                    break
+                # egg's ``can_stop``: only banned rules have work left, so
+                # lift the bans instead of idling through them.
+                banned_until.clear()
+                continue
             if tighten is not None and pruner is not None:
                 bound = tighten(instance)
                 if bound is not None:

@@ -465,7 +465,9 @@ class TestHashConsedApplication:
             stats = session.engine.saturate(ctx.instance, pruner, check)
             ctx.instance.check_invariants()
             assert len(rounds) >= 3 and rounds == sorted(rounds)
-            assert stats.tgd_applications > 100
+            # Non-vacuity: a run big enough that the scheduler benched a rule
+            # (which is what holds P2.21 to ~95-104 applications, seed by seed).
+            assert stats.tgd_applications > 50 and stats.rules_benched >= 1
 
 
 # ---------------------------------------------------------------------------

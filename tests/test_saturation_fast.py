@@ -19,12 +19,14 @@ from hypothesis import strategies as st
 
 from repro.benchkit.datasets import ROLE_BINDINGS_DENSE, benchmark_catalog
 from repro.benchkit.pipelines import build_pipeline, default_roles, pipeline_names
+from repro.benchkit.views_vexp import build_vexp_views
 from repro.chase.homomorphism import find_instance_matches
 from repro.chase.kernel import ConstraintKernel, JoinKernel
+from repro.chase import saturation
 from repro.chase.saturation import CostThresholdPruner, SaturationEngine
 from repro.config import PlannerConfig
 from repro.constraints import default_constraints
-from repro.constraints.core import tgd
+from repro.constraints.core import egd, tgd
 from repro.cost.model import expression_cost
 from repro.lang import hadamard, matrix, trace, transpose
 from repro.planner import PlanSession
@@ -278,6 +280,174 @@ class TestRelationPresenceGate:
         assert searches == [] and stats.constraints_skipped == 0  # the generic matcher
         SaturationEngine(list(self.RULES)).saturate(twin)
         assert set(instance.atoms()) == set(twin.atoms())
+
+
+class TestBackoffScheduler:
+    """A TGD attempt with more premise matches than the rule's current limit
+    is benched: nothing applied, watermarks kept, the rule sits out its ban,
+    and a round that only has benched work left is not a fixpoint."""
+
+    #: ``flood`` is attempted before the feeders (two matches each, under
+    #: the limit) make its premise explode.
+    DELTA_RULES = (
+        tgd("flood", 'tr(M, R) & type(M, "hot") -> type(R, "warm")'),
+        tgd("feeder-a", 'name(M, n) -> type(M, "hot")'),
+        tgd("feeder-b", 'identity(M) -> type(M, "hot")'),
+    )
+    #: ``ticker`` advances one step of a ``tr`` chain per round.
+    BAN_RULES = (
+        tgd("flood", 'inv_m(M, R) -> type(R, "inverse")'),
+        tgd("ticker", 'tr(M, R) & type(M, "tick") -> type(R, "tick")'),
+    )
+
+    @pytest.fixture(autouse=True)
+    def _tiny_limit(self, monkeypatch):
+        monkeypatch.setattr(saturation, "BENCH_MATCH_LIMIT", 3)
+
+    @staticmethod
+    def _delta_instance():
+        """20 transposes; one operand hot, four more about to be."""
+        instance = VremInstance()
+        operands = [instance.new_class() for _ in range(20)]
+        for cid in operands:
+            instance.add_op("tr", (cid,))
+        instance.add_atom("type", (operands[0], Const("hot")))
+        for cid in operands[1:3]:
+            instance.add_atom("name", (cid, Const(f"m{cid}")))
+        for cid in operands[3:5]:
+            instance.add_atom("identity", (cid,))
+        return instance
+
+    @staticmethod
+    def _ban_instance():
+        """Five inverses (over the limit of 3) beside a ticking chain of 4."""
+        instance = VremInstance()
+        for _ in range(5):
+            instance.add_op("inv_m", (instance.new_class(),))
+        link = instance.new_class()
+        instance.add_atom("type", (link, Const("tick")))
+        for _ in range(4):
+            (link,) = instance.add_op("tr", (link,))
+        return instance
+
+    @staticmethod
+    def _warm(instance):
+        return len(instance.atoms_with("type", 1, Const("warm")))
+
+    def test_benched_attempt_applies_nothing(self):
+        instance = self._delta_instance()
+        stats = SaturationEngine(list(self.DELTA_RULES), max_rounds=2).saturate(instance)
+        # Round 1 applies flood's one match; round 2 finds four, over the limit.
+        assert stats.rules_benched == 1 and stats.rounds == 2
+        assert stats.applications_by_constraint == {"flood": 1, "feeder-a": 2, "feeder-b": 2}
+        assert self._warm(instance) == 1
+        assert not stats.reached_fixpoint
+
+    def test_benched_delta_is_searched_again_and_no_match_is_lost(self, monkeypatch):
+        engine = SaturationEngine(list(self.DELTA_RULES), max_rounds=10)
+        kernel = engine.program.compiled[0].kernel
+        deltas = []
+        original = kernel.delta_matches
+
+        def spy(instance, delta, shaped):
+            deltas.append(list(delta["type"]))
+            return original(instance, delta, shaped)
+
+        monkeypatch.setattr(kernel, "delta_matches", spy)
+        instance, twin = self._delta_instance(), self._delta_instance()
+        stats = engine.saturate(instance)
+        # Round 2 benches flood and changes nothing else: the ban is lifted
+        # (not a fixpoint), round 3 searches the same delta under the doubled
+        # limit and applies it, round 4 is the fixpoint.
+        assert stats.rules_benched == 1
+        assert stats.reached_fixpoint and stats.rounds == 4
+        assert len(deltas) == 3 and deltas[1] == deltas[0] and len(deltas[0]) == 5
+        assert self._warm(instance) == 5
+        reference = SaturationEngine(list(self.DELTA_RULES), max_rounds=10, use_index=False)
+        assert reference.saturate(twin).reached_fixpoint
+        assert set(instance.atoms()) == set(twin.atoms())
+
+    def test_ban_is_served_while_other_rules_make_progress(self, monkeypatch):
+        engine = SaturationEngine(list(self.BAN_RULES), max_rounds=10)
+        searches = []
+        for compiled in engine.program.compiled:
+            for method in ("full_matches", "delta_matches"):
+                original = getattr(compiled.kernel, method)
+
+                def spy(*args, _name=compiled.name, _original=original):
+                    searches.append(_name)
+                    return _original(*args)
+
+                monkeypatch.setattr(compiled.kernel, method, spy)
+        instance, twin = self._ban_instance(), self._ban_instance()
+        stats = engine.saturate(instance)
+        # Benched in round 1, not searched in round 2, back in round 3.
+        assert searches[:5] == ["flood", "ticker", "ticker", "flood", "ticker"]
+        assert stats.rules_benched == 1 and stats.reached_fixpoint
+        assert stats.applications_by_constraint == {"flood": 5, "ticker": 4}
+        reference = SaturationEngine(list(self.BAN_RULES), max_rounds=10, use_index=False)
+        reference.saturate(twin)
+        assert set(instance.atoms()) == set(twin.atoms())
+
+    def test_egds_and_the_reference_engine_are_never_benched(self):
+        involution = egd("tr-involution", "tr(M, R1) & tr(R1, R2) -> R2 = M")
+        instance = VremInstance()
+        for _ in range(5):
+            (once,) = instance.add_op("tr", (instance.new_class(),))
+            instance.add_op("tr", (once,))
+        stats = SaturationEngine([involution]).saturate(instance)
+        assert stats.matches_attempted >= 5 and stats.egd_applications == 5
+        assert stats.rules_benched == 0
+        instance = self._ban_instance()
+        stats = SaturationEngine(list(self.BAN_RULES), use_index=False).saturate(instance)
+        assert stats.rules_benched == 0 and stats.constraints_skipped == 0
+        assert stats.applications_by_constraint["flood"] == 5
+
+
+def _cold_sweep(max_rounds=4, only=None):
+    """{op: (plan, cost, stats)} of the cold ``plan_cold`` ops (all 114, or
+    the pipelines in ``only``), planned by fresh sessions."""
+    catalog = benchmark_catalog(scale=0.01)
+    roles = default_roles(ROLE_BINDINGS_DENSE)
+    plans = {}
+    for variant, views in (("nv", ()), ("vexp", build_vexp_views(roles))):
+        session = PlanSession(catalog, views=views, enable_cache=False, max_rounds=max_rounds)
+        for name in only or pipeline_names():
+            result = session.rewrite(build_pipeline(name, roles))
+            plans[f"{name}/{variant}"] = (
+                result.best.to_string(), result.best_cost, result.saturation
+            )
+    return plans
+
+
+class TestSchedulerLeavesPlansAlone:
+    def test_plans_equal_at_half_and_twice_the_limit(self, monkeypatch):
+        """No plan hangs on where exactly the limit sits: all 114 cold plans
+        and costs are the same at half and at twice the shipped value."""
+        shipped = _cold_sweep()
+        assert sum(stats.rules_benched for _, _, stats in shipped.values()) >= 4
+        for limit in (saturation.BENCH_MATCH_LIMIT // 2, saturation.BENCH_MATCH_LIMIT * 2):
+            monkeypatch.setattr(saturation, "BENCH_MATCH_LIMIT", limit)
+            moved = _cold_sweep()
+            assert sum(stats.rules_benched for _, _, stats in moved.values()) >= 4
+            for op, (plan, cost, _) in shipped.items():
+                assert moved[op][:2] == (plan, cost), (op, limit)
+
+    @pytest.mark.slow
+    def test_round_bound_ops_plan_the_same_at_twice_the_round_budget(self):
+        """The ops that stop on ``max_rounds`` today: eight reach a fixpoint
+        at round 5, and P2.17 / P2.21 — benched rules and all — still give
+        the plan four rounds found after eight."""
+        names = ["P1.14", "P1.27", "P2.9", "P2.12", "P2.17", "P2.21"]
+        four, eight = _cold_sweep(4, names), _cold_sweep(8, names)
+        bound = [op for op, (_, _, stats) in four.items() if not stats.reached_fixpoint]
+        assert len(bound) == 11
+        for op in bound:
+            assert eight[op][:2] == four[op][:2], op
+        settled = [op for op in bound if eight[op][2].reached_fixpoint]
+        assert len(settled) == 8
+        assert all(eight[op][2].rounds == 5 for op in settled)
+        assert all(eight[op][2].rounds == 8 for op in bound if op not in settled)
 
 
 class TestApplicationCounts:
