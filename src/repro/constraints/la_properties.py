@@ -194,10 +194,11 @@ def _inverse() -> List[Constraint]:
     return [
         # ((M)^{-1})^{-1} = M
         egd("inv-involution", "inv_m(M, R1) & inv_m(R1, R2) -> R2 = M"),
-        # (M N)^{-1} = N^{-1} M^{-1}
+        # (M N)^{-1} = N^{-1} M^{-1}, for square factors only: t(X) X is
+        # invertible, the tall X is not.
         tgd(
             "inv-product-fwd",
-            "multi_m(M, N, R1) & inv_m(R1, R2) -> inv_m(M, R3) & inv_m(N, R4) & multi_m(R4, R3, R2)",
+            "size(M, k, k) & multi_m(M, N, R1) & inv_m(R1, R2) -> inv_m(M, R3) & inv_m(N, R4) & multi_m(R4, R3, R2)",
         ),
         tgd(
             "inv-product-rev",
@@ -222,9 +223,10 @@ def _inverse() -> List[Constraint]:
 
 def _determinant() -> List[Constraint]:
     return [
+        # det(M N) = det(M) det(N), for square factors only.
         tgd(
             "det-product",
-            "multi_m(M, N, R1) & det(R1, d) -> det(M, d1) & det(N, d2) & multi_s(d1, d2, d)",
+            "size(M, k, k) & multi_m(M, N, R1) & det(R1, d) -> det(M, d1) & det(N, d2) & multi_s(d1, d2, d)",
         ),
         tgd("det-transpose", "tr(M, R1) & det(R1, d) -> det(M, d)"),
         tgd("det-inverse", "inv_m(M, R1) & det(R1, d) -> det(M, d1) & inv_s(d1, d)"),
@@ -236,9 +238,10 @@ def _adjoint() -> List[Constraint]:
     return [
         tgd("adj-transpose", "adj(M, R1) & tr(R1, R2) -> tr(M, R3) & adj(R3, R2)"),
         tgd("adj-inverse", "adj(M, R1) & inv_m(R1, R2) -> inv_m(M, R3) & adj(R3, R2)"),
+        # adj(M N) = adj(N) adj(M), for square factors only.
         tgd(
             "adj-product",
-            "multi_m(M, N, R1) & adj(R1, R2) -> adj(N, R3) & adj(M, R4) & multi_m(R3, R4, R2)",
+            "size(M, k, k) & multi_m(M, N, R1) & adj(R1, R2) -> adj(N, R3) & adj(M, R4) & multi_m(R3, R4, R2)",
         ),
     ]
 

@@ -15,7 +15,8 @@ the operator set of the 57 benchkit pipelines — restricted where the
   expressions built by :meth:`ExpressionGenerator.gen_invertible` (diagonal-
   dominant square leaves composed under transpose, products, sums and
   positive scalings — operations that preserve invertibility and keep the
-  condition number small at these sizes);
+  condition number small at these sizes — and Gram products ``t(X) X`` /
+  ``X t(X)`` of tall / wide dense leaves, whose factors are not square);
 * element-wise division draws its denominator from the ``P*`` matrices,
   whose entries are bounded away from zero, or from a positive scalar
   constant — the backends define ``x/0 = 0``, and rewritten plans are free
@@ -219,7 +220,8 @@ class ExpressionGenerator:
 
         Built from the diagonally dominant ``Q{n}`` leaves under operations
         preserving both properties at these sizes: transpose, products,
-        sums of (positively scaled) dominant leaves.
+        sums of (positively scaled) dominant leaves; or the Gram product of
+        a tall / wide dense leaf.
         """
         leaves = self.inventory.invertible_by_dim.get(n)
         if not leaves:
@@ -240,6 +242,16 @@ class ExpressionGenerator:
             return mx.Transpose(self.gen_invertible(n, depth - 1))
         if roll < 0.8:
             return mx.MatMul(self.gen_invertible(n, depth - 1), self.gen_invertible(n, depth - 1))
+        longer = [d for d in self.inventory.spec.dims if d > n]
+        if roll < 0.9 and longer:
+            # A Gram product: square and invertible, its factors neither —
+            # the OLS shape, which product rules for inv / det must not split.
+            r = self._choice(longer)
+            if self.rng.random() < 0.5:
+                tall = mx.MatrixRef(f"D{r}x{n}")
+                return mx.MatMul(mx.Transpose(tall), tall)
+            wide = mx.MatrixRef(f"D{n}x{r}")
+            return mx.MatMul(wide, mx.Transpose(wide))
         return mx.Add(atomic(), atomic())
 
     # ------------------------------------------------------------------ matrices

@@ -26,7 +26,7 @@ from repro.cost import MNCEstimator, NaiveMetadataEstimator
 from repro.cost.model import NnzInfo, annotate_instance_classes, expression_cost
 from repro.data.catalog import Catalog
 from repro.data.matrix import MatrixMeta
-from repro.lang import matrix, sum_all, transpose, inv, mat_exp, zeros, identity
+from repro.lang import matrix, sum_all, transpose, inv, mat_exp, zeros, identity, det
 from repro.lang import matrix_expr as mx
 from repro.vrem.atoms import Const
 from repro.vrem.encoder import encode_expression
@@ -111,6 +111,38 @@ class TestSaturationEdgeCases:
     def test_unknown_relation_in_constraint_rejected_early(self):
         with pytest.raises(exc.ChaseError):
             tgd("broken", "nosuch(M, R) -> tr(M, R)")
+
+
+class TestProductRulesNeedSquareFactors:
+    """``inv`` / ``det`` / ``adj`` distribute over a product of *square*
+    factors only: a Gram product is square, its tall factor is not."""
+
+    def test_ols_normal_equations_plan(self, rng):
+        # The paper's running example; used to raise ChaseError (inv-product-fwd
+        # merged a 200x1 class with a 10x1 one).
+        catalog = Catalog()
+        catalog.register_dense("X", rng.random((200, 10)))
+        catalog.register_dense("y", rng.random((200, 1)))
+        X, y = matrix("X"), matrix("y")
+        expr = inv(transpose(X) @ X) @ (transpose(X) @ y)
+        result = PlanSession(catalog).rewrite(expr)
+        assert result.best == expr
+        assert "inv-product-fwd" not in result.saturation.applications_by_constraint
+
+    def test_determinant_of_a_gram_product_plans(self, rng):
+        # Used to raise ShapeError: det-product concluded det(X) for a 20x5 X.
+        catalog = Catalog()
+        catalog.register_dense("X", rng.random((20, 5)))
+        expr = det(transpose(matrix("X")) @ matrix("X"))
+        result = PlanSession(catalog).rewrite(expr)
+        assert result.best == expr
+        assert "det-product" not in result.saturation.applications_by_constraint
+
+    def test_square_factors_still_split(self, small_catalog):
+        C, D = matrix("C"), matrix("D")
+        for expr, rule in ((inv(C @ D), "inv-product-fwd"), (det(C @ D), "det-product")):
+            stats = PlanSession(small_catalog).rewrite(expr).saturation
+            assert stats.applications_by_constraint.get(rule, 0) > 0, rule
 
 
 class TestExtractionEdgeCases:
