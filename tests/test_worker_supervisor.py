@@ -8,8 +8,8 @@ Two tiers live in this file:
   — plus configuration validation and spawn-safety (picklability) of the
   worker engine factory.  Nothing here forks a process.
 * **Chaos** (``-m chaos``, run by the dedicated CI job): spawn a real
-  worker pool, SIGKILL a worker mid-plan, and assert the supervisor's
-  promises — respawn with the restart counter incremented, in-flight
+  worker pool, SIGKILL a worker that holds requests (frozen first, so they
+  are in flight by construction), and assert the supervisor's promises — respawn with the restart counter incremented, in-flight
   requests replayed to the new generation with byte-identical answers (or
   failed *cleanly* once the retry budget is spent), graceful drain leaving
   no processes behind, and registry version bumps invalidating the owning
@@ -180,14 +180,33 @@ CHAOS_FACTORY = TenantEngineFactory(tenants=CHAOS_TENANTS, scale=0.01)
 
 
 def _chase_bound_body(tenant: str) -> dict:
-    """A request whose planning time is dominated by the chase (~0.1-0.3s
-    cold), so a SIGKILL lands while work is genuinely in flight."""
+    """A cold plan of P2.17, the heaviest request there is (tens of ms)."""
     roles = default_roles(ROLE_BINDINGS_DENSE)
     body = request_to_json(
         ServiceRequest(expression=build_pipeline("P2.17", roles), execute=False)
     )
     body["workspace"] = tenant
     return body
+
+
+async def _kill_with_requests_in_flight(supervisor, worker_id, tenants, start_requests):
+    """SIGKILL ``worker_id`` while every request of ``tenants`` it owns is in
+    flight — by construction, not by racing a plan's duration: the worker is
+    frozen (SIGSTOP) before ``start_requests()`` submits anything, so nothing
+    it is sent can be answered before the kill.  Returns the started tasks."""
+    pid = supervisor.worker_pid(worker_id)
+    owed = sum(supervisor.route(tenant) == worker_id for tenant in tenants)
+    assert owed >= 1
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        tasks = start_requests()
+        deadline = time.monotonic() + 10.0
+        while supervisor.describe()["workers"][worker_id]["in_flight"] < owed:
+            assert time.monotonic() < deadline, "requests never reached the frozen worker"
+            await asyncio.sleep(0.01)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+    return tasks
 
 
 def _expected_plan() -> str:
@@ -213,14 +232,17 @@ class TestSupervisorChaos:
             doomed_pid = supervisor.worker_pid(victim)
 
             async def storm():
-                tasks = [
-                    asyncio.ensure_future(
-                        supervisor.submit(tenant, _chase_bound_body(tenant))
-                    )
-                    for tenant in CHAOS_TENANTS
-                ]
-                await asyncio.sleep(0.15)
-                os.kill(doomed_pid, signal.SIGKILL)
+                tasks = await _kill_with_requests_in_flight(
+                    supervisor,
+                    victim,
+                    CHAOS_TENANTS,
+                    lambda: [
+                        asyncio.ensure_future(
+                            supervisor.submit(tenant, _chase_bound_body(tenant))
+                        )
+                        for tenant in CHAOS_TENANTS
+                    ],
+                )
                 return await asyncio.gather(*tasks)
 
             envelopes = asyncio.run(storm())
@@ -246,17 +268,19 @@ class TestSupervisorChaos:
         )
         supervisor.start()
         try:
-            doomed_pid = supervisor.worker_pid(0)
 
             async def storm():
-                tasks = [
-                    asyncio.ensure_future(
-                        supervisor.submit(tenant, _chase_bound_body(tenant))
-                    )
-                    for tenant in CHAOS_TENANTS[:3]
-                ]
-                await asyncio.sleep(0.05)
-                os.kill(doomed_pid, signal.SIGKILL)
+                tasks = await _kill_with_requests_in_flight(
+                    supervisor,
+                    0,
+                    CHAOS_TENANTS[:3],
+                    lambda: [
+                        asyncio.ensure_future(
+                            supervisor.submit(tenant, _chase_bound_body(tenant))
+                        )
+                        for tenant in CHAOS_TENANTS[:3]
+                    ],
+                )
                 crashed = await asyncio.gather(*tasks)
                 # The pool already respawned: the next request succeeds.
                 recovered = await supervisor.submit(
@@ -293,7 +317,6 @@ class TestSupervisorChaos:
             try:
                 supervisor = gateway.supervisor
                 victim = supervisor.route(CHAOS_TENANTS[0])
-                doomed_pid = supervisor.worker_pid(victim)
 
                 async def one(tenant):
                     async with GatewayClient("127.0.0.1", gateway.port) as client:
@@ -301,12 +324,14 @@ class TestSupervisorChaos:
                             expression, workspace=tenant, raise_on_error=False
                         )
 
-                tasks = [
-                    asyncio.ensure_future(one(tenant))
-                    for tenant in CHAOS_TENANTS
-                ]
-                await asyncio.sleep(0.15)
-                os.kill(doomed_pid, signal.SIGKILL)
+                tasks = await _kill_with_requests_in_flight(
+                    supervisor,
+                    victim,
+                    CHAOS_TENANTS,
+                    lambda: [
+                        asyncio.ensure_future(one(tenant)) for tenant in CHAOS_TENANTS
+                    ],
+                )
                 payloads = await asyncio.gather(*tasks)
                 async with GatewayClient("127.0.0.1", gateway.port) as client:
                     exposition = await client.metrics_text()
