@@ -94,8 +94,8 @@ RULES: Dict[str, Tuple[str, str, str]] = {
         "trigger-incomplete",
         ERROR,
         "A compiled constraint's trigger-relation set misses a premise "
-        "relation that can change (or the premise reads `size` without the "
-        "shape-version stamp): semi-naive skipping would silently drop "
+        "relation that can change (or the premise reads `size` without "
+        "watching the shape log): semi-naive skipping would silently drop "
         "matches.",
     ),
     "RPA006": (

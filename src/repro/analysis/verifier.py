@@ -10,7 +10,7 @@ integrity-constraint programs that drive the chase; this module checks them
   premise (``RPA004``), names are unique (``RPA001``).
 * **Trigger completeness** — a compiled constraint's trigger-relation set
   must cover every premise relation whose atom set can change, and premises
-  that read ``size`` must carry the shape-version stamp (``RPA005``); a
+  that read ``size`` must watch the shape log (``RPA005``); a
   missed trigger makes semi-naive skipping silently drop matches.
 * **Commutativity soundness** — the instance order-normalises the
   commutative relations (:data:`~repro.vrem.instance.COMMUTATIVE_RELATIONS`)
@@ -583,7 +583,7 @@ def _check_triggers(program: str, compiled) -> List[Finding]:
                 code="RPA005", target=target,
                 message=(
                     "premise reads `size` (shape metadata) but the compiled "
-                    "constraint does not stamp shape_version; shape-driven "
+                    "constraint does not watch the shape log; shape-driven "
                     "matches would be skipped"
                 ),
             ))

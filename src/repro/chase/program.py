@@ -17,14 +17,10 @@ is compiled lazily, on the constraint's first attempt, and lives on the
 constraint object rather than in the program: building a program stays a
 fraction of a millisecond, and the shipped rules compile once per process.
 
-During saturation the engine compares each constraint's trigger-relation
-versions (see :meth:`repro.vrem.instance.VremInstance.relation_version`)
-against the values observed when the constraint was last attempted; a
-constraint none of whose trigger relations changed cannot produce a new
-match and is skipped.  This is the semi-naive flavour of the chase that the
-staged planner leans on: on typical pipelines most constraints are dormant
-in most rounds, so indexing removes the bulk of the homomorphism searches
-without changing the reached fixpoint.
+The trigger metadata is what makes the chase semi-naive: per constraint the
+engine keeps watermarks into its trigger relations' delta logs
+(:meth:`repro.vrem.instance.VremInstance.relation_log`), skips it while none
+grew — most constraints, most rounds — and otherwise searches only the delta.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chase.kernel import ConstraintKernel, kernel_for
 from repro.constraints.core import Constraint, TGD, validate_constraints
-from repro.vrem.instance import VremInstance
 
 #: Relations matched against per-class metadata instead of stored atoms.
 _METADATA_RELATIONS = frozenset({"size"})
@@ -62,21 +57,6 @@ class CompiledConstraint:
         """The constraint's compiled match / test / apply form, built on the
         first attempt and shared through the constraint object."""
         return kernel_for(self.constraint)
-
-    def stamp(self, instance: VremInstance) -> Tuple[int, ...]:
-        """Version stamp of everything this constraint's premise reads.
-
-        The stamp strictly increases whenever any trigger relation gains or
-        re-canonicalises an atom (or, for shape-reading constraints, a class
-        gains a shape), so an unchanged stamp proves the premise's match set
-        is unchanged since the constraint was last attempted.
-        """
-        versions = tuple(
-            instance.relation_version(relation) for relation in self.trigger_relations
-        )
-        if self.uses_shapes:
-            return versions + (instance.shape_version,)
-        return versions
 
 
 class ConstraintProgram:

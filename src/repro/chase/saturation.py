@@ -15,9 +15,10 @@ This is the chase of §6.3 as extended by §7.3 (PACB++ / Prune_prov):
 
 There is one production engine: serial, trigger-indexed and semi-naive.
 A constraint one of whose trigger relations has no stored atom cannot match
-and is skipped before any stamp or watermark is taken (a ``size``-only
-premise has no trigger relation and is never gated); so is one none of whose
-trigger relations changed since its last attempt — ``constraints_skipped``
+and is skipped before any watermark is read (a ``size``-only premise has no
+trigger relation and is never gated); so is a *dormant* one — attempted
+before, and none of its trigger relations' delta logs (nor, if it reads
+``size``, the shape log) grew past its watermarks — and ``constraints_skipped``
 counts both.  A re-attempted constraint only searches for matches that touch
 the *delta* — the atoms added or re-canonicalised (and classes newly shaped)
 since its previous attempt, read off the instance's append-only delta logs.
@@ -29,28 +30,26 @@ form (:mod:`repro.chase.kernel`).
 A round is cascaded — each constraint matches against what the ones before
 it added in the same round — so a few mutually feeding TGDs (associativity,
 ``inv`` / ``tr`` over a product) can flood the last round long after the
-plan is found.  The production engine therefore runs a *back-off scheduler*
-(egg's ``BackoffScheduler``): a TGD attempt that collects more premise
-matches than ``BENCH_MATCH_LIMIT << times_benched`` is *benched* — none of
-them is applied, the rule is not attempted for the next ``BENCH_ROUNDS <<
-times_benched`` rounds, and ``rules_benched`` counts it.  Watermarks are
-taken when matches are about to be applied, so a benched attempt leaves
-them where they were and the next one searches the same delta plus what
-accrued: no match is lost, only deferred.  EGDs are never benched (they
-only merge).  A round in which a rule was benched or sat out a ban is not a
-fixpoint; if it changed nothing else the bans are lifted (egg's
-``can_stop``) and the loop goes on, so ``reached_fixpoint`` still means
-that no constraint has an unapplied match.
+plan is found.  The production engine therefore runs egg's *back-off
+scheduler*: a TGD attempt with more premise matches than ``BENCH_MATCH_LIMIT
+<< times_benched`` is *benched* — none is applied, the rule sits out the
+next ``BENCH_ROUNDS << times_benched`` rounds, ``rules_benched`` counts it.
+Watermarks are taken when matches are about to be applied, so a benched
+attempt leaves them where they were and the next one searches the same delta
+plus what accrued: no match is lost, only deferred.  EGDs are never benched
+(they only merge).  A round in which a rule was benched or sat out a ban is
+not a fixpoint; if it changed nothing else the bans are lifted (egg's
+``can_stop``) and the loop goes on, so ``reached_fixpoint`` still means that
+no constraint has an unapplied match.
 
 ``SaturationEngine(..., use_index=False)`` is the *reference* engine the
 tests and ``bench_saturation.py`` compare against: every constraint is
-attempted every round, every attempt is a full search, nothing is ever
-benched, and both the premise match and the conclusion test go through the
-generic linear-scan matcher of :mod:`repro.chase.homomorphism`; it shares
-the kernel's application alone, class ids included.  It reaches the same
-plans, only slower — and the same fixpoint wherever both reach one; on an
-op where a rule is benched neither engine reaches a fixpoint inside the
-budget.
+attempted every round by a full search, nothing is ever benched, and both
+the premise match and the conclusion test go through the generic linear-scan
+matcher of :mod:`repro.chase.homomorphism`; it shares the kernel's
+application alone, class ids included.  It reaches the same plans, only
+slower; on an op where a rule is benched neither engine reaches a fixpoint
+inside the budget.
 
 The saturated instance is then handed to the extraction step
 (:mod:`repro.core.extraction`), which plays the role of the provenance-based
@@ -328,16 +327,13 @@ class SaturationEngine:
         """
         stats = SaturationResult()
         start = time.perf_counter()
-        # Keyed by position, not name: ad-hoc constraint lists may carry
-        # duplicate names, and collapsing them here would skip real work.
-        last_stamp: Dict[int, Tuple[int, ...]] = {}
         # Semi-naive watermarks: how far into the instance's delta logs each
-        # constraint position has already searched.  A position absent from
-        # ``delta_marks`` has never been attempted and gets a full search.
+        # constraint position has searched (absent: never attempted).  Keyed
+        # by position, not name: ad-hoc constraint lists may carry duplicate
+        # names, and collapsing them here would skip real work.
         delta_marks: Dict[int, Dict[str, int]] = {}
         shape_marks: Dict[int, int] = {}
-        # Back-off scheduler, by position: how often the rule was benched,
-        # and the first round it may be attempted again.
+        # Back-off scheduler, by position: benchings so far, first round back.
         times_benched: Dict[int, int] = {}
         banned_until: Dict[int, int] = {}
 
@@ -350,39 +346,10 @@ class SaturationEngine:
                 stats.threshold_tightenings = pruner.tightenings
             return stats
 
-        def premise_delta(
-            compiled: CompiledConstraint, position: int
-        ) -> Optional[Tuple[Dict[str, List[Atom]], List[int]]]:
-            """Delta slices for a re-attempt, or None for a first/full search.
-
-            Also None when the delta is a large fraction of the trigger
-            relations: seeding a search per delta atom then costs more than
-            one well-ordered full search, so semi-naive restriction is only
-            worth it while the delta is selective (the late-round regime it
-            exists for)."""
-            if position not in delta_marks:
-                return None
-            marks = delta_marks[position]
-            delta: Dict[str, List[Atom]] = {}
-            delta_size = 0
-            total_size = 0
-            for relation in compiled.trigger_relations:
-                log = instance.relation_log(relation)
-                consumed = marks.get(relation, 0)
-                total_size += instance.atom_count(relation)
-                if consumed < len(log):
-                    delta[relation] = log[consumed:]
-                    delta_size += len(log) - consumed
-            shaped: List[int] = []
-            if compiled.uses_shapes:
-                shaped = instance.shape_log()[shape_marks.get(position, 0) :]
-                delta_size += len(shaped)
-                total_size += instance.shaped_class_count()
-            if delta_size * 4 > total_size:
-                return None
-            return delta, shaped
-
-        def collect_matches(compiled: CompiledConstraint, position: int) -> List[Match]:
+        def collect_matches(compiled: CompiledConstraint, position: int) -> Optional[List[Match]]:
+            """The premise matches this attempt has to look at, or None when
+            the constraint is dormant: attempted before, and no log it reads
+            grew past its watermarks, so there is nothing it has not seen."""
             kernel = compiled.kernel
             if not self.use_index:
                 # The reference engine: the generic matcher, linear scans.
@@ -390,17 +357,36 @@ class SaturationEngine:
                     tuple(binding[var] for var in kernel.premise_vars)
                     for binding in find_instance_matches(kernel.constraint.premise, instance)
                 ]
-            sliced = premise_delta(compiled, position)
-            if sliced is None:
+            if position not in delta_marks:
+                return kernel.full_matches(instance)
+            marks = delta_marks[position]
+            delta: Dict[str, List[Atom]] = {}
+            delta_size = 0
+            total_size = 0
+            for relation in compiled.trigger_relations:
+                log = instance.relation_log(relation)
+                total_size += instance.atom_count(relation)
+                if marks[relation] < len(log):
+                    delta[relation] = log[marks[relation] :]
+                    delta_size += len(delta[relation])
+            shaped: List[int] = []
+            if compiled.uses_shapes:
+                shaped = instance.shape_log()[shape_marks[position] :]
+                delta_size += len(shaped)
+                total_size += instance.shaped_class_count()
+            if delta_size == 0:
+                return None
+            if delta_size * 4 > total_size:
+                # Seeding a search per delta atom costs more than one full
+                # search unless the delta is selective (the late rounds).
                 return kernel.full_matches(instance)
             stats.delta_attempts += 1
-            delta, shaped = sliced
             return kernel.delta_matches(instance, delta, shaped)
 
         def consume_logs(compiled: CompiledConstraint, position: int) -> None:
-            """Pre-application watermarks: the matches about to be applied
-            were searched in the logs up to here.  A benched attempt never
-            gets here, so its delta is searched again, plus what accrues."""
+            """Pre-application watermarks: what this very constraint now adds
+            lands past them (re-queueing a recursive rule); a benched attempt
+            never gets here, so its delta is searched again."""
             delta_marks[position] = {
                 relation: len(instance.relation_log(relation))
                 for relation in compiled.trigger_relations
@@ -429,24 +415,20 @@ class SaturationEngine:
         for round_index in range(self.max_rounds):
             stats.rounds = round_index + 1
             changed = 0
-            # Whether a rule was benched, or sat out a ban, this round: its
-            # matches are still owed, so the round cannot be a fixpoint.
-            held = False
+            held = False  # a rule was benched or sat out a ban: matches are owed
             for position, compiled in enumerate(self.program.compiled):
                 if self.use_index:
-                    if not all(map(instance.atom_count, compiled.trigger_relations)):
-                        # A premise relation with no stored atom: no match.
-                        stats.constraints_skipped += 1
-                        continue
-                    if banned_until.get(position, 0) > round_index:
-                        stats.constraints_skipped += 1
-                        held = True
-                        continue
-                    stamp = compiled.stamp(instance)
-                    if last_stamp.get(position) == stamp:
+                    banned = banned_until.get(position, 0) > round_index
+                    held = held or banned
+                    if banned or not all(map(instance.atom_count, compiled.trigger_relations)):
+                        # Serving a ban, or a premise relation has no stored
+                        # atom and nothing can match.
                         stats.constraints_skipped += 1
                         continue
                 matches = collect_matches(compiled, position)
+                if matches is None:
+                    stats.constraints_skipped += 1
+                    continue
                 if self.use_index:
                     benched = times_benched.get(position, 0)
                     if compiled.is_tgd and len(matches) > BENCH_MATCH_LIMIT << benched:
@@ -455,10 +437,6 @@ class SaturationEngine:
                         stats.rules_benched += 1
                         held = True
                         continue
-                    # Record the pre-application stamp: applications made by
-                    # this very constraint bump the versions past it, correctly
-                    # re-queueing recursive constraints for the next round.
-                    last_stamp[position] = stamp
                     consume_logs(compiled, position)
                 changed += apply_matches(compiled, matches)
                 if over_budget():
@@ -472,9 +450,7 @@ class SaturationEngine:
                 if not held:
                     stats.reached_fixpoint = True
                     break
-                # egg's ``can_stop``: only banned rules have work left, so
-                # lift the bans instead of idling through them.
-                banned_until.clear()
+                banned_until.clear()  # only banned rules have work left
                 continue
             if tighten is not None and pruner is not None:
                 bound = tighten(instance)

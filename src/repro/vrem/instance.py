@@ -84,16 +84,10 @@ class VremInstance:
         self._scalar_value: Dict[int, float] = {}
         self._pending_unions: List[Tuple[int, int]] = []
         #: Monotonically increasing counter, bumped on every structural change;
-        #: used by callers (e.g. the saturation engine) to detect staleness.
+        #: used by callers (the planner's tighten hook) to detect staleness.
         self.version = 0
-        #: Per-relation change counters: bumped when a relation gains an atom
-        #: or one of its atoms is re-canonicalised after a class merge.  The
-        #: indexed saturation engine compares these against the values it saw
-        #: when a constraint was last attempted, so unaffected constraints
-        #: are skipped entirely.
-        self._relation_versions: Dict[str, int] = defaultdict(int)
-        #: Counter for shape-metadata changes (``size`` atoms match against
-        #: metadata, not stored atoms, so they need their own staleness signal).
+        #: Counter for shape-metadata changes (shapes are not stored atoms,
+        #: so ``version`` alone does not show them).
         self.shape_version = 0
         #: Append-only semi-naive delta logs: atoms added or re-canonicalised,
         #: per relation, and classes that gained a shape.  The saturation
@@ -263,7 +257,6 @@ class VremInstance:
             if isinstance(arg, int):
                 by_class[arg].add(atom)
         self.version += 1
-        self._relation_versions[relation] += 1
         self._delta_log[relation].append(atom)
         self._apply_congruence(atom)
         self._infer_shapes(atom)
@@ -412,10 +405,6 @@ class VremInstance:
     def num_atoms(self) -> int:
         return len(self._atom_provenance)
 
-    def relation_version(self, relation: str) -> int:
-        """Change counter of one relation (see ``_relation_versions``)."""
-        return self._relation_versions[relation]
-
     # ------------------------------------------------------------------ deltas
     def relation_log(self, relation: str) -> List[Atom]:
         """Append-only log of atoms added / re-canonicalised in a relation.
@@ -451,9 +440,6 @@ class VremInstance:
             for atom in list(affected):
                 labels = self._remove_atom(atom)
                 canonical = self._canonical_args(atom.args)
-                # The relation's canonical atom set changed, so premise
-                # joins over it may produce new matches.
-                self._relation_versions[atom.relation] += 1
                 self._insert_canonical(atom.relation, canonical, labels)
 
     def check_invariants(self) -> None:

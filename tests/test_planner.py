@@ -201,7 +201,7 @@ class TestConstraintIndex:
         assert any(program.producers_by_relation.values())
 
     def test_duplicate_constraint_names_are_not_collapsed(self, small_catalog):
-        """The index stamps by position, so same-named constraints both run."""
+        """Watermarks are kept by position, so same-named constraints both run."""
         from repro.constraints import tgd
         from repro.vrem.instance import VremInstance
 

@@ -260,7 +260,7 @@ class TestRelationPresenceGate:
             "makes-add": 1, "size-only": 3, "needs-add": 1
         }
         # Both kinds of skip are counted: the gate (needs-add, round 1) and
-        # the unchanged stamps of the other two in rounds 2 and 3.
+        # the other two lying dormant in rounds 2 and 3.
         assert stats.constraints_skipped == 5
         assert instance.atom_count("add_m") == 2
 
@@ -271,7 +271,7 @@ class TestRelationPresenceGate:
         stats = engine.saturate(instance)
         assert searches == ["size-only"]
         assert stats.applications_by_constraint == {"size-only": 1}
-        assert stats.constraints_skipped == 5  # 2 gated x 2 rounds, 1 unchanged stamp
+        assert stats.constraints_skipped == 5  # 2 gated x 2 rounds, 1 dormant
 
     def test_reference_engine_stays_exhaustive(self, monkeypatch):
         engine, searches = self._spied(monkeypatch, use_index=False)
