@@ -212,6 +212,22 @@ class TestSemiNaive:
         assert kernel.delta_matches(instance, {}, shaped) == [(a, Const(4), b)]
 
 
+def _spied_engine(monkeypatch, rules, **engine_kwargs):
+    """(engine, searches): every kernel search, by rule name, in order."""
+    engine = SaturationEngine(list(rules), **engine_kwargs)
+    searches = []
+    for compiled in engine.program.compiled:
+        for method in ("full_matches", "delta_matches"):
+            original = getattr(compiled.kernel, method)
+
+            def spy(*args, _name=compiled.name, _original=original):
+                searches.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(compiled.kernel, method, spy)
+    return engine, searches
+
+
 class TestRelationPresenceGate:
     """A constraint one of whose premise relations has no stored atom cannot
     match: the production engine counts it as skipped without searching."""
@@ -223,19 +239,7 @@ class TestRelationPresenceGate:
     )
 
     def _spied(self, monkeypatch, **engine_kwargs):
-        """(engine, searches): every kernel search, by rule name, in order."""
-        engine = SaturationEngine(list(self.RULES), **engine_kwargs)
-        searches = []
-        for compiled in engine.program.compiled:
-            for method in ("full_matches", "delta_matches"):
-                original = getattr(compiled.kernel, method)
-
-                def spy(*args, _name=compiled.name, _original=original):
-                    searches.append(_name)
-                    return _original(*args)
-
-                monkeypatch.setattr(compiled.kernel, method, spy)
-        return engine, searches
+        return _spied_engine(monkeypatch, self.RULES, **engine_kwargs)
 
     @staticmethod
     def _instance():
@@ -368,17 +372,7 @@ class TestBackoffScheduler:
         assert set(instance.atoms()) == set(twin.atoms())
 
     def test_ban_is_served_while_other_rules_make_progress(self, monkeypatch):
-        engine = SaturationEngine(list(self.BAN_RULES), max_rounds=10)
-        searches = []
-        for compiled in engine.program.compiled:
-            for method in ("full_matches", "delta_matches"):
-                original = getattr(compiled.kernel, method)
-
-                def spy(*args, _name=compiled.name, _original=original):
-                    searches.append(_name)
-                    return _original(*args)
-
-                monkeypatch.setattr(compiled.kernel, method, spy)
+        engine, searches = _spied_engine(monkeypatch, self.BAN_RULES, max_rounds=10)
         instance, twin = self._ban_instance(), self._ban_instance()
         stats = engine.saturate(instance)
         # Benched in round 1, not searched in round 2, back in round 3.
