@@ -8,8 +8,7 @@
 * :mod:`repro.benchkit.views_vexp` — the view set V_exp of Table 14;
 * :mod:`repro.benchkit.expected` — the expected rewrites of Tables 12/13/15;
 * :mod:`repro.benchkit.harness` — timing of original vs rewritten pipelines
-  (Q_exec, RW_find, RW_exec) on a chosen backend, plus the end-to-end
-  service concurrency sweep (:func:`~repro.benchkit.harness.run_service_sweep`);
+  (Q_exec, RW_find, RW_exec) on a chosen backend, and view materialisation;
 * :mod:`repro.benchkit.hybrid_queries` — the micro-hybrid benchmark queries
   Q1–Q10 of Table 7 / Appendix G over the synthetic Twitter / MIMIC data.
 """
@@ -29,9 +28,6 @@ from repro.benchkit.harness import (
     PipelineRun,
     materialize_views,
     run_pipeline,
-    run_pipelines,
-    run_service_sweep,
-    run_workspace_sweep,
 )
 
 __all__ = [
@@ -50,8 +46,5 @@ __all__ = [
     "build_expected_rewrite",
     "PipelineRun",
     "run_pipeline",
-    "run_pipelines",
-    "run_service_sweep",
-    "run_workspace_sweep",
     "materialize_views",
 ]

@@ -43,7 +43,7 @@ not a fixpoint; if it changed nothing else the bans are lifted (egg's
 no constraint has an unapplied match.
 
 ``SaturationEngine(..., use_index=False)`` is the *reference* engine the
-tests and ``bench_saturation.py`` compare against: every constraint is
+tests compare against on all 57 pipelines: every constraint is
 attempted every round by a full search, nothing is ever benched, and both
 the premise match and the conclusion test go through the generic linear-scan
 matcher of :mod:`repro.chase.homomorphism`; it shares the kernel's

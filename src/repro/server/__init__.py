@@ -26,7 +26,7 @@ single dependency:
   in-flight replay, graceful pool drain), enabled with
   ``GatewayConfig.planner_workers > 0``;
 * :mod:`repro.server.client` — :class:`GatewayClient`, the asyncio client
-  the tests and the load harness drive.
+  the tests and the layered benchmark drive.
 
 See ``docs/api.md`` for the wire protocol and ``docs/architecture.md`` for
 the request → batch → plan → route path.

@@ -1,10 +1,10 @@
 """Asyncio client for the gateway's HTTP/JSON protocol.
 
-The client the tests and :func:`repro.benchkit.harness.run_gateway_sweep`
+The client the tests and the layered benchmark's ``serve_churn`` workload
 drive: one keep-alive connection per :class:`GatewayClient`, explicit JSON
 in/out, no retry magic.  A :class:`GatewayError` carries the HTTP status so
-load harnesses can count 429s (admission control) and 503s (drain) without
-string matching.
+callers can count 429s (admission control) and 503s (drain) without string
+matching.
 
 Request bodies are encoded through the same typed
 :class:`~repro.api.schema.PlanRequest` the server parses with — the client
@@ -175,7 +175,7 @@ def parse_prometheus(text: str) -> dict:
     """Parse a Prometheus text exposition into ``{series_name: value}``.
 
     Bucketed series keep their label string (``name_bucket{le="1"}``), which
-    is all the tests and the load sweep need.
+    is all the tests and the layered benchmark need.
     """
     values: dict = {}
     for line in text.splitlines():

@@ -123,6 +123,10 @@ class AnalyticsGateway:
         #: ``readline`` on an idle client would otherwise hang the drain
         #: forever.
         self._connection_writers: Set[asyncio.StreamWriter] = set()
+        #: Running connection handlers, so :meth:`stop` can await them:
+        #: before 3.12 ``Server.wait_closed`` does not, and ``asyncio.run``
+        #: would cancel one still closing its writer.
+        self._connection_handlers: Set[asyncio.Task] = set()
         # Instruments are created up front so a scrape before the first
         # request still shows every series at zero.
         self._requests_total = self.metrics.counter(
@@ -356,7 +360,7 @@ class AnalyticsGateway:
             self._serve_connection,
             host=self.config.host,
             port=self.config.port,
-            # Sized for connect storms: the load sweep opens hundreds of
+            # Sized for connect storms: a client storm opens hundreds of
             # connections in one burst, and the kernel's default backlog
             # (asyncio passes 100) turns the overflow into 1s+ SYN
             # retransmits that silently serialize the storm.
@@ -389,6 +393,8 @@ class AnalyticsGateway:
         # would wait on clients that never hang up.
         for writer in list(self._connection_writers):
             writer.close()
+        if self._connection_handlers:
+            await asyncio.wait(list(self._connection_handlers), timeout=timeout)
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -406,6 +412,10 @@ class AnalyticsGateway:
     ) -> None:
         self._connections_gauge.inc()
         self._connection_writers.add(writer)
+        handler = asyncio.current_task()
+        if handler is not None:
+            self._connection_handlers.add(handler)
+            handler.add_done_callback(self._connection_handlers.discard)
         try:
             while True:
                 try:

@@ -133,7 +133,7 @@ class Gauge:
     """A value that can go up and down, tracking its observed maximum.
 
     The maximum matters to the gateway: ``gateway_in_flight_requests`` is
-    sampled at scrape time, but the load sweep's acceptance criterion is the
+    sampled at scrape time, but what a client storm is judged by is the
     *peak* concurrency sustained, which a scrape can miss entirely.
     """
 

@@ -17,6 +17,7 @@ from repro.lang import (
 from repro.lang import matrix_expr as mx
 from repro.lang.builder import select, table, join, project, to_matrix
 from repro.lang.relational_expr import Predicate
+from repro.planner import PlanSession
 
 
 class TestNumpyBackend:
@@ -217,6 +218,27 @@ class TestMorpheusBackend:
         reference = NumpyBackend(small_catalog)
         expr = sum_all(matrix("Mnorm") * matrix("Mnorm"))
         assert values_allclose(normalized.evaluate(expr), reference.evaluate(expr))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: colsums(m @ matrix("Nright")),
+            lambda m: rowsums(matrix("Nleft") @ m),
+            lambda m: sum_all(matrix("Nadd") + m),
+            lambda m: sum_all(rowsums(m)),
+        ],
+        ids=["P1.12", "P2.10", "P2.11", "P2.15"],
+    )
+    def test_rewritten_plan_keeps_its_value(self, normalized, small_catalog, rng, build):
+        """Fig 9: HADAD's plan, run on the normalized matrix, equals the
+        pipeline as stated run there."""
+        small_catalog.register_dense("Nright", rng.random((7, 5)))
+        small_catalog.register_dense("Nleft", rng.random((9, 30)))
+        small_catalog.register_dense("Nadd", rng.random((30, 7)))
+        expr = build(matrix("Mnorm"))
+        result = PlanSession(small_catalog).rewrite(expr)
+        assert result.changed
+        assert values_allclose(normalized.evaluate(result.best), normalized.evaluate(expr))
 
 
 class TestRelationalEngine:

@@ -119,6 +119,10 @@ class TestSaturation:
         engine = SaturationEngine(default_constraints(), max_rounds=4)
         engine.saturate(instance, pruner)
         assert pruner.pruned_applications > 0
+        # What was pruned is never built (paper Example 7.2).
+        unpruned, _ = encode_expression(expr, catalog=small_catalog)
+        engine.saturate(unpruned)
+        assert instance.num_atoms() < unpruned.num_atoms()
 
     def test_det_identity_sets_scalar(self, small_catalog):
         expr = mx.Det(mx.Identity(5))

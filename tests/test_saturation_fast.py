@@ -465,8 +465,8 @@ class TestApplicationCounts:
 
 
 #: The chase-bound pipelines (>= 100 atoms materialised): the reference
-#: engine needs seconds on them, so they are compared only in the perf job
-#: (``benchmarks/bench_saturation.py``, all 57 pipelines).
+#: engine needs ~20 s on P2.17, so these two are compared under the ``slow``
+#: marker and the other 55 in tier-1.
 _CHASE_BOUND = {"P2.17", "P2.21"}
 
 
@@ -489,16 +489,33 @@ def _run_stages(session, expr) -> PlanContext:
 
 class TestReferenceEngine:
     @pytest.mark.parametrize(
-        "name", [name for name in pipeline_names() if name not in _CHASE_BOUND]
+        "name",
+        [
+            pytest.param(name, marks=pytest.mark.slow) if name in _CHASE_BOUND else name
+            for name in pipeline_names()
+        ],
     )
     def test_pipeline_plans_equal_reference(self, engine_pair, name):
         production, reference, roles = engine_pair
+        if name in _CHASE_BOUND:
+            # At the reference engine's own budgets (6 rounds, 20 000 atoms)
+            # P2.17 chases for minutes; compare at the production budgets,
+            # the ones a rewrite gives the engine.
+            reference = PlanSession(production.catalog, enable_cache=False)
+            reference.engine = SaturationEngine(
+                reference.program,
+                use_index=False,
+                max_rounds=reference.max_rounds,
+                max_atoms=reference.max_atoms,
+                max_classes=reference.max_classes,
+            )
         expr = build_pipeline(name, roles)
         fast = _run_stages(production, expr)
         slow = _run_stages(reference, expr)
         fast.instance.check_invariants()
         slow.instance.check_invariants()
-        assert fast.saturation.atoms_materialized < 100, "move to _CHASE_BOUND"
+        if name not in _CHASE_BOUND:
+            assert fast.saturation.atoms_materialized < 100, "move to _CHASE_BOUND"
         assert slow.saturation.constraints_skipped == 0
         assert slow.saturation.delta_attempts == 0
         same_fixpoint = (

@@ -4,8 +4,9 @@ The behaviours the gateway promises:
 
 * the expression codec round-trips every benchmark pipeline with structural
   equality and identical fingerprints (the property all cache keys rest on);
-* a concurrent client storm produces plans byte-identical to a serial
-  ``rewrite_all`` over the same expressions, with micro-batching observed;
+* a concurrent client storm — on one tenant or two — produces plans
+  byte-identical to each tenant's serial ``rewrite_all`` over the same
+  expressions, with micro-batching observed;
 * admission control answers 429 beyond ``max_in_flight`` while every
   admitted request still completes;
 * graceful drain finishes in-flight work, 503s late arrivals, and leaves
@@ -25,8 +26,10 @@ import pytest
 
 from repro.api import Engine, WorkspaceRegistry
 from repro.backends.numpy_backend import NumpyBackend
-from repro.benchkit.datasets import ROLE_BINDINGS_DENSE
+from repro.benchkit.datasets import ROLE_BINDINGS_DENSE, benchmark_catalog
+from repro.benchkit.harness import materialize_views
 from repro.benchkit.pipelines import build_pipeline, default_roles, pipeline_names
+from repro.benchkit.views_vexp import build_vexp_views
 from repro.catalog import CatalogDelta, ReStat
 from repro.lang import colsums, inv, matrix, sum_all, transpose
 from repro.lang import matrix_expr as mx
@@ -266,17 +269,73 @@ def _gateway(engine, **overrides) -> AnalyticsGateway:
     return engine.build_gateway(**overrides)
 
 
+def _named_pipelines(names):
+    roles = default_roles(ROLE_BINDINGS_DENSE)
+    return [(name, build_pipeline(name, roles)) for name in names]
+
+
+def _sample_storm(small_catalog):
+    """One tenant asked for the six sample expressions."""
+    return _engine(small_catalog), {
+        "default": [(str(index), expr) for index, expr in enumerate(_sample_exprs())]
+    }
+
+
+def _pipeline_storm(small_catalog):
+    """One tenant asked for six structurally distinct paper pipelines."""
+    pipelines = _named_pipelines(["P1.1", "P1.4", "P1.13", "P1.15", "P2.10", "P2.25"])
+    return _engine(benchmark_catalog(scale=0.01)), {"default": pipelines}
+
+
+def _two_tenant_storm(small_catalog):
+    """Two tenants over one catalog, without and with the V_exp views: the
+    same fingerprints, with plans that differ where a view applies."""
+    catalog = benchmark_catalog(scale=0.01)
+    views = build_vexp_views(default_roles(ROLE_BINDINGS_DENSE))
+    with np.errstate(over="ignore"):  # det views V10 / V11 overflow at this scale
+        materialize_views(views, catalog)
+    registry = WorkspaceRegistry()
+    registry.register("noviews", catalog=catalog)
+    registry.register("vexp", catalog=catalog, views=views)
+    pipelines = _named_pipelines(["P1.1", "P1.4", "P2.14", "P2.25"])
+    return Engine(workspaces=registry), {"noviews": pipelines, "vexp": pipelines}
+
+
+#: (build, clients per tenant, requests per client, in-flight peak reached)
+STORMS = [
+    pytest.param(_sample_storm, 64, 1, 2, id="64-clients"),
+    pytest.param(_pipeline_storm, 220, 2, 200, id="220-clients", marks=pytest.mark.slow),
+    pytest.param(_two_tenant_storm, 12, 2, 16, id="2-tenants-x-12-clients"),
+]
+
+
 class TestGateway:
-    def test_storm_plans_byte_identical_to_serial(self, small_catalog):
-        """64 concurrent clients, plans must equal a serial rewrite_all."""
-        exprs = _sample_exprs()
-        serial = PlanSession(small_catalog).rewrite_all(exprs)
-        expected = [result.best.to_string() for result in serial]
-        engine = _engine(small_catalog, max_sessions=8)
-        clients = 64
+    @pytest.mark.parametrize("build, clients_per_tenant, requests_per_client, peak", STORMS)
+    def test_storm_plans_byte_identical_to_serial(
+        self, small_catalog, build, clients_per_tenant, requests_per_client, peak
+    ):
+        """Simultaneous clients: every plan equals its own tenant's serial
+        rewrite_all, micro-batching happens, nothing is rejected or lost, and
+        each tenant plans each fingerprint once."""
+        engine, pipelines = build(small_catalog)
+        tenants = list(pipelines)
+        serial = {}
+        for tenant, named in pipelines.items():
+            bundle = engine.workspaces.get(tenant)
+            session = PlanSession(
+                catalog=bundle.catalog,
+                views=list(bundle.views),
+                estimator=bundle.estimator,
+                config=bundle.config,
+            )
+            results = session.rewrite_all([expr for _, expr in named])
+            serial[tenant] = {
+                name: result.best.to_string() for (name, _), result in zip(named, results)
+            }
+        clients = clients_per_tenant * len(tenants)
 
         async def main():
-            gateway = _gateway(engine, max_in_flight=256)
+            gateway = _gateway(engine, max_batch=clients, max_in_flight=2 * clients)
             await gateway.start()
             connections = await asyncio.gather(
                 *[
@@ -286,24 +345,40 @@ class TestGateway:
             )
 
             async def one(index):
-                expr = exprs[index % len(exprs)]
-                response = await connections[index].plan(expr, name=str(index))
-                return index, response
+                # A tenant's k-th client starts k requests into the tenant's
+                # list, so every tenant is asked for all of it.
+                tenant = tenants[index % len(tenants)]
+                named = pipelines[tenant]
+                first = index // len(tenants) * requests_per_client
+                answers = []
+                for turn in range(requests_per_client):
+                    name, expr = named[(first + turn) % len(named)]
+                    response = await connections[index].plan(expr, name=name, workspace=tenant)
+                    answers.append((tenant, name, response["plan"]))
+                return answers
 
-            responses = await asyncio.gather(*[one(i) for i in range(clients)])
+            answers = await asyncio.gather(*[one(i) for i in range(clients)])
             await asyncio.gather(*[connection.close() for connection in connections])
             snapshot = gateway.metrics.as_dict()
             await gateway.stop()
-            return responses, snapshot
+            return [answer for per_client in answers for answer in per_client], snapshot
 
-        responses, snapshot = asyncio.run(main())
-        for index, response in responses:
-            assert response["plan"] == expected[index % len(exprs)], index
+        answers, snapshot = asyncio.run(main())
+        assert len(answers) == clients * requests_per_client
+        for tenant, name, plan in answers:
+            assert plan == serial[tenant][name], (tenant, name)
+        counters = snapshot["counters"]
+        assert counters["gateway_rejected_total"] == 0
         # Micro-batching really happened (the storm is simultaneous).
         assert snapshot["histograms"]["gateway_batch_size"]["max"] > 1
-        assert snapshot["gauges"]["gateway_in_flight_requests"]["max"] > 1
-        # Dedup: 64 requests over 6 distinct fingerprints.
-        assert engine.pool.stats.plans_computed == len(exprs)
+        assert snapshot["gauges"]["gateway_in_flight_requests"]["max"] >= peak
+        for tenant, named in pipelines.items():
+            series = f'gateway_workspace_requests_total{{workspace="{tenant}"}}'
+            assert counters[series] == clients_per_tenant * requests_per_client
+            # Dedup: each tenant plans each distinct fingerprint once.
+            assert engine.workspace(tenant).pool.stats.plans_computed == len(named)
+        # With two tenants the isolation is load-bearing: their plans differ.
+        assert len({tuple(plans.items()) for plans in serial.values()}) == len(tenants)
 
     def test_execute_value_matches_backend(self, small_catalog):
         expr = transpose(matrix("M") @ matrix("N"))
@@ -336,6 +411,7 @@ class TestGateway:
         engine = _engine(small_catalog, max_sessions=2)
         service = engine.service
         original = service.submit_many
+        expected = PlanSession(small_catalog).rewrite(_sample_exprs()[0]).best.to_string()
 
         def slow_submit_many(requests, workers=8):
             time.sleep(0.25)
@@ -356,7 +432,9 @@ class TestGateway:
 
             async def one(index):
                 try:
-                    await connections[index].plan(_sample_exprs()[0], name=str(index))
+                    response = await connections[index].plan(_sample_exprs()[0], name=str(index))
+                    # An admitted request is answered with the right plan.
+                    assert response["plan"] == expected
                     return "ok"
                 except GatewayError as error:
                     assert error.status == 429
@@ -469,6 +547,28 @@ class TestGateway:
             await idle_client.close()
 
         asyncio.run(main())
+
+    def test_stop_leaves_no_connection_handler_to_cancel(self, small_catalog):
+        """stop() returns after every connection handler has: before 3.12,
+        Server.wait_closed does not wait for them, and asyncio.run then
+        cancels a handler the loop reports as an exception in a callback."""
+        expr = _sample_exprs()[0]
+        engine = _engine(small_catalog)
+        engine.rewrite(expr)  # a warm hit, answered on the event loop
+        recorded = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: recorded.append(context)
+            )
+            gateway = await engine.serve(batch_window_seconds=0.01)
+            client = await GatewayClient("127.0.0.1", gateway.port).connect()
+            await client.plan(expr)
+            await client.close()
+            await gateway.stop()
+
+        asyncio.run(main())
+        assert recorded == []
 
     def test_oversized_request_line_answers_400(self, small_catalog):
         """A request line past the stream limit is a 400, not a reset."""

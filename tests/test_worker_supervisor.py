@@ -1,6 +1,6 @@
 """Tests of the multi-process planner tier: ring, supervisor, chaos.
 
-Two tiers live in this file:
+Three tiers live in this file:
 
 * **Tier-1** (always run): the :class:`HashRing` consistent-hashing
   contract — determinism across instances, bounded key movement when the
@@ -14,6 +14,9 @@ Two tiers live in this file:
   failed *cleanly* once the retry budget is spent), graceful drain leaving
   no processes behind, and registry version bumps invalidating the owning
   worker's warm runtime.
+* **Slow** (``-m slow``): a healthy pool of 0 and 2 workers under a skewed
+  load, through the gateway's planner seam — plans byte-identical to
+  in-process planning, ring attribution, warm-cache stickiness.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro.benchkit.datasets import ROLE_BINDINGS_DENSE
 from repro.benchkit.harness import TenantEngineFactory
 from repro.benchkit.pipelines import build_pipeline, default_roles
 from repro.config import ConfigError, GatewayConfig
+from repro.planner import PlanSession
 from repro.server import HashRing, SupervisorClosed, WorkerSupervisor
 from repro.server.protocol import request_to_json, result_to_json
 from repro.service import ServiceRequest
@@ -465,3 +469,75 @@ class TestSupervisorChaos:
             assert follow_up["ok"] and follow_up["payload"]["cache_hit"]
         finally:
             supervisor.stop()
+
+
+# ---------------------------------------------------------------------------
+# Worker pool vs in-process planning, through the planner seam
+# ---------------------------------------------------------------------------
+
+#: Tenants that send four times the other tenants' load.
+HOT_TENANTS = CHAOS_TENANTS[:2]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workers", [0, 2])
+def test_worker_pool_plans_like_in_process(workers):
+    """The worker tier only moves *where* planning runs.  Under a skewed
+    cold load (two hot tenants send four rounds of the chase-bound pair,
+    the others one) and then one more round from every tenant: every answer
+    is byte-identical to a serial in-process plan and comes from the worker
+    the ring assigns its tenant, nothing is lost, no worker respawns, and
+    the hot tenants' repeat rounds and the last round are all cache hits."""
+    roles = default_roles(ROLE_BINDINGS_DENSE)
+    requests = [
+        ServiceRequest(expression=build_pipeline(name, roles), name=name, execute=False)
+        for name in ("P2.17", "P2.21")
+    ]
+    engine = CHAOS_FACTORY()
+    bundle = engine.workspaces.get(CHAOS_TENANTS[0])  # every tenant has this bundle
+    serial = PlanSession(catalog=bundle.catalog, config=bundle.config)
+    expected = {
+        request.name: serial.rewrite(request.expression).best.to_string() for request in requests
+    }
+
+    async def main():
+        gateway = engine.build_gateway(
+            worker_factory=CHAOS_FACTORY if workers else None,
+            planner_workers=workers,
+            batch_window_seconds=0.002,
+        )
+        planner = gateway.planner
+        await planner.open()
+        try:
+
+            async def rounds(tenant, count):
+                return [
+                    (tenant, turn, await planner.submit(tenant, request))
+                    for turn in range(count)
+                    for request in requests
+                ]
+
+            async def phase(load):
+                answers = await asyncio.gather(*[rounds(t, n) for t, n in load.items()])
+                return [answer for per_tenant in answers for answer in per_tenant]
+
+            skewed = await phase({t: 4 if t in HOT_TENANTS else 1 for t in CHAOS_TENANTS})
+            last = await phase({t: 1 for t in CHAOS_TENANTS})
+            restarts = gateway.supervisor.restarts_total if workers else 0
+            return skewed, last, restarts
+        finally:
+            await planner.close()
+
+    skewed, last, restarts = asyncio.run(main())
+    light = len(CHAOS_TENANTS) - len(HOT_TENANTS)
+    assert len(skewed) == len(requests) * (4 * len(HOT_TENANTS) + light)
+    assert len(last) == len(requests) * len(CHAOS_TENANTS)
+    assert restarts == 0
+    ring = HashRing(range(workers)) if workers else None
+    for answers, warm in ((skewed, False), (last, True)):
+        for tenant, turn, envelope in answers:
+            assert envelope["ok"], envelope
+            payload = envelope["payload"]
+            assert payload["plan"] == expected[payload["name"]], (tenant, payload["name"])
+            assert envelope.get("worker") == (ring.route(tenant) if ring else None)
+            assert payload["cache_hit"] == (warm or turn > 0), (tenant, turn)
