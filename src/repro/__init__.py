@@ -12,7 +12,7 @@ underlying platform.
 Rewriting runs as a staged planner pipeline (encode → saturate → annotate →
 extract → post-optimize) driven by :class:`repro.planner.PlanSession`, which
 owns the long-lived state: the constraint set compiled once into an indexed
-program, the saturation engine, and a fingerprint-keyed rewrite cache.
+program, the saturation engine, and a plan store of finished rewrites.
 
 The public entry point is :class:`repro.api.Engine`: one typed,
 multi-tenant object — named, versioned workspace bundles

@@ -94,11 +94,9 @@ class _WorkspaceRuntime:
     def __init__(self, engine: "Engine", workspace: Workspace):
         self.engine = engine
         self.workspace = workspace
-        service_config = engine.config.service
         self.pool = PlanSessionPool(
             self._session_factory,
-            max_sessions=service_config.max_sessions,
-            result_cache_size=service_config.result_cache_size,
+            max_sessions=engine.config.service.max_sessions,
             workspace=workspace.runtime_key,
         )
         self._router: Optional[ExecutionRouter] = None

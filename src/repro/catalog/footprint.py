@@ -3,11 +3,12 @@
 A :class:`PlanFootprint` records what planning *actually consulted*: every
 catalog name the saturated VREM instance mentions, the subset of those that
 are materialized-view names, and the constraints the chase fired.  It is
-captured by :meth:`repro.planner.session.PlanSession._plan` straight off
+captured by :meth:`repro.planner.session.PlanSession.plan` straight off
 the instance's per-relation indexes — no extra bookkeeping during the chase
 — and rides on the :class:`~repro.core.result.RewriteResult`, where the
-pool's revalidation index uses it to decide which cached plans a
-:class:`~repro.catalog.delta.CatalogDelta` can possibly affect.
+footprint index of a :class:`~repro.planner.cache.PlanStore` uses it to
+decide which cached plans a :class:`~repro.catalog.delta.CatalogDelta` can
+possibly affect.
 
 Why the ``name``/``scalar_name`` atoms are the complete dependency set:
 

@@ -5,11 +5,10 @@ Since the :mod:`repro.api` consolidation these four dataclasses are the
 
 * :class:`PlannerConfig` — every knob of a
   :class:`~repro.planner.session.PlanSession` (rule-set toggles, saturation
-  budgets, pruning, caching); the session's keyword arguments fold into
-  exactly these fields.
+  budgets, pruning, plan-store capacity); the session's keyword arguments
+  fold into exactly these fields.
 * :class:`ServiceConfig` — the :class:`~repro.service.AnalyticsService`
-  knobs: pool size, shared-result-cache capacity, batch fan-out, routing
-  preference.
+  knobs: pool size, batch fan-out, routing preference.
 * :class:`GatewayConfig` — the :class:`~repro.server.AnalyticsGateway`
   knobs: bind address, admission bound, micro-batching window, backlog.
 * :class:`EngineConfig` — the composition of the three, plus the named
@@ -20,11 +19,9 @@ construction**: a bad value raises :class:`~repro.exceptions.ConfigError`
 naming the field, the value received and the acceptable range — the
 misconfiguration surfaces where it was written, not two layers down.
 
-Configs are threaded through the stack *unchanged*, so caches can key on
-them: :meth:`PlannerConfig.cache_key` is a stable, hashable tuple of every
-plan-affecting field, and it is a component of the planner's rewrite-cache
-key (mutating a session option therefore re-keys cached plans instead of
-serving stale ones).
+Configs are threaded through the stack *unchanged*.  Cached plans are keyed
+on the options that actually change a plan, read off the live session by
+:meth:`repro.planner.PlanSession.options_key`.
 
 This module is import-neutral (stdlib + :mod:`repro.exceptions` only); the
 planner, service and server layers all import it without cycles.
@@ -122,8 +119,9 @@ class PlannerConfig:
     reorder_matmul_chains: bool = True
     alternatives_limit: int = 6
     normalized_matrices: Tuple[Tuple[str, Tuple[str, str, str]], ...] = ()
-    cache_size: int = 256
-    enable_cache: bool = True
+    #: Capacity of the :class:`~repro.planner.PlanStore` of a bare session,
+    #: and of the one a workspace's session pool shares.
+    cache_size: int = 1024
     tighten_thresholds: bool = True
     #: Registered sparsity-estimator name (``"naive"`` | ``"mnc"`` | custom);
     #: resolved through :func:`repro.cost.resolve_estimator` when the session
@@ -151,7 +149,6 @@ class PlannerConfig:
             "include_view_voi",
             "prune",
             "reorder_matmul_chains",
-            "enable_cache",
             "tighten_thresholds",
         ):
             _require_bool(name, flag, getattr(self, flag))
@@ -173,15 +170,6 @@ class PlannerConfig:
             _normalized_matrix_items(name, self.normalized_matrices),
         )
 
-    def cache_key(self) -> Tuple:
-        """A stable, hashable tuple of every plan-affecting field.
-
-        This is the options component of the planner's rewrite-cache key:
-        two sessions (or one session before and after reconfiguration)
-        share cached plans only when these tuples are equal.
-        """
-        return tuple(getattr(self, f.name) for f in fields(self))
-
     def session_kwargs(self) -> Dict[str, Any]:
         """Keyword arguments for the :class:`~repro.planner.PlanSession`
         constructor (the dict-shaped view of the normalized matrices)."""
@@ -199,14 +187,12 @@ class ServiceConfig:
     """Knobs of the concurrent :class:`~repro.service.AnalyticsService`."""
 
     max_sessions: int = 8
-    result_cache_size: int = 1024
     plan_workers: int = 8
     preferred_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         name = type(self).__name__
         _require_int(name, "max_sessions", self.max_sessions, 1)
-        _require_int(name, "result_cache_size", self.result_cache_size, 1)
         _require_int(name, "plan_workers", self.plan_workers, 1)
         _require_str(name, "preferred_backend", self.preferred_backend)
 
@@ -326,10 +312,6 @@ class EngineConfig:
         if len(set(backends)) != len(backends):
             raise ConfigError(f"{name}.backends contains duplicates: {backends!r}")
         object.__setattr__(self, "backends", tuple(backends))
-
-    def cache_key(self) -> Tuple:
-        """The plan-affecting key: service/gateway knobs never change plans."""
-        return self.planner.cache_key()
 
     def with_options(self, **changes: Any) -> "EngineConfig":
         return replace(self, **changes)

@@ -2,7 +2,7 @@
 
 For the LA analysis part, a long-lived :class:`~repro.planner.PlanSession`
 is used (one per distinct factor-set, reused across rewrites so repeated
-queries hit the session's fingerprint-keyed rewrite cache), extended with
+queries hit the session's plan store), extended with
 
 * the Morpheus factorization rules (a :class:`JoinFeatureMatrix` builder is
   declared as a *normalized matrix* over its base-table factors, so that
@@ -95,7 +95,7 @@ class HybridOptimizer:
         self.max_rounds = max_rounds
         #: One plan session per distinct (factor set, LA configuration);
         #: reusing sessions keeps the compiled constraint program and the
-        #: rewrite cache warm across repeated hybrid queries, while still
+        #: plan store warm across repeated hybrid queries, while still
         #: honouring later mutation of ``la_views`` / ``estimator`` /
         #: ``max_rounds`` (a new configuration simply keys a new session).
         self._sessions: Dict[Tuple, PlanSession] = {}

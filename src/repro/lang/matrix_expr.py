@@ -77,7 +77,7 @@ class Expr:
         equal (``__eq__``), up to hash collisions of the underlying 128-bit
         digest.  Unlike ``hash()``, the fingerprint is stable across
         processes, so it can key persistent caches (the planner's
-        :class:`~repro.planner.cache.RewriteCache`) and appear in logs.  The
+        :class:`~repro.planner.cache.PlanStore`) and appear in logs.  The
         digest is computed once per node and cached.
         """
         fp = self._fingerprint

@@ -11,16 +11,17 @@ The planner is
   the constraint set compiled once into a
   :class:`~repro.chase.program.ConstraintProgram`, the indexed
   :class:`~repro.chase.saturation.SaturationEngine`, and a
-  fingerprint-keyed :class:`~repro.planner.cache.RewriteCache`;
-* batch planning (``rewrite_all``) that dedupes structurally identical
-  expressions before doing any work.
+  :class:`~repro.planner.cache.PlanStore` of finished plans;
+* the :class:`~repro.planner.cache.PlanStore` itself: one lock-guarded,
+  single-flight, footprint-indexed LRU, the only place a plan is cached —
+  a bare session owns one, a workspace's session pool owns one.
 
 The public entry point is :class:`repro.api.Engine`, which pools sessions
 per workspace; a bare :class:`PlanSession` is the single-threaded core the
 tests and benchmarks compare it against.
 """
 
-from repro.planner.cache import RewriteCache
+from repro.planner.cache import PlanStore
 from repro.planner.session import PlanSession
 from repro.planner.stages import (
     DEFAULT_STAGES,
@@ -35,7 +36,7 @@ from repro.planner.stages import (
 
 __all__ = [
     "PlanSession",
-    "RewriteCache",
+    "PlanStore",
     "PlanContext",
     "Stage",
     "EncodeStage",

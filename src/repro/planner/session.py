@@ -4,7 +4,7 @@ A :class:`PlanSession` owns everything that survives between rewrites —
 catalog and estimator references, the constraint set compiled once into a
 :class:`~repro.chase.program.ConstraintProgram`, the
 :class:`~repro.chase.saturation.SaturationEngine` built on top of it, and a
-fingerprint-keyed :class:`~repro.planner.cache.RewriteCache` — and runs the
+:class:`~repro.planner.cache.PlanStore` of finished plans — and runs the
 per-rewrite stages of :mod:`repro.planner.stages` over it.
 
 :class:`repro.api.Engine` pools sessions per workspace; the hybrid
@@ -13,16 +13,16 @@ optimizer, the benchmark harness and tests drive a session directly.
 Thread safety
 -------------
 A session is **not** thread-safe: a rewrite mutates the saturation engine's
-working state, the LRU order and counters of the :class:`RewriteCache`, and
-the reconfiguration methods (``set_views`` / ``set_budgets`` / …) swap whole
-components.  One session must therefore be driven by one thread at a time.
-Concurrent callers should check sessions out of a
-:class:`repro.service.PlanSessionPool`, which keeps each session exclusive
-to its holder and adds a lock-guarded, single-flight shared result cache on
-top.  The only state deliberately safe to share across threads is the
-expression-side ``Expr.fingerprint()`` memo (idempotent writes of an
-identical value) and finished :class:`RewriteResult` objects, because every
-result crossing the session boundary is a private copy
+working state, and the reconfiguration methods (``set_views`` /
+``set_budgets`` / …) swap whole components.  One session must therefore be
+driven by one thread at a time.  Concurrent callers should check sessions
+out of a :class:`repro.service.PlanSessionPool`, which keeps each session
+exclusive to its holder and caches plans in its own store: it runs the
+uncached :meth:`PlanSession.plan` on the sessions it checks out, so pooled
+sessions hold no plans.  The only state deliberately safe to share across
+threads is the expression-side ``Expr.fingerprint()`` memo (idempotent
+writes of an identical value) and finished :class:`RewriteResult` objects,
+because every result crossing a store boundary is a private copy
 (:meth:`RewriteResult.copy`).
 """
 
@@ -44,14 +44,14 @@ from repro.cost import estimator_name_for, resolve_estimator
 from repro.data.catalog import Catalog
 from repro.exceptions import UnknownMatrixError
 from repro.lang import matrix_expr as mx
-from repro.planner.cache import CacheKey, RewriteCache
+from repro.planner.cache import PlanKey, PlanStore
 from repro.planner.stages import DEFAULT_STAGES, PlanContext, Stage
 
 
 #: Options a session holds as plain attributes named after their
 #: :class:`PlannerConfig` field.  The other two fields live on owned objects:
 #: ``estimator`` on the live estimator object (see ``estimator_name``) and
-#: ``cache_size`` on ``cache.capacity``.
+#: ``cache_size`` on ``store.capacity``.
 _ATTRIBUTE_OPTIONS: Tuple[str, ...] = tuple(
     f.name for f in fields(PlannerConfig) if f.name not in ("estimator", "cache_size")
 )
@@ -73,7 +73,6 @@ class PlanSession:
     reorder_matmul_chains: bool
     alternatives_limit: int
     normalized_matrices: Dict[str, Tuple[str, str, str]]
-    enable_cache: bool
     tighten_thresholds: bool
     #: Static-verification mode ("off" | "warn" | "strict"); consulted
     #: again whenever ``set_views`` recompiles the program.
@@ -131,7 +130,7 @@ class PlanSession:
         self._verify_program()
         self.engine = self._build_engine()
         self.stages: Tuple[Stage, ...] = tuple(stages) if stages is not None else DEFAULT_STAGES
-        self.cache = RewriteCache(options["cache_size"])
+        self.store = PlanStore(options["cache_size"])
         #: The construction-time half of :meth:`options_key`, frozen here:
         #: these options are baked into the compiled constraint program and
         #: cannot take effect through attribute mutation, so the cache key
@@ -223,7 +222,7 @@ class PlanSession:
                 )
             )
 
-    def _compute_viewset_key(self) -> Tuple:
+    def viewset_key(self) -> Tuple:
         # Recomputed on every cache probe (it is cheap: expression
         # fingerprints are cached on the nodes) so that in-place mutation of
         # ``views`` or ``normalized_matrices`` changes the key rather than
@@ -252,19 +251,6 @@ class PlanSession:
         )
         self._verify_program()
         self.engine = self._build_engine()
-        self.invalidate()
-
-    def set_normalized_matrices(
-        self, normalized: Optional[Dict[str, Tuple[str, str, str]]]
-    ) -> None:
-        """Swap the normalized-matrix declarations in place.
-
-        The declarations are part of every cache key, so new ones take
-        effect immediately; cached plans are dropped for hygiene.  Note
-        that, as at construction time, the Morpheus constraint set itself is
-        not re-derived.
-        """
-        self.normalized_matrices = dict(normalized or {})
         self.invalidate()
 
     def set_budgets(
@@ -308,7 +294,7 @@ class PlanSession:
         """
         live = {name: getattr(self, name) for name in _ATTRIBUTE_OPTIONS}
         return PlannerConfig(
-            estimator=self.estimator_name, cache_size=self.cache.capacity, **live
+            estimator=self.estimator_name, cache_size=self.store.capacity, **live
         )
 
     @property
@@ -346,79 +332,40 @@ class PlanSession:
             type(self.estimator).__name__,
         )
 
-    def cache_key(self, expr: mx.Expr) -> CacheKey:
-        """(expression fingerprint, view-set key, catalog version, options).
+    def cache_key(self, expr: mx.Expr, workspace: str = "") -> PlanKey:
+        """The :class:`PlanKey` ``expr`` is stored under in ``workspace``.
 
         The options component is recomputed from the live session state on
         every probe — see :meth:`options_key` for exactly which options
         re-key on mutation (views and normalized-matrix declarations are
-        covered by the view-set key, the catalog by its version).
+        covered by the view-set key, the catalog by its version).  A bare
+        session's store uses the empty workspace; a pool passes its own.
         """
-        catalog_version = self.catalog.version if self.catalog is not None else -1
-        return (
+        return PlanKey(
+            workspace,
             expr.fingerprint(),
-            self._compute_viewset_key(),
-            catalog_version,
+            self.viewset_key(),
+            self.catalog.version if self.catalog is not None else -1,
             self.options_key(),
         )
 
     def invalidate(self) -> None:
         """Drop every cached plan (catalog changes do this implicitly)."""
-        self.cache.clear()
+        self.store.clear()
 
     # ------------------------------------------------------------------ rewriting
-    @staticmethod
-    def _copy_result(result: RewriteResult, **overrides) -> RewriteResult:
-        """A handed-out copy whose mutable containers are private.
-
-        Cached entries must stay pristine, so every result crossing the
-        session boundary gets its own lists/dicts (including the saturation
-        stats); expressions are immutable value objects and can be shared.
-        """
-        return result.copy(**overrides)
-
     def rewrite(self, expr: mx.Expr) -> RewriteResult:
-        """Find the minimum-cost equivalent of ``expr`` (cached)."""
-        start = time.perf_counter()
-        key = self.cache_key(expr) if self.enable_cache else None
-        if key is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return self._copy_result(
-                    cached,
-                    rewrite_seconds=time.perf_counter() - start,
-                    cache_hit=True,
-                )
-        result = self._plan(expr, start)
-        if key is not None:
-            # Store a private copy: callers may freely mutate the returned
-            # result's lists without corrupting future cache hits.
-            self.cache.put(key, self._copy_result(result))
-        return result
+        """Find the minimum-cost equivalent of ``expr`` (cached in :attr:`store`)."""
+        return self.store.get_or_plan(lambda: self.cache_key(expr), lambda: self.plan(expr))
 
     def rewrite_all(self, expressions: Iterable[mx.Expr]) -> List[RewriteResult]:
-        """Rewrite a batch, planning each distinct expression only once.
+        """Rewrite a batch in input order; the store plans each key once, so
+        structurally identical inputs after the first are cache hits."""
+        return [self.rewrite(expr) for expr in expressions]
 
-        Structurally identical inputs (equal fingerprints) share one planning
-        run — the dominant pattern in benchmark view sweeps — and every
-        duplicate's result is marked as a cache hit.  Results come back in
-        input order.
-        """
-        expressions = list(expressions)
-        planned: Dict[str, RewriteResult] = {}
-        results: List[RewriteResult] = []
-        for expr in expressions:
-            fingerprint = expr.fingerprint()
-            prior = planned.get(fingerprint)
-            if prior is None:
-                prior = self.rewrite(expr)
-                planned[fingerprint] = prior
-                results.append(prior)
-            else:
-                results.append(self._copy_result(prior, cache_hit=True))
-        return results
-
-    def _plan(self, expr: mx.Expr, start: float) -> RewriteResult:
+    def plan(self, expr: mx.Expr) -> RewriteResult:
+        """Run the stage pipeline on ``expr``, bypassing the store."""
+        start = time.perf_counter()
         # The saturation budgets live on both the session (the declared,
         # cache-keyed values) and the engine (what saturation actually
         # runs).  Sync them here so a budget mutated directly on the

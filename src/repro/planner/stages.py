@@ -2,7 +2,7 @@
 
 Each stage is a small, stateless object transforming a :class:`PlanContext`;
 the long-lived state (catalog, compiled constraint program, saturation
-engine, rewrite cache) lives on the owning
+engine, plan store) lives on the owning
 :class:`~repro.planner.session.PlanSession` and is only *read* here.  The
 split buys three things over the former monolithic ``rewrite``:
 

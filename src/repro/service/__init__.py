@@ -8,10 +8,10 @@ package closes the loop, mirroring HADAD's own end-to-end evaluation
 
 * :class:`~repro.service.pool.PlanSessionPool` — a thread-safe pool of
   exclusive plan sessions (LRU-bounded, with the idle generation keyed to
-  the catalog version and evicted on any catalog change) plus a
-  single-flight shared result cache, so N worker threads plan in parallel
-  without sharing mutable saturation state and never plan one fingerprint
-  twice;
+  the catalog version and evicted on any catalog change) over one
+  single-flight :class:`~repro.planner.PlanStore`, so N worker threads
+  plan in parallel without sharing mutable saturation state and never
+  plan one fingerprint twice;
 * :class:`~repro.service.router.ExecutionRouter` — picks an execution
   backend per plan via a pluggable :class:`~repro.service.router.RoutingPolicy`,
   binds catalog data through the backends' common ``execute_plan`` entry

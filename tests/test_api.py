@@ -124,11 +124,22 @@ class TestConfigValidation:
         assert config.normalized_matrices == (("M", ("S", "K", "R")),)
         assert config.session_kwargs()["normalized_matrices"] == {"M": ("S", "K", "R")}
 
-    def test_cache_key_is_stable_and_option_sensitive(self):
-        assert PlannerConfig().cache_key() == PlannerConfig().cache_key()
-        assert PlannerConfig().cache_key() != PlannerConfig(max_rounds=5).cache_key()
-        config = EngineConfig()
-        assert config.cache_key() == config.planner.cache_key()
+    def test_cache_key_is_stable_and_option_sensitive(self, small_catalog):
+        """The key the plan store uses moves with plan-affecting options
+        only: not with the store's capacity, static verification, or the
+        service and gateway knobs."""
+
+        def key(**options):
+            return PlanSession(small_catalog, **options).cache_key(_sample_expr())
+
+        assert key() == key()
+        assert key() != key(max_rounds=5)
+        assert key() == key(cache_size=7) == key(verify_constraints="warn")
+        engine = Engine(
+            small_catalog,
+            config=EngineConfig(service={"max_sessions": 2}, gateway={"port": 8080}),
+        )
+        assert engine.pool._shared_key(_sample_expr())._replace(workspace="") == key()
 
     def test_with_options_returns_validated_copy(self):
         config = PlannerConfig()

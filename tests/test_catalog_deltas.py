@@ -2,7 +2,7 @@
 
 Covers the typed delta algebra and its JSON wire schema, plan-footprint
 capture during planning, ``Catalog.apply_delta``/``update_metadata``, the
-pool's footprint-intersection revalidation (``RevalidationIndex`` plus
+pool's footprint-intersection revalidation (``PlanStore.revalidate`` via
 ``PlanSessionPool.apply_delta``), the registry's delta journal and
 ``delta_chain``, the ``Engine``/``WorkspaceHandle`` surface, the
 ``POST /v1/workspaces/<name>/delta`` gateway endpoint with its metric
@@ -45,8 +45,9 @@ from repro.exceptions import CatalogError
 from repro.fuzz.deltas import check_delta_case, load_delta_cases
 from repro.lang import inv, matrix, sum_all
 from repro.planner import PlanSession
+from repro.planner.cache import PlanKey
 from repro.server.client import GatewayClient
-from repro.service.pool import PlanSessionPool, RevalidationIndex
+from repro.service.pool import PlanSessionPool
 
 DELTA_CORPUS_DIR = Path(__file__).parent / "corpus" / "deltas"
 
@@ -224,28 +225,6 @@ class TestFootprintCapture:
 
 
 # ---------------------------------------------------------------------------
-# RevalidationIndex
-# ---------------------------------------------------------------------------
-
-
-class TestRevalidationIndex:
-    def test_candidates_by_name_and_wildcard(self):
-        index = RevalidationIndex()
-        key_a, key_b, key_w = ("a",), ("b",), ("w",)
-        index.record(key_a, PlanFootprint(relations={"M", "N"}))
-        index.record(key_b, PlanFootprint(relations={"C"}))
-        index.record(key_w, None)  # footprint-less: assume affected
-        assert index.candidates({"M"}) == {key_a, key_w}
-        assert index.candidates({"C"}) == {key_b, key_w}
-        assert index.candidates({"Z"}) == {key_w}
-        index.forget(key_w)
-        assert index.candidates({"Z"}) == set()
-        assert len(index) == 2
-        index.clear()
-        assert index.candidates({"M"}) == set()
-
-
-# ---------------------------------------------------------------------------
 # Pool revalidation
 # ---------------------------------------------------------------------------
 
@@ -271,7 +250,7 @@ class TestPoolRevalidation:
         assert _signature(survivor) == _signature(kept_plan)
         replanned = pool.plan(_expr_cv())
         assert not replanned.cache_hit
-        cold = PlanSession(catalog, enable_cache=False).rewrite(_expr_cv())
+        cold = PlanSession(catalog).rewrite(_expr_cv())
         assert _signature(replanned) == _signature(cold)
 
     def test_non_selective_delta_evicts_everything(self):
@@ -308,7 +287,7 @@ class TestPoolRevalidation:
         assert report.plans_kept_warm == 1
         assert pool.plan(_expr_mn()).cache_hit
         viewed = pool.plan(_expr_cv())
-        cold = PlanSession(catalog, views=[view], enable_cache=False).rewrite(_expr_cv())
+        cold = PlanSession(catalog, views=[view]).rewrite(_expr_cv())
         assert _signature(viewed) == _signature(cold)
 
     def test_stats_expose_revalidation_counters(self):
@@ -353,14 +332,13 @@ class TestRevalidationProperty:
         warm, re-keyed under the new catalog version."""
         pool = _hypothesis_pool()
         template = _HYP_TEMPLATE["result"]
-        viewset = pool._prototype._compute_viewset_key()
+        viewset = pool._prototype.viewset_key()
         version = pool._catalog_version()
         options = pool._prototype.options_key()
         for index, relations in enumerate(footprints):
-            key = ("", f"synthetic-{index}", viewset, version, options)
+            key = PlanKey("", f"synthetic-{index}", viewset, version, options)
             entry = template.copy(footprint=PlanFootprint(relations=relations))
-            pool.results.put(key, entry)
-            pool.revalidation.record(key, entry.footprint)
+            pool.store.get_or_plan(lambda: key, lambda: entry)
 
         delta = CatalogDelta(
             tuple(ReStat(name=name, nnz=1) for name in sorted(touched))
@@ -368,12 +346,12 @@ class TestRevalidationProperty:
         _HYP_CATALOG.apply_delta(delta)
         report = pool.apply_delta(delta)
 
-        new_viewset = pool._prototype._compute_viewset_key()
+        new_viewset = pool._prototype.viewset_key()
         new_version = pool._catalog_version()
         expected_kept = 0
         for index, relations in enumerate(footprints):
-            new_key = ("", f"synthetic-{index}", new_viewset, new_version, options)
-            kept = pool.results.get(new_key) is not None
+            new_key = PlanKey("", f"synthetic-{index}", new_viewset, new_version, options)
+            kept = new_key in pool.store
             assert kept == (not (relations & touched))
             expected_kept += int(kept)
         assert report.plans_kept_warm == expected_kept
@@ -458,9 +436,7 @@ class TestEngineDeltas:
         assert handle.rewrite(_expr_mn()).cache_hit
         replanned = handle.rewrite(_expr_cv())
         assert not replanned.cache_hit
-        cold = PlanSession(
-            engine.workspaces.get("a").catalog, enable_cache=False
-        ).rewrite(_expr_cv())
+        cold = PlanSession(engine.workspaces.get("a").catalog).rewrite(_expr_cv())
         assert _signature(replanned) == _signature(cold)
         # The runtime was adopted in place, not rebuilt.
         assert engine.workspace("a")._runtime is runtime_before
@@ -592,7 +568,7 @@ class TestConcurrentDeltas:
         catalog = _mini_catalog()
         pool = PlanSessionPool(lambda: PlanSession(catalog), max_sessions=4)
         baseline = _signature(
-            PlanSession(catalog, enable_cache=False).rewrite(_expr_mn())
+            PlanSession(catalog).rewrite(_expr_mn())
         )
         stop = threading.Event()
         failures = []
@@ -623,7 +599,7 @@ class TestConcurrentDeltas:
         assert not failures, failures[:3]
 
         final = pool.plan(_expr_cv())
-        cold = PlanSession(catalog, enable_cache=False).rewrite(_expr_cv())
+        cold = PlanSession(catalog).rewrite(_expr_cv())
         assert _signature(final) == _signature(cold)
 
     def test_engine_delta_racing_submit_many(self):
@@ -663,9 +639,7 @@ class TestConcurrentDeltas:
             mutator.join(timeout=60)
         assert not errors, errors
 
-        cold = PlanSession(
-            engine.workspaces.get("t").catalog, enable_cache=False
-        ).rewrite(_expr_cv())
+        cold = PlanSession(engine.workspaces.get("t").catalog).rewrite(_expr_cv())
         assert _signature(handle.rewrite(_expr_cv())) == _signature(cold)
 
 

@@ -217,8 +217,8 @@ def benchkit():
     views = build_vexp_views(roles)  # planned over, never evaluated: metadata is enough
     return (
         roles,
-        PlanSession(catalog, enable_cache=False),
-        PlanSession(catalog, views=views, enable_cache=False),
+        PlanSession(catalog),
+        PlanSession(catalog, views=views),
     )
 
 
@@ -248,7 +248,6 @@ class TestKernelEqualsOracle:
             catalog,
             include_morpheus_rules=True,
             normalized_matrices={"Mnorm": ("S", "K", "R")},
-            enable_cache=False,
         )
         fired = Counter()
         m = matrix("Mnorm")
@@ -281,7 +280,7 @@ class TestKernelEqualsOracle:
             views = ExpressionGenerator(
                 inventory, spawn_rng(20, batch, 1), max_depth=3
             ).generate_views(3)
-            session = PlanSession(catalog, views=views, enable_cache=False)
+            session = PlanSession(catalog, views=views)
             for index in range(100):
                 expr = ExpressionGenerator(
                     inventory, spawn_rng(20, batch, 2, index), max_depth=4

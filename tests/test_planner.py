@@ -1,7 +1,10 @@
-"""Tests of the staged planner: sessions, cache, fingerprints, indexing.
+"""Tests of the staged planner: sessions, plan store, fingerprints, indexing.
 
 Covers the behaviours the refactor promises:
 
+* the plan store — LRU bounds and counters, the footprint index and its
+  wildcard bucket, re-keying, single flight, the non-blocking lookup, and
+  no publication under a key that moved mid-plan;
 * cache hit / miss and invalidation on catalog and view-set changes;
 * fingerprint sanity — structurally distinct expressions get distinct keys,
   structurally equal ones share them, across processes' ``hash`` randomness;
@@ -14,15 +17,20 @@ Covers the behaviours the refactor promises:
   fix.
 """
 
+import threading
+import time
+
 import pytest
 
+from repro.catalog import PlanFootprint
 from repro.chase.program import ConstraintProgram
 from repro.chase.saturation import SaturationEngine
 from repro.constraints import default_constraints
 from repro.constraints.views import LAView
 from repro.lang import colsums, inv, matrix, rowsums, scalar, sum_all, transpose
 from repro.lang import matrix_expr as mx
-from repro.planner import PlanSession, RewriteCache
+from repro.planner import PlanSession, PlanStore
+from repro.planner.cache import PlanKey
 from repro.vrem.encoder import encode_expression
 
 
@@ -71,25 +79,191 @@ class TestFingerprints:
 
 
 # ---------------------------------------------------------------------------
-# Rewrite cache
+# Plan store
 # ---------------------------------------------------------------------------
 
 
-class TestRewriteCache:
-    def test_lru_capacity_and_counters(self, small_catalog):
-        cache = RewriteCache(capacity=2)
-        session = PlanSession(small_catalog, enable_cache=False)
-        results = {
-            name: session.rewrite(transpose(matrix(name))) for name in ("M", "N", "A")
-        }
-        cache.put(("M",), results["M"])
-        cache.put(("N",), results["N"])
-        cache.put(("A",), results["A"])  # evicts ("M",)
-        assert cache.get(("M",)) is None
-        assert cache.get(("N",)) is results["N"]
-        assert cache.evictions == 1 and cache.misses == 1 and cache.hits == 1
-        assert 0.0 < cache.hit_rate < 1.0
+def _key(fingerprint: str, version: int = 0) -> PlanKey:
+    return PlanKey("", fingerprint, (), version, ())
 
+
+@pytest.fixture()
+def planned(small_catalog):
+    """A finished plan to store under synthetic keys."""
+    return PlanSession(small_catalog).plan(transpose(matrix("M")))
+
+
+def _publish(store: PlanStore, key: PlanKey, result) -> None:
+    store.get_or_plan(lambda: key, lambda: result)
+
+
+class TestPlanStore:
+    def test_lru_capacity_order_and_counters(self, planned):
+        store = PlanStore(capacity=2)
+        _publish(store, _key("M"), planned)
+        _publish(store, _key("N"), planned)
+        assert store.lookup(_key("M")).cache_hit  # M is now the newest
+        _publish(store, _key("A"), planned)  # evicts N, the oldest
+        assert _key("N") not in store and _key("M") in store and _key("A") in store
+        assert store.evictions == 1 and store.misses == 3 and store.hits == 1
+        assert store.planned == 3 and len(store) == 2
+        assert store.lookup(_key("Z")) is None  # a lookup never counts a miss
+        assert store.misses == 3 and store.stats()["hit_rate"] == 0.25
+        assert store.stats()["size"] == 2 and store.stats()["capacity"] == 2
+        with pytest.raises(ValueError):
+            PlanStore(capacity=0)
+
+    def test_hits_are_private_copies(self, planned):
+        store = PlanStore(capacity=4)
+        _publish(store, _key("M"), planned)
+        hit = store.lookup(_key("M"))
+        hit.used_views.append("corrupted")
+        hit.stage_timings["corrupted"] = 1.0
+        again = store.get_or_plan(lambda: _key("M"), lambda: pytest.fail("replanned"))
+        assert again.cache_hit and "corrupted" not in again.stage_timings
+        assert again.copy(rewrite_seconds=0.0, cache_hit=False) == planned.copy(
+            rewrite_seconds=0.0
+        )
+
+    def test_revalidate_by_footprint_and_wildcard(self, planned):
+        store = PlanStore(capacity=8)
+        _publish(store, _key("a"), planned.copy(footprint=PlanFootprint(relations={"M", "N"})))
+        _publish(store, _key("b"), planned.copy(footprint=PlanFootprint(relations={"C"})))
+        _publish(store, _key("w"), planned.copy(footprint=None))  # assume affected
+        assert store.revalidate({"M"}, catalog_version=1) == (1, 2)
+        assert set(store._entries) == {_key("b", 1)}
+        # The footprint index follows the re-keyed entry.
+        assert store.revalidate({"C"}, catalog_version=2) == (0, 1)
+        assert len(store) == 0
+
+    def test_revalidate_non_selective_evicts_everything(self, planned):
+        store = PlanStore(capacity=8)
+        _publish(store, _key("a"), planned.copy(footprint=PlanFootprint(relations={"M"})))
+        assert store.revalidate(None, catalog_version=1) == (0, 1)
+        assert len(store) == 0
+
+    def test_rekeyed_survivors_are_byte_identical_and_keep_lru_order(self, planned):
+        store = PlanStore(capacity=8)
+        entries = {}
+        for name in ("x", "y", "z"):
+            entries[name] = planned.copy(footprint=PlanFootprint(relations={name}))
+            _publish(store, _key(name), entries[name])
+        stored = {key.fingerprint: store._entries[key] for key in store._entries}
+        assert store.revalidate({"y"}, workspace="w", catalog_version=5) == (2, 1)
+        moved = [PlanKey("w", name, (), 5, ()) for name in ("x", "z")]
+        assert list(store._entries) == moved
+        for key in moved:
+            assert store._entries[key] is stored[key.fingerprint]
+        hit = store.lookup(moved[0])
+        assert hit == entries["x"].copy(cache_hit=True, rewrite_seconds=hit.rewrite_seconds)
+
+    def test_clear_drops_entries_and_index(self, planned):
+        store = PlanStore(capacity=8)
+        _publish(store, _key("a"), planned.copy(footprint=PlanFootprint(relations={"M"})))
+        store.clear()
+        assert len(store) == 0 and store._by_name == {} and store._wildcard == set()
+
+    def test_threads_on_one_key_plan_once(self, planned):
+        store = PlanStore(capacity=8)
+        calls = []
+        barrier = threading.Barrier(8)
+
+        def plan():
+            calls.append(1)
+            time.sleep(0.05)  # hold the key in flight while the others arrive
+            return planned
+
+        def worker(out):
+            barrier.wait()
+            out.append(store.get_or_plan(lambda: _key("k"), plan))
+
+        results = []
+        threads = [threading.Thread(target=worker, args=(results,)) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert len(calls) == 1 and store.planned == 1
+        assert sum(not result.cache_hit for result in results) == 1
+        assert store.hits == 7 and store.waits >= 1
+        assert store._inflight == {}
+
+    def test_failing_leader_wakes_waiters_and_the_next_one_retries(self, planned):
+        store = PlanStore(capacity=8)
+        leading, fail = threading.Event(), threading.Event()
+        attempts = []
+
+        def plan():
+            attempts.append(1)
+            if len(attempts) == 1:
+                leading.set()
+                assert fail.wait(timeout=5)
+                raise RuntimeError("planner failed")
+            return planned
+
+        errors, results = [], []
+
+        def leader():
+            try:
+                store.get_or_plan(lambda: _key("k"), plan)
+            except RuntimeError as error:
+                errors.append(error)
+
+        first = threading.Thread(target=leader)
+        first.start()
+        assert leading.wait(timeout=5)
+        waiter = threading.Thread(
+            target=lambda: results.append(store.get_or_plan(lambda: _key("k"), plan))
+        )
+        waiter.start()
+        while store.waits == 0:
+            time.sleep(0.001)
+        fail.set()
+        first.join(timeout=10)
+        waiter.join(timeout=10)
+        assert len(errors) == 1 and len(attempts) == 2
+        assert len(results) == 1 and not results[0].cache_hit
+        assert _key("k") in store and store._inflight == {}
+
+    def test_lookup_returns_none_while_the_lock_is_held(self, planned):
+        store = PlanStore(capacity=8)
+        _publish(store, _key("k"), planned)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with store._lock:
+                held.set()
+                release.wait(timeout=5)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(timeout=5)
+            started = time.perf_counter()
+            assert store.lookup(_key("k")) is None
+            assert time.perf_counter() - started < 0.05
+        finally:
+            release.set()
+            holder.join(timeout=5)
+        assert store.hits == 0
+        assert store.lookup(_key("k")).cache_hit
+
+    def test_nothing_is_published_when_the_key_moved_mid_plan(self, planned):
+        store = PlanStore(capacity=8)
+        current = {"key": _key("k", 0)}
+
+        def plan():
+            current["key"] = _key("k", 1)  # the catalog moved while planning
+            return planned
+
+        result = store.get_or_plan(lambda: current["key"], plan)
+        assert result is planned and not result.cache_hit
+        assert len(store) == 0 and store.planned == 1 and store._inflight == {}
+        assert not store.get_or_plan(lambda: current["key"], lambda: planned).cache_hit
+        assert list(store._entries) == [_key("k", 1)]
+
+
+class TestSessionCache:
     def test_session_cache_hit_on_identical_expression(self, small_catalog):
         session = PlanSession(small_catalog)
         expr = transpose(matrix("M") @ matrix("N"))
@@ -98,7 +272,7 @@ class TestRewriteCache:
         assert not first.cache_hit and second.cache_hit
         assert second.best == first.best
         assert second.best_cost == first.best_cost
-        assert session.cache.hits == 1
+        assert session.store.hits == 1
         # Cached timings describe the original planning run.
         assert second.stage_timings == first.stage_timings
         assert second.rewrite_seconds < first.rewrite_seconds
@@ -131,7 +305,7 @@ class TestRewriteCache:
         assert not session.rewrite(expr).cache_hit
 
     def test_rewrite_all_dedupes_by_fingerprint(self, small_catalog):
-        session = PlanSession(small_catalog, enable_cache=False)
+        session = PlanSession(small_catalog)
         expr = transpose(matrix("M") @ matrix("N"))
         other = sum_all(matrix("A"))
         results = session.rewrite_all([expr, other, transpose(matrix("M") @ matrix("N"))])
@@ -218,9 +392,7 @@ class TestConstraintIndex:
     def test_session_plans_match_without_index(self, small_catalog):
         expr = sum_all(colsums(transpose(matrix("N")) @ transpose(matrix("M"))))
         fast = PlanSession(small_catalog).rewrite(expr)
-        reference = PlanSession(
-            small_catalog, tighten_thresholds=False, enable_cache=False
-        )
+        reference = PlanSession(small_catalog, tighten_thresholds=False)
         reference.engine = SaturationEngine(reference.program, use_index=False)
         slow = reference.rewrite(expr)
         assert fast.best == slow.best
@@ -303,7 +475,7 @@ class TestSessionOptions:
         session.alternatives_limit = 3
         session.set_budgets(max_rounds=2)
         assert session.engine.max_rounds == 2
-        assert len(session.cache) == 0  # set_budgets drops cached plans
+        assert len(session.store) == 0  # set_budgets drops cached plans
         result = session.rewrite(expr)
         assert not result.cache_hit and result.saturation.rounds <= 2
         session.set_views([LAView("Vmn", matrix("M") @ matrix("N"))])

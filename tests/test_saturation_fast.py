@@ -405,7 +405,7 @@ def _cold_sweep(max_rounds=4, only=None):
     roles = default_roles(ROLE_BINDINGS_DENSE)
     plans = {}
     for variant, views in (("nv", ()), ("vexp", build_vexp_views(roles))):
-        session = PlanSession(catalog, views=views, enable_cache=False, max_rounds=max_rounds)
+        session = PlanSession(catalog, views=views, max_rounds=max_rounds)
         for name in only or pipeline_names():
             result = session.rewrite(build_pipeline(name, roles))
             plans[f"{name}/{variant}"] = (
@@ -474,8 +474,8 @@ _CHASE_BOUND = {"P2.17", "P2.21"}
 def engine_pair():
     """(production session, reference session, roles) over the benchkit catalog."""
     catalog = benchmark_catalog(scale=0.01)
-    production = PlanSession(catalog, enable_cache=False)
-    reference = PlanSession(catalog, enable_cache=False)
+    production = PlanSession(catalog)
+    reference = PlanSession(catalog)
     reference.engine = SaturationEngine(reference.program, use_index=False)
     return production, reference, default_roles(ROLE_BINDINGS_DENSE)
 
@@ -501,7 +501,7 @@ class TestReferenceEngine:
             # At the reference engine's own budgets (6 rounds, 20 000 atoms)
             # P2.17 chases for minutes; compare at the production budgets,
             # the ones a rewrite gives the engine.
-            reference = PlanSession(production.catalog, enable_cache=False)
+            reference = PlanSession(production.catalog)
             reference.engine = SaturationEngine(
                 reference.program,
                 use_index=False,

@@ -758,7 +758,7 @@ class TestWarmPlanReadPath:
         assert kept["cache_hit"] and kept_batched == 0  # outside the footprint
         assert not miss["cache_hit"] and miss_batched == 1  # re-planned, batched
         assert hit["cache_hit"] and hit_batched == 1  # and warm again on the loop
-        referee = PlanSession(engine.workspaces.get("default").catalog, enable_cache=False)
+        referee = PlanSession(engine.workspaces.get("default").catalog)
         for response, expr in ((kept, untouched), (miss, touched), (hit, touched)):
             cold = referee.rewrite(expr)
             assert response["plan"] == cold.best.to_string()
@@ -766,10 +766,10 @@ class TestWarmPlanReadPath:
             assert response["used_views"] == list(cold.used_views)
 
     def test_busy_pool_lock_never_stalls_the_loop(self, small_catalog):
-        """A delta holds ``pool._lock`` for a whole revalidation.  While it
-        is held a warm read takes the batcher path (a worker thread waits),
-        the loop keeps serving, and the answer is the hit it would have
-        been: the loop-hit body in every field but ``timings``.
+        """A delta holds the pool's store lock for a whole revalidation.
+        While it is held a warm read takes the batcher path (a worker thread
+        waits), the loop keeps serving, and the answer is the hit it would
+        have been: the loop-hit body in every field but ``timings``.
 
         (A named tenant; the default workspace's lock is held in
         :meth:`test_health_never_waits_for_the_default_pool_lock`.)"""
@@ -782,7 +782,7 @@ class TestWarmPlanReadPath:
         held, release = threading.Event(), threading.Event()
 
         def hold():
-            with pool._lock:
+            with pool.store._lock:
                 held.set()
                 release.wait(timeout=10)
 

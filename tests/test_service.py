@@ -162,6 +162,39 @@ class TestPlanSessionPool:
         assert not result.cache_hit
         assert pool.stats.plans_computed == 2
 
+    def test_invalidate_forces_a_replan(self, small_catalog):
+        """After ``invalidate`` no copy of the plan is left anywhere in the
+        workspace: the next rewrite plans again and says so."""
+        engine = Engine(small_catalog)
+        assert not engine.rewrite(_mn()).cache_hit
+        engine.pool.invalidate()
+        result = engine.rewrite(_mn())
+        assert result.cache_hit is False
+        assert engine.pool.stats.plans_computed == 2
+
+    def test_one_copy_per_plan_per_workspace(self, small_catalog):
+        """N distinct cold rewrites leave N plans in the pool's store and
+        none in any pooled session."""
+        engine = Engine(small_catalog, config={"service": {"max_sessions": 4}})
+        exprs = [transpose(matrix(name)) for name in ("M", "N", "A", "B", "C", "D", "R", "X")]
+        barrier = threading.Barrier(4)
+        results = []
+
+        def worker(chunk):
+            barrier.wait()
+            results.extend(engine.rewrite(expr) for expr in chunk)
+
+        threads = [threading.Thread(target=worker, args=(exprs[i::4],)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        pool = engine.pool
+        assert len(results) == len(exprs) and not any(r.cache_hit for r in results)
+        assert pool.idle_count >= 1
+        assert all(len(session.store) == 0 for session in pool._idle)
+        assert len(pool.store) == len(exprs) == pool.stats.plans_computed
+
     # -- lookup: the read that never plans and never blocks ----------------
     def test_lookup_on_a_cold_key_is_none_and_plans_nothing(self, small_catalog):
         pool = PlanSessionPool(_factory(small_catalog), max_sessions=2)
@@ -194,7 +227,7 @@ class TestPlanSessionPool:
         held, release = threading.Event(), threading.Event()
 
         def hold():
-            with pool._lock:
+            with pool.store._lock:
                 held.set()
                 release.wait(timeout=5)
 
@@ -217,14 +250,14 @@ class TestPlanSessionPool:
 
         def slow_factory():
             session = PlanSession(small_catalog)
-            rewrite = session.rewrite
+            plan = session.plan
 
-            def slow_rewrite(expr):
+            def slow_plan(expr):
                 planning.set()
                 assert finish.wait(timeout=5)
-                return rewrite(expr)
+                return plan(expr)
 
-            session.rewrite = slow_rewrite
+            session.plan = slow_plan
             return session
 
         pool = PlanSessionPool(slow_factory, max_sessions=2)

@@ -551,11 +551,13 @@ class TestEstimatorRegistry:
         with pytest.raises(ConfigError, match="naive"):
             Engine(small_catalog, config=EngineConfig(planner={"estimator": "nope"}))
 
-    def test_estimator_name_is_cache_key_relevant(self):
-        assert (
-            PlannerConfig(estimator="naive").cache_key()
-            != PlannerConfig(estimator="mnc").cache_key()
-        )
+    def test_estimator_name_is_cache_key_relevant(self, small_catalog):
+        expr = matrix("M") @ matrix("N")
+        keys = {
+            PlanSession(small_catalog, config=PlannerConfig(estimator=name)).cache_key(expr)
+            for name in ("naive", "mnc")
+        }
+        assert len(keys) == 2
 
     def test_explicit_estimator_object_wins(self, small_catalog):
         session = PlanSession(small_catalog, estimator=MNCEstimator())
