@@ -12,8 +12,8 @@ Two analyzers share one finding/waiver model:
   ``async def`` bodies, unpicklable spawn payloads).
 
 Run both from the command line with ``python -m repro.analysis``
-(subcommands ``constraints`` and ``lint``), or wire verification into plan
-sessions with ``PlannerConfig(verify_constraints="warn"|"strict")``.
+(subcommands ``constraints`` and ``lint``), or verify one compiled program
+(a session's ``session.program``) with ``ConstraintProgram.verify()``.
 Findings carry stable ``RPA…`` rule codes documented in
 :data:`repro.analysis.findings.RULES`; accepted findings live in a waiver
 file with mandatory reasons (``tools/analysis_waivers.json``).

@@ -11,9 +11,7 @@ Severities
 ----------
 ``error``
     The construct is wrong: it can deadlock, race, never match, or crash the
-    chase at runtime.  Errors fail every run of the CLI and, when
-    ``PlannerConfig.verify_constraints == "strict"``, raise at session
-    construction.
+    chase at runtime.  Errors fail every run of the CLI.
 ``warning``
     The construct is statically suspicious but may be intentional (e.g. the
     equational LA theory is deliberately not weakly acyclic — the saturation

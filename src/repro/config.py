@@ -6,7 +6,8 @@ Since the :mod:`repro.api` consolidation these four dataclasses are the
 * :class:`PlannerConfig` — every knob of a
   :class:`~repro.planner.session.PlanSession` (rule-set toggles, saturation
   budgets, pruning, plan-store capacity); the session's keyword arguments
-  fold into exactly these fields.
+  fold into exactly these fields, and the session keeps the result as
+  ``session.config``.
 * :class:`ServiceConfig` — the :class:`~repro.service.AnalyticsService`
   knobs: pool size, batch fan-out, routing preference.
 * :class:`GatewayConfig` — the :class:`~repro.server.AnalyticsGateway`
@@ -20,8 +21,8 @@ naming the field, the value received and the acceptable range — the
 misconfiguration surfaces where it was written, not two layers down.
 
 Configs are threaded through the stack *unchanged*.  Cached plans are keyed
-on the options that actually change a plan, read off the live session by
-:meth:`repro.planner.PlanSession.options_key`.
+on the options that actually change a plan, which a session reads off its
+config once, at construction (``PlanSession.options_key``).
 
 This module is import-neutral (stdlib + :mod:`repro.exceptions` only); the
 planner, service and server layers all import it without cycles.
@@ -30,7 +31,7 @@ planner, service and server layers all import it without cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 from repro.exceptions import ConfigError
 
@@ -109,15 +110,11 @@ class PlannerConfig:
     """
 
     include_decompositions: bool = False
-    include_systemml_rules: bool = True
     include_morpheus_rules: bool = False
-    include_view_voi: bool = True
     max_rounds: int = 4
     max_atoms: int = 2_500
     max_classes: int = 1_200
     prune: bool = True
-    reorder_matmul_chains: bool = True
-    alternatives_limit: int = 6
     normalized_matrices: Tuple[Tuple[str, Tuple[str, str, str]], ...] = ()
     #: Capacity of the :class:`~repro.planner.PlanStore` of a bare session,
     #: and of the one a workspace's session pool shares.
@@ -128,54 +125,29 @@ class PlannerConfig:
     #: is built without an explicit estimator object.  Membership is checked
     #: at resolution (this module stays import-neutral), so a mistyped name
     #: still fails at session/engine construction with the valid choices.
+    #: ``PlanSession.config`` holds the registered name of the estimator the
+    #: session actually uses, even when one was passed as an object.
     estimator: str = "naive"
-    #: Static verification of the compiled constraint program
-    #: (:mod:`repro.analysis.verifier`) at session construction and on
-    #: ``set_views``.  ``"off"`` (the default) skips it; ``"warn"`` emits a
-    #: :class:`UserWarning` listing error-severity findings; ``"strict"``
-    #: raises :class:`~repro.exceptions.ConstraintVerificationError` on them.
-    #: Warning-tier findings (e.g. the deliberately non-weakly-acyclic LA
-    #: theory) never block a session — use the CLI's ``--strict`` mode and
-    #: the waiver file to audit those.  Verification never mutates the
-    #: program, so plans are identical across all three modes.
-    verify_constraints: str = "off"
 
     def __post_init__(self) -> None:
         name = type(self).__name__
         for flag in (
             "include_decompositions",
-            "include_systemml_rules",
             "include_morpheus_rules",
-            "include_view_voi",
             "prune",
-            "reorder_matmul_chains",
             "tighten_thresholds",
         ):
             _require_bool(name, flag, getattr(self, flag))
         _require_int(name, "max_rounds", self.max_rounds, 1)
         _require_int(name, "max_atoms", self.max_atoms, 1)
         _require_int(name, "max_classes", self.max_classes, 1)
-        _require_int(name, "alternatives_limit", self.alternatives_limit, 0)
         _require_int(name, "cache_size", self.cache_size, 1)
         _require_str(name, "estimator", self.estimator)
-        _require_str(name, "verify_constraints", self.verify_constraints)
-        if self.verify_constraints not in ("off", "warn", "strict"):
-            raise ConfigError(
-                f"{name}.verify_constraints must be one of 'off', 'warn', "
-                f"'strict', got {self.verify_constraints!r}"
-            )
         object.__setattr__(
             self,
             "normalized_matrices",
             _normalized_matrix_items(name, self.normalized_matrices),
         )
-
-    def session_kwargs(self) -> Dict[str, Any]:
-        """Keyword arguments for the :class:`~repro.planner.PlanSession`
-        constructor (the dict-shaped view of the normalized matrices)."""
-        kwargs = {f.name: getattr(self, f.name) for f in fields(self)}
-        kwargs["normalized_matrices"] = dict(self.normalized_matrices)
-        return kwargs
 
     def with_options(self, **changes: Any) -> "PlannerConfig":
         """A validated copy with ``changes`` applied (configs are frozen)."""
@@ -214,7 +186,6 @@ class GatewayConfig:
     workspace_max_in_flight: int = 0
     batch_window_seconds: float = 0.005
     max_batch: int = 128
-    plan_workers: int = 8
     backlog: int = 2048
     #: Number of planner worker *processes* behind the gateway.  ``0`` (the
     #: default) keeps today's in-process path — planning on a thread pool
@@ -245,7 +216,6 @@ class GatewayConfig:
             _require_float(name, "batch_window_seconds", self.batch_window_seconds, 0.0),
         )
         _require_int(name, "max_batch", self.max_batch, 1)
-        _require_int(name, "plan_workers", self.plan_workers, 1)
         _require_int(name, "backlog", self.backlog, 1)
         _require_int(name, "planner_workers", self.planner_workers, 0)
         _require_int(name, "worker_retry_budget", self.worker_retry_budget, 0)

@@ -90,33 +90,23 @@ def _encode_view_body(
     return atoms, root_var
 
 
-def view_constraints(
-    view: LAView,
-    catalog: Optional[Catalog] = None,
-    include_voi: bool = True,
-) -> List[Constraint]:
-    """The V_IO (and optionally V_OI) constraints of one view."""
+def view_constraints(view: LAView, catalog: Optional[Catalog] = None) -> List[Constraint]:
+    """The V_IO and V_OI constraints of one view."""
     body, root_var = _encode_view_body(view, catalog)
     head = Atom("name", (root_var, Const(view.name)))
-    constraints: List[Constraint] = [
-        TGD(name=f"view-io:{view.name}", premise=tuple(body), conclusion=(head,))
+    return [
+        TGD(name=f"view-io:{view.name}", premise=tuple(body), conclusion=(head,)),
+        TGD(name=f"view-oi:{view.name}", premise=(head,), conclusion=tuple(body)),
     ]
-    if include_voi:
-        constraints.append(
-            TGD(name=f"view-oi:{view.name}", premise=(head,), conclusion=tuple(body))
-        )
-    return constraints
 
 
 def constraints_for_views(
-    views: Sequence[LAView],
-    catalog: Optional[Catalog] = None,
-    include_voi: bool = True,
+    views: Sequence[LAView], catalog: Optional[Catalog] = None
 ) -> List[Constraint]:
     """The union of the view constraints of a view set (the paper's C_V)."""
     constraints: List[Constraint] = []
     for view in views:
-        constraints.extend(view_constraints(view, catalog, include_voi))
+        constraints.extend(view_constraints(view, catalog))
     return constraints
 
 

@@ -52,13 +52,6 @@ class ChaseBudgetExceeded(ChaseError):
     budget before reaching a fixpoint."""
 
 
-class ConstraintVerificationError(ChaseError):
-    """Raised when static verification of a constraint program
-    (:mod:`repro.analysis.verifier`) reports error-severity findings and the
-    session was built with ``PlannerConfig.verify_constraints == "strict"``.
-    The message lists every finding with its rule code."""
-
-
 class RewriteError(ReproError):
     """Raised when the optimizer cannot produce any equivalent rewriting
     (including the identity rewriting) for the given expression."""

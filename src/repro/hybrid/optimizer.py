@@ -69,7 +69,6 @@ class HybridOptimizer:
         relational_view_tables: Optional[Dict[str, str]] = None,
         estimator=None,
         factor_names: Optional[Dict[str, Tuple[str, str, str]]] = None,
-        max_rounds: int = 4,
     ):
         """
         Parameters
@@ -92,12 +91,9 @@ class HybridOptimizer:
         self.relational_view_tables = dict(relational_view_tables or {})
         self.estimator = estimator
         self.factor_names = dict(factor_names or {})
-        self.max_rounds = max_rounds
-        #: One plan session per distinct (factor set, LA configuration);
-        #: reusing sessions keeps the compiled constraint program and the
-        #: plan store warm across repeated hybrid queries, while still
-        #: honouring later mutation of ``la_views`` / ``estimator`` /
-        #: ``max_rounds`` (a new configuration simply keys a new session).
+        #: One plan session per distinct factor set; reusing sessions keeps
+        #: the compiled constraint program and the plan store warm across
+        #: repeated hybrid queries.
         self._sessions: Dict[Tuple, PlanSession] = {}
         #: Catalog version at which factor matrices were last materialized;
         #: any catalog change (e.g. a base table being replaced) forces a
@@ -105,24 +101,15 @@ class HybridOptimizer:
         self._factors_catalog_version: Optional[int] = None
 
     def _session_for(self, factors: Dict[str, Tuple[str, str, str]]) -> PlanSession:
-        key = (
-            tuple(sorted(factors.items())),
-            tuple(
-                (view.name, view.definition.fingerprint()) for view in self.la_views
-            ),
-            id(self.catalog),
-            id(self.estimator),
-            self.max_rounds,
-        )
+        key = tuple(sorted(factors.items()))
         session = self._sessions.get(key)
         if session is None:
             session = PlanSession(
                 catalog=self.catalog,
-                views=list(self.la_views),
+                views=self.la_views,
                 estimator=self.estimator,
                 include_morpheus_rules=bool(factors),
                 normalized_matrices=factors,
-                max_rounds=self.max_rounds,
             )
             self._sessions[key] = session
         return session

@@ -5,7 +5,7 @@ rewriting is reused, not re-derived.  A :class:`PlanStore` keeps finished
 :class:`~repro.core.result.RewriteResult` objects under a :class:`PlanKey`:
 workspace identity (empty for a bare session), expression fingerprint,
 view-set key, catalog version (any registration bumps it) and the
-plan-affecting options (:meth:`PlanSession.options_key`).
+plan-affecting options (``PlanSession.options_key``).
 
 Each path has one owner: a bare :class:`~repro.planner.session.PlanSession`
 owns one store, and a :class:`~repro.service.PlanSessionPool` owns one for

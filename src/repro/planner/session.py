@@ -13,24 +13,29 @@ optimizer, the benchmark harness and tests drive a session directly.
 Thread safety
 -------------
 A session is **not** thread-safe: a rewrite mutates the saturation engine's
-working state, and the reconfiguration methods (``set_views`` /
-``set_budgets`` / …) swap whole components.  One session must therefore be
-driven by one thread at a time.  Concurrent callers should check sessions
-out of a :class:`repro.service.PlanSessionPool`, which keeps each session
-exclusive to its holder and caches plans in its own store: it runs the
-uncached :meth:`PlanSession.plan` on the sessions it checks out, so pooled
-sessions hold no plans.  The only state deliberately safe to share across
+working state, so one session must be driven by one thread at a time.
+Concurrent callers should check sessions out of a
+:class:`repro.service.PlanSessionPool`, which keeps each session exclusive
+to its holder and caches plans in its own store: it runs the uncached
+:meth:`PlanSession.plan` on the sessions it checks out, so pooled sessions
+hold no plans.  The only state deliberately safe to share across
 threads is the expression-side ``Expr.fingerprint()`` memo (idempotent
 writes of an identical value) and finished :class:`RewriteResult` objects,
 because every result crossing a store boundary is a private copy
 (:meth:`RewriteResult.copy`).
+
+Options
+-------
+A session is built once from one frozen :class:`PlannerConfig`, kept as
+``session.config``; nothing reconfigures it afterwards.  A session with
+other views is a new session (:meth:`PlanSession.with_views`), and other
+options mean a new session or engine built from ``config.with_options(...)``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import fields
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.catalog.footprint import PlanFootprint
 from repro.chase.program import ConstraintProgram
@@ -42,41 +47,14 @@ from repro.constraints.views import LAView, constraints_for_views
 from repro.core.result import RewriteResult
 from repro.cost import estimator_name_for, resolve_estimator
 from repro.data.catalog import Catalog
-from repro.exceptions import UnknownMatrixError
+from repro.exceptions import ConfigError, UnknownMatrixError
 from repro.lang import matrix_expr as mx
 from repro.planner.cache import PlanKey, PlanStore
-from repro.planner.stages import DEFAULT_STAGES, PlanContext, Stage
-
-
-#: Options a session holds as plain attributes named after their
-#: :class:`PlannerConfig` field.  The other two fields live on owned objects:
-#: ``estimator`` on the live estimator object (see ``estimator_name``) and
-#: ``cache_size`` on ``store.capacity``.
-_ATTRIBUTE_OPTIONS: Tuple[str, ...] = tuple(
-    f.name for f in fields(PlannerConfig) if f.name not in ("estimator", "cache_size")
-)
+from repro.planner.stages import DEFAULT_STAGES, PlanContext
 
 
 class PlanSession:
     """Reusable planning state plus the staged rewrite pipeline."""
-
-    # Declared for type checkers; ``__init__`` assigns every
-    # ``_ATTRIBUTE_OPTIONS`` name from the config.
-    include_decompositions: bool
-    include_systemml_rules: bool
-    include_morpheus_rules: bool
-    include_view_voi: bool
-    max_rounds: int
-    max_atoms: int
-    max_classes: int
-    prune: bool
-    reorder_matmul_chains: bool
-    alternatives_limit: int
-    normalized_matrices: Dict[str, Tuple[str, str, str]]
-    tighten_thresholds: bool
-    #: Static-verification mode ("off" | "warn" | "strict"); consulted
-    #: again whenever ``set_views`` recompiles the program.
-    verify_constraints: str
 
     def __init__(
         self,
@@ -85,109 +63,72 @@ class PlanSession:
         estimator=None,
         constraints: Optional[Sequence[Constraint]] = None,
         *,
-        stages: Optional[Sequence[Stage]] = None,
         config: Optional[PlannerConfig] = None,
         **planner_kwargs,
     ):
-        # Options always travel as one validated, frozen PlannerConfig.
-        # ``planner_kwargs`` are its fields given inline; they are folded
-        # into one even when ``config`` is provided (and wins), so an
-        # unknown name or an invalid value always fails here, naming the
-        # field.
-        keyword_config = PlannerConfig(**planner_kwargs)
+        # Options are either one PlannerConfig or its fields inline, never
+        # both: a keyword beside ``config`` would otherwise be dropped.
         if config is None:
-            config = keyword_config
-        options = config.session_kwargs()
-        for name in _ATTRIBUTE_OPTIONS:
-            setattr(self, name, options[name])
-
-        self.catalog = catalog
-        self.views = list(views)
-        #: The declared estimator name.  An explicit estimator *object*
-        #: wins over the config name; otherwise
-        #: the name is resolved through the registry in :mod:`repro.cost`
-        #: — an unknown name raises ConfigError listing the valid choices,
-        #: here at construction rather than on the first rewrite.
-        self._declared_estimator_name = options["estimator"]
+            config = PlannerConfig(**planner_kwargs)
+        elif planner_kwargs:
+            raise ConfigError(
+                f"PlanSession got both config= and the planner keyword(s) "
+                f"{sorted(planner_kwargs)}; pass config.with_options(...) instead"
+            )
+        # An explicit estimator object wins over the config name; otherwise
+        # the name is resolved through the registry in :mod:`repro.cost`, so
+        # an unknown name raises ConfigError listing the valid choices here.
         if estimator is None:
-            estimator = resolve_estimator(self._declared_estimator_name)
+            estimator = resolve_estimator(config.estimator)
+        #: The frozen options this session was built with, the only place
+        #: they live; ``estimator`` names the estimator actually in use
+        #: (objects of unregistered types keep the declared name).
+        self.config = config = config.with_options(
+            estimator=estimator_name_for(estimator) or config.estimator
+        )
+        self.catalog = catalog
+        self.views: Tuple[LAView, ...] = tuple(views)
         self.estimator = estimator
         if constraints is None:
             constraints = default_constraints(
-                include_decompositions=self.include_decompositions,
-                include_systemml=self.include_systemml_rules,
-                include_morpheus=self.include_morpheus_rules or bool(self.normalized_matrices),
+                include_decompositions=config.include_decompositions,
+                include_morpheus=config.include_morpheus_rules
+                or bool(config.normalized_matrices),
             )
         self.base_constraints = list(constraints)
         self._register_view_metadata()
-        self.view_constraints = constraints_for_views(
-            self.views, catalog, include_voi=self.include_view_voi
-        )
+        self.view_constraints = constraints_for_views(self.views, catalog)
         #: Compiled once; every rewrite reuses the indexed program.
         self.program = ConstraintProgram(
             self.base_constraints + self.view_constraints, validate=False
         )
-        self._verify_program()
-        self.engine = self._build_engine()
-        self.stages: Tuple[Stage, ...] = tuple(stages) if stages is not None else DEFAULT_STAGES
-        self.store = PlanStore(options["cache_size"])
-        #: The construction-time half of :meth:`options_key`, frozen here:
-        #: these options are baked into the compiled constraint program and
-        #: cannot take effect through attribute mutation, so the cache key
-        #: deliberately uses the values the program was *built* with.
-        self._constructed_options_key: Tuple = (
-            self.include_decompositions,
-            self.include_systemml_rules,
-            self.include_morpheus_rules,
-            self.include_view_voi,
+        self.engine = SaturationEngine(
+            self.program,
+            max_rounds=config.max_rounds,
+            max_atoms=config.max_atoms,
+            max_classes=config.max_classes,
+        )
+        self.stages = DEFAULT_STAGES
+        self.store = PlanStore(config.cache_size)
+        #: The view-set and options components of every cache key, fixed
+        #: here like everything they describe.  The options component holds
+        #: exactly the fields that change a plan, plus the estimator's type.
+        self.viewset_key: Tuple = (
+            tuple(sorted((view.name, view.definition.fingerprint()) for view in self.views)),
+            self.config.normalized_matrices,
+        )
+        self.options_key: Tuple = (
+            config.include_decompositions,
+            config.include_morpheus_rules,
+            config.max_rounds,
+            config.max_atoms,
+            config.max_classes,
+            config.prune,
+            config.tighten_thresholds,
+            type(estimator).__name__,
         )
 
     # ------------------------------------------------------------------ setup
-    def _verify_program(self) -> None:
-        """Statically verify the compiled program per ``verify_constraints``.
-
-        Only **error-severity** findings (unsafe EGDs, malformed atoms,
-        broken trigger metadata, never-matching commutative premises) act
-        here: ``"warn"`` surfaces them as a :class:`UserWarning`,
-        ``"strict"`` raises
-        :class:`~repro.exceptions.ConstraintVerificationError`.  The
-        warning-tier findings the shipped theory triggers by design (weak
-        acyclicity of the bidirectional LA rules) are an audit concern for
-        the ``python -m repro.analysis`` CLI, not a construction gate —
-        which is also what keeps plans byte-identical across all modes:
-        verification reads the program, never rewrites it.
-        """
-        mode = self.verify_constraints
-        if mode == "off":
-            return
-        from repro.analysis.findings import ERROR
-
-        errors = [f for f in self.program.verify("session") if f.severity == ERROR]
-        if not errors:
-            return
-        rendered = "; ".join(f.render() for f in errors)
-        if mode == "strict":
-            from repro.exceptions import ConstraintVerificationError
-
-            raise ConstraintVerificationError(
-                f"constraint program failed static verification: {rendered}"
-            )
-        import warnings
-
-        warnings.warn(
-            f"constraint program has static-verification errors: {rendered}",
-            UserWarning,
-            stacklevel=3,
-        )
-
-    def _build_engine(self) -> SaturationEngine:
-        return SaturationEngine(
-            self.program,
-            max_rounds=self.max_rounds,
-            max_atoms=self.max_atoms,
-            max_classes=self.max_classes,
-        )
-
     def _register_view_metadata(self) -> None:
         """Make every view's stored result costable.
 
@@ -222,131 +163,21 @@ class PlanSession:
                 )
             )
 
-    def viewset_key(self) -> Tuple:
-        # Recomputed on every cache probe (it is cheap: expression
-        # fingerprints are cached on the nodes) so that in-place mutation of
-        # ``views`` or ``normalized_matrices`` changes the key rather than
-        # serving plans computed under the old declarations.
-        views = tuple(
-            sorted((view.name, view.definition.fingerprint()) for view in self.views)
-        )
-        normalized = tuple(sorted(self.normalized_matrices.items()))
-        return (views, normalized)
-
-    # ------------------------------------------------------------------ reconfiguration
-    def set_views(self, views: Sequence[LAView]) -> None:
-        """Swap the session's view set in place.
-
-        Re-derives the view constraints, recompiles the constraint program,
-        rebuilds the engine and drops every cached plan — the in-place
-        equivalent of :meth:`with_views`.
-        """
-        self.views = list(views)
-        self._register_view_metadata()
-        self.view_constraints = constraints_for_views(
-            self.views, self.catalog, include_voi=self.include_view_voi
-        )
-        self.program = ConstraintProgram(
-            self.base_constraints + self.view_constraints, validate=False
-        )
-        self._verify_program()
-        self.engine = self._build_engine()
-        self.invalidate()
-
-    def set_budgets(
-        self,
-        max_rounds: Optional[int] = None,
-        max_atoms: Optional[int] = None,
-        max_classes: Optional[int] = None,
-    ) -> None:
-        """Adjust the saturation budgets (cached plans are dropped)."""
-        if max_rounds is not None:
-            self.max_rounds = self.engine.max_rounds = max_rounds
-        if max_atoms is not None:
-            self.max_atoms = self.engine.max_atoms = max_atoms
-        if max_classes is not None:
-            self.max_classes = self.engine.max_classes = max_classes
-        self.invalidate()
-
-    # ------------------------------------------------------------------ configuration view
-    @property
-    def estimator_name(self) -> str:
-        """The registered name of the live estimator.
-
-        Reverse-resolved from the registry so that swapping the estimator
-        object is reflected; estimator objects of
-        unregistered types keep the declared config name.
-        """
-        return estimator_name_for(self.estimator) or self._declared_estimator_name
-
-    def current_config(self) -> PlannerConfig:
-        """The session's *live* options as a frozen :class:`PlannerConfig`.
-
-        Recomputed from the current attribute values, so post-construction
-        mutation (direct attribute writes) is reflected — and validated: an
-        invalid mutated value surfaces as a
-        :class:`~repro.exceptions.ConfigError` when the snapshot is taken
-        (the ``config`` property, :meth:`with_views` clones).
-        Note that the rule-set flags (``include_*``) are construction-time:
-        the snapshot reports the attribute values, but changing the rule
-        set requires a new session (the compiled constraint program is not
-        re-derived by mutation).
-        """
-        live = {name: getattr(self, name) for name in _ATTRIBUTE_OPTIONS}
-        return PlannerConfig(
-            estimator=self.estimator_name, cache_size=self.store.capacity, **live
-        )
-
-    @property
-    def config(self) -> PlannerConfig:
-        return self.current_config()
-
     # ------------------------------------------------------------------ cache
-    def options_key(self) -> Tuple:
-        """The plan-affecting options component of every cache key.
-
-        Two halves, matching how the options actually act:
-
-        * the **constructed** half — the rule-set flags baked into the
-          compiled constraint program at construction (mutating those
-          attributes cannot take effect, so the key keeps the built-with
-          values and neither mislabels plans nor re-keys spuriously);
-        * the **tunable** half — the budgets, pruning, chain-reordering and
-          alternatives options plus the estimator's type, all read live by
-          every rewrite.  Mutating one of these (assigning the session
-          attribute) both takes effect on the next rewrite *and* re-keys
-          it, so plans computed under the old options can never be served
-          for the new ones.
-
-        Kept cheap deliberately (a plain attribute tuple, no validation):
-        this runs on every cache probe of the serving hot path.
-        """
-        return self._constructed_options_key + (
-            self.max_rounds,
-            self.max_atoms,
-            self.max_classes,
-            self.prune,
-            self.tighten_thresholds,
-            self.reorder_matmul_chains,
-            self.alternatives_limit,
-            type(self.estimator).__name__,
-        )
-
     def cache_key(self, expr: mx.Expr, workspace: str = "") -> PlanKey:
         """The :class:`PlanKey` ``expr`` is stored under in ``workspace``.
 
-        The options component is recomputed from the live session state on
-        every probe — see :meth:`options_key` for exactly which options
-        re-key on mutation (views and normalized-matrix declarations are
-        covered by the view-set key, the catalog by its version).  A bare
-        session's store uses the empty workspace; a pool passes its own.
+        Only the fingerprint and the live catalog version are read per
+        probe; the view-set and options components were fixed at
+        construction.  A bare session's store uses the empty workspace; a
+        pool passes its own.
         """
         return PlanKey(
             workspace,
             expr.fingerprint(),
-            self.viewset_key(),
+            self.viewset_key,
             self.catalog.version if self.catalog is not None else -1,
-            self.options_key(),
+            self.options_key,
         )
 
     def invalidate(self) -> None:
@@ -366,14 +197,6 @@ class PlanSession:
     def plan(self, expr: mx.Expr) -> RewriteResult:
         """Run the stage pipeline on ``expr``, bypassing the store."""
         start = time.perf_counter()
-        # The saturation budgets live on both the session (the declared,
-        # cache-keyed values) and the engine (what saturation actually
-        # runs).  Sync them here so a budget mutated directly on the
-        # session — bypassing set_budgets — is effective in the same
-        # rewrite that re-keys the cache; key and behaviour never diverge.
-        self.engine.max_rounds = self.max_rounds
-        self.engine.max_atoms = self.max_atoms
-        self.engine.max_classes = self.max_classes
         ctx = PlanContext(session=self, expr=expr)
         for stage in self.stages:
             stage_start = time.perf_counter()
@@ -406,16 +229,16 @@ class PlanSession:
     def with_views(self, views: Sequence[LAView]) -> "PlanSession":
         """A copy of this session using a different view set.
 
-        Every option is preserved (the live :meth:`current_config`, plus the
-        live estimator object and base constraints), so derived sessions
-        cannot silently regress to defaults.
+        Every option is preserved (:attr:`config`, plus the estimator object
+        and base constraints), so derived sessions cannot silently regress
+        to defaults.
         """
         return PlanSession(
             catalog=self.catalog,
             views=views,
             estimator=self.estimator,
             constraints=self.base_constraints,
-            config=self.current_config(),
+            config=self.config,
         )
 
 

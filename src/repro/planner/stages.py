@@ -3,16 +3,15 @@
 Each stage is a small, stateless object transforming a :class:`PlanContext`;
 the long-lived state (catalog, compiled constraint program, saturation
 engine, plan store) lives on the owning
-:class:`~repro.planner.session.PlanSession` and is only *read* here.  The
-split buys three things over the former monolithic ``rewrite``:
+:class:`~repro.planner.session.PlanSession` and is only *read* here, options
+through ``session.config``.  The split buys two things over the former
+monolithic ``rewrite``:
 
 * per-stage wall-clock timings on every
   :class:`~repro.core.result.RewriteResult` (the paper's RW_find becomes
   inspectable instead of a single number);
 * reuse — the compiled constraints and engine are built once per session,
-  not once per rewrite;
-* a seam for future work: stages can be swapped (e.g. a sharded saturate or
-  an async annotate) without touching the session API.
+  not once per rewrite.
 """
 
 from __future__ import annotations
@@ -41,6 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: never prune on toy-sized instances.
 THRESHOLD_SLACK = 1.5
 THRESHOLD_FLOOR = 1024.0
+
+#: Equivalent rewritings kept on ``RewriteResult.alternatives``.
+ALTERNATIVES_LIMIT = 6
 
 
 @dataclass
@@ -105,10 +107,10 @@ class EncodeStage(Stage):
         session: "PlanSession", encoder: LAEncoder, expr: mx.Expr
     ) -> None:
         """Add ``factorized`` facts for declared normalized matrices."""
-        if not session.normalized_matrices:
+        if not session.config.normalized_matrices:
             return
         referenced = collect_refs(expr)
-        for matrix_name, (s_name, k_name, r_name) in session.normalized_matrices.items():
+        for matrix_name, (s_name, k_name, r_name) in session.config.normalized_matrices:
             if matrix_name not in referenced:
                 continue
             m_cid = encoder.encode(mx.MatrixRef(matrix_name))
@@ -127,7 +129,7 @@ class SaturateStage(Stage):
 
     def run(self, ctx: PlanContext) -> None:
         session = ctx.session
-        if session.prune and ctx.original_cost != float("inf"):
+        if session.config.prune and ctx.original_cost != float("inf"):
             # The threshold bounds the size of any single new intermediate: an
             # intermediate larger than the entire original plan's cost can
             # never appear in a better plan (Example 7.2).
@@ -135,7 +137,7 @@ class SaturateStage(Stage):
                 max(ctx.original_cost * THRESHOLD_SLACK, THRESHOLD_FLOOR)
             )
         tighten = self._tighten_callback(ctx) if (
-            ctx.pruner is not None and session.tighten_thresholds
+            ctx.pruner is not None and session.config.tighten_thresholds
         ) else None
         ctx.saturation = session.engine.saturate(ctx.instance, ctx.pruner, tighten)
 
@@ -195,7 +197,7 @@ class ExtractStage(Stage):
         ctx.alternatives = [
             (alt, ctx.cost_or_inf(alt))
             for alt, _ in enumerate_equivalent_expressions(
-                ctx.instance, ctx.root, ctx.infos, limit=ctx.session.alternatives_limit
+                ctx.instance, ctx.root, ctx.infos, limit=ALTERNATIVES_LIMIT
             )
         ]
 
@@ -208,7 +210,7 @@ class PostOptStage(Stage):
     def run(self, ctx: PlanContext) -> None:
         session = ctx.session
         best = ctx.best_expr
-        if session.reorder_matmul_chains and session.catalog is not None:
+        if session.catalog is not None:
             best = optimize_matmul_chains(best, session.catalog)
         best_cost = ctx.cost_or_inf(best)
         # Never return something we estimate to be worse than the original.

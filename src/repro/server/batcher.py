@@ -51,9 +51,9 @@ class MicroBatcher:
         before cutting it.  0 still batches whatever arrived in the same
         loop iteration burst.
     max_batch:
-        Cut a batch early once this many requests are pending.
-    plan_workers:
-        ``workers`` forwarded to :meth:`AnalyticsService.submit_many`.
+        Cut a batch early once this many requests are pending.  A batch is
+        planned ``ServiceConfig.plan_workers`` wide
+        (:meth:`AnalyticsService.submit_many`'s default).
     executor:
         Thread pool the batches run on; by default a private 2-thread pool
         (one batch planning while the next is collected — more threads only
@@ -68,7 +68,6 @@ class MicroBatcher:
         service: AnalyticsService,
         window_seconds: float = 0.005,
         max_batch: int = 128,
-        plan_workers: int = 8,
         executor: Optional[ThreadPoolExecutor] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -79,7 +78,6 @@ class MicroBatcher:
         self.service = service
         self.window_seconds = float(window_seconds)
         self.max_batch = int(max_batch)
-        self.plan_workers = int(plan_workers)
         self._own_executor = executor is None
         self._executor = executor or ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-batch"
@@ -195,7 +193,7 @@ class MicroBatcher:
         try:
             results = await loop.run_in_executor(
                 self._executor,
-                lambda: self.service.submit_many(requests, workers=self.plan_workers),
+                lambda: self.service.submit_many(requests),
             )
         except Exception as exc:
             # submit_many isolates per-request failures, so reaching here

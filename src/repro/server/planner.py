@@ -222,7 +222,6 @@ class LocalPlanner:
                 service,
                 window_seconds=self._config.batch_window_seconds,
                 max_batch=self._config.max_batch,
-                plan_workers=self._config.plan_workers,
                 metrics=self._metrics,
             )
             self.batchers[workspace] = batcher

@@ -227,7 +227,7 @@ class PlanSessionPool:
         """The registered estimator name every pooled session plans with
         (read off the prototype; public so describe surfaces need not
         reach into pool internals)."""
-        return self._prototype.estimator_name
+        return self._prototype.config.estimator
 
     @contextmanager
     def checkout(self) -> Iterator[PlanSession]:
@@ -320,9 +320,9 @@ class PlanSessionPool:
             kept, revalidated = self.store.revalidate(
                 touched if delta.selective else None,
                 workspace=self.workspace,
-                viewset=prototype.viewset_key(),
+                viewset=prototype.viewset_key,
                 catalog_version=self._catalog_version(),
-                options=prototype.options_key(),
+                options=prototype.options_key,
             )
             self.stats.plans_revalidated += revalidated
             self.stats.plans_kept_warm += kept

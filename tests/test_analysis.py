@@ -1,6 +1,6 @@
 """Tests for :mod:`repro.analysis` — the constraint-program verifier, the
-concurrency/spawn-safety linter, the waiver workflow, the CLI, and the
-``PlannerConfig.verify_constraints`` session wiring."""
+concurrency/spawn-safety linter, the waiver workflow, the CLI, and
+verification of a session's compiled program."""
 
 import dataclasses
 import json
@@ -27,9 +27,8 @@ from repro.analysis import (
 from repro.analysis.cli import main as analysis_main
 from repro.analysis.cli import shipped_programs, verify_shipped
 from repro.chase.program import ConstraintProgram
-from repro.config import PlannerConfig
 from repro.constraints.core import EGD, TGD, egd, tgd
-from repro.exceptions import ConfigError, ConstraintVerificationError
+from repro.exceptions import ConfigError
 from repro.planner.session import PlanSession
 from repro.vrem.atoms import Atom, Const, Var
 
@@ -491,59 +490,45 @@ class TestCli:
 
 
 # ---------------------------------------------------------------------------
-# Session wiring
+# Verifying a session's compiled program
 # ---------------------------------------------------------------------------
 
-class TestSessionVerification:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ConfigError, match="verify_constraints"):
-            PlannerConfig(verify_constraints="always")
+def _const_operand_tgd():
+    return TGD(
+        name="const-operand",
+        premise=(Atom("add_m", (Var("M"), Const("Z.csv"), Var("R"))),),
+        conclusion=(Atom("tr", (Var("M"), Var("T"))),),
+    )
 
-    def test_strict_raises_on_error_finding(self, small_catalog):
-        bad = TGD(
-            name="const-operand",
-            premise=(Atom("add_m", (Var("M"), Const("Z.csv"), Var("R"))),),
-            conclusion=(Atom("tr", (Var("M"), Var("T"))),),
-        )
-        with pytest.raises(ConstraintVerificationError, match="RPA007"):
-            PlanSession(
-                catalog=small_catalog,
-                constraints=[bad],
-                config=PlannerConfig(verify_constraints="strict"),
-            )
 
-    def test_warn_mode_warns_but_constructs(self, small_catalog):
-        bad = TGD(
-            name="const-operand",
-            premise=(Atom("add_m", (Var("M"), Const("Z.csv"), Var("R"))),),
-            conclusion=(Atom("tr", (Var("M"), Var("T"))),),
-        )
-        with pytest.warns(UserWarning, match="RPA007"):
-            session = PlanSession(
-                catalog=small_catalog,
-                constraints=[bad],
-                config=PlannerConfig(verify_constraints="warn"),
-            )
+class TestProgramVerification:
+    def test_verify_reports_error_finding(self):
+        program = ConstraintProgram([_const_operand_tgd()], validate=False)
+        errors = [f for f in program.verify("session") if f.severity == ERROR]
+        assert "RPA007" in codes(errors)
+
+    def test_session_with_bad_program_constructs_and_verifies(self, small_catalog):
+        session = PlanSession(catalog=small_catalog, constraints=[_const_operand_tgd()])
         assert len(session.program) == 1
+        assert "RPA007" in codes(session.program.verify("session"))
 
-    def test_strict_accepts_default_program(self, small_catalog):
-        session = PlanSession(
-            catalog=small_catalog,
-            config=PlannerConfig(verify_constraints="strict"),
-        )
-        assert session.current_config().verify_constraints == "strict"
+    def test_default_session_program_has_no_errors(self, small_catalog):
+        session = PlanSession(catalog=small_catalog)
+        findings = session.program.verify("session")
+        assert not [f for f in findings if f.severity == ERROR]
 
-    def test_benchkit_plans_identical_across_modes(self):
+    def test_benchkit_plans_identical_after_verification(self):
+        """Verification reads the program and never rewrites it."""
         from repro.benchkit.datasets import ROLE_BINDINGS_DENSE, benchmark_catalog
         from repro.benchkit.pipelines import build_pipeline, default_roles, pipeline_names
 
         catalog = benchmark_catalog()
         roles = default_roles(ROLE_BINDINGS_DENSE)
         plans = {}
-        for mode in ("off", "strict"):
-            session = PlanSession(
-                catalog=catalog, config=PlannerConfig(verify_constraints=mode)
-            )
+        for verify in (False, True):
+            session = PlanSession(catalog=catalog)
+            if verify:
+                session.program.verify("session")
             for name in pipeline_names():
                 result = session.rewrite(build_pipeline(name, roles))
                 plans.setdefault(name, []).append(str(result.best))

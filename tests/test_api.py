@@ -3,10 +3,10 @@
 Covers the Engine facade, the frozen config dataclasses (validation at
 construction, actionable messages), the capability-declaring backend
 registry, the typed wire schema shared by server and client, byte-identity
-of ``Engine.rewrite`` with a bare ``PlanSession`` on all 57 pipelines, the
-option-mutation drift regression (mutating planner options re-keys cached
-plans), the single version source, and the public-API drift check against
-the documented surface in ``docs/api.md``.
+of ``Engine.rewrite`` with a bare ``PlanSession`` on all 57 pipelines, a
+session's options living only on its frozen config, the single version
+source, and the public-API and config-table drift checks against
+``docs/api.md``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class TestConfigValidation:
         [
             ({"max_rounds": 0}, "max_rounds", ">= 1"),
             ({"max_atoms": -5}, "max_atoms", ">= 1"),
-            ({"alternatives_limit": -1}, "alternatives_limit", ">= 0"),
+            ({"max_classes": 0}, "max_classes", ">= 1"),
             ({"cache_size": 0}, "cache_size", ">= 1"),
             ({"prune": "yes"}, "prune", "bool"),
             ({"max_rounds": 2.5}, "max_rounds", "int"),
@@ -122,19 +122,19 @@ class TestConfigValidation:
     def test_normalized_matrices_coerce_and_round_trip(self):
         config = PlannerConfig(normalized_matrices={"M": ("S", "K", "R")})
         assert config.normalized_matrices == (("M", ("S", "K", "R")),)
-        assert config.session_kwargs()["normalized_matrices"] == {"M": ("S", "K", "R")}
+        assert PlannerConfig(normalized_matrices=config.normalized_matrices) == config
 
     def test_cache_key_is_stable_and_option_sensitive(self, small_catalog):
         """The key the plan store uses moves with plan-affecting options
-        only: not with the store's capacity, static verification, or the
-        service and gateway knobs."""
+        only: not with the store's capacity, or the service and gateway
+        knobs."""
 
         def key(**options):
             return PlanSession(small_catalog, **options).cache_key(_sample_expr())
 
         assert key() == key()
         assert key() != key(max_rounds=5)
-        assert key() == key(cache_size=7) == key(verify_constraints="warn")
+        assert key() == key(cache_size=7)
         engine = Engine(
             small_catalog,
             config=EngineConfig(service={"max_sessions": 2}, gateway={"port": 8080}),
@@ -330,69 +330,62 @@ class TestBackendRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Option-mutation drift (regression)
+# A session is its frozen config
 # ---------------------------------------------------------------------------
 
 
-class TestSetterDriftRegression:
-    def test_direct_session_attribute_mutation_rekeys_cached_plans(self, small_catalog):
-        """The historical drift: writing session attributes without an
-        invalidate() silently served plans computed under the old options.
-        The options-aware cache key makes that impossible."""
-        expr = _sample_expr()
-        session = PlanSession(small_catalog)
-        session.rewrite(expr)
-        assert session.rewrite(expr).cache_hit
-
-        session.prune = False  # no invalidate() anywhere
-        assert not session.rewrite(expr).cache_hit
-        assert session.rewrite(expr).cache_hit  # new options re-cache
-
-        session.reorder_matmul_chains = False
-        assert not session.rewrite(expr).cache_hit
-
-    def test_options_key_is_part_of_the_cache_key(self, small_catalog):
-        expr = _sample_expr()
-        session = PlanSession(small_catalog)
-        key_before = session.cache_key(expr)
-        session.max_rounds = 2
-        assert session.cache_key(expr) != key_before
-        assert session.current_config().max_rounds == 2
-
-    def test_invalid_mutation_surfaces_when_snapshotted(self, small_catalog):
-        session = PlanSession(small_catalog)
-        session.max_rounds = 0
+class TestFrozenSessionOptions:
+    def test_keywords_beside_config_are_refused(self, small_catalog):
+        """They used to be dropped silently: this session planned with the
+        config's ``max_rounds == 4``."""
         with pytest.raises(ConfigError, match="max_rounds"):
-            session.current_config()
+            PlanSession(small_catalog, config=PlannerConfig(), max_rounds=2)
 
-    def test_direct_budget_mutation_takes_effect_and_rekeys(self, small_catalog):
-        """Key and behaviour must move together: a budget assigned directly
-        on the session (bypassing set_budgets) is synced into the
-        saturation engine by the same rewrite that re-keys the cache."""
+    def test_options_live_only_on_the_config(self, small_catalog):
+        session = PlanSession(small_catalog, max_rounds=2)
+        assert not hasattr(session, "max_rounds")
+        assert session.config == PlannerConfig(max_rounds=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            session.config.max_rounds = 3  # type: ignore[misc]
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"include_decompositions": True},
+            {"include_morpheus_rules": True},
+            {"max_rounds": 2},
+            {"max_atoms": 100},
+            {"max_classes": 100},
+            {"prune": False},
+            {"tighten_thresholds": False},
+            {"normalized_matrices": {"M": ("S", "K", "R")}},
+        ],
+        ids=lambda option: next(iter(option)),
+    )
+    def test_each_plan_affecting_option_keys_apart(self, small_catalog, option):
         expr = _sample_expr()
-        session = PlanSession(small_catalog)
-        full = session.rewrite(expr)
-        assert full.saturation is not None and full.saturation.rounds > 1
+        default = PlanSession(small_catalog).cache_key(expr)
+        assert PlanSession(small_catalog, **option).cache_key(expr) != default
 
-        session.max_rounds = 1  # direct attribute write, no set_budgets()
-        constrained = session.rewrite(expr)
-        assert not constrained.cache_hit
-        assert session.engine.max_rounds == 1
-        assert constrained.saturation is not None
-        assert constrained.saturation.rounds <= 1
-
-    def test_constructed_rule_set_flags_do_not_mislabel_plans(self, small_catalog):
-        """include_* flags are baked into the compiled constraint program;
-        mutating them is ineffective, so the cache key deliberately keeps
-        the built-with values: no re-key, no plan labelled with rules it
-        was not computed under."""
+    def test_budgets_reach_the_engine(self, small_catalog):
+        """What the key says is what saturation runs."""
         expr = _sample_expr()
-        session = PlanSession(small_catalog)
-        session.rewrite(expr)
-        key = session.cache_key(expr)
-        session.include_systemml_rules = False  # ineffective by design
-        assert session.cache_key(expr) == key
-        assert session.rewrite(expr).cache_hit
+        assert PlanSession(small_catalog).rewrite(expr).saturation.rounds > 1
+        constrained = PlanSession(small_catalog, max_rounds=1)
+        assert constrained.engine.max_rounds == 1
+        assert constrained.rewrite(expr).saturation.rounds <= 1
+
+    def test_with_views_keeps_options_and_rekeys_views(self, small_catalog):
+        from repro.constraints.views import LAView
+
+        expr = _sample_expr()
+        session = PlanSession(small_catalog, prune=False)
+        derived = session.with_views([LAView("Vmn", matrix("M") @ matrix("N"))])
+        assert derived.config == session.config
+        key, derived_key = session.cache_key(expr), derived.cache_key(expr)
+        assert derived_key.options == key.options
+        assert derived_key.viewset != key.viewset
+        assert [c.name for c in derived.view_constraints] == ["view-io:Vmn", "view-oi:Vmn"]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +465,7 @@ class TestWireSchema:
 # ---------------------------------------------------------------------------
 
 
-def _documented_exports(section_title: str) -> set:
+def _documented_section(section_title: str) -> str:
     text = (Path(__file__).resolve().parent.parent / "docs" / "api.md").read_text()
     pattern = re.compile(
         rf"^###\s+{re.escape(section_title)}\s*$(.*?)(?=^#{{2,3}}\s)",
@@ -480,7 +473,21 @@ def _documented_exports(section_title: str) -> set:
     )
     match = pattern.search(text)
     assert match, f"docs/api.md lost its {section_title!r} section"
-    return set(re.findall(r"^\| `([A-Za-z_][A-Za-z0-9_]*)` \|", match.group(1), re.MULTILINE))
+    return match.group(1)
+
+
+def _documented_exports(section_title: str) -> set:
+    section = _documented_section(section_title)
+    return set(re.findall(r"^\| `([A-Za-z_][A-Za-z0-9_]*)` \|", section, re.MULTILINE))
+
+
+def _documented_config_fields() -> dict:
+    """{config class name: field names} from the configuration reference."""
+    documented = {"PlannerConfig": _documented_exports("`PlannerConfig` — every plan-affecting knob")}
+    section = _documented_section("`ServiceConfig` / `GatewayConfig` / `EngineConfig`")
+    for owner, name in re.findall(r"^\| `(\w+)\.(\w+)` \|", section, re.MULTILINE):
+        documented.setdefault(owner, set()).add(name)
+    return documented
 
 
 class TestPublicSurfaceDrift:
@@ -496,6 +503,18 @@ class TestPublicSurfaceDrift:
         assert documented == set(repro.api.__all__), (
             "repro.api.__all__ and the docs/api.md export table diverged; "
             "update both together"
+        )
+
+    @pytest.mark.parametrize(
+        "config_class",
+        [PlannerConfig, ServiceConfig, GatewayConfig, EngineConfig],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_config_table_lists_exactly_the_fields(self, config_class):
+        documented = _documented_config_fields().get(config_class.__name__, set())
+        assert documented == {f.name for f in dataclasses.fields(config_class)}, (
+            f"the {config_class.__name__} table in docs/api.md and the "
+            f"dataclass fields diverged; update both together"
         )
 
     def test_every_documented_export_resolves(self):

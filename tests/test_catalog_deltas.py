@@ -332,9 +332,9 @@ class TestRevalidationProperty:
         warm, re-keyed under the new catalog version."""
         pool = _hypothesis_pool()
         template = _HYP_TEMPLATE["result"]
-        viewset = pool._prototype.viewset_key()
+        viewset = pool._prototype.viewset_key
         version = pool._catalog_version()
-        options = pool._prototype.options_key()
+        options = pool._prototype.options_key
         for index, relations in enumerate(footprints):
             key = PlanKey("", f"synthetic-{index}", viewset, version, options)
             entry = template.copy(footprint=PlanFootprint(relations=relations))
@@ -346,7 +346,7 @@ class TestRevalidationProperty:
         _HYP_CATALOG.apply_delta(delta)
         report = pool.apply_delta(delta)
 
-        new_viewset = pool._prototype.viewset_key()
+        new_viewset = pool._prototype.viewset_key
         new_version = pool._catalog_version()
         expected_kept = 0
         for index, relations in enumerate(footprints):

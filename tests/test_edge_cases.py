@@ -163,7 +163,7 @@ class TestExtractionEdgeCases:
 
 class TestOptimizerWithoutMetadata:
     def test_rewrite_without_catalog_returns_equivalent(self):
-        optimizer = PlanSession(catalog=None, prune=False, reorder_matmul_chains=False)
+        optimizer = PlanSession(catalog=None, prune=False)
         expr = transpose(transpose(matrix("A")))
         result = optimizer.rewrite(expr)
         # With no metadata every cost is infinite, so the optimizer must not

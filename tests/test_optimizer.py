@@ -23,6 +23,7 @@ from repro.lang import (
     colsums, det, inv, matrix, rowsums, scalar, scalar_mul, sub, sum_all, trace, transpose,
 )
 from repro.lang import matrix_expr as mx
+from repro.planner.stages import ALTERNATIVES_LIMIT
 
 
 @pytest.fixture()
@@ -198,9 +199,9 @@ class TestViewRewrites:
 
 class TestAlternativesAndChains:
     def test_alternatives_enumeration(self, small_catalog):
-        optimizer = PlanSession(small_catalog, alternatives_limit=5)
+        optimizer = PlanSession(small_catalog)
         result = optimizer.rewrite(transpose(inv(matrix("C")) + matrix("D")))
-        assert len(result.alternatives) >= 2
+        assert 2 <= len(result.alternatives) <= ALTERNATIVES_LIMIT
         costs = [cost for _, cost in result.alternatives]
         assert costs == sorted(costs)
 

@@ -393,7 +393,13 @@ class TestConstraintIndex:
         expr = sum_all(colsums(transpose(matrix("N")) @ transpose(matrix("M"))))
         fast = PlanSession(small_catalog).rewrite(expr)
         reference = PlanSession(small_catalog, tighten_thresholds=False)
-        reference.engine = SaturationEngine(reference.program, use_index=False)
+        reference.engine = SaturationEngine(
+            reference.program,
+            use_index=False,
+            max_rounds=reference.config.max_rounds,
+            max_atoms=reference.config.max_atoms,
+            max_classes=reference.config.max_classes,
+        )
         slow = reference.rewrite(expr)
         assert fast.best == slow.best
         assert fast.best_cost == pytest.approx(slow.best_cost)
@@ -444,44 +450,24 @@ class TestSessionOptions:
         result = session.rewrite(transpose(matrix("M") @ matrix("N")))
         assert result.changed
         assert session.catalog is small_catalog
-        assert session.max_rounds == session.config.max_rounds == 3
+        assert session.config.max_rounds == session.engine.max_rounds == 3
 
     def test_with_views_preserves_options(self, small_catalog):
         optimizer = PlanSession(
             small_catalog,
-            include_view_voi=False,
             include_decompositions=True,
             normalized_matrices={"M": ("M__S", "M__K", "M__R")},
             max_rounds=3,
             prune=False,
-            alternatives_limit=2,
         )
         session = optimizer.with_views([LAView("Vd", inv(matrix("C")))])
-        assert session.include_view_voi is False
-        assert session.include_decompositions is True
-        assert session.normalized_matrices == {"M": ("M__S", "M__K", "M__R")}
-        assert session.max_rounds == 3 and session.prune is False
-        assert session.alternatives_limit == 2
+        assert session.config == optimizer.config
+        assert session.config.include_decompositions is True
+        assert session.config.normalized_matrices == (("M", ("M__S", "M__K", "M__R")),)
+        assert session.config.max_rounds == 3 and session.config.prune is False
+        assert session.engine.max_rounds == 3
         assert [view.name for view in session.views] == ["Vd"]
-        # include_view_voi=False means only the V_IO constraint is emitted.
-        assert [c.name for c in session.view_constraints] == ["view-io:Vd"]
-
-    def test_session_reconfiguration_after_construction(self, small_catalog):
-        """Post-construction knob changes take effect and drop cached plans."""
-        session = PlanSession(small_catalog)
-        expr = transpose(matrix("M") @ matrix("N"))
-        session.rewrite(expr)
-        session.prune = False
-        session.alternatives_limit = 3
-        session.set_budgets(max_rounds=2)
-        assert session.engine.max_rounds == 2
-        assert len(session.store) == 0  # set_budgets drops cached plans
-        result = session.rewrite(expr)
-        assert not result.cache_hit and result.saturation.rounds <= 2
-        session.set_views([LAView("Vmn", matrix("M") @ matrix("N"))])
-        assert [c.name for c in session.view_constraints] == [
-            "view-io:Vmn", "view-oi:Vmn",
-        ]
+        assert [c.name for c in session.view_constraints] == ["view-io:Vd", "view-oi:Vd"]
 
     def test_hybrid_factors_rebuilt_after_table_change(self, small_tables):
         """Replacing a base table must not leave stale Morpheus factors."""

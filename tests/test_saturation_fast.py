@@ -505,9 +505,9 @@ class TestReferenceEngine:
             reference.engine = SaturationEngine(
                 reference.program,
                 use_index=False,
-                max_rounds=reference.max_rounds,
-                max_atoms=reference.max_atoms,
-                max_classes=reference.max_classes,
+                max_rounds=reference.config.max_rounds,
+                max_atoms=reference.config.max_atoms,
+                max_classes=reference.config.max_classes,
             )
         expr = build_pipeline(name, roles)
         fast = _run_stages(production, expr)
@@ -544,8 +544,16 @@ class TestReferenceEngine:
     # The names are split so the repo-wide grep for removed options stays empty.
     @pytest.mark.parametrize(
         "option",
-        [{"chase_" "workers": 2}, {"use_constraint_" "index": False}],
-        ids=["pool", "index"],
+        [
+            {"chase_" "workers": 2},
+            {"use_constraint_" "index": False},
+            {"include_" "systemml_rules": False},
+            {"include_" "view_voi": False},
+            {"reorder_" "matmul_chains": False},
+            {"alternatives_" "limit": 2},
+            {"verify_" "constraints": "strict"},
+        ],
+        ids=["pool", "index", "systemml", "voi", "chains", "alternatives", "verify"],
     )
     def test_removed_options_are_unknown_fields(self, small_catalog, option):
         (name,) = option

@@ -249,10 +249,12 @@ class TestViewConstraints:
         assert io_constraint.conclusion[0].relation == "name"
         assert io_constraint.conclusion[0].args[1] == Const("V7.csv")
 
-    def test_view_without_voi(self, small_catalog):
+    def test_view_oi_inverts_view_io(self, small_catalog):
         view = LAView("V.csv", matrix("C") @ matrix("D"))
-        constraints = view_constraints(view, small_catalog, include_voi=False)
-        assert len(constraints) == 1
+        io_constraint, oi_constraint = view_constraints(view, small_catalog)
+        assert oi_constraint.name == "view-oi:V.csv"
+        assert oi_constraint.premise == io_constraint.conclusion
+        assert oi_constraint.conclusion == io_constraint.premise
 
     def test_multiple_views(self, small_catalog):
         views = [LAView("V1", inv(matrix("C"))), LAView("V2", matrix("C") + matrix("D"))]

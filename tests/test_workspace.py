@@ -544,8 +544,7 @@ class TestEstimatorRegistry:
     def test_planner_config_selects_estimator_by_name(self, small_catalog):
         session = PlanSession(small_catalog, config=PlannerConfig(estimator="mnc"))
         assert isinstance(session.estimator, MNCEstimator)
-        assert session.current_config().estimator == "mnc"
-        assert session.estimator_name == "mnc"
+        assert session.config.estimator == "mnc"
 
     def test_bad_name_fails_at_engine_construction(self, small_catalog):
         with pytest.raises(ConfigError, match="naive"):
@@ -562,7 +561,7 @@ class TestEstimatorRegistry:
     def test_explicit_estimator_object_wins(self, small_catalog):
         session = PlanSession(small_catalog, estimator=MNCEstimator())
         assert isinstance(session.estimator, MNCEstimator)
-        assert session.estimator_name == "mnc"  # reverse-resolved
+        assert session.config.estimator == "mnc"  # reverse-resolved
 
     def test_register_estimator_guards(self):
         with pytest.raises(ConfigError, match="already registered"):
@@ -580,7 +579,7 @@ class TestEstimatorRegistry:
                 small_catalog, config=PlannerConfig(estimator="tweaked-test")
             )
             assert isinstance(session.estimator, TweakedEstimator)
-            assert session.current_config().estimator == "tweaked-test"
+            assert session.config.estimator == "tweaked-test"
         finally:
             from repro.cost import _ESTIMATORS
 
