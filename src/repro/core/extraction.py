@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.cost.model import NnzInfo
+from repro.cost.model import NnzInfo, Producer, annotate_producers, instance_producers
+from repro.data.catalog import Catalog
 from repro.exceptions import DecodingError, RewriteError
 from repro.lang import matrix_expr as mx
 from repro.vrem.atoms import Atom
 from repro.vrem.decoder import decode_atom_to_expr, decode_fact_to_expr
 from repro.vrem.instance import VremInstance
-from repro.vrem.schema import relation_spec
 
 #: Small per-operator charge that breaks ties in favour of smaller expressions
 #: and guarantees strictly increasing cost along any derivation cycle.
@@ -48,35 +48,42 @@ class _Derivation:
     input_classes: Tuple[int, ...] = ()
 
 
-def _collect_derivations(instance: VremInstance) -> Dict[int, List[_Derivation]]:
+@dataclass
+class CostAnalysis:
+    """One instance state, costed once: per-class (shape, nnz) ``infos``,
+    every class's ``derivations``, and the DP's cheapest ``costs`` /
+    ``choices``.  Tighten, Annotate, Extract and the alternatives read it."""
+
+    infos: Dict[int, NnzInfo]
+    derivations: Dict[int, List[_Derivation]]
+    costs: Dict[int, float]
+    choices: Dict[int, _Derivation]
+
+
+def analyse(instance: VremInstance, catalog: Optional[Catalog], estimator) -> CostAnalysis:
+    """Annotate and cost every class of ``instance`` from one walk of its atoms."""
+    producers = instance_producers(instance)
+    infos = annotate_producers(instance, producers, catalog, estimator)
+    return _analysis(instance, producers, infos)
+
+
+def _analysis(
+    instance: VremInstance, producers: List[Producer], infos: Dict[int, NnzInfo]
+) -> CostAnalysis:
+    """The analysis of ``instance`` under the given ``infos``."""
     derivations: Dict[int, List[_Derivation]] = {}
     for relation in _LEAF_RELATIONS:
         for atom in instance.atoms(relation):
             cid = instance.find(atom.args[0])
             derivations.setdefault(cid, []).append(_Derivation(atom=atom, is_leaf=True))
-    for atom in instance.atoms():
-        spec = relation_spec(atom.relation)
-        if spec.is_fact or not spec.output_positions:
-            continue
-        input_classes = tuple(
-            instance.find(atom.args[pos])
-            for pos in spec.input_positions
-            if isinstance(atom.args[pos], int)
-        )
-        for out_index, pos in enumerate(spec.output_positions):
-            arg = atom.args[pos]
-            if not isinstance(arg, int):
-                continue
-            cid = instance.find(arg)
+    for atom, inputs, outputs in producers:
+        input_classes = tuple([cid for cid in inputs if cid is not None])
+        for out_index, cid, _ in outputs:
             derivations.setdefault(cid, []).append(
-                _Derivation(
-                    atom=atom,
-                    is_leaf=False,
-                    output_index=out_index,
-                    input_classes=input_classes,
-                )
+                _Derivation(atom, False, out_index, input_classes)
             )
-    return derivations
+    costs, choices = _compute_costs(derivations, infos)
+    return CostAnalysis(infos, derivations, costs, choices)
 
 
 def _class_size(cid: int, infos: Dict[int, NnzInfo]) -> float:
@@ -85,7 +92,6 @@ def _class_size(cid: int, infos: Dict[int, NnzInfo]) -> float:
 
 
 def _compute_costs(
-    instance: VremInstance,
     derivations: Dict[int, List[_Derivation]],
     infos: Dict[int, NnzInfo],
     max_passes: int = 25,
@@ -99,6 +105,7 @@ def _compute_costs(
                 costs[cid] = 0.0
                 choices[cid] = derivation
                 break
+    op_costs = {cid: _class_size(cid, infos) + _OPERATOR_EPSILON for cid in derivations}
     for _ in range(max_passes):
         changed = False
         for cid, cands in derivations.items():
@@ -108,16 +115,13 @@ def _compute_costs(
                 if derivation.is_leaf:
                     candidate = 0.0
                 else:
-                    candidate = _class_size(cid, infos) + _OPERATOR_EPSILON
-                    feasible = True
+                    candidate = op_costs[cid]
                     for input_cid in derivation.input_classes:
                         input_cost = costs.get(input_cid)
-                        if input_cost is None:
-                            feasible = False
+                        if input_cost is None:  # infeasible: never beats best_cost
+                            candidate = float("inf")
                             break
                         candidate += input_cost
-                    if not feasible:
-                        continue
                 if candidate < best_cost - 1e-12:
                     best_cost = candidate
                     best_choice = derivation
@@ -134,14 +138,16 @@ def _reconstruct(
     cid: int,
     instance: VremInstance,
     choices: Dict[int, _Derivation],
-    infos: Dict[int, NnzInfo],
+    derivation: Optional[_Derivation] = None,
     _stack: Optional[set] = None,
 ) -> mx.Expr:
+    """The expression of ``cid``'s chosen derivation (``derivation`` overrides
+    the choice of ``cid`` itself)."""
     _stack = _stack if _stack is not None else set()
     cid = instance.find(cid)
     if cid in _stack:
         raise DecodingError(f"cyclic cheapest derivation through class {cid}")
-    derivation = choices.get(cid)
+    derivation = derivation or choices.get(cid)
     if derivation is None:
         raise DecodingError(f"class {cid} has no extractable derivation")
     if derivation.is_leaf:
@@ -150,7 +156,7 @@ def _reconstruct(
     _stack.add(cid)
     try:
         children = [
-            _reconstruct(input_cid, instance, choices, infos, _stack)
+            _reconstruct(input_cid, instance, choices, None, _stack)
             for input_cid in derivation.input_classes
         ]
     finally:
@@ -162,15 +168,18 @@ def extract_best_expression(
     instance: VremInstance,
     root: int,
     infos: Dict[int, NnzInfo],
+    analysis: Optional[CostAnalysis] = None,
 ) -> Tuple[mx.Expr, float]:
-    """The cheapest equivalent expression of the root class, with its DP cost."""
-    derivations = _collect_derivations(instance)
-    costs, choices = _compute_costs(instance, derivations, infos)
+    """The cheapest equivalent expression of the root class, with its DP cost.
+
+    ``analysis``, when given, is read instead of costing ``instance`` under
+    ``infos``.
+    """
+    analysis = analysis or _analysis(instance, instance_producers(instance), infos)
     root = instance.find(root)
-    if root not in choices:
+    if root not in analysis.choices:
         raise RewriteError("the root class has no extractable derivation")
-    expr = _reconstruct(root, instance, choices, infos)
-    return expr, costs[root]
+    return _reconstruct(root, instance, analysis.choices), analysis.costs[root]
 
 
 def enumerate_equivalent_expressions(
@@ -179,6 +188,7 @@ def enumerate_equivalent_expressions(
     infos: Dict[int, NnzInfo],
     limit: int = 8,
     max_depth: int = 12,
+    analysis: Optional[CostAnalysis] = None,
 ) -> List[Tuple[mx.Expr, float]]:
     """Enumerate up to ``limit`` distinct equivalent expressions of the root.
 
@@ -186,36 +196,31 @@ def enumerate_equivalent_expressions(
     as lower bounds (a best-first search over the choice of the root's
     derivation and, recursively, of its inputs' cheapest derivations).  This
     mirrors Figure 4, where several equivalent reorderings of a pipeline are
-    listed alongside the views-based rewriting.
+    listed alongside the views-based rewriting.  ``analysis``, when given, is
+    read instead of costing ``instance`` under ``infos``.
     """
-    derivations = _collect_derivations(instance)
-    costs, choices = _compute_costs(instance, derivations, infos)
+    analysis = analysis or _analysis(instance, instance_producers(instance), infos)
+    infos, costs = analysis.infos, analysis.costs
     root = instance.find(root)
     results: List[Tuple[mx.Expr, float]] = []
     seen = set()
 
     root_candidates: List[Tuple[float, int, _Derivation]] = []
-    for order, derivation in enumerate(derivations.get(root, [])):
+    for order, derivation in enumerate(analysis.derivations.get(root, [])):
         if derivation.is_leaf:
             bound = 0.0
-        else:
+        elif all(input_cid in costs for input_cid in derivation.input_classes):
             bound = _class_size(root, infos) + _OPERATOR_EPSILON
-            feasible = True
             for input_cid in derivation.input_classes:
-                if input_cid not in costs:
-                    feasible = False
-                    break
                 bound += costs[input_cid]
-            if not feasible:
-                continue
+        else:
+            continue
         heapq.heappush(root_candidates, (bound, order, derivation))
 
     while root_candidates and len(results) < limit:
         bound, _, derivation = heapq.heappop(root_candidates)
-        local_choices = dict(choices)
-        local_choices[root] = derivation
         try:
-            expr = _reconstruct(root, instance, local_choices, infos)
+            expr = _reconstruct(root, instance, analysis.choices, derivation)
         except DecodingError:
             continue
         key = expr.signature()

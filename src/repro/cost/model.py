@@ -22,7 +22,7 @@ Two consumers exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.data.catalog import Catalog
 from repro.exceptions import UnknownMatrixError
 from repro.lang import matrix_expr as mx
 from repro.lang.shapes import shape_of
+from repro.vrem.atoms import Atom
 from repro.vrem.instance import VremInstance
 from repro.vrem.schema import relation_spec
 
@@ -93,9 +94,16 @@ def annotate_expression(
     expr: mx.Expr,
     catalog: Optional[Catalog],
     estimator,
+    annotations: Optional[Dict[mx.Expr, NnzInfo]] = None,
 ) -> Dict[mx.Expr, NnzInfo]:
-    """Bottom-up (shape, nnz) annotation of every node of ``expr``."""
-    annotations: Dict[mx.Expr, NnzInfo] = {}
+    """Bottom-up (shape, nnz) annotation of every node of ``expr``.
+
+    Nodes already in ``annotations`` are read, the others are annotated into
+    it: a node's annotation depends only on the node, the catalog and the
+    estimator, so one dict can memoise many expressions.
+    """
+    annotations = {} if annotations is None else annotations
+    shapes: Dict[mx.Expr, Shape] = {}
 
     def visit(node: mx.Expr) -> NnzInfo:
         cached = annotations.get(node)
@@ -108,7 +116,7 @@ def annotate_expression(
             shape = None
             if catalog is not None:
                 try:
-                    shape = shape_of(node, catalog)
+                    shape = shape_of(node, catalog, shapes)
                 except UnknownMatrixError:
                     shape = None
             if shape is None:
@@ -133,16 +141,20 @@ def expression_cost(
 
     Leaves (stored matrices, scalars) cost nothing to scan and the root is
     produced by every equivalent plan alike, so only *strictly internal*
-    nodes are charged — exactly the accounting of Example 7.1.
+    nodes are charged — exactly the accounting of Example 7.1.  Nodes
+    missing from ``annotations`` are annotated into it.
     """
-    annotations = annotations or annotate_expression(expr, catalog, estimator)
+    annotations = annotate_expression(expr, catalog, estimator, annotations)
 
     total = 0.0
 
     def visit(node: mx.Expr, is_root: bool) -> None:
         nonlocal total
         if node.children and not is_root:
-            total += annotations[node].size
+            info = annotations.get(node)
+            if info is None:
+                info = annotate_expression(node, catalog, estimator, annotations)[node]
+            total += info.size
         for child in node.children:
             visit(child, False)
 
@@ -172,11 +184,35 @@ class CostModel:
 # ---------------------------------------------------------------------------
 
 
+#: One operation atom as the class analysis reads it: the atom, the canonical
+#: class of each input position (``None`` for a constant argument) and
+#: ``(output index, canonical class, class shape)`` of each class output.
+Producer = Tuple[Atom, List[Optional[int]], List[Tuple[int, int, Optional[Shape]]]]
+
+
+def instance_producers(instance: VremInstance) -> List[Producer]:
+    """The operation atoms of ``instance`` in atom order (one walk)."""
+    find, shape, producers = instance.find, instance.shape, []
+    for atom in instance.atoms():
+        spec = relation_spec(atom.relation)
+        if spec.is_fact or not spec.output_positions:
+            continue
+        args = atom.args
+        inputs = [find(args[pos]) if isinstance(args[pos], int) else None
+                  for pos in spec.input_positions]
+        outputs = [(index, find(args[pos]), shape(args[pos]))
+                   for index, pos in enumerate(spec.output_positions)
+                   if isinstance(args[pos], int)]
+        producers.append((atom, inputs, outputs))
+    return producers
+
+
 def annotate_instance_classes(
     instance: VremInstance,
     catalog: Optional[Catalog],
     estimator,
     max_passes: int = 12,
+    analysis=None,
 ) -> Dict[int, NnzInfo]:
     """Estimate (shape, nnz) for every equivalence class of an instance.
 
@@ -185,8 +221,25 @@ def annotate_instance_classes(
     propagating through their producer atoms, keeping the *minimum* estimate
     across derivations (all derivations of a class denote the same value, so
     the tightest estimate is the most informative one).  The propagation is
-    iterated to a fixpoint (bounded by ``max_passes``).
+    iterated to a fixpoint (bounded by ``max_passes``).  A
+    :class:`~repro.core.extraction.CostAnalysis` of ``instance``, when given,
+    is read instead.
     """
+    if analysis is not None:
+        return analysis.infos
+    return annotate_producers(
+        instance, instance_producers(instance), catalog, estimator, max_passes
+    )
+
+
+def annotate_producers(
+    instance: VremInstance,
+    producers: List[Producer],
+    catalog: Optional[Catalog],
+    estimator,
+    max_passes: int = 12,
+) -> Dict[int, NnzInfo]:
+    """:func:`annotate_instance_classes` over an already walked producer list."""
     infos: Dict[int, NnzInfo] = {}
 
     # Seeds: named matrices, scalars, identity / zero.
@@ -217,40 +270,23 @@ def annotate_instance_classes(
         infos.setdefault(cid, NnzInfo(shape=instance.shape(cid), nnz=0.0))
 
     # Fixpoint propagation over producer atoms.
-    op_atoms = [
-        atom
-        for atom in instance.atoms()
-        if relation_spec(atom.relation).output_positions and not relation_spec(atom.relation).is_fact
-    ]
+    propagate, get = estimator.propagate, infos.get
     for _ in range(max_passes):
         changed = False
-        for atom in op_atoms:
-            spec = relation_spec(atom.relation)
+        for atom, inputs, outputs in producers:
             input_infos = []
-            ready = True
-            for pos in spec.input_positions:
-                arg = atom.args[pos]
-                if isinstance(arg, int):
-                    info = infos.get(instance.find(arg))
-                    if info is None:
-                        ready = False
-                        break
-                    input_infos.append(info)
-                else:
-                    input_infos.append(NnzInfo(shape=(1, 1), nnz=1.0))
-            if not ready:
-                continue
-            for out_index, pos in enumerate(spec.output_positions):
-                arg = atom.args[pos]
-                if not isinstance(arg, int):
-                    continue
-                cid = instance.find(arg)
-                shape = instance.shape(cid)
-                candidate = estimator.propagate(atom.relation, shape, input_infos)
-                existing = infos.get(cid)
-                if existing is None or candidate.nnz < existing.nnz - 1e-9:
-                    infos[cid] = candidate
-                    changed = True
+            for input_cid in inputs:
+                info = NnzInfo(shape=(1, 1), nnz=1.0) if input_cid is None else get(input_cid)
+                if info is None:
+                    break
+                input_infos.append(info)
+            else:
+                for _, cid, shape in outputs:
+                    candidate = propagate(atom.relation, shape, input_infos)
+                    existing = get(cid)
+                    if existing is None or candidate.nnz < existing.nnz - 1e-9:
+                        infos[cid] = candidate
+                        changed = True
         if not changed:
             break
 

@@ -11,7 +11,10 @@ monolithic ``rewrite``:
   :class:`~repro.core.result.RewriteResult` (the paper's RW_find becomes
   inspectable instead of a single number);
 * reuse — the compiled constraints and engine are built once per session,
-  not once per rewrite.
+  not once per rewrite; within a rewrite, each instance state is costed
+  once (one :class:`~repro.core.extraction.CostAnalysis`, read by the
+  tighten bound, Annotate and Extract) and every expression costed shares
+  one ``annotate_expression`` memo.
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.chase.saturation import CostThresholdPruner, SaturationResult
 from repro.core.extraction import (
+    CostAnalysis,
+    analyse,
     enumerate_equivalent_expressions,
     extract_best_expression,
 )
 from repro.core.matchain import optimize_matmul_chains
-from repro.cost.model import annotate_instance_classes, expression_cost
+from repro.cost.model import NnzInfo, expression_cost
 from repro.exceptions import RewriteError, UnknownMatrixError
 from repro.lang import matrix_expr as mx
 from repro.lang.visitor import collect_refs
@@ -56,26 +61,32 @@ class PlanContext:
     original_cost: float = float("inf")
     pruner: Optional[CostThresholdPruner] = None
     saturation: Optional[SaturationResult] = None
-    infos: Optional[Dict] = None
     best_expr: Optional[mx.Expr] = None
     best_cost: float = float("inf")
     alternatives: List[Tuple[mx.Expr, float]] = field(default_factory=list)
     used_views: List[str] = field(default_factory=list)
     timings: Dict[str, float] = field(default_factory=dict)
-    # Work salvaged from the saturate stage's last tighten pass: when the
-    # instance did not change afterwards (the usual case — the final round
-    # is the one that finds nothing new), annotate/extract reuse it instead
-    # of recomputing the identical result.
-    tighten_infos: Optional[Dict] = None
-    tighten_best: Optional[mx.Expr] = None
-    tighten_version: Optional[Tuple[int, int]] = None
+    # The cost analysis of the instance at (version, shape_version): tighten
+    # builds one per changed round, and annotate / extract reuse the last one
+    # when the final round changed nothing (the usual case).
+    analysis: Optional[CostAnalysis] = None
+    analysis_version: Optional[Tuple[int, int]] = None
+    # One annotate_expression memo for the original, alternatives and plan.
+    cost_memo: Dict[mx.Expr, NnzInfo] = field(default_factory=dict)
 
-    def instance_version(self) -> Tuple[int, int]:
-        return (self.instance.version, self.instance.shape_version)
+    def analyse(self) -> CostAnalysis:
+        """The cost analysis of the instance as it is now (built if stale)."""
+        version = (self.instance.version, self.instance.shape_version)
+        if self.analysis_version != version:
+            self.analysis = analyse(self.instance, self.session.catalog, self.session.estimator)
+            self.analysis_version = version
+        return self.analysis
 
     def cost_or_inf(self, expr: mx.Expr) -> float:
         try:
-            return expression_cost(expr, self.session.catalog, self.session.estimator)
+            return expression_cost(
+                expr, self.session.catalog, self.session.estimator, self.cost_memo
+            )
         except UnknownMatrixError:
             return float("inf")
 
@@ -146,16 +157,7 @@ class SaturateStage(Stage):
         """Bound for the next rounds: cost of the best rewriting found so far."""
 
         def bound(instance: VremInstance) -> Optional[float]:
-            session = ctx.session
-            infos = annotate_instance_classes(instance, session.catalog, session.estimator)
-            ctx.tighten_infos = infos
-            ctx.tighten_version = (instance.version, instance.shape_version)
-            ctx.tighten_best = None
-            try:
-                best, cost = extract_best_expression(instance, ctx.root, infos)
-            except RewriteError:
-                return None
-            ctx.tighten_best = best
+            cost = ctx.analyse().costs.get(instance.find(ctx.root), float("inf"))
             if cost == float("inf"):
                 return None
             return max(cost * THRESHOLD_SLACK, THRESHOLD_FLOOR)
@@ -164,17 +166,12 @@ class SaturateStage(Stage):
 
 
 class AnnotateStage(Stage):
-    """Per-class (shape, nnz) estimates of the saturated instance."""
+    """The cost analysis of the saturated instance (the last tighten's, if current)."""
 
     name = "annotate"
 
     def run(self, ctx: PlanContext) -> None:
-        if ctx.tighten_infos is not None and ctx.tighten_version == ctx.instance_version():
-            ctx.infos = ctx.tighten_infos
-            return
-        ctx.infos = annotate_instance_classes(
-            ctx.instance, ctx.session.catalog, ctx.session.estimator
-        )
+        ctx.analyse()
 
 
 class ExtractStage(Stage):
@@ -183,21 +180,17 @@ class ExtractStage(Stage):
     name = "extract"
 
     def run(self, ctx: PlanContext) -> None:
-        if (
-            ctx.tighten_best is not None
-            and ctx.tighten_version == ctx.instance_version()
-            and ctx.infos is ctx.tighten_infos
-        ):
-            ctx.best_expr = ctx.tighten_best
-        else:
-            try:
-                ctx.best_expr, _ = extract_best_expression(ctx.instance, ctx.root, ctx.infos)
-            except RewriteError:
-                ctx.best_expr = ctx.expr
+        analysis = ctx.analyse()
+        try:
+            ctx.best_expr, _ = extract_best_expression(
+                ctx.instance, ctx.root, analysis.infos, analysis=analysis
+            )
+        except RewriteError:
+            ctx.best_expr = ctx.expr
         ctx.alternatives = [
             (alt, ctx.cost_or_inf(alt))
             for alt, _ in enumerate_equivalent_expressions(
-                ctx.instance, ctx.root, ctx.infos, limit=ALTERNATIVES_LIMIT
+                ctx.instance, ctx.root, analysis.infos, ALTERNATIVES_LIMIT, analysis=analysis
             )
         ]
 
