@@ -11,7 +11,7 @@ Since the :mod:`repro.api` consolidation these four dataclasses are the
 * :class:`ServiceConfig` — the :class:`~repro.service.AnalyticsService`
   knobs: pool size, batch fan-out, routing preference.
 * :class:`GatewayConfig` — the :class:`~repro.server.AnalyticsGateway`
-  knobs: bind address, admission bound, micro-batching window, backlog.
+  knobs: bind address, admission bounds, backlog, planner worker processes.
 * :class:`EngineConfig` — the composition of the three, plus the named
   execution backends to register, consumed by :class:`repro.api.Engine`.
 
@@ -184,11 +184,9 @@ class GatewayConfig:
     #: answered ``429`` even when the global bound still has room.  ``0``
     #: (the default) disables the per-tenant bound.
     workspace_max_in_flight: int = 0
-    batch_window_seconds: float = 0.005
-    max_batch: int = 128
     backlog: int = 2048
     #: Number of planner worker *processes* behind the gateway.  ``0`` (the
-    #: default) keeps today's in-process path — planning on a thread pool
+    #: default) keeps today's in-process path — planning on one thread
     #: inside the gateway process, byte-identical behaviour.  ``N > 0``
     #: shards workspaces across N spawned worker processes by consistent
     #: hashing (see :mod:`repro.server.workers`), each owning its own plan
@@ -210,12 +208,6 @@ class GatewayConfig:
         _require_int(name, "port", self.port, 0, 65_535)
         _require_int(name, "max_in_flight", self.max_in_flight, 1)
         _require_int(name, "workspace_max_in_flight", self.workspace_max_in_flight, 0)
-        object.__setattr__(
-            self,
-            "batch_window_seconds",
-            _require_float(name, "batch_window_seconds", self.batch_window_seconds, 0.0),
-        )
-        _require_int(name, "max_batch", self.max_batch, 1)
         _require_int(name, "backlog", self.backlog, 1)
         _require_int(name, "planner_workers", self.planner_workers, 0)
         _require_int(name, "worker_retry_budget", self.worker_retry_budget, 0)

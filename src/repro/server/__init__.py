@@ -9,16 +9,13 @@ single dependency:
   framing over :mod:`asyncio` streams;
 * :mod:`repro.server.metrics` — a thread-safe counter/gauge/histogram
   registry with a Prometheus-style text exposition;
-* :mod:`repro.server.batcher` — :class:`MicroBatcher`, collecting incoming
-  requests over a configurable window and planning each batch through
-  ``submit_many`` on an executor thread (fingerprint dedup and single-flight
-  shared planning come for free from the service/pool layers);
 * :mod:`repro.server.gateway` — :class:`AnalyticsGateway`, the asyncio
   server: ``/v1/plan``, ``/v1/pipeline``, ``/metrics``, ``/healthz``,
   admission control with 429 backpressure, and graceful drain;
 * :mod:`repro.server.planner` — the one seam the gateway plans through,
-  and its in-process implementation (a :class:`MicroBatcher` per
-  workspace);
+  and its in-process implementation: a warm plan is answered on the event
+  loop, anything else runs ``submit_many([request], workers=1)`` on the
+  planner thread as it arrives;
 * :mod:`repro.server.workers` — the multi-process planner tier:
   :class:`HashRing` (consistent workspace → worker sharding),
   :func:`planner_worker_main` (spawn-safe child loop) and
@@ -29,10 +26,9 @@ single dependency:
   the tests and the layered benchmark drive.
 
 See ``docs/api.md`` for the wire protocol and ``docs/architecture.md`` for
-the request → batch → plan → route path.
+the request → plan → route path.
 """
 
-from repro.server.batcher import BatcherClosed, MicroBatcher
 from repro.server.client import GatewayClient, GatewayError, parse_prometheus
 from repro.server.gateway import AnalyticsGateway, run_gateway
 from repro.server.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -53,7 +49,6 @@ from repro.server.workers import (
 
 __all__ = [
     "AnalyticsGateway",
-    "BatcherClosed",
     "Counter",
     "Gauge",
     "GatewayClient",
@@ -61,7 +56,6 @@ __all__ = [
     "HashRing",
     "Histogram",
     "MetricsRegistry",
-    "MicroBatcher",
     "ProtocolError",
     "SupervisorClosed",
     "WorkerSupervisor",

@@ -1,7 +1,7 @@
 """The asyncio serving gateway in front of tenant workspaces.
 
 ``AnalyticsGateway`` is the network front door the ROADMAP's production
-story needs: stdlib-asyncio HTTP/JSON serving, micro-batched planning, and
+story needs: stdlib-asyncio HTTP/JSON serving, planning off the event loop, and
 the production behaviours a load balancer assumes:
 
 * **admission control** — at most ``max_in_flight`` requests are admitted
@@ -46,9 +46,11 @@ Endpoints
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, Optional, Set
+from collections import OrderedDict
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.api.engine import Engine
+from repro.api.schema import PlanRequest
 from repro.catalog.delta import CatalogDelta
 from repro.config import GatewayConfig
 from repro.exceptions import CatalogError, ConfigError, UnknownWorkspaceError
@@ -61,10 +63,14 @@ from repro.server.protocol import (
     ProtocolError,
     format_http_response,
     json_response,
-    parse_plan_request,
     read_http_request,
 )
 from repro.server.workers import WorkerSupervisor
+
+#: Bounds of the gateway's decoded-request memo: how many bodies it keeps,
+#: and the largest body it keeps (so it holds at most 8 MiB of keys).
+DECODED_REQUESTS = 512
+DECODED_BODY_BYTES = 16 * 1024
 
 
 class AnalyticsGateway:
@@ -83,7 +89,7 @@ class AnalyticsGateway:
         The frozen, validated :class:`~repro.config.GatewayConfig`: bind
         address (``port=0`` picks an ephemeral port, exposed as
         :attr:`port` after :meth:`start`), admission bounds,
-        micro-batching knobs, planner-worker pool size.
+        planner-worker pool size.
     worker_factory:
         Required iff ``config.planner_workers > 0``: a picklable
         zero-argument callable building the engine each spawned planner
@@ -111,6 +117,13 @@ class AnalyticsGateway:
         #: Per-workspace labeled instruments, resolved once per workspace
         #: instead of through the registry lock on every request.
         self._workspace_instruments: Dict[str, dict] = {}
+        #: Decoded plan requests by (endpoint's ``execute`` default, exact
+        #: body), least recently used first.  A repeated body, which is what
+        #: a warm plan request usually is, skips the JSON parse, the
+        #: expression decode and the fingerprint: about half the gateway's
+        #: own work for a warm hit.  Decoding is a pure function of the
+        #: bytes and expressions are immutable, so an entry never goes stale.
+        self._decoded: "OrderedDict[Tuple[bool, bytes], PlanRequest]" = OrderedDict()
         self._server: Optional[asyncio.Server] = None
         self._draining = False
         self._in_flight = 0
@@ -223,9 +236,7 @@ class AnalyticsGateway:
                 workspaces=engine,
             )
         else:
-            self.planner = LocalPlanner(
-                engine, config, self.metrics, batch_hook=self._observe_batch
-            )
+            self.planner = LocalPlanner(engine, batch_hook=self._observe_batch)
 
     @property
     def service(self) -> Optional[AnalyticsService]:
@@ -299,11 +310,10 @@ class AnalyticsGateway:
         Called when a lookup raises :class:`UnknownWorkspaceError` — the
         same reap-on-access discipline the engine applies to its runtimes,
         so tenant churn on a long-lived gateway never accumulates planner
-        state (batchers with their services, pools and cached plans),
-        instruments or in-flight counters for deleted tenants.  The labeled
-        series are removed from the registry too, so ``/metrics`` stops
-        rendering a deleted tenant instead of exposing its stale values
-        forever.
+        state, instruments or in-flight counters for deleted tenants.  The
+        labeled series are removed from the registry too, so ``/metrics``
+        stops rendering a deleted tenant instead of exposing its stale
+        values forever.
         """
         self.planner.forget(name)
         self._workspace_instruments.pop(name, None)
@@ -608,10 +618,7 @@ class AnalyticsGateway:
                 extra_headers={"retry-after": "0"},
             )
         try:
-            body = request.json()
-            if isinstance(body, dict) and "execute" not in body:
-                body = dict(body, execute=execute_default)
-            service_request = parse_plan_request(body)
+            service_request = self._decode_submit(request, execute_default)
         except ProtocolError as exc:
             self._protocol_errors_total.inc()
             return json_response(400, {"error": str(exc)}, keep_alive=keep_alive)
@@ -648,7 +655,7 @@ class AnalyticsGateway:
 
         # Admitted BEFORE any await: requests parked on a cold-start
         # runtime build count against (and are bounded by) the in-flight
-        # bounds exactly like requests parked in a batcher.
+        # bounds exactly like requests planning on a thread.
         instruments = self._admit(workspace_name)
         try:
             envelope = await self.planner.submit(workspace_name, service_request)
@@ -661,6 +668,21 @@ class AnalyticsGateway:
         return self._respond(
             envelope, service_request, workspace_name, instruments, keep_alive
         )
+
+    def _decode_submit(self, request: HttpRequest, execute_default: bool) -> ServiceRequest:
+        """The body's service request, decoded once per distinct body; a
+        malformed body raises :class:`ProtocolError` and is not kept."""
+        key = (execute_default, request.body)
+        decoded = self._decoded.get(key)
+        if decoded is not None:
+            self._decoded.move_to_end(key)
+            return decoded.to_service_request()
+        decoded = PlanRequest.from_json(request.json(), execute_default=execute_default)
+        if len(request.body) <= DECODED_BODY_BYTES:
+            self._decoded[key] = decoded
+            if len(self._decoded) > DECODED_REQUESTS:
+                self._decoded.popitem(last=False)
+        return decoded.to_service_request()
 
     # ------------------------------------------------------------------ accounting
     def _admit(self, workspace_name: str) -> dict:
@@ -772,7 +794,7 @@ class AnalyticsGateway:
         # Arrives from the submit_many caller thread via the service batch
         # hook (the registry is thread-safe).  These are the *service-side*
         # numbers — they also cover batches other callers push through the
-        # same service, which the batcher's own gateway_batch_* series miss.
+        # same service.
         self._service_batch_size.observe(stats.size)
         self._service_batch_seconds.observe(stats.seconds)
         self._service_cache_hits_total.inc(stats.cache_hits)
@@ -784,8 +806,6 @@ class AnalyticsGateway:
             "metrics": self.metrics.as_dict(),
             "max_in_flight": self.max_in_flight,
             "workspace_max_in_flight": self.workspace_max_in_flight,
-            "batch_window_seconds": self.config.batch_window_seconds,
-            "max_batch": self.config.max_batch,
         }
         if self.service is not None:
             summary["pool"] = self.service.pool.stats_dict()

@@ -45,7 +45,7 @@ DEFAULT_TIME_BUCKETS: Tuple[float, ...] = (
     0.25, 0.5, 1.0, 2.0, 4.0, 8.0,
 )
 
-#: Default batch-size buckets (requests per micro-batch).
+#: Default batch-size buckets (requests per service batch).
 DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 #: A normalized label set: ``((name, value), ...)`` sorted by label name.
@@ -180,7 +180,7 @@ class Histogram:
     ``buckets`` are upper bounds; an observation lands in every bucket whose
     bound is >= the value, plus the implicit ``+Inf`` bucket.  ``sum`` and
     ``count`` allow mean computation; ``max`` is kept because tail behaviour
-    (the largest micro-batch, the slowest request) is what the benchmarks
+    (the largest batch, the slowest request) is what the benchmarks
     assert on.
     """
 
@@ -259,9 +259,9 @@ class MetricsRegistry:
     """Creates and renders the gateway's instruments.
 
     One registry per gateway; instruments are created idempotently by
-    *(name, label set)* — asking twice returns the same object — so the
-    batcher and the gateway can both reference ``gateway_batch_size``
-    without plumbing, and per-workspace series never duplicate.  One metric
+    *(name, label set)* — asking twice returns the same object — so two
+    components can reference one series without plumbing, and
+    per-workspace series never duplicate.  One metric
     name is one instrument kind; re-registering a name as a different kind
     raises.
     """

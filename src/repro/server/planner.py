@@ -1,12 +1,13 @@
 """The planner seam: the one object the gateway plans through.
 
 The gateway admits a request, hands it to its planner and maps the
-*envelope* that comes back to an HTTP response — it never sees a batcher, a
-pipe or a process.  Two planners ship: :class:`LocalPlanner` (this module;
-per-workspace :class:`~repro.server.batcher.MicroBatcher` over the
-engine's own services) and
+*envelope* that comes back to an HTTP response — it never sees a thread
+pool, a pipe or a process.  Two planners ship: :class:`LocalPlanner` (this
+module; the engine's own services on one planner thread) and
 :class:`~repro.server.workers.WorkerSupervisor` (sharded planner worker
-processes).  A test substitutes a fake by assigning ``gateway.planner``.
+processes).  Both plan a request as it arrives, with the same
+``service.submit_many([request], workers=1)`` call.  A test substitutes a
+fake by assigning ``gateway.planner``.
 
 Envelopes
 ---------
@@ -34,13 +35,11 @@ from __future__ import annotations
 import asyncio
 import time
 import weakref
-from typing import Dict, Protocol, Set
+from concurrent.futures import ThreadPoolExecutor
+from typing import Protocol
 
 from repro.api.engine import Engine, WorkspaceHandle
-from repro.config import GatewayConfig
 from repro.exceptions import ConfigError, UnknownWorkspaceError
-from repro.server.batcher import BatcherClosed, MicroBatcher
-from repro.server.metrics import MetricsRegistry
 from repro.server.protocol import result_to_json
 from repro.service.service import AnalyticsService, BatchHook, ServiceRequest, ServiceResult
 
@@ -93,7 +92,7 @@ def error_envelope(exc: Exception) -> dict:
         kind = "unknown_workspace"
     elif isinstance(exc, ConfigError):
         kind = "config"
-    elif isinstance(exc, (PlannerClosed, BatcherClosed)):
+    elif isinstance(exc, PlannerClosed):
         kind = "closed"
     else:
         kind, error = "internal", f"{type(exc).__name__}: {exc}"
@@ -101,36 +100,28 @@ def error_envelope(exc: Exception) -> dict:
 
 
 class LocalPlanner:
-    """Plan in this process: one micro-batcher per workspace.
+    """Plan in this process, each request as it arrives.
 
-    Each workspace plans through its own :class:`MicroBatcher`, so tenants
-    micro-batch independently and one tenant's slow plans never ride in
-    another's batch.  A plan-only request whose plan is already in the
-    workspace's pool never reaches it: :meth:`submit` answers it from
-    :meth:`PlanSessionPool.lookup <repro.service.pool.PlanSessionPool.lookup>`
-    on the event loop, and only what that cannot answer — a miss, a key
-    still being planned, a busy pool lock, any ``execute`` request — is
-    batched.
+    A plan-only request whose plan is already in the workspace's pool is
+    answered on the event loop from :meth:`PlanSessionPool.lookup
+    <repro.service.pool.PlanSessionPool.lookup>`.  Everything the lookup
+    cannot answer — a miss, a key still being planned, a busy pool lock,
+    any ``execute`` request — runs ``service.submit_many([request],
+    workers=1)``, the call a worker process makes, on the planner's one
+    thread, in arrival order.  Planning is pure Python under the GIL, so
+    more threads would only time-slice the plans: two concurrent misses
+    would both be answered after twice their planning time, where taking
+    them in turn answers the first after its own.  Parallel planning is
+    what ``GatewayConfig.planner_workers`` processes are for.  Concurrent
+    duplicates plan once: the first plans, and the rest find its plan in
+    the pool.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        config: GatewayConfig,
-        metrics: MetricsRegistry,
-        batch_hook: BatchHook,
-    ):
+    def __init__(self, engine: Engine, batch_hook: BatchHook):
         self._engine = engine
-        self._config = config
-        self._metrics = metrics
         self._batch_hook = batch_hook
-        #: One micro-batcher per workspace, created on first request so a
-        #: thousand registered tenants cost nothing until they talk.
-        self.batchers: Dict[str, MicroBatcher] = {}
-        #: Drain tasks of batchers replaced by a workspace update; strong
-        #: references (the loop keeps only weak ones) so an in-flight drain
-        #: is never garbage-collected, and :meth:`close` can await them.
-        self._stale_drains: Set[asyncio.Task] = set()
+        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-plan")
+        self._closed = False
         #: Services whose batch hook is already registered.  A weak *set*
         #: (not ids): membership is object identity, entries vanish with
         #: their service, and a recycled id can never mask a new service.
@@ -141,12 +132,15 @@ class LocalPlanner:
 
     async def submit(self, workspace: str, request: ServiceRequest) -> dict:
         handle = await self._resolve_handle(workspace)
+        if self._closed:
+            raise PlannerClosed("planner is closed")
+        service = handle.service
         if not request.execute:
             # A warm plan is a lookup: the pool's cache is the store every
             # delta keeps consistent, and the lookup cannot block the loop
-            # (a busy lock reads as None and takes the batcher path below).
+            # (a busy lock reads as None and goes to the planner thread).
             started = time.perf_counter()
-            hit = handle.service.pool.lookup(request.expression)
+            hit = service.pool.lookup(request.expression)
             if hit is not None:
                 return result_envelope(
                     ServiceResult(
@@ -156,15 +150,20 @@ class LocalPlanner:
                         plan_seconds=time.perf_counter() - started,
                     )
                 )
-        result = await self._batcher_for(workspace, handle).submit(request)
-        return result_envelope(result)
+        if service not in self._hooked_services:
+            service.add_batch_hook(self._batch_hook)
+            self._hooked_services.add(service)
+        results = await asyncio.get_running_loop().run_in_executor(
+            self._executor, service.submit_many, [request], 1
+        )
+        return result_envelope(results[0])
 
     def describe(self) -> dict:
         return {}
 
     def stats_dict(self) -> dict:
-        # Keyed by ready runtime, not by batcher: a tenant served only warm
-        # plans is answered on the loop and never gets a batcher.
+        # Keyed by ready runtime: a tenant served only warm plans is
+        # answered on the loop and never reaches the planner thread.
         pools = {
             name: self._engine.workspace(name).pool.stats_dict()
             for name in self._engine.workspace_names()
@@ -173,15 +172,13 @@ class LocalPlanner:
         return {"workspace_pools": pools} if pools else {}
 
     def forget(self, workspace: str) -> None:
-        batcher = self.batchers.pop(workspace, None)
-        if batcher is not None:
-            self._drain_in_background(batcher)
+        # Nothing is kept per workspace: every request resolves its handle.
+        pass
 
     async def close(self) -> None:
-        while self._stale_drains:
-            await asyncio.gather(*list(self._stale_drains), return_exceptions=True)
-        for batcher in list(self.batchers.values()):
-            await batcher.drain()
+        """Refuse new requests, then wait for the ones already planning."""
+        self._closed = True
+        await asyncio.get_running_loop().run_in_executor(None, self._executor.shutdown)
 
     # ------------------------------------------------------------------ internals
     async def _resolve_handle(self, name: str) -> WorkspaceHandle:
@@ -200,38 +197,6 @@ class LocalPlanner:
                 None, self._engine.workspace, name
             )
         return self._engine.workspace(name)
-
-    def _batcher_for(self, workspace: str, handle: WorkspaceHandle) -> MicroBatcher:
-        """This workspace's micro-batcher (built on first request).
-
-        A workspace update swaps the underlying service; the stale batcher
-        is then drained in the background (requests it already accepted all
-        complete) and replaced, so requests after the update plan against
-        the new bundle.
-        """
-        batcher = self.batchers.get(workspace)
-        service = handle.service
-        if batcher is not None and batcher.service is not service:
-            self._drain_in_background(batcher)
-            batcher = None
-        if batcher is None:
-            if service not in self._hooked_services:
-                service.add_batch_hook(self._batch_hook)
-                self._hooked_services.add(service)
-            batcher = MicroBatcher(
-                service,
-                window_seconds=self._config.batch_window_seconds,
-                max_batch=self._config.max_batch,
-                metrics=self._metrics,
-            )
-            self.batchers[workspace] = batcher
-        return batcher
-
-    def _drain_in_background(self, batcher: MicroBatcher) -> None:
-        """Flush a replaced/forgotten batcher without blocking the caller."""
-        drain = asyncio.get_running_loop().create_task(batcher.drain())
-        self._stale_drains.add(drain)
-        drain.add_done_callback(self._stale_drains.discard)
 
 
 __all__ = [

@@ -1,8 +1,8 @@
 """Multi-process sharded planner workers behind the gateway.
 
-The gateway's in-process path plans on a thread pool, so saturation-heavy
-(chase-bound) planning serializes on the GIL no matter how many threads the
-:class:`~repro.server.batcher.MicroBatcher` fans out to.  This module adds
+The gateway's in-process path plans on one thread, because saturation-heavy
+(chase-bound) planning serializes on the GIL however many threads
+:class:`~repro.server.planner.LocalPlanner` would run.  This module adds
 the worker-pool tier the ROADMAP calls "the single biggest unlock": a pool
 of N planner worker *processes*, each owning its own engine — plan session
 pools, warm rewrite caches, execution backends — with workspaces sharded
@@ -186,9 +186,8 @@ class _Worker:
         try:
             request = parse_plan_request(body)
             service = self.engine.workspace(request.workspace).service
-            # submit_many (not submit) for failure parity with the in-process
-            # MicroBatcher path: execution failures ride back on the result
-            # instead of raising.
+            # submit_many (not submit), the call LocalPlanner makes: execution
+            # failures ride back on the result instead of raising.
             envelope = result_envelope(service.submit_many([request], workers=1)[0])
         except Exception as exc:  # noqa: BLE001 — the worker must stay alive
             envelope = error_envelope(exc)

@@ -83,7 +83,7 @@ class TestConfigValidation:
             lambda: ServiceConfig(preferred_backend=""),
             lambda: GatewayConfig(port=70_000),
             lambda: GatewayConfig(max_in_flight=0),
-            lambda: GatewayConfig(batch_window_seconds=-0.1),
+            lambda: GatewayConfig(worker_backoff_seconds=-0.1),
             lambda: GatewayConfig(host=""),
         ],
     )
@@ -246,7 +246,7 @@ class TestEngine:
     def test_serve_binds_the_gateway_to_the_engine(self, small_catalog):
         engine = Engine(
             small_catalog,
-            config=EngineConfig(gateway={"batch_window_seconds": 0.0}),
+            config=EngineConfig(gateway={"max_in_flight": 7}),
         )
         expr = transpose(matrix("M") @ matrix("N"))
         expected = engine.rewrite(expr).best.to_string()
@@ -255,7 +255,7 @@ class TestEngine:
             from repro.server import GatewayClient
 
             gateway = await engine.serve()
-            assert gateway.config.batch_window_seconds == 0.0
+            assert gateway.config.max_in_flight == 7
             try:
                 async with GatewayClient("127.0.0.1", gateway.port) as client:
                     typed = await client.submit_typed(expr, name="t")

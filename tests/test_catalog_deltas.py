@@ -489,7 +489,7 @@ class TestEngineDeltas:
 class TestGatewayDeltaEndpoint:
     def _serve(self, engine, coroutine_factory):
         async def main():
-            gateway = await engine.serve(batch_window_seconds=0.0)
+            gateway = await engine.serve()
             try:
                 return await coroutine_factory(gateway)
             finally:

@@ -259,10 +259,9 @@ class TestGatewayAgainstFakePlanner:
 
 SEAM_FACTORY = TenantEngineFactory(tenants=("solo",), scale=0.01)
 
-#: Series only one planner publishes (micro-batch shape, worker slots).
+#: Series only one planner publishes (in-process service batches, worker
+#: slots).
 _PLANNER_OWN = (
-    "gateway_batch",
-    "gateway_deduped",
     "service_batch",
     "service_cache",
     "repro_worker",
@@ -281,7 +280,6 @@ def _serve_miss_then_hit(planner_workers: int) -> dict:
         gateway = await engine.serve(
             worker_factory=SEAM_FACTORY if planner_workers else None,
             planner_workers=planner_workers,
-            batch_window_seconds=0.0,
         )
         outcomes = {}
         try:
@@ -393,24 +391,25 @@ class TestLocalAndWorkerPlannersAgree:
 class TestLocalPlannerAnswersWarmPlansItself:
     def _submit(self, engine, request) -> tuple:
         async def main():
-            gateway = engine.build_gateway(batch_window_seconds=0.25)
+            gateway = engine.build_gateway()
             try:
                 envelope = await gateway.planner.submit("default", request)
-                return envelope, list(gateway.planner.batchers)
+                histograms = gateway.metrics.as_dict()["histograms"]
+                return envelope, histograms["service_batch_size"]["count"]
             finally:
                 await gateway.planner.close()
 
         return asyncio.run(main())
 
-    def test_hit_envelope_is_a_batcher_hit_envelope_with_no_queue(self, small_catalog):
+    def test_hit_envelope_has_no_queue_and_no_planner_thread(self, small_catalog):
         expression = transpose(matrix("M") @ matrix("N"))
         engine = Engine(small_catalog)
         cold = engine.rewrite(expression)
-        envelope, batchers = self._submit(
+        envelope, planned = self._submit(
             engine, ServiceRequest(expression=expression, name="q", execute=False)
         )
         assert envelope["ok"] and envelope["pruned"] == [0, 0]
-        assert batchers == []  # the 250 ms window was never entered
+        assert planned == 0  # no service batch ran on a planner thread
         payload = envelope["payload"]
         assert payload["cache_hit"] and payload["name"] == "q"
         assert payload["plan"] == cold.best.to_string()

@@ -1,4 +1,4 @@
-"""Tests of the serving layer: wire protocol, metrics, batcher, gateway.
+"""Tests of the serving layer: wire protocol, metrics, planner, gateway.
 
 The behaviours the gateway promises:
 
@@ -6,13 +6,13 @@ The behaviours the gateway promises:
   equality and identical fingerprints (the property all cache keys rest on);
 * a concurrent client storm — on one tenant or two — produces plans
   byte-identical to each tenant's serial ``rewrite_all`` over the same
-  expressions, with micro-batching observed;
+  expressions, each tenant planning each fingerprint once;
 * admission control answers 429 beyond ``max_in_flight`` while every
   admitted request still completes;
 * graceful drain finishes in-flight work, 503s late arrivals, and leaves
   nothing hanging;
 * per-request failures (an unplannable expression) cost exactly one 422,
-  not the batch.
+  never a neighbouring request.
 """
 
 from __future__ import annotations
@@ -35,12 +35,9 @@ from repro.lang import colsums, inv, matrix, sum_all, transpose
 from repro.lang import matrix_expr as mx
 from repro.planner import PlanSession
 from repro.server import (
-    AnalyticsGateway,
-    BatcherClosed,
     GatewayClient,
     GatewayError,
     MetricsRegistry,
-    MicroBatcher,
     ProtocolError,
     expr_from_json,
     expr_to_json,
@@ -48,6 +45,9 @@ from repro.server import (
     parse_prometheus,
 )
 from repro.server.metrics import DEFAULT_SIZE_BUCKETS
+from repro.api.schema import PlanRequest
+from repro.server import gateway as gateway_module
+from repro.server.planner import LocalPlanner, PlannerClosed, error_envelope
 from repro.service import ServiceRequest
 
 
@@ -188,85 +188,91 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Micro-batcher
+# In-process planner
 # ---------------------------------------------------------------------------
 
 
-class TestMicroBatcher:
-    def test_window_groups_concurrent_requests(self, small_catalog):
-        service = _engine(small_catalog, max_sessions=4).service
-        metrics = MetricsRegistry()
+def _gated(service):
+    """Hold every ``submit_many`` of ``service`` until the returned event is
+    set; the second event is set once the first call is held."""
+    original = service.submit_many
+    release, entered = threading.Event(), threading.Event()
+
+    def gated_submit_many(requests, workers=8):
+        entered.set()
+        release.wait(timeout=10)
+        return original(requests, workers=workers)
+
+    service.submit_many = gated_submit_many  # type: ignore[method-assign]
+    return release, entered
+
+
+async def _until(condition, timeout=10.0):
+    """Poll ``condition`` on the loop; fail the test after ``timeout`` s."""
+    deadline = time.perf_counter() + timeout
+    while not condition():
+        assert time.perf_counter() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.005)
+
+
+class TestLocalPlanner:
+    def test_disconnecting_client_fails_no_other_request(self, small_catalog):
+        engine = _engine(small_catalog, max_sessions=4)
+        release, entered = _gated(engine.service)
         exprs = _sample_exprs()
 
         async def main():
-            batcher = MicroBatcher(
-                service, window_seconds=0.02, max_batch=64, metrics=metrics
+            gateway = engine.build_gateway()
+            await gateway.start()
+            clients = await asyncio.gather(
+                *[GatewayClient("127.0.0.1", gateway.port).connect() for _ in exprs]
             )
-            requests = [
-                ServiceRequest(expression=expr, execute=False) for expr in exprs * 3
-            ]
-            results = await asyncio.gather(
-                *[batcher.submit(request) for request in requests]
-            )
-            await batcher.drain()
-            return results
-
-        results = asyncio.run(main())
-        assert len(results) == len(exprs) * 3
-        snapshot = metrics.as_dict()
-        assert snapshot["histograms"]["gateway_batch_size"]["max"] == len(exprs) * 3
-        # 3 copies of each expression: the duplicates never plan.
-        assert snapshot["counters"]["gateway_deduped_requests_total"] == len(exprs) * 2
-        assert service.pool.stats.plans_computed == len(exprs)
-
-    def test_cancelled_waiter_does_not_poison_batch(self, small_catalog):
-        service = _engine(small_catalog, max_sessions=4).service
-        exprs = _sample_exprs()
-
-        async def main():
-            batcher = MicroBatcher(service, window_seconds=0.05, max_batch=64)
             tasks = [
-                asyncio.ensure_future(
-                    batcher.submit(ServiceRequest(expression=expr, execute=False))
-                )
-                for expr in exprs
+                asyncio.ensure_future(client.plan(expr, name=str(index)))
+                for index, (client, expr) in enumerate(zip(clients, exprs))
             ]
-            await asyncio.sleep(0.01)  # inside the window: all queued, none cut
-            tasks[0].cancel()
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(None, entered.wait, 5)
+            await _until(lambda: gateway.in_flight == len(exprs))
+            tasks[0].cancel()  # the client goes away mid-request
+            await clients[0].close()
+            release.set()
             survivors = await asyncio.gather(*tasks[1:])
-            await batcher.drain()
-            assert tasks[0].cancelled()
-            return survivors
+            await _until(lambda: gateway.in_flight == 0)
+            await asyncio.gather(*[client.close() for client in clients[1:]])
+            await gateway.stop()
+            return tasks[0].cancelled(), survivors, gateway.in_flight
 
-        survivors = asyncio.run(main())
-        assert len(survivors) == len(exprs) - 1
-        assert all(result.ok for result in survivors)
+        cancelled, survivors, in_flight = asyncio.run(main())
+        assert cancelled and in_flight == 0
+        referee = PlanSession(small_catalog)
+        assert [response["plan"] for response in survivors] == [
+            referee.rewrite(expr).best.to_string() for expr in exprs[1:]
+        ]
 
-    def test_submit_after_drain_raises(self, small_catalog):
-        service = _engine(small_catalog, max_sessions=2).service
+    def test_submit_after_close_raises_planner_closed(self, small_catalog):
+        engine = _engine(small_catalog, max_sessions=2)
+        exprs = _sample_exprs()
 
         async def main():
-            batcher = MicroBatcher(service, window_seconds=0.001)
-            await batcher.submit(
-                ServiceRequest(expression=_sample_exprs()[0], execute=False)
-            )
-            await batcher.drain()
-            with pytest.raises(BatcherClosed):
-                await batcher.submit(
-                    ServiceRequest(expression=_sample_exprs()[1], execute=False)
+            planner = LocalPlanner(engine, batch_hook=lambda stats: None)
+            request = ServiceRequest(expression=exprs[0], execute=False)
+            envelope = await planner.submit("default", request)
+            await planner.close()
+            with pytest.raises(PlannerClosed) as closed:
+                await planner.submit(
+                    "default", ServiceRequest(expression=exprs[1], execute=False)
                 )
+            return envelope, closed.value
 
-        asyncio.run(main())
+        envelope, exc = asyncio.run(main())
+        assert envelope["ok"] and envelope["payload"]["plan"]
+        assert error_envelope(exc)["kind"] == "closed"
 
 
 # ---------------------------------------------------------------------------
 # Gateway end to end
 # ---------------------------------------------------------------------------
-
-
-def _gateway(engine, **overrides) -> AnalyticsGateway:
-    overrides.setdefault("batch_window_seconds", 0.01)
-    return engine.build_gateway(**overrides)
 
 
 def _named_pipelines(names):
@@ -301,7 +307,7 @@ def _two_tenant_storm(small_catalog):
     return Engine(workspaces=registry), {"noviews": pipelines, "vexp": pipelines}
 
 
-#: (build, clients per tenant, requests per client, in-flight peak reached)
+#: (build, clients per tenant, requests per client, in-flight peak held)
 STORMS = [
     pytest.param(_sample_storm, 64, 1, 2, id="64-clients"),
     pytest.param(_pipeline_storm, 220, 2, 200, id="220-clients", marks=pytest.mark.slow),
@@ -315,10 +321,12 @@ class TestGateway:
         self, small_catalog, build, clients_per_tenant, requests_per_client, peak
     ):
         """Simultaneous clients: every plan equals its own tenant's serial
-        rewrite_all, micro-batching happens, nothing is rejected or lost, and
-        each tenant plans each fingerprint once."""
+        rewrite_all, nothing is rejected or lost, and each tenant plans each
+        fingerprint once.  Misses are held at the planner until ``peak``
+        requests are in flight at once."""
         engine, pipelines = build(small_catalog)
         tenants = list(pipelines)
+        releases = [_gated(engine.workspace(tenant).service)[0] for tenant in tenants]
         serial = {}
         for tenant, named in pipelines.items():
             bundle = engine.workspaces.get(tenant)
@@ -335,7 +343,7 @@ class TestGateway:
         clients = clients_per_tenant * len(tenants)
 
         async def main():
-            gateway = _gateway(engine, max_batch=clients, max_in_flight=2 * clients)
+            gateway = engine.build_gateway(max_in_flight=2 * clients)
             await gateway.start()
             connections = await asyncio.gather(
                 *[
@@ -343,6 +351,13 @@ class TestGateway:
                     for _ in range(clients)
                 ]
             )
+
+            async def release_at_peak():
+                await _until(lambda: gateway.in_flight >= peak)
+                for release in releases:
+                    release.set()
+
+            releasing = asyncio.ensure_future(release_at_peak())
 
             async def one(index):
                 # A tenant's k-th client starts k requests into the tenant's
@@ -358,6 +373,7 @@ class TestGateway:
                 return answers
 
             answers = await asyncio.gather(*[one(i) for i in range(clients)])
+            await releasing
             await asyncio.gather(*[connection.close() for connection in connections])
             snapshot = gateway.metrics.as_dict()
             await gateway.stop()
@@ -369,8 +385,6 @@ class TestGateway:
             assert plan == serial[tenant][name], (tenant, name)
         counters = snapshot["counters"]
         assert counters["gateway_rejected_total"] == 0
-        # Micro-batching really happened (the storm is simultaneous).
-        assert snapshot["histograms"]["gateway_batch_size"]["max"] > 1
         assert snapshot["gauges"]["gateway_in_flight_requests"]["max"] >= peak
         for tenant, named in pipelines.items():
             series = f'gateway_workspace_requests_total{{workspace="{tenant}"}}'
@@ -386,7 +400,7 @@ class TestGateway:
         engine = _engine(small_catalog, max_sessions=2)
 
         async def main():
-            gateway = _gateway(engine)
+            gateway = engine.build_gateway()
             await gateway.start()
             async with GatewayClient("127.0.0.1", gateway.port) as client:
                 response = await client.execute(expr, name="exec")
@@ -421,7 +435,7 @@ class TestGateway:
         clients = 10
 
         async def main():
-            gateway = _gateway(engine, max_in_flight=2, batch_window_seconds=0.02)
+            gateway = engine.build_gateway(max_in_flight=2)
             await gateway.start()
             connections = await asyncio.gather(
                 *[
@@ -469,7 +483,7 @@ class TestGateway:
         service.submit_many = slow_submit_many  # type: ignore[method-assign]
 
         async def main():
-            gateway = _gateway(engine, batch_window_seconds=0.01)
+            gateway = engine.build_gateway()
             await gateway.start()
             early = await GatewayClient("127.0.0.1", gateway.port).connect()
             late = await GatewayClient("127.0.0.1", gateway.port).connect()
@@ -477,7 +491,7 @@ class TestGateway:
             inflight = asyncio.ensure_future(
                 early.plan(_sample_exprs()[0], name="inflight")
             )
-            await asyncio.sleep(0.1)  # admitted, batch is planning
+            await asyncio.sleep(0.1)  # admitted, planning on a thread
             stopping = asyncio.ensure_future(gateway.stop())
             await asyncio.sleep(0.05)
             assert gateway.draining
@@ -498,14 +512,14 @@ class TestGateway:
         assert in_flight == 0
 
     def test_unplannable_expression_answers_422_not_batch_failure(self, small_catalog):
-        # M (40x6) @ A (30x8): a shape error the planner raises on.  Batched
-        # together with a healthy request, only the poisoned one may fail.
+        # M (40x6) @ A (30x8): a shape error the planner raises on.  Sent
+        # beside a healthy request, only the poisoned one may fail.
         bad = matrix("M") @ matrix("A")
         good = transpose(matrix("M") @ matrix("N"))
         engine = _engine(small_catalog, max_sessions=2)
 
         async def main():
-            gateway = _gateway(engine, batch_window_seconds=0.05)
+            gateway = engine.build_gateway()
             await gateway.start()
             async with GatewayClient("127.0.0.1", gateway.port) as bad_client:
                 async with GatewayClient("127.0.0.1", gateway.port) as good_client:
@@ -538,7 +552,7 @@ class TestGateway:
         engine = _engine(small_catalog, max_sessions=2)
 
         async def main():
-            gateway = _gateway(engine)
+            gateway = engine.build_gateway()
             await gateway.start()
             idle_client = await GatewayClient("127.0.0.1", gateway.port).connect()
             await idle_client.plan(_sample_exprs()[0])
@@ -561,7 +575,7 @@ class TestGateway:
             asyncio.get_running_loop().set_exception_handler(
                 lambda loop, context: recorded.append(context)
             )
-            gateway = await engine.serve(batch_window_seconds=0.01)
+            gateway = await engine.serve()
             client = await GatewayClient("127.0.0.1", gateway.port).connect()
             await client.plan(expr)
             await client.close()
@@ -575,7 +589,7 @@ class TestGateway:
         engine = _engine(small_catalog, max_sessions=2)
 
         async def main():
-            gateway = _gateway(engine)
+            gateway = engine.build_gateway()
             await gateway.start()
             reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
             writer.write(b"GET /" + b"a" * 100_000 + b" HTTP/1.1\r\n\r\n")
@@ -592,7 +606,7 @@ class TestGateway:
         engine = _engine(small_catalog, max_sessions=2)
 
         async def main():
-            gateway = _gateway(engine)
+            gateway = engine.build_gateway()
             await gateway.start()
             async with GatewayClient("127.0.0.1", gateway.port) as client:
                 missing = await client.request("GET", "/nope")
@@ -608,12 +622,61 @@ class TestGateway:
         assert bad_body[0] == 400
         assert health["status_code"] == 200 and health["status"] == "ok"
 
+    def test_each_distinct_body_is_decoded_once(self, small_catalog, monkeypatch):
+        """Repeated bodies skip the decode; the key includes the endpoint's
+        ``execute`` default; malformed bodies are never remembered; and the
+        memo keeps at most ``DECODED_REQUESTS`` bodies."""
+        decoded = []
+        original = PlanRequest.from_json.__func__
+
+        def counting(cls, body, execute_default=True):
+            decoded.append(execute_default)
+            return original(cls, body, execute_default)
+
+        monkeypatch.setattr(PlanRequest, "from_json", classmethod(counting))
+        monkeypatch.setattr(gateway_module, "DECODED_REQUESTS", 2)
+        exprs = _sample_exprs()
+        engine = _engine(small_catalog, max_sessions=2)
+        body = {"expression": expr_to_json(exprs[0]), "name": "q"}
+        referee = PlanSession(small_catalog)
+
+        async def main():
+            gateway = engine.build_gateway()
+            await gateway.start()
+            answers = []
+            async with GatewayClient("127.0.0.1", gateway.port) as client:
+                for path in ("/v1/plan", "/v1/plan", "/v1/plan", "/v1/pipeline"):
+                    answers.append(await client.request("POST", path, body))
+                counts = [len(decoded)]
+                for _ in range(2):
+                    answers.append(await client.request("POST", "/v1/plan", {"no": "expr"}))
+                counts.append(len(decoded))
+                for expr in exprs[1:3]:  # two more bodies evict the first
+                    await client.request("POST", "/v1/plan", {"expression": expr_to_json(expr)})
+                answers.append(await client.request("POST", "/v1/plan", body))
+                counts.append(len(decoded))
+            await gateway.stop()
+            return answers, counts
+
+        answers, counts = asyncio.run(main())
+        plan = referee.rewrite(exprs[0]).best.to_string()
+        plans, pipeline, malformed, again = answers[:3], answers[3], answers[4:6], answers[6]
+        assert all(status == 200 and payload["plan"] == plan for status, payload in plans)
+        assert [payload["cache_hit"] for _, payload in plans] == [False, True, True]
+        assert pipeline[0] == 200 and pipeline[1]["value"] is not None
+        assert [status for status, _ in malformed] == [400, 400]
+        assert again[0] == 200 and again[1]["plan"] == plan
+        # One decode per endpoint default, one per malformed body, and one
+        # for each of the three bodies the bound of 2 let go.
+        assert counts == [2, 4, 7]
+        assert decoded[:2] == [False, True]
+
     def test_metrics_endpoint_exposes_serving_series(self, small_catalog):
         engine = _engine(small_catalog, max_sessions=2)
         expr = _sample_exprs()[0]
 
         async def main():
-            gateway = _gateway(engine)
+            gateway = engine.build_gateway()
             await gateway.start()
             async with GatewayClient("127.0.0.1", gateway.port) as client:
                 for _ in range(3):
@@ -625,7 +688,7 @@ class TestGateway:
         parsed = parse_prometheus(asyncio.run(main()))
         assert parsed["gateway_requests_total"] == 3
         assert parsed["gateway_responses_2xx_total"] == 3
-        assert parsed["gateway_batches_total"] >= 1
+        assert parsed["service_batch_size_count"] >= 1
         assert parsed["gateway_total_seconds_count"] == 3
         # 3 identical expressions: at least 2 answered from cached plans.
         assert parsed["gateway_cache_hits_total"] >= 2
@@ -636,24 +699,15 @@ class TestGateway:
 # ---------------------------------------------------------------------------
 
 
-def _batched(gateway) -> tuple:
-    """(batches, requests that reached a batcher) — 0 before the first batcher."""
-    counters = gateway.metrics.as_dict()["counters"]
-    return (
-        counters.get("gateway_batches_total", 0),
-        counters.get("gateway_batched_requests_total", 0),
-    )
+def _planned(gateway) -> int:
+    """Requests that reached a planner thread: each is one service batch."""
+    return gateway.metrics.as_dict()["histograms"]["service_batch_size"]["count"]
 
 
 class TestWarmPlanReadPath:
-    #: Long enough that a request which met the window cannot pass for one
-    #: that did not.
-    WINDOW = 0.25
-
-    def _serve(self, engine, drive, **overrides):
+    def _serve(self, engine, drive):
         async def main():
-            overrides.setdefault("batch_window_seconds", self.WINDOW)
-            gateway = await engine.serve(**overrides)
+            gateway = await engine.serve()
             try:
                 async with GatewayClient("127.0.0.1", gateway.port) as client:
                     return await drive(gateway, client)
@@ -662,7 +716,7 @@ class TestWarmPlanReadPath:
 
         return asyncio.run(main())
 
-    def test_warm_plan_is_answered_without_a_batcher(self, small_catalog):
+    def test_warm_plan_is_answered_without_a_planner_thread(self, small_catalog):
         expr = _sample_exprs()[0]
         engine = _engine(small_catalog)
         engine.rewrite(expr)  # the tenant arrives warm, as serve_churn's do
@@ -672,13 +726,13 @@ class TestWarmPlanReadPath:
             started = time.perf_counter()
             response = await client.plan(expr, name="warm")
             elapsed = time.perf_counter() - started
-            return response, elapsed, _batched(gateway), dict(gateway.planner.batchers)
+            return response, elapsed, _planned(gateway)
 
-        response, elapsed, batched, batchers = self._serve(engine, drive)
+        response, elapsed, planned = self._serve(engine, drive)
         assert response["cache_hit"] and response["name"] == "warm"
         assert response["plan"] == PlanSession(small_catalog).rewrite(expr).best.to_string()
         assert elapsed < 0.05
-        assert batched == (0, 0) and batchers == {}
+        assert planned == 0
         assert response["timings"]["queue_seconds"] == 0.0
         assert response["timings"]["total_seconds"] == response["timings"]["plan_seconds"]
 
@@ -691,47 +745,51 @@ class TestWarmPlanReadPath:
 
         async def drive(gateway, client):
             assert (await client.plan(expr))["cache_hit"]
-            return gateway.stats_dict(), dict(gateway.planner.batchers)
+            return gateway.stats_dict(), _planned(gateway)
 
-        stats, batchers = self._serve(engine, drive)
-        assert batchers == {}
+        stats, planned = self._serve(engine, drive)
+        assert planned == 0
         assert list(stats["workspace_pools"]) == ["default"]
         pool = stats["workspace_pools"]["default"]
         assert pool == engine.pool.stats_dict()
         assert pool["shared_hits"] == 1 and pool["plans_computed"] == 1
 
-    def test_warm_pipeline_request_still_goes_through_the_batcher(self, small_catalog):
+    def test_warm_pipeline_request_still_goes_to_a_planner_thread(self, small_catalog):
         expr = _sample_exprs()[0]
         engine = _engine(small_catalog)
         engine.rewrite(expr)
 
         async def drive(gateway, client):
             response = await client.execute(expr, name="exec")
-            return response, _batched(gateway), list(gateway.planner.batchers)
+            return response, _planned(gateway)
 
-        response, batched, batchers = self._serve(engine, drive, batch_window_seconds=0.01)
+        response, planned = self._serve(engine, drive)
         assert response["cache_hit"] and response["value"] is not None
         assert response["backend"] is not None
-        assert batched == (1, 1) and batchers == ["default"]
+        assert planned == 1
 
-    def test_cold_plans_still_batch_and_plan_once(self, small_catalog):
+    def test_concurrent_cold_duplicates_plan_once(self, small_catalog):
         expr = _sample_exprs()[1]
         engine = _engine(small_catalog)
+        release, _ = _gated(engine.service)
 
         async def drive(gateway, client):
             async with GatewayClient("127.0.0.1", gateway.port) as other:
-                responses = await asyncio.gather(
+                both = asyncio.gather(
                     client.plan(expr, name="a"), other.plan(expr, name="b")
                 )
-            return responses, _batched(gateway)
+                await _until(lambda: gateway.in_flight == 2)  # both missed, both held
+                release.set()
+                responses = await both
+            return responses, _planned(gateway)
 
-        responses, batched = self._serve(engine, drive, batch_window_seconds=0.05)
-        assert batched == (1, 2)  # one window caught both
+        responses, planned = self._serve(engine, drive)
+        assert planned == 2  # one planner thread each
         assert sorted(r["cache_hit"] for r in responses) == [False, True]
         assert responses[0]["plan"] == responses[1]["plan"]
         assert engine.pool.stats.plans_computed == 1
 
-    def test_delta_evicts_to_the_batcher_and_keeps_the_rest_on_the_loop(
+    def test_delta_evicts_to_a_planner_thread_and_keeps_the_rest_on_the_loop(
         self, small_catalog
     ):
         touched = inv(matrix("C")) @ matrix("v1")  # footprint {C, v1}
@@ -749,15 +807,15 @@ class TestWarmPlanReadPath:
             reads = []
             for expr in (untouched, touched, touched):
                 response = await client.plan(expr)
-                reads.append((response, _batched(gateway)[1]))
+                reads.append((response, _planned(gateway)))
             return report, reads
 
-        report, reads = self._serve(engine, drive, batch_window_seconds=0.01)
+        report, reads = self._serve(engine, drive)
         assert report["plans_kept_warm"] == 1 and report["plans_revalidated"] == 1
-        (kept, kept_batched), (miss, miss_batched), (hit, hit_batched) = reads
-        assert kept["cache_hit"] and kept_batched == 0  # outside the footprint
-        assert not miss["cache_hit"] and miss_batched == 1  # re-planned, batched
-        assert hit["cache_hit"] and hit_batched == 1  # and warm again on the loop
+        (kept, kept_planned), (miss, miss_planned), (hit, hit_planned) = reads
+        assert kept["cache_hit"] and kept_planned == 0  # outside the footprint
+        assert not miss["cache_hit"] and miss_planned == 1  # re-planned on a thread
+        assert hit["cache_hit"] and hit_planned == 1  # and warm again on the loop
         referee = PlanSession(engine.workspaces.get("default").catalog)
         for response, expr in ((kept, untouched), (miss, touched), (hit, touched)):
             cold = referee.rewrite(expr)
@@ -767,8 +825,8 @@ class TestWarmPlanReadPath:
 
     def test_busy_pool_lock_never_stalls_the_loop(self, small_catalog):
         """A delta holds the pool's store lock for a whole revalidation.
-        While it is held a warm read takes the batcher path (a worker thread
-        waits), the loop keeps serving, and the answer is the hit it would
+        While it is held a warm read goes to a planner thread (which waits),
+        the loop keeps serving, and the answer is the hit it would
         have been: the loop-hit body in every field but ``timings``.
 
         (A named tenant; the default workspace's lock is held in
@@ -788,7 +846,7 @@ class TestWarmPlanReadPath:
 
         async def drive(gateway, client):
             loop_hit = await client.plan(expr, name="read", workspace="busy")
-            assert _batched(gateway) == (0, 0)
+            assert _planned(gateway) == 0
             holder = threading.Thread(target=hold)
             holder.start()
             try:
@@ -807,20 +865,20 @@ class TestWarmPlanReadPath:
             finally:
                 release.set()
                 holder.join(timeout=10)
-            batcher_hit = await asyncio.wait_for(blocked, timeout=10)
-            return loop_hit, batcher_hit, health, health_seconds, still_waiting, _batched(gateway)
+            thread_hit = await asyncio.wait_for(blocked, timeout=10)
+            return loop_hit, thread_hit, health, health_seconds, still_waiting, _planned(gateway)
 
-        loop_hit, batcher_hit, health, health_seconds, still_waiting, batched = self._serve(
-            engine, drive, batch_window_seconds=0.0
+        loop_hit, thread_hit, health, health_seconds, still_waiting, planned = self._serve(
+            engine, drive
         )
         assert health["status_code"] == 200 and health["in_flight"] == 1
         assert health_seconds < 0.05
-        assert still_waiting and batched == (1, 1)
-        assert loop_hit["cache_hit"] and batcher_hit["cache_hit"]
+        assert still_waiting and planned == 1
+        assert loop_hit["cache_hit"] and thread_hit["cache_hit"]
         assert loop_hit["timings"]["queue_seconds"] == 0.0
-        assert batcher_hit["timings"]["plan_seconds"] >= 0.15  # waited, on a thread
-        loop_hit.pop("timings"), batcher_hit.pop("timings")
-        assert loop_hit == batcher_hit
+        assert thread_hit["timings"]["plan_seconds"] >= 0.15  # waited, on a thread
+        loop_hit.pop("timings"), thread_hit.pop("timings")
+        assert loop_hit == thread_hit
 
     def test_health_never_waits_for_the_default_pool_lock(self, small_catalog):
         """``/healthz`` and ``gateway.stats_dict()`` report the *default*

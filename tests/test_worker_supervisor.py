@@ -314,7 +314,6 @@ class TestSupervisorChaos:
                 worker_factory=CHAOS_FACTORY,
                 host="127.0.0.1",
                 planner_workers=2,
-                batch_window_seconds=0.0,
                 worker_backoff_seconds=0.01,
             )
             await gateway.start()
@@ -504,7 +503,6 @@ def test_worker_pool_plans_like_in_process(workers):
         gateway = engine.build_gateway(
             worker_factory=CHAOS_FACTORY if workers else None,
             planner_workers=workers,
-            batch_window_seconds=0.002,
         )
         planner = gateway.planner
         await planner.open()

@@ -12,6 +12,7 @@ metrics labels, and the pluggable cost-estimator registry.
 from __future__ import annotations
 
 import asyncio
+import time
 import warnings
 
 import numpy as np
@@ -323,8 +324,6 @@ class TestWorkspaceWireField:
 
 class TestWorkspaceGateway:
     def _serve(self, engine, coroutine_factory, **overrides):
-        overrides.setdefault("batch_window_seconds", 0.0)
-
         async def main():
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DeprecationWarning)
@@ -400,6 +399,14 @@ class TestWorkspaceGateway:
             small_catalog, gateway={"workspace_max_in_flight": 1}
         )
         expr = _sample_expr()
+        service = engine.workspace("plain").service
+        original = service.submit_many
+
+        def slow_submit_many(requests, workers=8):
+            time.sleep(0.2)
+            return original(requests, workers=workers)
+
+        service.submit_many = slow_submit_many  # type: ignore[method-assign]
 
         async def drive(gateway):
             clients = [
@@ -420,11 +427,9 @@ class TestWorkspaceGateway:
                     await client.close()
             return answers
 
-        # A slow batch window stacks the wave: one request per workspace
-        # may be in flight, the rest of the burst is quota-rejected.
-        answers = self._serve(
-            engine, drive, batch_window_seconds=0.2, max_in_flight=64
-        )
+        # A slow plan stacks the wave: one request per workspace may be
+        # in flight, the rest of the burst is quota-rejected.
+        answers = self._serve(engine, drive, max_in_flight=64)
         rejected = [a for a in answers if a.get("status") == 429]
         served = [a for a in answers if "plan" in a]
         assert rejected and served
@@ -489,9 +494,9 @@ class TestWorkspaceGateway:
         assert text.count("# TYPE gateway_workspace_requests_total counter") == 1
 
     def test_tenant_churn_reaps_gateway_state_and_metric_series(self, small_catalog):
-        """Removing a tenant from the registry reaps its batcher and its
-        labeled series on the gateway's next encounter with the name —
-        /metrics stops rendering deleted tenants."""
+        """Removing a tenant from the registry reaps its labeled series on
+        the gateway's next encounter with the name — /metrics stops
+        rendering deleted tenants."""
         engine = _two_tenant_engine(small_catalog)
         expr = _sample_expr()
 
@@ -503,11 +508,10 @@ class TestWorkspaceGateway:
                     expr, workspace="plain", raise_on_error=False
                 )
                 text = await client.metrics_text()
-                return answer, text, dict(gateway.planner.batchers)
+                return answer, text
 
-        answer, text, batchers = self._serve(engine, drive)
+        answer, text = self._serve(engine, drive)
         assert answer["status"] == 404
-        assert "plain" not in batchers
         assert 'workspace="plain"' not in text
 
     def test_gateway_service_follows_default_workspace_updates(self, small_catalog):
