@@ -186,7 +186,7 @@ class GatewayConfig:
     workspace_max_in_flight: int = 0
     backlog: int = 2048
     #: Number of planner worker *processes* behind the gateway.  ``0`` (the
-    #: default) keeps today's in-process path — planning on one thread
+    #: default) keeps today's in-process path — planning on a thread pool
     #: inside the gateway process, byte-identical behaviour.  ``N > 0``
     #: shards workspaces across N spawned worker processes by consistent
     #: hashing (see :mod:`repro.server.workers`), each owning its own plan

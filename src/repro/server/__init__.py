@@ -14,7 +14,7 @@ single dependency:
   admission control with 429 backpressure, and graceful drain;
 * :mod:`repro.server.planner` — the one seam the gateway plans through,
   and its in-process implementation: a warm plan is answered on the event
-  loop, anything else runs ``submit_many([request], workers=1)`` on the
+  loop, anything else runs ``submit_many([request], workers=1)`` on a
   planner thread as it arrives;
 * :mod:`repro.server.workers` — the multi-process planner tier:
   :class:`HashRing` (consistent workspace → worker sharding),

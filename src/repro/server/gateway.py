@@ -46,11 +46,9 @@ Endpoints
 from __future__ import annotations
 
 import asyncio
-from collections import OrderedDict
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set
 
 from repro.api.engine import Engine
-from repro.api.schema import PlanRequest
 from repro.catalog.delta import CatalogDelta
 from repro.config import GatewayConfig
 from repro.exceptions import CatalogError, ConfigError, UnknownWorkspaceError
@@ -63,14 +61,10 @@ from repro.server.protocol import (
     ProtocolError,
     format_http_response,
     json_response,
+    parse_plan_request,
     read_http_request,
 )
 from repro.server.workers import WorkerSupervisor
-
-#: Bounds of the gateway's decoded-request memo: how many bodies it keeps,
-#: and the largest body it keeps (so it holds at most 8 MiB of keys).
-DECODED_REQUESTS = 512
-DECODED_BODY_BYTES = 16 * 1024
 
 
 class AnalyticsGateway:
@@ -117,13 +111,6 @@ class AnalyticsGateway:
         #: Per-workspace labeled instruments, resolved once per workspace
         #: instead of through the registry lock on every request.
         self._workspace_instruments: Dict[str, dict] = {}
-        #: Decoded plan requests by (endpoint's ``execute`` default, exact
-        #: body), least recently used first.  A repeated body, which is what
-        #: a warm plan request usually is, skips the JSON parse, the
-        #: expression decode and the fingerprint: about half the gateway's
-        #: own work for a warm hit.  Decoding is a pure function of the
-        #: bytes and expressions are immutable, so an entry never goes stale.
-        self._decoded: "OrderedDict[Tuple[bool, bytes], PlanRequest]" = OrderedDict()
         self._server: Optional[asyncio.Server] = None
         self._draining = False
         self._in_flight = 0
@@ -618,7 +605,10 @@ class AnalyticsGateway:
                 extra_headers={"retry-after": "0"},
             )
         try:
-            service_request = self._decode_submit(request, execute_default)
+            body = request.json()
+            if isinstance(body, dict) and "execute" not in body:
+                body = dict(body, execute=execute_default)
+            service_request = parse_plan_request(body)
         except ProtocolError as exc:
             self._protocol_errors_total.inc()
             return json_response(400, {"error": str(exc)}, keep_alive=keep_alive)
@@ -668,21 +658,6 @@ class AnalyticsGateway:
         return self._respond(
             envelope, service_request, workspace_name, instruments, keep_alive
         )
-
-    def _decode_submit(self, request: HttpRequest, execute_default: bool) -> ServiceRequest:
-        """The body's service request, decoded once per distinct body; a
-        malformed body raises :class:`ProtocolError` and is not kept."""
-        key = (execute_default, request.body)
-        decoded = self._decoded.get(key)
-        if decoded is not None:
-            self._decoded.move_to_end(key)
-            return decoded.to_service_request()
-        decoded = PlanRequest.from_json(request.json(), execute_default=execute_default)
-        if len(request.body) <= DECODED_BODY_BYTES:
-            self._decoded[key] = decoded
-            if len(self._decoded) > DECODED_REQUESTS:
-                self._decoded.popitem(last=False)
-        return decoded.to_service_request()
 
     # ------------------------------------------------------------------ accounting
     def _admit(self, workspace_name: str) -> dict:

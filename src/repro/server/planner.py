@@ -3,7 +3,7 @@
 The gateway admits a request, hands it to its planner and maps the
 *envelope* that comes back to an HTTP response — it never sees a thread
 pool, a pipe or a process.  Two planners ship: :class:`LocalPlanner` (this
-module; the engine's own services on one planner thread) and
+module; the engine's own services on a thread pool) and
 :class:`~repro.server.workers.WorkerSupervisor` (sharded planner worker
 processes).  Both plan a request as it arrives, with the same
 ``service.submit_many([request], workers=1)`` call.  A test substitutes a
@@ -107,20 +107,20 @@ class LocalPlanner:
     <repro.service.pool.PlanSessionPool.lookup>`.  Everything the lookup
     cannot answer — a miss, a key still being planned, a busy pool lock,
     any ``execute`` request — runs ``service.submit_many([request],
-    workers=1)``, the call a worker process makes, on the planner's one
-    thread, in arrival order.  Planning is pure Python under the GIL, so
-    more threads would only time-slice the plans: two concurrent misses
-    would both be answered after twice their planning time, where taking
-    them in turn answers the first after its own.  Parallel planning is
-    what ``GatewayConfig.planner_workers`` processes are for.  Concurrent
-    duplicates plan once: the first plans, and the rest find its plan in
-    the pool.
+    workers=1)``, the call a worker process makes, on the planner's thread
+    pool, ``ServiceConfig.plan_workers`` threads shared by every workspace.
+    Requests from different tenants, and executions (numpy releases the
+    GIL), therefore run side by side: a tenant's long plan holds one thread,
+    not the others' misses.  Concurrent duplicates plan once: the pool's
+    single flight lets the first plan and the rest wait for its plan.
     """
 
     def __init__(self, engine: Engine, batch_hook: BatchHook):
         self._engine = engine
         self._batch_hook = batch_hook
-        self._executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-plan")
+        self._executor = ThreadPoolExecutor(
+            max_workers=engine.config.service.plan_workers, thread_name_prefix="repro-plan"
+        )
         self._closed = False
         #: Services whose batch hook is already registered.  A weak *set*
         #: (not ids): membership is object identity, entries vanish with
@@ -138,7 +138,7 @@ class LocalPlanner:
         if not request.execute:
             # A warm plan is a lookup: the pool's cache is the store every
             # delta keeps consistent, and the lookup cannot block the loop
-            # (a busy lock reads as None and goes to the planner thread).
+            # (a busy lock reads as None and goes to a planner thread).
             started = time.perf_counter()
             hit = service.pool.lookup(request.expression)
             if hit is not None:
@@ -163,7 +163,7 @@ class LocalPlanner:
 
     def stats_dict(self) -> dict:
         # Keyed by ready runtime: a tenant served only warm plans is
-        # answered on the loop and never reaches the planner thread.
+        # answered on the loop and never reaches a planner thread.
         pools = {
             name: self._engine.workspace(name).pool.stats_dict()
             for name in self._engine.workspace_names()

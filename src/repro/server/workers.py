@@ -1,8 +1,8 @@
 """Multi-process sharded planner workers behind the gateway.
 
-The gateway's in-process path plans on one thread, because saturation-heavy
-(chase-bound) planning serializes on the GIL however many threads
-:class:`~repro.server.planner.LocalPlanner` would run.  This module adds
+The gateway's in-process path plans on a thread pool, so saturation-heavy
+(chase-bound) planning serializes on the GIL no matter how many threads
+:class:`~repro.server.planner.LocalPlanner` runs.  This module adds
 the worker-pool tier the ROADMAP calls "the single biggest unlock": a pool
 of N planner worker *processes*, each owning its own engine — plan session
 pools, warm rewrite caches, execution backends — with workspaces sharded

@@ -267,8 +267,7 @@ class AnalyticsService:
         a cache key) and the rest reuse its plan as ``cache_hit`` copies
         with ``plan_seconds=0.0``.  Planning and execution are pipelined —
         a group starts executing as soon as *its* plan lands, never waiting
-        for the batch's slowest plan.  A batch of one fingerprint plans and
-        executes on the calling thread.  Results come back in input order,
+        for the batch's slowest plan.  Results come back in input order,
         and the plans are byte-identical to a serial
         :meth:`PlanSession.rewrite_all` over the same batch.
 
@@ -291,60 +290,55 @@ class AnalyticsService:
             groups.setdefault(request.expression.fingerprint(), []).append(index)
 
         results: List[Optional[ServiceResult]] = [None] * len(requests)
+        with ThreadPoolExecutor(max_workers=max(1, int(workers))) as executor:
 
-        def run_group(indices: List[int], executor: Optional[ThreadPoolExecutor] = None) -> List:
-            expression = requests[indices[0]].expression
-            try:
-                rewrite, queue_seconds, plan_seconds = self._plan_timed(
-                    expression, enqueued
-                )
-                plan_error = None
-            except Exception as exc:  # planner errors are per-request data
-                rewrite = self._unplanned(expression)
-                queue_seconds = time.perf_counter() - enqueued
-                plan_seconds = 0.0
-                plan_error = f"{type(exc).__name__}: {exc}"
-            executions = []
-            for position, index in enumerate(indices):
-                leader = position == 0
-                # Duplicates zero their rewrite_seconds like every other
-                # cache-hit layer, so summing RW_find over a batch never
-                # double-counts the leader's planning cost.
-                result = ServiceResult(
-                    request=requests[index],
-                    rewrite=rewrite
-                    if leader
-                    else rewrite.copy(cache_hit=True, rewrite_seconds=0.0),
-                    queue_seconds=queue_seconds,
-                    plan_seconds=plan_seconds if leader else 0.0,
-                )
-                results[index] = result
-                if plan_error is not None:
-                    result.failures.append(("planner", plan_error))
-                elif result.request.execute and executor is None:
-                    self._execute_into(result, raise_on_failure=False)
-                elif result.request.execute:
-                    # Submitted from inside the worker so execution can
-                    # overlap groups still planning; the main thread joins
-                    # these after the group futures.
-                    executions.append(
-                        executor.submit(self._execute_into, result, raise_on_failure=False)
+            def run_group(indices: List[int]) -> List:
+                expression = requests[indices[0]].expression
+                try:
+                    rewrite, queue_seconds, plan_seconds = self._plan_timed(
+                        expression, enqueued
                     )
-            return executions
+                    plan_error = None
+                except Exception as exc:  # planner errors are per-request data
+                    rewrite = self._unplanned(expression)
+                    queue_seconds = time.perf_counter() - enqueued
+                    plan_seconds = 0.0
+                    plan_error = f"{type(exc).__name__}: {exc}"
+                executions = []
+                for position, index in enumerate(indices):
+                    leader = position == 0
+                    # Duplicates zero their rewrite_seconds like every other
+                    # cache-hit layer, so summing RW_find over a batch never
+                    # double-counts the leader's planning cost.
+                    result = ServiceResult(
+                        request=requests[index],
+                        rewrite=rewrite
+                        if leader
+                        else rewrite.copy(cache_hit=True, rewrite_seconds=0.0),
+                        queue_seconds=queue_seconds,
+                        plan_seconds=plan_seconds if leader else 0.0,
+                    )
+                    results[index] = result
+                    if plan_error is not None:
+                        result.failures.append(("planner", plan_error))
+                        continue
+                    if result.request.execute:
+                        # Submitted from inside the worker so execution can
+                        # overlap groups still planning; the main thread
+                        # joins these after the group futures.
+                        executions.append(
+                            executor.submit(
+                                self._execute_into, result, raise_on_failure=False
+                            )
+                        )
+                return executions
 
-        if len(groups) == 1:
-            # One fingerprint has nothing to fan out: plan and execute on
-            # the calling thread instead of building a pool for it.
-            run_group(next(iter(groups.values())))
-        else:
-            with ThreadPoolExecutor(max_workers=max(1, int(workers))) as executor:
-                group_futures = [
-                    executor.submit(run_group, indices, executor)
-                    for indices in groups.values()
-                ]
-                for future in group_futures:
-                    for execution in future.result():
-                        execution.result()
+            group_futures = [
+                executor.submit(run_group, indices) for indices in groups.values()
+            ]
+            for future in group_futures:
+                for execution in future.result():
+                    execution.result()
         completed = [result for result in results if result is not None]
         self._notify_batch_hooks(completed, time.perf_counter() - enqueued, len(groups))
         return completed

@@ -45,8 +45,6 @@ from repro.server import (
     parse_prometheus,
 )
 from repro.server.metrics import DEFAULT_SIZE_BUCKETS
-from repro.api.schema import PlanRequest
-from repro.server import gateway as gateway_module
 from repro.server.planner import LocalPlanner, PlannerClosed, error_envelope
 from repro.service import ServiceRequest
 
@@ -268,6 +266,82 @@ class TestLocalPlanner:
         envelope, exc = asyncio.run(main())
         assert envelope["ok"] and envelope["payload"]["plan"]
         assert error_envelope(exc)["kind"] == "closed"
+
+    def test_a_held_tenant_does_not_hold_another_tenants_miss(self, small_catalog):
+        """Tenants plan side by side: while tenant ``slow``'s batch is held,
+        tenant ``fast`` still gets its cold plan."""
+        registry = WorkspaceRegistry()
+        registry.register("slow", catalog=small_catalog)
+        registry.register("fast", catalog=small_catalog)
+        engine = Engine(workspaces=registry)
+        release, entered = _gated(engine.workspace("slow").service)
+        slow_expr, fast_expr = _sample_exprs()[:2]
+
+        async def main():
+            gateway = engine.build_gateway()
+            await gateway.start()
+            try:
+                async with GatewayClient("127.0.0.1", gateway.port) as slow:
+                    async with GatewayClient("127.0.0.1", gateway.port) as fast:
+                        held = asyncio.ensure_future(
+                            slow.plan(slow_expr, name="slow", workspace="slow")
+                        )
+                        await asyncio.get_running_loop().run_in_executor(
+                            None, entered.wait, 5
+                        )
+                        answer = await asyncio.wait_for(
+                            fast.plan(fast_expr, name="fast", workspace="fast"), 5
+                        )
+                        still_held = not held.done()
+                        release.set()
+                        slow_answer = await held
+            finally:
+                release.set()
+                await gateway.stop()
+            return answer, still_held, slow_answer
+
+        answer, still_held, slow_answer = asyncio.run(main())
+        referee = PlanSession(small_catalog)
+        assert still_held and not answer["cache_hit"]
+        assert answer["plan"] == referee.rewrite(fast_expr).best.to_string()
+        assert slow_answer["plan"] == referee.rewrite(slow_expr).best.to_string()
+
+    def test_execute_requests_run_side_by_side(self, small_catalog):
+        """Two ``/v1/pipeline`` requests are in their service batches at
+        the same time, so their executions can overlap."""
+        engine = _engine(small_catalog)
+        service = engine.service
+        original = service.submit_many
+        both_in = threading.Barrier(2, timeout=5)
+
+        def meeting(requests, workers=8):
+            both_in.wait()  # broken, and raises, if the other never arrives
+            return original(requests, workers=workers)
+
+        service.submit_many = meeting  # type: ignore[method-assign]
+        exprs = _sample_exprs()[:2]
+
+        async def main():
+            gateway = engine.build_gateway()
+            await gateway.start()
+            clients = await asyncio.gather(
+                *[GatewayClient("127.0.0.1", gateway.port).connect() for _ in exprs]
+            )
+            responses = await asyncio.gather(
+                *[client.execute(expr) for client, expr in zip(clients, exprs)]
+            )
+            await asyncio.gather(*[client.close() for client in clients])
+            await gateway.stop()
+            return responses
+
+        numpy = NumpyBackend(small_catalog)
+        for expr, response in zip(exprs, asyncio.run(main())):
+            assert response["failures"] == [] and response["backend"] is not None
+            expected = np.asarray(numpy.evaluate(expr))
+            value = response["value"]
+            assert value["shape"] == list(expected.shape)
+            if "data" in value:
+                np.testing.assert_allclose(np.asarray(value["data"]), expected, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -622,55 +696,6 @@ class TestGateway:
         assert bad_body[0] == 400
         assert health["status_code"] == 200 and health["status"] == "ok"
 
-    def test_each_distinct_body_is_decoded_once(self, small_catalog, monkeypatch):
-        """Repeated bodies skip the decode; the key includes the endpoint's
-        ``execute`` default; malformed bodies are never remembered; and the
-        memo keeps at most ``DECODED_REQUESTS`` bodies."""
-        decoded = []
-        original = PlanRequest.from_json.__func__
-
-        def counting(cls, body, execute_default=True):
-            decoded.append(execute_default)
-            return original(cls, body, execute_default)
-
-        monkeypatch.setattr(PlanRequest, "from_json", classmethod(counting))
-        monkeypatch.setattr(gateway_module, "DECODED_REQUESTS", 2)
-        exprs = _sample_exprs()
-        engine = _engine(small_catalog, max_sessions=2)
-        body = {"expression": expr_to_json(exprs[0]), "name": "q"}
-        referee = PlanSession(small_catalog)
-
-        async def main():
-            gateway = engine.build_gateway()
-            await gateway.start()
-            answers = []
-            async with GatewayClient("127.0.0.1", gateway.port) as client:
-                for path in ("/v1/plan", "/v1/plan", "/v1/plan", "/v1/pipeline"):
-                    answers.append(await client.request("POST", path, body))
-                counts = [len(decoded)]
-                for _ in range(2):
-                    answers.append(await client.request("POST", "/v1/plan", {"no": "expr"}))
-                counts.append(len(decoded))
-                for expr in exprs[1:3]:  # two more bodies evict the first
-                    await client.request("POST", "/v1/plan", {"expression": expr_to_json(expr)})
-                answers.append(await client.request("POST", "/v1/plan", body))
-                counts.append(len(decoded))
-            await gateway.stop()
-            return answers, counts
-
-        answers, counts = asyncio.run(main())
-        plan = referee.rewrite(exprs[0]).best.to_string()
-        plans, pipeline, malformed, again = answers[:3], answers[3], answers[4:6], answers[6]
-        assert all(status == 200 and payload["plan"] == plan for status, payload in plans)
-        assert [payload["cache_hit"] for _, payload in plans] == [False, True, True]
-        assert pipeline[0] == 200 and pipeline[1]["value"] is not None
-        assert [status for status, _ in malformed] == [400, 400]
-        assert again[0] == 200 and again[1]["plan"] == plan
-        # One decode per endpoint default, one per malformed body, and one
-        # for each of the three bodies the bound of 2 let go.
-        assert counts == [2, 4, 7]
-        assert decoded[:2] == [False, True]
-
     def test_metrics_endpoint_exposes_serving_series(self, small_catalog):
         engine = _engine(small_catalog, max_sessions=2)
         expr = _sample_exprs()[0]
@@ -784,7 +809,7 @@ class TestWarmPlanReadPath:
             return responses, _planned(gateway)
 
         responses, planned = self._serve(engine, drive)
-        assert planned == 2  # one planner thread each
+        assert planned == 2  # one service batch each
         assert sorted(r["cache_hit"] for r in responses) == [False, True]
         assert responses[0]["plan"] == responses[1]["plan"]
         assert engine.pool.stats.plans_computed == 1

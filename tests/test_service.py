@@ -613,60 +613,3 @@ class TestBatchHooksAndIsolation:
         # Direct submit still raises for the same expression.
         with pytest.raises(Exception):
             service.submit(ServiceRequest(expression=bad, execute=False))
-
-
-class TestOneFingerprintBatchRunsInline:
-    """A batch of one distinct fingerprint plans and executes on the calling
-    thread: ``submit_many`` builds no thread pool for it."""
-
-    @pytest.fixture
-    def no_pool(self, monkeypatch):
-        import repro.service.service as service_module
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a one-fingerprint batch built a thread pool")
-
-        monkeypatch.setattr(service_module, "ThreadPoolExecutor", refuse)
-
-    def test_copies_share_one_plan(self, small_catalog, no_pool):
-        service = _service(small_catalog)
-        results = service.submit_many(
-            [ServiceRequest(expression=_mn(), execute=False) for _ in range(3)]
-        )
-        assert [result.rewrite.cache_hit for result in results] == [False, True, True]
-        assert [result.plan_seconds == 0.0 for result in results] == [False, True, True]
-        assert len({result.rewrite.best.to_string() for result in results}) == 1
-        assert service.pool.stats.plans_computed == 1
-
-    def test_unplannable_expression_is_a_per_request_failure(self, small_catalog, no_pool):
-        bad = matrix("M") @ matrix("A")  # 40x6 @ 30x8: ShapeError in planning
-        service = _service(small_catalog)
-        results = service.submit_many(
-            [ServiceRequest(expression=bad, execute=False) for _ in range(2)]
-        )
-        for failed in results:
-            assert not failed.ok and failed.failures[0][0] == "planner"
-            assert failed.rewrite.best == bad
-
-    def test_execute_requests_still_execute(self, small_catalog, no_pool):
-        service = _service(small_catalog)
-        results = service.submit_many([_mn(), _mn()])
-        expected = NumpyBackend(small_catalog).evaluate(_mn())
-        for result in results:
-            assert result.ok and result.backend is not None
-            assert values_allclose(result.value, expected, rtol=1e-4, atol=1e-5)
-
-    def test_two_fingerprints_still_fan_out_on_threads(self, small_catalog, monkeypatch):
-        import repro.service.service as service_module
-
-        built = []
-        real = service_module.ThreadPoolExecutor
-
-        def counting(*args, **kwargs):
-            built.append(kwargs["max_workers"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(service_module, "ThreadPoolExecutor", counting)
-        service = _service(small_catalog)
-        results = service.submit_many([_mn(), sum_all(matrix("A"))], workers=2)
-        assert built == [2] and all(result.ok for result in results)
