@@ -29,7 +29,6 @@ from repro.exceptions import ConfigError
 
 from repro.cost.model import (
     NnzInfo,
-    CostModel,
     expression_cost,
     annotate_expression,
     annotate_instance_classes,
@@ -105,7 +104,6 @@ def estimator_name_for(estimator: object) -> Optional[str]:
 
 __all__ = [
     "NnzInfo",
-    "CostModel",
     "expression_cost",
     "annotate_expression",
     "annotate_instance_classes",

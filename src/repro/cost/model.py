@@ -162,23 +162,6 @@ def expression_cost(
     return total
 
 
-class CostModel:
-    """Bundles an estimator with the γ cost function."""
-
-    def __init__(self, estimator, catalog: Optional[Catalog] = None):
-        self.estimator = estimator
-        self.catalog = catalog
-
-    def cost(self, expr: mx.Expr) -> float:
-        return expression_cost(expr, self.catalog, self.estimator)
-
-    def annotate(self, expr: mx.Expr) -> Dict[mx.Expr, NnzInfo]:
-        return annotate_expression(expr, self.catalog, self.estimator)
-
-    def info(self, expr: mx.Expr) -> NnzInfo:
-        return self.annotate(expr)[expr]
-
-
 # ---------------------------------------------------------------------------
 # Per-class annotation of a saturated instance
 # ---------------------------------------------------------------------------

@@ -2,12 +2,11 @@
 
 A hybrid query (§9.2.2) has a relational preprocessing part Q_RA — joins,
 selections and projections building feature matrices — and an LA analysis
-part Q_LA over those matrices.  HADAD optimizes both: the RA part is
-rewritten against relational views with the PACB engine, and the LA part is
-rewritten against LA / hybrid views with the VREM saturation engine, with
-the Morpheus factorization rules bridging the two sides (a join-produced
-matrix is declared *normalized* so that operators over it can be pushed to
-the base tables and matched against hybrid views).
+part Q_LA over those matrices.  The builders of Q_RA run as stated; HADAD
+rewrites Q_LA against LA / hybrid views with the VREM saturation engine,
+with the Morpheus factorization rules bridging the two sides (a matrix
+produced by a PK-FK join is declared *normalized* so that operators over it
+can be pushed to the base tables and matched against hybrid views).
 
 Hybrid queries are served end-to-end by
 :meth:`repro.service.AnalyticsService.submit_hybrid`, which pairs the

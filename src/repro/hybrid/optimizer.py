@@ -1,37 +1,34 @@
-"""The hybrid optimizer: combined RA and LA rewriting of hybrid queries.
+"""The hybrid optimizer: LA rewriting of hybrid queries.
 
-For the LA analysis part, a long-lived :class:`~repro.planner.PlanSession`
-is used (one per distinct factor-set, reused across rewrites so repeated
-queries hit the session's plan store), extended with
+The RA preprocessing part (the matrix builders) runs as stated.  The LA
+analysis part is rewritten by a long-lived
+:class:`~repro.planner.PlanSession` (one per distinct factor set, reused
+across rewrites so repeated queries hit the session's plan store), extended
+with
 
-* the Morpheus factorization rules (a :class:`JoinFeatureMatrix` builder is
-  declared as a *normalized matrix* over its base-table factors, so that
-  aggregates over it can be pushed down and matched against hybrid views);
+* the Morpheus factorization rules (a PK-FK :class:`JoinFeatureMatrix`
+  builder is declared as a *normalized matrix* over its base-table factors,
+  so that aggregates over it can be pushed down and matched against hybrid
+  views) — the bridge between the two sides;
 * the hybrid materialized views supplied by the caller (LA views whose
   definitions reference the base-table matrices).
-
-For the RA preprocessing part, relational materialized views (conjunctive
-queries) can be used through the PACB engine: when a builder's relational
-plan is equivalent to a view, the builder reads the view instead of the base
-tables.  The result records both decisions so the executor / harness can run
-the optimized query end to end.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
 from repro.backends.morpheus import factor_names
-from repro.backends.relational import RelationalEngine
+from repro.config import PlannerConfig
 from repro.constraints.views import LAView
 from repro.core.result import RewriteResult
 from repro.data.catalog import Catalog
-from repro.data.matrix import MatrixData, MatrixMeta
+from repro.data.matrix import MatrixMeta
 from repro.hybrid.query import HybridQuery, JoinFeatureMatrix, PivotSparseMatrix
 from repro.planner.session import PlanSession
 
@@ -42,20 +39,36 @@ class HybridRewriteResult:
 
     query: HybridQuery
     la_result: RewriteResult
-    ra_view_substitutions: Dict[str, str] = field(default_factory=dict)
     rewrite_seconds: float = 0.0
 
     @property
     def optimized_analysis(self):
         return self.la_result.best
 
-    @property
-    def changed(self) -> bool:
-        return self.la_result.changed or bool(self.ra_view_substitutions)
+
+def _pk_fk_indicator(
+    left_keys: np.ndarray, right_keys: np.ndarray
+) -> Optional[sparse.csr_matrix]:
+    """The Morpheus indicator K of joining ``left_keys`` to ``right_keys``.
+
+    ``K[i, j] = 1`` iff left row i joins right row j.  Returns ``None``
+    unless every left key matches exactly one right row: only then does the
+    join emit one row per left row, so that ``M = [S, K R]``.
+    """
+    order = np.argsort(right_keys, kind="stable")
+    sorted_keys = right_keys[order]
+    first = np.searchsorted(sorted_keys, left_keys, side="left")
+    end = np.searchsorted(sorted_keys, left_keys, side="right")
+    if not np.all(end - first == 1):
+        return None
+    return sparse.csr_matrix(
+        (np.ones(len(left_keys)), (np.arange(len(left_keys)), order[first])),
+        shape=(len(left_keys), len(right_keys)),
+    )
 
 
 class HybridOptimizer:
-    """Optimizes hybrid queries (both their RA and LA parts).
+    """Optimizes the LA part of hybrid queries; the builders run as stated.
 
     The only hybrid planner: :meth:`repro.api.Engine.submit_hybrid` drives
     this class (and the executor) per workspace; construct it directly to
@@ -66,31 +79,33 @@ class HybridOptimizer:
         self,
         catalog: Catalog,
         la_views: Sequence[LAView] = (),
-        relational_view_tables: Optional[Dict[str, str]] = None,
-        estimator=None,
         factor_names: Optional[Dict[str, Tuple[str, str, str]]] = None,
+        config: PlannerConfig = PlannerConfig(),
+        estimator=None,
     ):
         """
         Parameters
         ----------
         la_views:
             Hybrid / LA materialized views available to the LA rewriting.
-        relational_view_tables:
-            Mapping ``builder name -> table name`` declaring that a stored
-            table materializes exactly the relational plan of that builder
-            (the V1/V2-style relational views of §2); the optimizer then
-            substitutes the view for the builder's base-table plan.
         factor_names:
             Mapping ``matrix name -> (S, K, R)`` matrix names declaring a
             builder's output as a Morpheus normalized matrix; defaults are
-            derived automatically for :class:`JoinFeatureMatrix` builders
-            whose factor matrices are registered in the catalog.
+            derived automatically for PK-FK :class:`JoinFeatureMatrix`
+            builders.
+        config:
+            The planner options every LA session is derived from; each
+            factor set adds its Morpheus rules and normalized matrices.
+        estimator:
+            An explicit estimator object, passed to every session as to
+            :class:`~repro.planner.PlanSession`; by default each session
+            resolves ``config.estimator`` by name.
         """
         self.catalog = catalog
         self.la_views = list(la_views)
-        self.relational_view_tables = dict(relational_view_tables or {})
-        self.estimator = estimator
         self.factor_names = dict(factor_names or {})
+        self.config = config
+        self.estimator = estimator
         #: One plan session per distinct factor set; reusing sessions keeps
         #: the compiled constraint program and the plan store warm across
         #: repeated hybrid queries.
@@ -108,8 +123,10 @@ class HybridOptimizer:
                 catalog=self.catalog,
                 views=self.la_views,
                 estimator=self.estimator,
-                include_morpheus_rules=bool(factors),
-                normalized_matrices=factors,
+                config=self.config.with_options(
+                    include_morpheus_rules=self.config.include_morpheus_rules or bool(factors),
+                    normalized_matrices=factors,
+                ),
             )
             self._sessions[key] = session
         return session
@@ -118,15 +135,16 @@ class HybridOptimizer:
     def ensure_factor_matrices(
         self, query: HybridQuery, force: bool = False
     ) -> Dict[str, Tuple[str, str, str]]:
-        """Materialize (S, K, R) factor matrices for the join builders.
+        """Materialize (S, K, R) factor matrices for the PK-FK join builders.
 
         For a :class:`JoinFeatureMatrix` named ``M`` over tables T and U, the
         factors are registered as ``M__S`` (T's feature columns), ``M__K``
         (the PK-FK indicator) and ``M__R`` (U's feature columns) unless the
-        caller already supplied factor names.
+        caller already supplied factor names.  A join in which some row of T
+        does not match exactly one row of U is not a normalized matrix: it
+        gets no factors (and loses stale ones) and is planned as stated.
         """
         factors = dict(self.factor_names)
-        engine = RelationalEngine(self.catalog)
         for builder in query.builders:
             if not isinstance(builder, JoinFeatureMatrix) or builder.name in factors:
                 continue
@@ -141,16 +159,16 @@ class HybridOptimizer:
                 continue
             left = self.catalog.table(builder.left_table)
             right = self.catalog.table(builder.right_table)
+            indicator = _pk_fk_indicator(
+                np.asarray(left.column(builder.key), dtype=np.int64),
+                np.asarray(right.column(builder.key), dtype=np.int64),
+            )
+            if indicator is None:
+                for name in (s_name, k_name, r_name):
+                    self.catalog.drop_matrix(name)
+                continue
             s_values = left.to_matrix(builder.left_columns)
             r_values = right.to_matrix(builder.right_columns)
-            left_keys = np.asarray(left.column(builder.key), dtype=np.int64)
-            right_keys = np.asarray(right.column(builder.key), dtype=np.int64)
-            position_of = {int(key): idx for idx, key in enumerate(right_keys)}
-            cols = np.asarray([position_of[int(key)] for key in left_keys], dtype=np.int64)
-            indicator = sparse.csr_matrix(
-                (np.ones(len(cols)), (np.arange(len(cols)), cols)),
-                shape=(len(left_keys), len(right_keys)),
-            )
             self.catalog.register_dense(s_name, s_values, overwrite=True)
             self.catalog.register_sparse(k_name, indicator, overwrite=True)
             self.catalog.register_dense(r_name, r_values, overwrite=True)
@@ -198,16 +216,8 @@ class HybridOptimizer:
             # miss) on the very next rewrite.
             self._factors_catalog_version = self.catalog.version
         la_result = la_session.rewrite(query.analysis)
-
-        substitutions: Dict[str, str] = {}
-        for builder in query.builders:
-            view_table = self.relational_view_tables.get(builder.name)
-            if view_table is not None and self.catalog.has_table(view_table):
-                substitutions[builder.name] = view_table
-
         return HybridRewriteResult(
             query=query,
             la_result=la_result,
-            ra_view_substitutions=substitutions,
             rewrite_seconds=time.perf_counter() - start,
         )

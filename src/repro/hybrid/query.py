@@ -25,11 +25,11 @@ from repro.lang import relational_expr as rx
 
 @dataclass(frozen=True)
 class JoinFeatureMatrix:
-    """A dense feature matrix obtained by PK-FK joining two tables.
+    """A dense feature matrix obtained by joining two tables on ``key``.
 
     ``M = [left_columns of left_table | right_columns of right_table]`` with
     rows aligned by the join on ``key`` — the construction of the matrix M in
-    the Twitter / MIMIC benchmarks.
+    the Twitter / MIMIC benchmarks, where the join is PK-FK.
     """
 
     name: str

@@ -7,8 +7,8 @@ row order forgotten, and a relation can be cast into a matrix).
 
 These nodes are deliberately simple: the relational engine of
 :mod:`repro.backends.relational` interprets them over in-memory column
-tables, and the hybrid optimizer of :mod:`repro.hybrid` translates them into
-conjunctive queries for view-based rewriting with the PACB engine.
+tables, as stated: the hybrid optimizer of :mod:`repro.hybrid` rewrites only
+the LA side.
 """
 
 from __future__ import annotations

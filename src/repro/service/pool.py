@@ -35,6 +35,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.config import PlannerConfig
 from repro.core.result import RewriteResult
 from repro.lang import matrix_expr as mx
 from repro.planner.cache import PlanKey, PlanStore
@@ -223,11 +224,15 @@ class PlanSessionPool:
             return len(self._idle)
 
     @property
-    def estimator_name(self) -> str:
-        """The registered estimator name every pooled session plans with
-        (read off the prototype; public so describe surfaces need not
-        reach into pool internals)."""
-        return self._prototype.config.estimator
+    def planner_config(self) -> PlannerConfig:
+        """The config every pooled session plans with (read off the
+        prototype; its ``estimator`` is the registered name in use)."""
+        return self._prototype.config
+
+    @property
+    def estimator(self) -> object:
+        """The estimator object the prototype session plans with."""
+        return self._prototype.estimator
 
     @contextmanager
     def checkout(self) -> Iterator[PlanSession]:

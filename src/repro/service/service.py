@@ -15,9 +15,9 @@ semantics of :meth:`PlanSession.rewrite_all` — concurrent batch plans are
 byte-identical to serial ones.
 
 Hybrid queries (:meth:`AnalyticsService.submit_hybrid`) ride through the
-same service: the RA side is optimized/materialized by the hybrid
-optimizer/executor pair and the LA side by the same planner machinery, with
-planning time folded into the result's end-to-end latency.
+same service: the hybrid executor materializes the RA side as stated, and
+the hybrid optimizer rewrites the LA side under the pool's planner options,
+with planning time folded into the result's end-to-end latency.
 """
 
 from __future__ import annotations
@@ -406,7 +406,14 @@ class AnalyticsService:
         from repro.hybrid.optimizer import HybridOptimizer
 
         if self._hybrid_optimizer is None:
-            self._hybrid_optimizer = HybridOptimizer(self.catalog, la_views=self.views)
+            # Hybrid sessions plan under the pool's options and estimator,
+            # as every LA request of this service does.
+            self._hybrid_optimizer = HybridOptimizer(
+                self.catalog,
+                la_views=self.views,
+                config=self.pool.planner_config,
+                estimator=self.pool.estimator,
+            )
         if self._hybrid_executor is None:
             la_backend = self.router.backends.get("numpy")
             self._hybrid_executor = HybridExecutor(self.catalog, la_backend=la_backend)
@@ -415,11 +422,11 @@ class AnalyticsService:
     def submit_hybrid(self, query, execute: bool = True) -> ServiceResult:
         """Route a :class:`~repro.hybrid.query.HybridQuery` through the service.
 
-        The hybrid optimizer rewrites both sides (reusing its long-lived
-        plan sessions across calls), then the hybrid executor materializes
-        the builders and runs the optimized analysis.  Planning time is
-        reported both as ``plan_seconds`` on the returned
-        :class:`ServiceResult` and inside the attached
+        The hybrid optimizer rewrites the LA analysis (reusing its
+        long-lived plan sessions across calls), then the hybrid executor
+        materializes the builders as stated and runs the optimized
+        analysis.  Planning time is reported both as ``plan_seconds`` on
+        the returned :class:`ServiceResult` and inside the attached
         :class:`~repro.hybrid.executor.HybridExecutionResult`, whose
         ``total_seconds`` therefore covers plan + RA + LA.
 

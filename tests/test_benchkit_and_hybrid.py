@@ -13,11 +13,15 @@ from repro.benchkit.pipelines import (
     PIPELINES, P_NO_OPT, P_OPT, P_VIEWS, build_pipeline, default_roles, pipeline_names,
 )
 from repro.benchkit.views_vexp import VIEWS_USED_BY_PIPELINE, build_vexp_views
+from repro.api import Engine
 from repro.core import PlanSession
 from repro.cost import MNCEstimator, NaiveMetadataEstimator
 from repro.cost.model import expression_cost
+from repro.data.catalog import Catalog
 from repro.data.datasets import twitter_dataset
-from repro.hybrid import HybridExecutor, HybridOptimizer
+from repro.data.table import Table
+from repro.hybrid import HybridExecutor, HybridOptimizer, HybridQuery, JoinFeatureMatrix
+from repro.lang import matrix, sum_all
 from repro.lang.shapes import check_expr
 
 
@@ -199,14 +203,62 @@ class TestHybrid:
         result = with_views.rewrite(queries[0])
         assert result.la_result.best_cost <= result.la_result.original_cost + 1e-9
 
-    def test_relational_view_substitution(self, twitter):
-        catalog, spec = twitter
-        queries = hybrid_queries(catalog, spec, dataset="twitter")
-        optimizer = HybridOptimizer(
-            catalog, relational_view_tables={"Mfeat": "User"}
+    @pytest.mark.parametrize(
+        "left_keys, right_keys, right_values, expected",
+        [
+            # Left key 3 has no match: the join drops that row.
+            ([1, 2, 3], [1, 2], [10, 20], 1 + 10 + 2 + 20),
+            # Right key 1 twice: the join emits two rows for left row 1.
+            ([1, 2], [1, 1, 2], [10, 11, 20], 1 + 10 + 1 + 11 + 2 + 20),
+        ],
+    )
+    def test_join_that_is_not_pk_fk_is_planned_without_factors(
+        self, left_keys, right_keys, right_values, expected
+    ):
+        catalog = Catalog()
+        left = np.asarray(left_keys, dtype=np.float64)
+        catalog.register_table(Table("T", {"k": left, "a": left}))
+        builder = JoinFeatureMatrix("M", "T", "U", "k", ("a",), ("b",))
+        query = HybridQuery("Q", [builder], sum_all(matrix("M")))
+        # While U has exactly one row per key of T the join is factorized ...
+        catalog.register_table(Table("U", {"k": left, "b": left * 10.0}))
+        optimizer = HybridOptimizer(catalog)
+        optimizer.rewrite(query)
+        assert catalog.has_matrix("M__K")
+        # ... and once it has not, its now stale factors go.
+        catalog.register_table(
+            Table(
+                "U",
+                {
+                    "k": np.asarray(right_keys, dtype=np.float64),
+                    "b": np.asarray(right_values, dtype=np.float64),
+                },
+            ),
+            overwrite=True,
         )
-        result = optimizer.rewrite(queries[0])
-        assert result.ra_view_substitutions == {"Mfeat": "User"}
+        executor = HybridExecutor(catalog)
+        assert executor.execute(query).value == pytest.approx(expected)
+        result = optimizer.rewrite(query)
+        assert not catalog.has_matrix("M__K")
+        planned = executor.execute(
+            query, analysis_override=result.optimized_analysis, skip_builders=True
+        )
+        assert planned.value == pytest.approx(expected)
+        assert Engine(catalog).submit_hybrid(query).value == pytest.approx(expected)
+
+    def test_submit_hybrid_plans_under_the_engine_planner_config(self):
+        catalog, spec = twitter_dataset(n_tweets=300, n_hashtags=40, density=0.01)
+        query = hybrid_queries(catalog, spec, dataset="twitter")[0]
+        engine = Engine(catalog, config={"planner": {"estimator": "mnc", "max_rounds": 1}})
+        result = engine.submit_hybrid(query)
+        assert result.rewrite.saturation.rounds == 1
+        sessions = list(engine.service._hybrid_optimizer._sessions.values())
+        assert sessions
+        for session in sessions:
+            assert session.config.estimator == "mnc"
+            assert session.config.max_rounds == 1
+            assert session.config.include_morpheus_rules
+            assert isinstance(session.estimator, MNCEstimator)
 
     def test_mimic_queries_build_and_run(self):
         from repro.data.datasets import mimic_dataset

@@ -1,4 +1,4 @@
-"""Tests for the chase engines (saturation, PACB) and the cost model."""
+"""Tests for the saturation chase and the cost model."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.chase.homomorphism import is_satisfied
 from repro.chase.kernel import ConstraintKernel
-from repro.chase.pacb import ConjunctiveQuery, PACBRewriter, RelationalView, are_equivalent, cq, is_contained_in
 from repro.chase.saturation import CostThresholdPruner, SaturationEngine
 from repro.constraints import default_constraints
 from repro.constraints.core import egd, tgd
@@ -130,45 +129,6 @@ class TestSaturation:
         engine = SaturationEngine(default_constraints())
         engine.saturate(instance)
         assert instance.scalar_value(root) == 1.0
-
-
-class TestPACB:
-    def test_containment_and_equivalence(self):
-        q1 = cq("Q1", ["x", "y"], "R(x, z) & S(z, y)")
-        q2 = cq("Q2", ["x", "y"], "R(x, z) & S(z, y) & R(x, w)")
-        assert is_contained_in(q1, q2) and is_contained_in(q2, q1)
-        assert are_equivalent(q1, q2)
-        q3 = cq("Q3", ["x", "y"], "R(x, y)")
-        assert not are_equivalent(q1, q3)
-
-    def test_classic_join_view_rewriting(self):
-        # Example 4.1 of the paper: V materializes the join of R and S.
-        view = RelationalView(cq("V", ["x", "y"], "R(x, z) & S(z, y)"))
-        query = cq("Q", ["x", "y"], "R(x, z) & S(z, y)")
-        rewriter = PACBRewriter([view])
-        rewritings = rewriter.rewrite(query)
-        assert rewritings, "the view-based reformulation should be found"
-        best = rewritings[0]
-        assert len(best.body) == 1 and best.body[0].relation == "V"
-
-    def test_no_rewriting_when_view_does_not_apply(self):
-        view = RelationalView(cq("V", ["x"], "T(x, z)"))
-        query = cq("Q", ["x", "y"], "R(x, z) & S(z, y)")
-        assert PACBRewriter([view]).rewrite(query) == []
-
-    def test_partial_view_not_equivalent(self):
-        # The view loses the join column, so it cannot answer the query alone.
-        view = RelationalView(cq("V", ["x"], "R(x, z)"))
-        query = cq("Q", ["x", "y"], "R(x, z) & S(z, y)")
-        assert PACBRewriter([view]).rewrite(query) == []
-
-    def test_two_views_combine(self):
-        v1 = RelationalView(cq("V1", ["x", "z"], "R(x, z)"))
-        v2 = RelationalView(cq("V2", ["z", "y"], "S(z, y)"))
-        query = cq("Q", ["x", "y"], "R(x, z) & S(z, y)")
-        rewritings = PACBRewriter([v1, v2]).rewrite(query)
-        assert rewritings
-        assert {atom.relation for atom in rewritings[0].body} == {"V1", "V2"}
 
 
 class TestCostModel:

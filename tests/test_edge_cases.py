@@ -14,7 +14,6 @@ from repro import exceptions as exc
 from repro.backends.base import values_allclose
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.systemml_like import SystemMLLikeBackend
-from repro.chase.pacb import cq
 from repro.chase.saturation import CostThresholdPruner, SaturationEngine
 from repro.constraints import default_constraints
 from repro.constraints.core import egd, tgd
@@ -273,18 +272,6 @@ class TestViewEdgeCases:
         a = with_views.rewrite(expr).best
         b = without_views.rewrite(expr).best
         assert values_allclose(backend.evaluate(a), backend.evaluate(b))
-
-
-class TestPACBEdgeCases:
-    def test_cq_parse_error(self):
-        with pytest.raises(exc.RewriteError):
-            cq("Q", ["x"], "not an atom at all")
-
-    def test_rename_apart_keeps_structure(self):
-        query = cq("Q", ["x", "y"], "R(x, z) & S(z, y)")
-        renamed = query.rename_apart("_1")
-        assert len(renamed.body) == 2
-        assert {v.name for v in renamed.variables()} == {"x_1", "y_1", "z_1"}
 
 
 class TestSystemMLLikeFlags:

@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Docs checker: execute fenced code blocks and validate relative links.
+"""Docs checker: execute fenced code blocks, validate links and module names.
 
 Run from anywhere (``python tools/check_docs.py``); the repository root is
 derived from this file's location and ``src/`` is put on ``sys.path``.
 
-Two checks, both over ``README.md`` and every ``docs/*.md``:
+Three checks, all over ``README.md`` and every ``docs/*.md``:
 
 * **code blocks** — every fenced block whose info string is ``python`` is
   executed; blocks within one file share a namespace, so a tutorial can
@@ -14,13 +14,18 @@ Two checks, both over ``README.md`` and every ``docs/*.md``:
 * **links** — every relative markdown link target must exist on disk,
   resolved against the file containing the link (anchors and external
   ``http(s)``/``mailto`` links are skipped).
+* **names** — every backticked dotted name starting ``repro.`` outside
+  fenced blocks must resolve: the longest importable module prefix is
+  imported and the rest is looked up with ``getattr``.  Sections whose
+  heading starts with "Removed" are skipped; they name what is gone.
 
-Exit status is non-zero when any block raises or any link dangles, which is
-what the CI docs job gates on.
+Exit status is non-zero when any block raises, any link dangles or any
+name does not resolve, which is what the CI docs job gates on.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 import traceback
@@ -33,6 +38,8 @@ sys.path.insert(0, str(ROOT / "src"))
 FENCE_OPEN = re.compile(r"^```([A-Za-z][\w+-]*)?[ \t]*([^\n]*)$")
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 EXTERNAL = ("http://", "https://", "mailto:")
+DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
+HEADING = re.compile(r"^(#+)\s+(.*)$")
 
 
 def iter_code_blocks(text: str) -> Iterator[Tuple[str, str, str, int]]:
@@ -91,6 +98,50 @@ def check_links(path: Path) -> List[str]:
     return errors
 
 
+def resolves(name: str) -> bool:
+    """Whether ``name`` is an importable module or an attribute path of one."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def check_names(path: Path) -> List[str]:
+    """Verify every backticked ``repro.…`` name outside fences and outside
+    "Removed…" sections resolves."""
+    errors: List[str] = []
+    removed_level = 0  # heading level of the enclosing "Removed" section
+    in_fence = False
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        if line.startswith("```"):
+            in_fence = not in_fence
+            continue
+        if in_fence:
+            continue
+        heading = HEADING.match(line)
+        if heading is not None:
+            level = len(heading.group(1))
+            if removed_level and level <= removed_level:
+                removed_level = 0
+            if not removed_level and heading.group(2).startswith("Removed"):
+                removed_level = level
+            continue
+        if removed_level:
+            continue
+        for match in DOTTED_NAME.finditer(line):
+            if not resolves(match.group(1)):
+                errors.append(f"{path}:{lineno}: unresolved name {match.group(1)!r}")
+    return errors
+
+
 def main() -> int:
     files = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
     missing = [str(f) for f in files if not f.exists()]
@@ -101,8 +152,9 @@ def main() -> int:
     for path in files:
         block_errors, blocks = run_code_blocks(path)
         link_errors = check_links(path)
-        failures.extend(block_errors + link_errors)
-        status = "FAIL" if (block_errors or link_errors) else "ok"
+        name_errors = check_names(path)
+        failures.extend(block_errors + link_errors + name_errors)
+        status = "FAIL" if (block_errors or link_errors or name_errors) else "ok"
         print(f"[{status}] {path.relative_to(ROOT)}: {blocks} runnable block(s)")
     if failures:
         print("\n" + "\n".join(failures))
