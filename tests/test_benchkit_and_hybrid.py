@@ -21,6 +21,7 @@ from repro.data.catalog import Catalog
 from repro.data.datasets import twitter_dataset
 from repro.data.table import Table
 from repro.hybrid import HybridExecutor, HybridOptimizer, HybridQuery, JoinFeatureMatrix
+from repro.hybrid.optimizer import _pk_fk_indicator
 from repro.lang import matrix, sum_all
 from repro.lang.shapes import check_expr
 
@@ -245,6 +246,21 @@ class TestHybrid:
         )
         assert planned.value == pytest.approx(expected)
         assert Engine(catalog).submit_hybrid(query).value == pytest.approx(expected)
+
+    def test_pk_fk_indicator_reproduces_the_join(self):
+        left_keys = np.asarray([3, 1, 3, 2])
+        right_keys = np.asarray([2, 3, 1])
+        indicator = _pk_fk_indicator(left_keys, right_keys)
+        assert indicator.shape == (4, 3)
+        # K R picks, for each left row, the right row with the same key.
+        assert np.array_equal(indicator @ right_keys, left_keys)
+        assert np.array_equal(indicator.sum(axis=1).A1, np.ones(4))
+
+    def test_pk_fk_indicator_rejects_an_unmatched_left_key(self):
+        assert _pk_fk_indicator(np.asarray([1, 4]), np.asarray([1, 2])) is None
+
+    def test_pk_fk_indicator_rejects_a_duplicate_right_key(self):
+        assert _pk_fk_indicator(np.asarray([1, 2]), np.asarray([2, 1, 2])) is None
 
     def test_submit_hybrid_plans_under_the_engine_planner_config(self):
         catalog, spec = twitter_dataset(n_tweets=300, n_hashtags=40, density=0.01)

@@ -23,6 +23,8 @@ import pytest
 from repro.api import Engine
 from repro.backends.base import Backend, values_allclose
 from repro.backends.numpy_backend import NumpyBackend
+from repro.config import PlannerConfig
+from repro.cost import MNCEstimator
 from repro.exceptions import ExecutionError
 from repro.lang import colsums, inv, matrix, sum_all, transpose
 from repro.planner import PlanSession
@@ -61,6 +63,13 @@ class TestPlanSessionPool:
         with pool.checkout() as second:
             assert second is first
         assert pool.stats.sessions_created == 1
+
+    def test_exposes_the_prototype_config_and_estimator(self, small_catalog):
+        config = PlannerConfig(estimator="mnc", max_rounds=2)
+        pool = PlanSessionPool(_factory(small_catalog, config=config), max_sessions=2)
+        assert pool.planner_config.estimator == "mnc"
+        assert pool.planner_config.max_rounds == 2
+        assert isinstance(pool.estimator, MNCEstimator)
 
     def test_concurrent_checkouts_are_exclusive(self, small_catalog):
         pool = PlanSessionPool(_factory(small_catalog), max_sessions=4)
