@@ -14,8 +14,7 @@ number of non-zeros are provided, mirroring the paper:
 
 Estimators are selected **by name** through a small registry, so
 configuration stays declarative: :attr:`repro.config.PlannerConfig.estimator`
-carries a registered name (``"naive"`` — the default — ``"mnc"``, or
-``"learned"``, the feedback-fitted correction layer over MNC) and
+carries a registered name (``"naive"`` — the default — or ``"mnc"``) and
 :class:`~repro.planner.session.PlanSession` resolves it here instead of
 callers importing estimator classes.  :func:`register_estimator` adds
 custom estimators under new names; :func:`resolve_estimator` raises
@@ -35,16 +34,13 @@ from repro.cost.model import (
 )
 from repro.cost.naive_estimator import NaiveMetadataEstimator
 from repro.cost.mnc_estimator import MNCEstimator
-from repro.cost.learned_estimator import LearnedEstimator
 
 #: The estimator registry: name -> zero-argument factory.  The stock names
-#: mirror the paper's two estimators; ``"learned"`` wraps MNC with fitted
-#: per-relation corrections (see :mod:`repro.cost.learned_estimator`);
-#: ``register_estimator`` extends the registry.
+#: mirror the paper's two estimators; ``register_estimator`` extends the
+#: registry.
 _ESTIMATORS: Dict[str, Callable[[], object]] = {
     "naive": NaiveMetadataEstimator,
     "mnc": MNCEstimator,
-    "learned": LearnedEstimator,
 }
 
 
@@ -109,7 +105,6 @@ __all__ = [
     "annotate_instance_classes",
     "NaiveMetadataEstimator",
     "MNCEstimator",
-    "LearnedEstimator",
     "estimator_name_for",
     "estimator_names",
     "register_estimator",

@@ -37,7 +37,6 @@ from repro.fuzz.generator import (
 )
 from repro.fuzz.oracle import (
     DifferentialOracle,
-    NnzObservation,
     OracleReport,
     Violation,
     tolerance_for,
@@ -55,7 +54,6 @@ __all__ = [
     "ExpressionGenerator",
     "FuzzConfig",
     "FuzzOutcome",
-    "NnzObservation",
     "OracleReport",
     "Violation",
     "check_delta_case",

@@ -15,6 +15,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.cost import estimator_names
 from repro.fuzz.runner import FuzzConfig, run_fuzz
 
 
@@ -33,7 +34,8 @@ def main(argv=None) -> int:
     parser.add_argument("--max-depth", type=int, default=defaults.max_depth,
                         help="maximum expression depth")
     parser.add_argument("--estimator", default=defaults.estimator,
-                        help="sparsity estimator name (naive | mnc | learned)")
+                        choices=estimator_names(),
+                        help="registered sparsity estimator the oracle plans and checks under")
     parser.add_argument("--out", type=Path, default=None,
                         help="directory for minimized counterexample JSON files")
     parser.add_argument("--no-shrink", action="store_true",

@@ -25,9 +25,11 @@ neither of which trusts the planner:
   *refuse* the plan with :class:`~repro.exceptions.ExecutionError`; a
   silently returned value is itself a violation.
 
-A failed check is a :class:`Violation`; the full per-expression outcome —
-violations plus the timing/size observations the
-:class:`~repro.cost.LearnedEstimator` feeds on — is an :class:`OracleReport`.
+The plan is made under the estimator the oracle is named for
+(``estimator_name``), the same one the sparsity check annotates with.  A
+failed check is a :class:`Violation`; the full per-expression outcome —
+the plan, its violations and each LA backend's execute time — is an
+:class:`OracleReport`.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from repro.backends import (
     SystemMLLikeBackend,
 )
 from repro.backends.base import to_dense
+from repro.config import PlannerConfig
 from repro.constraints.views import LAView
 from repro.cost import resolve_estimator
 from repro.cost.model import annotate_expression
@@ -107,15 +110,6 @@ class Violation:
 
 
 @dataclass
-class NnzObservation:
-    """Predicted vs. actual non-zero count of one internal node."""
-
-    relation: str
-    predicted: float
-    actual: float
-
-
-@dataclass
 class OracleReport:
     """Everything the oracle learned about one expression."""
 
@@ -124,9 +118,6 @@ class OracleReport:
     violations: List[Violation] = field(default_factory=list)
     #: ``backend name -> execute seconds`` for the rewritten plan.
     timings: Dict[str, float] = field(default_factory=dict)
-    #: ``backend name -> estimated plan cost`` (γ of the executed plan).
-    costs: Dict[str, float] = field(default_factory=dict)
-    nnz_observations: List[NnzObservation] = field(default_factory=list)
     error: Optional[str] = None
 
     @property
@@ -187,7 +178,9 @@ class DifferentialOracle:
         self.views = list(views)
         self.estimator_name = estimator_name
         self.estimator = resolve_estimator(estimator_name)
-        self.engine = Engine(catalog, views=self.views)
+        self.engine = Engine(
+            catalog, views=self.views, config=PlannerConfig(estimator=estimator_name)
+        )
         self.backends = {
             "numpy": NumpyBackend(catalog),
             "systemml_like": SystemMLLikeBackend(catalog),
@@ -331,29 +324,8 @@ class DifferentialOracle:
                 )
             )
 
-    def _collect_nnz_observations(self, report: OracleReport) -> None:
-        """Predicted-vs-actual nnz per internal node (LearnedEstimator food)."""
-        try:
-            annotations = annotate_expression(report.result.best, self.catalog, self.estimator)
-        except (ShapeError, UnknownMatrixError):
-            return
-        numpy_backend = self.backends[LA_BACKENDS[0]]
-        for node, info in annotations.items():
-            if not node.children:
-                continue
-            try:
-                value = to_dense(numpy_backend.evaluate(node))
-            except ExecutionError:
-                continue
-            if not np.all(np.isfinite(value)):
-                continue
-            actual = float(np.count_nonzero(np.abs(value) > 1e-12))
-            report.nnz_observations.append(
-                NnzObservation(relation=node.op, predicted=float(info.nnz), actual=actual)
-            )
-
     # ------------------------------------------------------------------ entry
-    def check(self, expr: mx.Expr, collect_observations: bool = False) -> OracleReport:
+    def check(self, expr: mx.Expr) -> OracleReport:
         """Plan ``expr`` and run every equivalence check against the plan."""
         report = OracleReport(expr=expr)
         try:
@@ -367,8 +339,6 @@ class DifferentialOracle:
         self._check_commuted_fingerprint(report)
         self._check_sparsity(report)
         self._check_numeric(report)
-        if collect_observations and not report.violations:
-            self._collect_nnz_observations(report)
         return report
 
 
@@ -378,7 +348,6 @@ __all__ = [
     "RISKY_OPS",
     "STRICT_TOLERANCE",
     "DifferentialOracle",
-    "NnzObservation",
     "OracleReport",
     "Violation",
     "expression_ops",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.benchkit.harness import materialize_views
 from repro.lang import matrix_expr as mx
@@ -33,7 +33,7 @@ from repro.fuzz.generator import (
     generate_catalog,
     spawn_rng,
 )
-from repro.fuzz.oracle import DifferentialOracle, NnzObservation, OracleReport
+from repro.fuzz.oracle import DifferentialOracle, OracleReport
 from repro.fuzz.shrinker import shrink
 
 #: Dimension pool batches draw their catalog axes from.  Small on purpose:
@@ -55,7 +55,6 @@ class FuzzConfig:
     estimator: str = "mnc"
     shrink: bool = True
     out_dir: Optional[Path] = None
-    collect_observations: bool = False
 
 
 @dataclass
@@ -67,9 +66,6 @@ class FuzzOutcome:
     skipped: int = 0
     cases: List[CorpusCase] = field(default_factory=list)
     saved_paths: List[Path] = field(default_factory=list)
-    #: Per-backend execute timings of every clean expression (seconds).
-    timings: List[Dict[str, float]] = field(default_factory=list)
-    nnz_observations: List[NnzObservation] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
     @property
@@ -168,7 +164,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzOutcome:
                 inventory, spawn_rng(config.seed, batch, 2, index), max_depth=config.max_depth
             )
             expr = generator.generate()
-            report = oracle.check(expr, collect_observations=config.collect_observations)
+            report = oracle.check(expr)
             if report.error is not None:
                 # The *reference* evaluation was unusable (non-finite /
                 # unexecutable) — nothing to compare against, not a finding.
@@ -193,10 +189,6 @@ def run_fuzz(config: FuzzConfig) -> FuzzOutcome:
                 outcome.cases.append(case)
                 if config.out_dir is not None:
                     outcome.saved_paths.append(save_case(Path(config.out_dir), case))
-            else:
-                if report.timings:
-                    outcome.timings.append(dict(report.timings))
-                outcome.nnz_observations.extend(report.nnz_observations)
         remaining -= min(config.expressions_per_catalog, remaining)
         batch += 1
     outcome.elapsed_seconds = time.perf_counter() - started

@@ -29,7 +29,6 @@ See ``docs/architecture.md`` for where this layer sits in the system and
 
 from repro.service.pool import PlanSessionPool, PoolStats
 from repro.service.router import (
-    AdaptivePolicy,
     DefaultPolicy,
     ExecutionRouter,
     RoutedExecution,
@@ -45,7 +44,6 @@ from repro.service.service import (
 )
 
 __all__ = [
-    "AdaptivePolicy",
     "AnalyticsService",
     "BatchHook",
     "BatchStats",

@@ -38,17 +38,11 @@ from scipy import sparse
 from repro.backends.base import EvaluationResult
 from repro.backends.morpheus import factor_names
 from repro.backends.registry import BackendCapabilities, BackendRegistry, capabilities_of
-from repro.config import DEFAULT_BACKENDS
 from repro.core.result import RewriteResult
 from repro.data.catalog import Catalog
 from repro.exceptions import ExecutionError, ShapeError, UnknownMatrixError
 from repro.lang.shapes import shape_of
 from repro.lang.visitor import matrix_ref_names
-
-#: Names under which :meth:`ExecutionRouter.default_backends` registers the
-#: stock substrates (re-exported from :mod:`repro.config`).
-DEFAULT_BACKEND_NAMES = DEFAULT_BACKENDS
-
 
 class RoutingPolicy:
     """Strategy deciding, per plan, the ordered backends to try."""
@@ -132,39 +126,6 @@ class DefaultPolicy(RoutingPolicy):
         return order
 
 
-class AdaptivePolicy(RoutingPolicy):
-    """Order LA-capable backends by a fitted latency model.
-
-    Wraps a :class:`~repro.cost.LearnedEstimator` (or anything exposing
-    ``backend_ranking(cost, candidates)``): the fallback policy — the
-    capability-aware :class:`DefaultPolicy` unless another is given —
-    produces the candidate list, the explicit per-request backend keeps
-    absolute priority, and the remaining candidates are reordered by the
-    estimator's predicted execute latency for this plan's cost.  Before any
-    timing observation has been fitted the ranking is a no-op, so an
-    unfitted adaptive policy behaves exactly like its fallback.
-    """
-
-    def __init__(self, estimator, fallback: Optional[RoutingPolicy] = None):
-        if not hasattr(estimator, "backend_ranking"):
-            raise TypeError(
-                "AdaptivePolicy needs an estimator with backend_ranking(); "
-                f"got {type(estimator).__name__}"
-            )
-        self.estimator = estimator
-        self.fallback = fallback if fallback is not None else DefaultPolicy()
-
-    def candidates(self, result, request=None, backends=None) -> Sequence[str]:
-        order = list(self.fallback.candidates(result, request, backends))
-        pinned = getattr(request, "backend", None)
-        head = [name for name in order if name == pinned]
-        tail = [name for name in order if name != pinned]
-        cost = getattr(result, "best_cost", None)
-        if cost is None or not np.isfinite(cost):
-            cost = 1.0
-        return head + list(self.estimator.backend_ranking(float(cost), tail))
-
-
 @dataclass
 class RoutedExecution:
     """Outcome of routing one plan: who ran it, the value, who failed first."""
@@ -206,11 +167,6 @@ class ExecutionRouter:
         #: Reject poisoned results (non-finite values, wrong output shape)
         #: as backend failures instead of returning them as answers.
         self.validate_results = validate_results
-
-    @staticmethod
-    def default_backends(catalog: Catalog) -> Dict[str, object]:
-        """One instance of each stock substrate, keyed by its public name."""
-        return BackendRegistry.with_defaults().create_all(catalog)
 
     def register(self, name: str, backend) -> None:
         """Add (or replace) a backend instance under ``name``."""
@@ -301,8 +257,6 @@ class ExecutionRouter:
 
 
 __all__ = [
-    "DEFAULT_BACKEND_NAMES",
-    "AdaptivePolicy",
     "DefaultPolicy",
     "ExecutionRouter",
     "RoutedExecution",

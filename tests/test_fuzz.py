@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cost import LearnedEstimator, resolve_estimator
-from repro.exceptions import ShapeError, UnknownMatrixError
+from repro.exceptions import ConfigError, ShapeError, UnknownMatrixError
 from repro.fuzz import (
     CatalogSpec,
     CorpusCase,
@@ -130,6 +129,17 @@ class TestOracle:
     def oracle(self, small_synthetic):
         catalog, _ = small_synthetic
         return DifferentialOracle(catalog)
+
+    @pytest.mark.parametrize("name", ["mnc", "naive"])
+    def test_plans_under_its_estimator(self, small_synthetic, name):
+        catalog, _ = small_synthetic
+        oracle = DifferentialOracle(catalog, estimator_name=name)
+        assert oracle.engine.workspace().config.estimator == name
+
+    def test_unknown_estimator_fails_at_construction(self, small_synthetic):
+        catalog, _ = small_synthetic
+        with pytest.raises(ConfigError, match="mnc"):
+            DifferentialOracle(catalog, estimator_name="mcn")
 
     def test_clean_expression_passes(self, oracle):
         expr = mx.Add(
@@ -301,15 +311,6 @@ class TestRunner:
         assert summary["acceptance"]["budget_exhausted"]
         json.dumps(summary)  # must be JSON-serializable
 
-    def test_observations_collected_for_learned_estimator(self):
-        outcome = run_fuzz(
-            FuzzConfig(budget=8, seed=33, expressions_per_catalog=8, collect_observations=True)
-        )
-        assert outcome.nnz_observations, "clean sweep must yield nnz observations"
-        assert outcome.timings, "clean sweep must yield backend timings"
-        relations = {obs.relation for obs in outcome.nnz_observations}
-        assert relations  # at least one internal-node relation observed
-
     def test_cli_exit_codes_and_artifacts(self, tmp_path, capsys):
         exit_code = fuzz_main(
             ["--budget", "6", "--seed", "9", "--per-catalog", "6", "--out", str(tmp_path)]
@@ -318,6 +319,22 @@ class TestRunner:
         assert exit_code == 0
         assert summary["violations"] == 0
         assert list(tmp_path.glob("*.json")) == []
+
+    def test_cli_sweeps_under_the_named_estimator(self, capsys):
+        exit_code = fuzz_main(
+            ["--budget", "4", "--seed", "9", "--per-catalog", "4", "--estimator", "naive"]
+        )
+        summary = json.loads(capsys.readouterr().out)
+        assert exit_code == 0 and summary["violations"] == 0
+        assert summary["estimator"] == "naive"
+        assert summary["repro_command"].endswith("--estimator naive")
+
+    def test_cli_rejects_unknown_estimator(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            fuzz_main(["--budget", "1", "--estimator", "mcn"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "mcn" in err and "'mnc'" in err and "'naive'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -338,90 +355,6 @@ def test_generated_expressions_are_conformable_and_canonical(case):
     commuted = _commute_once(expr)
     if commuted is not None:
         assert commuted.canonical_fingerprint() == expr.canonical_fingerprint()
-
-
-# ---------------------------------------------------------------------------
-# LearnedEstimator
-# ---------------------------------------------------------------------------
-
-
-class TestLearnedEstimator:
-    def test_registered_and_zero_arg_constructible(self):
-        estimator = resolve_estimator("learned")
-        assert isinstance(estimator, LearnedEstimator)
-        assert estimator.name == "learned"
-
-    def test_unfitted_matches_base(self, small_synthetic):
-        from repro.cost import MNCEstimator, annotate_expression
-
-        catalog, _ = small_synthetic
-        expr = mx.MatMul(mx.MatrixRef("D3x5"), mx.MatrixRef("D5x3"))
-        learned = annotate_expression(expr, catalog, LearnedEstimator())[expr]
-        base = annotate_expression(expr, catalog, MNCEstimator())[expr]
-        assert learned.nnz == pytest.approx(base.nnz)
-
-    def test_corrections_move_predictions(self):
-        estimator = LearnedEstimator()
-        for _ in range(10):
-            estimator.observe_nnz("multi_m", predicted=100.0, actual=25.0)
-        assert estimator.correction("multi_m") < 1.0
-        from repro.cost.model import NnzInfo
-
-        inputs = [NnzInfo(shape=(4, 4), nnz=8.0), NnzInfo(shape=(4, 4), nnz=8.0)]
-        corrected = estimator.propagate("multi_m", (4, 4), inputs)
-        base = estimator.base.propagate("multi_m", (4, 4), inputs)
-        assert corrected.nnz < base.nnz
-
-    def test_corrections_are_clipped(self):
-        from repro.cost.learned_estimator import MAX_CORRECTION, MIN_CORRECTION
-
-        estimator = LearnedEstimator(smoothing=1.0)
-        estimator.observe_nnz("add_m", predicted=1.0, actual=1e9)
-        assert estimator.correction("add_m") <= MAX_CORRECTION
-        estimator.observe_nnz("sub_m", predicted=1e9, actual=1.0)
-        assert estimator.correction("sub_m") >= MIN_CORRECTION
-
-    def test_nnz_never_exceeds_cells(self):
-        from repro.cost.model import NnzInfo
-
-        estimator = LearnedEstimator(smoothing=1.0)
-        for _ in range(5):
-            estimator.observe_nnz("add_m", predicted=1.0, actual=16.0)
-        inputs = [NnzInfo(shape=(2, 2), nnz=4.0), NnzInfo(shape=(2, 2), nnz=4.0)]
-        info = estimator.propagate("add_m", (2, 2), inputs)
-        assert info.nnz <= 4.0
-
-    def test_backend_ranking(self):
-        estimator = LearnedEstimator(smoothing=1.0)
-        estimator.observe_execution("numpy", cost=100.0, seconds=0.010)
-        estimator.observe_execution("morpheus", cost=100.0, seconds=0.002)
-        ranking = estimator.backend_ranking(100.0, ["numpy", "morpheus", "systemml_like"])
-        assert ranking == ["morpheus", "numpy", "systemml_like"]
-        assert estimator.predicted_seconds("systemml_like", 100.0) is None
-
-    def test_fit_from_observations(self):
-        from repro.fuzz.oracle import NnzObservation
-
-        estimator = LearnedEstimator()
-        used = estimator.fit(
-            [
-                NnzObservation("multi_m", predicted=10.0, actual=5.0),
-                NnzObservation("multi_m", predicted=0.0, actual=5.0),  # unusable
-            ]
-        )
-        assert used == 1
-        snapshot = estimator.snapshot()
-        assert "multi_m" in snapshot["corrections"]
-
-    def test_selectable_through_planner_config(self, small_synthetic):
-        from repro.api import Engine
-        from repro.config import PlannerConfig
-
-        catalog, _ = small_synthetic
-        engine = Engine(catalog, config=PlannerConfig(estimator="learned"))
-        expr = mx.MatMul(mx.MatrixRef("D3x5"), mx.MatrixRef("D5x3"))
-        result = engine.rewrite(expr)
-        assert result.best is not None
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from repro.backends.base import EvaluationResult
 from repro.exceptions import ExecutionError
 from repro.fuzz import CatalogSpec, generate_catalog
 from repro.lang import matrix_expr as mx
-from repro.service import AdaptivePolicy, ExecutionRouter, StaticPolicy
-from repro.cost import LearnedEstimator
+from repro.service import ExecutionRouter, StaticPolicy
 
 
 class _FixedValueBackend:
@@ -132,52 +131,3 @@ class TestPoisonedResults:
         router = _router(catalog, {"numpy": NumpyBackend(catalog)}, ["numpy"])
         routed = router.execute(result)
         assert routed.failures == []
-
-
-class TestAdaptivePolicy:
-    def test_requires_ranking_estimator(self):
-        with pytest.raises(TypeError, match="backend_ranking"):
-            AdaptivePolicy(object())
-
-    def test_unfitted_matches_fallback_order(self, planned):
-        catalog, result = planned
-        backends = ExecutionRouter.default_backends(catalog)
-        fallback = StaticPolicy(["numpy", "systemml_like", "morpheus"])
-        adaptive = AdaptivePolicy(LearnedEstimator(), fallback=fallback)
-        assert list(adaptive.candidates(result, None, backends)) == list(
-            fallback.candidates(result, None, backends)
-        )
-
-    def test_fitted_reorders_by_predicted_latency(self, planned):
-        catalog, result = planned
-        backends = ExecutionRouter.default_backends(catalog)
-        estimator = LearnedEstimator(smoothing=1.0)
-        estimator.observe_execution("numpy", cost=100.0, seconds=0.10)
-        estimator.observe_execution("systemml_like", cost=100.0, seconds=0.01)
-        adaptive = AdaptivePolicy(
-            estimator, fallback=StaticPolicy(["numpy", "systemml_like", "morpheus"])
-        )
-        order = list(adaptive.candidates(result, None, backends))
-        assert order[0] == "systemml_like"
-        assert order[-1] == "morpheus"  # unfitted backends keep their position at the tail
-
-    def test_explicit_request_backend_stays_first(self, planned):
-        catalog, result = planned
-
-        class Request:
-            backend = "morpheus"
-
-        backends = ExecutionRouter.default_backends(catalog)
-        estimator = LearnedEstimator(smoothing=1.0)
-        estimator.observe_execution("numpy", cost=100.0, seconds=0.001)
-        adaptive = AdaptivePolicy(estimator)
-        order = list(adaptive.candidates(result, Request(), backends))
-        assert order[0] == "morpheus"
-
-    def test_router_integration(self, planned):
-        catalog, result = planned
-        estimator = LearnedEstimator(smoothing=1.0)
-        estimator.observe_execution("systemml_like", cost=1.0, seconds=1e-6)
-        router = ExecutionRouter(catalog, policy=AdaptivePolicy(estimator))
-        routed = router.execute(result)
-        assert routed.backend == "systemml_like"

@@ -50,6 +50,21 @@ def _mn():
     return transpose(matrix("M") @ matrix("N"))
 
 
+def _register_factorized_join(catalog, rng):
+    """Register ``J = [S, K R]`` with its ``J__S/J__K/J__R`` factors."""
+    n_s, n_r, d_s, d_r = 20, 5, 3, 2
+    entity = rng.random((n_s, d_s))
+    attribute = rng.random((n_r, d_r))
+    keys = rng.integers(0, n_r, size=n_s)
+    indicator = np.zeros((n_s, n_r))
+    indicator[np.arange(n_s), keys] = 1.0
+    catalog.register_dense("J__S", entity)
+    catalog.register_dense("J__K", indicator)
+    catalog.register_dense("J__R", attribute)
+    catalog.register_dense("J", np.hstack([entity, indicator @ attribute]))
+    return entity, indicator, attribute
+
+
 # ---------------------------------------------------------------------------
 # PlanSessionPool
 # ---------------------------------------------------------------------------
@@ -373,18 +388,48 @@ class TestExecutionRouter:
         routed = router.execute(plan, request=request)
         assert routed.backend == "systemml_like"
 
+    def test_default_policy_order_for_a_plain_plan(self, small_catalog):
+        router = ExecutionRouter(small_catalog)
+        plan = PlanSession(small_catalog).rewrite(_mn())
+        order = list(router.policy.candidates(plan, None, router.backends))
+        assert order == ["numpy", "systemml_like", "morpheus"]  # no relational
+
+    def test_default_policy_puts_preferred_first(self, small_catalog):
+        router = ExecutionRouter(small_catalog)
+        plan = PlanSession(small_catalog).rewrite(_mn())
+        order = list(DefaultPolicy("systemml_like").candidates(plan, None, router.backends))
+        assert order == ["systemml_like", "numpy", "morpheus"]
+
+    def test_static_policy_ignores_the_request(self, small_catalog):
+        plan = PlanSession(small_catalog).rewrite(_mn())
+        request = ServiceRequest(expression=plan.original, backend="numpy")
+        policy = StaticPolicy(("systemml_like", "morpheus"))
+        assert list(policy.candidates(plan, request)) == ["systemml_like", "morpheus"]
+
+    def test_request_may_name_a_non_la_backend(self, small_catalog):
+        router = ExecutionRouter(small_catalog)
+        plan = PlanSession(small_catalog).rewrite(_mn())
+        request = ServiceRequest(expression=plan.original, backend="relational")
+        routed = router.execute(plan, request=request)
+        assert routed.backend == "numpy"
+        assert [name for name, _ in routed.failures] == ["relational"]
+
+    def test_engine_routes_to_service_preferred_backend(self, small_catalog):
+        engine = Engine(small_catalog, config={"service": {"preferred_backend": "systemml_like"}})
+        assert engine.router.policy.preferred == "systemml_like"
+        routed = engine.router.execute(engine.rewrite(_mn()))
+        assert routed.backend == "systemml_like" and routed.failures == []
+
+    def test_request_backend_precedes_factorized_pick(self, small_catalog, rng):
+        _register_factorized_join(small_catalog, rng)
+        router = ExecutionRouter(small_catalog)
+        plan = PlanSession(small_catalog).rewrite(colsums(matrix("J")))
+        request = ServiceRequest(expression=plan.original, backend="numpy")
+        order = list(router.policy.candidates(plan, request, router.backends))
+        assert order == ["numpy", "morpheus", "systemml_like"]
+
     def test_default_policy_routes_factorized_plans_to_morpheus(self, small_catalog, rng):
-        n_s, n_r, d_s, d_r = 20, 5, 3, 2
-        entity = rng.random((n_s, d_s))
-        attribute = rng.random((n_r, d_r))
-        keys = rng.integers(0, n_r, size=n_s)
-        indicator = np.zeros((n_s, n_r))
-        indicator[np.arange(n_s), keys] = 1.0
-        small_catalog.register_dense("J__S", entity)
-        small_catalog.register_dense("J__K", indicator)
-        small_catalog.register_dense("J__R", attribute)
-        joined = np.hstack([entity, indicator @ attribute])
-        small_catalog.register_dense("J", joined)
+        entity, indicator, attribute = _register_factorized_join(small_catalog, rng)
 
         router = ExecutionRouter(small_catalog)
         assert isinstance(router.policy, DefaultPolicy)

@@ -36,6 +36,7 @@ from repro.constraints.views import LAView
 from repro.cost import (
     MNCEstimator,
     NaiveMetadataEstimator,
+    estimator_name_for,
     estimator_names,
     register_estimator,
     resolve_estimator,
@@ -572,6 +573,22 @@ class TestEstimatorRegistry:
             register_estimator("naive", NaiveMetadataEstimator)
         with pytest.raises(ConfigError, match="callable"):
             register_estimator("thing", "not-a-factory")
+
+    def test_stock_registry_is_the_papers_two_estimators(self):
+        assert estimator_names() == ("mnc", "naive")
+
+    def test_register_estimator_rejects_empty_name(self):
+        with pytest.raises(ConfigError, match="non-empty string"):
+            register_estimator("", NaiveMetadataEstimator)
+        assert "" not in estimator_names()
+
+    def test_estimator_name_for_matches_exact_type(self):
+        class Subclassed(MNCEstimator):
+            pass
+
+        assert estimator_name_for(NaiveMetadataEstimator()) == "naive"
+        assert estimator_name_for(MNCEstimator()) == "mnc"
+        assert estimator_name_for(Subclassed()) is None
 
     def test_custom_estimator_round_trips(self, small_catalog):
         class TweakedEstimator(NaiveMetadataEstimator):
