@@ -30,13 +30,7 @@ in 2.0.
 """
 
 from repro.backends.registry import BackendCapabilities, BackendRegistry
-from repro.config import (
-    DEFAULT_BACKENDS,
-    EngineConfig,
-    GatewayConfig,
-    PlannerConfig,
-    ServiceConfig,
-)
+from repro.config import EngineConfig, GatewayConfig, PlannerConfig, ServiceConfig
 from repro.exceptions import ConfigError, UnknownWorkspaceError
 from repro.api.engine import Engine, WorkspaceHandle
 from repro.api.workspace import DEFAULT_WORKSPACE, Workspace, WorkspaceRegistry
@@ -53,7 +47,6 @@ __all__ = [
     "BackendCapabilities",
     "BackendRegistry",
     "ConfigError",
-    "DEFAULT_BACKENDS",
     "DEFAULT_WORKSPACE",
     "Engine",
     "EngineConfig",

@@ -56,8 +56,8 @@ from repro.exceptions import ConfigError, UnknownWorkspaceError
 from repro.lang import matrix_expr as mx
 from repro.planner.session import PlanSession
 from repro.service.pool import PlanSessionPool
-from repro.service.router import DefaultPolicy, ExecutionRouter, RoutedExecution
-from repro.service.service import AnalyticsService, RequestLike, ServiceRequest, ServiceResult
+from repro.service.router import ExecutionRouter, RoutedExecution
+from repro.service.service import AnalyticsService, RequestLike, ServiceResult
 
 
 def _coerce_engine_config(config: object) -> EngineConfig:
@@ -125,12 +125,11 @@ class _WorkspaceRuntime:
     def router(self) -> ExecutionRouter:
         with self._lock:
             if self._router is None:
-                engine = self.engine
+                catalog = self._require_catalog("execution routing")
                 self._router = ExecutionRouter(
-                    self._require_catalog("execution routing"),
-                    registry=engine.registry,
-                    backend_names=engine.config.backends,
-                    policy=DefaultPolicy(engine.config.service.preferred_backend),
+                    catalog,
+                    self.engine.registry.create_all(catalog),
+                    preferred=self.engine.config.service.preferred_backend,
                 )
             return self._router
 
@@ -252,40 +251,24 @@ class WorkspaceHandle:
         self,
         plan: Union[RewriteResult, mx.Expr],
         backend: Optional[str] = None,
-        use_rewritten: bool = True,
     ) -> RoutedExecution:
         """Run a finished plan on an execution substrate.
 
         ``plan`` is a :class:`RewriteResult` (typically from
         :meth:`rewrite`) or a bare expression, which executes as-stated.
-        ``backend`` names a registered substrate to try first — the
-        capability-aware policy still falls back along LA-capable backends
-        on :class:`~repro.exceptions.ExecutionError`.
+        ``backend`` names a registered substrate to try first — the router
+        still falls back along LA-capable backends on
+        :class:`~repro.exceptions.ExecutionError`.
         """
         if isinstance(plan, mx.Expr):
-            plan = RewriteResult(
-                original=plan,
-                best=plan,
-                original_cost=float("nan"),
-                best_cost=float("nan"),
-                changed=False,
-                rewrite_seconds=0.0,
-                fingerprint=plan.fingerprint(),
-            )
+            plan = RewriteResult.as_stated(plan)
         router = self.router
         if backend is not None and backend not in router.backends:
             raise ConfigError(
                 f"unknown backend {backend!r}; this engine registered "
                 f"{sorted(router.backends)}"
             )
-        request = (
-            ServiceRequest(
-                expression=plan.original, backend=backend, workspace=self.name
-            )
-            if backend is not None
-            else None
-        )
-        return router.execute(plan, request=request, use_rewritten=use_rewritten)
+        return router.execute(plan, backend)
 
     # ------------------------------------------------------------------ stats
     def stats_dict(self) -> dict:
@@ -316,9 +299,8 @@ class Engine:
         raises, never silently ignores.
     registry:
         A :class:`~repro.backends.registry.BackendRegistry`; by default the
-        stock substrates.  ``config.backends`` selects which registered
-        names this engine instantiates, and every name is checked against
-        the registry here.
+        stock substrates.  Each workspace's router gets one fresh instance
+        of every registered backend; pass a smaller registry for fewer.
     workspaces:
         A :class:`~repro.api.WorkspaceRegistry` of named tenant bundles for
         multi-workspace serving; access them via :meth:`workspace`.
@@ -335,12 +317,6 @@ class Engine:
     ):
         self.config = _coerce_engine_config(config)
         self.registry = registry if registry is not None else BackendRegistry.with_defaults()
-        missing = [name for name in self.config.backends if name not in self.registry]
-        if missing:
-            raise ConfigError(
-                f"EngineConfig.backends names unregistered backend(s) {missing}; "
-                f"registered: {sorted(self.registry.names())}"
-            )
         self._runtimes: Dict[str, _WorkspaceRuntime] = {}
         self._runtimes_lock = threading.Lock()
         #: Per-workspace build serialization: N racers for one cold tenant
@@ -576,12 +552,9 @@ class Engine:
         self,
         plan: Union[RewriteResult, mx.Expr],
         backend: Optional[str] = None,
-        use_rewritten: bool = True,
     ) -> RoutedExecution:
         """Run a finished plan on an execution substrate (default workspace)."""
-        return self._default_handle("Engine.execute").execute(
-            plan, backend=backend, use_rewritten=use_rewritten
-        )
+        return self._default_handle("Engine.execute").execute(plan, backend=backend)
 
     # ------------------------------------------------------------------ deltas
     def apply_delta(self, name: Optional[str], delta) -> "RevalidationReport":

@@ -343,11 +343,6 @@ class WorkspaceRegistry:
                 for name in sorted(self._workspaces)
             ]
 
-    @property
-    def has_default(self) -> bool:
-        with self._lock:
-            return self.default_name in self._workspaces
-
     def __contains__(self, name: object) -> bool:
         with self._lock:
             return name in self._workspaces

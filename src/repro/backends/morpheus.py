@@ -46,8 +46,8 @@ def factor_names(name: str) -> Tuple[str, str, str]:
     :meth:`repro.hybrid.optimizer.HybridOptimizer.ensure_factor_matrices`
     registers factors under these names,
     :meth:`MorpheusBackend.register_catalog_factors` binds them at
-    execution time, and the service router's default policy probes them to
-    decide factorized routing.
+    execution time, and :meth:`repro.service.router.ExecutionRouter.candidates`
+    probes them to decide factorized routing.
     """
     return (f"{name}__S", f"{name}__K", f"{name}__R")
 

@@ -8,8 +8,6 @@ off on those systems.  Sparse operands stay sparse where SciPy supports it.
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 from scipy import linalg as scipy_linalg
 from scipy import sparse
@@ -17,10 +15,6 @@ from scipy import sparse
 from repro.backends.base import Backend, Value, to_dense
 from repro.exceptions import ExecutionError
 from repro.lang import matrix_expr as mx
-
-
-def _densify_if_needed(value: Value) -> Value:
-    return to_dense(value) if sparse.issparse(value) else value
 
 
 class NumpyBackend(Backend):

@@ -1,20 +1,18 @@
 """Capability-declaring registration of execution backends.
 
-Before the :mod:`repro.api` consolidation the
-:class:`~repro.service.router.ExecutionRouter` hardcoded which substrates
-exist and — worse — which ones may serve as automatic fallbacks (a literal
-``name != "relational"`` check).  This module replaces both with data:
+Which substrates exist and which of them may serve as automatic fallbacks
+is data, declared in one place each:
 
 * :class:`BackendCapabilities` — what a substrate can run: plain LA plans
-  (``supports_la``), relational plans (``supports_ra``), factorized LA over
-  normalized matrices (``supports_factorized``).  Every backend class
-  *declares* its capabilities as a class attribute, so instances carry them
-  wherever they go.
-* :class:`BackendRegistry` — named factories plus their capabilities.  The
-  router and :class:`repro.api.Engine` instantiate backends through it;
-  registering a new substrate is one ``register`` call, with no router or
-  policy edits: the default routing policy consults capabilities, never
-  names.
+  (``supports_la``) and factorized LA over normalized matrices
+  (``supports_factorized``).  Every backend class *declares* its
+  capabilities as a class attribute, so instances carry them wherever they
+  go.
+* :class:`BackendRegistry` — the named factories, in registration order.
+  :class:`repro.api.Engine` instantiates its backends through it;
+  registering a new substrate is one ``register`` call, with no router
+  edits: :meth:`repro.service.router.ExecutionRouter.candidates` consults
+  capabilities, never names.
 
 The registry stores **factories** (``catalog -> backend``), not instances:
 one registry can serve many engines over different catalogs, and a fresh
@@ -24,7 +22,7 @@ engine always gets fresh backend state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from repro.exceptions import ConfigError
 
@@ -41,17 +39,13 @@ class BackendCapabilities:
     ``supports_la``
         Plain LA plans (the planner's default output).  Backends without it
         are never auto-selected as fallbacks for LA plans.
-    ``supports_ra``
-        Relational plans; such backends participate through the hybrid
-        path (builder materialization), not LA routing.
     ``supports_factorized``
-        Factorized LA over normalized (PK-FK join) matrices; the default
-        policy prefers such a backend when a plan touches a matrix whose
-        factors are materialized.
+        Factorized LA over normalized (PK-FK join) matrices; the router
+        prefers such a backend when a plan touches a matrix whose factors
+        are materialized.
     """
 
     supports_la: bool = True
-    supports_ra: bool = False
     supports_factorized: bool = False
 
 
@@ -66,26 +60,17 @@ def capabilities_of(backend: object) -> BackendCapabilities:
 
 
 class BackendRegistry:
-    """Named backend factories together with their declared capabilities."""
+    """Named backend factories, in registration order."""
 
     def __init__(self) -> None:
         self._factories: Dict[str, BackendFactory] = {}
-        self._capabilities: Dict[str, BackendCapabilities] = {}
 
-    # ------------------------------------------------------------------ registration
-    def register(
-        self,
-        name: str,
-        factory: BackendFactory,
-        capabilities: Optional[BackendCapabilities] = None,
-        replace: bool = False,
-    ) -> None:
+    def register(self, name: str, factory: BackendFactory, replace: bool = False) -> None:
         """Register ``factory`` under ``name``.
 
         ``factory`` is any ``catalog -> backend`` callable — typically the
-        backend class itself.  When ``capabilities`` is omitted they are
-        read from the factory's ``capabilities`` class attribute (falling
-        back to LA-only).  Re-registering an existing name requires
+        backend class itself, whose ``capabilities`` class attribute
+        declares what it can run.  Re-registering an existing name requires
         ``replace=True`` so typos do not silently shadow a substrate.
         """
         if not isinstance(name, str) or not name:
@@ -99,50 +84,23 @@ class BackendRegistry:
                 f"backend {name!r} is already registered; pass replace=True to override"
             )
         self._factories[name] = factory
-        self._capabilities[name] = (
-            capabilities if capabilities is not None else capabilities_of(factory)
-        )
 
-    # ------------------------------------------------------------------ lookup
     def names(self) -> Tuple[str, ...]:
         """Registered backend names, in registration order."""
         return tuple(self._factories)
 
-    def __contains__(self, name: object) -> bool:
-        return name in self._factories
-
     def capabilities(self, name: str) -> BackendCapabilities:
-        self._require(name)
-        return self._capabilities[name]
-
-    def la_names(self) -> List[str]:
-        """Names of backends that can run plain LA plans (fallback pool)."""
-        return [n for n in self._factories if self._capabilities[n].supports_la]
-
-    def factorized_names(self) -> List[str]:
-        """Names of backends that can run factorized plans."""
-        return [n for n in self._factories if self._capabilities[n].supports_factorized]
-
-    def _require(self, name: str) -> None:
+        """What the factory registered as ``name`` declares it can run."""
         if name not in self._factories:
             raise ConfigError(
                 f"unknown backend {name!r}; registered: {sorted(self._factories)}"
             )
+        return capabilities_of(self._factories[name])
 
-    # ------------------------------------------------------------------ instantiation
-    def create(self, name: str, catalog: "Catalog") -> object:
-        """Instantiate the backend registered under ``name``."""
-        self._require(name)
-        return self._factories[name](catalog)
+    def create_all(self, catalog: "Catalog") -> Dict[str, object]:
+        """One fresh instance of every registered backend, in order."""
+        return {name: factory(catalog) for name, factory in self._factories.items()}
 
-    def create_all(
-        self, catalog: "Catalog", names: Optional[Iterable[str]] = None
-    ) -> Dict[str, object]:
-        """One fresh instance per requested name (all registered by default)."""
-        selected = tuple(names) if names is not None else self.names()
-        return {name: self.create(name, catalog) for name in selected}
-
-    # ------------------------------------------------------------------ defaults
     @classmethod
     def with_defaults(cls) -> "BackendRegistry":
         """A registry of the four stock substrates.

@@ -25,7 +25,7 @@ class RelationalEngine:
     name = "relational"
     #: RA only: never a fallback candidate for LA plans (``execute_plan``
     #: refuses them); participates through the hybrid path instead.
-    capabilities = BackendCapabilities(supports_la=False, supports_ra=True)
+    capabilities = BackendCapabilities(supports_la=False)
 
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
@@ -40,7 +40,7 @@ class RelationalEngine:
         :class:`repro.hybrid.executor.HybridExecutor`), not as a target for
         rewritten LA plans.  Raising :class:`ExecutionError` here lets the
         :class:`repro.service.ExecutionRouter` fall back to an LA backend
-        when a policy (or an explicit request) names this engine anyway.
+        when a request names this engine anyway.
         """
         raise ExecutionError(
             "the relational engine executes the RA part of hybrid queries; "

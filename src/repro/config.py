@@ -12,8 +12,8 @@ Since the :mod:`repro.api` consolidation these four dataclasses are the
   knobs: pool size, batch fan-out, routing preference.
 * :class:`GatewayConfig` — the :class:`~repro.server.AnalyticsGateway`
   knobs: bind address, admission bounds, backlog, planner worker processes.
-* :class:`EngineConfig` — the composition of the three, plus the named
-  execution backends to register, consumed by :class:`repro.api.Engine`.
+* :class:`EngineConfig` — the composition of the three, consumed by
+  :class:`repro.api.Engine`.
 
 Every config is **frozen** (mutation raises) and **validated at
 construction**: a bad value raises :class:`~repro.exceptions.ConfigError`
@@ -34,10 +34,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping, Optional, Tuple
 
 from repro.exceptions import ConfigError
-
-#: The stock execution substrates, in the registration order of
-#: :meth:`repro.backends.registry.BackendRegistry.with_defaults`.
-DEFAULT_BACKENDS: Tuple[str, ...] = ("numpy", "systemml_like", "morpheus", "relational")
 
 
 def _require_bool(config: str, name: str, value: Any) -> bool:
@@ -244,10 +240,8 @@ def _coerce(config: str, name: str, value: Any, cls: type) -> Any:
 class EngineConfig:
     """The single configuration object a :class:`repro.api.Engine` consumes.
 
-    Composes the per-layer configs and names the execution backends to
-    register (each must be known to the engine's
-    :class:`~repro.backends.registry.BackendRegistry`).  Sub-configs may be
-    given as plain mappings and are validated on coercion::
+    Composes the per-layer configs.  Sub-configs may be given as plain
+    mappings and are validated on coercion::
 
         EngineConfig(planner={"max_rounds": 6}, service={"max_sessions": 2})
     """
@@ -255,32 +249,18 @@ class EngineConfig:
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     service: ServiceConfig = field(default_factory=ServiceConfig)
     gateway: GatewayConfig = field(default_factory=GatewayConfig)
-    backends: Tuple[str, ...] = DEFAULT_BACKENDS
 
     def __post_init__(self) -> None:
         name = type(self).__name__
         object.__setattr__(self, "planner", _coerce(name, "planner", self.planner, PlannerConfig))
         object.__setattr__(self, "service", _coerce(name, "service", self.service, ServiceConfig))
         object.__setattr__(self, "gateway", _coerce(name, "gateway", self.gateway, GatewayConfig))
-        backends = self.backends
-        if isinstance(backends, str) or not isinstance(backends, (tuple, list)):
-            raise ConfigError(
-                f"{name}.backends must be a tuple of backend names, got {backends!r}"
-            )
-        if not backends:
-            raise ConfigError(f"{name}.backends must name at least one backend")
-        for item in backends:
-            _require_str(name, "backends[...]", item)
-        if len(set(backends)) != len(backends):
-            raise ConfigError(f"{name}.backends contains duplicates: {backends!r}")
-        object.__setattr__(self, "backends", tuple(backends))
 
     def with_options(self, **changes: Any) -> "EngineConfig":
         return replace(self, **changes)
 
 
 __all__ = [
-    "DEFAULT_BACKENDS",
     "EngineConfig",
     "GatewayConfig",
     "PlannerConfig",

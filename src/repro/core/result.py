@@ -66,6 +66,19 @@ class RewriteResult:
     fingerprint: Optional[str] = None
     footprint: Optional["PlanFootprint"] = None
 
+    @classmethod
+    def as_stated(cls, expression: mx.Expr) -> "RewriteResult":
+        """An identity plan: ``expression`` runs unchanged, with no costs."""
+        return cls(
+            original=expression,
+            best=expression,
+            original_cost=float("nan"),
+            best_cost=float("nan"),
+            changed=False,
+            rewrite_seconds=0.0,
+            fingerprint=expression.fingerprint(),
+        )
+
     def copy(self, **overrides) -> "RewriteResult":
         """A copy whose mutable containers are private to the caller.
 

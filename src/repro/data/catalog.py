@@ -11,7 +11,7 @@ It stores three kinds of objects:
 * **scalars** — named numeric constants (the ``s1``/``s2`` of the pipelines).
 
 Materialized LA views are simply matrices whose name is the view's storage
-name; the *definition* of a view lives in :class:`repro.core.views.LAView`
+name; the *definition* of a view lives in :class:`repro.constraints.views.LAView`
 and only references the catalog by name.
 """
 
@@ -215,9 +215,6 @@ class Catalog:
 
     def has_table(self, name: str) -> bool:
         return name in self._tables
-
-    def table_names(self) -> Iterable[str]:
-        return sorted(self._tables)
 
     # -- deltas -------------------------------------------------------------------
     def apply_delta(self, delta) -> None:

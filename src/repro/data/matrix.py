@@ -14,7 +14,7 @@ is what makes the naive estimator of §7.2.1 free at optimization time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -89,9 +89,6 @@ class MatrixMeta:
         if self.nnz is None:
             return 1.0
         return self.nnz / float(self.n_cells)
-
-    def with_name(self, name: str) -> "MatrixMeta":
-        return replace(self, name=name)
 
 
 @dataclass

@@ -61,9 +61,6 @@ class Table:
                 f"table {self.name!r} has no column {name!r} (has {self.columns})"
             ) from exc
 
-    def has_column(self, name: str) -> bool:
-        return name in self._columns
-
     def __len__(self) -> int:
         return self._n_rows
 

@@ -15,8 +15,8 @@ paper's micro-hybrid benchmark (construction of M and of N, §9.2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Tuple, Union
 
 from repro.exceptions import TypeMismatchError
 from repro.lang import matrix_expr as mx
@@ -94,9 +94,6 @@ class HybridQuery:
     builders: Tuple[MatrixBuilder, ...]
     analysis: mx.Expr
     description: str = ""
-
-    def builder_names(self) -> Tuple[str, ...]:
-        return tuple(builder.name for builder in self.builders)
 
     def builder(self, name: str) -> MatrixBuilder:
         for builder in self.builders:

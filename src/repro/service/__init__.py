@@ -13,7 +13,7 @@ package closes the loop, mirroring HADAD's own end-to-end evaluation
   plan in parallel without sharing mutable saturation state and never
   plan one fingerprint twice;
 * :class:`~repro.service.router.ExecutionRouter` — picks an execution
-  backend per plan via a pluggable :class:`~repro.service.router.RoutingPolicy`,
+  backend per plan by the backends' declared capabilities,
   binds catalog data through the backends' common ``execute_plan`` entry
   point, and falls back across backends on
   :class:`~repro.exceptions.ExecutionError`;
@@ -28,13 +28,7 @@ See ``docs/architecture.md`` for where this layer sits in the system and
 """
 
 from repro.service.pool import PlanSessionPool, PoolStats
-from repro.service.router import (
-    DefaultPolicy,
-    ExecutionRouter,
-    RoutedExecution,
-    RoutingPolicy,
-    StaticPolicy,
-)
+from repro.service.router import ExecutionRouter, RoutedExecution
 from repro.service.service import (
     AnalyticsService,
     BatchHook,
@@ -47,13 +41,10 @@ __all__ = [
     "AnalyticsService",
     "BatchHook",
     "BatchStats",
-    "DefaultPolicy",
     "ExecutionRouter",
     "PlanSessionPool",
     "PoolStats",
     "RoutedExecution",
-    "RoutingPolicy",
     "ServiceRequest",
     "ServiceResult",
-    "StaticPolicy",
 ]

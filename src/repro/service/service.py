@@ -50,8 +50,8 @@ class ServiceRequest:
     name:
         Optional caller-side label, echoed back on the result.
     backend:
-        Optional explicit backend name; the routing policy puts it first in
-        the candidate order (still subject to fallback on failure).
+        Optional explicit backend name; the router puts it first in the
+        candidate order (still subject to fallback on failure).
     execute:
         When False the request is plan-only: the service returns the
         rewriting and timings but never touches backend kernels.
@@ -240,7 +240,7 @@ class AnalyticsService:
         self, result: ServiceResult, raise_on_failure: bool = True
     ) -> ServiceResult:
         try:
-            routed = self.router.execute(result.rewrite, request=result.request)
+            routed = self.router.execute(result.rewrite, result.request.backend)
         except ExecutionError as exc:
             # Batch mode isolates failures: the failing request's result
             # keeps value=None and carries the error, instead of one bad
@@ -300,7 +300,7 @@ class AnalyticsService:
                     )
                     plan_error = None
                 except Exception as exc:  # planner errors are per-request data
-                    rewrite = self._unplanned(expression)
+                    rewrite = RewriteResult.as_stated(expression)
                     queue_seconds = time.perf_counter() - enqueued
                     plan_seconds = 0.0
                     plan_error = f"{type(exc).__name__}: {exc}"
@@ -342,19 +342,6 @@ class AnalyticsService:
         completed = [result for result in results if result is not None]
         self._notify_batch_hooks(completed, time.perf_counter() - enqueued, len(groups))
         return completed
-
-    @staticmethod
-    def _unplanned(expression: mx.Expr) -> RewriteResult:
-        """An identity rewrite standing in for a plan that could not be made."""
-        return RewriteResult(
-            original=expression,
-            best=expression,
-            original_cost=float("nan"),
-            best_cost=float("nan"),
-            changed=False,
-            rewrite_seconds=0.0,
-            fingerprint=expression.fingerprint(),
-        )
 
     # ------------------------------------------------------------------ hooks
     def add_batch_hook(self, hook: BatchHook) -> BatchHook:

@@ -473,10 +473,6 @@ class VremInstance:
             return atom.args[1].value
         return None
 
-    def leaf_names(self, cid: int) -> List[str]:
-        """All storage names attached to a class (base matrices and views)."""
-        return sorted(atom.args[1].value for atom in self.atoms_with("name", 0, cid))
-
     def class_of_name(self, name: str) -> Optional[int]:
         """The class carrying ``name(M, name)``, if any."""
         for atom in self.atoms_with("name", 1, Const(name)):

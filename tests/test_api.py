@@ -22,7 +22,6 @@ import pytest
 import repro
 import repro.api
 from repro.api import (
-    BackendCapabilities,
     BackendRegistry,
     ConfigError,
     Engine,
@@ -38,7 +37,7 @@ from repro.backends.numpy_backend import NumpyBackend
 from repro.lang import inv, matrix, sum_all, transpose
 from repro.planner import PlanSession
 from repro.server.protocol import parse_plan_request, request_to_json, result_to_json
-from repro.service import AnalyticsService, DefaultPolicy, ExecutionRouter, ServiceRequest
+from repro.service import ServiceRequest
 
 
 def _sample_expr():
@@ -56,7 +55,7 @@ class TestConfigValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.max_rounds = 9  # type: ignore[misc]
         with pytest.raises(dataclasses.FrozenInstanceError):
-            EngineConfig().backends = ("numpy",)  # type: ignore[misc]
+            EngineConfig().planner = PlannerConfig()  # type: ignore[misc]
 
     @pytest.mark.parametrize(
         "kwargs, field, hint",
@@ -100,12 +99,6 @@ class TestConfigValidation:
     def test_engine_config_rejects_bad_composition(self):
         with pytest.raises(ConfigError, match="max_roundz"):
             EngineConfig(planner={"max_roundz": 3})
-        with pytest.raises(ConfigError, match="duplicates"):
-            EngineConfig(backends=("numpy", "numpy"))
-        with pytest.raises(ConfigError, match="at least one"):
-            EngineConfig(backends=())
-        with pytest.raises(ConfigError, match="tuple of backend names"):
-            EngineConfig(backends="numpy")
         with pytest.raises(ConfigError, match="PlannerConfig"):
             EngineConfig(planner=42)
 
@@ -282,10 +275,8 @@ class TestBackendRegistry:
         registry = BackendRegistry.with_defaults()
         assert registry.names() == ("numpy", "systemml_like", "morpheus", "relational")
         assert registry.capabilities("morpheus").supports_factorized
-        assert registry.capabilities("relational").supports_ra
+        assert not registry.capabilities("numpy").supports_factorized
         assert not registry.capabilities("relational").supports_la
-        assert registry.la_names() == ["numpy", "systemml_like", "morpheus"]
-        assert registry.factorized_names() == ["morpheus"]
 
     def test_registration_guards(self):
         registry = BackendRegistry.with_defaults()
@@ -297,36 +288,13 @@ class TestBackendRegistry:
         with pytest.raises(ConfigError, match="unknown backend"):
             registry.capabilities("nope")
 
-    def test_engine_config_selects_registered_subset(self, small_catalog):
-        engine = Engine(small_catalog, config=EngineConfig(backends=("numpy",)))
-        assert sorted(engine.router.backends) == ["numpy"]
-        with pytest.raises(ConfigError, match="unregistered backend"):
-            Engine(small_catalog, config=EngineConfig(backends=("numpy", "nope")))
-
-    def test_fallback_chain_is_capability_driven_not_name_driven(self, small_catalog):
-        class RefusingEngine(NumpyBackend):
-            name = "sql_alias"
-            capabilities = BackendCapabilities(supports_la=False, supports_ra=True)
-
-        class ExtraLA(NumpyBackend):
-            name = "extra"
-            capabilities = BackendCapabilities(supports_la=True)
-
-        registry = BackendRegistry.with_defaults()
-        registry.register("sql_alias", RefusingEngine)
-        registry.register("extra", ExtraLA)
-        engine = Engine(small_catalog, registry=registry,
-                        config=EngineConfig(backends=registry.names()))
-        plan = engine.rewrite(_sample_expr())
-        candidates = DefaultPolicy().candidates(plan, None, engine.router.backends)
-        assert "extra" in candidates          # any LA-capable backend joins
-        assert "sql_alias" not in candidates  # non-LA never auto-selected
-        assert "relational" not in candidates
-
-    def test_capabilities_exposed_on_router(self, small_catalog):
-        engine = Engine(small_catalog)
-        assert engine.router.capabilities("morpheus").supports_factorized
-        assert not engine.router.capabilities("relational").supports_la
+    def test_engine_builds_every_backend_of_its_registry(self, small_catalog):
+        registry = BackendRegistry()
+        registry.register("numpy", NumpyBackend)
+        engine = Engine(small_catalog, registry=registry)
+        assert list(engine.router.backends) == ["numpy"]
+        with pytest.raises(ConfigError, match="unknown backend"):
+            engine.execute(_sample_expr(), backend="morpheus")
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +401,10 @@ class TestWireSchema:
         """A request that executed after fallback keeps the skipped
         candidates in ``failures`` but is ok — on the service result and on
         the typed wire response alike."""
-        from repro.service import StaticPolicy
-
         engine = Engine(small_catalog)
-        service = AnalyticsService(
-            small_catalog,
-            pool=engine.pool,
-            router=ExecutionRouter(
-                small_catalog, policy=StaticPolicy(("relational", "numpy"))
-            ),
-            config=engine.config.service,
+        result = engine.service.submit(
+            ServiceRequest(expression=_sample_expr(), backend="relational")
         )
-        result = service.submit(_sample_expr())
         assert result.backend == "numpy"
         assert result.failures and result.failures[0][0] == "relational"
         assert result.ok

@@ -1,4 +1,4 @@
-"""The docs checker's name check (tools/check_docs.py)."""
+"""The docs checker's name checks (tools/check_docs.py)."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +43,26 @@ def test_names_inside_fences_are_left_to_the_code_block_check(tmp_path):
     doc = tmp_path / "doc.md"
     doc.write_text(f"```text\n`{GONE}`\n```\n")
     assert check_docs.check_names(doc) == []
+
+
+def test_a_dangling_docstring_role_target_is_one_error(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        '"""Runs :class:`~repro.chase.saturation.SaturationEngine`."""\n\n\n'
+        "def run():\n"
+        '    """Calls :meth:`repro.chase.saturation.NoSuchEngine.run` and\n'
+        '    :mod:`repro.chase`."""\n'
+    )
+    errors = check_docs.check_docstring_roles(module)
+    assert len(errors) == 1
+    assert f"{module}:5:" in errors[0] and "NoSuchEngine" in errors[0]
+
+
+def test_a_resolvable_docstring_role_target_is_no_error(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "class Engine:\n"
+        '    """Wraps :class:`~repro.chase.saturation.SaturationEngine` and\n'
+        '    :func:`repro.backends.registry.capabilities_of`."""\n'
+    )
+    assert check_docs.check_docstring_roles(module) == []

@@ -241,6 +241,16 @@ class TestRewriteResultAndHarness:
         )
         assert flat.estimated_speedup == 1.0
 
+    def test_as_stated_is_an_identity_plan(self):
+        expr = transpose(matrix("M") @ matrix("N"))
+        result = RewriteResult.as_stated(expr)
+        assert result.original is expr and result.best is expr
+        assert np.isnan(result.original_cost) and np.isnan(result.best_cost)
+        assert not result.changed and result.rewrite_seconds == 0.0
+        assert result.fingerprint == expr.fingerprint()
+        assert not result.cache_hit and result.saturation is None
+        assert result.alternatives == [] and result.used_views == []
+
     def test_run_pipeline_without_execution(self, small_catalog):
         from repro.benchkit.harness import run_pipeline
 

@@ -17,7 +17,7 @@ from repro.backends.base import EvaluationResult
 from repro.exceptions import ExecutionError
 from repro.fuzz import CatalogSpec, generate_catalog
 from repro.lang import matrix_expr as mx
-from repro.service import ExecutionRouter, StaticPolicy
+from repro.service import ExecutionRouter
 
 
 class _FixedValueBackend:
@@ -42,22 +42,18 @@ def planned():
     return catalog, engine.rewrite(expr)
 
 
-def _router(catalog, backends, order, **kwargs):
-    return ExecutionRouter(
-        catalog, backends=backends, policy=StaticPolicy(order), **kwargs
-    )
+def _route(catalog, result, backends):
+    """Execute ``result`` with the first of ``backends`` named to run first."""
+    return ExecutionRouter(catalog, backends).execute(result, backend=next(iter(backends)))
 
 
 class TestPoisonedResults:
     def test_nan_result_falls_back(self, planned):
         catalog, result = planned
         poisoned = _FixedValueBackend(np.full((3, 3), np.nan))
-        router = _router(
-            catalog,
-            {"poisoned": poisoned, "numpy": NumpyBackend(catalog)},
-            ["poisoned", "numpy"],
+        routed = _route(
+            catalog, result, {"poisoned": poisoned, "numpy": NumpyBackend(catalog)}
         )
-        routed = router.execute(result)
         assert routed.backend == "numpy"
         assert poisoned.calls == 1
         [(failed_name, reason)] = routed.failures
@@ -67,12 +63,9 @@ class TestPoisonedResults:
     def test_shape_mismatch_falls_back(self, planned):
         catalog, result = planned
         wrong_shape = _FixedValueBackend(np.ones((2, 2)))
-        router = _router(
-            catalog,
-            {"wrong": wrong_shape, "numpy": NumpyBackend(catalog)},
-            ["wrong", "numpy"],
+        routed = _route(
+            catalog, result, {"wrong": wrong_shape, "numpy": NumpyBackend(catalog)}
         )
-        routed = router.execute(result)
         assert routed.backend == "numpy"
         [(failed_name, reason)] = routed.failures
         assert failed_name == "wrong"
@@ -81,41 +74,26 @@ class TestPoisonedResults:
     def test_sparse_nan_result_falls_back(self, planned):
         catalog, result = planned
         bad = sparse.csr_matrix(np.array([[np.nan, 0.0, 0.0]] * 3))
-        router = _router(
+        routed = _route(
             catalog,
+            result,
             {"sparse-bad": _FixedValueBackend(bad), "numpy": NumpyBackend(catalog)},
-            ["sparse-bad", "numpy"],
         )
-        routed = router.execute(result)
         assert routed.backend == "numpy"
         assert "non-finite" in routed.failures[0][1]
 
     def test_all_poisoned_raises_with_clear_chain(self, planned):
         catalog, result = planned
-        router = _router(
-            catalog,
-            {
-                "nan": _FixedValueBackend(np.full((3, 3), np.inf)),
-                "wrong": _FixedValueBackend(np.ones((5, 5))),
-            },
-            ["nan", "wrong"],
-        )
+        backends = {
+            "nan": _FixedValueBackend(np.full((3, 3), np.inf)),
+            "wrong": _FixedValueBackend(np.ones((5, 5))),
+        }
         with pytest.raises(ExecutionError) as excinfo:
-            router.execute(result)
+            _route(catalog, result, backends)
         message = str(excinfo.value)
         assert "no backend could execute the plan" in message
         assert "non-finite" in message
         assert "poisoned" in message
-
-    def test_validation_can_be_disabled(self, planned):
-        catalog, result = planned
-        poisoned = _FixedValueBackend(np.full((3, 3), np.nan))
-        router = _router(
-            catalog, {"poisoned": poisoned}, ["poisoned"], validate_results=False
-        )
-        routed = router.execute(result)  # documented opt-out: garbage in, garbage out
-        assert routed.backend == "poisoned"
-        assert np.isnan(routed.evaluation.value).all()
 
     def test_scalar_results_pass_validation(self):
         catalog, _ = generate_catalog(CatalogSpec(seed=3, dims=(2, 3, 5)))
@@ -128,6 +106,5 @@ class TestPoisonedResults:
 
     def test_clean_backend_has_no_failures(self, planned):
         catalog, result = planned
-        router = _router(catalog, {"numpy": NumpyBackend(catalog)}, ["numpy"])
-        routed = router.execute(result)
+        routed = _route(catalog, result, {"numpy": NumpyBackend(catalog)})
         assert routed.failures == []

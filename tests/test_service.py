@@ -7,7 +7,7 @@ Covers the behaviours the service layer promises:
 * pool hygiene — session reuse, LRU bounding, and eviction of idle sessions
   when the catalog version changes;
 * router fallback — a backend raising :class:`ExecutionError` is recorded
-  and the next candidate runs the plan; policies order candidates;
+  and the next candidate runs the plan; one table pins the candidate order;
 * the analytics front door — ``submit_many`` plans are byte-identical to a
   serial ``rewrite_all``, values match direct backend evaluation, per-phase
   timings add up, and hybrid queries report planning time in their total.
@@ -23,18 +23,13 @@ import pytest
 from repro.api import Engine
 from repro.backends.base import Backend, values_allclose
 from repro.backends.numpy_backend import NumpyBackend
+from repro.backends.registry import BackendCapabilities, BackendRegistry
 from repro.config import PlannerConfig
 from repro.cost import MNCEstimator
 from repro.exceptions import ExecutionError
 from repro.lang import colsums, inv, matrix, sum_all, transpose
 from repro.planner import PlanSession
-from repro.service import (
-    DefaultPolicy,
-    ExecutionRouter,
-    PlanSessionPool,
-    ServiceRequest,
-    StaticPolicy,
-)
+from repro.service import ExecutionRouter, PlanSessionPool, ServiceRequest
 
 
 def _service(catalog, max_sessions=8):
@@ -353,86 +348,95 @@ class _FailingBackend(Backend):
         raise ExecutionError("boom")
 
 
+class _NotLA(NumpyBackend):
+    capabilities = BackendCapabilities(supports_la=False)
+
+
+class _ExtraLA(NumpyBackend):
+    capabilities = BackendCapabilities(supports_la=True)
+
+
+def _with_custom_backends(catalog):
+    registry = BackendRegistry.with_defaults()
+    registry.register("not_la", _NotLA)
+    registry.register("extra_la", _ExtraLA)
+    return registry.create_all(catalog)
+
+
 class TestExecutionRouter:
+    @pytest.mark.parametrize(
+        "factorized, custom, preferred, backend, expected",
+        [
+            # A plain plan: preferred first, the LA fallbacks in
+            # registration order, never the relational engine.
+            (False, False, "numpy", None, ["numpy", "systemml_like", "morpheus"]),
+            (False, False, "systemml_like", None, ["systemml_like", "numpy", "morpheus"]),
+            # A plan over a join with materialized factors goes factorized.
+            (True, False, "numpy", None, ["morpheus", "numpy", "systemml_like"]),
+            # A named backend precedes the factorized pick.
+            (True, False, "numpy", "numpy", ["numpy", "morpheus", "systemml_like"]),
+            # A non-LA backend runs only when named, then LA falls back.
+            (False, False, "numpy", "relational",
+             ["relational", "numpy", "systemml_like", "morpheus"]),
+            # Capabilities, not names: a custom LA backend joins the chain,
+            # a custom non-LA one is never auto-selected.
+            (False, True, "numpy", None,
+             ["numpy", "systemml_like", "morpheus", "extra_la"]),
+        ],
+    )
+    def test_candidate_order(
+        self, small_catalog, rng, factorized, custom, preferred, backend, expected
+    ):
+        _register_factorized_join(small_catalog, rng)
+        backends = _with_custom_backends(small_catalog) if custom else None
+        router = ExecutionRouter(small_catalog, backends, preferred=preferred)
+        expr = colsums(matrix("J")) if factorized else _mn()
+        plan = PlanSession(small_catalog).rewrite(expr)
+        assert router.candidates(plan, backend) == expected
+
     def test_fallback_on_execution_error(self, small_catalog):
-        router = ExecutionRouter(small_catalog)
-        router.register("failing", _FailingBackend(small_catalog))
-        router.policy = StaticPolicy(("failing", "numpy"))
+        router = ExecutionRouter(
+            small_catalog,
+            {"failing": _FailingBackend(small_catalog), "numpy": NumpyBackend(small_catalog)},
+        )
         plan = PlanSession(small_catalog).rewrite(sum_all(matrix("M") @ matrix("N")))
-        routed = router.execute(plan)
+        routed = router.execute(plan, backend="failing")
         assert routed.backend == "numpy"
         assert routed.failures == [("failing", "boom")]
         expected = NumpyBackend(small_catalog).evaluate(plan.best)
         assert values_allclose(routed.evaluation.value, expected)
 
     def test_raises_when_every_candidate_fails(self, small_catalog):
-        router = ExecutionRouter(small_catalog)
-        router.register("failing", _FailingBackend(small_catalog))
-        router.policy = StaticPolicy(("failing", "missing"))
+        router = ExecutionRouter(
+            small_catalog, {"failing": _FailingBackend(small_catalog)}, preferred="missing"
+        )
         plan = PlanSession(small_catalog).rewrite(_mn())
         with pytest.raises(ExecutionError, match="no backend"):
             router.execute(plan)
 
     def test_relational_engine_refuses_la_plans(self, small_catalog):
         router = ExecutionRouter(small_catalog)
-        router.policy = StaticPolicy(("relational", "numpy"))
         plan = PlanSession(small_catalog).rewrite(_mn())
-        routed = router.execute(plan)
-        assert routed.backend == "numpy"
-        assert routed.failures and routed.failures[0][0] == "relational"
-
-    def test_default_policy_prefers_request_backend(self, small_catalog):
-        router = ExecutionRouter(small_catalog)
-        plan = PlanSession(small_catalog).rewrite(_mn())
-        request = ServiceRequest(expression=plan.original, backend="systemml_like")
-        routed = router.execute(plan, request=request)
-        assert routed.backend == "systemml_like"
-
-    def test_default_policy_order_for_a_plain_plan(self, small_catalog):
-        router = ExecutionRouter(small_catalog)
-        plan = PlanSession(small_catalog).rewrite(_mn())
-        order = list(router.policy.candidates(plan, None, router.backends))
-        assert order == ["numpy", "systemml_like", "morpheus"]  # no relational
-
-    def test_default_policy_puts_preferred_first(self, small_catalog):
-        router = ExecutionRouter(small_catalog)
-        plan = PlanSession(small_catalog).rewrite(_mn())
-        order = list(DefaultPolicy("systemml_like").candidates(plan, None, router.backends))
-        assert order == ["systemml_like", "numpy", "morpheus"]
-
-    def test_static_policy_ignores_the_request(self, small_catalog):
-        plan = PlanSession(small_catalog).rewrite(_mn())
-        request = ServiceRequest(expression=plan.original, backend="numpy")
-        policy = StaticPolicy(("systemml_like", "morpheus"))
-        assert list(policy.candidates(plan, request)) == ["systemml_like", "morpheus"]
-
-    def test_request_may_name_a_non_la_backend(self, small_catalog):
-        router = ExecutionRouter(small_catalog)
-        plan = PlanSession(small_catalog).rewrite(_mn())
-        request = ServiceRequest(expression=plan.original, backend="relational")
-        routed = router.execute(plan, request=request)
+        routed = router.execute(plan, backend="relational")
         assert routed.backend == "numpy"
         assert [name for name, _ in routed.failures] == ["relational"]
 
+    def test_named_backend_executes_first(self, small_catalog):
+        router = ExecutionRouter(small_catalog)
+        plan = PlanSession(small_catalog).rewrite(_mn())
+        routed = router.execute(plan, backend="systemml_like")
+        assert routed.backend == "systemml_like"
+
     def test_engine_routes_to_service_preferred_backend(self, small_catalog):
         engine = Engine(small_catalog, config={"service": {"preferred_backend": "systemml_like"}})
-        assert engine.router.policy.preferred == "systemml_like"
+        assert engine.router.preferred == "systemml_like"
         routed = engine.router.execute(engine.rewrite(_mn()))
         assert routed.backend == "systemml_like" and routed.failures == []
 
-    def test_request_backend_precedes_factorized_pick(self, small_catalog, rng):
-        _register_factorized_join(small_catalog, rng)
-        router = ExecutionRouter(small_catalog)
-        plan = PlanSession(small_catalog).rewrite(colsums(matrix("J")))
-        request = ServiceRequest(expression=plan.original, backend="numpy")
-        order = list(router.policy.candidates(plan, request, router.backends))
-        assert order == ["numpy", "morpheus", "systemml_like"]
-
-    def test_default_policy_routes_factorized_plans_to_morpheus(self, small_catalog, rng):
+    def test_factorized_plans_execute_on_morpheus(self, small_catalog, rng):
         entity, indicator, attribute = _register_factorized_join(small_catalog, rng)
 
         router = ExecutionRouter(small_catalog)
-        assert isinstance(router.policy, DefaultPolicy)
         plan = PlanSession(small_catalog).rewrite(colsums(matrix("J")))
         routed = router.execute(plan)
         assert routed.backend == "morpheus"

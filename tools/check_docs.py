@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Docs checker: execute fenced code blocks, validate links and module names.
+"""Docs checker: execute fenced code blocks, validate links and names.
 
 Run from anywhere (``python tools/check_docs.py``); the repository root is
 derived from this file's location and ``src/`` is put on ``sys.path``.
 
-Three checks, all over ``README.md`` and every ``docs/*.md``:
+Three checks over ``README.md`` and every ``docs/*.md``:
 
 * **code blocks** — every fenced block whose info string is ``python`` is
   executed; blocks within one file share a namespace, so a tutorial can
@@ -19,12 +19,19 @@ Three checks, all over ``README.md`` and every ``docs/*.md``:
   imported and the rest is looked up with ``getattr``.  Sections whose
   heading starts with "Removed" are skipped; they name what is gone.
 
+and a fourth over every docstring under ``src/repro``:
+
+* **docstring roles** — every Sphinx role target ``:class:`` / ``:meth:`` /
+  ``:func:`` / ``:mod:`` / ``:attr:`` / ``:data:`` / ``:exc:`` spelled
+  ``~?repro.…`` must resolve by the same import-then-``getattr`` rule.
+
 Exit status is non-zero when any block raises, any link dangles or any
 name does not resolve, which is what the CI docs job gates on.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import re
 import sys
@@ -40,6 +47,8 @@ LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 EXTERNAL = ("http://", "https://", "mailto:")
 DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)")
 HEADING = re.compile(r"^(#+)\s+(.*)$")
+ROLE_TARGET = re.compile(r":(?:class|meth|func|mod|attr|data|exc):`~?(repro(?:\.\w+)+)`")
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def iter_code_blocks(text: str) -> Iterator[Tuple[str, str, str, int]]:
@@ -142,6 +151,24 @@ def check_names(path: Path) -> List[str]:
     return errors
 
 
+def check_docstring_roles(path: Path) -> List[str]:
+    """Verify every ``repro.…`` Sphinx role target in the module's docstrings
+    resolves."""
+    errors: List[str] = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, DOCUMENTED):
+            continue
+        docstring = ast.get_docstring(node, clean=False)
+        if docstring is None:
+            continue
+        first_line = node.body[0].lineno
+        for match in ROLE_TARGET.finditer(docstring):
+            if not resolves(match.group(1)):
+                lineno = first_line + docstring.count("\n", 0, match.start())
+                errors.append(f"{path}:{lineno}: unresolved role target {match.group(1)!r}")
+    return errors
+
+
 def main() -> int:
     files = [ROOT / "README.md"] + sorted((ROOT / "docs").glob("*.md"))
     missing = [str(f) for f in files if not f.exists()]
@@ -156,6 +183,11 @@ def main() -> int:
         failures.extend(block_errors + link_errors + name_errors)
         status = "FAIL" if (block_errors or link_errors or name_errors) else "ok"
         print(f"[{status}] {path.relative_to(ROOT)}: {blocks} runnable block(s)")
+    sources = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    role_errors = [error for path in sources for error in check_docstring_roles(path)]
+    failures.extend(role_errors)
+    status = "FAIL" if role_errors else "ok"
+    print(f"[{status}] src/repro: docstring role targets in {len(sources)} module(s)")
     if failures:
         print("\n" + "\n".join(failures))
         return 1
