@@ -17,9 +17,11 @@ is compiled lazily, on the constraint's first attempt, and lives on the
 constraint object rather than in the program: building a program stays a
 fraction of a millisecond, and the shipped rules compile once per process.
 
-The trigger metadata is what makes the chase semi-naive: per constraint the
-engine keeps watermarks into its trigger relations' delta logs
-(:meth:`repro.vrem.instance.VremInstance.relation_log`), skips it while none
+The trigger metadata is what makes the chase semi-naive: the engine visits
+only the constraints :meth:`ConstraintProgram.armed` lists (memoised per set
+of populated relations, the program's one piece of derived state), keeps per
+constraint watermarks into its trigger relations' delta logs
+(:meth:`repro.vrem.instance.VremInstance.relation_log`), skips one while none
 grew — most constraints, most rounds — and otherwise searches only the delta.
 """
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.chase.kernel import ConstraintKernel, kernel_for
 from repro.constraints.core import Constraint, TGD, validate_constraints
@@ -69,15 +71,7 @@ class ConstraintProgram:
         self.compiled: List[CompiledConstraint] = [
             self._compile(constraint) for constraint in self.constraints
         ]
-        #: Conclusion relation -> names of TGDs inserting into it (handy for
-        #: diagnostics and tests; not consulted on the hot path).
-        self.producers_by_relation: Dict[str, List[str]] = {}
-        for constraint in self.constraints:
-            if isinstance(constraint, TGD):
-                for relation in constraint.conclusion_relations():
-                    self.producers_by_relation.setdefault(relation, []).append(
-                        constraint.name
-                    )
+        self._armed: Dict[FrozenSet[str], Tuple[int, ...]] = {}
 
     @staticmethod
     def _compile(constraint: Constraint) -> CompiledConstraint:
@@ -94,6 +88,16 @@ class ConstraintProgram:
 
     def __len__(self) -> int:
         return len(self.constraints)
+
+    def armed(self, populated: FrozenSet[str]) -> Tuple[int, ...]:
+        """The positions, in program order, whose trigger relations all hold
+        atoms when the relations in ``populated`` do; memoised per set."""
+        armed = self._armed.get(populated)
+        if armed is None:
+            armed = self._armed[populated] = tuple(
+                position for position, compiled in enumerate(self.compiled)
+                if populated.issuperset(compiled.trigger_relations))
+        return armed
 
     def verify(self, name: str = "program"):
         """Static verification findings for this program.

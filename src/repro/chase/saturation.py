@@ -14,18 +14,20 @@ This is the chase of §6.3 as extended by §7.3 (PACB++ / Prune_prov):
   non-terminating constraint sets.
 
 There is one production engine: serial, trigger-indexed and semi-naive.
-A constraint one of whose trigger relations has no stored atom cannot match
-and is skipped before any watermark is read (a ``size``-only premise has no
-trigger relation and is never gated); so is a *dormant* one — attempted
-before, and none of its trigger relations' delta logs (nor, if it reads
-``size``, the shape log) grew past its watermarks — and ``constraints_skipped``
-counts both.  A re-attempted constraint only searches for matches that touch
-the *delta* — the atoms added or re-canonicalised (and classes newly shaped)
-since its previous attempt, read off the instance's append-only delta logs.
-Anything else was already found, applied, satisfied, or pruned last time;
-the chase is monotone, so none of those outcomes can revert.  Matching, the
-conclusion test and the application all run on each constraint's compiled
-form (:mod:`repro.chase.kernel`).
+A round visits only the *armed* constraints, whose trigger relations all
+hold atoms (:meth:`~repro.chase.program.ConstraintProgram.armed`),
+re-reading the list whenever a relation gets its first atom, so each rule
+runs in the round and order of a walk over all.  It still skips one when
+*dormant* — attempted before, and none of its trigger relations' delta logs
+(nor, if it reads ``size``, the shape log) grew past its watermarks.
+``constraints_skipped`` counts the unarmed, the dormant and (below) rules
+serving a ban.  A re-attempted constraint only searches for matches that
+touch the *delta* — the atoms added or re-canonicalised (and classes newly
+shaped) since its previous attempt, read off the instance's append-only
+delta logs.  Anything else was already found, applied, satisfied, or pruned
+last time; the chase is monotone, so none of those outcomes can revert.
+Matching, the conclusion test and the application all run on each
+constraint's compiled form (:mod:`repro.chase.kernel`).
 
 A round is cascaded — each constraint matches against what the ones before
 it added in the same round — so a few mutually feeding TGDs (associativity,
@@ -43,13 +45,13 @@ not a fixpoint; if it changed nothing else the bans are lifted (egg's
 no constraint has an unapplied match.
 
 ``SaturationEngine(..., use_index=False)`` is the *reference* engine the
-tests compare against on all 57 pipelines: every constraint is
-attempted every round by a full search, nothing is ever benched, and both
-the premise match and the conclusion test go through the generic linear-scan
-matcher of :mod:`repro.chase.homomorphism`; it shares the kernel's
-application alone, class ids included.  It reaches the same plans, only
-slower; on an op where a rule is benched neither engine reaches a fixpoint
-inside the budget.
+tests compare against on all 57 pipelines: the same loop with every position
+armed, so every constraint is attempted every round by a full search,
+nothing is ever benched, and both the premise match and the conclusion test
+go through the generic linear-scan matcher of
+:mod:`repro.chase.homomorphism`; it shares the kernel's application alone,
+class ids included.  It reaches the same plans, only slower; on an op where
+a rule is benched neither engine reaches a fixpoint inside the budget.
 
 The saturated instance is then handed to the extraction step
 (:mod:`repro.core.extraction`), which plays the role of the provenance-based
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -201,7 +204,6 @@ class SaturationEngine:
         use_index: bool = True,
     ):
         self.program = ConstraintProgram.coerce(constraints)
-        self.constraints = self.program.constraints
         self.max_rounds = max_rounds
         self.max_atoms = max_atoms
         self.max_classes = max_classes
@@ -406,25 +408,29 @@ class SaturationEngine:
                 stats.egd_applications += applications
             return applications
 
-        def over_budget() -> bool:
-            return (
-                instance.num_atoms() > self.max_atoms
-                or instance.num_classes() > self.max_classes
-            )
+        every_position = tuple(range(len(self.program)))
+
+        def armed_positions() -> Tuple[int, ...]:
+            return self.program.armed(instance.populated) if self.use_index else every_position
 
         for round_index in range(self.max_rounds):
             stats.rounds = round_index + 1
             changed = 0
             held = False  # a rule was benched or sat out a ban: matches are owed
-            for position, compiled in enumerate(self.program.compiled):
-                if self.use_index:
-                    banned = banned_until.get(position, 0) > round_index
-                    held = held or banned
-                    if banned or not all(map(instance.atom_count, compiled.trigger_relations)):
-                        # Serving a ban, or a premise relation has no stored
-                        # atom and nothing can match.
-                        stats.constraints_skipped += 1
-                        continue
+            populated = instance.populated
+            armed = armed_positions()
+            index, previous = 0, -1
+            while index < len(armed):
+                position = armed[index]
+                index += 1
+                # Positions passed over are unarmed: nothing can match them.
+                stats.constraints_skipped += position - previous - 1
+                previous = position
+                compiled = self.program.compiled[position]
+                if banned_until.get(position, 0) > round_index:  # serving a ban
+                    held = True
+                    stats.constraints_skipped += 1
+                    continue
                 matches = collect_matches(compiled, position)
                 if matches is None:
                     stats.constraints_skipped += 1
@@ -439,13 +445,20 @@ class SaturationEngine:
                         continue
                     consume_logs(compiled, position)
                 changed += apply_matches(compiled, matches)
-                if over_budget():
+                if (instance.num_atoms() > self.max_atoms
+                        or instance.num_classes() > self.max_classes):
                     if self.raise_on_budget:
                         raise ChaseBudgetExceeded(
                             f"saturation exceeded budget: atoms={instance.num_atoms()}, "
                             f"classes={instance.num_classes()}"
                         )
                     return finish()
+                if instance.populated is not populated:
+                    # Rules a new relation arms later in this round still run.
+                    populated = instance.populated
+                    armed = armed_positions()
+                    index = bisect_right(armed, position)
+            stats.constraints_skipped += len(every_position) - previous - 1
             if changed == 0:
                 if not held:
                     stats.reached_fixpoint = True

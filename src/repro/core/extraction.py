@@ -14,7 +14,8 @@ minimal rewritings with cost pruning (Prune_prov, §7.3): derivations are
 costed exactly once per class (memoisation), partial derivations costlier
 than the best-known full derivation are never expanded, and cyclic
 derivations (introduced e.g. by involution constraints) are priced out by the
-fixpoint.
+fixpoint.  Like the size annotation, that fixpoint runs in semi-naive passes:
+a class is rescanned only once an input of it got cheaper since its last scan.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cost.model import NnzInfo, Producer, annotate_producers, instance_producers
+from repro.cost.model import NnzInfo, Producer, _Passes, annotate_producers, instance_producers
 from repro.data.catalog import Catalog
 from repro.exceptions import DecodingError, RewriteError
 from repro.lang import matrix_expr as mx
@@ -106,31 +107,30 @@ def _compute_costs(
                 choices[cid] = derivation
                 break
     op_costs = {cid: _class_size(cid, infos) + _OPERATOR_EPSILON for cid in derivations}
-    for _ in range(max_passes):
-        changed = False
-        for cid, cands in derivations.items():
-            best_cost = costs.get(cid, float("inf"))
-            best_choice = choices.get(cid)
-            for derivation in cands:
-                if derivation.is_leaf:
-                    candidate = 0.0
-                else:
-                    candidate = op_costs[cid]
-                    for input_cid in derivation.input_classes:
-                        input_cost = costs.get(input_cid)
-                        if input_cost is None:  # infeasible: never beats best_cost
-                            candidate = float("inf")
-                            break
-                        candidate += input_cost
-                if candidate < best_cost - 1e-12:
-                    best_cost = candidate
-                    best_choice = derivation
-            if best_choice is not None and (cid not in costs or best_cost < costs[cid] - 1e-12):
-                costs[cid] = best_cost
-                choices[cid] = best_choice
-                changed = True
-        if not changed:
-            break
+    classes = list(derivations.items())
+    passes = _Passes([[i for d in c for i in d.input_classes] for _, c in classes], max_passes)
+    for position in passes:
+        cid, cands = classes[position]
+        best_cost = costs.get(cid, float("inf"))
+        best_choice = choices.get(cid)
+        for derivation in cands:
+            if derivation.is_leaf:
+                candidate = 0.0
+            else:
+                candidate = op_costs[cid]
+                for input_cid in derivation.input_classes:
+                    input_cost = costs.get(input_cid)
+                    if input_cost is None:  # infeasible: never beats best_cost
+                        candidate = float("inf")
+                        break
+                    candidate += input_cost
+            if candidate < best_cost - 1e-12:
+                best_cost = candidate
+                best_choice = derivation
+        if best_choice is not None and (cid not in costs or best_cost < costs[cid] - 1e-12):
+            costs[cid] = best_cost
+            choices[cid] = best_choice
+            passes.touch(cid)
     return costs, choices
 
 

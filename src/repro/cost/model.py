@@ -14,15 +14,17 @@ Two consumers exist:
 
 * :func:`expression_cost` — cost of a concrete AST, used to cost the original
   pipeline and candidate rewritings;
-* :func:`annotate_instance_classes` — per-equivalence-class size estimates on
-  a saturated VREM instance, used by the min-cost extraction (the Prune_prov
-  realisation of §7.3).
+* :func:`annotate_producers` — per-class size estimates on a saturated VREM
+  instance, for :func:`repro.core.extraction.analyse` (§7.3): a fixpoint in
+  semi-naive passes (:class:`_Passes`), re-running a producer only when an
+  input class was re-annotated since its last run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -190,12 +192,45 @@ def instance_producers(instance: VremInstance) -> List[Producer]:
     return producers
 
 
+class _Passes:
+    """Semi-naive passes over a fixpoint whose position ``i`` reads the keys
+    ``reads[i]``: after the first pass a position re-runs only once a key it
+    reads is :meth:`touch`-ed (in the same pass if it comes later), as full
+    passes reading in place would see it.  A skipped run would propose what
+    it did last time, which cannot beat values that only drop."""
+
+    def __init__(self, reads: Sequence[Sequence[Optional[int]]], max_passes: int):
+        self.size, self.max_passes = len(reads), max_passes
+        self.readers: Dict[int, List[int]] = {}
+        for position, keys in enumerate(reads):
+            for key in keys:
+                if key is not None:
+                    self.readers.setdefault(key, []).append(position)
+
+    def __iter__(self) -> Iterator[int]:
+        queue, passes = list(range(self.size)), 0
+        while queue and passes < self.max_passes:
+            self._queue, self._queued, self._later = queue, set(queue), set()
+            while queue:
+                self._position = heappop(queue)
+                yield self._position
+            queue, passes = sorted(self._later), passes + 1
+
+    def touch(self, key: int) -> None:
+        """``key``'s value just dropped, at the position being run."""
+        for reader in self.readers.get(key, ()):
+            if reader <= self._position:
+                self._later.add(reader)
+            elif reader not in self._queued:
+                self._queued.add(reader)
+                heappush(self._queue, reader)
+
+
 def annotate_instance_classes(
     instance: VremInstance,
     catalog: Optional[Catalog],
     estimator,
     max_passes: int = 12,
-    analysis=None,
 ) -> Dict[int, NnzInfo]:
     """Estimate (shape, nnz) for every equivalence class of an instance.
 
@@ -204,12 +239,8 @@ def annotate_instance_classes(
     propagating through their producer atoms, keeping the *minimum* estimate
     across derivations (all derivations of a class denote the same value, so
     the tightest estimate is the most informative one).  The propagation is
-    iterated to a fixpoint (bounded by ``max_passes``).  A
-    :class:`~repro.core.extraction.CostAnalysis` of ``instance``, when given,
-    is read instead.
+    iterated to a fixpoint (bounded by ``max_passes``).
     """
-    if analysis is not None:
-        return analysis.infos
     return annotate_producers(
         instance, instance_producers(instance), catalog, estimator, max_passes
     )
@@ -254,24 +285,22 @@ def annotate_producers(
 
     # Fixpoint propagation over producer atoms.
     propagate, get = estimator.propagate, infos.get
-    for _ in range(max_passes):
-        changed = False
-        for atom, inputs, outputs in producers:
-            input_infos = []
-            for input_cid in inputs:
-                info = NnzInfo(shape=(1, 1), nnz=1.0) if input_cid is None else get(input_cid)
-                if info is None:
-                    break
-                input_infos.append(info)
-            else:
-                for _, cid, shape in outputs:
-                    candidate = propagate(atom.relation, shape, input_infos)
-                    existing = get(cid)
-                    if existing is None or candidate.nnz < existing.nnz - 1e-9:
-                        infos[cid] = candidate
-                        changed = True
-        if not changed:
-            break
+    passes = _Passes([inputs for _, inputs, _ in producers], max_passes)
+    for position in passes:
+        atom, inputs, outputs = producers[position]
+        input_infos = []
+        for input_cid in inputs:
+            info = NnzInfo(shape=(1, 1), nnz=1.0) if input_cid is None else get(input_cid)
+            if info is None:
+                break
+            input_infos.append(info)
+        else:
+            for _, cid, shape in outputs:
+                candidate = propagate(atom.relation, shape, input_infos)
+                existing = get(cid)
+                if existing is None or candidate.nnz < existing.nnz - 1e-9:
+                    infos[cid] = candidate
+                    passes.touch(cid)
 
     # Any class still unknown gets a dense default based on its shape.
     for cid in instance.classes():

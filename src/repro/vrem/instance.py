@@ -27,12 +27,12 @@ Three structural invariants keep the chase hot path fast:
 Besides the atoms, the instance tracks per-class *shape* metadata (the
 ``size`` relation of Table 1), optional known scalar values and, per atom, a
 set of provenance labels recording which constraint or encoding step
-introduced it — the information the provenance-aware backchase reads off.
+introduced it.
 For the semi-naive chase the instance also keeps append-only **delta logs**
 (per relation, plus one for newly shaped classes): every atom added or
 re-canonicalised is appended, so the saturation engine can restrict
 premise matching to what actually changed since a constraint's last attempt
-(:meth:`relation_log`, :meth:`shape_log`).
+(:meth:`relation_log`, :meth:`shape_log`) and arm its rules off :attr:`populated`.
 """
 
 from __future__ import annotations
@@ -94,6 +94,9 @@ class VremInstance:
         #: engine slices these by remembered lengths (watermarks).
         self._delta_log: Dict[str, List[Atom]] = defaultdict(list)
         self._shape_delta_log: List[int] = []
+        #: The relations holding an atom, replaced when one gets its first.  It
+        #: never shrinks: a merge re-inserts every atom it removes.
+        self.populated: FrozenSet[str] = frozenset()
 
     # ------------------------------------------------------------------ classes
     def new_class(self) -> int:
@@ -250,6 +253,8 @@ class VremInstance:
             return atom
         self._atom_provenance[atom] = labels
         self._by_relation[relation].add(atom)
+        if relation not in self.populated:
+            self.populated = self.populated | {relation}
         by_position = self._by_position
         by_class = self._atoms_by_class
         for position, arg in enumerate(canonical):
@@ -397,10 +402,6 @@ class VremInstance:
         if isinstance(value, int):
             value = self.find(value)
         return self._by_position.get((relation, position, value), set())
-
-    def provenance(self, atom: Atom) -> FrozenSet[str]:
-        canonical = Atom(atom.relation, self._canonical_args(atom.args))
-        return frozenset(self._atom_provenance.get(canonical, ()))
 
     def num_atoms(self) -> int:
         return len(self._atom_provenance)

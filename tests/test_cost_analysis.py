@@ -8,11 +8,16 @@
   default options and under the three configurations where no tighten sees
   the final instance, the plan equals one costed from scratch;
 * each distinct instance state of a plan is analysed once, with one walk of
-  its atoms and one DP, and Extract analyses nothing.
+  its atoms and one DP, and Extract analyses nothing;
+* the semi-naive fixpoints (size annotation and DP) make the updates of the
+  full passes they replaced, kept here as a reference: on every state of
+  the cold plans under naive, on a ``repro.fuzz`` slice under MNC, on long
+  chains in either order and on self-loops.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import repro.core.extraction as extraction
@@ -29,9 +34,13 @@ from repro.cost import model
 from repro.cost.model import annotate_expression, expression_cost
 from repro.cost.naive_estimator import NaiveMetadataEstimator
 from repro.exceptions import RewriteError
+from repro.fuzz.generator import CatalogSpec, ExpressionGenerator, generate_catalog, spawn_rng
+from repro.fuzz.runner import FuzzConfig
 from repro.lang import matrix, transpose
 from repro.planner import PlanSession
 from repro.planner.stages import ALTERNATIVES_LIMIT, PlanContext
+from repro.vrem.atoms import Const
+from repro.vrem.instance import VremInstance
 
 ROLES = default_roles(ROLE_BINDINGS_DENSE)
 OPS = [(name, variant) for variant in ("nv", "vexp") for name in pipeline_names()]
@@ -242,3 +251,235 @@ class TestSharedAnalysis:
         assert tally["tighten_rebuilds"] == 0
         # The usual case: the final round finds nothing new.
         assert reused > len(OPS) // 2
+
+
+# ---------------------------------------------------------------------------
+# The semi-naive fixpoints against the full passes they replace
+# ---------------------------------------------------------------------------
+
+
+def _full_pass_annotate(instance, producers, catalog, estimator, max_passes=12):
+    """``annotate_producers`` as it was: every producer re-run every pass."""
+    infos = {}
+    for atom in instance.atoms("name"):
+        cid = instance.find(atom.args[0])
+        name = atom.args[1].value
+        if catalog is not None and catalog.has_matrix(name):
+            meta = catalog.meta(name)
+            values = catalog.matrix(name).values if catalog.has_matrix_values(name) else None
+            candidate = estimator.leaf_info(meta, values)
+        else:
+            shape = instance.shape(cid)
+            nnz = float(shape[0] * shape[1]) if shape else 1.0
+            candidate = model.NnzInfo(shape=shape, nnz=nnz)
+        existing = infos.get(cid)
+        if existing is None or candidate.nnz < existing.nnz:
+            infos[cid] = candidate
+    for relation in ("scalar_const", "scalar_name"):
+        for atom in instance.atoms(relation):
+            infos.setdefault(instance.find(atom.args[0]), model.NnzInfo(shape=(1, 1), nnz=1.0))
+    for atom in instance.atoms("identity"):
+        cid = instance.find(atom.args[0])
+        shape = instance.shape(cid)
+        infos.setdefault(cid, model.NnzInfo(shape=shape, nnz=float(shape[0]) if shape else 1.0))
+    for atom in instance.atoms("zero"):
+        cid = instance.find(atom.args[0])
+        infos.setdefault(cid, model.NnzInfo(shape=instance.shape(cid), nnz=0.0))
+    for _ in range(max_passes):
+        changed = False
+        for atom, inputs, outputs in producers:
+            input_infos = []
+            for input_cid in inputs:
+                if input_cid is None:
+                    info = model.NnzInfo(shape=(1, 1), nnz=1.0)
+                else:
+                    info = infos.get(input_cid)
+                if info is None:
+                    break
+                input_infos.append(info)
+            else:
+                for _, cid, shape in outputs:
+                    candidate = estimator.propagate(atom.relation, shape, input_infos)
+                    existing = infos.get(cid)
+                    if existing is None or candidate.nnz < existing.nnz - 1e-9:
+                        infos[cid] = candidate
+                        changed = True
+        if not changed:
+            break
+    for cid in instance.classes():
+        if cid not in infos:
+            shape = instance.shape(cid)
+            nnz = float(shape[0] * shape[1]) if shape else 1.0
+            infos[cid] = model.NnzInfo(shape=shape, nnz=nnz)
+    return infos
+
+
+def _full_pass_costs(derivations, infos, max_passes=25):
+    """``_compute_costs`` as it was: every class rescanned every pass."""
+    costs, choices = {}, {}
+    for cid, cands in derivations.items():
+        for derivation in cands:
+            if derivation.is_leaf:
+                costs[cid], choices[cid] = 0.0, derivation
+                break
+    op_costs = {cid: extraction._class_size(cid, infos) + extraction._OPERATOR_EPSILON
+                for cid in derivations}
+    for _ in range(max_passes):
+        changed = False
+        for cid, cands in derivations.items():
+            best_cost, best_choice = costs.get(cid, float("inf")), choices.get(cid)
+            for derivation in cands:
+                if derivation.is_leaf:
+                    candidate = 0.0
+                else:
+                    candidate = op_costs[cid]
+                    for input_cid in derivation.input_classes:
+                        input_cost = costs.get(input_cid)
+                        if input_cost is None:
+                            candidate = float("inf")
+                            break
+                        candidate += input_cost
+                if candidate < best_cost - 1e-12:
+                    best_cost, best_choice = candidate, derivation
+            if best_choice is not None and (cid not in costs or best_cost < costs[cid] - 1e-12):
+                costs[cid], choices[cid] = best_cost, best_choice
+                changed = True
+        if not changed:
+            break
+    return costs, choices
+
+
+def _assert_same_infos(got, expected):
+    assert got.keys() == expected.keys()
+    for cid, info in expected.items():
+        assert (got[cid].shape, got[cid].nnz) == (info.shape, info.nnz), cid
+        for histogram in ("row_counts", "col_counts"):
+            a, b = getattr(got[cid], histogram), getattr(info, histogram)
+            assert (a is None) == (b is None), cid
+            assert a is None or np.array_equal(a, b), cid
+
+
+def _assert_full_passes_agree(analysis, instance, catalog, estimator):
+    infos = _full_pass_annotate(instance, model.instance_producers(instance), catalog, estimator)
+    _assert_same_infos(analysis.infos, infos)
+    assert (analysis.costs, analysis.choices) == _full_pass_costs(analysis.derivations, infos)
+
+
+def _checking_analyse(monkeypatch, checked):
+    """Patch the stages' ``analyse`` to check each state against full passes."""
+    real = stages.analyse
+
+    def analyse_and_check(instance, catalog, estimator):
+        analysis = real(instance, catalog, estimator)
+        _assert_full_passes_agree(analysis, instance, catalog, estimator)
+        checked.append(instance.version)
+        return analysis
+
+    monkeypatch.setattr(stages, "analyse", analyse_and_check)
+
+
+class TestSemiNaiveFixpoints:
+    """Semi-naive passes make the very updates of full passes: equal
+    ``infos`` (MNC histograms included), ``costs`` and ``choices``."""
+
+    def test_every_plan_cold_state_under_naive(self, plan_cold_sessions, monkeypatch):
+        checked = []
+        _checking_analyse(monkeypatch, checked)
+        sessions = plan_cold_sessions(PlannerConfig())
+        for name, variant in OPS:
+            _run_stages(sessions[variant], build_pipeline(name, ROLES))
+        assert len(checked) > len(OPS)
+
+    def test_a_fuzz_slice_under_mnc(self, monkeypatch):
+        checked = []
+        _checking_analyse(monkeypatch, checked)
+        config = FuzzConfig()
+        for batch in range(2):
+            catalog, inventory = generate_catalog(
+                CatalogSpec(seed=config.seed + batch, dims=(2, 4, 6), sparse_density=0.3)
+            )
+            views = ExpressionGenerator(
+                inventory, spawn_rng(config.seed, batch, 1), max_depth=3
+            ).generate_views(config.n_views)
+            materialize_views(views, catalog)
+            session = PlanSession(catalog, views=views, config=PlannerConfig(estimator="mnc"))
+            for index in range(config.expressions_per_catalog):
+                expr = ExpressionGenerator(
+                    inventory, spawn_rng(config.seed, batch, 2, index), max_depth=config.max_depth
+                ).generate()
+                session.plan(expr)
+        assert len(checked) >= 2 * config.expressions_per_catalog
+
+    @staticmethod
+    def _chain(length):
+        """tr(tr(… Z …)) over a 3x4 zero matrix: nnz 0 all the way up."""
+        instance = VremInstance()
+        link = instance.new_class()
+        instance.set_shape(link, (3, 4))
+        instance.add_atom("zero", (link,))
+        chain = [link]
+        for _ in range(length):
+            (link,) = instance.add_op("tr", (link,))
+            chain.append(link)
+        return instance, chain
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["topological", "reversed"])
+    def test_long_chain_binds_both_caps_alike(self, order):
+        """In order, one pass annotates and costs a 30-link chain.  Reversed,
+        each pass reaches one more link: the annotate cap (12) leaves the top
+        dense and the DP cap (25) leaves it uncosted, on both sides."""
+        instance, chain = self._chain(30)
+        producers = model.instance_producers(instance)[::order]
+        estimator = NaiveMetadataEstimator()
+        infos = model.annotate_producers(instance, producers, None, estimator)
+        _assert_same_infos(infos, _full_pass_annotate(instance, producers, None, estimator))
+        reached = 31 if order == 1 else 13
+        assert [infos[cid].nnz for cid in chain] == [0.0] * reached + [12.0] * (31 - reached)
+        analysis = extraction._analysis(instance, producers, infos)
+        assert (analysis.costs, analysis.choices) == _full_pass_costs(
+            analysis.derivations, infos
+        )
+        assert sorted(analysis.costs) == chain[: 31 if order == 1 else 26]
+
+    def test_self_loop_derivations(self):
+        """multi_e(M, Z) = M re-annotates its own input; tr(Q) = Q re-costs
+        its own class.  Both settle as under full passes."""
+        instance = VremInstance()
+        m, z = instance.new_class(), instance.new_class()
+        for cid in (m, z):
+            instance.set_shape(cid, (3, 3))
+        instance.add_atom("name", (m, Const("M")))
+        instance.add_atom("zero", (z,))
+        (loop,) = instance.add_op("multi_e", (m, z))
+        instance.union(loop, m)
+        (q,) = instance.add_op("add_m", (m, z))
+        (flipped,) = instance.add_op("tr", (q,))
+        instance.union(flipped, q)
+        instance.rebuild()
+        estimator = NaiveMetadataEstimator()
+        analysis = analyse(instance, None, estimator)
+        _assert_full_passes_agree(analysis, instance, None, estimator)
+        assert analysis.infos[m].nnz == 0.0
+        assert any(
+            not d.is_leaf and d.input_classes == (q,) for d in analysis.derivations[q]
+        )
+        assert analysis.choices[q].atom.relation == "add_m"
+
+    def test_a_converged_run_confirms_without_propagating(self):
+        """A chain in topological order converges in one pass: full passes
+        propagate every producer twice, the semi-naive ones once."""
+        instance, chain = self._chain(6)
+
+        class Counting(NaiveMetadataEstimator):
+            calls = 0
+
+            def propagate(self, *args):
+                Counting.calls += 1
+                return super().propagate(*args)
+
+        producers = model.instance_producers(instance)
+        _full_pass_annotate(instance, producers, None, Counting())
+        assert Counting.calls == 2 * len(producers)
+        Counting.calls = 0
+        model.annotate_producers(instance, producers, None, Counting())
+        assert Counting.calls == len(producers) == 6

@@ -371,8 +371,14 @@ class TestConstraintIndex:
         for compiled in program.compiled:
             assert compiled.trigger_relations or compiled.uses_shapes
             assert "size" not in compiled.trigger_relations
-        # Conclusion-producer index covers the TGDs.
-        assert any(program.producers_by_relation.values())
+        # Armed: only trigger-free premises on an empty instance, every
+        # position once every trigger relation holds an atom; memoised.
+        everything = frozenset(r for c in program.compiled for r in c.trigger_relations)
+        assert program.armed(everything) == tuple(range(len(program)))
+        assert program.armed(frozenset()) == tuple(
+            i for i, c in enumerate(program.compiled) if not c.trigger_relations
+        )
+        assert program.armed(frozenset(everything)) is program.armed(everything)
 
     def test_duplicate_constraint_names_are_not_collapsed(self, small_catalog):
         """Watermarks are kept by position, so same-named constraints both run."""

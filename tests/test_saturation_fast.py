@@ -5,18 +5,25 @@ Covers the unification edge cases the indexed matcher has to get right
 (size atoms over unknown shapes, constants vs class IDs), incremental
 re-canonicalisation after class merges, the production engine ≡ reference
 engine equivalence (fixpoints, and plans on the benchkit pipelines), the
+armed round loop (and its counters, pinned over the cold plans), the
 thread-safe pruner, and the property that commutative canonicalisation
 never changes which plans an expression fingerprint identifies.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.benchkit.datasets import ROLE_BINDINGS_DENSE, benchmark_catalog
 from repro.benchkit.pipelines import build_pipeline, default_roles, pipeline_names
 from repro.benchkit.views_vexp import build_vexp_views
@@ -284,6 +291,125 @@ class TestRelationPresenceGate:
         assert searches == [] and stats.constraints_skipped == 0  # the generic matcher
         SaturationEngine(list(self.RULES)).saturate(twin)
         assert set(instance.atoms()) == set(twin.atoms())
+
+
+class TestArmedRounds:
+    """A round visits only the armed rules, re-reading the list when a
+    relation gets its first atom: every rule runs in the round and at the
+    position a walk over all of them would reach it."""
+
+    RULES = (
+        tgd("makes-add", "tr(M, R) -> add_m(M, R, S)"),
+        tgd("size-only", 'size(M, k, z) -> type(M, "seen")'),
+        tgd("needs-add", "add_m(M, N, R) & tr(M, T) -> add_m(N, M, R)"),
+        tgd("needs-inv", 'inv_m(M, R) -> type(R, "inverse")'),
+    )
+
+    def test_armed_mid_round_runs_that_round_at_its_position(self, monkeypatch):
+        engine, searches = _spied_engine(monkeypatch, self.RULES)
+        instance = TestRelationPresenceGate._instance()
+        assert engine.program.armed(instance.populated) == (0, 1)
+        stats = engine.saturate(instance)
+        # Round 1: makes-add stores the first ``add_m`` atom, which arms
+        # needs-add two positions on: it runs in round 1, after size-only.
+        # Round 2 re-searches it over its own conclusion and is the fixpoint.
+        assert searches == ["makes-add", "size-only", "needs-add", "needs-add"]
+        assert stats.reached_fixpoint and stats.rounds == 2
+        assert stats.applications_by_constraint == {
+            "makes-add": 1, "size-only": 3, "needs-add": 1
+        }
+        # needs-inv is never armed (2 rounds); in round 2 makes-add and
+        # size-only lie dormant.
+        assert stats.constraints_skipped == 2 + 2
+        assert engine.program.armed(instance.populated) == (0, 1, 2)
+
+    def test_a_banned_rule_holds_the_fixpoint(self, monkeypatch):
+        """The only rule with work left serves a ban in a round that changes
+        nothing: that round is not a fixpoint."""
+        monkeypatch.setattr(saturation, "BENCH_MATCH_LIMIT", 3)
+        rules = [
+            tgd("flood", 'inv_m(M, R) -> type(R, "inverse")'),
+            tgd("once", 'name(M, n) -> type(M, "named")'),
+        ]
+
+        def instance():
+            instance = VremInstance()
+            for _ in range(5):
+                instance.add_op("inv_m", (instance.new_class(),))
+            instance.add_atom("name", (instance.new_class(), Const("m")))
+            return instance
+
+        # Round 1 benches flood, once applies; round 2 flood serves its ban.
+        stats = SaturationEngine(rules, max_rounds=2).saturate(instance())
+        assert stats.rules_benched == 1 and stats.rounds == 2
+        assert not stats.reached_fixpoint
+        assert stats.applications_by_constraint == {"once": 1}
+        assert stats.constraints_skipped == 2  # the ban and once, dormant
+        # The ban is lifted, round 3 applies flood, round 4 is the fixpoint.
+        stats = SaturationEngine(rules, max_rounds=10).saturate(instance())
+        assert stats.reached_fixpoint and stats.rounds == 4
+        assert stats.applications_by_constraint == {"once": 1, "flood": 5}
+
+
+#: ``SaturationResult`` fields summed over the 114 cold ``plan_cold`` plans
+#: under ``PYTHONHASHSEED=0`` (numeric fields; ``reached_fixpoint`` counted).
+PLAN_COLD_TOTALS = {
+    "rounds": 270,
+    "tgd_applications": 1032,
+    "egd_applications": 69,
+    "pruned_applications": 62,
+    "reached_fixpoint": 103,
+    "atom_count": 1907,
+    "class_count": 966,
+    "pruned_by_tightening": 56,
+    "threshold_tightenings": 81,
+    "constraints_skipped": 30886,
+    "final_threshold": 13936824.631999997,
+    "matches_attempted": 3768,
+    "atoms_materialized": 1550,
+    "delta_attempts": 460,
+    "rules_benched": 7,
+    "applications": 1101,
+}
+
+_PLAN_COLD_TOTALS_SCRIPT = """
+import dataclasses, json
+from repro.benchkit.datasets import ROLE_BINDINGS_DENSE, benchmark_catalog
+from repro.benchkit.harness import materialize_views
+from repro.benchkit.pipelines import build_pipeline, default_roles, pipeline_names
+from repro.benchkit.views_vexp import build_vexp_views
+from repro.planner import PlanSession
+
+catalog = benchmark_catalog(scale=0.01)
+roles = default_roles(ROLE_BINDINGS_DENSE)
+views = build_vexp_views(roles)
+materialize_views(views, catalog)
+totals = {}
+for variant_views in ((), views):
+    session = PlanSession(catalog, views=variant_views)
+    for name in pipeline_names():
+        stats = session.rewrite(build_pipeline(name, roles)).saturation
+        fields = dataclasses.asdict(stats)
+        fields.pop("elapsed_seconds")
+        fields["applications"] = sum(fields.pop("applications_by_constraint").values())
+        for field, value in fields.items():
+            totals[field] = totals.get(field, 0) + value
+print(json.dumps(totals))
+"""
+
+
+def test_plan_cold_saturation_totals_are_pinned():
+    """The armed loop changes no counter: summed over the 114 cold plans,
+    every ``SaturationResult`` field is what the walk over every rule gave.
+    Run in a child pinned to ``PYTHONHASHSEED=0``, as the totals (unlike
+    the plans) move with the hash seed."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-c", _PLAN_COLD_TOTALS_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert json.loads(child.stdout) == PLAN_COLD_TOTALS
 
 
 class TestBackoffScheduler:
