@@ -5,7 +5,7 @@ execution time as stated (Q_exec), HADAD's rewriting time (RW_find), the
 execution time of the rewriting (RW_exec) and the speed-up — the same
 quantities as Figures 5, 6 and 8 of the paper — on both the plain NumPy
 backend and the SystemML-like backend.  Planning goes through one
-:class:`repro.api.Engine` (pooled sessions, shared plan cache); the two
+:class:`repro.api.Engine` (one shared session, shared plan cache); the two
 backend instances come from the engine's capability-declaring registry.
 
 Run with:  python examples/la_pipelines_benchmark.py

@@ -26,7 +26,7 @@ execution backends through a capability-negotiated
 (``await engine.serve()``).  Options travel as frozen, validated config
 dataclasses (:class:`EngineConfig` and friends).  The engine builds the
 service and the gateway itself; a bare :class:`PlanSession` is the
-single-threaded planning core underneath.
+planning core underneath, frozen once built and safe to share.
 
 Quick start::
 

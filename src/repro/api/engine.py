@@ -30,7 +30,7 @@ shared-cache key carries the workspace identity (``name@v<version>``) — so
 tenants never share a stale plan, while identical *(fingerprint, view-set,
 config)* requests still dedup within a tenant.  Updating a bundle through
 the registry bumps its version; the engine rebuilds that workspace's
-runtime on next access and leaves every other tenant's pooled sessions and
+runtime on next access and leaves every other tenant's plan session and
 cached plans untouched.
 
 Options flow through one frozen, validated
@@ -94,11 +94,7 @@ class _WorkspaceRuntime:
     def __init__(self, engine: "Engine", workspace: Workspace):
         self.engine = engine
         self.workspace = workspace
-        self.pool = PlanSessionPool(
-            self._session_factory,
-            max_sessions=engine.config.service.max_sessions,
-            workspace=workspace.runtime_key,
-        )
+        self.pool = PlanSessionPool(self._session_factory, workspace=workspace.runtime_key)
         self._router: Optional[ExecutionRouter] = None
         self._service: Optional[AnalyticsService] = None
         self._lock = threading.Lock()
@@ -522,7 +518,7 @@ class Engine:
         Synchronous, thread-safe, and byte-identical to a bare
         :meth:`PlanSession.rewrite <repro.planner.PlanSession.rewrite>`
         under the same :class:`~repro.config.PlannerConfig`: plans in the
-        default workspace, through its pooled sessions.
+        default workspace, through its pool's shared session.
         """
         return self._default_handle("Engine.rewrite").rewrite(expr)
 
@@ -595,7 +591,7 @@ class Engine:
             # snapshot (the router only holds the catalog, shared in place).
             with runtime._lock:
                 runtime._service = None
-        # Outside _runtimes_lock: revalidation may recompile a prototype
+        # Outside _runtimes_lock: revalidation may rebuild the pool's
         # session (view-touching deltas), and one tenant's delta must not
         # stall another tenant's handle resolution.  Requests racing this
         # window simply miss (the catalog version already moved) and replan.
@@ -706,10 +702,11 @@ class Engine:
         """
         registered = set(self.workspaces.names())
         with self._runtimes_lock:
-            # Drop runtimes of workspaces removed from the registry so the
-            # snapshot never reports (or retains) deleted tenants.
-            for name in [n for n in self._runtimes if n not in registered]:
-                del self._runtimes[name]
+            # Drop runtimes (and build locks) of workspaces removed from the
+            # registry so the snapshot never reports or retains deleted tenants.
+            for name in (set(self._runtimes) | set(self._build_locks)) - registered:
+                self._runtimes.pop(name, None)
+                self._build_locks.pop(name, None)
             runtimes = dict(self._runtimes)
         if set(runtimes) == {self.workspaces.default_name}:
             return runtimes[self.workspaces.default_name].pool.stats_dict()

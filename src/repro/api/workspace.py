@@ -70,7 +70,7 @@ class Workspace:
     config:
         The workspace's :class:`~repro.config.PlannerConfig` (coerced from
         a mapping if given as one); this — not the engine-wide planner
-        config — is what the workspace's pooled sessions are built from.
+        config — is what the workspace's plan sessions are built from.
     estimator:
         Optional explicit estimator object; by default the session resolves
         ``config.estimator`` by name through :mod:`repro.cost`.

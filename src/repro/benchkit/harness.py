@@ -148,20 +148,16 @@ class TenantEngineFactory:
 
     tenants: Tuple[str, ...]
     scale: float = 0.01
-    max_sessions: int = 4
 
     def __call__(self) -> "object":
-        from repro.api import Engine, EngineConfig, WorkspaceRegistry
+        from repro.api import Engine, WorkspaceRegistry
         from repro.benchkit.datasets import benchmark_catalog
 
         catalog = benchmark_catalog(scale=self.scale)
         registry = WorkspaceRegistry()
         for tenant in self.tenants:
             registry.register(tenant, catalog=catalog)
-        return Engine(
-            workspaces=registry,
-            config=EngineConfig(service={"max_sessions": self.max_sessions}),
-        )
+        return Engine(workspaces=registry)
 
 
 def print_report(title: str, runs: Sequence[PipelineRun]) -> str:

@@ -47,7 +47,7 @@ instance, and the others are allocated in slot order as before; the
 reference engine applies through the same walk, so both allocate alike.
 
 A kernel is immutable once built, so constraint programs stay shareable
-across pooled sessions and planning threads.  The generic matcher of
+across sessions and planning threads.  The generic matcher of
 :mod:`repro.chase.homomorphism` remains as the reference the tests compare
 the kernel against (``SaturationEngine(use_index=False)``).
 """

@@ -91,7 +91,11 @@ class ConstraintProgram:
 
     def armed(self, populated: FrozenSet[str]) -> Tuple[int, ...]:
         """The positions, in program order, whose trigger relations all hold
-        atoms when the relations in ``populated`` do; memoised per set."""
+        atoms when the relations in ``populated`` do; memoised per set.
+
+        Sessions are shared across threads: two threads racing here compute
+        equal tuples and one store wins; both are valid.
+        """
         armed = self._armed.get(populated)
         if armed is None:
             armed = self._armed[populated] = tuple(

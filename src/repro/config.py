@@ -154,13 +154,11 @@ class PlannerConfig:
 class ServiceConfig:
     """Knobs of the concurrent :class:`~repro.service.AnalyticsService`."""
 
-    max_sessions: int = 8
     plan_workers: int = 8
     preferred_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         name = type(self).__name__
-        _require_int(name, "max_sessions", self.max_sessions, 1)
         _require_int(name, "plan_workers", self.plan_workers, 1)
         _require_str(name, "preferred_backend", self.preferred_backend)
 
@@ -243,7 +241,7 @@ class EngineConfig:
     Composes the per-layer configs.  Sub-configs may be given as plain
     mappings and are validated on coercion::
 
-        EngineConfig(planner={"max_rounds": 6}, service={"max_sessions": 2})
+        EngineConfig(planner={"max_rounds": 6}, service={"plan_workers": 2})
     """
 
     planner: PlannerConfig = field(default_factory=PlannerConfig)

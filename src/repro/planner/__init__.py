@@ -16,9 +16,11 @@ The planner is
   single-flight, footprint-indexed LRU, the only place a plan is cached —
   a bare session owns one, a workspace's session pool owns one.
 
-The public entry point is :class:`repro.api.Engine`, which pools sessions
-per workspace; a bare :class:`PlanSession` is the single-threaded core the
-tests and benchmarks compare it against.
+The public entry point is :class:`repro.api.Engine`, which shares one
+session per workspace generation; a bare :class:`PlanSession` is the core
+the tests and benchmarks compare it against.  A session is frozen once
+built and each rewrite keeps its state in its own ``PlanContext``, so one
+session serves any number of planning threads.
 """
 
 from repro.planner.cache import PlanStore

@@ -9,7 +9,7 @@ plan-affecting options (``PlanSession.options_key``).
 
 Each path has one owner: a bare :class:`~repro.planner.session.PlanSession`
 owns one store, and a :class:`~repro.service.PlanSessionPool` owns one for
-its workspace (its pooled sessions cache nothing).
+its workspace (the session it shares caches nothing).
 
 Beside the LRU entries the store keeps a footprint index — catalog name →
 keys whose :class:`~repro.catalog.footprint.PlanFootprint` mentions it, plus

@@ -7,22 +7,25 @@ catalog and estimator references, the constraint set compiled once into a
 :class:`~repro.planner.cache.PlanStore` of finished plans — and runs the
 per-rewrite stages of :mod:`repro.planner.stages` over it.
 
-:class:`repro.api.Engine` pools sessions per workspace; the hybrid
-optimizer, the benchmark harness and tests drive a session directly.
+:class:`repro.api.Engine` shares one session per workspace generation;
+the hybrid optimizer, the benchmark harness and tests drive a session
+directly.
 
 Thread safety
 -------------
-A session is **not** thread-safe: a rewrite mutates the saturation engine's
-working state, so one session must be driven by one thread at a time.
-Concurrent callers should check sessions out of a
-:class:`repro.service.PlanSessionPool`, which keeps each session exclusive
-to its holder and caches plans in its own store: it runs the uncached
-:meth:`PlanSession.plan` on the sessions it checks out, so pooled sessions
-hold no plans.  The only state deliberately safe to share across
-threads is the expression-side ``Expr.fingerprint()`` memo (idempotent
-writes of an identical value) and finished :class:`RewriteResult` objects,
-because every result crossing a store boundary is a private copy
-(:meth:`RewriteResult.copy`).
+Any number of threads may call :meth:`PlanSession.plan` on one session at
+once.  That rests on two things: the session is frozen once built (its
+config, compiled :class:`ConstraintProgram` and :class:`SaturationEngine`
+are only read), and everything a rewrite writes lives in that rewrite's
+own :class:`~repro.planner.stages.PlanContext` and
+:class:`~repro.vrem.instance.VremInstance`.  The memos filled on the way —
+``Expr.fingerprint()``, ``ConstraintProgram.armed`` and ``kernel_for`` —
+are idempotent: racing threads store equal values.  :meth:`rewrite` is
+safe too, its :class:`PlanStore` being lock-guarded and single-flight, and
+every result crossing a store boundary is a private copy
+(:meth:`RewriteResult.copy`).  :class:`repro.service.PlanSessionPool`
+shares one session per workspace generation and runs the uncached
+:meth:`plan` on it, so that session holds no plans.
 
 Options
 -------

@@ -519,7 +519,7 @@ class AnalyticsGateway:
             )
         try:
             # Registry snapshot only — describing a registered-but-idle
-            # tenant must not build its runtime (pool, prototype session).
+            # tenant must not build its runtime (pool, plan session).
             description = self.engine.describe_workspace(suffix)
         except UnknownWorkspaceError as exc:
             self._reap_workspace(suffix)
@@ -535,8 +535,8 @@ class AnalyticsGateway:
 
         The body is the :meth:`repro.catalog.delta.CatalogDelta.to_json`
         wire document.  The delta is applied through the engine's
-        revalidating path on an executor thread (it may recompile a
-        prototype session), and the response is the
+        revalidating path on an executor thread (it may rebuild the
+        plan session), and the response is the
         :class:`~repro.catalog.delta.RevalidationReport`.  Workers owned by
         a supervisor catch up through the registry's delta journal on the
         next health sync — the wire document they receive is exactly this
@@ -561,7 +561,7 @@ class AnalyticsGateway:
         loop = asyncio.get_running_loop()
         try:
             # Off the event loop: revalidation holds the pool lock and may
-            # rebuild a prototype session for view-touching deltas.
+            # rebuild the plan session for view-touching deltas.
             report = await loop.run_in_executor(
                 None, self.engine.apply_delta, name, delta
             )

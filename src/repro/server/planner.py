@@ -186,7 +186,7 @@ class LocalPlanner:
 
         Resolving a cached runtime is two dict lookups and stays inline; a
         first-request (or post-update) resolution *builds* the runtime —
-        an eager pool whose prototype session compiles the constraint
+        an eager pool whose first session compiles the constraint
         program — and is offloaded to a worker thread so one tenant's
         build never stalls the event loop for every other tenant.  (The
         gateway admitted the request *before* this await, so the build

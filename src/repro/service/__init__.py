@@ -6,12 +6,12 @@ the other — and every caller planned serially on a single session.  This
 package closes the loop, mirroring HADAD's own end-to-end evaluation
 (rewritten pipelines executed on the LA / relational engines):
 
-* :class:`~repro.service.pool.PlanSessionPool` — a thread-safe pool of
-  exclusive plan sessions (LRU-bounded, with the idle generation keyed to
-  the catalog version and evicted on any catalog change) over one
-  single-flight :class:`~repro.planner.PlanStore`, so N worker threads
-  plan in parallel without sharing mutable saturation state and never
-  plan one fingerprint twice;
+* :class:`~repro.service.pool.PlanSessionPool` — one frozen plan session
+  per workspace generation (catalog version, view generation), shared by
+  every planning thread, over one single-flight
+  :class:`~repro.planner.PlanStore`, so N worker threads plan in parallel
+  (each rewrite's mutable state is its own ``PlanContext`` and
+  ``VremInstance``) and never plan one fingerprint twice;
 * :class:`~repro.service.router.ExecutionRouter` — picks an execution
   backend per plan by the backends' declared capabilities,
   binds catalog data through the backends' common ``execute_plan`` entry

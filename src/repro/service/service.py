@@ -199,14 +199,14 @@ class AnalyticsService:
         self._batch_hooks: List[BatchHook] = []
         self._hybrid_optimizer = None
         self._hybrid_executor = None
-        #: The hybrid optimizer holds long-lived PlanSessions (not
-        #: thread-safe) and its executor registers builder matrices in the
-        #: shared catalog, so hybrid requests are serialized.
+        #: Hybrid requests are serialized: the executor registers builder
+        #: matrices in the shared catalog, and the hybrid optimizer fills
+        #: its per-factor-set session dict and factor version unguarded.
         self._hybrid_lock = threading.Lock()
         #: Catalog version at which builder matrices were last materialized;
         #: while it matches, repeated hybrid queries skip the RA rebuild so
         #: they never bump the catalog version — a bump would needlessly
-        #: evict every pooled LA session and shared plan.
+        #: rebuild the pool's LA session and evict every shared plan.
         self._hybrid_builders_version: Optional[int] = None
 
     # ------------------------------------------------------------------ requests
@@ -418,9 +418,9 @@ class AnalyticsService:
         ``total_seconds`` therefore covers plan + RA + LA.
 
         Safe to call from multiple threads; unlike the pooled LA path,
-        hybrid requests are serialized on one lock because the shared
-        hybrid optimizer drives non-thread-safe plan sessions and the
-        executor registers builder matrices in the shared catalog.
+        hybrid requests are serialized on one lock.  The sessions need no
+        lock; catalog registration (builders, Morpheus factors) and the
+        hybrid optimizer's session dict and factor version do.
         """
         with self._hybrid_lock:
             optimizer, executor = self._ensure_hybrid()

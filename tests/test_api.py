@@ -77,7 +77,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "factory",
         [
-            lambda: ServiceConfig(max_sessions=0),
+            lambda: ServiceConfig(plan_workers=0),
             lambda: ServiceConfig(plan_workers=-1),
             lambda: ServiceConfig(preferred_backend=""),
             lambda: GatewayConfig(port=70_000),
@@ -105,12 +105,23 @@ class TestConfigValidation:
     def test_sub_configs_coerce_from_mappings(self):
         config = EngineConfig(
             planner={"max_rounds": 6},
-            service={"max_sessions": 2},
+            service={"plan_workers": 2},
             gateway={"port": 8080},
         )
         assert config.planner.max_rounds == 6
-        assert config.service.max_sessions == 2
+        assert config.service.plan_workers == 2
         assert config.gateway.port == 8080
+
+    def test_service_config_has_two_fields_and_rejects_others(self):
+        """Sessions are shared per workspace generation, so no option
+        sizes them: the service config is the worker count and the
+        preferred backend, and any other key is an unknown option."""
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "plan_workers",
+            "preferred_backend",
+        ]
+        with pytest.raises(ConfigError, match="unknown option"):
+            EngineConfig(service={"sessions": 2})
 
     def test_normalized_matrices_coerce_and_round_trip(self):
         config = PlannerConfig(normalized_matrices={"M": ("S", "K", "R")})
@@ -130,7 +141,7 @@ class TestConfigValidation:
         assert key() == key(cache_size=7)
         engine = Engine(
             small_catalog,
-            config=EngineConfig(service={"max_sessions": 2}, gateway={"port": 8080}),
+            config=EngineConfig(service={"plan_workers": 2}, gateway={"port": 8080}),
         )
         assert engine.pool._shared_key(_sample_expr())._replace(workspace="") == key()
 
@@ -173,9 +184,9 @@ class TestEngine:
         session = PlanSession(catalog)
         pipelines = [(name, build_pipeline(name, roles)) for name in pipeline_names()]
         assert len(pipelines) == 57
-        with engine.pool.checkout() as pooled:
-            for name, expr in pipelines:
-                assert pooled.cache_key(expr) == session.cache_key(expr), name
+        for name, expr in pipelines:
+            pooled_key = engine.pool._shared_key(expr)._replace(workspace="")
+            assert pooled_key == session.cache_key(expr), name
         for name, expr in pipelines:
             ours, theirs = engine.rewrite(expr), session.rewrite(expr)
             assert ours.best.to_string() == theirs.best.to_string(), name
@@ -205,7 +216,7 @@ class TestEngine:
     def test_submit_many_defaults_to_config_plan_workers(self, small_catalog):
         engine = Engine(
             small_catalog,
-            config=EngineConfig(service={"plan_workers": 2, "max_sessions": 2}),
+            config=EngineConfig(service={"plan_workers": 2}),
         )
         results = engine.submit_many([_sample_expr()] * 4)
         assert len(results) == 4 and all(r.ok for r in results)

@@ -231,7 +231,7 @@ class TestFootprintCapture:
 
 class TestPoolRevalidation:
     def _pool(self, catalog):
-        return PlanSessionPool(lambda: PlanSession(catalog), max_sessions=2)
+        return PlanSessionPool(lambda: PlanSession(catalog))
 
     def test_selective_delta_keeps_disjoint_plans_warm(self):
         catalog = _mini_catalog()
@@ -265,16 +265,14 @@ class TestPoolRevalidation:
         assert report.plans_kept_warm == 0 and report.plans_revalidated == 1
         assert not pool.plan(_expr_mn()).cache_hit
 
-    def test_view_delta_bumps_generation_and_retires_idle_sessions(self):
+    def test_view_delta_bumps_generation_and_rebuilds_the_session(self):
         catalog = _mini_catalog()
         view = LAView("VC_inv", inv(matrix("C")))
         from repro.benchkit.harness import materialize_views
 
         materialize_views([view], catalog)
         views = []
-        pool = PlanSessionPool(
-            lambda: PlanSession(catalog, views=tuple(views)), max_sessions=2
-        )
+        pool = PlanSessionPool(lambda: PlanSession(catalog, views=tuple(views)))
         pool.plan(_expr_mn())
         generation_before = pool._generation()
 
@@ -282,8 +280,11 @@ class TestPoolRevalidation:
         delta = CatalogDelta((AddView(view),))
         report = pool.apply_delta(delta)
         assert pool._generation() != generation_before
+        assert pool.stats.sessions_created == 2
+        assert pool._installed == (pool._generation(), pool._session)
+        assert pool._session.views == (view,)
         # The MN plan's footprint misses {VC_inv, C}: it stays warm even
-        # though the prototype was rebuilt against the new view set.
+        # though the session was rebuilt against the new view set.
         assert report.plans_kept_warm == 1
         assert pool.plan(_expr_mn()).cache_hit
         viewed = pool.plan(_expr_cv())
@@ -310,7 +311,7 @@ _HYP_TEMPLATE = {}
 
 
 def _hypothesis_pool():
-    pool = PlanSessionPool(lambda: PlanSession(_HYP_CATALOG), max_sessions=1)
+    pool = PlanSessionPool(lambda: PlanSession(_HYP_CATALOG))
     if "result" not in _HYP_TEMPLATE:
         _HYP_TEMPLATE["result"] = pool.plan(_expr_mn())
     pool.invalidate()
@@ -332,9 +333,9 @@ class TestRevalidationProperty:
         warm, re-keyed under the new catalog version."""
         pool = _hypothesis_pool()
         template = _HYP_TEMPLATE["result"]
-        viewset = pool._prototype.viewset_key
-        version = pool._catalog_version()
-        options = pool._prototype.options_key
+        viewset = pool._session.viewset_key
+        version = pool._generation()[0]
+        options = pool._session.options_key
         for index, relations in enumerate(footprints):
             key = PlanKey("", f"synthetic-{index}", viewset, version, options)
             entry = template.copy(footprint=PlanFootprint(relations=relations))
@@ -346,8 +347,8 @@ class TestRevalidationProperty:
         _HYP_CATALOG.apply_delta(delta)
         report = pool.apply_delta(delta)
 
-        new_viewset = pool._prototype.viewset_key
-        new_version = pool._catalog_version()
+        new_viewset = pool._session.viewset_key
+        new_version = pool._generation()[0]
         expected_kept = 0
         for index, relations in enumerate(footprints):
             new_key = PlanKey("", f"synthetic-{index}", new_viewset, new_version, options)
@@ -566,7 +567,7 @@ class TestConcurrentDeltas:
         after the last delta the touched expression's served plan must
         equal a cold re-plan against the final catalog."""
         catalog = _mini_catalog()
-        pool = PlanSessionPool(lambda: PlanSession(catalog), max_sessions=4)
+        pool = PlanSessionPool(lambda: PlanSession(catalog))
         baseline = _signature(
             PlanSession(catalog).rewrite(_expr_mn())
         )

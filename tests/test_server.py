@@ -49,8 +49,8 @@ from repro.server.planner import LocalPlanner, PlannerClosed, error_envelope
 from repro.service import ServiceRequest
 
 
-def _engine(catalog, max_sessions=8) -> Engine:
-    return Engine(catalog, config={"service": {"max_sessions": max_sessions}})
+def _engine(catalog) -> Engine:
+    return Engine(catalog)
 
 
 def _sample_exprs():
@@ -215,7 +215,7 @@ async def _until(condition, timeout=10.0):
 
 class TestLocalPlanner:
     def test_disconnecting_client_fails_no_other_request(self, small_catalog):
-        engine = _engine(small_catalog, max_sessions=4)
+        engine = _engine(small_catalog)
         release, entered = _gated(engine.service)
         exprs = _sample_exprs()
 
@@ -249,7 +249,7 @@ class TestLocalPlanner:
         ]
 
     def test_submit_after_close_raises_planner_closed(self, small_catalog):
-        engine = _engine(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog)
         exprs = _sample_exprs()
 
         async def main():
@@ -471,7 +471,7 @@ class TestGateway:
     def test_execute_value_matches_backend(self, small_catalog):
         expr = transpose(matrix("M") @ matrix("N"))
         expected = NumpyBackend(small_catalog).evaluate(expr)
-        engine = _engine(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog)
 
         async def main():
             gateway = engine.build_gateway()
@@ -496,7 +496,7 @@ class TestGateway:
         )
 
     def test_backpressure_rejects_over_limit(self, small_catalog):
-        engine = _engine(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog)
         service = engine.service
         original = service.submit_many
         expected = PlanSession(small_catalog).rewrite(_sample_exprs()[0]).best.to_string()
@@ -546,7 +546,7 @@ class TestGateway:
         assert snapshot["gauges"]["gateway_in_flight_requests"]["max"] <= 2
 
     def test_graceful_drain_completes_inflight_and_503s_late(self, small_catalog):
-        engine = _engine(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog)
         service = engine.service
         original = service.submit_many
 
@@ -590,7 +590,7 @@ class TestGateway:
         # beside a healthy request, only the poisoned one may fail.
         bad = matrix("M") @ matrix("A")
         good = transpose(matrix("M") @ matrix("N"))
-        engine = _engine(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog)
 
         async def main():
             gateway = engine.build_gateway()
@@ -623,7 +623,7 @@ class TestGateway:
     def test_stop_returns_despite_idle_keepalive_connections(self, small_catalog):
         """A client that holds its keep-alive connection open must not hang
         the drain (Server.wait_closed awaits all handlers on 3.12+)."""
-        engine = _engine(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog)
 
         async def main():
             gateway = engine.build_gateway()
@@ -660,7 +660,7 @@ class TestGateway:
 
     def test_oversized_request_line_answers_400(self, small_catalog):
         """A request line past the stream limit is a 400, not a reset."""
-        engine = _engine(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog)
 
         async def main():
             gateway = engine.build_gateway()
@@ -677,7 +677,7 @@ class TestGateway:
         assert b"400" in status_line
 
     def test_http_errors(self, small_catalog):
-        engine = _engine(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog)
 
         async def main():
             gateway = engine.build_gateway()
@@ -697,7 +697,7 @@ class TestGateway:
         assert health["status_code"] == 200 and health["status"] == "ok"
 
     def test_metrics_endpoint_exposes_serving_series(self, small_catalog):
-        engine = _engine(small_catalog, max_sessions=2)
+        engine = _engine(small_catalog)
         expr = _sample_exprs()[0]
 
         async def main():

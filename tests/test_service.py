@@ -4,8 +4,9 @@ Covers the behaviours the service layer promises:
 
 * single-flight concurrent planning — same-fingerprint requests from many
   threads compute the plan exactly once, everyone else gets a cache hit;
-* pool hygiene — session reuse, LRU bounding, and eviction of idle sessions
-  when the catalog version changes;
+* one shared session per generation — rebuilt once after a catalog
+  change, never by a lookup, and not installed when built while the
+  catalog moved;
 * router fallback — a backend raising :class:`ExecutionError` is recorded
   and the next candidate runs the plan; one table pins the candidate order;
 * the analytics front door — ``submit_many`` plans are byte-identical to a
@@ -13,6 +14,7 @@ Covers the behaviours the service layer promises:
   timings add up, and hybrid queries report planning time in their total.
 """
 
+import itertools
 import sys
 import threading
 import time
@@ -32,9 +34,9 @@ from repro.planner import PlanSession
 from repro.service import ExecutionRouter, PlanSessionPool, ServiceRequest
 
 
-def _service(catalog, max_sessions=8):
+def _service(catalog):
     """The catalog's service, reached the only way there is: through an engine."""
-    return Engine(catalog, config={"service": {"max_sessions": max_sessions}}).service
+    return Engine(catalog).service
 
 
 def _factory(catalog, **options):
@@ -66,64 +68,92 @@ def _register_factorized_join(catalog, rng):
 
 
 class TestPlanSessionPool:
-    def test_checkout_reuses_sessions(self, small_catalog):
-        pool = PlanSessionPool(_factory(small_catalog), max_sessions=4)
-        with pool.checkout() as first:
-            pass
-        with pool.checkout() as second:
-            assert second is first
-        assert pool.stats.sessions_created == 1
-
     def test_exposes_the_prototype_config_and_estimator(self, small_catalog):
         config = PlannerConfig(estimator="mnc", max_rounds=2)
-        pool = PlanSessionPool(_factory(small_catalog, config=config), max_sessions=2)
+        pool = PlanSessionPool(_factory(small_catalog, config=config))
         assert pool.planner_config.estimator == "mnc"
         assert pool.planner_config.max_rounds == 2
         assert isinstance(pool.estimator, MNCEstimator)
 
-    def test_concurrent_checkouts_are_exclusive(self, small_catalog):
-        pool = PlanSessionPool(_factory(small_catalog), max_sessions=4)
-        a = pool.acquire()
-        b = pool.acquire()
-        assert a is not b
-        pool.release(a)
-        pool.release(b)
-        assert pool.stats.sessions_created == 2
-        assert pool.idle_count == 2
-
-    def test_lru_bound_on_idle_sessions(self, small_catalog):
-        pool = PlanSessionPool(_factory(small_catalog), max_sessions=2)
-        sessions = [pool.acquire() for _ in range(3)]
-        for session in sessions:
-            pool.release(session)
-        assert pool.idle_count == 2
-        assert pool.stats.sessions_evicted >= 1
-
     def test_eviction_on_catalog_version_change(self, small_catalog, rng):
-        pool = PlanSessionPool(_factory(small_catalog), max_sessions=4)
-        with pool.checkout() as warm:
-            pass
-        evicted_before = pool.stats.sessions_evicted
+        """A catalog change retires the session: the next miss plans on a
+        session built once for the new generation."""
+        pool = PlanSessionPool(_factory(small_catalog))
+        pool.plan(_mn())
+        old = pool._session
         small_catalog.register_dense("Fresh", rng.random((4, 4)))
-        with pool.checkout() as fresh:
-            assert fresh is not warm
-        assert pool.stats.sessions_evicted > evicted_before
+        assert not pool.plan(_mn()).cache_hit
+        assert pool._session is not old
+        assert pool._installed[0] == pool._generation()
+        assert pool.stats.sessions_created == 2
+        pool.plan(sum_all(matrix("M") @ matrix("N")))
+        assert pool.stats.sessions_created == 2
 
-    def test_session_checked_out_across_catalog_change_is_dropped(
+    def test_concurrent_misses_after_a_catalog_change_build_one_session(
         self, small_catalog, rng
     ):
-        """A catalog change mid-checkout must not re-tag the session as fresh."""
-        pool = PlanSessionPool(_factory(small_catalog), max_sessions=4)
-        stale = pool.acquire()
-        small_catalog.register_dense("MidFlight", rng.random((4, 4)))
-        pool.release(stale)
-        assert pool.idle_count == 0
-        assert pool.stats.sessions_evicted >= 1
-        with pool.checkout() as fresh:
-            assert fresh is not stale
+        pool = PlanSessionPool(_factory(small_catalog))
+        small_catalog.register_dense("Bumped", rng.random((4, 4)))
+        exprs = [transpose(matrix(name)) for name in ("M", "N", "A", "B", "C", "D")]
+        barrier = threading.Barrier(len(exprs))
+        results = [None] * len(exprs)
+
+        def worker(i):
+            barrier.wait()
+            results[i] = pool.plan(exprs[i])
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(exprs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert all(r is not None and not r.cache_hit for r in results)
+        assert pool.stats.sessions_created == 2
+        assert pool.stats.plans_computed == len(exprs)
+
+    def test_a_session_built_while_the_catalog_moves_is_not_installed(
+        self, small_catalog, rng
+    ):
+        moving = threading.Event()
+        builds = itertools.count()
+
+        def churning_factory():
+            session = PlanSession(small_catalog)
+            if moving.is_set():  # another thread registers during the build
+                small_catalog.register_dense(f"Churn{next(builds)}", rng.random((2, 2)))
+            return session
+
+        pool = PlanSessionPool(churning_factory)
+        installed = pool._installed
+        moving.set()
+        small_catalog.register_dense("Moved", rng.random((4, 4)))
+        result = pool.plan(_mn())
+        assert not result.cache_hit and result.best is not None
+        assert pool.stats.sessions_created == 4  # the first session + 3 tries
+        assert pool._installed is installed
+        moving.clear()
+        pool.plan(sum_all(matrix("M") @ matrix("N")))
+        assert pool.stats.sessions_created == 5
+        assert pool._installed[0] == pool._generation()
+
+    def test_lookup_after_a_catalog_change_never_builds_a_session(
+        self, small_catalog, rng
+    ):
+        built = []
+
+        def counting_factory():
+            built.append(None)
+            return PlanSession(small_catalog)
+
+        pool = PlanSessionPool(counting_factory)
+        pool.plan(_mn())
+        small_catalog.register_dense("Later", rng.random((4, 4)))
+        assert pool.lookup(_mn()) is None
+        assert pool.lookup(sum_all(matrix("M") @ matrix("N"))) is None
+        assert len(built) == 1 and pool.stats.sessions_created == 1
 
     def test_single_flight_plans_exactly_once(self, small_catalog):
-        pool = PlanSessionPool(_factory(small_catalog), max_sessions=4)
+        pool = PlanSessionPool(_factory(small_catalog))
         n_threads = 6
         barrier = threading.Barrier(n_threads)
         results = [None] * n_threads
@@ -154,14 +184,14 @@ class TestPlanSessionPool:
             assert waiter.rewrite_seconds <= leader.rewrite_seconds
 
     def test_plan_matches_direct_session(self, small_catalog):
-        pool = PlanSessionPool(_factory(small_catalog), max_sessions=2)
+        pool = PlanSessionPool(_factory(small_catalog))
         direct = PlanSession(small_catalog).rewrite(sum_all(matrix("M") @ matrix("N")))
         pooled = pool.plan(sum_all(matrix("M") @ matrix("N")))
         assert pooled.best == direct.best
         assert pooled.best_cost == pytest.approx(direct.best_cost)
 
     def test_shared_results_are_private_copies(self, small_catalog):
-        pool = PlanSessionPool(_factory(small_catalog), max_sessions=2)
+        pool = PlanSessionPool(_factory(small_catalog))
         first = pool.plan(_mn())
         first.used_views.append("corrupted")
         first.stage_timings["corrupted"] = 1.0
@@ -174,7 +204,7 @@ class TestPlanSessionPool:
         assert second.rewrite_seconds < first.rewrite_seconds
 
     def test_catalog_change_invalidates_shared_plans(self, small_catalog, rng):
-        pool = PlanSessionPool(_factory(small_catalog), max_sessions=2)
+        pool = PlanSessionPool(_factory(small_catalog))
         pool.plan(_mn())
         small_catalog.register_dense("Fresh2", rng.random((4, 4)))
         result = pool.plan(_mn())
@@ -193,8 +223,8 @@ class TestPlanSessionPool:
 
     def test_one_copy_per_plan_per_workspace(self, small_catalog):
         """N distinct cold rewrites leave N plans in the pool's store and
-        none in any pooled session."""
-        engine = Engine(small_catalog, config={"service": {"max_sessions": 4}})
+        none in its session."""
+        engine = Engine(small_catalog)
         exprs = [transpose(matrix(name)) for name in ("M", "N", "A", "B", "C", "D", "R", "X")]
         barrier = threading.Barrier(4)
         results = []
@@ -210,13 +240,13 @@ class TestPlanSessionPool:
             thread.join(timeout=30)
         pool = engine.pool
         assert len(results) == len(exprs) and not any(r.cache_hit for r in results)
-        assert pool.idle_count >= 1
-        assert all(len(session.store) == 0 for session in pool._idle)
+        assert pool.stats.sessions_created == 1
+        assert len(pool._session.store) == 0
         assert len(pool.store) == len(exprs) == pool.stats.plans_computed
 
     # -- lookup: the read that never plans and never blocks ----------------
     def test_lookup_on_a_cold_key_is_none_and_plans_nothing(self, small_catalog):
-        pool = PlanSessionPool(_factory(small_catalog), max_sessions=2)
+        pool = PlanSessionPool(_factory(small_catalog))
         before = pool.stats_dict()
         assert pool.lookup(_mn()) is None
         # No plan, no session, no hit — and no cache miss either: the miss
@@ -225,7 +255,7 @@ class TestPlanSessionPool:
         assert before["plans_computed"] == 0 and before["sessions_created"] == 1
 
     def test_lookup_on_a_warm_key_equals_plans_hit(self, small_catalog):
-        pool = PlanSessionPool(_factory(small_catalog), max_sessions=2)
+        pool = PlanSessionPool(_factory(small_catalog))
         pool.plan(_mn())
         looked_up = pool.lookup(_mn())
         planned = pool.plan(_mn())
@@ -241,7 +271,7 @@ class TestPlanSessionPool:
         assert again.copy(rewrite_seconds=0.0) == planned.copy(rewrite_seconds=0.0)
 
     def test_lookup_returns_none_at_once_while_the_lock_is_held(self, small_catalog):
-        pool = PlanSessionPool(_factory(small_catalog), max_sessions=2)
+        pool = PlanSessionPool(_factory(small_catalog))
         pool.plan(_mn())
         held, release = threading.Event(), threading.Event()
 
@@ -279,7 +309,7 @@ class TestPlanSessionPool:
             session.plan = slow_plan
             return session
 
-        pool = PlanSessionPool(slow_factory, max_sessions=2)
+        pool = PlanSessionPool(slow_factory)
         leader = threading.Thread(target=pool.plan, args=(_mn(),))
         leader.start()
         try:
@@ -299,7 +329,7 @@ class TestPlanSessionPool:
         """More threads than cores mixing ``lookup`` and ``plan`` under a
         short switch interval: every hit handed out is counted exactly once
         and carries the right plan; a refused lookup is never a wrong one."""
-        pool = PlanSessionPool(_factory(small_catalog), max_sessions=4)
+        pool = PlanSessionPool(_factory(small_catalog))
         exprs = [_mn(), sum_all(matrix("M") @ matrix("N"))]
         expected = [PlanSession(small_catalog).rewrite(e).best.to_string() for e in exprs]
         hits = [0] * 8
@@ -463,7 +493,7 @@ class TestExecutionRouter:
 
 class TestAnalyticsService:
     def test_submit_plans_and_executes(self, small_catalog):
-        service = _service(small_catalog, max_sessions=2)
+        service = _service(small_catalog)
         result = service.submit(sum_all(matrix("M") @ matrix("N")))
         assert result.backend == "numpy"
         assert result.rewrite.changed
@@ -475,7 +505,7 @@ class TestAnalyticsService:
         assert result.plan_seconds > 0.0 and result.execute_seconds > 0.0
 
     def test_submit_plan_only(self, small_catalog):
-        service = _service(small_catalog, max_sessions=2)
+        service = _service(small_catalog)
         result = service.submit(ServiceRequest(expression=_mn(), execute=False))
         assert result.value is None and result.backend is None
         assert result.execute_seconds == 0.0
@@ -489,7 +519,7 @@ class TestAnalyticsService:
             transpose(matrix("A")) + transpose(matrix("B")),
             sum_all(matrix("M") @ matrix("N")),  # duplicate fingerprint
         ]
-        service = _service(small_catalog, max_sessions=4)
+        service = _service(small_catalog)
         results = service.submit_many(
             [ServiceRequest(expression=e, execute=False) for e in expressions],
             workers=4,
@@ -513,7 +543,7 @@ class TestAnalyticsService:
 
     def test_submit_many_executes_in_input_order(self, small_catalog):
         expressions = [_mn(), sum_all(matrix("A")), _mn()]
-        service = _service(small_catalog, max_sessions=2)
+        service = _service(small_catalog)
         results = service.submit_many(expressions, workers=3)
         backend = NumpyBackend(small_catalog)
         for expr, result in zip(expressions, results):
@@ -530,7 +560,7 @@ class TestAnalyticsService:
 
         small_catalog.register_metadata(MatrixMeta("GhostM", 5, 5, 25))
         batch = [_mn(), sum_all(matrix("GhostM")), sum_all(matrix("A"))]
-        service = _service(small_catalog, max_sessions=2)
+        service = _service(small_catalog)
         results = service.submit_many(batch, workers=2)
         assert len(results) == 3
         assert results[0].value is not None and results[2].value is not None
@@ -610,7 +640,7 @@ class TestAnalyticsService:
 
 class TestBatchHooksAndIsolation:
     def test_batch_hooks_observe_every_submit_many(self, small_catalog):
-        service = _service(small_catalog, max_sessions=2)
+        service = _service(small_catalog)
         seen = []
         service.add_batch_hook(seen.append)
         requests = [
@@ -629,7 +659,7 @@ class TestBatchHooksAndIsolation:
         assert stats.as_dict()["size"] == 3
 
     def test_hook_errors_never_fail_a_batch(self, small_catalog):
-        service = _service(small_catalog, max_sessions=2)
+        service = _service(small_catalog)
 
         def broken_hook(stats):
             raise RuntimeError("observer bug")
@@ -639,7 +669,7 @@ class TestBatchHooksAndIsolation:
         assert len(results) == 1 and results[0].ok
 
     def test_remove_batch_hook(self, small_catalog):
-        service = _service(small_catalog, max_sessions=2)
+        service = _service(small_catalog)
         seen = []
         hook = service.add_batch_hook(seen.append)
         service.remove_batch_hook(hook)
@@ -651,7 +681,7 @@ class TestBatchHooksAndIsolation:
         result; every other request still plans (and executes) normally."""
         bad = matrix("M") @ matrix("A")  # 40x6 @ 30x8: ShapeError in planning
         good = _mn()
-        service = _service(small_catalog, max_sessions=2)
+        service = _service(small_catalog)
         results = service.submit_many(
             [
                 ServiceRequest(expression=good, execute=False),

@@ -178,8 +178,9 @@ class TestEngineWorkspaces:
         assert engine.workspace("viewed").pool.workspace == "viewed@v1"
 
     def test_catalog_bump_on_one_tenant_leaves_the_other_alone(self):
-        """Pool eviction is per-workspace: registering a matrix in tenant
-        A's catalog must not evict tenant B's sessions or cached plans."""
+        """Sessions and plans are per-workspace: registering a matrix in
+        tenant A's catalog must not rebuild tenant B's session or evict its
+        cached plans."""
         registry = WorkspaceRegistry()
         catalog_a, catalog_b = _mini_catalog(0), _mini_catalog(1)
         registry.register("a", catalog=catalog_a)
@@ -188,14 +189,13 @@ class TestEngineWorkspaces:
         handle_a, handle_b = engine.workspace("a"), engine.workspace("b")
         handle_a.rewrite(_sample_expr())
         handle_b.rewrite(_sample_expr())
-        idle_b = handle_b.pool.idle_count
+        built_b = handle_b.pool.stats.sessions_created
 
         catalog_a.register_dense("Z", np.ones((3, 3)))  # bumps A's version
         replanned = handle_a.rewrite(_sample_expr())
         assert not replanned.cache_hit  # A's plans keyed to the old version are gone
         assert handle_b.rewrite(_sample_expr()).cache_hit  # B untouched
-        assert handle_b.pool.idle_count == idle_b
-        assert handle_b.pool.stats.sessions_evicted == 0
+        assert handle_b.pool.stats.sessions_created == built_b
 
     def test_registry_update_rebuilds_only_that_workspace(self, small_catalog):
         engine = _two_tenant_engine(small_catalog)
@@ -252,6 +252,17 @@ class TestEngineWorkspaces:
             engine.workspace("plain")
         summary = engine.stats_dict()
         assert "plain" not in summary.get("workspaces", {})
+
+    def test_stats_dict_reaps_the_build_lock_of_a_removed_workspace(self, small_catalog):
+        engine = _two_tenant_engine(small_catalog)
+        engine.workspace("plain").rewrite(_sample_expr())
+        engine.workspace("viewed").rewrite(_sample_expr())
+        assert "plain" in engine._build_locks
+        engine.workspaces.remove("plain")
+        engine.stats_dict()
+        assert "plain" not in engine._runtimes
+        assert "plain" not in engine._build_locks
+        assert "viewed" in engine._build_locks
 
     def test_stats_dict_nests_per_workspace(self, small_catalog):
         engine = _two_tenant_engine(small_catalog)
