@@ -3,7 +3,15 @@
 This backend executes an LA expression exactly in its syntactic order, with
 no algebraic rewriting — the behaviour the paper ascribes to R, NumPy,
 TensorFlow and SparkMLlib, and the reason HADAD's external rewriting pays
-off on those systems.  Sparse operands stay sparse where SciPy supports it.
+off on those systems.
+
+Sparse values stay sparse.  An operation with one sparse and one dense
+operand runs on SciPy's mixed kernel and returns an ndarray: ``sparse @
+dense`` and ``dense @ sparse`` keep the dense side dense, and a same-shaped
+``sparse + dense`` adds the nonzeros onto one copy of the dense side (``-``
+is SciPy's own as well).  Values are densified here only where SciPy has no
+kernel for the operation: scalar and vector broadcasts of ``+`` / ``-``,
+inverses, decompositions, most aggregates.
 """
 
 from __future__ import annotations
@@ -48,22 +56,41 @@ class NumpyBackend(Backend):
         return float(dense.reshape(-1)[0])
 
     # -- binary operators ---------------------------------------------------------
+    @staticmethod
+    def _sparse_or_dense(value: Value):
+        """``value`` itself when sparse, else its dense 2-D form."""
+        return value if sparse.issparse(value) else to_dense(value)
+
+    @staticmethod
+    def _one_sparse_same_shape(left: Value, right: Value) -> bool:
+        """One operand sparse, the other dense of the same shape (not 1x1)."""
+        return (
+            sparse.issparse(left) != sparse.issparse(right)
+            and np.shape(left) == np.shape(right)
+            and np.shape(left) != (1, 1)
+        )
+
     def _eval_multi_m(self, expr: mx.MatMul) -> Value:
         left, right = self._child(expr, 0), self._child(expr, 1)
-        if sparse.issparse(left) or sparse.issparse(right):
+        if sparse.issparse(left) and sparse.issparse(right):
             return sparse.csr_matrix(left) @ sparse.csr_matrix(right)
-        return self._as_matrix(left) @ self._as_matrix(right)
+        # A mixed product yields np.matrix for spmatrix operands: asarray.
+        return np.asarray(self._sparse_or_dense(left) @ self._sparse_or_dense(right))
 
     def _eval_add_m(self, expr: mx.Add) -> Value:
         left, right = self._child(expr, 0), self._child(expr, 1)
         if sparse.issparse(left) and sparse.issparse(right):
             return left + right
+        if self._one_sparse_same_shape(left, right):
+            return np.asarray(left + right)
         return self._broadcast(left) + self._broadcast(right)
 
     def _eval_sub_m(self, expr: mx.Sub) -> Value:
         left, right = self._child(expr, 0), self._child(expr, 1)
         if sparse.issparse(left) and sparse.issparse(right):
             return left - right
+        if self._one_sparse_same_shape(left, right):
+            return np.asarray(left - right)
         return self._broadcast(left) - self._broadcast(right)
 
     def _eval_div_m(self, expr: mx.ElemDiv) -> Value:

@@ -8,11 +8,15 @@ three parts:
 **match** — the premise as a :class:`JoinKernel`.  Premise variables are
 *slots* of one flat list that the search writes in place: which slots are
 bound after which atoms have been matched is static, so there are no
-binding dicts to copy and nothing to undo on backtrack.  For every set of
-already-matched atoms (a bit mask) the kernel tabulates, per pending atom,
+binding dicts to copy and nothing to undo on backtrack.  For a set of
+already-matched atoms (a bit mask) the kernel compiles, per pending atom,
 the index probes it can make and what each argument position does — check a
 constant, check a bound slot, bind a slot; ``size`` atoms read shape
-metadata instead.
+metadata instead.  Mask 0 (every atom pending) is compiled when the kernel
+is built, so a malformed atom fails there; any other mask is compiled when
+a search first reaches it.  A search reaches few of the 2^n masks of an
+n-atom conjunction, and view rules of 7-8 atoms and more are compiled anew
+for every planning session.
 
 The search makes the decisions of the generic matcher one for one, because
 the order matches are applied in fixes the class ids the chase allocates,
@@ -46,8 +50,10 @@ ids stay deterministic: which existentials resolve depends only on the
 instance, and the others are allocated in slot order as before; the
 reference engine applies through the same walk, so both allocate alike.
 
-A kernel is immutable once built, so constraint programs stay shareable
-across sessions and planning threads.  The generic matcher of
+A kernel changes after it is built only by adding compiled masks to its
+memo; a mask compiles to the same steps whoever compiles it, so two threads
+that race on one both store a valid entry and constraint programs stay
+shareable across sessions and planning threads.  The generic matcher of
 :mod:`repro.chase.homomorphism` remains as the reference the tests compare
 the kernel against (``SaturationEngine(use_index=False)``).
 """
@@ -99,30 +105,38 @@ class JoinKernel:
         prebound: Sequence[int] = (),
         where: str = "conjunction",
     ):
-        count = len(atoms)
-        self._full = (1 << count) - 1
-        binds = [{slot_of[var] for var in atom.variables()} for atom in atoms]
-        table = []
-        for mask in range(1 << count):
-            bound = set(prebound)
-            for index in range(count):
-                if mask >> index & 1:
-                    bound |= binds[index]
-            table.append(
-                tuple(
-                    self._compile_step(index, atoms[index], slot_of, bound, where)
-                    for index in range(count)
-                    if not mask >> index & 1
-                )
-            )
+        self._atoms = tuple(atoms)
+        # A copy: the caller goes on to number its existential variables.
+        self._slot_of = dict(slot_of)
+        self._prebound = frozenset(prebound)
+        self._where = where
+        self._full = (1 << len(self._atoms)) - 1
+        self._binds = tuple(
+            frozenset(self._slot_of[var] for var in atom.variables()) for atom in self._atoms
+        )
         #: ``_table[mask]``: the steps of the atoms still pending once the
-        #: atoms in ``mask`` are matched, in premise order.
-        self._table: Tuple[Tuple[tuple, ...], ...] = tuple(table)
+        #: atoms in ``mask`` are matched, in premise order; filled on demand.
+        self._table: Dict[int, Tuple[tuple, ...]] = {}
+        self._compile_mask(0)
 
     @property
     def seeds(self) -> Tuple[tuple, ...]:
         """One step per atom, nothing matched yet: the semi-naive seeds."""
         return self._table[0]
+
+    def _compile_mask(self, mask: int) -> Tuple[tuple, ...]:
+        """Compile and memoise the pending steps of ``mask``."""
+        bound = set(self._prebound)
+        for index, binds in enumerate(self._binds):
+            if mask >> index & 1:
+                bound |= binds
+        steps = tuple(
+            self._compile_step(index, atom, self._slot_of, bound, self._where)
+            for index, atom in enumerate(self._atoms)
+            if not mask >> index & 1
+        )
+        self._table[mask] = steps
+        return steps
 
     @staticmethod
     def _compile_step(index, atom: Atom, slot_of, bound, where) -> tuple:
@@ -195,7 +209,10 @@ class JoinKernel:
             # per search node is the hottest path of the chase.
             index_get = instance._by_position.get
             best = -1
-            for pending in self._table[mask]:
+            pending_steps = self._table.get(mask)
+            if pending_steps is None:
+                pending_steps = self._compile_mask(mask)
+            for pending in pending_steps:
                 relation, probes, size_ops = pending[1], pending[2], pending[6]
                 entry = None
                 if size_ops is not None:

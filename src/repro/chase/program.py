@@ -116,12 +116,6 @@ class ConstraintProgram:
 
         return verify_program(self, name)
 
-    def extended(self, extra: Sequence[Constraint]) -> "ConstraintProgram":
-        """A new program with ``extra`` constraints appended (e.g. view rules)."""
-        if not extra:
-            return self
-        return ConstraintProgram(self.constraints + list(extra))
-
     @classmethod
     def coerce(
         cls, constraints: "Optional[Sequence[Constraint] | ConstraintProgram]"

@@ -134,14 +134,6 @@ class TGD(Constraint):
                     seen.append(var)
         return tuple(seen)
 
-    def conclusion_relations(self) -> Tuple[str, ...]:
-        """Relation names the conclusion inserts into, in first-occurrence order."""
-        seen: List[str] = []
-        for atom in self.conclusion:
-            if atom.relation not in seen:
-                seen.append(atom.relation)
-        return tuple(seen)
-
 
 @dataclass(frozen=True)
 class EGD(Constraint):

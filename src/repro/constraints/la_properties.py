@@ -266,15 +266,18 @@ def _trace() -> List[Constraint]:
 
 def _direct_sum_and_exp() -> List[Constraint]:
     return [
+        # (M ⊕ N) + (C ⊕ D) = (M + C) ⊕ (N + D) when shape(M) = shape(C);
+        # the sum of the direct sums then fixes shape(N) = shape(D).
         tgd(
             "directsum-add",
-            "sum_d(M, N, R1) & sum_d(C, D, R2) & add_m(R1, R2, R3) -> "
-            "add_m(M, C, R4) & add_m(N, D, R5) & sum_d(R4, R5, R3)",
+            "size(M, i, j) & size(C, i, j) & sum_d(M, N, R1) & sum_d(C, D, R2) & "
+            "add_m(R1, R2, R3) -> add_m(M, C, R4) & add_m(N, D, R5) & sum_d(R4, R5, R3)",
         ),
+        # (M ⊕ N)(C ⊕ D) = MC ⊕ ND when cols(M) = rows(C).
         tgd(
             "directsum-product",
-            "sum_d(M, N, R1) & sum_d(C, D, R2) & multi_m(R1, R2, R3) -> "
-            "multi_m(M, C, R4) & multi_m(N, D, R5) & sum_d(R4, R5, R3)",
+            "size(M, i, k) & size(C, k, j) & sum_d(M, N, R1) & sum_d(C, D, R2) & "
+            "multi_m(R1, R2, R3) -> multi_m(M, C, R4) & multi_m(N, D, R5) & sum_d(R4, R5, R3)",
         ),
         tgd("exp-zero", "zero(O) & exp(O, R1) -> identity(R1)"),
         tgd("exp-transpose-fwd", "tr(M, R1) & exp(R1, R2) -> exp(M, R3) & tr(R3, R2)"),

@@ -111,12 +111,13 @@ def _matrix_product_aggregates() -> List[Constraint]:
 
 def _vector_special_cases() -> List[Constraint]:
     constraints: List[Constraint] = []
-    # colAgg(M) = M when M is a row vector; rowAgg(M) = M when M is a column vector.
-    for agg in ("col_sums", "col_means", "col_max", "col_min", "col_var"):
+    # colAgg(M) = M when M is a row vector; rowAgg(M) = M when M is a column
+    # vector.  Not the variance: one element's variance (ddof=1) is NaN.
+    for agg in ("col_sums", "col_means", "col_max", "col_min"):
         constraints.append(
             egd(f"sml-{agg}-rowvector", f"size(M, 1, j) & {agg}(M, R1) -> R1 = M")
         )
-    for agg in ("row_sums", "row_means", "row_max", "row_min", "row_var"):
+    for agg in ("row_sums", "row_means", "row_max", "row_min"):
         constraints.append(
             egd(f"sml-{agg}-colvector", f"size(M, i, 1) & {agg}(M, R1) -> R1 = M")
         )

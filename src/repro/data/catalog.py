@@ -17,6 +17,7 @@ and only references the catalog by name.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -146,8 +147,6 @@ class Catalog:
         accept ``nnz`` and ``matrix_type`` — their dimensions are fixed by
         the stored values.  Bumps the catalog version.
         """
-        import dataclasses
-
         if name in self._metadata_only:
             prior = self._metadata_only[name]
             updated = MatrixMeta(
@@ -232,6 +231,26 @@ class Catalog:
         delta.apply(self, ())
 
     # -- misc ---------------------------------------------------------------------
+    def densified(self) -> "Catalog":
+        """A copy whose sparse matrices are stored as dense arrays.
+
+        Names, statistics and type tags are kept; tables, scalars and
+        metadata-only entries are shared with this catalog.  Evaluating an
+        expression over both tells whether the sparse kernels agree with
+        the dense ones.
+        """
+        twin = Catalog()
+        twin._matrices = {
+            name: MatrixData(
+                values=data.to_dense(), meta=dataclasses.replace(data.meta, sparse_storage=False)
+            ) if data.is_sparse else data
+            for name, data in self._matrices.items()
+        }
+        twin._metadata_only = dict(self._metadata_only)
+        twin._tables = dict(self._tables)
+        twin._scalars = dict(self._scalars)
+        return twin
+
     def types(self) -> Dict[str, str]:
         """Mapping of matrix name → structural type tag (non-GENERAL only)."""
         result: Dict[str, str] = {}

@@ -16,6 +16,10 @@ neither of which trusts the planner:
 
 * the *original* expression evaluated on the as-stated NumPy substrate is
   the reference value;
+* the original is evaluated once more on the NumPy substrate over the
+  catalog's dense twin (:meth:`~repro.data.catalog.Catalog.densified`), so
+  the sparse and mixed sparse/dense kernels are checked against dense ones
+  and not only against themselves;
 * both the original and the rewritten plan are executed on every LA-capable
   backend (numpy, systemml_like, morpheus) and compared against the
   reference with an operator-aware tolerance (conditioning-sensitive
@@ -187,6 +191,7 @@ class DifferentialOracle:
             "morpheus": MorpheusBackend(catalog),
         }
         self.relational = RelationalEngine(catalog)
+        self.dense_twin = NumpyBackend(catalog.densified())
 
     # ------------------------------------------------------------------ checks
     def _check_shape(self, report: OracleReport) -> None:
@@ -255,9 +260,33 @@ class DifferentialOracle:
                     )
                 )
 
+    @staticmethod
+    def _compare(report: OracleReport, label: str, value, reference: np.ndarray, expr) -> bool:
+        """Record a ``numeric`` violation unless ``value`` matches the reference."""
+        rtol, atol = tolerance_for(report.result.original)
+        value = to_dense(value)
+        if value.shape != reference.shape:
+            report.violations.append(
+                Violation(
+                    "numeric",
+                    f"{label} returned shape {value.shape}, reference is {reference.shape}",
+                )
+            )
+            return False
+        if not np.allclose(value, reference, rtol=rtol, atol=atol):
+            delta = float(np.max(np.abs(value - reference)))
+            report.violations.append(
+                Violation(
+                    "numeric",
+                    f"{label} diverges from the reference by max |delta|={delta:.3e} "
+                    f"(rtol={rtol}, atol={atol}): {expr.to_string()}",
+                )
+            )
+            return False
+        return True
+
     def _check_numeric(self, report: OracleReport) -> None:
         result = report.result
-        rtol, atol = tolerance_for(result.original)
         try:
             reference_eval = self.backends[LA_BACKENDS[0]].execute_plan(
                 result, use_rewritten=False
@@ -269,6 +298,15 @@ class DifferentialOracle:
         if not np.all(np.isfinite(reference)):
             report.error = "reference evaluation is not finite; expression skipped"
             return
+
+        try:
+            twin = self.dense_twin.execute_plan(result, use_rewritten=False)
+        except ExecutionError as exc:
+            report.violations.append(
+                Violation("backend", f"numpy failed on the dense twin of the original: {exc}")
+            )
+        else:
+            self._compare(report, "numpy/dense-twin", twin.value, reference, result.original)
 
         for name in LA_BACKENDS:
             backend = self.backends[name]
@@ -286,29 +324,10 @@ class DifferentialOracle:
                             )
                         )
                         continue
-                value = to_dense(evaluation.value)
-                if value.shape != reference.shape:
-                    report.violations.append(
-                        Violation(
-                            "numeric",
-                            f"{name}/{label} returned shape {value.shape}, "
-                            f"reference is {reference.shape}",
-                        )
-                    )
-                    continue
-                if not np.allclose(value, reference, rtol=rtol, atol=atol):
-                    delta = float(np.max(np.abs(value - reference)))
-                    report.violations.append(
-                        Violation(
-                            "numeric",
-                            f"{name}/{label} diverges from the reference by "
-                            f"max |delta|={delta:.3e} (rtol={rtol}, atol={atol}): "
-                            f"{(result.best if use_rewritten else result.original).to_string()}",
-                        )
-                    )
-                    continue
-                if use_rewritten:
-                    report.timings[name] = evaluation.seconds
+                expr = result.best if use_rewritten else result.original
+                if self._compare(report, f"{name}/{label}", evaluation.value, reference, expr):
+                    if use_rewritten:
+                        report.timings[name] = evaluation.seconds
 
         # The relational engine declares supports_la=False: it must refuse.
         try:

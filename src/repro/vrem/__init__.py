@@ -21,7 +21,7 @@ The package provides:
 """
 
 from repro.vrem.atoms import Const, Var, Atom, make_atom
-from repro.vrem.schema import RelationSpec, VREM_SCHEMA, relation_spec, is_output_position
+from repro.vrem.schema import RelationSpec, VREM_SCHEMA, relation_spec
 from repro.vrem.instance import VremInstance
 from repro.vrem.encoder import LAEncoder, encode_expression
 from repro.vrem.decoder import decode_atom_to_expr
@@ -34,7 +34,6 @@ __all__ = [
     "RelationSpec",
     "VREM_SCHEMA",
     "relation_spec",
-    "is_output_position",
     "VremInstance",
     "LAEncoder",
     "encode_expression",

@@ -117,11 +117,6 @@ def relation_spec(name: str) -> RelationSpec:
     return VREM_SCHEMA[name]
 
 
-def is_output_position(relation: str, position: int) -> bool:
-    """True if ``position`` is an output argument of ``relation``."""
-    return position in VREM_SCHEMA[relation].output_positions
-
-
 _SCALAR_SHAPE: Shape = (1, 1)
 
 

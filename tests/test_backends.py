@@ -9,6 +9,7 @@ from repro.backends.morpheus import MorpheusBackend, NormalizedMatrix
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.relational import RelationalEngine
 from repro.backends.systemml_like import SystemMLLikeBackend
+from repro.data.catalog import Catalog
 from repro.exceptions import ExecutionError
 from repro.lang import (
     colsums, det, diag, inv, mat_exp, mat_pow, matrix, rowsums, scalar, scalar_mul,
@@ -116,6 +117,92 @@ class TestNumpyBackend:
         assert values_allclose(np.ones((2, 2)), np.ones((2, 2)))
         assert values_allclose(3.0, np.asarray([[3.0]]))
         assert not values_allclose(np.ones((2, 2)), np.zeros((2, 2)))
+
+
+@pytest.fixture()
+def mixed_catalog(rng):
+    """Dense and sparse operands of every shape the mixed kernels meet."""
+    catalog = Catalog()
+    for name, shape in (("D", (20, 12)), ("E", (12, 8)), ("v", (20, 1)), ("w", (1, 20)),
+                        ("x", (12, 1)), ("one", (1, 1))):
+        catalog.register_dense(name, rng.random(shape))
+    for seed, (name, shape) in enumerate((("S", (20, 12)), ("S2", (20, 12)), ("T", (12, 8)),
+                                          ("sv", (20, 1)), ("sw", (1, 20)))):
+        catalog.register_sparse(
+            name, sparse.random(*shape, density=0.3, random_state=np.random.default_rng(seed))
+        )
+    catalog.register_sparse("sone", sparse.csr_matrix([[0.7]]))
+    return catalog
+
+
+_SAME_SHAPE = [("S", "D"), ("D", "S"), ("S", "S2"), ("D", "S2")]
+_BROADCAST = [("S", "v"), ("v", "S"), ("S", "one"), ("one", "S"), ("D", "sv"),
+              ("sw", "w"), ("sone", "D"), ("sone", "one")]
+_PRODUCTS = [("S", "E"), ("D", "T"), ("S", "T"), ("D", "E"), ("S", "x"), ("w", "S"),
+             ("sw", "D"), ("D", "x"), ("one", "sw"), ("sone", "w"), ("sv", "one"),
+             ("sone", "one")]
+
+
+def _binary_cases():
+    for left, right in _SAME_SHAPE + _BROADCAST:
+        yield "add", mx.Add(matrix(left), matrix(right))
+        yield "sub", mx.Sub(matrix(left), matrix(right))
+    for left, right in _PRODUCTS:
+        yield "product", mx.MatMul(matrix(left), matrix(right))
+
+
+class TestMixedKernels:
+    """One sparse and one dense operand run on SciPy's mixed kernels."""
+
+    @pytest.mark.parametrize("kind,expr", list(_binary_cases()), ids=lambda case: str(case))
+    def test_value_equals_the_all_dense_evaluation(self, mixed_catalog, kind, expr):
+        dense = to_dense(NumpyBackend(mixed_catalog.densified()).evaluate(expr))
+        for backend in (NumpyBackend, SystemMLLikeBackend, MorpheusBackend):
+            value = backend(mixed_catalog).evaluate(expr)
+            if kind == "product":
+                assert np.allclose(to_dense(value), dense, rtol=1e-12, atol=1e-12), backend.name
+            else:
+                # Adding the nonzeros onto the dense side is exact.
+                assert np.array_equal(to_dense(value), dense), backend.name
+
+    @pytest.mark.parametrize("left,right", _SAME_SHAPE)
+    def test_add_and_sub_never_densify_a_sparse_operand(
+        self, mixed_catalog, monkeypatch, left, right
+    ):
+        from repro.backends import numpy_backend
+
+        densified = []
+
+        def counting_to_dense(value):
+            if sparse.issparse(value):
+                densified.append(value.shape)
+            return to_dense(value)
+
+        monkeypatch.setattr(numpy_backend, "to_dense", counting_to_dense)
+        backend = NumpyBackend(mixed_catalog)
+        for node in (mx.Add, mx.Sub):
+            value = backend.evaluate(node(matrix(left), matrix(right)))
+            both_sparse = left.startswith("S") and right.startswith("S")
+            assert sparse.issparse(value) == both_sparse
+            if not both_sparse:
+                assert type(value) is np.ndarray
+        assert densified == []
+
+    @pytest.mark.parametrize("left,right", [("S", "E"), ("D", "T"), ("S", "x"), ("w", "S")])
+    def test_mixed_product_is_a_dense_ndarray(self, mixed_catalog, left, right):
+        value = NumpyBackend(mixed_catalog).evaluate(mx.MatMul(matrix(left), matrix(right)))
+        assert type(value) is np.ndarray
+
+    def test_catalog_values_are_not_mutated(self, mixed_catalog):
+        before = {
+            name: to_dense(mixed_catalog.matrix(name).values).copy()
+            for name in mixed_catalog.matrix_names()
+        }
+        for backend in (NumpyBackend, SystemMLLikeBackend, MorpheusBackend):
+            for _, expr in _binary_cases():
+                backend(mixed_catalog).evaluate(expr)
+        for name, values in before.items():
+            assert np.array_equal(to_dense(mixed_catalog.matrix(name).values), values), name
 
 
 class TestSystemMLLikeBackend:

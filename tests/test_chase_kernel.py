@@ -498,6 +498,28 @@ class TestCompilation:
         with pytest.raises(ChaseError, match="'bad' has an empty premise"):
             ConstraintKernel(TGD("bad", ()))
 
+    def test_masks_compile_only_when_a_search_reaches_them(self):
+        """A 20-atom chain would tabulate 2^20 masks up front; built on
+        demand it holds mask 0 and, after a search, only the masks reached."""
+        chain = [Atom("tr", (Var(f"x{i}"), Var(f"x{i + 1}"))) for i in range(20)]
+        join = JoinKernel(chain, {Var(f"x{i}"): i for i in range(21)})
+        assert list(join._table) == [0]
+        instance = VremInstance()
+        classes = [instance.new_class() for _ in range(21)]
+        for source, target in zip(classes, classes[1:]):
+            instance.add_atom("tr", (source, target))
+        out = []
+        join.search(instance, [None] * 21, out)
+        assert out == [tuple(classes)]
+        # The chain is matched from its head, one atom per search node.
+        assert sorted(join._table) == [(1 << k) - 1 for k in range(20)]
+
+    def test_a_malformed_atom_fails_at_construction_wherever_it_sits(self):
+        chain = [Atom("tr", (Var(f"x{i}"), Var(f"x{i + 1}"))) for i in range(12)]
+        chain.append(Atom("tr", (Var("x12"), 7)))
+        with pytest.raises(ChaseError, match="cannot compile term 7"):
+            JoinKernel(chain, {Var(f"x{i}"): i for i in range(13)})
+
     def test_prebound_slots_restrict_the_search(self):
         instance = VremInstance()
         a, b, c = (instance.new_class() for _ in range(3))

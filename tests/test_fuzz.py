@@ -200,6 +200,23 @@ class TestOracle:
         risky = mx.Inverse(mx.MatrixRef("C"))
         assert tolerance_for(risky)[0] > tolerance_for(benign)[0]
 
+    def test_sparse_kernel_diverging_from_dense_is_flagged(self, oracle, monkeypatch):
+        """A kernel that goes wrong on the sparse catalog alone agrees with
+        the reference on every LA backend (they share it); only the dense
+        twin tells."""
+        from repro.backends.numpy_backend import NumpyBackend
+
+        real_add = NumpyBackend._eval_add_m
+
+        def wrong_sparse_add(backend, expr):
+            value = real_add(backend, expr)
+            return value + 1.0 if backend.catalog is oracle.catalog else value
+
+        monkeypatch.setattr(NumpyBackend, "_eval_add_m", wrong_sparse_add)
+        report = oracle.check(mx.Add(mx.MatrixRef("S5x3"), mx.MatrixRef("D5x3")))
+        assert [v.kind for v in report.violations] == ["numeric"]
+        assert "numpy/dense-twin diverges" in report.violations[0].detail
+
     def test_planner_crash_is_a_violation(self, oracle):
         class CrashEngine:
             def rewrite(self, _):

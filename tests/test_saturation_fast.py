@@ -363,7 +363,7 @@ PLAN_COLD_TOTALS = {
     "class_count": 966,
     "pruned_by_tightening": 56,
     "threshold_tightenings": 81,
-    "constraints_skipped": 30886,
+    "constraints_skipped": 30346,
     "final_threshold": 13936824.631999997,
     "matches_attempted": 3768,
     "atoms_materialized": 1550,

@@ -1,7 +1,10 @@
 """Tests for the VREM encoding, the instance, and the constraint DSL / libraries."""
 
+import numpy as np
 import pytest
 
+from repro.backends.numpy_backend import NumpyBackend
+from repro.chase.kernel import kernel_for
 from repro.constraints import (
     default_constraints,
     la_property_constraints,
@@ -12,6 +15,7 @@ from repro.constraints import (
 from repro.constraints.core import EGD, TGD, egd, parse_atoms, tgd, validate_constraints
 from repro.constraints.decompositions import decomposition_constraints
 from repro.constraints.views import LAView, constraints_for_views, view_constraints
+from repro.data.catalog import Catalog
 from repro.exceptions import ChaseError, EncodingError, ViewError
 from repro.lang import colsums, inv, matrix, sum_all, transpose, scalar
 from repro.lang import matrix_expr as mx
@@ -237,6 +241,61 @@ class TestConstraintLibraries:
         names = {c.name for c in la_property_constraints()}
         assert "tr-product-fwd" in names and "tr-product-rev" in names
         assert "mult-assoc-fwd" in names and "mult-assoc-rev" in names
+
+
+def _rule(name):
+    everything = default_constraints(include_decompositions=True, include_morpheus=True)
+    return next(c for c in everything if c.name == name)
+
+
+class TestUnsoundRulesRepaired:
+    """Rules whose conclusion the as-stated evaluator contradicts."""
+
+    @staticmethod
+    def _catalog(rng, shapes):
+        catalog = Catalog()
+        for name, shape in shapes.items():
+            catalog.register_dense(name, rng.random(shape))
+        return catalog
+
+    @pytest.mark.parametrize("rule,node,shapes,fires", [
+        # (M ⊕ N) + (C ⊕ D) is 5x5 either way; M + C only when shape(M) = shape(C).
+        ("directsum-add", mx.Add,
+         {"M": (2, 3), "N": (3, 2), "C": (3, 2), "D": (2, 3)}, False),
+        ("directsum-add", mx.Add,
+         {"M": (2, 3), "N": (3, 2), "C": (2, 3), "D": (3, 2)}, True),
+        # (M ⊕ N)(C ⊕ D) is 5x5 either way; M C only when cols(M) = rows(C).
+        ("directsum-product", mx.MatMul,
+         {"M": (2, 3), "N": (3, 2), "C": (2, 4), "D": (3, 1)}, False),
+        ("directsum-product", mx.MatMul,
+         {"M": (2, 3), "N": (3, 2), "C": (3, 4), "D": (2, 1)}, True),
+    ])
+    def test_direct_sum_rules_fire_only_when_the_conclusion_evaluates(
+        self, rng, rule, node, shapes, fires
+    ):
+        catalog = self._catalog(rng, shapes)
+        m, n, c, d = (matrix(name) for name in "MNCD")
+        original = node(mx.DirectSum(m, n), mx.DirectSum(c, d))
+        conclusion = mx.DirectSum(node(m, c), node(n, d))
+        instance, _ = encode_expression(original, catalog=catalog)
+        matches = kernel_for(_rule(rule)).full_matches(instance)
+        assert len(matches) == int(fires)
+        backend = NumpyBackend(catalog)
+        if fires:
+            assert np.allclose(backend.evaluate(conclusion), backend.evaluate(original))
+        else:
+            with pytest.raises(ValueError):
+                backend.evaluate(conclusion)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("node,shape", [(mx.ColVar, (1, 5)), (mx.RowVar, (5, 1))])
+    def test_variance_of_a_vector_is_never_the_vector(self, rng, node, shape):
+        catalog = self._catalog(rng, {"M": shape})
+        assert np.isnan(NumpyBackend(catalog).evaluate(node(matrix("M")))).all()
+        names = {c.name for c in default_constraints(
+            include_decompositions=True, include_morpheus=True)}
+        assert not names & {"sml-col_var-rowvector", "sml-row_var-colvector"}
+        assert {"sml-col_sums-rowvector", "sml-row_sums-colvector"} <= names
 
 
 class TestViewConstraints:
