@@ -12,7 +12,8 @@ never drift apart.
 Three layers live here:
 
 * an **expression codec** — :func:`expr_to_json` / :func:`expr_from_json`
-  serialize any :class:`repro.lang.matrix_expr.Expr` tree as plain JSON.
+  serialize any :class:`repro.lang.matrix_expr.Expr` tree as plain JSON,
+  with the op names of :func:`repro.lang.matrix_expr.op_registry` as tags.
   The encoding mirrors the AST exactly (``op`` / typed ``payload`` /
   ``children``), so a round trip preserves structural equality *and* the
   blake2b fingerprint — the property every cache layer keys on.  Payload
@@ -35,10 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, List, Optional, Tuple
 
 from repro.exceptions import TypeMismatchError
 from repro.lang import matrix_expr as mx
+from repro.lang.matrix_expr import op_registry
 from repro.service.service import ServiceRequest, ServiceResult
 
 #: Protect the decoder against hostile or runaway payloads: an expression
@@ -57,40 +59,6 @@ class ProtocolError(ValueError):
 # ---------------------------------------------------------------------------
 # Expression codec
 # ---------------------------------------------------------------------------
-
-
-def _op_registry() -> Dict[str, Type[mx.Expr]]:
-    """Map canonical op names to concrete Expr classes (computed once).
-
-    Walks the Expr subclass tree; abstract helpers (``_Unary`` / ``_Binary``
-    and the ``Expr`` base, recognisable by underscore names or the base
-    ``op``) are skipped.  Op names are unique by construction — they mirror
-    the VREM relation names — and this asserts it stays that way.
-    """
-    registry: Dict[str, Type[mx.Expr]] = {}
-    stack: List[Type[mx.Expr]] = [mx.Expr]
-    while stack:
-        cls = stack.pop()
-        stack.extend(cls.__subclasses__())
-        if cls.__name__.startswith("_") or cls.op == mx.Expr.op:
-            continue
-        existing = registry.get(cls.op)
-        if existing is not None and existing is not cls:
-            raise RuntimeError(
-                f"duplicate op name {cls.op!r}: {existing.__name__} vs {cls.__name__}"
-            )
-        registry[cls.op] = cls
-    return registry
-
-
-_REGISTRY: Optional[Dict[str, Type[mx.Expr]]] = None
-
-
-def op_registry() -> Dict[str, Type[mx.Expr]]:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _op_registry()
-    return _REGISTRY
 
 
 _PAYLOAD_TYPES = {"int": int, "float": float, "str": str}

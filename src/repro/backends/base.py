@@ -92,10 +92,15 @@ class Backend:
         Morpheus backend registers factorized matrices here); any failure
         must surface as :class:`~repro.exceptions.ExecutionError` so the
         :class:`repro.service.ExecutionRouter` can fall back to another
-        backend.
+        backend: a kernel's ``ValueError`` (NumPy's ``LinAlgError`` is one)
+        or ``ArithmeticError`` is translated here.  Direct :meth:`evaluate`
+        callers keep NumPy's own exception types.
         """
         expr = result.best if use_rewritten else result.original
-        return self.timed(expr)
+        try:
+            return self.timed(expr)
+        except (ValueError, ArithmeticError) as exc:
+            raise ExecutionError(f"{type(exc).__name__}: {exc}") from exc
 
     def leaf_value(self, expr: mx.Expr) -> Value:
         """Resolve the stored value of a leaf node."""

@@ -62,6 +62,12 @@ class NumpyBackend(Backend):
         return value if sparse.issparse(value) else to_dense(value)
 
     @staticmethod
+    def _both_sparse_same_shape(left: Value, right: Value) -> bool:
+        """SciPy adds two sparse operands only when their shapes are equal;
+        a 1x1 or vector operand broadcasts on the dense path instead."""
+        return sparse.issparse(left) and sparse.issparse(right) and left.shape == right.shape
+
+    @staticmethod
     def _one_sparse_same_shape(left: Value, right: Value) -> bool:
         """One operand sparse, the other dense of the same shape (not 1x1)."""
         return (
@@ -79,7 +85,7 @@ class NumpyBackend(Backend):
 
     def _eval_add_m(self, expr: mx.Add) -> Value:
         left, right = self._child(expr, 0), self._child(expr, 1)
-        if sparse.issparse(left) and sparse.issparse(right):
+        if self._both_sparse_same_shape(left, right):
             return left + right
         if self._one_sparse_same_shape(left, right):
             return np.asarray(left + right)
@@ -87,7 +93,7 @@ class NumpyBackend(Backend):
 
     def _eval_sub_m(self, expr: mx.Sub) -> Value:
         left, right = self._child(expr, 0), self._child(expr, 1)
-        if sparse.issparse(left) and sparse.issparse(right):
+        if self._both_sparse_same_shape(left, right):
             return left - right
         if self._one_sparse_same_shape(left, right):
             return np.asarray(left - right)

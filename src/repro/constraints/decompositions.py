@@ -50,15 +50,14 @@ def decomposition_constraints() -> List[Constraint]:
             "orthogonal-transpose-inverse",
             'type(Q, "O") -> tr(Q, R1) & multi_m(R1, Q, R2) & identity(R2)',
         ),
-        # LU of a named square matrix: M = L U.
+        # LU of a named square matrix: M = L U with U upper triangular.  L
+        # carries the row pivots (the evaluator's lu_l is P L), so it is not
+        # typed lower-triangular, and lu(L) = (L, I) is no rule: L's
+        # diagonal need not be all ones.
         tgd(
             "lu-defining",
             'name(M, n) & size(M, k, k) -> '
-            'lu(M, L, U) & type(L, "L") & type(U, "U") & multi_m(L, U, M)',
-        ),
-        tgd(
-            "lu-lower-fixpoint",
-            'type(L, "L") -> lu(L, L, I) & identity(I) & multi_m(L, I, L)',
+            'lu(M, L, U) & type(U, "U") & multi_m(L, U, M)',
         ),
         tgd(
             "lu-upper-fixpoint",

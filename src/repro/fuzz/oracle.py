@@ -138,7 +138,7 @@ def _commute_once(expr: mx.Expr) -> Optional[mx.Expr]:
     """
 
     def rebuild(node: mx.Expr) -> Tuple[mx.Expr, bool]:
-        if node.op in mx.Expr.COMMUTATIVE_OPS:
+        if node.commutative:
             left, right = node.children
             return type(node)(right, left), True
         for index, child in enumerate(node.children):

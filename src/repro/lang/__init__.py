@@ -3,7 +3,10 @@
 This package defines the abstract syntax trees for
 
 * linear-algebra expressions (:mod:`repro.lang.matrix_expr`) covering the
-  operator set L_ops of §6.1,
+  operator set L_ops of §6.1.  Each node class is the one declaration of its
+  operator: VREM relation and output, commutativity, dimension rule and
+  conformability checks; :func:`op_registry` / :func:`operator_for` index
+  them for the wire codec and for ``enc_LA`` / ``dec_LA``,
 * relational expressions (:mod:`repro.lang.relational_expr`) covering the
   RA operators (selection, projection, join) plus the matrix/table
   conversions of §3, and
@@ -62,9 +65,8 @@ from repro.lang.matrix_expr import (
     LUPFactorL,
     LUPFactorU,
     LUPFactorP,
-    UNARY_MATRIX_OPS,
-    UNARY_SCALAR_OPS,
-    BINARY_MATRIX_OPS,
+    op_registry,
+    operator_for,
 )
 from repro.lang.relational_expr import (
     RelExpr,

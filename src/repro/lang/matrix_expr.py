@@ -19,28 +19,132 @@ included as well so that the MMC_StatAgg constraints can be expressed.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Type, Union
 
 from repro.exceptions import TypeMismatchError
 
 Number = Union[int, float]
+Shape = Tuple[int, int]
+Shapes = Sequence[Optional[Shape]]
+SCALAR_SHAPE: Shape = (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Output-dimension rules.  Each takes the shapes of a node's inputs in order
+# (``None`` where unknown) and returns the output shape, or ``None`` when the
+# known inputs do not determine it.  :func:`repro.lang.shapes.shape_of`
+# applies them after its conformability checks, and
+# :func:`repro.vrem.schema.infer_output_shapes` to every atom the chase adds.
+# ---------------------------------------------------------------------------
+
+
+def _same(shapes: Shapes) -> Optional[Shape]:
+    return shapes[0]
+
+
+def _transposed(shapes: Shapes) -> Optional[Shape]:
+    a = shapes[0]
+    return (a[1], a[0]) if a else None
+
+
+def _per_row(shapes: Shapes) -> Optional[Shape]:
+    a = shapes[0]
+    return (a[0], 1) if a else None
+
+
+def _per_column(shapes: Shapes) -> Optional[Shape]:
+    a = shapes[0]
+    return (1, a[1]) if a else None
+
+
+def _diagonal(shapes: Shapes) -> Optional[Shape]:
+    # A column vector is expanded into a diagonal matrix; a matrix yields
+    # its diagonal as a column vector.
+    a = shapes[0]
+    if a is None:
+        return None
+    return (a[0], a[0]) if a[1] == 1 else (a[0], 1)
+
+
+def _scalar(shapes: Shapes) -> Optional[Shape]:
+    return SCALAR_SHAPE
+
+
+def _product(shapes: Shapes) -> Optional[Shape]:
+    a, b = shapes
+    return (a[0], b[1]) if a and b else None
+
+
+def _elementwise(shapes: Shapes) -> Optional[Shape]:
+    # A 1x1 operand broadcasts (e.g. N ⊙ trace(...) in the hybrid queries).
+    a, b = shapes
+    if a and a != SCALAR_SHAPE:
+        return a
+    return b or a
+
+
+def _scaled(shapes: Shapes) -> Optional[Shape]:
+    return shapes[1]
+
+
+def _side_by_side(shapes: Shapes) -> Optional[Shape]:
+    a, b = shapes
+    return (a[0], a[1] + b[1]) if a and b else None
+
+
+def _stacked(shapes: Shapes) -> Optional[Shape]:
+    a, b = shapes
+    return (a[0] + b[0], a[1]) if a and b else None
+
+
+def _block_diagonal(shapes: Shapes) -> Optional[Shape]:
+    a, b = shapes
+    return (a[0] + b[0], a[1] + b[1]) if a and b else None
+
+
+def _kronecker(shapes: Shapes) -> Optional[Shape]:
+    a, b = shapes
+    return (a[0] * b[0], a[1] * b[1]) if a and b else None
 
 
 class Expr:
     """Base class of every LA expression node.
 
-    Subclasses define two class attributes:
+    Each concrete class declares what every layer needs to know about its
+    operator, once:
 
     ``op``
-        The canonical operator name, matching the VREM relation used to
-        encode the node (e.g. ``"multi_m"`` for matrix multiplication).
+        The canonical operator name, also the wire codec's tag
+        (e.g. ``"multi_m"`` for matrix multiplication).
     ``arity``
         Number of expression children.
+    ``relation`` / ``output``
+        The VREM relation encoding the node and which of its output
+        positions the node's value occupies.  ``relation`` defaults to
+        ``op``; only the decomposition factors differ (``qr_r`` is output 1
+        of ``qr``).
+    ``commutative``
+        Whether the two operands commute.
+    ``dims``
+        The output-dimension rule (one of the rules above).
+    ``checks``
+        Names of the conformability checks :func:`repro.lang.shapes.shape_of`
+        applies to the input shapes.
     """
 
     op: str = "expr"
     arity: int = 0
+    relation: str = "expr"
+    output: int = 0
+    commutative: bool = False
+    dims: Callable[[Shapes], Optional[Shape]] = staticmethod(_same)
+    checks: Tuple[str, ...] = ()
     __slots__ = ("_children", "_payload", "_hash", "_fingerprint", "_canonical_fp")
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "relation" not in cls.__dict__:
+            cls.relation = cls.op
 
     def __init__(self, children: Tuple["Expr", ...] = (), payload: Tuple = ()):
         for child in children:
@@ -96,12 +200,6 @@ class Expr:
             self._fingerprint = fp
         return fp
 
-    #: Operators whose operands commute; ``canonical_fingerprint`` sorts their
-    #: child digests so both operand orders share one canonical form.  Must
-    #: stay aligned with ``COMMUTATIVE_RELATIONS`` in :mod:`repro.vrem.instance`
-    #: (the congruence keys that hash-cons both orders to one class).
-    COMMUTATIVE_OPS = frozenset({"add_m", "multi_e"})
-
     def canonical_fingerprint(self) -> str:
         """Structural fingerprint modulo commutativity.
 
@@ -127,7 +225,7 @@ class Expr:
             child_digests = [
                 bytes.fromhex(child.canonical_fingerprint()) for child in self._children
             ]
-            if self.op in Expr.COMMUTATIVE_OPS:
+            if self.commutative:
                 child_digests.sort()
             for blob in child_digests:
                 digest.update(blob)
@@ -325,6 +423,7 @@ class Transpose(_Unary):
     """Matrix transposition M^T (VREM relation ``tr``)."""
 
     op = "tr"
+    dims = staticmethod(_transposed)
     __slots__ = ()
 
 
@@ -332,6 +431,7 @@ class Inverse(_Unary):
     """Matrix inversion M^{-1} (VREM relation ``inv_m``)."""
 
     op = "inv_m"
+    checks = ("square",)
     __slots__ = ()
 
 
@@ -339,6 +439,7 @@ class MatExp(_Unary):
     """Matrix exponential exp(M) (VREM relation ``exp``)."""
 
     op = "exp"
+    checks = ("square",)
     __slots__ = ()
 
 
@@ -346,6 +447,7 @@ class Adjoint(_Unary):
     """Classical adjoint (adjugate) adj(M) (VREM relation ``adj``)."""
 
     op = "adj"
+    checks = ("square",)
     __slots__ = ()
 
 
@@ -353,6 +455,8 @@ class Diag(_Unary):
     """Diagonal extraction diag(M) (VREM relation ``diag``)."""
 
     op = "diag"
+    dims = staticmethod(_diagonal)
+    checks = ("square_or_column",)
     __slots__ = ()
 
 
@@ -367,6 +471,7 @@ class RowSums(_Unary):
     """Row summation: a column vector whose i-th entry is the sum of row i."""
 
     op = "row_sums"
+    dims = staticmethod(_per_row)
     __slots__ = ()
 
 
@@ -374,46 +479,55 @@ class ColSums(_Unary):
     """Column summation: a row vector whose j-th entry is the sum of column j."""
 
     op = "col_sums"
+    dims = staticmethod(_per_column)
     __slots__ = ()
 
 
 class RowMeans(_Unary):
     op = "row_means"
+    dims = staticmethod(_per_row)
     __slots__ = ()
 
 
 class ColMeans(_Unary):
     op = "col_means"
+    dims = staticmethod(_per_column)
     __slots__ = ()
 
 
 class RowMax(_Unary):
     op = "row_max"
+    dims = staticmethod(_per_row)
     __slots__ = ()
 
 
 class ColMax(_Unary):
     op = "col_max"
+    dims = staticmethod(_per_column)
     __slots__ = ()
 
 
 class RowMin(_Unary):
     op = "row_min"
+    dims = staticmethod(_per_row)
     __slots__ = ()
 
 
 class ColMin(_Unary):
     op = "col_min"
+    dims = staticmethod(_per_column)
     __slots__ = ()
 
 
 class RowVar(_Unary):
     op = "row_var"
+    dims = staticmethod(_per_row)
     __slots__ = ()
 
 
 class ColVar(_Unary):
     op = "col_var"
+    dims = staticmethod(_per_column)
     __slots__ = ()
 
 
@@ -426,6 +540,8 @@ class Det(_Unary):
     """Determinant det(M) (VREM relation ``det``)."""
 
     op = "det"
+    dims = staticmethod(_scalar)
+    checks = ("square",)
     __slots__ = ()
 
 
@@ -433,6 +549,8 @@ class Trace(_Unary):
     """Trace trace(M) (VREM relation ``trace``)."""
 
     op = "trace"
+    dims = staticmethod(_scalar)
+    checks = ("square",)
     __slots__ = ()
 
 
@@ -440,26 +558,31 @@ class SumAll(_Unary):
     """Sum of all cells sum(M) (VREM relation ``sum``)."""
 
     op = "sum"
+    dims = staticmethod(_scalar)
     __slots__ = ()
 
 
 class MeanAll(_Unary):
     op = "mean"
+    dims = staticmethod(_scalar)
     __slots__ = ()
 
 
 class VarAll(_Unary):
     op = "var"
+    dims = staticmethod(_scalar)
     __slots__ = ()
 
 
 class MinAll(_Unary):
     op = "min"
+    dims = staticmethod(_scalar)
     __slots__ = ()
 
 
 class MaxAll(_Unary):
     op = "max"
+    dims = staticmethod(_scalar)
     __slots__ = ()
 
 
@@ -488,6 +611,8 @@ class MatMul(_Binary):
     """Matrix multiplication M N (VREM relation ``multi_m``)."""
 
     op = "multi_m"
+    dims = staticmethod(_product)
+    checks = ("conformable",)
     __slots__ = ()
 
 
@@ -495,6 +620,9 @@ class Add(_Binary):
     """Matrix addition M + N (VREM relation ``add_m``)."""
 
     op = "add_m"
+    commutative = True
+    dims = staticmethod(_elementwise)
+    checks = ("equal_or_scalar",)
     __slots__ = ()
 
 
@@ -508,6 +636,8 @@ class Sub(_Binary):
     """
 
     op = "sub_m"
+    dims = staticmethod(_elementwise)
+    checks = ("equal_or_scalar",)
     __slots__ = ()
 
 
@@ -515,6 +645,8 @@ class ElemDiv(_Binary):
     """Element-wise division M / N (VREM relation ``div_m``)."""
 
     op = "div_m"
+    dims = staticmethod(_elementwise)
+    checks = ("equal_or_scalar",)
     __slots__ = ()
 
 
@@ -522,6 +654,9 @@ class Hadamard(_Binary):
     """Element-wise (Hadamard) product M ⊙ N (VREM relation ``multi_e``)."""
 
     op = "multi_e"
+    commutative = True
+    dims = staticmethod(_elementwise)
+    checks = ("equal_or_scalar",)
     __slots__ = ()
 
 
@@ -532,6 +667,8 @@ class ScalarMul(_Binary):
     """
 
     op = "multi_ms"
+    dims = staticmethod(_scaled)
+    checks = ("scalar_operand",)
     __slots__ = ()
 
     @property
@@ -547,6 +684,7 @@ class DirectSum(_Binary):
     """Direct sum M ⊕ N (block-diagonal composition, VREM ``sum_d``)."""
 
     op = "sum_d"
+    dims = staticmethod(_block_diagonal)
     __slots__ = ()
 
 
@@ -559,6 +697,8 @@ class CBind(_Binary):
     """
 
     op = "cbind"
+    dims = staticmethod(_side_by_side)
+    checks = ("equal_rows",)
     __slots__ = ()
 
 
@@ -566,6 +706,8 @@ class RBind(_Binary):
     """Vertical (row-wise) concatenation (VREM ``rbind``)."""
 
     op = "rbind"
+    dims = staticmethod(_stacked)
+    checks = ("equal_cols",)
     __slots__ = ()
 
 
@@ -573,6 +715,7 @@ class DirectProduct(_Binary):
     """Direct (Kronecker) product M ⊗ N (VREM ``product_d``)."""
 
     op = "product_d"
+    dims = staticmethod(_kronecker)
     __slots__ = ()
 
 
@@ -584,6 +727,7 @@ class MatPow(Expr):
     """
 
     op = "mat_pow"
+    checks = ("square",)
     arity = 1
     __slots__ = ()
 
@@ -610,6 +754,7 @@ class CholeskyFactor(_Unary):
     """The lower-triangular factor L of the Cholesky decomposition M = L L^T."""
 
     op = "cho"
+    checks = ("square",)
     __slots__ = ()
 
 
@@ -617,6 +762,8 @@ class QRFactorQ(_Unary):
     """The orthogonal factor Q of the QR decomposition M = Q R."""
 
     op = "qr_q"
+    relation = "qr"
+    checks = ("square",)
     __slots__ = ()
 
 
@@ -624,6 +771,9 @@ class QRFactorR(_Unary):
     """The upper-triangular factor R of the QR decomposition M = Q R."""
 
     op = "qr_r"
+    relation = "qr"
+    output = 1
+    checks = ("square",)
     __slots__ = ()
 
 
@@ -631,6 +781,8 @@ class LUFactorL(_Unary):
     """The lower-triangular factor L of the LU decomposition M = L U."""
 
     op = "lu_l"
+    relation = "lu"
+    checks = ("square",)
     __slots__ = ()
 
 
@@ -638,6 +790,9 @@ class LUFactorU(_Unary):
     """The upper-triangular factor U of the LU decomposition M = L U."""
 
     op = "lu_u"
+    relation = "lu"
+    output = 1
+    checks = ("square",)
     __slots__ = ()
 
 
@@ -645,6 +800,8 @@ class LUPFactorL(_Unary):
     """The L factor of the pivoted LU decomposition P M = L U."""
 
     op = "lup_l"
+    relation = "lup"
+    checks = ("square",)
     __slots__ = ()
 
 
@@ -652,6 +809,9 @@ class LUPFactorU(_Unary):
     """The U factor of the pivoted LU decomposition P M = L U."""
 
     op = "lup_u"
+    relation = "lup"
+    output = 1
+    checks = ("square",)
     __slots__ = ()
 
 
@@ -659,54 +819,41 @@ class LUPFactorP(_Unary):
     """The permutation factor P of the pivoted LU decomposition P M = L U."""
 
     op = "lup_p"
+    relation = "lup"
+    output = 2
+    checks = ("square",)
     __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
-# Operator groupings used by the encoder, cost model and backends
+# The operator registry: one table, built from the class tree above
 # ---------------------------------------------------------------------------
 
-UNARY_MATRIX_OPS = (
-    Transpose,
-    Inverse,
-    MatExp,
-    Adjoint,
-    Diag,
-    Rev,
-    RowSums,
-    ColSums,
-    RowMeans,
-    ColMeans,
-    RowMax,
-    ColMax,
-    RowMin,
-    ColMin,
-    RowVar,
-    ColVar,
-    CholeskyFactor,
-    QRFactorQ,
-    QRFactorR,
-    LUFactorL,
-    LUFactorU,
-    LUPFactorL,
-    LUPFactorU,
-    LUPFactorP,
-)
 
-UNARY_SCALAR_OPS = (Det, Trace, SumAll, MeanAll, VarAll, MinAll, MaxAll)
+def _concrete(cls: Type[Expr]) -> Iterable[Type[Expr]]:
+    """Every concrete node class below ``cls``, in definition order
+    (abstract helpers such as ``_Unary`` / ``_Binary`` are skipped)."""
+    for sub in cls.__subclasses__():
+        if not sub.__name__.startswith("_"):
+            yield sub
+        yield from _concrete(sub)
 
-BINARY_MATRIX_OPS = (
-    MatMul,
-    Add,
-    Sub,
-    ElemDiv,
-    Hadamard,
-    ScalarMul,
-    DirectSum,
-    DirectProduct,
-    CBind,
-    RBind,
-)
+
+_CLASSES = list(_concrete(Expr))
+_BY_OP = {cls.op: cls for cls in _CLASSES}
+_BY_RELATION = {(cls.relation, cls.output): cls for cls in _CLASSES if cls.arity}
+if len(_BY_OP) != len(_CLASSES) or len(_BY_RELATION) != sum(1 for cls in _CLASSES if cls.arity):
+    raise RuntimeError("two node classes share an op name or a relation output")
+
+
+def op_registry() -> Dict[str, Type[Expr]]:
+    """Every concrete node class by op name (the wire codec's table)."""
+    return _BY_OP
+
+
+def operator_for(relation: str, output: int = 0) -> Optional[Type[Expr]]:
+    """The operator class whose value is ``output`` of a ``relation`` atom."""
+    return _BY_RELATION.get((relation, output))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,13 @@ raises :class:`~repro.exceptions.ShapeError` on any dimension mismatch
 (non-conformable product, addition of different shapes, inverse of a
 non-square matrix, ...).
 
+The operator facts are not repeated here: each node class of
+:mod:`repro.lang.matrix_expr` names its conformability checks
+(``Expr.checks``, keys of :data:`CHECKS`) and its output-dimension rule
+(``Expr.dims``), the same rule the chase applies to VREM atoms through
+:func:`repro.vrem.schema.infer_output_shapes`.  This module holds the checks
+and resolves leaves.
+
 Leaf dimensions are provided by any object exposing ``shape(name)`` — in
 practice a :class:`repro.data.catalog.Catalog` — or by a plain ``dict``
 mapping matrix names to ``(rows, cols)`` tuples.
@@ -15,15 +22,13 @@ mapping matrix names to ``(rows, cols)`` tuples.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple, Union
+from typing import Callable, Dict, Mapping, Tuple, Union
 
 from repro.exceptions import ShapeError, UnknownMatrixError
 from repro.lang import matrix_expr as mx
+from repro.lang.matrix_expr import SCALAR_SHAPE, Shape
 
-Shape = Tuple[int, int]
 ShapeSource = Union[Mapping[str, Shape], "SupportsShape"]
-
-SCALAR_SHAPE: Shape = (1, 1)
 
 
 def is_scalar_shape(shape: Shape) -> bool:
@@ -41,17 +46,17 @@ def _leaf_shape(name: str, shapes: ShapeSource) -> Shape:
         raise UnknownMatrixError(f"matrix {name!r} has no registered shape") from exc
 
 
-def _require_square(shape: Shape, what: str) -> None:
-    if shape[0] != shape[1]:
-        raise ShapeError(f"{what} requires a square matrix, got {shape[0]}x{shape[1]}")
-
-
-def _require_equal(left: Shape, right: Shape, what: str) -> None:
-    if left != right:
-        raise ShapeError(
-            f"{what} requires operands of identical shape, got "
-            f"{left[0]}x{left[1]} and {right[0]}x{right[1]}"
-        )
+#: The conformability checks an operator class names in ``Expr.checks``:
+#: a predicate over the input shapes, and what it requires of them.
+CHECKS: Dict[str, Tuple[Callable[..., bool], str]] = {
+    "square": (lambda a: a[0] == a[1], "a square matrix"),
+    "square_or_column": (lambda a: a[1] == 1 or a[0] == a[1], "a square matrix or a column vector"),
+    "conformable": (lambda a, b: a[1] == b[0], "conformable operands"),
+    "equal_or_scalar": (lambda a, b: a == b or SCALAR_SHAPE in (a, b), "operands of identical shape"),
+    "scalar_operand": (lambda a, b: a == SCALAR_SHAPE, "a 1x1 scalar operand"),
+    "equal_rows": (lambda a, b: a[0] == b[0], "equal row counts"),
+    "equal_cols": (lambda a, b: a[1] == b[1], "equal column counts"),
+}
 
 
 def shape_of(expr: mx.Expr, shapes: ShapeSource, _cache: Dict[mx.Expr, Shape] = None) -> Shape:
@@ -76,7 +81,6 @@ def shape_of(expr: mx.Expr, shapes: ShapeSource, _cache: Dict[mx.Expr, Shape] = 
 
 
 def _shape_of(expr: mx.Expr, shapes: ShapeSource, cache: Dict[mx.Expr, Shape]) -> Shape:
-    # Leaves -------------------------------------------------------------
     if isinstance(expr, mx.MatrixRef):
         return _leaf_shape(expr.name, shapes)
     if isinstance(expr, (mx.ScalarConst, mx.ScalarRef)):
@@ -85,116 +89,15 @@ def _shape_of(expr: mx.Expr, shapes: ShapeSource, cache: Dict[mx.Expr, Shape]) -
         return (expr.n, expr.n)
     if isinstance(expr, mx.Zero):
         return (expr.rows, expr.cols)
-
-    # Unary matrix -> matrix ----------------------------------------------
-    if isinstance(expr, mx.Transpose):
-        rows, cols = shape_of(expr.child, shapes, cache)
-        return (cols, rows)
-    if isinstance(expr, (mx.Inverse, mx.MatExp, mx.Adjoint)):
-        shape = shape_of(expr.child, shapes, cache)
-        _require_square(shape, type(expr).__name__)
-        return shape
-    if isinstance(expr, mx.Diag):
-        rows, cols = shape_of(expr.child, shapes, cache)
-        if cols == 1:
-            # A column vector is expanded into a diagonal matrix.
-            return (rows, rows)
-        _require_square((rows, cols), "Diag of a matrix")
-        return (rows, 1)
-    if isinstance(expr, mx.Rev):
-        return shape_of(expr.child, shapes, cache)
-    if isinstance(expr, (mx.RowSums, mx.RowMeans, mx.RowMax, mx.RowMin, mx.RowVar)):
-        rows, _ = shape_of(expr.child, shapes, cache)
-        return (rows, 1)
-    if isinstance(expr, (mx.ColSums, mx.ColMeans, mx.ColMax, mx.ColMin, mx.ColVar)):
-        _, cols = shape_of(expr.child, shapes, cache)
-        return (1, cols)
-
-    # Unary matrix -> scalar ------------------------------------------------
-    if isinstance(expr, (mx.Det, mx.Trace)):
-        shape = shape_of(expr.child, shapes, cache)
-        _require_square(shape, type(expr).__name__)
-        return SCALAR_SHAPE
-    if isinstance(expr, (mx.SumAll, mx.MeanAll, mx.VarAll, mx.MinAll, mx.MaxAll)):
-        shape_of(expr.child, shapes, cache)
-        return SCALAR_SHAPE
-
-    # Decomposition factors --------------------------------------------------
-    if isinstance(
-        expr,
-        (
-            mx.CholeskyFactor,
-            mx.QRFactorQ,
-            mx.QRFactorR,
-            mx.LUFactorL,
-            mx.LUFactorU,
-            mx.LUPFactorL,
-            mx.LUPFactorU,
-            mx.LUPFactorP,
-        ),
-    ):
-        shape = shape_of(expr.child, shapes, cache)
-        _require_square(shape, f"{type(expr).__name__} decomposition")
-        return shape
-
-    # Powers ------------------------------------------------------------------
-    if isinstance(expr, mx.MatPow):
-        shape = shape_of(expr.child, shapes, cache)
-        _require_square(shape, "MatPow")
-        return shape
-
-    # Binary -------------------------------------------------------------------
-    if isinstance(expr, mx.MatMul):
-        left = shape_of(expr.left, shapes, cache)
-        right = shape_of(expr.right, shapes, cache)
-        if left[1] != right[0]:
-            raise ShapeError(
-                f"cannot multiply {left[0]}x{left[1]} by {right[0]}x{right[1]}"
-            )
-        return (left[0], right[1])
-    if isinstance(expr, (mx.Add, mx.Sub, mx.ElemDiv, mx.Hadamard)):
-        left = shape_of(expr.left, shapes, cache)
-        right = shape_of(expr.right, shapes, cache)
-        # A scalar operand broadcasts (e.g. N ⊙ trace(...) in the hybrid queries).
-        if is_scalar_shape(left):
-            return right
-        if is_scalar_shape(right):
-            return left
-        _require_equal(left, right, type(expr).__name__)
-        return left
-    if isinstance(expr, mx.ScalarMul):
-        scalar_shape = shape_of(expr.scalar, shapes, cache)
-        if not is_scalar_shape(scalar_shape):
-            raise ShapeError(
-                f"ScalarMul scalar operand must be 1x1, got {scalar_shape[0]}x{scalar_shape[1]}"
-            )
-        return shape_of(expr.matrix, shapes, cache)
-    if isinstance(expr, mx.CBind):
-        left = shape_of(expr.left, shapes, cache)
-        right = shape_of(expr.right, shapes, cache)
-        if left[0] != right[0]:
-            raise ShapeError(
-                f"cbind requires equal row counts, got {left[0]} and {right[0]}"
-            )
-        return (left[0], left[1] + right[1])
-    if isinstance(expr, mx.RBind):
-        left = shape_of(expr.left, shapes, cache)
-        right = shape_of(expr.right, shapes, cache)
-        if left[1] != right[1]:
-            raise ShapeError(
-                f"rbind requires equal column counts, got {left[1]} and {right[1]}"
-            )
-        return (left[0] + right[0], left[1])
-    if isinstance(expr, mx.DirectSum):
-        left = shape_of(expr.left, shapes, cache)
-        right = shape_of(expr.right, shapes, cache)
-        return (left[0] + right[0], left[1] + right[1])
-    if isinstance(expr, mx.DirectProduct):
-        left = shape_of(expr.left, shapes, cache)
-        right = shape_of(expr.right, shapes, cache)
-        return (left[0] * right[0], left[1] * right[1])
-
-    raise ShapeError(f"shape inference does not know operator {expr.op!r}")
+    if mx.operator_for(expr.relation, expr.output) is not type(expr):
+        raise ShapeError(f"shape inference does not know operator {expr.op!r}")
+    inputs = [shape_of(child, shapes, cache) for child in expr.children]
+    for check in expr.checks:
+        holds, requirement = CHECKS[check]
+        if not holds(*inputs):
+            got = " and ".join(f"{rows}x{cols}" for rows, cols in inputs)
+            raise ShapeError(f"{type(expr).__name__} requires {requirement}, got {got}")
+    return expr.dims(inputs)
 
 
 def check_expr(expr: mx.Expr, shapes: ShapeSource) -> Shape:

@@ -4,6 +4,12 @@ The extraction step of the optimizer walks the saturated instance choosing,
 for every class, a producing atom (or a leaf fact); this module provides the
 single-step decoding of one chosen atom into one AST node, given the already
 decoded sub-expressions of its input classes.
+
+The relation -> node mapping is not written out here: it is the operator
+registry of :mod:`repro.lang` (:func:`~repro.lang.matrix_expr.operator_for`,
+keyed by relation and output position).  Only the leaf facts, the constant
+exponent of ``mat_pow`` / ``pow_s`` and the scalar ``*_s`` relations, which
+have no node class of their own, are decoded by hand.
 """
 
 from __future__ import annotations
@@ -14,58 +20,6 @@ from repro.exceptions import DecodingError
 from repro.lang import matrix_expr as mx
 from repro.vrem.atoms import Atom, Const
 from repro.vrem.schema import relation_spec
-
-_UNARY_NODES = {
-    "tr": mx.Transpose,
-    "inv_m": mx.Inverse,
-    "exp": mx.MatExp,
-    "adj": mx.Adjoint,
-    "diag": mx.Diag,
-    "rev": mx.Rev,
-    "row_sums": mx.RowSums,
-    "col_sums": mx.ColSums,
-    "row_means": mx.RowMeans,
-    "col_means": mx.ColMeans,
-    "row_max": mx.RowMax,
-    "col_max": mx.ColMax,
-    "row_min": mx.RowMin,
-    "col_min": mx.ColMin,
-    "row_var": mx.RowVar,
-    "col_var": mx.ColVar,
-    "det": mx.Det,
-    "trace": mx.Trace,
-    "sum": mx.SumAll,
-    "mean": mx.MeanAll,
-    "var": mx.VarAll,
-    "min": mx.MinAll,
-    "max": mx.MaxAll,
-}
-
-_BINARY_NODES = {
-    "multi_m": mx.MatMul,
-    "add_m": mx.Add,
-    "sub_m": mx.Sub,
-    "div_m": mx.ElemDiv,
-    "multi_e": mx.Hadamard,
-    "multi_ms": mx.ScalarMul,
-    "sum_d": mx.DirectSum,
-    "product_d": mx.DirectProduct,
-    "cbind": mx.CBind,
-    "rbind": mx.RBind,
-}
-
-_DECOMPOSITION_NODES = {
-    ("cho", 0): mx.CholeskyFactor,
-    ("qr", 0): mx.QRFactorQ,
-    ("qr", 1): mx.QRFactorR,
-    ("lu", 0): mx.LUFactorL,
-    ("lu", 1): mx.LUFactorU,
-    ("lup", 0): mx.LUPFactorL,
-    ("lup", 1): mx.LUPFactorU,
-    ("lup", 2): mx.LUPFactorP,
-}
-
-_SCALAR_ARITHMETIC = {"add_s", "multi_s", "inv_s", "pow_s"}
 
 
 def decode_atom_to_expr(
@@ -88,32 +42,23 @@ def decode_atom_to_expr(
         of ``mat_pow``) are not included — they are read from the atom.
     """
     relation = atom.relation
-    spec = relation_spec(relation)
-
-    if relation in _UNARY_NODES:
-        return _UNARY_NODES[relation](child_exprs[0])
-    if relation in _BINARY_NODES:
-        return _BINARY_NODES[relation](child_exprs[0], child_exprs[1])
-    if relation == "mat_pow":
-        const = atom.args[spec.input_positions[1]]
+    if relation in ("mat_pow", "pow_s"):
+        const = atom.args[relation_spec(relation).input_positions[1]]
         if not isinstance(const, Const):
-            raise DecodingError("mat_pow exponent must be a constant")
+            raise DecodingError(f"{relation} exponent must be a constant")
         return mx.MatPow(child_exprs[0], int(const.value))
-    key = (relation, output_index)
-    if key in _DECOMPOSITION_NODES:
-        return _DECOMPOSITION_NODES[key](child_exprs[0])
-    if relation in _SCALAR_ARITHMETIC:
-        # Scalar arithmetic is decoded with the matrix-level node set so the
-        # resulting expression stays executable: a + b and a * b over 1x1
-        # matrices, 1/a as an element-wise division, a^k as repeated product.
-        if relation == "add_s":
-            return mx.Add(child_exprs[0], child_exprs[1])
-        if relation == "multi_s":
-            return mx.Hadamard(child_exprs[0], child_exprs[1])
-        if relation == "inv_s":
-            return mx.ElemDiv(mx.ScalarConst(1.0), child_exprs[0])
-        const = atom.args[spec.input_positions[1]]
-        return mx.MatPow(child_exprs[0], int(const.value))
+    node = mx.operator_for(relation, output_index)
+    if node is not None:
+        return node(*child_exprs)
+    # Scalar arithmetic is decoded with the matrix-level node set so the
+    # resulting expression stays executable: a + b and a * b over 1x1
+    # matrices, 1/a as an element-wise division, a^k as repeated product.
+    if relation == "add_s":
+        return mx.Add(child_exprs[0], child_exprs[1])
+    if relation == "multi_s":
+        return mx.Hadamard(child_exprs[0], child_exprs[1])
+    if relation == "inv_s":
+        return mx.ElemDiv(mx.ScalarConst(1.0), child_exprs[0])
     raise DecodingError(f"cannot decode relation {relation!r} into an expression")
 
 

@@ -8,6 +8,12 @@ produces, inside a :class:`~repro.vrem.instance.VremInstance`,
 * one operation atom per AST node, whose output argument is the equivalence
   class standing for the node's value.
 
+The encoder keeps no operator table: each node class of
+:mod:`repro.lang.matrix_expr` declares its relation (``Expr.relation``) and
+which output of it the node is (``Expr.output``, e.g. ``qr_r`` is output 1
+of ``qr``).  Only the leaves and ``MatPow``'s constant exponent are encoded
+by hand.
+
 Because the instance hash-conses operation atoms (congruence), encoding the
 same sub-expression twice yields the same class — exactly the paper's
 "two expressions are assigned the same ID iff they yield value-based-equal
@@ -25,33 +31,6 @@ from repro.exceptions import EncodingError
 from repro.lang import matrix_expr as mx
 from repro.vrem.atoms import Const
 from repro.vrem.instance import VremInstance
-
-#: Expression classes encoded by a single operation atom whose relation name
-#: equals ``Expr.op``.
-_SIMPLE_UNARY = {
-    "tr", "inv_m", "exp", "adj", "diag", "rev",
-    "row_sums", "col_sums", "row_means", "col_means",
-    "row_max", "col_max", "row_min", "col_min", "row_var", "col_var",
-    "det", "trace", "sum", "mean", "var", "min", "max",
-}
-
-_SIMPLE_BINARY = {
-    "multi_m", "add_m", "sub_m", "div_m", "multi_e", "multi_ms",
-    "sum_d", "product_d", "cbind", "rbind",
-}
-
-#: Decomposition accessor op -> (relation, output index within the relation's
-#: output positions).
-_DECOMPOSITIONS = {
-    "cho": ("cho", 0),
-    "qr_q": ("qr", 0),
-    "qr_r": ("qr", 1),
-    "lu_l": ("lu", 0),
-    "lu_u": ("lu", 1),
-    "lup_l": ("lup", 0),
-    "lup_u": ("lup", 1),
-    "lup_p": ("lup", 2),
-}
 
 
 class LAEncoder:
@@ -126,7 +105,17 @@ class LAEncoder:
         if memoised is not None:
             return self.instance.find(memoised)
 
-        if isinstance(expr, mx.MatrixRef):
+        if isinstance(expr, mx.MatPow):
+            child = self.encode(expr.child)
+            (cid,) = self.instance.add_op(
+                "mat_pow", (child, Const(expr.exponent)), (self.provenance,)
+            )
+        elif expr.children:
+            if mx.operator_for(expr.relation, expr.output) is not type(expr):
+                raise EncodingError(f"cannot encode operator {expr.op!r} on VREM")
+            inputs = [self.encode(child) for child in expr.children]
+            cid = self.instance.add_op(expr.relation, inputs, (self.provenance,))[expr.output]
+        elif isinstance(expr, mx.MatrixRef):
             cid = self._encode_matrix_ref(expr)
         elif isinstance(expr, mx.ScalarConst):
             cid = self._encode_scalar_const(expr)
@@ -136,23 +125,6 @@ class LAEncoder:
             cid = self._encode_identity(expr)
         elif isinstance(expr, mx.Zero):
             cid = self._encode_zero(expr)
-        elif isinstance(expr, mx.MatPow):
-            child = self.encode(expr.child)
-            (cid,) = self.instance.add_op(
-                "mat_pow", (child, Const(expr.exponent)), (self.provenance,)
-            )
-        elif expr.op in _DECOMPOSITIONS:
-            relation, out_index = _DECOMPOSITIONS[expr.op]
-            child = self.encode(expr.children[0])
-            outputs = self.instance.add_op(relation, (child,), (self.provenance,))
-            cid = outputs[out_index]
-        elif expr.op in _SIMPLE_UNARY:
-            child = self.encode(expr.children[0])
-            (cid,) = self.instance.add_op(expr.op, (child,), (self.provenance,))
-        elif expr.op in _SIMPLE_BINARY:
-            left = self.encode(expr.children[0])
-            right = self.encode(expr.children[1])
-            (cid,) = self.instance.add_op(expr.op, (left, right), (self.provenance,))
         else:
             raise EncodingError(f"cannot encode operator {expr.op!r} on VREM")
 

@@ -41,6 +41,7 @@ from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ChaseError
+from repro.lang.matrix_expr import op_registry
 from repro.vrem.atoms import Atom, AtomInterner, Const, Var
 from repro.vrem.schema import VREM_SCHEMA, infer_output_shapes, relation_spec
 
@@ -49,7 +50,11 @@ Term = object  # int (class ID) or Const
 
 #: Operation relations whose inputs commute: the congruence key uses the
 #: sorted input multiset so both operand orders share one output class.
-COMMUTATIVE_RELATIONS = frozenset({"add_m", "multi_e", "add_s", "multi_s"})
+#: The commutative operator classes of :mod:`repro.lang`, plus the scalar
+#: ``add_s`` / ``multi_s``, which have no class of their own.
+COMMUTATIVE_RELATIONS = frozenset(
+    {cls.relation for cls in op_registry().values() if cls.commutative} | {"add_s", "multi_s"}
+)
 
 
 def _term_sort_key(term: Term) -> Tuple[int, object]:
@@ -319,15 +324,10 @@ class VremInstance:
         if spec.is_fact:
             return
         input_shapes = []
-        const_args = []
         for pos in spec.input_positions:
             arg = atom.args[pos]
-            if isinstance(arg, int):
-                input_shapes.append(self.shape(arg))
-            else:
-                input_shapes.append((1, 1))
-                const_args.append(arg.value)
-        out_shapes = infer_output_shapes(atom.relation, input_shapes, const_args)
+            input_shapes.append(self.shape(arg) if isinstance(arg, int) else (1, 1))
+        out_shapes = infer_output_shapes(atom.relation, input_shapes)
         for pos, shape in zip(spec.output_positions, out_shapes):
             arg = atom.args[pos]
             if shape is not None and isinstance(arg, int) and self.shape(arg) is None:

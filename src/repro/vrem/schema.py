@@ -6,7 +6,11 @@ Appendix A/B constraints) is described by a :class:`RelationSpec` recording
 * its arity,
 * which argument positions are *inputs* and which are *outputs* of the
   encoded operation, and
-* how the output dimensions derive from the input dimensions.
+* whether its outputs are scalars.
+
+How the output dimensions derive from the input dimensions is declared once,
+on the operator classes of :mod:`repro.lang.matrix_expr` (``Expr.dims``);
+:func:`infer_output_shapes` reads those rules per relation and output.
 
 The input/output split is what turns the functional EGDs of §6.2.3
 (I_multiM etc. — "the products of pairwise equal matrices are equal") into a
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-Shape = Tuple[int, int]
+from repro.lang.matrix_expr import SCALAR_SHAPE, Shape, operator_for
 
 
 @dataclass(frozen=True)
@@ -117,79 +121,32 @@ def relation_spec(name: str) -> RelationSpec:
     return VREM_SCHEMA[name]
 
 
-_SCALAR_SHAPE: Shape = (1, 1)
+#: Each operation relation's dimension rules, one per output position, read
+#: off the operator classes of :mod:`repro.lang`.
+_OUTPUT_RULES = {
+    name: tuple(operator_for(name, out).dims for out in range(len(spec.output_positions)))
+    for name, spec in VREM_SCHEMA.items()
+    if operator_for(name) is not None
+}
 
 
 def infer_output_shapes(
     relation: str,
     input_shapes: Sequence[Optional[Shape]],
-    const_args: Sequence[object] = (),
 ) -> Tuple[Optional[Shape], ...]:
     """Dimensions of the output classes of an operation atom.
 
-    ``input_shapes`` lists the known shapes of the *input* class arguments in
-    position order (``None`` when unknown); the returned tuple is aligned
-    with the relation's output positions.  A ``None`` entry means the shape
-    cannot be determined from the available information.
+    ``input_shapes`` lists the known shapes of the *input* arguments in
+    position order (``None`` when unknown, 1x1 for a constant); the returned
+    tuple is aligned with the relation's output positions.  A ``None`` entry
+    means the shape cannot be determined from the available information.
     """
     spec = relation_spec(relation)
-    n_out = len(spec.output_positions)
-    unknown = tuple([None] * n_out)
-
-    def first(index: int) -> Optional[Shape]:
-        return input_shapes[index] if index < len(input_shapes) else None
-
-    a, b = first(0), first(1)
     if spec.scalar_output:
-        return tuple([_SCALAR_SHAPE] * n_out)
-    if relation == "multi_m":
-        if a and b:
-            return ((a[0], b[1]),)
-        return unknown
-    if relation in ("add_m", "sub_m", "div_m", "multi_e"):
-        if a and a != _SCALAR_SHAPE:
-            return (a,)
-        if b:
-            return (b,)
-        return (a,) if a else unknown
-    if relation == "multi_ms":
-        return (b,) if b else unknown
-    if relation == "cbind":
-        if a and b:
-            return ((a[0], a[1] + b[1]),)
-        return unknown
-    if relation == "rbind":
-        if a and b:
-            return ((a[0] + b[0], a[1]),)
-        return unknown
-    if relation == "sum_d":
-        if a and b:
-            return ((a[0] + b[0], a[1] + b[1]),)
-        return unknown
-    if relation == "product_d":
-        if a and b:
-            return ((a[0] * b[0], a[1] * b[1]),)
-        return unknown
-    if relation == "mat_pow":
-        return (a,) if a else unknown
-    if relation == "tr":
-        return ((a[1], a[0]),) if a else unknown
-    if relation in ("inv_m", "exp", "adj", "rev"):
-        return (a,) if a else unknown
-    if relation == "diag":
-        if a is None:
-            return unknown
-        if a[1] == 1:
-            return ((a[0], a[0]),)
-        return ((a[0], 1),)
-    if relation in ("row_sums", "row_means", "row_max", "row_min", "row_var"):
-        return ((a[0], 1),) if a else unknown
-    if relation in ("col_sums", "col_means", "col_max", "col_min", "col_var"):
-        return ((1, a[1]),) if a else unknown
-    if relation == "cho":
-        return (a,) if a else unknown
-    if relation in ("qr", "lu"):
-        return (a, a) if a else unknown
-    if relation == "lup":
-        return (a, a, a) if a else unknown
-    return unknown
+        return (SCALAR_SHAPE,) * len(spec.output_positions)
+    rules = _OUTPUT_RULES.get(relation)
+    if rules is None:
+        return (None,) * len(spec.output_positions)
+    if len(rules) == 1:
+        return (rules[0](input_shapes),)
+    return tuple([rule(input_shapes) for rule in rules])

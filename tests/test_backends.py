@@ -137,7 +137,7 @@ def mixed_catalog(rng):
 
 _SAME_SHAPE = [("S", "D"), ("D", "S"), ("S", "S2"), ("D", "S2")]
 _BROADCAST = [("S", "v"), ("v", "S"), ("S", "one"), ("one", "S"), ("D", "sv"),
-              ("sw", "w"), ("sone", "D"), ("sone", "one")]
+              ("sw", "w"), ("sone", "D"), ("sone", "one"), ("S", "sone"), ("sone", "S")]
 _PRODUCTS = [("S", "E"), ("D", "T"), ("S", "T"), ("D", "E"), ("S", "x"), ("w", "S"),
              ("sw", "D"), ("D", "x"), ("one", "sw"), ("sone", "w"), ("sv", "one"),
              ("sone", "one")]

@@ -14,6 +14,7 @@ from scipy import sparse
 from repro.api import Engine
 from repro.backends import NumpyBackend
 from repro.backends.base import EvaluationResult
+from repro.data.catalog import Catalog
 from repro.exceptions import ExecutionError
 from repro.fuzz import CatalogSpec, generate_catalog
 from repro.lang import matrix_expr as mx
@@ -108,3 +109,17 @@ class TestPoisonedResults:
         catalog, result = planned
         routed = _route(catalog, result, {"numpy": NumpyBackend(catalog)})
         assert routed.failures == []
+
+    def test_a_kernel_error_fails_its_request_and_spares_the_batch(self):
+        # np.linalg.inv raises LinAlgError (a ValueError) on a singular
+        # matrix; execute_plan turns it into an ExecutionError, so the
+        # router records it and the rest of the batch is still answered.
+        catalog = Catalog()
+        catalog.register_dense("Z", np.zeros((3, 3)))
+        catalog.register_dense("A", np.arange(6.0).reshape(2, 3))
+        singular, fine = Engine(catalog).submit_many(
+            [mx.Inverse(mx.MatrixRef("Z")), mx.Transpose(mx.MatrixRef("A"))]
+        )
+        assert not singular.ok and singular.value is None
+        assert "Singular matrix" in str(singular.failures)
+        assert fine.ok and np.array_equal(fine.value, np.arange(6.0).reshape(2, 3).T)

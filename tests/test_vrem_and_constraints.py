@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import linalg as scipy_linalg
 
+from repro.api.schema import expr_from_json, expr_to_json
 from repro.backends.numpy_backend import NumpyBackend
 from repro.chase.kernel import kernel_for
 from repro.constraints import (
@@ -15,10 +17,14 @@ from repro.constraints import (
 from repro.constraints.core import EGD, TGD, egd, parse_atoms, tgd, validate_constraints
 from repro.constraints.decompositions import decomposition_constraints
 from repro.constraints.views import LAView, constraints_for_views, view_constraints
+from repro.core.extraction import extract_best_expression
+from repro.cost.model import annotate_instance_classes
+from repro.cost.naive_estimator import NaiveMetadataEstimator
 from repro.data.catalog import Catalog
-from repro.exceptions import ChaseError, EncodingError, ViewError
+from repro.exceptions import ChaseError, EncodingError, ShapeError, ViewError
 from repro.lang import colsums, inv, matrix, sum_all, transpose, scalar
 from repro.lang import matrix_expr as mx
+from repro.lang.shapes import shape_of
 from repro.vrem.atoms import Atom, Const, Var, make_atom
 from repro.vrem.decoder import decode_atom_to_expr, decode_fact_to_expr
 from repro.vrem.encoder import LAEncoder, encode_expression
@@ -55,6 +61,103 @@ class TestSchema:
         assert infer_output_shapes("col_sums", [(4, 3)]) == ((1, 3),)
         assert infer_output_shapes("det", [(4, 4)]) == ((1, 1),)
         assert infer_output_shapes("multi_m", [None, (3, 7)]) == (None,)
+
+
+#: NumPy reference semantics of every operator, over dense operands.
+_REFERENCE = {
+    "tr": lambda a: a.T,
+    "inv_m": np.linalg.inv,
+    "exp": scipy_linalg.expm,
+    "adj": lambda a: np.linalg.det(a) * np.linalg.inv(a),
+    "diag": lambda a: np.diag(a)[:, None],
+    "rev": lambda a: a[::-1],
+    "row_sums": lambda a: a.sum(axis=1)[:, None],
+    "col_sums": lambda a: a.sum(axis=0)[None, :],
+    "row_means": lambda a: a.mean(axis=1)[:, None],
+    "col_means": lambda a: a.mean(axis=0)[None, :],
+    "row_max": lambda a: a.max(axis=1)[:, None],
+    "col_max": lambda a: a.max(axis=0)[None, :],
+    "row_min": lambda a: a.min(axis=1)[:, None],
+    "col_min": lambda a: a.min(axis=0)[None, :],
+    "row_var": lambda a: a.var(axis=1, ddof=1)[:, None],
+    "col_var": lambda a: a.var(axis=0, ddof=1)[None, :],
+    "det": np.linalg.det,
+    "trace": np.trace,
+    "sum": np.sum,
+    "mean": np.mean,
+    "var": lambda a: np.var(a, ddof=1),
+    "min": np.min,
+    "max": np.max,
+    "multi_m": lambda a, b: a @ b,
+    "add_m": lambda a, b: a + b,
+    "sub_m": lambda a, b: a - b,
+    "div_m": lambda a, b: a / b,
+    "multi_e": lambda a, b: a * b,
+    "multi_ms": lambda s, a: s * a,
+    "sum_d": scipy_linalg.block_diag,
+    "product_d": np.kron,
+    "cbind": lambda a, b: np.hstack([a, b]),
+    "rbind": lambda a, b: np.vstack([a, b]),
+    "mat_pow": lambda a: np.linalg.matrix_power(a, 3),
+    "cho": np.linalg.cholesky,
+    "qr_q": lambda a: np.linalg.qr(a)[0],
+    "qr_r": lambda a: np.linalg.qr(a)[1],
+    "lu_l": lambda a: scipy_linalg.lu(a)[0] @ scipy_linalg.lu(a)[1],
+    "lu_u": lambda a: scipy_linalg.lu(a)[2],
+    "lup_l": lambda a: scipy_linalg.lu(a)[1],
+    "lup_u": lambda a: scipy_linalg.lu(a)[2],
+    "lup_p": lambda a: scipy_linalg.lu(a)[0].T,
+}
+
+#: Operand shapes that break each conformability check, for "L" and "R".
+_BREAKS = {
+    "square": ((4, 3), (4, 3)),
+    "square_or_column": ((4, 3), (4, 3)),
+    "conformable": ((4, 3), (4, 3)),
+    "equal_or_scalar": ((4, 3), (3, 4)),
+    "scalar_operand": ((2, 2), (4, 4)),
+    "equal_rows": ((4, 3), (3, 3)),
+    "equal_cols": ((4, 3), (4, 2)),
+}
+
+_OPERATORS = [cls for cls in mx.op_registry().values() if cls.arity]
+
+
+class TestOperatorRegistry:
+    """Every operator class, through every layer that reads its declaration."""
+
+    @pytest.mark.parametrize("cls", _OPERATORS, ids=lambda cls: cls.op)
+    def test_operator_round_trips_and_matches_numpy(self, rng, cls):
+        def build(*operands):
+            return cls(*operands, 3) if cls is mx.MatPow else cls(*operands)
+
+        left = "s" if cls is mx.ScalarMul else "L"
+        expr = build(*(matrix(name) for name in (left, "R")[: cls.arity]))
+        spd = rng.random((4, 4))
+        values = {"L": spd @ spd.T + 4 * np.eye(4), "R": rng.random((4, 4)) + 1, "s": np.array([[2.5]])}
+        catalog = Catalog()
+        for name, value in values.items():
+            catalog.register_dense(name, value)
+
+        # (a) enc_LA then extraction from a fresh instance gives the node back.
+        instance, root = encode_expression(expr, catalog=catalog)
+        infos = annotate_instance_classes(instance, catalog, NaiveMetadataEstimator())
+        assert extract_best_expression(instance, root, infos)[0] == expr
+        assert expr_from_json(expr_to_json(expr)) == expr
+        # (b) its relation is in the VREM schema with the node's input arity.
+        spec = VREM_SCHEMA[cls.relation]
+        assert len(spec.input_positions) == cls.arity + (cls is mx.MatPow)
+        assert cls.output < len(spec.output_positions)
+        # (c) each check it lists rejects operands that break it.
+        for check in cls.checks:
+            bad = dict(zip(("s" if cls is mx.ScalarMul else "L", "R"), _BREAKS[check]))
+            with pytest.raises(ShapeError):
+                shape_of(expr, bad)
+        # (d) the as-stated evaluator agrees with NumPy, in value and shape.
+        value = np.asarray(NumpyBackend(catalog).evaluate(expr))
+        reference = _REFERENCE[cls.op](*(values[name] for name in (left, "R")[: cls.arity]))
+        assert np.allclose(value, reference)
+        assert np.shape(np.atleast_2d(value)) == shape_of(expr, catalog)
 
 
 class TestInstance:
@@ -296,6 +399,27 @@ class TestUnsoundRulesRepaired:
             include_decompositions=True, include_morpheus=True)}
         assert not names & {"sml-col_var-rowvector", "sml-row_var-colvector"}
         assert {"sml-col_sums-rowvector", "sml-row_sums-colvector"} <= names
+
+    def test_lu_rules_claim_only_what_the_evaluator_returns(self):
+        # A pivot moves on this M, so lu_l(M) = P L is not lower-triangular.
+        catalog = Catalog()
+        catalog.register_dense("M", np.array([[1.0, 2.0, 0.0], [3.0, 1.0, 1.0], [0.0, 2.0, 5.0]]))
+        catalog.register_dense("L", np.array([[2.0, 0.0], [1.0, 3.0]]))
+        catalog.register_dense("U", np.array([[2.0, 1.0], [0.0, 3.0]]))
+        backend = NumpyBackend(catalog)
+        l, u = (backend.evaluate(node(matrix("M"))) for node in (mx.LUFactorL, mx.LUFactorU))
+        assert np.allclose(l @ u, catalog.matrix("M").values)
+        assert np.allclose(u, np.triu(u)) and not np.allclose(l, np.tril(l))
+        conclusion = _rule("lu-defining").conclusion
+        assert [atom.args for atom in conclusion if atom.relation == "type"] == [(Var("U"), Const("U"))]
+        # lu(L) = (L, I) fails for a lower-triangular L off the unit diagonal.
+        assert not np.allclose(backend.evaluate(mx.LUFactorL(matrix("L"))), catalog.matrix("L").values)
+        names = {c.name for c in decomposition_constraints()}
+        assert "lu-lower-fixpoint" not in names
+        # lu(U) = (I, U) holds and stays.
+        assert "lu-upper-fixpoint" in names
+        assert np.allclose(backend.evaluate(mx.LUFactorL(matrix("U"))), np.eye(2))
+        assert np.allclose(backend.evaluate(mx.LUFactorU(matrix("U"))), catalog.matrix("U").values)
 
 
 class TestViewConstraints:
