@@ -66,7 +66,7 @@ RULES: Dict[str, Tuple[str, str, str]] = {
         "duplicate-constraint-name",
         ERROR,
         "Two constraints in one program share a name; trigger bookkeeping "
-        "and provenance labels would silently collide.",
+        "and the per-constraint application counts would silently collide.",
     ),
     "RPA002": (
         "unsafe-egd",

@@ -613,10 +613,11 @@ class Engine:
     def invalidate_workspace(self, name: str) -> None:
         """Drop a workspace's cached runtime (pool, sessions, plans).
 
-        The next request against the name rebuilds from the registry.  The
-        worker-pool tier calls this inside each worker process when the
-        supervising gateway reports a registry delta, so a worker's warm
-        caches never serve a superseded bundle.  Unknown names are a no-op.
+        The next request against the name rebuilds from this engine's
+        registry.  The worker-pool tier calls this inside a worker process
+        when the parent's registry changed without a delta chain; the
+        worker's registry is its own, so the rebuild does not pick up the
+        parent's change.  Unknown names are a no-op.
         """
         with self._runtimes_lock:
             self._runtimes.pop(name, None)

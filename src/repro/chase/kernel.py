@@ -316,7 +316,6 @@ class ConstraintKernel:
         #: Fresh classes are allocated in slot order, which is the
         #: first-occurrence order of the existentials in the conclusion.
         self._existentials = (None,) * (len(slot_of) - self.n_premise)
-        self._provenance = (constraint.name,)
         self._conclusion = tuple(
             (atom.relation, tuple(_source(term, slot_of, where) for term in atom.args))
             for atom in constraint.conclusion
@@ -505,7 +504,7 @@ class ConstraintKernel:
             if all_fresh or slots[slot] is None:
                 slots[slot] = instance.new_class()
         for relation, args in self._conclusion:
-            instance.add_atom(relation, _values(args, slots), self._provenance)
+            instance.add_atom(relation, _values(args, slots))
 
 
 def kernel_for(constraint: Constraint) -> ConstraintKernel:

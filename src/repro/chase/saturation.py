@@ -268,7 +268,6 @@ class SaturationEngine:
         cid = instance.new_class()
         instance.add_atom("scalar_const", (cid, Const(float(value))))
         instance.set_shape(cid, (1, 1))
-        instance.set_scalar_value(cid, float(value))
         return cid
 
     def _apply_egd_matches(

@@ -59,7 +59,7 @@ def _encode_view_body(
 ) -> Tuple[List[Atom], Var]:
     """Encode the view definition and convert class IDs to variables."""
     scratch = VremInstance()
-    encoder = LAEncoder(scratch, catalog, provenance=f"view:{view.name}")
+    encoder = LAEncoder(scratch, catalog)
     root = encoder.encode(view.definition)
     variables: Dict[int, Var] = {}
 

@@ -148,17 +148,17 @@ class MNCEstimator:
             return clipped(a.nnz + b.nnz, rows, cols)
         if relation == "multi_e" and len(inputs) == 2:
             a, b = inputs
-            estimate = min(a.nnz, b.nnz)
-            if cells > 0:
-                estimate = min(estimate, a.nnz * b.nnz / cells + min(a.nnz, b.nnz) * 0.0)
             return clipped(min(a.nnz, b.nnz))
         if relation == "div_m" and len(inputs) == 2:
             return clipped(inputs[0].nnz, *self._ensure_counts(inputs[0]))
         if relation == "multi_ms" and len(inputs) == 2:
             return clipped(inputs[1].nnz, *self._ensure_counts(inputs[1]))
-        if relation in ("tr", "rev"):
+        if relation == "tr":
             rows, cols = self._ensure_counts(inputs[0])
             return clipped(inputs[0].nnz, cols, rows)
+        if relation == "rev":  # reverses the row order
+            rows, cols = self._ensure_counts(inputs[0])
+            return clipped(inputs[0].nnz, rows[::-1], cols)
         if relation in ("cbind", "rbind", "sum_d") and len(inputs) == 2:
             return clipped(inputs[0].nnz + inputs[1].nnz)
         if relation == "product_d" and len(inputs) == 2:

@@ -94,9 +94,3 @@ class HybridQuery:
     builders: Tuple[MatrixBuilder, ...]
     analysis: mx.Expr
     description: str = ""
-
-    def builder(self, name: str) -> MatrixBuilder:
-        for builder in self.builders:
-            if builder.name == name:
-                return builder
-        raise KeyError(f"hybrid query {self.name!r} has no builder named {name!r}")

@@ -186,18 +186,9 @@ class Expr:
         """
         fp = self._fingerprint
         if fp is None:
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(self.op.encode("utf-8"))
-            digest.update(b"\x00")
-            for item in self._payload:
-                digest.update(type(item).__name__.encode("utf-8"))
-                digest.update(repr(item).encode("utf-8"))
-                digest.update(b"\x01")
-            digest.update(b"\x02")
-            for child in self._children:
-                digest.update(bytes.fromhex(child.fingerprint()))
-            fp = digest.hexdigest()
-            self._fingerprint = fp
+            fp = self._fingerprint = self._digest(
+                b"", [child.fingerprint() for child in self._children]
+            )
         return fp
 
     def canonical_fingerprint(self) -> str:
@@ -213,25 +204,26 @@ class Expr:
         """
         fp = self._canonical_fp
         if fp is None:
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(b"canon\x00")
-            digest.update(self.op.encode("utf-8"))
-            digest.update(b"\x00")
-            for item in self._payload:
-                digest.update(type(item).__name__.encode("utf-8"))
-                digest.update(repr(item).encode("utf-8"))
-                digest.update(b"\x01")
-            digest.update(b"\x02")
-            child_digests = [
-                bytes.fromhex(child.canonical_fingerprint()) for child in self._children
-            ]
+            children = [child.canonical_fingerprint() for child in self._children]
             if self.commutative:
-                child_digests.sort()
-            for blob in child_digests:
-                digest.update(blob)
-            fp = digest.hexdigest()
-            self._canonical_fp = fp
+                children.sort()  # fixed-width hex sorts as its bytes do
+            fp = self._canonical_fp = self._digest(b"canon\x00", children)
         return fp
+
+    def _digest(self, prefix: bytes, children: Sequence[str]) -> str:
+        """BLAKE2b-128 of ``prefix``, the operator, the payload and the
+        children's hex digests, in that order."""
+        digest = hashlib.blake2b(prefix, digest_size=16)
+        digest.update(self.op.encode("utf-8"))
+        digest.update(b"\x00")
+        for item in self._payload:
+            digest.update(type(item).__name__.encode("utf-8"))
+            digest.update(repr(item).encode("utf-8"))
+            digest.update(b"\x01")
+        digest.update(b"\x02")
+        for child in children:
+            digest.update(bytes.fromhex(child))
+        return digest.hexdigest()
 
     def __eq__(self, other) -> bool:
         return (

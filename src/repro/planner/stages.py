@@ -128,9 +128,7 @@ class EncodeStage(Stage):
             s_cid = encoder.encode(mx.MatrixRef(s_name))
             k_cid = encoder.encode(mx.MatrixRef(k_name))
             r_cid = encoder.encode(mx.MatrixRef(r_name))
-            encoder.instance.add_atom(
-                "factorized", (m_cid, s_cid, k_cid, r_cid), ("normalized-matrix",)
-            )
+            encoder.instance.add_atom("factorized", (m_cid, s_cid, k_cid, r_cid))
 
 
 class SaturateStage(Stage):

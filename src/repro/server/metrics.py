@@ -199,13 +199,11 @@ class Histogram:
         self.buckets: Tuple[float, ...] = tuple(sorted(float(b) for b in buckets))
         self._counts = [0] * (len(self.buckets) + 1)  # +Inf last
         self._sum = 0.0
-        self._count = 0
         self._max = 0.0
 
     def observe(self, value: float) -> None:
         with self._lock:
             self._sum += value
-            self._count += 1
             if value > self._max:
                 self._max = value
             for index, bound in enumerate(self.buckets):
@@ -232,16 +230,6 @@ class Histogram:
                 "max": self._max,
                 "mean": self._sum / total if total else 0.0,
             }
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def max_value(self) -> float:
-        with self._lock:
-            return self._max
 
 
 class _Family:

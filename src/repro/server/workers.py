@@ -27,8 +27,11 @@ Three pieces:
   event loop, health-checks the pool, respawns crashed workers with bounded
   exponential backoff, replays the crashed worker's in-flight requests to
   the respawn (failing them cleanly once a retry budget is exhausted),
-  invalidates worker-side runtimes when the parent's
-  :class:`~repro.api.workspace.WorkspaceRegistry` changes, and drains
+  forwards the parent's catalog deltas to the owning worker (and
+  invalidates its runtime when a
+  :class:`~repro.api.workspace.WorkspaceRegistry` change has no delta
+  chain; the worker then rebuilds from its own factory-built registry,
+  not from the parent's bundle), and drains
   gracefully: flush every worker's queue, send the shutdown sentinel, join
   the pool.
 
@@ -217,8 +220,10 @@ class _Worker:
         ``apply_delta`` revalidates its warm pool instead of dropping it.
         A chain inconsistent with this worker's state (e.g. a respawned
         worker rebuilt from the factory's original bundle) falls back to
-        the blunt per-workspace invalidation, which is always safe, and is
-        counted in ``delta_fallbacks``.
+        the per-workspace invalidation, counted in ``delta_fallbacks``.
+        That drops the warm runtime but does not converge: the worker
+        rebuilds it from its own registry, which still holds the bundle
+        the factory built.
         """
         try:
             for payload in payloads:
@@ -344,8 +349,9 @@ class WorkerSupervisor:
         The parent-side :class:`repro.api.Engine`, or ``None``; when given,
         the health thread watches its registry and forwards delta chains
         (or ``invalidate``) to the owning worker when a workspace is
-        removed or its version bumps, so worker-side runtimes never serve
-        a superseded bundle.
+        removed or its version bumps.  An ``invalidate`` does not bring
+        the worker to the parent's bundle (see
+        :meth:`_sync_workspaces_locked`).
 
     Implements the gateway's :class:`~repro.server.planner.Planner` seam
     (:meth:`open` / :meth:`submit` / :meth:`describe` / :meth:`stats_dict`
@@ -826,10 +832,12 @@ class WorkerSupervisor:
         ``apply_delta``), the owning worker receives the wire-format delta
         chain and revalidates its warm runtime selectively — plans whose
         footprint the deltas never touch keep serving without a replan.
-        Only when no chain exists (a wholesale ``update``/``register``, a
-        follower too far behind, or no journal at all) does the worker fall
-        back to dropping the runtime and rebuilding from its factory on the
-        next request — per-workspace invalidation, never a pool restart.
+        When no chain exists (a wholesale ``update``/``register``, a
+        follower too far behind, or no journal at all) the worker is sent
+        an ``invalidate``: it drops its runtime and rebuilds it on the next
+        request from its *own* registry.  That registry was built by the
+        factory and never sees the parent's wholesale changes, so the
+        worker keeps planning against the bundle it had.
         """
         try:
             current = self._registry_versions(engine)

@@ -13,8 +13,8 @@ The package provides:
 * :mod:`repro.vrem.schema` — the VREM relation catalogue with arities and
   functional-dependency information (which drives congruence closure);
 * :mod:`repro.vrem.instance` — the chased instance: a congruence-closed set
-  of ground atoms with union-find over class IDs, per-class shape metadata
-  and per-atom provenance;
+  of ground atoms, stored once in an insertion-ordered table, with
+  union-find over class IDs and per-class shape metadata;
 * :mod:`repro.vrem.encoder` — ``enc_LA``: expression → instance encoding;
 * :mod:`repro.vrem.decoder` — ``dec_LA``: atom → expression-node decoding
   used by the extraction step.

@@ -20,7 +20,7 @@ comparisons.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 
 class Const:
@@ -120,42 +120,6 @@ class Atom:
     def variables(self) -> Tuple[Var, ...]:
         """The variables occurring in the atom, in argument order."""
         return tuple(arg for arg in self.args if isinstance(arg, Var))
-
-
-class AtomInterner:
-    """Per-instance hash-consing table for ground atoms.
-
-    :meth:`intern` returns *the* canonical :class:`Atom` object for a
-    (relation, args) pair, allocating it on first sight.  The table is keyed
-    by the atom's own hashable identity, so interning an already-canonical
-    atom is a single dict probe; after a class merge the re-canonicalised
-    atom hash-conses to a (possibly pre-existing) new object and the stale
-    one is simply dropped from the table.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self) -> None:
-        self._table: Dict[Tuple[str, Tuple[Term, ...]], Atom] = {}
-
-    def intern(self, relation: str, args: Tuple[Term, ...]) -> Atom:
-        key = (relation, args)
-        atom = self._table.get(key)
-        if atom is None:
-            atom = Atom(relation, args)
-            self._table[key] = atom
-        return atom
-
-    def has(self, relation: str, args: Tuple[Term, ...]) -> bool:
-        """Whether the pair is interned, without allocating an atom."""
-        return (relation, args) in self._table
-
-    def discard(self, atom: Atom) -> None:
-        """Forget a stale (pre-merge) canonical form."""
-        self._table.pop((atom.relation, atom.args), None)
-
-    def __len__(self) -> int:
-        return len(self._table)
 
 
 def make_atom(relation: str, *args: Term) -> Atom:

@@ -36,11 +36,9 @@ from repro.vrem.instance import VremInstance
 class LAEncoder:
     """Stateful encoder producing class IDs inside one instance."""
 
-    def __init__(self, instance: VremInstance, catalog: Optional[Catalog] = None,
-                 provenance: str = "enc"):
+    def __init__(self, instance: VremInstance, catalog: Optional[Catalog] = None):
         self.instance = instance
         self.catalog = catalog
-        self.provenance = provenance
         self._memo: Dict[mx.Expr, int] = {}
 
     # -- leaves ----------------------------------------------------------------
@@ -49,33 +47,28 @@ class LAEncoder:
         if existing is not None:
             return existing
         cid = self.instance.new_class()
-        self.instance.add_atom("name", (cid, Const(expr.name)), (self.provenance,))
+        self.instance.add_atom("name", (cid, Const(expr.name)))
         if self.catalog is not None and self.catalog.has_matrix(expr.name):
             meta = self.catalog.meta(expr.name)
             self.instance.set_shape(cid, meta.shape)
             if meta.matrix_type != MatrixType.GENERAL:
-                self.instance.add_atom(
-                    "type", (cid, Const(meta.matrix_type)), (self.provenance,)
-                )
+                self.instance.add_atom("type", (cid, Const(meta.matrix_type)))
         return cid
 
     def _encode_scalar_const(self, expr: mx.ScalarConst) -> int:
         for atom in self.instance.atoms_with("scalar_const", 1, Const(expr.value)):
             return self.instance.find(atom.args[0])
         cid = self.instance.new_class()
-        self.instance.add_atom("scalar_const", (cid, Const(expr.value)), (self.provenance,))
+        self.instance.add_atom("scalar_const", (cid, Const(expr.value)))
         self.instance.set_shape(cid, (1, 1))
-        self.instance.set_scalar_value(cid, expr.value)
         return cid
 
     def _encode_scalar_ref(self, expr: mx.ScalarRef) -> int:
         for atom in self.instance.atoms_with("scalar_name", 1, Const(expr.name)):
             return self.instance.find(atom.args[0])
         cid = self.instance.new_class()
-        self.instance.add_atom("scalar_name", (cid, Const(expr.name)), (self.provenance,))
+        self.instance.add_atom("scalar_name", (cid, Const(expr.name)))
         self.instance.set_shape(cid, (1, 1))
-        if self.catalog is not None and self.catalog.has_scalar(expr.name):
-            self.instance.set_scalar_value(cid, self.catalog.scalar(expr.name))
         return cid
 
     def _encode_identity(self, expr: mx.Identity) -> int:
@@ -84,7 +77,7 @@ class LAEncoder:
             if self.instance.shape(cid) == (expr.n, expr.n):
                 return cid
         cid = self.instance.new_class()
-        self.instance.add_atom("identity", (cid,), (self.provenance,))
+        self.instance.add_atom("identity", (cid,))
         self.instance.set_shape(cid, (expr.n, expr.n))
         return cid
 
@@ -94,7 +87,7 @@ class LAEncoder:
             if self.instance.shape(cid) == (expr.rows, expr.cols):
                 return cid
         cid = self.instance.new_class()
-        self.instance.add_atom("zero", (cid,), (self.provenance,))
+        self.instance.add_atom("zero", (cid,))
         self.instance.set_shape(cid, (expr.rows, expr.cols))
         return cid
 
@@ -107,14 +100,12 @@ class LAEncoder:
 
         if isinstance(expr, mx.MatPow):
             child = self.encode(expr.child)
-            (cid,) = self.instance.add_op(
-                "mat_pow", (child, Const(expr.exponent)), (self.provenance,)
-            )
+            (cid,) = self.instance.add_op("mat_pow", (child, Const(expr.exponent)))
         elif expr.children:
             if mx.operator_for(expr.relation, expr.output) is not type(expr):
                 raise EncodingError(f"cannot encode operator {expr.op!r} on VREM")
             inputs = [self.encode(child) for child in expr.children]
-            cid = self.instance.add_op(expr.relation, inputs, (self.provenance,))[expr.output]
+            cid = self.instance.add_op(expr.relation, inputs)[expr.output]
         elif isinstance(expr, mx.MatrixRef):
             cid = self._encode_matrix_ref(expr)
         elif isinstance(expr, mx.ScalarConst):

@@ -10,9 +10,11 @@ and after every merge the instance re-canonicalises itself to a fixpoint.
 
 Three structural invariants keep the chase hot path fast:
 
-* **Hash-consing** — every stored atom is interned: one canonical
-  :class:`~repro.vrem.atoms.Atom` object per (relation, canonical args)
-  pair, with a cached hash, so index probes cost a pointer comparison.
+* **Hash-consing** — one insertion-ordered table, keyed by (relation,
+  canonical args), holds the canonical :class:`~repro.vrem.atoms.Atom` of
+  every stored atom; it is the instance's only record of which atoms
+  exist.  Each atom is one object with a cached hash, so index probes
+  cost a pointer comparison.
 * **Canonical commutative keys** — the congruence table keys commutative
   operation relations (``add_m``, ``multi_e``, scalar ``add_s`` /
   ``multi_s``) on the *sorted* input multiset, so ``A + B`` and ``B + A``
@@ -25,9 +27,8 @@ Three structural invariants keep the chase hot path fast:
   O(delta).
 
 Besides the atoms, the instance tracks per-class *shape* metadata (the
-``size`` relation of Table 1), optional known scalar values and, per atom, a
-set of provenance labels recording which constraint or encoding step
-introduced it.
+``size`` relation of Table 1).  A scalar constant's value is its
+``scalar_const`` atom.
 For the semi-naive chase the instance also keeps append-only **delta logs**
 (per relation, plus one for newly shaped classes): every atom added or
 re-canonicalised is appended, so the saturation engine can restrict
@@ -38,11 +39,11 @@ premise matching to what actually changed since a constraint's last attempt
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ChaseError
 from repro.lang.matrix_expr import op_registry
-from repro.vrem.atoms import Atom, AtomInterner, Const, Var
+from repro.vrem.atoms import Atom, Const, Var
 from repro.vrem.schema import VREM_SCHEMA, infer_output_shapes, relation_spec
 
 Shape = Tuple[int, int]
@@ -71,8 +72,9 @@ class VremInstance:
         self._parent: Dict[int, int] = {}
         self._next_id = 0
         self._num_classes = 0
-        self._interner = AtomInterner()
-        self._atom_provenance: Dict[Atom, Set[str]] = {}
+        #: The stored atoms, in insertion order: (relation, canonical args)
+        #: -> the one canonical atom.
+        self._atoms: Dict[Tuple[str, Tuple[Term, ...]], Atom] = {}
         #: Per-relation and per-(relation, position, value) indexes.  The
         #: compiled matcher (:mod:`repro.chase.kernel`) reads these two
         #: directly — a probe per pending atom per search node — and iterates
@@ -86,7 +88,6 @@ class VremInstance:
         self._atoms_by_class: Dict[int, Set[Atom]] = defaultdict(set)
         self._congruence: Dict[Tuple, Atom] = {}
         self._shape: Dict[int, Shape] = {}
-        self._scalar_value: Dict[int, float] = {}
         self._pending_unions: List[Tuple[int, int]] = []
         #: Monotonically increasing counter, bumped on every structural change;
         #: used by callers (the planner's tighten hook) to detect staleness.
@@ -125,7 +126,7 @@ class VremInstance:
     def union(self, a: int, b: int) -> int:
         """Merge two classes and return the surviving representative.
 
-        Shape and scalar-value metadata are reconciled; conflicting shapes
+        Shape metadata is reconciled; conflicting shapes
         indicate an unsound constraint and raise :class:`ChaseError`.
         The re-canonicalisation of affected atoms is deferred to
         :meth:`rebuild` (incremental: only atoms mentioning the retired
@@ -147,9 +148,6 @@ class VremInstance:
             # The surviving class just became shape-matchable.
             self.shape_version += 1
             self._shape_delta_log.append(keep)
-        value_drop = self._scalar_value.pop(drop, None)
-        if value_drop is not None and keep not in self._scalar_value:
-            self._scalar_value[keep] = value_drop
         self._parent[drop] = keep
         self._num_classes -= 1
         self._pending_unions.append((keep, drop))
@@ -196,12 +194,6 @@ class VremInstance:
         O(instance) scan."""
         return sorted(self._shape)
 
-    def set_scalar_value(self, cid: int, value: float) -> None:
-        self._scalar_value[self.find(cid)] = float(value)
-
-    def scalar_value(self, cid: int) -> Optional[float]:
-        return self._scalar_value.get(self.find(cid))
-
     # ------------------------------------------------------------------ atoms
     def _canonical_args(self, args: Sequence[Term]) -> Tuple[Term, ...]:
         canonical = []
@@ -218,12 +210,7 @@ class VremInstance:
                 canonical.append(Const(arg))
         return tuple(canonical)
 
-    def add_atom(
-        self,
-        relation: str,
-        args: Sequence[Term],
-        provenance: Optional[Iterable[str]] = None,
-    ) -> Atom:
+    def add_atom(self, relation: str, args: Sequence[Term]) -> Atom:
         """Insert a ground atom (idempotent), maintaining congruence.
 
         ``size`` atoms are intercepted and stored as shape metadata instead
@@ -238,25 +225,22 @@ class VremInstance:
             if isinstance(rows, Const) and isinstance(cols, Const):
                 self.set_shape(cid, (int(rows.value), int(cols.value)))
             return Atom("size", canonical)
-        atom = self._insert_canonical(relation, canonical, set(provenance or ()))
+        atom = self._insert_canonical(relation, canonical)
         if self._pending_unions:
             self.rebuild()
         return atom
 
-    def _insert_canonical(
-        self, relation: str, canonical: Tuple[Term, ...], labels: Set[str]
-    ) -> Atom:
+    def _insert_canonical(self, relation: str, canonical: Tuple[Term, ...]) -> Atom:
         """Store one canonical atom: intern, index, log, congruence, shapes."""
-        atom = self._interner.intern(relation, canonical)
-        existing = self._atom_provenance.get(atom)
-        if existing is not None:
-            existing |= labels
+        key = (relation, canonical)
+        atom = self._atoms.get(key)
+        if atom is not None:
             # A stale twin removed just before may have owned this key:
             # without re-registering, the table loses the entry and a later
             # atom over the same inputs is never merged with this one.
             self._apply_congruence(atom)
             return atom
-        self._atom_provenance[atom] = labels
+        atom = self._atoms[key] = Atom(relation, canonical)
         self._by_relation[relation].add(atom)
         if relation not in self.populated:
             self.populated = self.populated | {relation}
@@ -272,9 +256,9 @@ class VremInstance:
         self._infer_shapes(atom)
         return atom
 
-    def _remove_atom(self, atom: Atom) -> Set[str]:
-        """Unindex a stale (pre-merge) atom, returning its provenance labels."""
-        labels = self._atom_provenance.pop(atom, set())
+    def _remove_atom(self, atom: Atom) -> None:
+        """Unindex a stale (pre-merge) atom."""
+        del self._atoms[(atom.relation, atom.args)]
         self._by_relation[atom.relation].discard(atom)
         for position, arg in enumerate(atom.args):
             self._by_position[(atom.relation, position, arg)].discard(atom)
@@ -285,8 +269,6 @@ class VremInstance:
         key = self._congruence_key(atom)
         if key is not None and self._congruence.get(key) is atom:
             del self._congruence[key]
-        self._interner.discard(atom)
-        return labels
 
     def _congruence_key(self, atom: Atom) -> Optional[Tuple]:
         spec = relation_spec(atom.relation)
@@ -333,12 +315,7 @@ class VremInstance:
             if shape is not None and isinstance(arg, int) and self.shape(arg) is None:
                 self.set_shape(arg, shape)
 
-    def add_op(
-        self,
-        relation: str,
-        inputs: Sequence[Term],
-        provenance: Optional[Iterable[str]] = None,
-    ) -> Tuple[int, ...]:
+    def add_op(self, relation: str, inputs: Sequence[Term]) -> Tuple[int, ...]:
         """Hash-consing insertion of an operation atom.
 
         If an atom of ``relation`` with the given (canonicalised, and for
@@ -359,7 +336,7 @@ class VremInstance:
             args[pos] = value
         for pos, value in zip(spec.output_positions, outputs):
             args[pos] = value
-        self.add_atom(relation, args, provenance)
+        self.add_atom(relation, args)
         return tuple(self.find(out) for out in outputs)
 
     def operation_atom(
@@ -376,18 +353,18 @@ class VremInstance:
 
     def stores(self, relation: str, canonical_args: Tuple[Term, ...]) -> bool:
         """Whether exactly this atom — canonical args, in this order — is stored."""
-        return self._interner.has(relation, canonical_args)
+        return (relation, canonical_args) in self._atoms
 
     def contains_atom(self, atom: Atom) -> bool:
         """Whether this exact (already-canonical) atom is currently stored."""
-        return atom in self._atom_provenance
+        return (atom.relation, atom.args) in self._atoms
 
     def atoms(self, relation: Optional[str] = None) -> Iterator[Atom]:
         """Iterate over stored atoms, optionally restricted to one relation."""
         if relation is not None:
             yield from list(self._by_relation.get(relation, ()))
             return
-        yield from list(self._atom_provenance)
+        yield from list(self._atoms.values())
 
     def atom_count(self, relation: str) -> int:
         """Number of stored atoms of one relation (cheap)."""
@@ -404,7 +381,7 @@ class VremInstance:
         return self._by_position.get((relation, position, value), set())
 
     def num_atoms(self) -> int:
-        return len(self._atom_provenance)
+        return len(self._atoms)
 
     # ------------------------------------------------------------------ deltas
     def relation_log(self, relation: str) -> List[Atom]:
@@ -439,9 +416,8 @@ class VremInstance:
                 continue
             self.version += 1
             for atom in list(affected):
-                labels = self._remove_atom(atom)
-                canonical = self._canonical_args(atom.args)
-                self._insert_canonical(atom.relation, canonical, labels)
+                self._remove_atom(atom)
+                self._insert_canonical(atom.relation, self._canonical_args(atom.args))
 
     def check_invariants(self) -> None:
         """Raise :class:`ChaseError` unless the instance is congruence-closed.
@@ -449,23 +425,35 @@ class VremInstance:
         At rest every stored atom is canonical, every operation atom has a
         live entry in the congruence table, and atoms sharing a key share
         their (canonical) outputs — what :meth:`operation_atom` relies on.
+        The relation and position indexes list exactly the stored atoms.
         """
         if self._pending_unions:
             raise ChaseError("instance has pending unions; call rebuild() first")
-        for atom in self._atom_provenance:
+        atoms = self._atoms
+        for atom in atoms.values():
             if atom.args != self._canonical_args(atom.args):
                 raise ChaseError(f"stored atom {atom!r} is not canonical")
+            if atom not in self._by_relation.get(atom.relation, ()) or any(
+                atom not in self._by_position.get((atom.relation, position, arg), ())
+                for position, arg in enumerate(atom.args)
+            ):
+                raise ChaseError(f"stored atom {atom!r} is missing from an index")
             key = self._congruence_key(atom)
             if key is None:
                 continue
             owner = self._congruence.get(key)
-            if owner is None or owner not in self._atom_provenance:
+            if owner is None or atoms.get((owner.relation, owner.args)) is not owner:
                 raise ChaseError(f"operation atom {atom!r} has no live congruence entry")
             for pos in relation_spec(atom.relation).output_positions:
                 if owner.args[pos] != atom.args[pos]:
                     raise ChaseError(
                         f"{atom!r} and {owner!r} agree on their inputs but not their outputs"
                     )
+        for index in (self._by_relation, self._by_position):
+            for indexed in index.values():
+                for atom in indexed:
+                    if atoms.get((atom.relation, atom.args)) is not atom:
+                        raise ChaseError(f"indexed atom {atom!r} is not stored")
 
     # ------------------------------------------------------------------ helpers
     def leaf_name(self, cid: int) -> Optional[str]:

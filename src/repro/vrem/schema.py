@@ -8,9 +8,13 @@ Appendix A/B constraints) is described by a :class:`RelationSpec` recording
   encoded operation, and
 * whether its outputs are scalars.
 
-How the output dimensions derive from the input dimensions is declared once,
-on the operator classes of :mod:`repro.lang.matrix_expr` (``Expr.dims``);
-:func:`infer_output_shapes` reads those rules per relation and output.
+Operation relations are declared once, on the operator classes of
+:mod:`repro.lang.matrix_expr`: a class's ``arity`` gives the inputs, the
+classes sharing its ``relation`` give the outputs, and ``Expr.dims`` how the
+output dimensions derive from the input dimensions
+(:func:`infer_output_shapes` reads those rules per relation and output).
+Only the fact relations and the operations no class declares are listed
+here by hand.
 
 The input/output split is what turns the functional EGDs of §6.2.3
 (I_multiM etc. — "the products of pairwise equal matrices are equal") into a
@@ -21,9 +25,9 @@ positions, their output classes are merged by the instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.lang.matrix_expr import SCALAR_SHAPE, Shape, operator_for
+from repro.lang.matrix_expr import SCALAR_SHAPE, Shape, _scalar, op_registry, operator_for
 
 
 @dataclass(frozen=True)
@@ -45,16 +49,21 @@ class RelationSpec:
         return bool(self.output_positions) and not self.is_fact
 
 
-def _op(name: str, arity: int, inputs: Sequence[int], outputs: Sequence[int], scalar=False) -> RelationSpec:
-    return RelationSpec(name, arity, tuple(inputs), tuple(outputs), scalar_output=scalar)
+def _op(name: str, inputs: int, outputs: int = 1, scalar: bool = False) -> RelationSpec:
+    return RelationSpec(
+        name,
+        inputs + outputs,
+        tuple(range(inputs)),
+        tuple(range(inputs, inputs + outputs)),
+        scalar_output=scalar,
+    )
 
 
 def _fact(name: str, arity: int) -> RelationSpec:
     return RelationSpec(name, arity, tuple(range(arity)), (), is_fact=True)
 
 
-_SPECS = [
-    # --- facts about classes -------------------------------------------------
+_FACTS = [
     _fact("name", 2),          # name(M, "M.csv")
     _fact("scalar_const", 2),  # scalar_const(S, 2.5)
     _fact("scalar_name", 2),   # scalar_name(S, "s1")
@@ -62,58 +71,43 @@ _SPECS = [
     _fact("identity", 1),      # identity(I)
     _fact("type", 2),          # type(M, "S"|"L"|"U"|"O"|"P")
     _fact("size", 3),          # size(M, k, z) — matched against shape metadata
-    # --- binary matrix operations --------------------------------------------
-    _op("multi_m", 3, (0, 1), (2,)),
-    _op("add_m", 3, (0, 1), (2,)),
-    _op("sub_m", 3, (0, 1), (2,)),
-    _op("div_m", 3, (0, 1), (2,)),
-    _op("multi_e", 3, (0, 1), (2,)),
-    _op("multi_ms", 3, (0, 1), (2,)),
-    _op("sum_d", 3, (0, 1), (2,)),
-    _op("product_d", 3, (0, 1), (2,)),
-    _op("cbind", 3, (0, 1), (2,)),
-    _op("rbind", 3, (0, 1), (2,)),
-    _op("mat_pow", 3, (0, 1), (2,)),
-    # --- normalized (join-factorized) matrices, for the Morpheus rules ---------
-    _fact("factorized", 4),    # factorized(M, S, K, R): M = [S, K R]
-    # --- unary matrix -> matrix ------------------------------------------------
-    _op("tr", 2, (0,), (1,)),
-    _op("inv_m", 2, (0,), (1,)),
-    _op("exp", 2, (0,), (1,)),
-    _op("adj", 2, (0,), (1,)),
-    _op("diag", 2, (0,), (1,)),
-    _op("rev", 2, (0,), (1,)),
-    _op("row_sums", 2, (0,), (1,)),
-    _op("col_sums", 2, (0,), (1,)),
-    _op("row_means", 2, (0,), (1,)),
-    _op("col_means", 2, (0,), (1,)),
-    _op("row_max", 2, (0,), (1,)),
-    _op("col_max", 2, (0,), (1,)),
-    _op("row_min", 2, (0,), (1,)),
-    _op("col_min", 2, (0,), (1,)),
-    _op("row_var", 2, (0,), (1,)),
-    _op("col_var", 2, (0,), (1,)),
-    # --- unary matrix -> scalar -------------------------------------------------
-    _op("det", 2, (0,), (1,), scalar=True),
-    _op("trace", 2, (0,), (1,), scalar=True),
-    _op("sum", 2, (0,), (1,), scalar=True),
-    _op("mean", 2, (0,), (1,), scalar=True),
-    _op("var", 2, (0,), (1,), scalar=True),
-    _op("min", 2, (0,), (1,), scalar=True),
-    _op("max", 2, (0,), (1,), scalar=True),
-    # --- decompositions (§6.2.5) -------------------------------------------------
-    _op("cho", 2, (0,), (1,)),
-    _op("qr", 3, (0,), (1, 2)),
-    _op("lu", 3, (0,), (1, 2)),
-    _op("lup", 4, (0,), (1, 2, 3)),
-    # --- scalar arithmetic ----------------------------------------------------------
-    _op("add_s", 3, (0, 1), (2,), scalar=True),
-    _op("multi_s", 3, (0, 1), (2,), scalar=True),
-    _op("inv_s", 2, (0,), (1,), scalar=True),
-    _op("pow_s", 3, (0, 1), (2,), scalar=True),
+    _fact("factorized", 4),    # factorized(M, S, K, R): M = [S, K R], for the Morpheus rules
 ]
 
-VREM_SCHEMA: Dict[str, RelationSpec] = {spec.name: spec for spec in _SPECS}
+#: Operations no operator class declares as such: ``mat_pow``'s exponent is
+#: a constant input (the node's payload, not a child), and the scalar
+#: arithmetic of the Appendix constraints has no node class at all.
+_EXPLICIT_OPS = [
+    _op("mat_pow", 2),
+    _op("add_s", 2, scalar=True),
+    _op("multi_s", 2, scalar=True),
+    _op("inv_s", 1, scalar=True),
+    _op("pow_s", 2, scalar=True),
+]
+
+
+def _declared_ops() -> List[RelationSpec]:
+    """One relation per operator class of :mod:`repro.lang` that is output 0
+    of its relation: the node's children are the inputs, and every class
+    naming the relation is one output (``qr_q`` and ``qr_r`` make ``qr``
+    two-output).  A scalar-valued node's outputs are scalars."""
+    explicit = {spec.name for spec in _EXPLICIT_OPS}
+    operators = [cls for cls in op_registry().values() if cls.arity]
+    return [
+        _op(
+            cls.relation,
+            cls.arity,
+            sum(1 for other in operators if other.relation == cls.relation),
+            scalar=cls.dims is _scalar,
+        )
+        for cls in operators
+        if cls.output == 0 and cls.relation not in explicit
+    ]
+
+
+VREM_SCHEMA: Dict[str, RelationSpec] = {
+    spec.name: spec for spec in _FACTS + _declared_ops() + _EXPLICIT_OPS
+}
 
 
 def relation_spec(name: str) -> RelationSpec:

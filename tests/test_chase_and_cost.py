@@ -128,7 +128,8 @@ class TestSaturation:
         instance, root = encode_expression(expr, catalog=small_catalog)
         engine = SaturationEngine(default_constraints())
         engine.saturate(instance)
-        assert instance.scalar_value(root) == 1.0
+        values = {atom.args[1].value for atom in instance.atoms_with("scalar_const", 0, root)}
+        assert values == {1.0}
 
 
 class TestCostModel:
@@ -188,6 +189,16 @@ class TestCostModel:
     def test_estimators_expose_names(self):
         assert NaiveMetadataEstimator().name == "naive"
         assert MNCEstimator().name == "mnc"
+
+    def test_mnc_rev_reverses_rows_and_keeps_columns(self):
+        from repro.cost.model import NnzInfo
+
+        info = NnzInfo(shape=(4, 3), nnz=3.0, row_counts=np.array([3.0, 0.0, 0.0, 0.0]),
+                       col_counts=np.array([1.0, 1.0, 1.0]))
+        out = MNCEstimator().propagate("rev", (4, 3), [info])
+        assert out.nnz == 3.0
+        assert out.row_counts.tolist() == [0.0, 0.0, 0.0, 3.0]
+        assert out.col_counts.tolist() == [1.0, 1.0, 1.0]
 
     def test_mnc_histograms_from_values(self, small_catalog):
         estimator = MNCEstimator()

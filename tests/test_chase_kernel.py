@@ -559,3 +559,19 @@ class TestCongruenceClosure:
         with pytest.raises(ChaseError, match="agree on their inputs but not their outputs"):
             instance.check_invariants()
         assert not instance.same_class(r, b)
+
+    def test_check_invariants_cross_checks_the_atom_table_and_its_indexes(self):
+        instance = VremInstance()
+        a = instance.new_class()
+        (r,) = instance.add_op("tr", (a,))
+        atom = instance.operation_atom("tr", (a,))
+        instance.check_invariants()
+        instance._by_position[("tr", 1, r)].discard(atom)
+        with pytest.raises(ChaseError, match="missing from an index"):
+            instance.check_invariants()
+        instance._by_position[("tr", 1, r)].add(atom)
+        instance.check_invariants()
+        ghost = Atom("tr", (r, a))
+        instance._by_relation["tr"].add(ghost)
+        with pytest.raises(ChaseError, match="is not stored"):
+            instance.check_invariants()

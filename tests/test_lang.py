@@ -86,6 +86,13 @@ class TestExprBasics:
         with pytest.raises(TypeMismatchError):
             identity(0)
 
+    def test_fingerprints_are_pinned(self):
+        # Digests key persistent plan caches: a refactor may not move them.
+        expr = transpose(matrix("C")) + (matrix("A") @ mat_pow(matrix("B"), 2))
+        assert expr.to_string() == "(t(C) + (A %*% (B)^2))"
+        assert expr.fingerprint() == "21120303785863dadcbbbf6186654c88"
+        assert expr.canonical_fingerprint() == "67e2c9f5f3542a0dccf822043de06c75"
+
 
 class TestShapes:
     def test_leaf_shape_from_dict(self):

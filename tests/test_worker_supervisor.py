@@ -34,10 +34,12 @@ from hypothesis import strategies as st
 from repro.benchkit.datasets import ROLE_BINDINGS_DENSE
 from repro.benchkit.harness import TenantEngineFactory
 from repro.benchkit.pipelines import build_pipeline, default_roles
+from repro.benchkit.views_vexp import build_vexp_views
 from repro.config import ConfigError, GatewayConfig
 from repro.planner import PlanSession
 from repro.server import HashRing, SupervisorClosed, WorkerSupervisor
 from repro.server.protocol import request_to_json, result_to_json
+from repro.server.workers import _Worker
 from repro.service import ServiceRequest
 
 # ---------------------------------------------------------------------------
@@ -173,6 +175,25 @@ class TestWorkerConfig:
         assert set(assignments.values()) <= set(range(4))
         # Pure function of (name, pool size): resolving twice agrees.
         assert assignments == supervisor.assignments()
+
+
+class TestWorkerBundle:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="invalidate drops the worker's runtime, which it then rebuilds "
+        "from its own factory-built registry, still at the superseded bundle",
+    )
+    def test_invalidate_after_an_update_reaches_the_parents_bundle(self):
+        factory = TenantEngineFactory(tenants=("a",), scale=0.01)
+        parent, worker = factory(), _Worker(factory(), worker_id=0)
+        views = build_vexp_views(default_roles(ROLE_BINDINGS_DENSE))
+        parent.workspaces.update("a", views=views)
+        # A wholesale update leaves no delta chain: the supervisor would
+        # send the owning worker an invalidate.
+        assert parent.delta_chain("a", 1, 2) is None
+        worker.handle(("invalidate", "a"))
+        theirs, mine = parent.workspaces.get("a"), worker.engine.workspaces.get("a")
+        assert (mine.version, len(mine.views)) == (theirs.version, len(theirs.views))
 
 
 # ---------------------------------------------------------------------------
