@@ -6,15 +6,26 @@ TensorFlow and SparkMLlib, and the reason HADAD's external rewriting pays
 off on those systems.
 
 Sparse values stay sparse.  An operation with one sparse and one dense
-operand runs on SciPy's mixed kernel and returns an ndarray: ``sparse @
-dense`` and ``dense @ sparse`` keep the dense side dense, and a same-shaped
-``sparse + dense`` adds the nonzeros onto one copy of the dense side (``-``
-is SciPy's own as well).  Values are densified here only where SciPy has no
+operand returns an ndarray: ``sparse @ dense`` and ``dense @ sparse`` run on
+SciPy's mixed kernel and keep the dense side dense.  A same-shaped ``+`` /
+``-`` of one sparse and one dense operand never densifies the sparse side:
+it accumulates the nonzeros into the dense operand *in place* when that
+operand is a fresh temporary, and into one copy of it otherwise.
+
+A value is a fresh temporary when :func:`is_fresh_temporary` says so, and
+only then: the result of an operator node (never a leaf, so never a catalog
+value, a view's value or a Morpheus factor), owning its ``float64`` buffer
+(``base is None``, writeable), and not the object one of the node's
+children returned.  Nothing else holds such a value, so overwriting it
+changes no stored matrix.  Values are densified here only where SciPy has no
 kernel for the operation: scalar and vector broadcasts of ``+`` / ``-``,
 inverses, decompositions, most aggregates.
 """
 
 from __future__ import annotations
+
+import threading
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy import linalg as scipy_linalg
@@ -25,18 +36,79 @@ from repro.exceptions import ExecutionError
 from repro.lang import matrix_expr as mx
 
 
+def is_fresh_temporary(
+    expr: mx.Expr, value: Value, inputs: Sequence[Tuple[Value, bool]]
+) -> bool:
+    """Whether ``value``, just returned for ``expr`` from children that
+    returned ``inputs``, may be overwritten by the operator consuming it.
+
+    The one place freshness is decided: an operator node's result (a leaf's
+    value is stored elsewhere), owning its ``float64`` buffer, writeable,
+    and not the object one of the node's children returned.
+    """
+    return (
+        bool(expr.children)
+        and isinstance(value, np.ndarray)
+        and value.base is None
+        and value.flags.writeable
+        and value.dtype == np.float64
+        and all(value is not child for child, _ in inputs)
+    )
+
+
+def _accumulate(dense: np.ndarray, value, subtract: bool) -> np.ndarray:
+    """Add (or subtract) the nonzeros of the sparse ``value`` into ``dense``
+    in place; the sum per cell is SciPy's ``dense + value`` bit for bit."""
+    csr = sparse.csr_matrix(value)
+    if not csr.has_canonical_format:  # one entry per cell, so ``+=`` adds each once
+        csr = csr.copy()
+        csr.sum_duplicates()
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    if subtract:
+        dense[rows, csr.indices] -= csr.data
+    else:
+        dense[rows, csr.indices] += csr.data
+    return dense
+
+
 class NumpyBackend(Backend):
     """Evaluate expressions as stated on NumPy / SciPy kernels."""
 
     name = "numpy"
 
+    def __init__(self, catalog):
+        super().__init__(catalog)
+        #: Per thread, one frame per operator node under evaluation: the
+        #: ``(value, fresh)`` of each child it has evaluated so far.
+        self._local = threading.local()
+
+    def _frames(self) -> List[List[Tuple[Value, bool]]]:
+        frames = getattr(self._local, "frames", None)
+        if frames is None:
+            frames = self._local.frames = []
+        return frames
+
     def evaluate(self, expr: mx.Expr) -> Value:
-        if not expr.children:
-            return self.leaf_value(expr)
-        method = getattr(self, f"_eval_{expr.op}", None)
-        if method is None:
-            raise ExecutionError(f"NumpyBackend cannot evaluate operator {expr.op!r}")
-        return method(expr)
+        frames = self._frames()
+        if expr.children:
+            method = getattr(self, f"_eval_{expr.op}", None)
+            if method is None:
+                raise ExecutionError(f"NumpyBackend cannot evaluate operator {expr.op!r}")
+            frames.append([])
+            try:
+                value = method(expr)
+            finally:
+                inputs = frames.pop()
+        else:
+            value, inputs = self.leaf_value(expr), []
+        if frames:
+            frames[-1].append((value, is_fresh_temporary(expr, value, inputs)))
+        return value
+
+    def _is_fresh(self, value: Value) -> bool:
+        """Whether ``value``, a child of the node under evaluation, was
+        judged a fresh temporary when it was returned."""
+        return any(seen is value and fresh for seen, fresh in self._frames()[-1])
 
     # -- helpers ---------------------------------------------------------------
     def _child(self, expr: mx.Expr, index: int = 0) -> Value:
@@ -83,12 +155,25 @@ class NumpyBackend(Backend):
         # A mixed product yields np.matrix for spmatrix operands: asarray.
         return np.asarray(self._sparse_or_dense(left) @ self._sparse_or_dense(right))
 
+    def _mixed_sum(self, left: Value, right: Value, subtract: bool) -> np.ndarray:
+        """``left + right`` (``left - right`` when ``subtract``) for one
+        sparse and one dense operand of the same shape, accumulated into the
+        dense operand: in place when it is a fresh temporary, else into one
+        copy of it."""
+        dense_left = sparse.issparse(right)
+        dense, other = (left, right) if dense_left else (right, left)
+        if not self._is_fresh(dense):
+            dense = np.array(dense, dtype=np.float64)
+        if subtract and not dense_left:  # left - right == (0 - right) + left
+            np.subtract(0.0, dense, out=dense)
+        return _accumulate(dense, other, subtract and dense_left)
+
     def _eval_add_m(self, expr: mx.Add) -> Value:
         left, right = self._child(expr, 0), self._child(expr, 1)
         if self._both_sparse_same_shape(left, right):
             return left + right
         if self._one_sparse_same_shape(left, right):
-            return np.asarray(left + right)
+            return self._mixed_sum(left, right, subtract=False)
         return self._broadcast(left) + self._broadcast(right)
 
     def _eval_sub_m(self, expr: mx.Sub) -> Value:
@@ -96,7 +181,7 @@ class NumpyBackend(Backend):
         if self._both_sparse_same_shape(left, right):
             return left - right
         if self._one_sparse_same_shape(left, right):
-            return np.asarray(left - right)
+            return self._mixed_sum(left, right, subtract=True)
         return self._broadcast(left) - self._broadcast(right)
 
     def _eval_div_m(self, expr: mx.ElemDiv) -> Value:

@@ -2,12 +2,19 @@
 
 This is the SparkSQL stand-in for the RA preprocessing stage of hybrid
 queries: selection (conjunctive comparison / substring predicates),
-projection, hash equi-join and the casts between tables and matrices.
+projection, equi-join and the casts between tables and matrices.  Every
+operator runs on whole columns, with no loop over rows:
+
+* a comparison is one NumPy ufunc over the column, and ``like`` is a
+  substring search (``np.strings.find``) over a unicode column;
+* the equi-join sorts the right keys once (stable) and finds each left
+  key's run of matches by binary search.  Keys compare as ``float64``, so
+  ``-0.0`` matches ``0.0`` and a NaN key matches nothing.  The output is
+  left-major, each left row's matches in right-position order, and a right
+  column whose name the left side already has is suffixed ``_r``.
 """
 
 from __future__ import annotations
-
-from typing import Dict, List
 
 import numpy as np
 
@@ -17,6 +24,15 @@ from repro.data.catalog import Catalog
 from repro.data.table import Table
 from repro.exceptions import ExecutionError, TypeMismatchError
 from repro.lang import relational_expr as rx
+
+_COMPARATORS = {
+    "==": np.equal,
+    "!=": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
 
 
 class RelationalEngine:
@@ -79,46 +95,24 @@ class RelationalEngine:
         return table.take(np.nonzero(mask)[0])
 
     def _predicate_mask(self, table: Table, predicate: rx.Predicate) -> np.ndarray:
-        column = table.column(predicate.column)
+        left = table.column(predicate.column)
         if predicate.is_column_rhs:
-            other = table.column(str(predicate.value))
-            left, right = np.asarray(column), np.asarray(other)
+            right = table.column(str(predicate.value))
         else:
-            left, right = column, predicate.value
-        comparator = predicate.comparator
-        if comparator == "like":
-            if isinstance(left, np.ndarray):
+            right = predicate.value
+        if predicate.comparator == "like":
+            needle = np.asarray(right if predicate.is_column_rhs else str(right))
+            if left.dtype.kind != "U" or needle.dtype.kind != "U":
                 raise TypeMismatchError("LIKE predicates require a string column")
-            needle = str(right)
-            return np.asarray([needle in str(value) for value in left], dtype=bool)
-        if isinstance(left, list):
-            left = np.asarray(left)
-            right = np.asarray(right) if predicate.is_column_rhs else right
-        ops = {
-            "==": np.equal,
-            "!=": np.not_equal,
-            "<": np.less,
-            "<=": np.less_equal,
-            ">": np.greater,
-            ">=": np.greater_equal,
-        }
-        return np.asarray(ops[comparator](left, right), dtype=bool)
+            return np.strings.find(left, needle) >= 0
+        return np.asarray(_COMPARATORS[predicate.comparator](left, right), dtype=bool)
 
     def _join(self, expr: rx.Join) -> Table:
         left = self.evaluate(expr.left)
         right = self.evaluate(expr.right)
-        left_keys = np.asarray(left.column(expr.left_key))
-        right_keys = np.asarray(right.column(expr.right_key))
-        # Hash join: index the right side by key value.
-        index: Dict[float, List[int]] = {}
-        for position, key in enumerate(right_keys):
-            index.setdefault(float(key), []).append(position)
-        left_rows: List[int] = []
-        right_rows: List[int] = []
-        for position, key in enumerate(left_keys):
-            for match in index.get(float(key), ()):
-                left_rows.append(position)
-                right_rows.append(match)
+        left_rows, right_rows = equi_join_rows(
+            left.column(expr.left_key), right.column(expr.right_key)
+        )
         left_result = left.take(left_rows)
         right_result = right.take(right_rows)
         columns = {}
@@ -128,3 +122,22 @@ class RelationalEngine:
             target = name if name not in columns else f"{name}_r"
             columns[target] = right_result.column(name)
         return Table(f"{left.name}_join_{right.name}", columns)
+
+
+def equi_join_rows(left_keys: np.ndarray, right_keys: np.ndarray):
+    """Row positions ``(left_rows, right_rows)`` of the pairs whose keys are
+    equal as ``float64``: left-major, each left row's matches in right
+    position order, NaN keys never matching."""
+    left_keys = np.asarray(left_keys, dtype=np.float64)
+    right_keys = np.asarray(right_keys, dtype=np.float64)
+    order = np.argsort(right_keys, kind="stable")
+    ordered = right_keys[order]
+    # NaN sorts last and would equal itself under searchsorted: cut it off.
+    matchable = len(ordered) - int(np.count_nonzero(np.isnan(ordered)))
+    order, ordered = order[:matchable], ordered[:matchable]
+    first = np.searchsorted(ordered, left_keys, side="left")
+    counts = np.searchsorted(ordered, left_keys, side="right") - first
+    left_rows = np.repeat(np.arange(len(left_keys)), counts)
+    # Position of each output pair within its left row's run of matches.
+    rank = np.arange(len(left_rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return left_rows, order[np.repeat(first, counts) + rank]

@@ -19,7 +19,9 @@ carries a registered name (``"naive"`` — the default — or ``"mnc"``) and
 callers importing estimator classes.  :func:`register_estimator` adds
 custom estimators under new names; :func:`resolve_estimator` raises
 :class:`~repro.exceptions.ConfigError` listing the valid choices when a
-name is unknown.
+name is unknown.  An estimator provides ``leaf_info(meta, data)``, where
+``data`` is the leaf's :class:`~repro.data.matrix.MatrixData` (``None`` when
+only metadata is registered), and ``propagate(relation, shape, inputs)``.
 """
 
 from typing import Callable, Dict, Optional, Tuple

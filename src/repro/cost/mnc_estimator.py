@@ -9,8 +9,9 @@ intermediates are *derived* during optimization (the overhead §9.1.3
 measures).
 
 Base-matrix histograms are computed from the actual values when they are
-available in the catalog (the paper computes them offline) and synthesised
-from the metadata otherwise (uniform distribution of the declared nnz).
+available in the catalog (the paper computes them offline), once per value
+(:meth:`repro.data.matrix.MatrixData.nnz_counts`), and synthesised from the
+metadata otherwise (uniform distribution of the declared nnz).
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
-from repro.data.matrix import MatrixMeta
+from repro.data.matrix import MatrixData, MatrixMeta
 
 Shape = Tuple[int, int]
 
@@ -30,19 +30,6 @@ def _uniform_histograms(meta: MatrixMeta) -> Tuple[np.ndarray, np.ndarray]:
     row_counts = np.full(meta.rows, nnz / float(meta.rows))
     col_counts = np.full(meta.cols, nnz / float(meta.cols))
     return row_counts, col_counts
-
-
-def _histograms_from_values(values) -> Tuple[np.ndarray, np.ndarray]:
-    if sparse.issparse(values):
-        csr = sparse.csr_matrix(values)
-        row_counts = np.diff(csr.indptr).astype(np.float64)
-        col_counts = np.bincount(csr.indices, minlength=csr.shape[1]).astype(np.float64)
-        return row_counts, col_counts
-    dense = np.asarray(values)
-    return (
-        np.count_nonzero(dense, axis=1).astype(np.float64),
-        np.count_nonzero(dense, axis=0).astype(np.float64),
-    )
 
 
 class MNCEstimator:
@@ -61,11 +48,11 @@ class MNCEstimator:
         return padded.reshape(-1, factor).sum(axis=1)
 
     # -- leaves ------------------------------------------------------------------
-    def leaf_info(self, meta: MatrixMeta, values=None) -> "NnzInfo":
+    def leaf_info(self, meta: MatrixMeta, data: Optional[MatrixData] = None) -> "NnzInfo":
         from repro.cost.model import NnzInfo
 
-        if values is not None:
-            row_counts, col_counts = _histograms_from_values(values)
+        if data is not None:
+            row_counts, col_counts = data.nnz_counts()
             nnz = float(row_counts.sum())
         else:
             row_counts, col_counts = _uniform_histograms(meta)

@@ -84,11 +84,8 @@ def _leaf_info(expr: mx.Expr, catalog: Optional[Catalog], estimator) -> NnzInfo:
             raise UnknownMatrixError(
                 f"matrix {expr.name!r} is not in the catalog; cannot estimate its size"
             )
-        meta = catalog.meta(expr.name)
-        values = (
-            catalog.matrix(expr.name).values if catalog.has_matrix_values(expr.name) else None
-        )
-        return estimator.leaf_info(meta, values)
+        data = catalog.matrix(expr.name) if catalog.has_matrix_values(expr.name) else None
+        return estimator.leaf_info(catalog.meta(expr.name), data)
     raise UnknownMatrixError(f"expression {expr!r} is not a leaf")
 
 
@@ -261,9 +258,8 @@ def annotate_producers(
         cid = instance.find(atom.args[0])
         name = atom.args[1].value
         if catalog is not None and catalog.has_matrix(name):
-            meta = catalog.meta(name)
-            values = catalog.matrix(name).values if catalog.has_matrix_values(name) else None
-            candidate = estimator.leaf_info(meta, values)
+            data = catalog.matrix(name) if catalog.has_matrix_values(name) else None
+            candidate = estimator.leaf_info(catalog.meta(name), data)
         else:
             shape = instance.shape(cid)
             nnz = float(shape[0] * shape[1]) if shape else 1.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from repro.data.matrix import MatrixMeta
+from repro.data.matrix import MatrixData, MatrixMeta
 
 Shape = Tuple[int, int]
 
@@ -22,7 +22,7 @@ class NaiveMetadataEstimator:
     name = "naive"
 
     # -- leaves ------------------------------------------------------------------
-    def leaf_info(self, meta: MatrixMeta, values=None) -> "NnzInfo":
+    def leaf_info(self, meta: MatrixMeta, data: Optional[MatrixData] = None) -> "NnzInfo":
         from repro.cost.model import NnzInfo
 
         nnz = meta.nnz if meta.nnz is not None else meta.rows * meta.cols

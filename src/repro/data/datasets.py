@@ -108,7 +108,7 @@ def _fact_table(
     measures = rng.choice(np.asarray(measure_values, dtype=np.float64), size=n_facts)
     columns = {entity_key: entity_ids, item_key: item_ids, measure: measures}
     if text_column is not None:
-        columns[text_column] = list(rng.choice(list(text_values), size=n_facts))
+        columns[text_column] = rng.choice(list(text_values), size=n_facts)
     return Table(name, columns)
 
 
@@ -161,7 +161,7 @@ def twitter_dataset(
         text_column="text",
         text_values=("covid vaccine news", "sports update", "covid cases rising", "weather"),
     )
-    country = list(rng.choice(["US", "FR", "UK"], size=len(tweet_tag), p=[0.5, 0.25, 0.25]))
+    country = rng.choice(["US", "FR", "UK"], size=len(tweet_tag), p=[0.5, 0.25, 0.25])
     tweet_tag = Table(
         "TweetTag",
         {
@@ -218,7 +218,7 @@ def mimic_dataset(
         measure="outcome",
         measure_values=(1, 2, 3),
     )
-    care_unit = list(rng.choice(["CCU", "TSICU", "MICU"], size=len(callout), p=[0.5, 0.3, 0.2]))
+    care_unit = rng.choice(["CCU", "TSICU", "MICU"], size=len(callout), p=[0.5, 0.3, 0.2])
     callout = Table(
         "Callout",
         {

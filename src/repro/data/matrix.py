@@ -91,12 +91,28 @@ class MatrixMeta:
         return self.nnz / float(self.n_cells)
 
 
+def nonzero_counts(values: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
+    """The number of non-zeros in each row and in each column (``float64``)."""
+    if sparse.issparse(values):
+        csr = sparse.csr_matrix(values)
+        row_counts = np.diff(csr.indptr).astype(np.float64)
+        col_counts = np.bincount(csr.indices, minlength=csr.shape[1]).astype(np.float64)
+        return row_counts, col_counts
+    dense = np.asarray(values)
+    return (
+        np.count_nonzero(dense, axis=1).astype(np.float64),
+        np.count_nonzero(dense, axis=0).astype(np.float64),
+    )
+
+
 @dataclass
 class MatrixData:
     """A matrix value together with its metadata."""
 
     values: ArrayLike
     meta: MatrixMeta = field(default=None)
+    #: ``(values, row counts, col counts)`` of the last :meth:`nnz_counts`.
+    _nnz_counts: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_dense(
@@ -158,6 +174,17 @@ class MatrixData:
         if self.is_sparse:
             return np.asarray(self.values.todense())
         return np.asarray(self.values)
+
+    def nnz_counts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`nonzero_counts` of the value, computed once per value
+        object (a new ``values`` is counted anew).  The arrays are shared
+        between callers, so they are read-only."""
+        memo = self._nnz_counts
+        if memo is None or memo[0] is not self.values:
+            row_counts, col_counts = nonzero_counts(self.values)
+            row_counts.flags.writeable = col_counts.flags.writeable = False
+            memo = self._nnz_counts = (self.values, row_counts, col_counts)
+        return memo[1], memo[2]
 
     def nnz(self) -> int:
         """Exact number of non-zeros of the stored value."""

@@ -24,6 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.backends.morpheus import factor_names
+from repro.backends.relational import equi_join_rows
 from repro.config import PlannerConfig
 from repro.constraints.views import LAView
 from repro.core.result import RewriteResult
@@ -55,14 +56,11 @@ def _pk_fk_indicator(
     unless every left key matches exactly one right row: only then does the
     join emit one row per left row, so that ``M = [S, K R]``.
     """
-    order = np.argsort(right_keys, kind="stable")
-    sorted_keys = right_keys[order]
-    first = np.searchsorted(sorted_keys, left_keys, side="left")
-    end = np.searchsorted(sorted_keys, left_keys, side="right")
-    if not np.all(end - first == 1):
+    left_rows, right_rows = equi_join_rows(left_keys, right_keys)
+    if not np.array_equal(left_rows, np.arange(len(left_keys))):
         return None
     return sparse.csr_matrix(
-        (np.ones(len(left_keys)), (np.arange(len(left_keys)), order[first])),
+        (np.ones(len(left_keys)), (left_rows, right_rows)),
         shape=(len(left_keys), len(right_keys)),
     )
 

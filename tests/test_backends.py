@@ -369,3 +369,117 @@ class TestRelationalEngine:
 def mx_to_table():
     from repro.lang.builder import to_table
     return to_table(matrix("Mx"), ["a", "b"])
+
+
+class TestInPlaceSparseAccumulation:
+    """A same-shaped ``+`` / ``-`` of a sparse and a dense operand writes the
+    nonzeros into the dense operand only when it is a fresh temporary."""
+
+    @pytest.fixture()
+    def accumulations(self, monkeypatch):
+        """The in-place accumulations made, as ``(dense, sparse)`` pairs."""
+        from repro.backends import numpy_backend
+
+        made = []
+        accumulate = numpy_backend._accumulate
+
+        def counting(dense, value, subtract):
+            made.append((dense, value))
+            return accumulate(dense, value, subtract)
+
+        monkeypatch.setattr(numpy_backend, "_accumulate", counting)
+        return made
+
+    @pytest.fixture()
+    def mixed(self):
+        rng = np.random.default_rng(3)
+        catalog = Catalog()
+        catalog.register_dense("A", rng.random((40, 5)))
+        catalog.register_dense("B", rng.standard_normal((5, 30)))
+        catalog.register_dense("Dn", rng.random((40, 30)))
+        catalog.register_sparse(
+            "S", sparse.random(40, 30, density=0.1, random_state=np.random.default_rng(4))
+        )
+        return catalog
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda S, P: P + S,
+            lambda S, P: S + P,
+            lambda S, P: P - S,
+            lambda S, P: S - P,
+        ],
+        ids=["fresh+sparse", "sparse+fresh", "fresh-sparse", "sparse-fresh"],
+    )
+    def test_in_place_result_is_scipys_bit_for_bit(self, mixed, build, accumulations):
+        stored = {name: mixed.matrix(name).values.copy() for name in ("A", "B", "Dn", "S")}
+        product = stored["A"] @ stored["B"]
+        expected = np.asarray(build(stored["S"], product))
+        value = NumpyBackend(mixed).evaluate(build(matrix("S"), matrix("A") @ matrix("B")))
+        assert [dense is value for dense, _ in accumulations] == [True]
+        assert value.tobytes() == expected.tobytes()
+        for name, values in stored.items():
+            assert to_dense(mixed.matrix(name).values).tobytes() == to_dense(values).tobytes()
+
+    @pytest.mark.parametrize("subtract", [False, True])
+    def test_a_leaf_is_never_overwritten(self, mixed, subtract, accumulations):
+        before = mixed.matrix("Dn").values.copy()
+        expr = matrix("Dn") - matrix("S") if subtract else matrix("S") + matrix("Dn")
+        value = NumpyBackend(mixed).evaluate(expr)
+        assert [dense is value for dense, _ in accumulations] == [True]
+        assert value is not mixed.matrix("Dn").values
+        assert np.array_equal(mixed.matrix("Dn").values, before)
+        stored_sparse = mixed.matrix("S").values
+        expected = before - stored_sparse if subtract else stored_sparse + before
+        assert value.tobytes() == np.asarray(expected).tobytes()
+
+    def test_an_operator_returning_its_childs_object_is_not_fresh(self, mixed):
+        class Aliasing(NumpyBackend):
+            def _eval_rev(self, expr):  # hands the child's value back as is
+                return self._child(expr)
+
+        before = mixed.matrix("Dn").values.copy()
+        value = Aliasing(mixed).evaluate(mx.Rev(matrix("Dn")) + matrix("S"))
+        assert np.array_equal(mixed.matrix("Dn").values, before)
+        assert np.allclose(value, before + mixed.matrix("S").values.toarray())
+
+    def test_a_morpheus_materialised_factor_is_never_overwritten(self):
+        rng = np.random.default_rng(5)
+        catalog = Catalog()
+        entity, attribute = rng.random((12, 2)), rng.random((4, 3))
+        indicator = sparse.csr_matrix(
+            (np.ones(12), (np.arange(12), rng.integers(0, 4, size=12))), shape=(12, 4)
+        )
+        catalog.register_dense("Mn", np.hstack([entity, indicator @ attribute]))
+        catalog.register_sparse(
+            "S", sparse.random(12, 5, density=0.3, random_state=np.random.default_rng(6))
+        )
+        backend = MorpheusBackend(catalog)
+        backend.register(NormalizedMatrix("Mn", entity, indicator, attribute))
+        parts = [entity.copy(), indicator.toarray(), attribute.copy()]
+        value = backend.evaluate(matrix("Mn") + matrix("S"))
+        expected = catalog.matrix("Mn").values + catalog.matrix("S").values.toarray()
+        assert np.allclose(value, expected)
+        now = backend.normalized("Mn")
+        for stored, kept in zip(
+            (now.entity_part, now.indicator.toarray(), now.attribute_part), parts
+        ):
+            assert np.array_equal(stored, kept)
+
+    def test_freshness_rule(self):
+        from repro.backends.numpy_backend import is_fresh_temporary
+
+        node, leaf = matrix("A") @ matrix("B"), matrix("A")
+        owned = np.ones((3, 3))
+        assert is_fresh_temporary(node, owned, [])
+        assert not is_fresh_temporary(leaf, owned, [])
+        assert not is_fresh_temporary(node, owned, [(owned, False)])
+        assert not is_fresh_temporary(node, owned.T, [])
+        assert not is_fresh_temporary(node, owned[:2], [])
+        assert not is_fresh_temporary(node, owned.astype(np.float32), [])
+        assert not is_fresh_temporary(node, sparse.csr_matrix(owned), [])
+        assert not is_fresh_temporary(node, 1.0, [])
+        frozen = np.ones((3, 3))
+        frozen.flags.writeable = False
+        assert not is_fresh_temporary(node, frozen, [])

@@ -202,6 +202,6 @@ class TestCostModel:
 
     def test_mnc_histograms_from_values(self, small_catalog):
         estimator = MNCEstimator()
-        info = estimator.leaf_info(small_catalog.meta("Sp"), small_catalog.matrix("Sp").values)
+        info = estimator.leaf_info(small_catalog.meta("Sp"), small_catalog.matrix("Sp"))
         assert info.row_counts is not None and info.col_counts is not None
         assert info.nnz == pytest.approx(small_catalog.meta("Sp").nnz)

@@ -32,7 +32,9 @@ from repro.core.extraction import analyse, enumerate_equivalent_expressions, ext
 from repro.core.matchain import optimize_matmul_chains
 from repro.cost import model
 from repro.cost.model import annotate_expression, expression_cost
+from repro.cost.mnc_estimator import MNCEstimator
 from repro.cost.naive_estimator import NaiveMetadataEstimator
+from repro.data import matrix as matrix_data
 from repro.exceptions import RewriteError
 from repro.fuzz.generator import CatalogSpec, ExpressionGenerator, generate_catalog, spawn_rng
 from repro.fuzz.runner import FuzzConfig
@@ -265,9 +267,8 @@ def _full_pass_annotate(instance, producers, catalog, estimator, max_passes=12):
         cid = instance.find(atom.args[0])
         name = atom.args[1].value
         if catalog is not None and catalog.has_matrix(name):
-            meta = catalog.meta(name)
-            values = catalog.matrix(name).values if catalog.has_matrix_values(name) else None
-            candidate = estimator.leaf_info(meta, values)
+            data = catalog.matrix(name) if catalog.has_matrix_values(name) else None
+            candidate = estimator.leaf_info(catalog.meta(name), data)
         else:
             shape = instance.shape(cid)
             nnz = float(shape[0] * shape[1]) if shape else 1.0
@@ -483,3 +484,73 @@ class TestSemiNaiveFixpoints:
         Counting.calls = 0
         model.annotate_producers(instance, producers, None, Counting())
         assert Counting.calls == len(producers) == 6
+
+
+# ---------------------------------------------------------------------------
+# MNC leaf sketches: one count per matrix value
+# ---------------------------------------------------------------------------
+
+
+class TestMNCLeafSketches:
+    """MNC reads each catalog value's row / column non-zero counts from
+    :meth:`MatrixData.nnz_counts`, which counts once per value object."""
+
+    @staticmethod
+    def _mnc_sweep(monkeypatch, memo: bool):
+        """The 114 plan_cold ops planned cold under MNC on a fresh catalog:
+        each op's (plan, best cost, original cost) as text, and the values
+        whose non-zeros were counted, in call order."""
+        counted = []
+        count = matrix_data.nonzero_counts
+
+        def counting(values):
+            counted.append(values)
+            return count(values)
+
+        monkeypatch.setattr(matrix_data, "nonzero_counts", counting)
+        if not memo:
+            monkeypatch.setattr(
+                matrix_data.MatrixData, "nnz_counts", lambda self: counting(self.values)
+            )
+        catalog = benchmark_catalog(scale=0.01)
+        views = build_vexp_views(ROLES)
+        materialize_views(views, catalog)
+        config = PlannerConfig(estimator="mnc")
+        sessions = {
+            "nv": PlanSession(catalog=catalog, config=config),
+            "vexp": PlanSession(catalog=catalog, views=views, config=config),
+        }
+        plans = []
+        for name, variant in OPS:
+            result = sessions[variant].plan(build_pipeline(name, ROLES))
+            plans.append(
+                (result.best.to_string(), repr(result.best_cost), repr(result.original_cost))
+            )
+        monkeypatch.undo()
+        return plans, counted
+
+    def test_each_value_is_counted_once_and_plans_do_not_move(self, monkeypatch):
+        plans, counted = self._mnc_sweep(monkeypatch, memo=True)
+        distinct = []
+        for values in counted:
+            assert not any(values is seen for seen in distinct), "a value was counted twice"
+            distinct.append(values)
+        # The 24 stored values the 114 plans read; counted 669 times without
+        # the memo (once per ``name`` atom per analysis).
+        assert len(counted) == 24
+        unmemoised, recounted = self._mnc_sweep(monkeypatch, memo=False)
+        assert len(recounted) > 10 * len(counted)
+        assert plans == unmemoised
+
+    def test_a_new_value_gets_new_counts(self, small_catalog):
+        data = small_catalog.matrix("Sp")
+        rows, cols = data.nnz_counts()
+        assert data.nnz_counts()[0] is rows and not rows.flags.writeable
+        assert rows.sum() == cols.sum() == data.nnz()
+        small_catalog.register_dense("Sp", np.eye(40, 30), overwrite=True)
+        replaced = small_catalog.matrix("Sp")
+        assert replaced.nnz_counts()[0].tolist() == [1.0] * 30 + [0.0] * 10
+        data.values = np.zeros((40, 30))
+        assert data.nnz_counts()[0].sum() == 0.0
+        estimator = MNCEstimator()
+        assert estimator.leaf_info(replaced.meta, replaced).nnz == 30.0
