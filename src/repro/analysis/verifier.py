@@ -13,7 +13,7 @@ integrity-constraint programs that drive the chase; this module checks them
   that read ``size`` must watch the shape log (``RPA005``); a
   missed trigger makes semi-naive skipping silently drop matches.
 * **Commutativity soundness** — the instance order-normalises the
-  commutative relations (:data:`~repro.vrem.instance.COMMUTATIVE_RELATIONS`)
+  commutative relations (:data:`~repro.vrem.schema.COMMUTATIVE_RELATIONS`)
   at construction, so premises that *distinguish* operand order only match
   one orientation.  That is fine when the program ships a commutativity
   repair TGD for the relation (the chase rematerialises the swapped form),
@@ -48,8 +48,7 @@ from repro.chase.kernel import kernel_for
 from repro.constraints.core import Constraint, EGD, TGD
 from repro.exceptions import ChaseError
 from repro.vrem.atoms import Atom, Const, Var
-from repro.vrem.instance import COMMUTATIVE_RELATIONS
-from repro.vrem.schema import VREM_SCHEMA
+from repro.vrem.schema import COMMUTATIVE_RELATIONS, VREM_SCHEMA
 
 #: A node of the position graph: (relation, argument position).
 Position = Tuple[str, int]

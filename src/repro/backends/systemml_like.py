@@ -9,7 +9,7 @@ why HADAD still finds rewritings it misses (Example 6.3, P1.14, P2.12).
 This backend reproduces that behaviour: expressions are first normalised by
 the bottom-up application of the same static rule set on the AST, then the
 multiplication chains are re-associated optimally, and the result is executed
-by the NumPy backend.
+by the NumPy backend.  Both happen once per evaluation, at the root.
 """
 
 from __future__ import annotations
@@ -83,4 +83,9 @@ class SystemMLLikeBackend(NumpyBackend):
         return optimized
 
     def evaluate(self, expr: mx.Expr) -> Value:
-        return super().evaluate(self.optimize_locally(expr))
+        """Optimise at the root, once; the operators below it evaluate their
+        children through here too, and take them as :class:`NumpyBackend`
+        does (an open frame means a parent node is under evaluation)."""
+        if not self._frames():
+            expr = self.optimize_locally(expr)
+        return super().evaluate(expr)

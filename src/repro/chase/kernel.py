@@ -31,11 +31,13 @@ first-seen order.
 functional and the instance keeps one congruence entry per (relation,
 canonical inputs), so a conclusion whose existential variables are all
 outputs of operation atoms is tested by a chain of keyed probes
-(:attr:`ConstraintKernel.keyed`).  Commutative relations are keyed on the
-sorted operands but stored as written — ``add_m(A, B, R)`` and
-``add_m(B, A, R)`` are two atoms sharing one key — so there the probe only
-yields the output class and the exact atom is confirmed separately;
-otherwise ``add-commutes`` would never fire.  A conclusion with an
+(:attr:`ConstraintKernel.keyed`), each step holding its relation's
+:class:`~repro.vrem.schema.RelationSpec`; the test answers with the mask
+of the conclusion atoms it did not find stored.  Commutative relations
+are keyed on the sorted operands but stored as written — ``add_m(A, B,
+R)`` and ``add_m(B, A, R)`` are two atoms sharing one key — so there the
+probe only yields the output class and the exact atom is confirmed
+separately; otherwise ``add-commutes`` would never fire.  A conclusion with an
 existential no operation determines (``name(?x, "V")`` of a ``view-oi``
 rule) is searched by a second :class:`JoinKernel` with the premise slots
 pre-bound.
@@ -45,10 +47,12 @@ read off the slots.  Existentials are resolved against the congruence table
 before anything is allocated: the keyed test walks its whole chain, so an
 unsatisfied conclusion leaves every existential that is the output of an
 already stored operation bound to that stored class, and only the rest get
-fresh ones — nothing is allocated just to be merged away and repaired.  Class
-ids stay deterministic: which existentials resolve depends only on the
-instance, and the others are allocated in slot order as before; the
-reference engine applies through the same walk, so both allocate alike.
+fresh ones — nothing is allocated just to be merged away and repaired — and
+only the atoms the test found missing are added (adding a stored atom
+changes nothing).  Class ids stay deterministic: which existentials resolve
+depends only on the instance, and the others are allocated in slot order as
+before; the reference engine applies through the same walk, so both
+allocate alike.
 
 A kernel changes after it is built only by adding compiled masks to its
 memo; a mask compiles to the same steps whoever compiles it, so two threads
@@ -65,8 +69,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.constraints.core import Constraint, EGD, TGD
 from repro.exceptions import ChaseError
 from repro.vrem.atoms import Atom, Const, Var
-from repro.vrem.instance import COMMUTATIVE_RELATIONS, VremInstance
-from repro.vrem.schema import VREM_SCHEMA, infer_output_shapes, relation_spec
+from repro.vrem.instance import VremInstance, congruence_key
+from repro.vrem.schema import VREM_SCHEMA
 
 Shape = Tuple[int, int]
 #: One premise match: the value of every premise variable, in slot order.
@@ -316,10 +320,15 @@ class ConstraintKernel:
         #: Fresh classes are allocated in slot order, which is the
         #: first-occurrence order of the existentials in the conclusion.
         self._existentials = (None,) * (len(slot_of) - self.n_premise)
+        #: ``(bit, spec, sources)`` per conclusion atom; bit ``i`` stands for
+        #: atom ``i`` in a :meth:`missing` mask.
         self._conclusion = tuple(
-            (atom.relation, tuple(_source(term, slot_of, where) for term in atom.args))
-            for atom in constraint.conclusion
+            (1 << index, VREM_SCHEMA[atom.relation],
+             tuple(_source(term, slot_of, where) for term in atom.args))
+            for index, atom in enumerate(constraint.conclusion)
         )
+        #: The mask of the whole conclusion.
+        self.every_atom = (1 << len(self._conclusion)) - 1
         probes = self._compile_keyed_test(self._conclusion, self.n_premise)
         #: Whether the conclusion test is a chain of keyed probes (else searched).
         self.keyed = probes is not None
@@ -384,24 +393,23 @@ class ConstraintKernel:
     def _compile_keyed_test(conclusion, n_premise: int) -> Optional[Tuple[tuple, ...]]:
         """Order the conclusion so every atom is determined when probed.
 
-        A step is ``(relation, args, inputs, outputs, confirm)``: with
-        ``inputs`` None the exact atom ``args`` is looked up; otherwise the
-        congruence entry of ``inputs`` is probed, ``outputs`` are
-        ``(position, slot, constant, bind?)`` read off the stored atom, and
-        ``confirm`` asks for the exact atom as well (commutative relations).
-        Returns None when some existential is no operation's output.
+        A step is ``(bit, spec, args, inputs, outputs)``: with ``inputs``
+        None the exact atom ``args`` is looked up; otherwise the congruence
+        entry of ``inputs`` is probed and ``outputs`` are ``(position, slot,
+        constant, bind?)`` read off the stored atom — for a commutative
+        relation the exact atom is looked up as well.  Returns None when
+        some existential is no operation's output.
         """
         known = set(range(n_premise))
         pending = list(conclusion)
         steps = []
         while pending:
             for atom in pending:
-                relation, sources = atom
-                if relation == "size":
+                bit, spec, sources = atom
+                if spec.name == "size":
                     return None
-                spec = relation_spec(relation)
                 if all(slot in known for slot, const in sources if const is None):
-                    steps.append((relation, sources, None, (), False))
+                    steps.append((bit, spec, sources, None, ()))
                     break
                 if spec.functional and all(
                     sources[pos][1] is not None or sources[pos][0] in known
@@ -414,97 +422,98 @@ class ConstraintKernel:
                         outputs.append((pos, slot, const, bind))
                         if bind:
                             known.add(slot)
-                    steps.append((
-                        relation,
-                        sources,
-                        tuple(sources[pos] for pos in spec.input_positions),
-                        tuple(outputs),
-                        relation in COMMUTATIVE_RELATIONS,
-                    ))
+                    inputs = tuple(sources[pos] for pos in spec.input_positions)
+                    steps.append((bit, spec, sources, inputs, tuple(outputs)))
                     break
             else:
                 return None
             pending.remove(atom)
         return tuple(steps)
 
-    def satisfied(self, instance: VremInstance, slots: List[object]) -> bool:
-        """Whether some extension of the match already satisfies the conclusion.
+    def missing(self, instance: VremInstance, slots: List[object]) -> int:
+        """The conclusion atoms the instance does not store, as a mask of
+        their bits; 0 when some extension of the match already satisfies
+        the conclusion.
 
-        A keyed chain is walked to its end either way: when the answer is no,
-        every existential that is the output of an operation the instance
-        already stores is left bound to that stored class, the rest stay
-        None (a probe over an unbound input finds nothing) —
-        :meth:`materialize` allocates for those alone.
+        A keyed chain is walked to its end either way: when something is
+        missing, every existential that is the output of an operation the
+        instance already stores is left bound to that stored class, the rest
+        stay None (a probe over an unbound input finds nothing) —
+        :meth:`materialize` allocates for those alone and adds the missing
+        atoms alone.  A searched conclusion is missing as a whole or not at
+        all.
         """
         if self._searched is not None:
-            return self._searched.search(instance, slots, None)
-        present = True
-        for relation, args, inputs, outputs, confirm in self._probes:
+            return 0 if self._searched.search(instance, slots, None) else self.every_atom
+        missing = 0
+        congruence = instance._congruence
+        for bit, spec, args, inputs, outputs in self._probes:
             if inputs is not None:
-                stored = instance.operation_atom(relation, _values(inputs, slots))
+                stored = congruence.get(congruence_key(spec, _values(inputs, slots)))
                 if stored is None:
-                    present = False
+                    missing |= bit
                     continue
                 for position, slot, const, bind in outputs:
                     if bind:
                         slots[slot] = stored.args[position]
                     elif not (stored.args[position] == (slots[slot] if slot >= 0 else const)):
-                        present = False
-                if not confirm:
+                        missing |= bit
+                if not spec.commutative:
                     continue
-            if present and not instance.stores(relation, _values(args, slots)):
-                present = False
-        return present
+            if not missing & bit and not instance.stores(spec.name, _values(args, slots)):
+                missing |= bit
+        return missing
 
     # ------------------------------------------------------------------ apply
     @staticmethod
     def _compile_shape_steps(conclusion) -> Tuple[tuple, ...]:
-        """``(relation, input slots, output slots, matrix output?)`` per
-        operation atom of the conclusion; a constant's slot is -1."""
-        steps = []
-        for relation, sources in conclusion:
-            spec = relation_spec(relation)
-            if spec.functional:
-                steps.append((
-                    relation,
-                    tuple(sources[pos][0] for pos in spec.input_positions),
-                    tuple(sources[pos][0] for pos in spec.output_positions),
-                    not spec.scalar_output,
-                ))
-        return tuple(steps)
+        """``(output dims rules, input slots, output slots, matrix output?)``
+        per operation atom of the conclusion; a constant's slot is -1."""
+        return tuple(
+            (
+                spec.dims,
+                tuple(sources[pos][0] for pos in spec.input_positions),
+                tuple(sources[pos][0] for pos in spec.output_positions),
+                not spec.scalar_output,
+            )
+            for _, spec, sources in conclusion
+            if spec.functional
+        )
 
     def new_shapes(self, instance: VremInstance, slots: List[object]) -> List[Optional[Shape]]:
         """Shapes of the matrix intermediates applying the TGD would create."""
         shapes: List[Optional[Shape]] = []
         n_premise = self.n_premise
+        known = instance._shape  # keyed by class representative, as slots are
         fresh: Dict[int, Optional[Shape]] = {}
-        for relation, inputs, outputs, is_matrix in self._shape_steps:
+        for dims, inputs, outputs, is_matrix in self._shape_steps:
             input_shapes: List[Optional[Shape]] = []
             for slot in inputs:
                 if slot >= n_premise:
                     input_shapes.append(fresh.get(slot))
                 elif slot >= 0 and type(slots[slot]) is int:
-                    input_shapes.append(instance.shape(slots[slot]))
+                    input_shapes.append(known.get(slots[slot]))
                 else:
                     input_shapes.append((1, 1))
-            inferred = infer_output_shapes(relation, input_shapes)
-            for slot, shape in zip(outputs, inferred):
+            for slot, rule in zip(outputs, dims):
                 if slot >= n_premise:
-                    fresh[slot] = shape
+                    shape = fresh[slot] = rule(input_shapes)
                     if is_matrix:
                         shapes.append(shape)
         return shapes
 
-    def materialize(self, instance: VremInstance, slots: List[object]) -> None:
-        """Add the conclusion: a fresh class for every existential that
-        :meth:`satisfied` did not resolve to a stored one (a searched
-        conclusion resolves none: its slots hold the failed search's scratch)."""
+    def materialize(self, instance: VremInstance, slots: List[object], missing: int) -> None:
+        """Add the ``missing`` conclusion atoms: a fresh class for every
+        existential that :meth:`missing` did not resolve to a stored one (a
+        searched conclusion resolves none: its slots hold the failed search's
+        scratch)."""
         all_fresh = self._searched is not None
         for slot in range(self.n_premise, len(slots)):
             if all_fresh or slots[slot] is None:
                 slots[slot] = instance.new_class()
-        for relation, args in self._conclusion:
-            instance.add_atom(relation, _values(args, slots))
+        for bit, spec, args in self._conclusion:
+            if missing & bit:
+                instance.add_atom(spec.name, _values(args, slots))
 
 
 def kernel_for(constraint: Constraint) -> ConstraintKernel:

@@ -227,13 +227,14 @@ class SaturationEngine:
             stats.matches_attempted += 1
             slots = kernel.slots_for(instance, match)
             # Both engines take the kernel's resolved existentials (and so
-            # allocate the same class ids); the reference takes only those.
-            satisfied = kernel.satisfied(instance, slots)
+            # allocate the same class ids); the reference takes only those,
+            # decides by its own search and adds the whole conclusion.
+            missing = kernel.missing(instance, slots)
             if not self.use_index:
-                satisfied = is_satisfied(
+                missing = 0 if is_satisfied(
                     tgd.conclusion, instance, dict(zip(kernel.premise_vars, slots))
-                )
-            if satisfied:
+                ) else kernel.every_atom
+            if not missing:
                 continue
             if pruner is not None:
                 new_shapes = kernel.new_shapes(instance, slots)
@@ -248,7 +249,7 @@ class SaturationEngine:
                         stats.pruned_by_tightening += 1
                     continue
             before = instance.num_atoms()
-            kernel.materialize(instance, slots)
+            kernel.materialize(instance, slots, missing)
             grown = instance.num_atoms() - before
             if grown > 0:
                 stats.atoms_materialized += grown

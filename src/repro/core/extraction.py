@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.cost.model import NnzInfo, Producer, _Passes, annotate_producers, instance_producers
+from repro.cost.model import NnzInfo, Producer, annotate_producers, instance_producers
 from repro.data.catalog import Catalog
 from repro.exceptions import DecodingError, RewriteError
 from repro.lang import matrix_expr as mx
@@ -39,7 +39,7 @@ _OPERATOR_EPSILON = 1e-3
 _LEAF_RELATIONS = ("name", "scalar_const", "scalar_name", "identity", "zero")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Derivation:
     """One way of producing a class: either a leaf fact or an op atom."""
 
@@ -62,7 +62,8 @@ class CostAnalysis:
 
 
 def analyse(instance: VremInstance, catalog: Optional[Catalog], estimator) -> CostAnalysis:
-    """Annotate and cost every class of ``instance`` from one walk of its atoms."""
+    """Annotate and cost every class of a quiescent ``instance`` from one
+    walk of its atoms."""
     producers = instance_producers(instance)
     infos = annotate_producers(instance, producers, catalog, estimator)
     return _analysis(instance, producers, infos)
@@ -73,17 +74,18 @@ def _analysis(
 ) -> CostAnalysis:
     """The analysis of ``instance`` under the given ``infos``."""
     derivations: Dict[int, List[_Derivation]] = {}
+    choices: Dict[int, _Derivation] = {}
     for relation in _LEAF_RELATIONS:
-        for atom in instance.atoms(relation):
-            cid = instance.find(atom.args[0])
-            derivations.setdefault(cid, []).append(_Derivation(atom=atom, is_leaf=True))
-    for atom, inputs, outputs in producers:
-        input_classes = tuple([cid for cid in inputs if cid is not None])
+        for atom in instance._by_relation.get(relation, ()):
+            derivation = _Derivation(atom, True)
+            derivations.setdefault(atom.args[0], []).append(derivation)
+            # A class's leaves come first: its first one costs nothing.
+            choices.setdefault(atom.args[0], derivation)
+    for atom, _, classes, outputs in producers:
         for out_index, cid, _ in outputs:
-            derivations.setdefault(cid, []).append(
-                _Derivation(atom, False, out_index, input_classes)
-            )
-    costs, choices = _compute_costs(derivations, infos)
+            derivations.setdefault(cid, []).append(_Derivation(atom, False, out_index, classes))
+    costs = dict.fromkeys(choices, 0.0)
+    _compute_costs(derivations, infos, costs, choices)
     return CostAnalysis(infos, derivations, costs, choices)
 
 
@@ -95,43 +97,53 @@ def _class_size(cid: int, infos: Dict[int, NnzInfo]) -> float:
 def _compute_costs(
     derivations: Dict[int, List[_Derivation]],
     infos: Dict[int, NnzInfo],
+    costs: Dict[int, float],
+    choices: Dict[int, _Derivation],
     max_passes: int = 25,
-) -> Tuple[Dict[int, float], Dict[int, _Derivation]]:
-    """Fixpoint computation of the cheapest derivation cost of every class."""
-    costs: Dict[int, float] = {}
-    choices: Dict[int, _Derivation] = {}
-    for cid, cands in derivations.items():
-        for derivation in cands:
-            if derivation.is_leaf:
-                costs[cid] = 0.0
-                choices[cid] = derivation
-                break
-    op_costs = {cid: _class_size(cid, infos) + _OPERATOR_EPSILON for cid in derivations}
-    classes = list(derivations.items())
-    passes = _Passes([[i for d in c for i in d.input_classes] for _, c in classes], max_passes)
-    for position in passes:
-        cid, cands = classes[position]
-        best_cost = costs.get(cid, float("inf"))
-        best_choice = choices.get(cid)
-        for derivation in cands:
-            if derivation.is_leaf:
-                candidate = 0.0
-            else:
-                candidate = op_costs[cid]
-                for input_cid in derivation.input_classes:
-                    input_cost = costs.get(input_cid)
-                    if input_cost is None:  # infeasible: never beats best_cost
-                        candidate = float("inf")
-                        break
-                    candidate += input_cost
-            if candidate < best_cost - 1e-12:
-                best_cost = candidate
-                best_choice = derivation
-        if best_choice is not None and (cid not in costs or best_cost < costs[cid] - 1e-12):
-            costs[cid] = best_cost
-            choices[cid] = best_choice
-            passes.touch(cid)
-    return costs, choices
+) -> None:
+    """Fixpoint of the cheapest derivation cost of every class, from the
+    leaves already in ``costs`` / ``choices``, in the semi-naive passes of
+    :func:`repro.cost.model.annotate_producers`."""
+    inf = float("inf")
+    readers: Dict[int, List[int]] = {}  # complete once the first pass is over
+    dirty: Optional[Set[int]] = None  # None: the first pass, which scans all
+    for _ in range(max_passes):
+        later: Set[int] = set()
+        for position, (cid, cands) in enumerate(derivations.items()):
+            if dirty is None:
+                for derivation in cands:
+                    for input_cid in derivation.input_classes:
+                        readers.setdefault(input_cid, []).append(position)
+            elif position not in dirty:
+                continue
+            best_cost = costs.get(cid, inf)
+            best_choice = choices.get(cid)
+            op_cost = _class_size(cid, infos) + _OPERATOR_EPSILON
+            for derivation in cands:
+                if derivation.is_leaf:
+                    candidate = 0.0
+                else:
+                    candidate = op_cost
+                    for input_cid in derivation.input_classes:
+                        input_cost = costs.get(input_cid)
+                        if input_cost is None:  # infeasible: never beats best_cost
+                            candidate = inf
+                            break
+                        candidate += input_cost
+                if candidate < best_cost - 1e-12:
+                    best_cost = candidate
+                    best_choice = derivation
+            if best_choice is not None and (cid not in costs or best_cost < costs[cid] - 1e-12):
+                costs[cid] = best_cost
+                choices[cid] = best_choice
+                for reader in readers.get(cid, ()):
+                    if reader <= position:
+                        later.add(reader)
+                    elif dirty is not None:
+                        dirty.add(reader)
+        if not later:
+            break
+        dirty = later
 
 
 def _reconstruct(

@@ -16,15 +16,14 @@ Two consumers exist:
   pipeline and candidate rewritings;
 * :func:`annotate_producers` — per-class size estimates on a saturated VREM
   instance, for :func:`repro.core.extraction.analyse` (§7.3): a fixpoint in
-  semi-naive passes (:class:`_Passes`), re-running a producer only when an
-  input class was re-annotated since its last run.
+  semi-naive passes, re-running a producer only when an input class was
+  re-annotated since its last run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -32,14 +31,14 @@ from repro.data.catalog import Catalog
 from repro.exceptions import UnknownMatrixError
 from repro.lang import matrix_expr as mx
 from repro.lang.shapes import shape_of
-from repro.vrem.atoms import Atom
+from repro.vrem.atoms import Atom, Const
 from repro.vrem.instance import VremInstance
-from repro.vrem.schema import relation_spec
+from repro.vrem.schema import VREM_SCHEMA
 
 Shape = Tuple[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class NnzInfo:
     """Size information about one (sub-)result.
 
@@ -166,61 +165,38 @@ def expression_cost(
 # ---------------------------------------------------------------------------
 
 
-#: One operation atom as the class analysis reads it: the atom, the canonical
-#: class of each input position (``None`` for a constant argument) and
-#: ``(output index, canonical class, class shape)`` of each class output.
-Producer = Tuple[Atom, List[Optional[int]], List[Tuple[int, int, Optional[Shape]]]]
+#: One operation atom as the class analysis reads it: the atom, the class
+#: of each input position (``None`` for a constant argument), the input
+#: classes alone, and ``(output index, class, class shape)`` of each class
+#: output.
+Producer = Tuple[
+    Atom, Tuple[Optional[int], ...], Tuple[int, ...], Tuple[Tuple[int, int, Optional[Shape]], ...]
+]
+
+_CONSTANT_INFO = NnzInfo(shape=(1, 1), nnz=1.0)
 
 
 def instance_producers(instance: VremInstance) -> List[Producer]:
-    """The operation atoms of ``instance`` in atom order (one walk)."""
-    find, shape, producers = instance.find, instance.shape, []
-    for atom in instance.atoms():
-        spec = relation_spec(atom.relation)
-        if spec.is_fact or not spec.output_positions:
+    """The operation atoms of a quiescent ``instance`` in atom order (one
+    walk).  Stored atoms are canonical at rest, so their class arguments
+    are read as stored."""
+    specs, shape, producers = VREM_SCHEMA, instance._shape.get, []
+    for atom in instance._atoms.values():
+        spec = specs[atom.relation]
+        if not spec.functional:
             continue
         args = atom.args
-        inputs = [find(args[pos]) if isinstance(args[pos], int) else None
-                  for pos in spec.input_positions]
-        outputs = [(index, find(args[pos]), shape(args[pos]))
-                   for index, pos in enumerate(spec.output_positions)
-                   if isinstance(args[pos], int)]
-        producers.append((atom, inputs, outputs))
+        inputs = classes = args[: len(spec.input_positions)]
+        if Const in map(type, inputs):  # a constant input (``mat_pow``'s exponent)
+            inputs = tuple([arg if type(arg) is int else None for arg in inputs])
+            classes = tuple([arg for arg in inputs if arg is not None])
+        outputs = tuple([
+            (index, args[pos], shape(args[pos]))
+            for index, pos in enumerate(spec.output_positions)
+            if type(args[pos]) is int
+        ])
+        producers.append((atom, inputs, classes, outputs))
     return producers
-
-
-class _Passes:
-    """Semi-naive passes over a fixpoint whose position ``i`` reads the keys
-    ``reads[i]``: after the first pass a position re-runs only once a key it
-    reads is :meth:`touch`-ed (in the same pass if it comes later), as full
-    passes reading in place would see it.  A skipped run would propose what
-    it did last time, which cannot beat values that only drop."""
-
-    def __init__(self, reads: Sequence[Sequence[Optional[int]]], max_passes: int):
-        self.size, self.max_passes = len(reads), max_passes
-        self.readers: Dict[int, List[int]] = {}
-        for position, keys in enumerate(reads):
-            for key in keys:
-                if key is not None:
-                    self.readers.setdefault(key, []).append(position)
-
-    def __iter__(self) -> Iterator[int]:
-        queue, passes = list(range(self.size)), 0
-        while queue and passes < self.max_passes:
-            self._queue, self._queued, self._later = queue, set(queue), set()
-            while queue:
-                self._position = heappop(queue)
-                yield self._position
-            queue, passes = sorted(self._later), passes + 1
-
-    def touch(self, key: int) -> None:
-        """``key``'s value just dropped, at the position being run."""
-        for reader in self.readers.get(key, ()):
-            if reader <= self._position:
-                self._later.add(reader)
-            elif reader not in self._queued:
-                self._queued.add(reader)
-                heappush(self._queue, reader)
 
 
 def annotate_instance_classes(
@@ -250,58 +226,79 @@ def annotate_producers(
     estimator,
     max_passes: int = 12,
 ) -> Dict[int, NnzInfo]:
-    """:func:`annotate_instance_classes` over an already walked producer list."""
+    """:func:`annotate_instance_classes` over an already walked producer list.
+
+    Semi-naive passes: the first runs every producer in order; a later one
+    re-runs, in order, the producers reading a class re-annotated at or
+    after their run in the pass before, and within a pass a producer
+    further down re-runs once a class it reads is re-annotated — every
+    update full passes would make.  A skipped run would propose what it
+    did last time, which cannot beat values that only drop."""
     infos: Dict[int, NnzInfo] = {}
+    by_relation, shape = instance._by_relation, instance._shape.get
 
     # Seeds: named matrices, scalars, identity / zero.
-    for atom in instance.atoms("name"):
-        cid = instance.find(atom.args[0])
+    for atom in by_relation.get("name", ()):
+        cid = atom.args[0]
         name = atom.args[1].value
         if catalog is not None and catalog.has_matrix(name):
             data = catalog.matrix(name) if catalog.has_matrix_values(name) else None
             candidate = estimator.leaf_info(catalog.meta(name), data)
         else:
-            shape = instance.shape(cid)
-            nnz = float(shape[0] * shape[1]) if shape else 1.0
-            candidate = NnzInfo(shape=shape, nnz=nnz)
+            known = shape(cid)
+            nnz = float(known[0] * known[1]) if known else 1.0
+            candidate = NnzInfo(shape=known, nnz=nnz)
         existing = infos.get(cid)
         if existing is None or candidate.nnz < existing.nnz:
             infos[cid] = candidate
     for relation in ("scalar_const", "scalar_name"):
-        for atom in instance.atoms(relation):
-            infos.setdefault(instance.find(atom.args[0]), NnzInfo(shape=(1, 1), nnz=1.0))
-    for atom in instance.atoms("identity"):
-        cid = instance.find(atom.args[0])
-        shape = instance.shape(cid)
-        nnz = float(shape[0]) if shape else 1.0
-        infos.setdefault(cid, NnzInfo(shape=shape, nnz=nnz))
-    for atom in instance.atoms("zero"):
-        cid = instance.find(atom.args[0])
-        infos.setdefault(cid, NnzInfo(shape=instance.shape(cid), nnz=0.0))
+        for atom in by_relation.get(relation, ()):
+            infos.setdefault(atom.args[0], NnzInfo(shape=(1, 1), nnz=1.0))
+    for atom in by_relation.get("identity", ()):
+        cid = atom.args[0]
+        known = shape(cid)
+        infos.setdefault(cid, NnzInfo(shape=known, nnz=float(known[0]) if known else 1.0))
+    for atom in by_relation.get("zero", ()):
+        cid = atom.args[0]
+        infos.setdefault(cid, NnzInfo(shape=shape(cid), nnz=0.0))
 
     # Fixpoint propagation over producer atoms.
     propagate, get = estimator.propagate, infos.get
-    passes = _Passes([inputs for _, inputs, _ in producers], max_passes)
-    for position in passes:
-        atom, inputs, outputs = producers[position]
-        input_infos = []
-        for input_cid in inputs:
-            info = NnzInfo(shape=(1, 1), nnz=1.0) if input_cid is None else get(input_cid)
-            if info is None:
-                break
-            input_infos.append(info)
-        else:
-            for _, cid, shape in outputs:
-                candidate = propagate(atom.relation, shape, input_infos)
-                existing = get(cid)
-                if existing is None or candidate.nnz < existing.nnz - 1e-9:
-                    infos[cid] = candidate
-                    passes.touch(cid)
+    readers: Dict[int, List[int]] = {}  # complete once the first pass is over
+    dirty: Optional[Set[int]] = None  # None: the first pass, which runs all
+    for _ in range(max_passes):
+        later: Set[int] = set()
+        for position, (atom, inputs, classes, outputs) in enumerate(producers):
+            if dirty is None:
+                for cid in classes:
+                    readers.setdefault(cid, []).append(position)
+            elif position not in dirty:
+                continue
+            input_infos = []
+            for input_cid in inputs:
+                info = _CONSTANT_INFO if input_cid is None else get(input_cid)
+                if info is None:
+                    break
+                input_infos.append(info)
+            else:
+                for _, cid, out_shape in outputs:
+                    candidate = propagate(atom.relation, out_shape, input_infos)
+                    existing = get(cid)
+                    if existing is None or candidate.nnz < existing.nnz - 1e-9:
+                        infos[cid] = candidate
+                        for reader in readers.get(cid, ()):
+                            if reader <= position:
+                                later.add(reader)
+                            elif dirty is not None:
+                                dirty.add(reader)
+        if not later:
+            break
+        dirty = later
 
     # Any class still unknown gets a dense default based on its shape.
     for cid in instance.classes():
         if cid not in infos:
-            shape = instance.shape(cid)
-            nnz = float(shape[0] * shape[1]) if shape else 1.0
-            infos[cid] = NnzInfo(shape=shape, nnz=nnz)
+            known = shape(cid)
+            nnz = float(known[0] * known[1]) if known else 1.0
+            infos[cid] = NnzInfo(shape=known, nnz=nnz)
     return infos

@@ -9,11 +9,52 @@ thereby miss a few rewritings (as §9.1.3 observes).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from repro.cost.model import NnzInfo
 from repro.data.matrix import MatrixData, MatrixMeta
 
 Shape = Tuple[int, int]
+#: A worst-case nnz bound: (output shape, output cells, input infos) -> nnz,
+#: before clipping to [0, cells].
+Rule = Callable[[Shape, float, Sequence[NnzInfo]], float]
+
+
+def _matmul(shape: Shape, cells: float, inputs: Sequence[NnzInfo]) -> float:
+    if len(inputs) != 2:
+        return cells
+    a, b = inputs
+    bound = cells
+    if a.shape is not None:
+        bound = min(bound, a.nnz * shape[1])
+    if b.shape is not None:
+        bound = min(bound, b.nnz * shape[0])
+    return bound
+
+
+def _sum(shape: Shape, cells: float, inputs: Sequence[NnzInfo]) -> float:
+    return inputs[0].nnz + inputs[1].nnz if len(inputs) == 2 else cells
+
+
+#: The bound of each relation; a binary rule given another operand count
+#: bounds nothing.  Inverse, exponential, adjoint, decompositions and
+#: anything unknown are missing: their worst case is a dense result.
+_RULES: Dict[str, Rule] = {
+    "multi_m": _matmul,
+    **dict.fromkeys(("add_m", "sub_m", "cbind", "rbind", "sum_d"), _sum),
+    "multi_e": lambda shape, cells, ins: min(ins[0].nnz, ins[1].nnz) if len(ins) == 2 else cells,
+    "div_m": lambda shape, cells, ins: ins[0].nnz if len(ins) == 2 else cells,
+    "multi_ms": lambda shape, cells, ins: ins[1].nnz if len(ins) == 2 else cells,
+    "product_d": lambda shape, cells, ins: ins[0].nnz * ins[1].nnz if len(ins) == 2 else cells,
+    **dict.fromkeys(
+        ("tr", "rev", "mat_pow"), lambda shape, cells, ins: ins[0].nnz if ins else cells
+    ),
+    **dict.fromkeys(
+        ["diag"] + [f"{axis}_{stat}" for axis in ("row", "col")
+                    for stat in ("sums", "means", "max", "min", "var")],
+        lambda shape, cells, ins: min(cells, ins[0].nnz if ins else cells),
+    ),
+}
 
 
 class NaiveMetadataEstimator:
@@ -22,9 +63,7 @@ class NaiveMetadataEstimator:
     name = "naive"
 
     # -- leaves ------------------------------------------------------------------
-    def leaf_info(self, meta: MatrixMeta, data: Optional[MatrixData] = None) -> "NnzInfo":
-        from repro.cost.model import NnzInfo
-
+    def leaf_info(self, meta: MatrixMeta, data: Optional[MatrixData] = None) -> NnzInfo:
         nnz = meta.nnz if meta.nnz is not None else meta.rows * meta.cols
         return NnzInfo(shape=meta.shape, nnz=float(nnz))
 
@@ -33,47 +72,14 @@ class NaiveMetadataEstimator:
         self,
         relation: str,
         output_shape: Optional[Shape],
-        inputs: Sequence["NnzInfo"],
-    ) -> "NnzInfo":
+        inputs: Sequence[NnzInfo],
+    ) -> NnzInfo:
         """Worst-case nnz of the output of one operation."""
-        from repro.cost.model import NnzInfo
-
         if output_shape is None:
             # Without dimensions we can only fall back to the inputs' bound.
             nnz = sum(info.nnz for info in inputs) if inputs else 1.0
             return NnzInfo(shape=None, nnz=nnz)
         cells = float(output_shape[0]) * float(output_shape[1])
-
-        def capped(value: float) -> NnzInfo:
-            return NnzInfo(shape=output_shape, nnz=min(max(value, 0.0), cells))
-
-        if relation == "multi_m" and len(inputs) == 2:
-            a, b = inputs
-            bound = cells
-            if a.shape is not None:
-                bound = min(bound, a.nnz * output_shape[1])
-            if b.shape is not None:
-                bound = min(bound, b.nnz * output_shape[0])
-            return capped(bound)
-        if relation in ("add_m", "sub_m") and len(inputs) == 2:
-            return capped(inputs[0].nnz + inputs[1].nnz)
-        if relation == "multi_e" and len(inputs) == 2:
-            return capped(min(inputs[0].nnz, inputs[1].nnz))
-        if relation == "div_m" and len(inputs) == 2:
-            return capped(inputs[0].nnz)
-        if relation == "multi_ms" and len(inputs) == 2:
-            return capped(inputs[1].nnz)
-        if relation in ("tr", "rev", "mat_pow"):
-            return capped(inputs[0].nnz if inputs else cells)
-        if relation in ("cbind", "rbind", "sum_d") and len(inputs) == 2:
-            return capped(inputs[0].nnz + inputs[1].nnz)
-        if relation == "product_d" and len(inputs) == 2:
-            return capped(inputs[0].nnz * inputs[1].nnz)
-        if relation in ("row_sums", "row_means", "row_max", "row_min", "row_var",
-                        "col_sums", "col_means", "col_max", "col_min", "col_var"):
-            return capped(min(cells, inputs[0].nnz if inputs else cells))
-        if relation == "diag":
-            return capped(min(cells, inputs[0].nnz if inputs else cells))
-        # Inverse, exponential, adjoint, decompositions and anything unknown:
-        # worst case is a dense result.
-        return capped(cells)
+        rule = _RULES.get(relation)
+        bound = cells if rule is None else rule(output_shape, cells, inputs)
+        return NnzInfo(shape=output_shape, nnz=min(max(bound, 0.0), cells))

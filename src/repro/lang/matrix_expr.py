@@ -33,8 +33,8 @@ SCALAR_SHAPE: Shape = (1, 1)
 # Output-dimension rules.  Each takes the shapes of a node's inputs in order
 # (``None`` where unknown) and returns the output shape, or ``None`` when the
 # known inputs do not determine it.  :func:`repro.lang.shapes.shape_of`
-# applies them after its conformability checks, and
-# :func:`repro.vrem.schema.infer_output_shapes` to every atom the chase adds.
+# applies them after its conformability checks, and the VREM instance to
+# every atom the chase adds (read off :attr:`repro.vrem.schema.RelationSpec.dims`).
 # ---------------------------------------------------------------------------
 
 

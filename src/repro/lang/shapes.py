@@ -12,7 +12,7 @@ The operator facts are not repeated here: each node class of
 :mod:`repro.lang.matrix_expr` names its conformability checks
 (``Expr.checks``, keys of :data:`CHECKS`) and its output-dimension rule
 (``Expr.dims``), the same rule the chase applies to VREM atoms through
-:func:`repro.vrem.schema.infer_output_shapes`.  This module holds the checks
+:attr:`repro.vrem.schema.RelationSpec.dims`.  This module holds the checks
 and resolves leaves.
 
 Leaf dimensions are provided by any object exposing ``shape(name)`` — in

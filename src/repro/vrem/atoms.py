@@ -40,9 +40,6 @@ class Const:
             return True
         return isinstance(other, Const) and self.value == other.value
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -66,9 +63,6 @@ class Var:
         if self is other:
             return True
         return isinstance(other, Var) and self.name == other.name
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return self._hash
@@ -102,9 +96,6 @@ class Atom:
             and self.relation == other.relation
             and self.args == other.args
         )
-
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return self._hash

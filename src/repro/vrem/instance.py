@@ -8,18 +8,26 @@ incrementally as a congruence: whenever two atoms of a functional relation
 agree on their canonical input arguments, their output classes are merged,
 and after every merge the instance re-canonicalises itself to a fixpoint.
 
-Three structural invariants keep the chase hot path fast:
+Four structural invariants keep the chase hot path fast:
 
 * **Hash-consing** — one insertion-ordered table, keyed by (relation,
   canonical args), holds the canonical :class:`~repro.vrem.atoms.Atom` of
   every stored atom; it is the instance's only record of which atoms
   exist.  Each atom is one object with a cached hash, so index probes
   cost a pointer comparison.
+* **Canonical at rest** — with no union pending, every stored atom's class
+  arguments are class representatives and the shape table is keyed by
+  representatives, so readers of a quiescent instance (the compiled
+  matcher, :func:`repro.cost.model.instance_producers`) compare and look up
+  arguments as stored, with no ``find``.  Insertion reads one
+  :class:`~repro.vrem.schema.RelationSpec` per atom and calls ``find``
+  again only after its own congruence step merged two classes.
 * **Canonical commutative keys** — the congruence table keys commutative
   operation relations (``add_m``, ``multi_e``, scalar ``add_s`` /
-  ``multi_s``) on the *sorted* input multiset, so ``A + B`` and ``B + A``
-  hash-cons to the same output class at construction time instead of
-  waiting for the commutativity TGD to merge them.
+  ``multi_s``: :attr:`~repro.vrem.schema.RelationSpec.commutative`) on the
+  *sorted* input multiset, so ``A + B`` and ``B + A`` hash-cons to the same
+  output class at construction time instead of waiting for the
+  commutativity TGD to merge them.
 * **Incremental repair** — a class merge re-canonicalises only the atoms
   that actually mention the retired class (found through a per-class
   occurrence index), not the whole instance; this is the e-graph ``repair``
@@ -42,20 +50,11 @@ from collections import defaultdict
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import ChaseError
-from repro.lang.matrix_expr import op_registry
 from repro.vrem.atoms import Atom, Const, Var
-from repro.vrem.schema import VREM_SCHEMA, infer_output_shapes, relation_spec
+from repro.vrem.schema import VREM_SCHEMA, RelationSpec
 
 Shape = Tuple[int, int]
 Term = object  # int (class ID) or Const
-
-#: Operation relations whose inputs commute: the congruence key uses the
-#: sorted input multiset so both operand orders share one output class.
-#: The commutative operator classes of :mod:`repro.lang`, plus the scalar
-#: ``add_s`` / ``multi_s``, which have no class of their own.
-COMMUTATIVE_RELATIONS = frozenset(
-    {cls.relation for cls in op_registry().values() if cls.commutative} | {"add_s", "multi_s"}
-)
 
 
 def _term_sort_key(term: Term) -> Tuple[int, object]:
@@ -63,6 +62,16 @@ def _term_sort_key(term: Term) -> Tuple[int, object]:
     if isinstance(term, int):
         return (0, term)
     return (1, repr(term))
+
+
+def congruence_key(spec: RelationSpec, args: Tuple[Term, ...]) -> Tuple:
+    """The congruence-table key of an operation over canonical ``args``
+    (the full atom, or its inputs alone): the relation and the inputs,
+    sorted when they commute."""
+    inputs = args[: len(spec.input_positions)]
+    if spec.commutative:
+        inputs = tuple(sorted(inputs, key=_term_sort_key))
+    return (spec.name, inputs)
 
 
 class VremInstance:
@@ -86,6 +95,8 @@ class VremInstance:
         #: This is what makes :meth:`rebuild` incremental — a merge touches
         #: exactly the atoms listed under the retired class.
         self._atoms_by_class: Dict[int, Set[Atom]] = defaultdict(set)
+        #: :func:`congruence_key` -> the operation atom owning it; the
+        #: compiled conclusion test probes it directly.
         self._congruence: Dict[Tuple, Atom] = {}
         self._shape: Dict[int, Shape] = {}
         self._pending_unions: List[Tuple[int, int]] = []
@@ -158,7 +169,7 @@ class VremInstance:
 
     def classes(self) -> Set[int]:
         """All canonical class representatives currently alive."""
-        return {self.find(cid) for cid in self._parent}
+        return {cid for cid, parent in self._parent.items() if cid == parent}
 
     def num_classes(self) -> int:
         """Number of live classes (tracked incrementally; O(1))."""
@@ -196,18 +207,21 @@ class VremInstance:
 
     # ------------------------------------------------------------------ atoms
     def _canonical_args(self, args: Sequence[Term]) -> Tuple[Term, ...]:
-        canonical = []
+        parent, canonical = self._parent, []
         for arg in args:
-            if isinstance(arg, bool):
-                raise ChaseError("boolean atom arguments are not supported")
-            if isinstance(arg, int):
-                canonical.append(self.find(arg))
-            elif isinstance(arg, Const):
+            kind = type(arg)
+            if kind is int:
+                canonical.append(arg if parent[arg] == arg else self.find(arg))
+            elif kind is Const:
                 canonical.append(arg)
+            elif isinstance(arg, bool):
+                raise ChaseError("boolean atom arguments are not supported")
+            elif isinstance(arg, int):
+                canonical.append(self.find(arg))
             elif isinstance(arg, Var):
                 raise ChaseError("ground instances cannot contain variables")
             else:
-                canonical.append(Const(arg))
+                canonical.append(arg if isinstance(arg, Const) else Const(arg))
         return tuple(canonical)
 
     def add_atom(self, relation: str, args: Sequence[Term]) -> Atom:
@@ -217,7 +231,8 @@ class VremInstance:
         of as ordinary atoms (the matcher reconstitutes them on demand).
         Returns the canonical atom as stored.
         """
-        if relation not in VREM_SCHEMA:
+        spec = VREM_SCHEMA.get(relation)
+        if spec is None:
             raise ChaseError(f"unknown VREM relation {relation!r}")
         canonical = self._canonical_args(args)
         if relation == "size":
@@ -225,20 +240,22 @@ class VremInstance:
             if isinstance(rows, Const) and isinstance(cols, Const):
                 self.set_shape(cid, (int(rows.value), int(cols.value)))
             return Atom("size", canonical)
-        atom = self._insert_canonical(relation, canonical)
+        atom = self._insert_canonical(spec, canonical)
         if self._pending_unions:
             self.rebuild()
         return atom
 
-    def _insert_canonical(self, relation: str, canonical: Tuple[Term, ...]) -> Atom:
+    def _insert_canonical(self, spec: RelationSpec, canonical: Tuple[Term, ...]) -> Atom:
         """Store one canonical atom: intern, index, log, congruence, shapes."""
+        relation = spec.name
         key = (relation, canonical)
         atom = self._atoms.get(key)
         if atom is not None:
             # A stale twin removed just before may have owned this key:
             # without re-registering, the table loses the entry and a later
             # atom over the same inputs is never merged with this one.
-            self._apply_congruence(atom)
+            if spec.functional:
+                self._apply_congruence(spec, atom)
             return atom
         atom = self._atoms[key] = Atom(relation, canonical)
         self._by_relation[relation].add(atom)
@@ -248,12 +265,15 @@ class VremInstance:
         by_class = self._atoms_by_class
         for position, arg in enumerate(canonical):
             by_position[(relation, position, arg)].add(atom)
-            if isinstance(arg, int):
+            if type(arg) is int:
                 by_class[arg].add(atom)
         self.version += 1
         self._delta_log[relation].append(atom)
-        self._apply_congruence(atom)
-        self._infer_shapes(atom)
+        if spec.functional:
+            if self._apply_congruence(spec, atom):
+                # The merge may have retired one of the atom's classes.
+                canonical = self._canonical_args(canonical)
+            self._infer_shapes(spec, canonical)
         return atom
 
     def _remove_atom(self, atom: Atom) -> None:
@@ -262,58 +282,46 @@ class VremInstance:
         self._by_relation[atom.relation].discard(atom)
         for position, arg in enumerate(atom.args):
             self._by_position[(atom.relation, position, arg)].discard(atom)
-            if isinstance(arg, int):
+            if type(arg) is int:
                 entry = self._atoms_by_class.get(arg)
                 if entry is not None:
                     entry.discard(atom)
-        key = self._congruence_key(atom)
-        if key is not None and self._congruence.get(key) is atom:
-            del self._congruence[key]
+        spec = VREM_SCHEMA[atom.relation]
+        if spec.functional:
+            key = congruence_key(spec, atom.args)
+            if self._congruence.get(key) is atom:
+                del self._congruence[key]
 
-    def _congruence_key(self, atom: Atom) -> Optional[Tuple]:
-        spec = relation_spec(atom.relation)
-        if not spec.functional:
-            return None
-        key_args: Tuple[Term, ...] = tuple(atom.args[pos] for pos in spec.input_positions)
-        if atom.relation in COMMUTATIVE_RELATIONS:
-            key_args = tuple(sorted(key_args, key=_term_sort_key))
-        return (atom.relation, key_args)
-
-    def _operation_key(self, relation: str, canonical_inputs: Tuple[Term, ...]) -> Tuple:
-        """The congruence-table key for an operation's canonical inputs."""
-        if relation in COMMUTATIVE_RELATIONS:
-            canonical_inputs = tuple(sorted(canonical_inputs, key=_term_sort_key))
-        return (relation, canonical_inputs)
-
-    def _apply_congruence(self, atom: Atom) -> None:
-        key = self._congruence_key(atom)
-        if key is None:
-            return
+    def _apply_congruence(self, spec: RelationSpec, atom: Atom) -> bool:
+        """Register the operation atom under its key, or merge its outputs
+        with the key's owner; True when that merged two classes."""
+        key = congruence_key(spec, atom.args)
         other = self._congruence.get(key)
         if other is None:
             self._congruence[key] = atom
-            return
+            return False
         if other is atom:
-            return
-        spec = relation_spec(atom.relation)
+            return False
+        pending = len(self._pending_unions)
         for pos in spec.output_positions:
             a, b = atom.args[pos], other.args[pos]
-            if isinstance(a, int) and isinstance(b, int):
+            if type(a) is int and type(b) is int:
                 self.union(a, b)
+        return len(self._pending_unions) > pending
 
-    def _infer_shapes(self, atom: Atom) -> None:
-        spec = relation_spec(atom.relation)
-        if spec.is_fact:
-            return
-        input_shapes = []
-        for pos in spec.input_positions:
-            arg = atom.args[pos]
-            input_shapes.append(self.shape(arg) if isinstance(arg, int) else (1, 1))
-        out_shapes = infer_output_shapes(atom.relation, input_shapes)
-        for pos, shape in zip(spec.output_positions, out_shapes):
-            arg = atom.args[pos]
-            if shape is not None and isinstance(arg, int) and self.shape(arg) is None:
-                self.set_shape(arg, shape)
+    def _infer_shapes(self, spec: RelationSpec, args: Tuple[Term, ...]) -> None:
+        """Shape the outputs of an operation over canonical ``args``."""
+        shapes = self._shape
+        input_shapes = [
+            shapes.get(arg) if type(arg) is int else (1, 1)
+            for arg in args[: len(spec.input_positions)]
+        ]
+        for pos, rule in zip(spec.output_positions, spec.dims):
+            arg = args[pos]
+            if type(arg) is int and arg not in shapes:
+                shape = rule(input_shapes)
+                if shape is not None:
+                    self.set_shape(arg, shape)
 
     def add_op(self, relation: str, inputs: Sequence[Term]) -> Tuple[int, ...]:
         """Hash-consing insertion of an operation atom.
@@ -323,33 +331,18 @@ class VremInstance:
         output class IDs are returned; otherwise fresh classes are allocated
         for the outputs, the atom is added, and the new IDs are returned.
         """
-        spec = relation_spec(relation)
-        if spec.is_fact:
+        spec = VREM_SCHEMA[relation]
+        if not spec.functional:
             raise ChaseError(f"{relation!r} is a fact relation, not an operation")
         canonical_inputs = self._canonical_args(inputs)
-        existing = self.operation_atom(relation, canonical_inputs)
+        existing = self._congruence.get(congruence_key(spec, canonical_inputs))
         if existing is not None:
             return tuple(self.find(existing.args[pos]) for pos in spec.output_positions)
         outputs = tuple(self.new_class() for _ in spec.output_positions)
-        args: List[Term] = [None] * spec.arity
-        for pos, value in zip(spec.input_positions, canonical_inputs):
-            args[pos] = value
-        for pos, value in zip(spec.output_positions, outputs):
-            args[pos] = value
-        self.add_atom(relation, args)
+        self._insert_canonical(spec, canonical_inputs + outputs)
+        if self._pending_unions:
+            self.rebuild()
         return tuple(self.find(out) for out in outputs)
-
-    def operation_atom(
-        self, relation: str, canonical_inputs: Tuple[Term, ...]
-    ) -> Optional[Atom]:
-        """The stored atom of an operation over these canonical inputs, if any.
-
-        Operations are functional, so at rest there is one output per input
-        tuple and this keyed probe answers "is it there, and what is its
-        output" without a search.  For a commutative relation the atom
-        found may be stored with the operands in the other order.
-        """
-        return self._congruence.get(self._operation_key(relation, canonical_inputs))
 
     def stores(self, relation: str, canonical_args: Tuple[Term, ...]) -> bool:
         """Whether exactly this atom — canonical args, in this order — is stored."""
@@ -417,14 +410,15 @@ class VremInstance:
             self.version += 1
             for atom in list(affected):
                 self._remove_atom(atom)
-                self._insert_canonical(atom.relation, self._canonical_args(atom.args))
+                self._insert_canonical(VREM_SCHEMA[atom.relation], self._canonical_args(atom.args))
 
     def check_invariants(self) -> None:
         """Raise :class:`ChaseError` unless the instance is congruence-closed.
 
         At rest every stored atom is canonical, every operation atom has a
         live entry in the congruence table, and atoms sharing a key share
-        their (canonical) outputs — what :meth:`operation_atom` relies on.
+        their (canonical) outputs — what the chase's keyed conclusion test
+        relies on.
         The relation and position indexes list exactly the stored atoms.
         """
         if self._pending_unions:
@@ -438,13 +432,13 @@ class VremInstance:
                 for position, arg in enumerate(atom.args)
             ):
                 raise ChaseError(f"stored atom {atom!r} is missing from an index")
-            key = self._congruence_key(atom)
-            if key is None:
+            spec = VREM_SCHEMA[atom.relation]
+            if not spec.functional:
                 continue
-            owner = self._congruence.get(key)
+            owner = self._congruence.get(congruence_key(spec, atom.args))
             if owner is None or atoms.get((owner.relation, owner.args)) is not owner:
                 raise ChaseError(f"operation atom {atom!r} has no live congruence entry")
-            for pos in relation_spec(atom.relation).output_positions:
+            for pos in spec.output_positions:
                 if owner.args[pos] != atom.args[pos]:
                     raise ChaseError(
                         f"{atom!r} and {owner!r} agree on their inputs but not their outputs"
@@ -477,8 +471,7 @@ class VremInstance:
         root = self.find(cid)
         result = []
         for atom in self._atoms_by_class.get(root, ()):
-            spec = relation_spec(atom.relation)
-            for pos in spec.output_positions:
+            for pos in VREM_SCHEMA[atom.relation].output_positions:
                 arg = atom.args[pos]
                 if isinstance(arg, int) and self.find(arg) == root:
                     result.append(atom)

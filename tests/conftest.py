@@ -114,3 +114,33 @@ def small_tables() -> Catalog:
         )
     )
     return catalog
+
+
+#: The hybrid benchmark's datasets at its smoke sizes.
+HYBRID_SMOKE_DATASETS = {
+    "twitter": dict(n_tweets=2_000, n_hashtags=100, density=0.004),
+    "mimic": dict(n_patients=500, n_services=200, density=0.004),
+}
+
+
+def hybrid_smoke_planners():
+    """Per dataset at smoke size: ``(kind, optimizer, queries)`` — Q1-Q10 and
+    a cold :class:`~repro.hybrid.HybridOptimizer` planning them as the
+    hybrid benchmark does (builders run, Morpheus factors materialised, the
+    hybrid views on).  A plain function, so child processes can import it."""
+    from repro.benchkit.harness import materialize_views
+    from repro.benchkit.hybrid_queries import hybrid_queries, hybrid_views
+    from repro.data.datasets import mimic_dataset, twitter_dataset
+    from repro.hybrid import HybridExecutor, HybridOptimizer
+
+    generators = {"twitter": twitter_dataset, "mimic": mimic_dataset}
+    for kind, sizes in HYBRID_SMOKE_DATASETS.items():
+        catalog, spec = generators[kind](**sizes)
+        queries = hybrid_queries(catalog, spec, dataset=kind)
+        executor = HybridExecutor(catalog)
+        for builder in queries[0].builders:
+            executor.build_matrix(builder)
+        factors = HybridOptimizer(catalog).ensure_factor_matrices(queries[0])
+        views = hybrid_views(catalog)
+        materialize_views(views, catalog)
+        yield kind, HybridOptimizer(catalog, la_views=views, factor_names=factors), queries

@@ -9,6 +9,8 @@ from repro.backends.morpheus import MorpheusBackend, NormalizedMatrix
 from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.relational import RelationalEngine
 from repro.backends.systemml_like import SystemMLLikeBackend
+from repro.benchkit.datasets import ROLE_BINDINGS_DENSE, benchmark_catalog
+from repro.benchkit.pipelines import build_pipeline, default_roles, pipeline_names
 from repro.data.catalog import Catalog
 from repro.exceptions import ExecutionError
 from repro.lang import (
@@ -248,6 +250,29 @@ class TestSystemMLLikeBackend:
             trace(matrix("C") @ matrix("D")),
         ):
             assert values_allclose(backend.evaluate(expr), reference.evaluate(expr))
+
+
+class TestSystemMLLikeLocalOptimisation:
+    def test_one_local_optimisation_per_evaluation(self, monkeypatch):
+        """The 57 pipelines at scale 0.01: ``optimize_locally`` runs once per
+        top-level ``evaluate`` — not once per node — and the value is
+        NumPy's evaluation of that one optimised plan, bit for bit."""
+        catalog = benchmark_catalog(scale=0.01)
+        roles = default_roles(ROLE_BINDINGS_DENSE)
+        backend, reference = SystemMLLikeBackend(catalog), NumpyBackend(catalog)
+        calls = []
+        optimize = backend.optimize_locally
+        monkeypatch.setattr(
+            backend, "optimize_locally", lambda expr: calls.append(expr) or optimize(expr)
+        )
+        for name in pipeline_names():
+            expr = build_pipeline(name, roles)
+            calls.clear()
+            value = backend.evaluate(expr)
+            assert calls == [expr], name
+            expected = reference.evaluate(optimize(expr))
+            assert np.array_equal(to_dense(value), to_dense(expected), equal_nan=True), name
+            assert backend._frames() == [], name
 
 
 def _walk(expr):

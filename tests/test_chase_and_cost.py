@@ -75,7 +75,7 @@ class TestHomomorphism:
         assert kernel.keyed
         for match in kernel.full_matches(instance):
             slots = kernel.slots_for(instance, match)
-            assert kernel.satisfied(instance, slots) == (slots[0] == m_class)
+            assert (not kernel.missing(instance, slots)) == (slots[0] == m_class)
             assert slots[2] == (root if slots[0] == m_class else None)
 
 

@@ -44,7 +44,8 @@ from repro.lang import colsums, matrix, rowsums, sum_all, transpose
 from repro.planner import PlanSession
 from repro.planner.stages import THRESHOLD_FLOOR, THRESHOLD_SLACK, PlanContext
 from repro.vrem.atoms import Atom, Const, Var
-from repro.vrem.instance import VremInstance
+from repro.vrem.instance import VremInstance, congruence_key
+from repro.vrem.schema import VREM_SCHEMA
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +187,7 @@ class _KernelChecker:
                             constraint.conclusion, instance, dict(zip(variables, match))
                         )
                     )
-                    compiled_test = kernel.satisfied(instance, kernel.slots_for(instance, match))
+                    compiled_test = not kernel.missing(instance, kernel.slots_for(instance, match))
                     assert compiled_test == searched, (constraint.name, match)
                     self.satisfied[searched] += 1
         self.marks = {
@@ -317,13 +318,16 @@ class TestKernelTraps:
         (r,) = instance.add_op("add_m", (a, b))
         (match,) = kernel.full_matches(instance)
         assert match == (a, b, r)
-        assert instance.operation_atom("add_m", (b, a)) is not None  # the key is shared
-        assert not kernel.satisfied(instance, kernel.slots_for(instance, match))
-        kernel.materialize(instance, kernel.slots_for(instance, match))
+        add_m = VREM_SCHEMA["add_m"]
+        assert congruence_key(add_m, (b, a)) == congruence_key(add_m, (a, b))  # one key
+        slots = kernel.slots_for(instance, match)
+        missing = kernel.missing(instance, slots)
+        assert missing == kernel.every_atom
+        kernel.materialize(instance, slots, missing)
         assert instance.atom_count("add_m") == 2
         assert instance.same_class(r, next(iter(instance.atoms_with("add_m", 0, b))).args[2])
         for match in kernel.full_matches(instance):
-            assert kernel.satisfied(instance, kernel.slots_for(instance, match))
+            assert not kernel.missing(instance, kernel.slots_for(instance, match))
 
     def test_merged_away_class_is_canonicalised_before_keying(self):
         """Matches are collected before a batch is applied; an earlier
@@ -340,9 +344,9 @@ class TestKernelTraps:
         assert instance.find(b) == keep and instance.stores("tr", (keep, a))
         slots = kernel.slots_for(instance, (a, b))
         assert slots == [a, keep]
-        assert kernel.satisfied(instance, slots)
+        assert not kernel.missing(instance, slots)
         # Keyed on the retired id the probe finds nothing: the wrong answer.
-        assert not kernel.satisfied(instance, [a, b])
+        assert kernel.missing(instance, [a, b])
 
     def test_keyed_and_searched_split_is_pinned(self, benchkit):
         """A shipped rule that falls off the keyed fast path shows up here."""
@@ -383,13 +387,14 @@ class TestHashConsedApplication:
         assert match == (m, n, r1, d, r2)
         before = (instance._next_id, len(instance.relation_log("add_m")), instance.num_atoms())
         slots = kernel.slots_for(instance, match)
-        assert not kernel.satisfied(instance, slots)
+        missing = kernel.missing(instance, slots)
+        assert missing == kernel.every_atom  # add_m(N, D, ·) is stored, if at all, as D + N
         assert kernel.new_shapes(instance, slots) == [None]  # the pruner's question
-        kernel.materialize(instance, slots)
+        kernel.materialize(instance, slots, missing)
         after = (instance._next_id, len(instance.relation_log("add_m")), instance.num_atoms())
         grown = tuple(b - a for a, b in zip(before, after))
         instance.check_invariants()
-        assert kernel.satisfied(instance, kernel.slots_for(instance, match))
+        assert not kernel.missing(instance, kernel.slots_for(instance, match))
         # No class was ever merged away, and nothing is waiting to be.
         assert instance.num_classes() == instance._next_id and not instance._pending_unions
         return instance, (m, n, d, r2, inner), grown
@@ -419,10 +424,16 @@ class TestHashConsedApplication:
         (x,) = instance.add_op("tr", (m,))
         (match,) = kernel.full_matches(instance)
         slots = kernel.slots_for(instance, match)
-        assert not kernel.satisfied(instance, slots)
+        missing = kernel.missing(instance, slots)
         assert slots[kernel.n_premise:] == [x, None, None]
+        # tr(M, X) is stored: only the other two conclusion atoms are missing.
+        assert missing == 0b110
         first_fresh = instance._next_id
-        kernel.materialize(instance, slots)
+        added = []
+        add_atom = instance.add_atom
+        instance.add_atom = lambda relation, args: added.append(relation) or add_atom(relation, args)
+        kernel.materialize(instance, slots, missing)
+        assert added == ["inv_m", "tr"]
         assert slots[kernel.n_premise:] == [x, first_fresh, first_fresh + 1]
         assert instance._next_id == first_fresh + 2
         assert instance.num_classes() == instance._next_id  # nothing was merged away
@@ -440,9 +451,10 @@ class TestHashConsedApplication:
         (w,) = instance.add_op("tr", (v,))  # so the search binds V and W, then fails
         match = next(found for found in kernel.full_matches(instance) if found[0] == m)
         slots = kernel.slots_for(instance, match)
-        assert not kernel.satisfied(instance, slots)
+        missing = kernel.missing(instance, slots)
+        assert missing == kernel.every_atom  # a searched conclusion is missing as a whole
         first_fresh = instance._next_id
-        kernel.materialize(instance, slots)
+        kernel.materialize(instance, slots, missing)
         assert slots[kernel.n_premise:] == [first_fresh, first_fresh + 1]
         instance.check_invariants()
 
@@ -564,7 +576,7 @@ class TestCongruenceClosure:
         instance = VremInstance()
         a = instance.new_class()
         (r,) = instance.add_op("tr", (a,))
-        atom = instance.operation_atom("tr", (a,))
+        (atom,) = instance.atoms("tr")
         instance.check_invariants()
         instance._by_position[("tr", 1, r)].discard(atom)
         with pytest.raises(ChaseError, match="missing from an index"):

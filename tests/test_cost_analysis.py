@@ -9,10 +9,12 @@
   the final instance, the plan equals one costed from scratch;
 * each distinct instance state of a plan is analysed once, with one walk of
   its atoms and one DP, and Extract analyses nothing;
-* the semi-naive fixpoints (size annotation and DP) make the updates of the
-  full passes they replaced, kept here as a reference: on every state of
-  the cold plans under naive, on a ``repro.fuzz`` slice under MNC, on long
-  chains in either order and on self-loops.
+* the analysis equals an independent reference — a fresh walk of the atoms
+  (``relation_spec`` and ``find`` per argument) and plain full passes for
+  the size annotation and the DP, no semi-naive schedule — on every state
+  the stages analyse: the cold plans under naive and under MNC, the 20
+  hybrid queries at smoke sizes, a ``repro.fuzz`` slice under MNC; and on
+  long chains in either order and on self-loops.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from repro.planner import PlanSession
 from repro.planner.stages import ALTERNATIVES_LIMIT, PlanContext
 from repro.vrem.atoms import Const
 from repro.vrem.instance import VremInstance
+from repro.vrem.schema import relation_spec
+
+from conftest import hybrid_smoke_planners
 
 ROLES = default_roles(ROLE_BINDINGS_DENSE)
 OPS = [(name, variant) for variant in ("nv", "vexp") for name in pipeline_names()]
@@ -256,12 +261,31 @@ class TestSharedAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# The semi-naive fixpoints against the full passes they replace
+# The analysis against an independent reference: a fresh walk, full passes
 # ---------------------------------------------------------------------------
 
 
+def _reference_walk(instance):
+    """The operation atoms in atom order, walked afresh: every relation
+    through ``relation_spec``, every class argument through ``find``.
+    ``(atom, inputs (None for a constant), [(output index, class, shape)])``."""
+    producers = []
+    for atom in instance.atoms():
+        spec = relation_spec(atom.relation)
+        if not spec.output_positions:
+            continue
+        args = atom.args
+        inputs = [instance.find(args[pos]) if isinstance(args[pos], int) else None
+                  for pos in spec.input_positions]
+        outputs = [(index, instance.find(args[pos]), instance.shape(args[pos]))
+                   for index, pos in enumerate(spec.output_positions)
+                   if isinstance(args[pos], int)]
+        producers.append((atom, inputs, outputs))
+    return producers
+
+
 def _full_pass_annotate(instance, producers, catalog, estimator, max_passes=12):
-    """``annotate_producers`` as it was: every producer re-run every pass."""
+    """The size annotation as plain full passes: every producer re-run every pass."""
     infos = {}
     for atom in instance.atoms("name"):
         cid = instance.find(atom.args[0])
@@ -307,7 +331,7 @@ def _full_pass_annotate(instance, producers, catalog, estimator, max_passes=12):
                         changed = True
         if not changed:
             break
-    for cid in instance.classes():
+    for cid in {instance.find(cid) for cid in instance._parent}:
         if cid not in infos:
             shape = instance.shape(cid)
             nnz = float(shape[0] * shape[1]) if shape else 1.0
@@ -315,8 +339,21 @@ def _full_pass_annotate(instance, producers, catalog, estimator, max_passes=12):
     return infos
 
 
-def _full_pass_costs(derivations, infos, max_passes=25):
-    """``_compute_costs`` as it was: every class rescanned every pass."""
+def _full_pass_costs(instance, producers, infos, max_passes=25):
+    """The class-cost DP as plain full passes over derivations built from
+    ``producers``: every class rescanned every pass."""
+    derivations = {}
+    for relation in extraction._LEAF_RELATIONS:
+        for atom in instance.atoms(relation):
+            derivations.setdefault(instance.find(atom.args[0]), []).append(
+                extraction._Derivation(atom, True)
+            )
+    for atom, inputs, outputs in producers:
+        classes = tuple(cid for cid in inputs if cid is not None)
+        for out_index, cid, _ in outputs:
+            derivations.setdefault(cid, []).append(
+                extraction._Derivation(atom, False, out_index, classes)
+            )
     costs, choices = {}, {}
     for cid, cands in derivations.items():
         for derivation in cands:
@@ -347,7 +384,7 @@ def _full_pass_costs(derivations, infos, max_passes=25):
                 changed = True
         if not changed:
             break
-    return costs, choices
+    return derivations, costs, choices
 
 
 def _assert_same_infos(got, expected):
@@ -361,13 +398,20 @@ def _assert_same_infos(got, expected):
 
 
 def _assert_full_passes_agree(analysis, instance, catalog, estimator):
-    infos = _full_pass_annotate(instance, model.instance_producers(instance), catalog, estimator)
+    """The analysis equals the reference: the same ``infos`` (MNC histograms
+    included), ``derivations``, ``costs`` and ``choices``.  Equal floats,
+    not close ones: both make the same updates in the same order."""
+    producers = _reference_walk(instance)
+    infos = _full_pass_annotate(instance, producers, catalog, estimator)
     _assert_same_infos(analysis.infos, infos)
-    assert (analysis.costs, analysis.choices) == _full_pass_costs(analysis.derivations, infos)
+    derivations, costs, choices = _full_pass_costs(instance, producers, infos)
+    assert analysis.derivations == derivations
+    assert (analysis.costs, analysis.choices) == (costs, choices)
 
 
 def _checking_analyse(monkeypatch, checked):
-    """Patch the stages' ``analyse`` to check each state against full passes."""
+    """Patch the stages' ``analyse`` — every tighten bound and Annotate — to
+    check each analysis against the reference."""
     real = stages.analyse
 
     def analyse_and_check(instance, catalog, estimator):
@@ -379,17 +423,29 @@ def _checking_analyse(monkeypatch, checked):
     monkeypatch.setattr(stages, "analyse", analyse_and_check)
 
 
-class TestSemiNaiveFixpoints:
-    """Semi-naive passes make the very updates of full passes: equal
-    ``infos`` (MNC histograms included), ``costs`` and ``choices``."""
+class TestAgainstTheReference:
+    """The analysis of every state the stages analyse — each tighten bound
+    and Annotate — equals the reference's: on the cold plans under naive
+    and under MNC, on the hybrid queries (Morpheus rules, factors and
+    views), and on a ``repro.fuzz`` slice under MNC."""
 
-    def test_every_plan_cold_state_under_naive(self, plan_cold_sessions, monkeypatch):
+    @pytest.mark.parametrize("estimator", ["naive", "mnc"])
+    def test_every_plan_cold_state(self, plan_cold_sessions, monkeypatch, estimator):
         checked = []
         _checking_analyse(monkeypatch, checked)
-        sessions = plan_cold_sessions(PlannerConfig())
+        sessions = plan_cold_sessions(PlannerConfig(estimator=estimator))
         for name, variant in OPS:
             _run_stages(sessions[variant], build_pipeline(name, ROLES))
         assert len(checked) > len(OPS)
+
+    def test_every_hybrid_state(self, monkeypatch):
+        checked, queries = [], 0
+        _checking_analyse(monkeypatch, checked)
+        for _, optimizer, hybrid in hybrid_smoke_planners():
+            for query in hybrid:
+                optimizer.rewrite(query, materialize_factors=False)
+                queries += 1
+        assert queries == 20 and len(checked) > queries
 
     def test_a_fuzz_slice_under_mnc(self, monkeypatch):
         checked = []
@@ -411,6 +467,11 @@ class TestSemiNaiveFixpoints:
                 session.plan(expr)
         assert len(checked) >= 2 * config.expressions_per_catalog
 
+
+class TestSemiNaiveFixpoints:
+    """Semi-naive passes make the very updates of full passes, where the
+    schedule matters most: long chains in either order, self-loops."""
+
     @staticmethod
     def _chain(length):
         """tr(tr(… Z …)) over a 3x4 zero matrix: nnz 0 all the way up."""
@@ -431,15 +492,15 @@ class TestSemiNaiveFixpoints:
         dense and the DP cap (25) leaves it uncosted, on both sides."""
         instance, chain = self._chain(30)
         producers = model.instance_producers(instance)[::order]
+        reference = _reference_walk(instance)[::order]
         estimator = NaiveMetadataEstimator()
         infos = model.annotate_producers(instance, producers, None, estimator)
-        _assert_same_infos(infos, _full_pass_annotate(instance, producers, None, estimator))
+        _assert_same_infos(infos, _full_pass_annotate(instance, reference, None, estimator))
         reached = 31 if order == 1 else 13
         assert [infos[cid].nnz for cid in chain] == [0.0] * reached + [12.0] * (31 - reached)
         analysis = extraction._analysis(instance, producers, infos)
-        assert (analysis.costs, analysis.choices) == _full_pass_costs(
-            analysis.derivations, infos
-        )
+        _, costs, choices = _full_pass_costs(instance, reference, infos)
+        assert (analysis.costs, analysis.choices) == (costs, choices)
         assert sorted(analysis.costs) == chain[: 31 if order == 1 else 26]
 
     def test_self_loop_derivations(self):
@@ -479,7 +540,7 @@ class TestSemiNaiveFixpoints:
                 return super().propagate(*args)
 
         producers = model.instance_producers(instance)
-        _full_pass_annotate(instance, producers, None, Counting())
+        _full_pass_annotate(instance, _reference_walk(instance), None, Counting())
         assert Counting.calls == 2 * len(producers)
         Counting.calls = 0
         model.annotate_producers(instance, producers, None, Counting())

@@ -412,6 +412,57 @@ def test_plan_cold_saturation_totals_are_pinned():
     assert json.loads(child.stdout) == PLAN_COLD_TOTALS
 
 
+#: The same sums over the 20 hybrid queries at the hybrid benchmark's smoke
+#: dataset sizes (Morpheus rules, factors and the hybrid views), under
+#: ``PYTHONHASHSEED=0``: the data generators seed matrices from name hashes.
+HYBRID_TOTALS = {
+    "rounds": 68,
+    "tgd_applications": 539,
+    "egd_applications": 12,
+    "pruned_applications": 159,
+    "reached_fixpoint": 11,
+    "atom_count": 1210,
+    "class_count": 640,
+    "pruned_by_tightening": 125,
+    "threshold_tightenings": 26,
+    "constraints_skipped": 6872,
+    "final_threshold": 1551353.099,
+    "matches_attempted": 2458,
+    "atoms_materialized": 962,
+    "delta_attempts": 394,
+    "rules_benched": 0,
+    "applications": 551,
+}
+
+_HYBRID_TOTALS_SCRIPT = """
+import dataclasses, json
+from conftest import hybrid_smoke_planners
+
+totals = {}
+for _, optimizer, queries in hybrid_smoke_planners():
+    for query in queries:
+        stats = optimizer.rewrite(query, materialize_factors=False).la_result.saturation
+        fields = dataclasses.asdict(stats)
+        fields.pop("elapsed_seconds")
+        fields["applications"] = sum(fields.pop("applications_by_constraint").values())
+        for field, value in fields.items():
+            totals[field] = totals.get(field, 0) + value
+print(json.dumps(totals))
+"""
+
+
+def test_hybrid_saturation_totals_are_pinned():
+    """Drift in a factorised program shows here, not only in the benchmark."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(Path(__file__).resolve().parent)])
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=path)
+    child = subprocess.run(
+        [sys.executable, "-c", _HYBRID_TOTALS_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert json.loads(child.stdout) == HYBRID_TOTALS
+
+
 class TestBackoffScheduler:
     """A TGD attempt with more premise matches than the rule's current limit
     is benched: nothing applied, watermarks kept, the rule sits out its ban,

@@ -29,7 +29,7 @@ from repro.vrem.atoms import Atom, Const, Var, make_atom
 from repro.vrem.decoder import decode_atom_to_expr, decode_fact_to_expr
 from repro.vrem.encoder import LAEncoder, encode_expression
 from repro.vrem.instance import VremInstance
-from repro.vrem.schema import VREM_SCHEMA, infer_output_shapes, relation_spec
+from repro.vrem.schema import COMMUTATIVE_RELATIONS, VREM_SCHEMA, relation_spec
 
 
 class TestAtoms:
@@ -56,11 +56,69 @@ class TestSchema:
         assert not relation_spec("name").functional
 
     def test_shape_inference_product(self):
-        assert infer_output_shapes("multi_m", [(4, 3), (3, 7)]) == ((4, 7),)
-        assert infer_output_shapes("tr", [(4, 3)]) == ((3, 4),)
-        assert infer_output_shapes("col_sums", [(4, 3)]) == ((1, 3),)
-        assert infer_output_shapes("det", [(4, 4)]) == ((1, 1),)
-        assert infer_output_shapes("multi_m", [None, (3, 7)]) == (None,)
+        def output_shapes(relation, shapes):
+            return tuple(rule(shapes) for rule in relation_spec(relation).dims)
+
+        assert output_shapes("multi_m", [(4, 3), (3, 7)]) == ((4, 7),)
+        assert output_shapes("tr", [(4, 3)]) == ((3, 4),)
+        assert output_shapes("col_sums", [(4, 3)]) == ((1, 3),)
+        assert output_shapes("det", [(4, 4)]) == ((1, 1),)
+        assert output_shapes("multi_m", [None, (3, 7)]) == (None,)
+        assert output_shapes("qr", [(5, 5)]) == ((5, 5), (5, 5))
+
+    #: Input shapes each dimension rule is tried on: conformable, square,
+    #: column, 1x1 beside a matrix, and partly unknown.
+    SAMPLE_SHAPES = (
+        [(4, 3), (3, 7)], [(5, 5), (5, 5)], [(6, 1), (6, 1)], [(1, 1), (4, 3)],
+        [(4, 3), (1, 1)], [None, (3, 7)], [(4, 3), None], [None, None],
+    )
+
+    def test_specs_agree_with_the_lang_declarations(self):
+        """Every spec field the per-atom paths read is what the operator
+        classes declare: inputs and outputs, commutativity, dimension rules.
+        The scalar relations, which no class declares, commute as the
+        matrix node they decode to does and always yield a 1x1."""
+        for name, spec in VREM_SCHEMA.items():
+            n_inputs = len(spec.input_positions)
+            assert spec.functional == bool(spec.output_positions), name
+            assert spec.commutative == (name in COMMUTATIVE_RELATIONS), name
+            assert len(spec.dims) == len(spec.output_positions), name
+            if not spec.functional:
+                assert not spec.commutative and not spec.scalar_output, name
+                continue
+            # Operations list their inputs first.
+            assert spec.input_positions == tuple(range(n_inputs)), name
+            declared = [mx.operator_for(name, out) for out in range(len(spec.dims))]
+            if declared[0] is None:
+                # Scalar arithmetic: decode one atom to see which node it is.
+                args = list(range(n_inputs)) + [n_inputs]
+                if name == "pow_s":
+                    args[1] = Const(2)
+                node = decode_atom_to_expr(
+                    Atom(name, tuple(args)), 0, [matrix("a"), matrix("b")][: n_inputs]
+                )
+                assert spec.commutative == type(node).commutative, name
+                assert spec.scalar_output, name
+                assert all(
+                    rule(shapes[:n_inputs]) == (1, 1)
+                    for rule in spec.dims for shapes in self.SAMPLE_SHAPES
+                ), name
+                continue
+            assert None not in declared, name
+            assert n_inputs == declared[0].arity + (name == "mat_pow"), name
+            assert mx.operator_for(name, len(spec.dims)) is None, name
+            assert spec.commutative == declared[0].commutative, name
+            assert spec.scalar_output == all(
+                cls.dims(shapes[:n_inputs]) == (1, 1)
+                for cls in declared for shapes in self.SAMPLE_SHAPES
+            ), name
+            for rule, cls in zip(spec.dims, declared):
+                for shapes in self.SAMPLE_SHAPES:
+                    assert rule(shapes[:n_inputs]) == cls.dims(shapes[:n_inputs]), name
+        # Every commutative operator class is a commutative relation.
+        assert {
+            cls.relation for cls in mx.op_registry().values() if cls.commutative
+        } <= COMMUTATIVE_RELATIONS == {"add_m", "multi_e", "add_s", "multi_s"}
 
 
 #: NumPy reference semantics of every operator, over dense operands.
