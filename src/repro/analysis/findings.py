@@ -163,9 +163,8 @@ RULES: Dict[str, Tuple[str, str, str]] = {
         "unpicklable-spawn-payload",
         ERROR,
         "A lambda, closure or locally-defined class crosses a process "
-        "boundary (multiprocessing Process target/args, a worker_factory "
-        "argument): the spawn start method must pickle it and will fail at "
-        "runtime.",
+        "boundary (multiprocessing Process target/args): the spawn start "
+        "method must pickle it and will fail at runtime.",
     ),
 }
 

@@ -22,9 +22,8 @@ depends on:
 
 ``RPA103`` — *unpicklable-spawn-payload*.  Lambdas, closures (functions or
     classes defined inside another function) passed as a
-    ``multiprocessing`` ``Process(target=…)``, in its ``args=`` tuple, or
-    as a ``worker_factory=`` argument must cross a process boundary under
-    the ``spawn`` start method — pickling them fails at runtime, usually
+    ``multiprocessing`` ``Process(target=…)`` or in its ``args=`` tuple
+    must cross a process boundary under the ``spawn`` start method — pickling them fails at runtime, usually
     only on the platform that has no ``fork``.
 
 Suppression: a trailing ``# repro-lint: ignore[RPA101]`` comment on the
@@ -389,13 +388,8 @@ def _blocking_calls(tree: ast.AST, rel_path: str) -> List[Finding]:
 # RPA103 — unpicklable spawn payloads
 # ---------------------------------------------------------------------------
 
-#: Keyword arguments whose value crosses a process boundary regardless of
-#: the callee (worker factories are pickled into the spawn payload).
-_SPAWN_KEYWORDS = frozenset({"worker_factory"})
-
-
 class _SpawnPayloadScanner(ast.NodeVisitor):
-    """Flags lambdas/closures handed to Process(...) or worker factories."""
+    """Flags lambdas/closures handed to Process(...)."""
 
     def __init__(self, rel_path: str):
         self.rel_path = rel_path
@@ -464,11 +458,6 @@ class _SpawnPayloadScanner(ast.NodeVisitor):
                 # multiprocessing.Process(group, target, ...)
                 if len(node.args) >= 2:
                     self._grade_payload(node.args[1], "Process target", node.lineno)
-        for keyword in node.keywords:
-            if keyword.arg in _SPAWN_KEYWORDS:
-                self._grade_payload(
-                    keyword.value, f"{keyword.arg}=", node.lineno
-                )
         self.generic_visit(node)
 
 

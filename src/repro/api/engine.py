@@ -557,7 +557,7 @@ class Engine:
         """Apply a catalog delta to a workspace, revalidating selectively.
 
         The registry installs the new snapshot (catalog mutated in place,
-        views re-derived, version bumped, transition journaled); if the
+        views re-derived, version bumped); if the
         workspace has a warm runtime, it is *kept* — the engine swaps the
         snapshot in and asks the runtime's pool to revalidate its shared
         plan cache against the delta's footprint instead of rebuilding pool,
@@ -597,33 +597,8 @@ class Engine:
         # window simply miss (the catalog version already moved) and replan.
         return runtime.pool.apply_delta(delta, workspace=snapshot.runtime_key)
 
-    def delta_chain(self, name: str, from_version: int, to_version: int):
-        """Journaled wire-format deltas bridging two bundle versions.
-
-        ``None`` when the journal cannot bridge the gap (fall back to a
-        full rebuild); otherwise a list of JSON delta documents, oldest
-        first — the supervisor forwards exactly these to the owning worker.
-        """
-        chain = self.workspaces.delta_chain(name, from_version, to_version)
-        if chain is None:
-            return None
-        return [delta.to_json() for delta in chain]
-
     # ------------------------------------------------------------------ serving
-    def invalidate_workspace(self, name: str) -> None:
-        """Drop a workspace's cached runtime (pool, sessions, plans).
-
-        The next request against the name rebuilds from this engine's
-        registry.  The worker-pool tier calls this inside a worker process
-        when the parent's registry changed without a delta chain; the
-        worker's registry is its own, so the rebuild does not pick up the
-        parent's change.  Unknown names are a no-op.
-        """
-        with self._runtimes_lock:
-            self._runtimes.pop(name, None)
-            self._build_locks.pop(name, None)
-
-    def build_gateway(self, worker_factory=None, **overrides):
+    def build_gateway(self, **overrides):
         """The asyncio gateway over this engine's workspaces (not started).
 
         ``overrides`` patch individual :class:`~repro.config.GatewayConfig`
@@ -631,11 +606,6 @@ class Engine:
         caller observe one gateway per engine.  The gateway routes
         per-request ``workspace`` fields across every registered workspace
         and serves ``/v1/workspaces``.
-
-        ``worker_factory`` (required iff ``GatewayConfig.planner_workers``
-        > 0) is a picklable zero-argument callable building the engine each
-        spawned planner worker process plans with — see
-        :mod:`repro.server.workers`.
         """
         if self._gateway is None:
             from repro.server.gateway import AnalyticsGateway
@@ -650,17 +620,15 @@ class Engine:
             # holding plan-only workspaces still serves every other tenant;
             # unservable workspaces answer 422 per request instead of
             # failing the whole gateway here.
-            self._gateway = AnalyticsGateway(
-                self, gateway_config, worker_factory=worker_factory
-            )
-        elif overrides or worker_factory is not None:
+            self._gateway = AnalyticsGateway(self, gateway_config)
+        elif overrides:
             raise ConfigError(
                 "this engine already built its gateway; configure it via "
                 "EngineConfig.gateway (or build_gateway overrides) before first use"
             )
         return self._gateway
 
-    async def serve(self, worker_factory=None, **overrides):
+    async def serve(self, **overrides):
         """Start (and return) the gateway bound to this engine.
 
         Usage::
@@ -668,13 +636,8 @@ class Engine:
             gateway = await engine.serve()
             ...
             await gateway.stop()
-
-        With ``planner_workers=N`` (N > 0) in the gateway config (or as an
-        override), pass ``worker_factory`` — a picklable zero-argument
-        callable rebuilding this engine — and planning fans out across N
-        supervised worker processes sharded by workspace.
         """
-        gateway = self.build_gateway(worker_factory=worker_factory, **overrides)
+        gateway = self.build_gateway(**overrides)
         await gateway.start()
         return gateway
 

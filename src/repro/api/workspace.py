@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import re
 import threading
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.catalog.delta import CatalogDelta
@@ -157,15 +156,6 @@ class WorkspaceRegistry:
         #: re-registered name continues the sequence instead of restarting
         #: at 1 (runtime identities like ``name@v3`` never repeat).
         self._last_versions: Dict[str, int] = {}
-        #: Recent ``(from_version, to_version, delta)`` transitions per
-        #: name, bounded — enough for followers (planner workers) to catch
-        #: up incrementally; a follower further behind than the journal
-        #: falls back to a full runtime rebuild.
-        self._delta_journal: Dict[str, Deque[Tuple[int, int, "CatalogDelta"]]] = {}
-
-    #: Journal depth per workspace; deltas are small (metadata only), but a
-    #: follower that lags this far behind should rebuild anyway.
-    DELTA_JOURNAL_LIMIT = 32
 
     # ------------------------------------------------------------------ writes
     def register(
@@ -211,10 +201,6 @@ class WorkspaceRegistry:
             workspace = replace(workspace, version=version)
             self._workspaces[workspace.name] = workspace
             self._last_versions[workspace.name] = version
-            # A wholesale (re)registration is not expressible as a delta;
-            # drop the name's journal so followers rebuild instead of
-            # replaying across the discontinuity.
-            self._delta_journal.pop(workspace.name, None)
             return workspace
 
     def update(self, name: str, **changes) -> Workspace:
@@ -238,7 +224,6 @@ class WorkspaceRegistry:
             updated = replace(prior, version=version, **changes)
             self._workspaces[name] = updated
             self._last_versions[name] = version
-            self._delta_journal.pop(name, None)
             return updated
 
     def apply_delta(self, name: str, delta: "CatalogDelta") -> Workspace:
@@ -246,10 +231,10 @@ class WorkspaceRegistry:
 
         The delta mutates the bundle's catalog in place (relation ops) and
         derives the new view tuple (view ops); the bundle version is bumped
-        and a new snapshot installed, exactly like :meth:`update` — but the
-        transition is additionally journaled, so serving layers
-        (:meth:`repro.api.Engine.apply_delta`, the worker supervisor) can
-        revalidate warm plan caches selectively instead of rebuilding.
+        and a new snapshot installed, exactly like :meth:`update` — but
+        :meth:`repro.api.Engine.apply_delta`, which calls this, keeps the
+        workspace's warm runtime and revalidates its plan cache selectively
+        instead of rebuilding it.
 
         Validation happens against the pre-state before any mutation; an
         invalid delta raises without changing the workspace.
@@ -268,51 +253,13 @@ class WorkspaceRegistry:
             updated = replace(prior, version=version, views=views)
             self._workspaces[name] = updated
             self._last_versions[name] = version
-            journal = self._delta_journal.setdefault(
-                name, deque(maxlen=self.DELTA_JOURNAL_LIMIT)
-            )
-            journal.append((prior.version, version, delta))
             return updated
-
-    def delta_chain(
-        self, name: str, from_version: int, to_version: int
-    ) -> Optional[List["CatalogDelta"]]:
-        """The journaled deltas taking ``name`` from one version to another.
-
-        Returns the contiguous list of deltas covering exactly
-        ``from_version → to_version``, oldest first; ``None`` when the
-        journal cannot bridge the gap (a non-delta update intervened, the
-        follower is too far behind, or the versions are unknown) — the
-        caller should fall back to a full rebuild.  An empty list when the
-        versions are equal.
-        """
-        if from_version == to_version:
-            return []
-        if from_version > to_version:
-            return None
-        with self._lock:
-            journal = self._delta_journal.get(name)
-            if not journal:
-                return None
-            chain: List["CatalogDelta"] = []
-            cursor = from_version
-            for entry_from, entry_to, delta in journal:
-                if entry_to <= cursor:
-                    continue
-                if entry_from != cursor:
-                    return None
-                chain.append(delta)
-                cursor = entry_to
-                if cursor == to_version:
-                    return chain
-        return None
 
     def remove(self, name: str) -> Workspace:
         """Drop a workspace (its engine runtime is reaped on next access)."""
         with self._lock:
             workspace = self._get_locked(name)
             del self._workspaces[name]
-            self._delta_journal.pop(name, None)
             return workspace
 
     # ------------------------------------------------------------------ reads

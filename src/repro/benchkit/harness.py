@@ -14,16 +14,14 @@ results (soundness in practice, not just on paper).
 The ``optimizer`` argument of :func:`run_pipeline` is anything exposing the
 ``rewrite`` protocol — a :class:`repro.api.Engine` or a
 :class:`~repro.planner.PlanSession`.  :func:`materialize_views` performs the
-offline view materialisation the workloads and examples share, and
-:class:`TenantEngineFactory` builds the same multi-tenant engine in the
-gateway process and in every spawned planner worker.  Sweeps and timing
-gates live in ``benchmarks/layered/``.
+offline view materialisation the workloads and examples share.  Sweeps and
+timing gates live in ``benchmarks/layered/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.backends.base import values_allclose
 from repro.backends.numpy_backend import NumpyBackend
@@ -132,32 +130,6 @@ def run_pipeline(
         cache_hit=result.cache_hit,
         stage_timings=dict(result.stage_timings),
     )
-
-
-@dataclass(frozen=True)
-class TenantEngineFactory:
-    """A picklable multi-tenant engine factory for the worker-pool tier.
-
-    The worker-pool tests need the *same* engine built in the gateway
-    process and inside every spawned planner worker; a closure cannot cross
-    the spawn boundary, a module-level dataclass with ``__call__`` can.  Every tenant gets the benchkit catalog at ``scale``
-    (one shared catalog object per engine — tenants are isolation-
-    equivalent, not data-divergent, which is exactly what the byte-identity
-    check needs).
-    """
-
-    tenants: Tuple[str, ...]
-    scale: float = 0.01
-
-    def __call__(self) -> "object":
-        from repro.api import Engine, WorkspaceRegistry
-        from repro.benchkit.datasets import benchmark_catalog
-
-        catalog = benchmark_catalog(scale=self.scale)
-        registry = WorkspaceRegistry()
-        for tenant in self.tenants:
-            registry.register(tenant, catalog=catalog)
-        return Engine(workspaces=registry)
 
 
 def print_report(title: str, runs: Sequence[PipelineRun]) -> str:

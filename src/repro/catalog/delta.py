@@ -15,14 +15,13 @@ op                     meaning
 
 Deltas **compose** (``a.compose(b)`` is "a then b"), carry a conservative
 **touched-name set** the revalidation machinery intersects plan footprints
-against, and serialize to/from a typed JSON document — the same payload the
-``POST /v1/workspaces/<name>/delta`` gateway endpoint accepts and the
-worker supervisor forwards over the process pipe, so a metadata-only
-mutation crosses every serving layer without pickling values.
+against, and serialize to/from a typed JSON document — the payload the
+``POST /v1/workspaces/<name>/delta`` gateway endpoint accepts, so a
+metadata-only mutation reaches the server without carrying values.
 
 Matrix *values* deliberately never ride on a delta: the optimizer plans
-from metadata (the paper's setting), and a delta must be cheap to apply,
-journal and forward.  Backends needing fresh values keep registering them
+from metadata (the paper's setting), and a delta must be cheap to apply
+and to send.  Backends needing fresh values keep registering them
 through :meth:`repro.data.catalog.Catalog.register_matrix` as before.
 
 Touched-name soundness

@@ -11,7 +11,7 @@ Since the :mod:`repro.api` consolidation these four dataclasses are the
 * :class:`ServiceConfig` — the :class:`~repro.service.AnalyticsService`
   knobs: pool size, batch fan-out, routing preference.
 * :class:`GatewayConfig` — the :class:`~repro.server.AnalyticsGateway`
-  knobs: bind address, admission bounds, backlog, planner worker processes.
+  knobs: bind address, admission bounds, backlog.
 * :class:`EngineConfig` — the composition of the three, consumed by
   :class:`repro.api.Engine`.
 
@@ -59,17 +59,6 @@ def _require_int(
     return value
 
 
-def _require_float(config: str, name: str, value: Any, minimum: float) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(
-            f"{config}.{name} must be a number, got {value!r} "
-            f"(type {type(value).__name__})"
-        )
-    if value < minimum:
-        raise ConfigError(f"{config}.{name} must be >= {minimum}, got {value}")
-    return float(value)
-
-
 def _require_str(config: str, name: str, value: Any) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(
@@ -95,6 +84,23 @@ def _normalized_matrix_items(
             f"factor-name triples, got {value!r}"
         ) from exc
     return normalized
+
+
+def _require_known(where: str, cls: type, options: Mapping[str, Any]) -> None:
+    """Refuse option names that are not fields of ``cls``, listing the valid ones."""
+    known = {f.name for f in fields(cls)}
+    unknown = sorted(set(options) - known)
+    if unknown:
+        raise ConfigError(
+            f"{where} got unknown option(s) {unknown}; "
+            f"valid {cls.__name__} fields are {sorted(known)}"
+        )
+
+
+def _with_options(config: Any, changes: Mapping[str, Any]) -> Any:
+    """A validated copy of a frozen config with ``changes`` applied."""
+    _require_known(f"{type(config).__name__}.with_options", type(config), changes)
+    return replace(config, **changes)
 
 
 @dataclass(frozen=True)
@@ -147,7 +153,7 @@ class PlannerConfig:
 
     def with_options(self, **changes: Any) -> "PlannerConfig":
         """A validated copy with ``changes`` applied (configs are frozen)."""
-        return replace(self, **changes)
+        return _with_options(self, changes)
 
 
 @dataclass(frozen=True)
@@ -163,7 +169,7 @@ class ServiceConfig:
         _require_str(name, "preferred_backend", self.preferred_backend)
 
     def with_options(self, **changes: Any) -> "ServiceConfig":
-        return replace(self, **changes)
+        return _with_options(self, changes)
 
 
 @dataclass(frozen=True)
@@ -179,22 +185,6 @@ class GatewayConfig:
     #: (the default) disables the per-tenant bound.
     workspace_max_in_flight: int = 0
     backlog: int = 2048
-    #: Number of planner worker *processes* behind the gateway.  ``0`` (the
-    #: default) keeps today's in-process path — planning on a thread pool
-    #: inside the gateway process, byte-identical behaviour.  ``N > 0``
-    #: shards workspaces across N spawned worker processes by consistent
-    #: hashing (see :mod:`repro.server.workers`), each owning its own plan
-    #: session pool and warm rewrite cache, supervised and respawned on
-    #: crash.
-    planner_workers: int = 0
-    #: How many times a request lost to a worker crash is replayed against
-    #: the respawned worker before it is failed back to the client (500).
-    worker_retry_budget: int = 2
-    #: Base of the supervisor's bounded exponential respawn backoff: the
-    #: k-th consecutive crash of one worker slot waits
-    #: ``worker_backoff_seconds * 2**(k-1)`` (capped internally) before
-    #: respawning.
-    worker_backoff_seconds: float = 0.05
 
     def __post_init__(self) -> None:
         name = type(self).__name__
@@ -203,16 +193,9 @@ class GatewayConfig:
         _require_int(name, "max_in_flight", self.max_in_flight, 1)
         _require_int(name, "workspace_max_in_flight", self.workspace_max_in_flight, 0)
         _require_int(name, "backlog", self.backlog, 1)
-        _require_int(name, "planner_workers", self.planner_workers, 0)
-        _require_int(name, "worker_retry_budget", self.worker_retry_budget, 0)
-        object.__setattr__(
-            self,
-            "worker_backoff_seconds",
-            _require_float(name, "worker_backoff_seconds", self.worker_backoff_seconds, 0.0),
-        )
 
     def with_options(self, **changes: Any) -> "GatewayConfig":
-        return replace(self, **changes)
+        return _with_options(self, changes)
 
 
 def _coerce(config: str, name: str, value: Any, cls: type) -> Any:
@@ -220,13 +203,7 @@ def _coerce(config: str, name: str, value: Any, cls: type) -> Any:
     if isinstance(value, cls):
         return value
     if isinstance(value, Mapping):
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(value) - known)
-        if unknown:
-            raise ConfigError(
-                f"{config}.{name} got unknown option(s) {unknown}; "
-                f"valid {cls.__name__} fields are {sorted(known)}"
-            )
+        _require_known(f"{config}.{name}", cls, value)
         return cls(**value)
     raise ConfigError(
         f"{config}.{name} must be a {cls.__name__} (or a mapping of its "
@@ -255,7 +232,7 @@ class EngineConfig:
         object.__setattr__(self, "gateway", _coerce(name, "gateway", self.gateway, GatewayConfig))
 
     def with_options(self, **changes: Any) -> "EngineConfig":
-        return replace(self, **changes)
+        return _with_options(self, changes)
 
 
 __all__ = [

@@ -13,15 +13,9 @@ single dependency:
   server: ``/v1/plan``, ``/v1/pipeline``, ``/metrics``, ``/healthz``,
   admission control with 429 backpressure, and graceful drain;
 * :mod:`repro.server.planner` — the one seam the gateway plans through,
-  and its in-process implementation: a warm plan is answered on the event
-  loop, anything else runs ``submit_many([request], workers=1)`` on a
-  planner thread as it arrives;
-* :mod:`repro.server.workers` — the multi-process planner tier:
-  :class:`HashRing` (consistent workspace → worker sharding),
-  :func:`planner_worker_main` (spawn-safe child loop) and
-  :class:`WorkerSupervisor` (health checks, bounded-backoff respawn,
-  in-flight replay, graceful pool drain), enabled with
-  ``GatewayConfig.planner_workers > 0``;
+  and its one implementation: a warm plan is answered on the event loop,
+  anything else runs ``submit_many([request], workers=1)`` on a planner
+  thread as it arrives;
 * :mod:`repro.server.client` — :class:`GatewayClient`, the asyncio client
   the tests and the layered benchmark drive.
 
@@ -40,12 +34,6 @@ from repro.server.protocol import (
     request_to_json,
     result_to_json,
 )
-from repro.server.workers import (
-    HashRing,
-    SupervisorClosed,
-    WorkerSupervisor,
-    planner_worker_main,
-)
 
 __all__ = [
     "AnalyticsGateway",
@@ -53,13 +41,9 @@ __all__ = [
     "Gauge",
     "GatewayClient",
     "GatewayError",
-    "HashRing",
     "Histogram",
     "MetricsRegistry",
     "ProtocolError",
-    "SupervisorClosed",
-    "WorkerSupervisor",
-    "planner_worker_main",
     "expr_from_json",
     "expr_to_json",
     "parse_plan_request",

@@ -15,10 +15,9 @@ the production behaviours a load balancer assumes:
   config and caches); unknown names are answered ``404``.  Requests
   without the field route to the default workspace;
 * **one planner seam** — every admitted request goes through
-  ``gateway.planner`` (:class:`~repro.server.planner.LocalPlanner` in this
-  process, or the sharded :class:`~repro.server.workers.WorkerSupervisor`
-  with ``planner_workers > 0``) and comes back as an envelope that one
-  function maps to the HTTP response and one records in the metrics;
+  ``gateway.planner`` (:class:`~repro.server.planner.LocalPlanner`, or a
+  fake a test assigns) and comes back as an envelope that one function
+  maps to the HTTP response and one records in the metrics;
 * **graceful drain** — :meth:`stop` stops accepting connections, lets every
   admitted request finish, closes the planner, then closes; requests
   arriving on open connections during the drain get ``503``;
@@ -46,7 +45,7 @@ Endpoints
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.api.engine import Engine
 from repro.catalog.delta import CatalogDelta
@@ -64,7 +63,6 @@ from repro.server.protocol import (
     parse_plan_request,
     read_http_request,
 )
-from repro.server.workers import WorkerSupervisor
 
 
 class AnalyticsGateway:
@@ -82,27 +80,10 @@ class AnalyticsGateway:
     config:
         The frozen, validated :class:`~repro.config.GatewayConfig`: bind
         address (``port=0`` picks an ephemeral port, exposed as
-        :attr:`port` after :meth:`start`), admission bounds,
-        planner-worker pool size.
-    worker_factory:
-        Required iff ``config.planner_workers > 0``: a picklable
-        zero-argument callable building the engine each spawned planner
-        worker plans with.
+        :attr:`port` after :meth:`start`), admission bounds, backlog.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        config: GatewayConfig,
-        worker_factory: Optional[Callable[[], Engine]] = None,
-    ):
-        if config.planner_workers > 0 and worker_factory is None:
-            raise ConfigError(
-                "GatewayConfig.planner_workers > 0 needs a worker_factory: a "
-                "picklable zero-argument callable building the worker-side "
-                "engine (spawned worker processes cannot inherit this "
-                "process's services)"
-            )
+    def __init__(self, engine: Engine, config: GatewayConfig):
         self.config = config
         self.engine = engine
         self.max_in_flight = config.max_in_flight
@@ -210,20 +191,8 @@ class AnalyticsGateway:
             "repro_plans_kept_warm_total",
             "Cached plans kept warm across a delta (footprint miss)",
         )
-        #: Where every admitted request is planned.  Constructing either
-        #: planner spawns nothing; worker processes start in :meth:`start`.
-        self.planner: Planner
-        if config.planner_workers > 0 and worker_factory is not None:
-            self.planner = WorkerSupervisor(
-                worker_factory,
-                workers=config.planner_workers,
-                metrics=self.metrics,
-                retry_budget=config.worker_retry_budget,
-                backoff_seconds=config.worker_backoff_seconds,
-                workspaces=engine,
-            )
-        else:
-            self.planner = LocalPlanner(engine, batch_hook=self._observe_batch)
+        #: Where every admitted request is planned.
+        self.planner: Planner = LocalPlanner(engine, batch_hook=self._observe_batch)
 
     @property
     def service(self) -> Optional[AnalyticsService]:
@@ -296,13 +265,12 @@ class AnalyticsGateway:
 
         Called when a lookup raises :class:`UnknownWorkspaceError` — the
         same reap-on-access discipline the engine applies to its runtimes,
-        so tenant churn on a long-lived gateway never accumulates planner
-        state, instruments or in-flight counters for deleted tenants.  The
+        so tenant churn on a long-lived gateway never accumulates
+        instruments or in-flight counters for deleted tenants.  The
         labeled series are removed from the registry too, so ``/metrics``
         stops rendering a deleted tenant instead of exposing its stale
         values forever.
         """
-        self.planner.forget(name)
         self._workspace_instruments.pop(name, None)
         # Keep a non-zero in-flight count: requests of the removed bundle
         # still draining must stay visible to the quota of a re-registered
@@ -352,7 +320,6 @@ class AnalyticsGateway:
     async def start(self) -> None:
         if self._server is not None:
             raise RuntimeError("gateway already started")
-        await self.planner.open()
         self._server = await asyncio.start_server(
             self._serve_connection,
             host=self.config.host,
@@ -502,7 +469,6 @@ class AnalyticsGateway:
         }
         if self.service is not None:
             document["pool"] = self.service.pool.stats_dict()
-        document.update(self.planner.describe())
         return document
 
     def _handle_workspaces(self, path: str, keep_alive: bool) -> bytes:
@@ -537,10 +503,7 @@ class AnalyticsGateway:
         wire document.  The delta is applied through the engine's
         revalidating path on an executor thread (it may rebuild the
         plan session), and the response is the
-        :class:`~repro.catalog.delta.RevalidationReport`.  Workers owned by
-        a supervisor catch up through the registry's delta journal on the
-        next health sync — the wire document they receive is exactly this
-        one.
+        :class:`~repro.catalog.delta.RevalidationReport`.
         """
         keep_alive = request.keep_alive
         if self._draining:
@@ -728,10 +691,6 @@ class AnalyticsGateway:
             self._responses_5xx.inc()
             return json_response(500, {"error": error}, keep_alive=keep_alive)
         payload = envelope["payload"]
-        if envelope.get("worker") is not None:
-            # Worker attribution rides on the response so clients (and the
-            # isolation benchmark) can verify shard stickiness end to end.
-            payload = dict(payload, worker=envelope["worker"])
         if any(who == "planner" for who, _ in payload["failures"]):
             self._plan_failures_total.inc()
             self._responses_4xx.inc()
@@ -786,12 +745,6 @@ class AnalyticsGateway:
             summary["pool"] = self.service.pool.stats_dict()
         summary.update(self.planner.stats_dict())
         return summary
-
-    @property
-    def supervisor(self) -> Optional[WorkerSupervisor]:
-        """The :class:`~repro.server.workers.WorkerSupervisor` planning for
-        this gateway (``None`` on the in-process path)."""
-        return self.planner if isinstance(self.planner, WorkerSupervisor) else None
 
 
 def run_gateway(gateway: AnalyticsGateway) -> None:

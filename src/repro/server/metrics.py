@@ -147,12 +147,6 @@ class Gauge:
         self._value = 0.0
         self._max = 0.0
 
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-            if value > self._max:
-                self._max = value
-
     def inc(self, amount: float = 1.0) -> None:
         with self._lock:
             self._value += amount

@@ -2,12 +2,10 @@
 
 The gateway admits a request, hands it to its planner and maps the
 *envelope* that comes back to an HTTP response — it never sees a thread
-pool, a pipe or a process.  Two planners ship: :class:`LocalPlanner` (this
-module; the engine's own services on a thread pool) and
-:class:`~repro.server.workers.WorkerSupervisor` (sharded planner worker
-processes).  Both plan a request as it arrives, with the same
-``service.submit_many([request], workers=1)`` call.  A test substitutes a
-fake by assigning ``gateway.planner``.
+pool.  One planner ships: :class:`LocalPlanner`, the engine's own services
+on a thread pool, planning each request as it arrives.  A test substitutes
+a fake through the :class:`Planner` protocol by assigning
+``gateway.planner``.
 
 Envelopes
 ---------
@@ -17,17 +15,14 @@ is per-request data on the payload — comes back as::
     {"ok": True, "payload": <result_to_json document>,
      "pruned": [pruned_applications, pruned_by_tightening]}
 
-(plus ``"worker"`` / ``"pid"`` when a worker process served it), and a
-request that could not be planned at all as::
+and a request that could not be planned at all as::
 
     {"ok": False, "kind": <kind>, "error": <message>}
 
 with ``kind`` one of ``unknown_workspace`` (404), ``config`` (a plan-only
-workspace; 422), ``closed`` (draining; 503), or anything else —
-``internal``, ``worker_crashed`` — (500).  Results become envelopes through
-:func:`result_envelope` and exceptions through :func:`error_envelope` on
-both paths (a worker process encodes its own; the gateway encodes what a
-planner raises), which is what keeps their HTTP bodies and metrics identical.
+workspace; 422), ``closed`` (draining; 503), or ``internal`` (500).
+Results become envelopes through :func:`result_envelope`, and the gateway
+encodes what a planner raises through :func:`error_envelope`.
 """
 
 from __future__ import annotations
@@ -51,27 +46,18 @@ class PlannerClosed(RuntimeError):
 class Planner(Protocol):
     """What :class:`~repro.server.gateway.AnalyticsGateway` needs of a planner."""
 
-    async def open(self) -> None:
-        """Acquire whatever planning needs (worker processes); may take long."""
-
     async def submit(self, workspace: str, request: ServiceRequest) -> dict:
         """Plan (and maybe execute) one admitted request; answer an envelope.
 
         An exception raised instead is encoded by the gateway with
-        :func:`error_envelope`, the function a worker process uses itself.
+        :func:`error_envelope`.
         """
-
-    def describe(self) -> dict:
-        """The planner's keys of the ``/healthz`` document."""
 
     def stats_dict(self) -> dict:
         """The planner's keys of :meth:`AnalyticsGateway.stats_dict`."""
 
-    def forget(self, workspace: str) -> None:
-        """Drop the state kept for a workspace that is no longer registered."""
-
     async def close(self) -> None:
-        """Finish accepted work, then release everything :meth:`open` took."""
+        """Finish accepted work, then release what planning holds."""
 
 
 def result_envelope(result: ServiceResult) -> dict:
@@ -107,8 +93,7 @@ class LocalPlanner:
     <repro.service.pool.PlanSessionPool.lookup>`.  Everything the lookup
     cannot answer — a miss, a key still being planned, a busy pool lock,
     any ``execute`` request — runs ``service.submit_many([request],
-    workers=1)``, the call a worker process makes, on the planner's thread
-    pool, ``ServiceConfig.plan_workers`` threads shared by every workspace.
+    workers=1)`` on the planner's thread pool, ``ServiceConfig.plan_workers`` threads shared by every workspace.
     Requests from different tenants, and executions (numpy releases the
     GIL), therefore run side by side: a tenant's long plan holds one thread,
     not the others' misses.  Concurrent duplicates plan once: the pool's
@@ -126,9 +111,6 @@ class LocalPlanner:
         #: (not ids): membership is object identity, entries vanish with
         #: their service, and a recycled id can never mask a new service.
         self._hooked_services: "weakref.WeakSet[AnalyticsService]" = weakref.WeakSet()
-
-    async def open(self) -> None:
-        pass
 
     async def submit(self, workspace: str, request: ServiceRequest) -> dict:
         handle = await self._resolve_handle(workspace)
@@ -158,9 +140,6 @@ class LocalPlanner:
         )
         return result_envelope(results[0])
 
-    def describe(self) -> dict:
-        return {}
-
     def stats_dict(self) -> dict:
         # Keyed by ready runtime: a tenant served only warm plans is
         # answered on the loop and never reaches a planner thread.
@@ -170,10 +149,6 @@ class LocalPlanner:
             if self._engine.runtime_ready(name)
         }
         return {"workspace_pools": pools} if pools else {}
-
-    def forget(self, workspace: str) -> None:
-        # Nothing is kept per workspace: every request resolves its handle.
-        pass
 
     async def close(self) -> None:
         """Refuse new requests, then wait for the ones already planning."""

@@ -372,15 +372,6 @@ class TestLintRules:
         findings = lint_source(source, "mod.py")
         assert any(f.code == "RPA103" and "lambda" in f.message for f in findings)
 
-    def test_rpa103_lambda_worker_factory(self):
-        source = textwrap.dedent(
-            """
-            def build(supervisor_cls):
-                return supervisor_cls(worker_factory=lambda: make_session())
-            """
-        )
-        assert "RPA103" in codes(lint_source(source, "mod.py"))
-
     def test_rpa103_closure_target(self):
         source = textwrap.dedent(
             """

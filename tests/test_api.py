@@ -82,7 +82,7 @@ class TestConfigValidation:
             lambda: ServiceConfig(preferred_backend=""),
             lambda: GatewayConfig(port=70_000),
             lambda: GatewayConfig(max_in_flight=0),
-            lambda: GatewayConfig(worker_backoff_seconds=-0.1),
+            lambda: GatewayConfig(workspace_max_in_flight=-1),
             lambda: GatewayConfig(host=""),
         ],
     )
@@ -151,6 +151,33 @@ class TestConfigValidation:
         assert config.max_rounds == 4
         with pytest.raises(ConfigError):
             config.with_options(max_rounds=0)
+
+    @pytest.mark.parametrize(
+        "config",
+        [PlannerConfig(), ServiceConfig(), GatewayConfig(), EngineConfig()],
+        ids=lambda config: type(config).__name__,
+    )
+    def test_with_options_names_unknown_fields(self, config):
+        cls = type(config)
+        valid = str(sorted(f.name for f in dataclasses.fields(cls)))
+        with pytest.raises(ConfigError) as info:
+            config.with_options(bogus=1)
+        message = str(info.value)
+        assert f"{cls.__name__}.with_options" in message
+        assert "['bogus']" in message and valid in message
+
+    def test_gateway_config_has_five_fields(self, small_catalog):
+        """No planner-worker knobs: a caller still passing one gets a
+        ConfigError listing the five fields, from every way in."""
+        fields = ["host", "port", "max_in_flight", "workspace_max_in_flight", "backlog"]
+        assert [f.name for f in dataclasses.fields(GatewayConfig)] == fields
+        with pytest.raises(ConfigError, match="planner_workers") as info:
+            Engine(small_catalog).build_gateway(planner_workers=2)
+        assert str(sorted(fields)) in str(info.value)
+        with pytest.raises(ConfigError, match="planner_workers"):
+            asyncio.run(Engine(small_catalog).serve(planner_workers=2))
+        with pytest.raises(ConfigError, match="planner_workers"):
+            EngineConfig(gateway={"planner_workers": 2})
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Covers the typed delta algebra and its JSON wire schema, plan-footprint
 capture during planning, ``Catalog.apply_delta``/``update_metadata``, the
 pool's footprint-intersection revalidation (``PlanStore.revalidate`` via
-``PlanSessionPool.apply_delta``), the registry's delta journal and
-``delta_chain``, the ``Engine``/``WorkspaceHandle`` surface, the
+``PlanSessionPool.apply_delta``), the registry's versioned deltas, the
+``Engine``/``WorkspaceHandle`` surface, the
 ``POST /v1/workspaces/<name>/delta`` gateway endpoint with its metric
 families, concurrency (deltas racing ``plan``/``submit_many`` must never
 leave a stale plan published), a hypothesis property over random
@@ -360,44 +360,18 @@ class TestRevalidationProperty:
 
 
 # ---------------------------------------------------------------------------
-# Registry journal and delta chains
+# Registry deltas
 # ---------------------------------------------------------------------------
 
 
 class TestRegistryDeltas:
-    def test_apply_delta_bumps_version_and_journals(self):
+    def test_apply_delta_bumps_version(self):
         registry = WorkspaceRegistry()
         registry.register("t", catalog=_mini_catalog())
         v1 = registry.get("t").version
-        delta = CatalogDelta((ReStat(name="M", nnz=4),))
-        snapshot = registry.apply_delta("t", delta)
+        snapshot = registry.apply_delta("t", CatalogDelta((ReStat(name="M", nnz=4),)))
         assert snapshot.version == v1 + 1
-        chain = registry.delta_chain("t", v1, snapshot.version)
-        assert chain is not None and len(chain) == 1
-        assert chain[0].to_json() == delta.to_json()
-        assert registry.delta_chain("t", snapshot.version, snapshot.version) == []
-
-    def test_chain_walks_multiple_deltas_in_order(self):
-        registry = WorkspaceRegistry()
-        registry.register("t", catalog=_mini_catalog())
-        v1 = registry.get("t").version
-        first = CatalogDelta((ReStat(name="M", nnz=4),))
-        second = CatalogDelta((ReStat(name="C", nnz=6),))
-        registry.apply_delta("t", first)
-        v3 = registry.apply_delta("t", second).version
-        chain = registry.delta_chain("t", v1, v3)
-        assert [d.to_json() for d in chain] == [first.to_json(), second.to_json()]
-
-    def test_non_delta_update_breaks_the_chain(self):
-        registry = WorkspaceRegistry()
-        catalog = _mini_catalog()
-        registry.register("t", catalog=catalog)
-        v1 = registry.get("t").version
-        registry.apply_delta("t", CatalogDelta((ReStat(name="M", nnz=4),)))
-        registry.update("t", catalog=catalog)  # wholesale: discontinuity
-        after = registry.get("t").version
-        assert registry.delta_chain("t", v1, after) is None
-        assert registry.delta_chain("t", after, v1) is None
+        assert registry.get("t") is snapshot
 
     def test_validation_errors(self):
         registry = WorkspaceRegistry()
@@ -472,14 +446,6 @@ class TestEngineDeltas:
         registry = WorkspaceRegistry()
         registry.register("a", catalog=_mini_catalog(1), views=[view])
         return registry
-
-    def test_engine_delta_chain_returns_wire_documents(self):
-        engine = self._engine()
-        v1 = engine.workspaces.get("a").version
-        delta = CatalogDelta((ReStat(name="M", nnz=4),))
-        engine.apply_delta("a", delta)
-        docs = engine.delta_chain("a", v1, engine.workspaces.get("a").version)
-        assert docs == [delta.to_json()]
 
 
 # ---------------------------------------------------------------------------

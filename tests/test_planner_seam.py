@@ -1,19 +1,17 @@
-"""Tests of the planner seam: the gateway against a fake, a local and a
-worker planner.
+"""Tests of the planner seam: the gateway against a fake and the local
+planner.
 
 The gateway plans through one object (``gateway.planner``) and maps the
-envelope it answers to an HTTP response in one function.  That makes three
-things checkable without a batcher, a socket or a process:
+envelope it answers to an HTTP response in one function.  That makes these
+things checkable:
 
 * every status the gateway can answer a submit with (200 hit, 200 miss,
   422 planner failure, 422 plan-only workspace, 404 unknown workspace, 500
   execute failure, 503 closed), driven by a ``FakePlanner`` returning canned
-  envelopes — status, body and ``/metrics`` delta each;
-* that the in-process planner and a 1-worker supervisor are the same
-  planner to a client: equal bodies (modulo ``worker``) and equal metric
-  deltas for a miss and a hit;
-* the worker's message handling, including the counted
-  invalidate-instead-of-delta fallback.
+  envelopes — status, body and ``/metrics`` delta each, without a socket;
+* what the local planner answers a client over real HTTP for a miss and
+  then a hit: status, the ``cache_hit`` flag and the response counters;
+* the local planner's warm read path, answered on the event loop.
 """
 
 from __future__ import annotations
@@ -23,15 +21,11 @@ import json
 
 import pytest
 
-from repro.api import Engine
-from repro.benchkit.harness import TenantEngineFactory
-from repro.catalog.delta import CatalogDelta, DropRelation
+from repro.api import Engine, WorkspaceRegistry
 from repro.exceptions import ConfigError
 from repro.lang import matrix, transpose
-from repro.planner import PlanSession
 from repro.server import GatewayClient
-from repro.server.protocol import HttpRequest, expr_to_json, request_to_json
-from repro.server.workers import _Worker
+from repro.server.protocol import HttpRequest, expr_to_json
 from repro.service import ServiceRequest
 
 
@@ -65,23 +59,13 @@ class FakePlanner:
     def __init__(self, envelope: dict):
         self.envelope = envelope
         self.submitted = []
-        self.forgotten = []
-
-    async def open(self) -> None:
-        pass
 
     async def submit(self, workspace, request) -> dict:
         self.submitted.append((workspace, request))
         return self.envelope
 
-    def describe(self) -> dict:
-        return {}
-
     def stats_dict(self) -> dict:
         return {}
-
-    def forget(self, workspace) -> None:
-        self.forgotten.append(workspace)
 
     async def close(self) -> None:
         pass
@@ -147,9 +131,9 @@ CASES = [
         "200-hit",
         "/v1/plan",
         # A hit's prune counters were counted when the plan was made.
-        {"ok": True, "payload": HIT, "pruned": [5, 2], "worker": 3},
+        {"ok": True, "payload": HIT, "pruned": [5, 2]},
         200,
-        dict(HIT, worker=3),
+        HIT,
         {**ADMITTED, **OBSERVED, "gateway_cache_hits_total": 1},
     ),
     (
@@ -228,7 +212,6 @@ class TestGatewayAgainstFakePlanner:
         answered_status, head, answered = _submit(gateway, endpoint)
         assert answered_status == status
         assert answered == body
-        assert ("worker" in answered) == ("worker" in envelope)
         assert _delta(before, _flat(gateway.metrics)) == delta
         assert gateway.in_flight == 0
 
@@ -236,7 +219,6 @@ class TestGatewayAgainstFakePlanner:
         assert workspace == "default"
         assert isinstance(submitted, ServiceRequest)
         assert submitted.execute == (endpoint == "/v1/pipeline")
-        assert planner.forgotten == (["default"] if status == 404 else [])
         if status == 503:
             assert b"connection: close" in head
 
@@ -254,33 +236,23 @@ class TestGatewayAgainstFakePlanner:
 
 
 # ---------------------------------------------------------------------------
-# Local planner vs a 1-worker supervisor: one planner to the client
+# The local planner over real HTTP
 # ---------------------------------------------------------------------------
 
-SEAM_FACTORY = TenantEngineFactory(tenants=("solo",), scale=0.01)
 
-#: Series only one planner publishes (in-process service batches, worker
-#: slots).
-_PLANNER_OWN = (
-    "service_batch",
-    "service_cache",
-    "repro_worker",
-)
-
-
-def _serve_miss_then_hit(planner_workers: int) -> dict:
+@pytest.fixture(scope="module")
+def miss_then_hit() -> dict:
     """``{"miss" | "hit": (status, body, metrics delta)}`` over real HTTP."""
-    from repro.benchkit.datasets import ROLE_BINDINGS_DENSE
+    from repro.benchkit.datasets import ROLE_BINDINGS_DENSE, benchmark_catalog
     from repro.benchkit.pipelines import build_pipeline, default_roles
 
     expression = build_pipeline("P1.4", default_roles(ROLE_BINDINGS_DENSE))
-    engine = SEAM_FACTORY()
+    registry = WorkspaceRegistry()
+    registry.register("solo", catalog=benchmark_catalog(scale=0.01))
+    engine = Engine(workspaces=registry)
 
     async def main() -> dict:
-        gateway = await engine.serve(
-            worker_factory=SEAM_FACTORY if planner_workers else None,
-            planner_workers=planner_workers,
-        )
+        gateway = await engine.serve()
         outcomes = {}
         try:
             async with GatewayClient("127.0.0.1", gateway.port) as client:
@@ -289,11 +261,7 @@ def _serve_miss_then_hit(planner_workers: int) -> dict:
                     body = await client.submit(
                         expression, name=kind, workspace="solo", raise_on_error=False
                     )
-                    delta = {
-                        name: value
-                        for name, value in _delta(before, _flat(gateway.metrics)).items()
-                        if not name.startswith(_PLANNER_OWN)
-                    }
+                    delta = _delta(before, _flat(gateway.metrics))
                     outcomes[kind] = (body.pop("status", 200), body, delta)
         finally:
             await asyncio.wait_for(gateway.stop(), timeout=30)
@@ -302,85 +270,14 @@ def _serve_miss_then_hit(planner_workers: int) -> dict:
     return asyncio.run(main())
 
 
-@pytest.fixture(scope="module")
-def both_planners():
-    return _serve_miss_then_hit(0), _serve_miss_then_hit(1)
-
-
-def _modulo_commuted_operands(plan: str) -> str:
-    """A rendered plan with the operands of every ``(X + Y)`` and ``(X * Y)``
-    sorted, so the two orders of a commutative operator compare equal.
-
-    Works on the bracket structure of ``Expr.to_string()`` alone: infix
-    operators are always parenthesised, so a group has at most one operator
-    at its own depth."""
-
-    def closing(text: str, start: int) -> int:
-        depth = 0
-        for index in range(start, len(text)):
-            depth += (text[index] == "(") - (text[index] == ")")
-            if depth == 0:
-                return index
-        raise ValueError(f"unbalanced plan {plan!r}")
-
-    def own_depth_find(text: str, token: str) -> int:
-        depth = 0
-        for index, char in enumerate(text):
-            if depth == 0 and text.startswith(token, index):
-                return index
-            depth += (char == "(") - (char == ")")
-        return -1
-
-    out, index = "", 0
-    while index < len(plan):
-        if plan[index] != "(":
-            out += plan[index]
-            index += 1
-            continue
-        end = closing(plan, index)
-        inner = _modulo_commuted_operands(plan[index + 1 : end])
-        for token in (" + ", " * "):
-            at = own_depth_find(inner, token)
-            if at >= 0:
-                inner = token.join(sorted((inner[:at], inner[at + len(token) :])))
-                break
-        out += f"({inner})"
-        index = end + 1
-    return out
-
-
-class TestLocalAndWorkerPlannersAgree:
-    def test_plan_comparison_sees_through_operand_order_only(self):
-        same = _modulo_commuted_operands
-        assert same("((AL1 %*% Syn7) + t((B * A)))") == same("(t((A * B)) + (AL1 %*% Syn7))")
-        assert same("sum(((B + A))^2)") == same("sum(((A + B))^2)")
-        assert same("(A %*% B)") != same("(B %*% A)")
-        assert same("((A + B) - C)") != same("(C - (A + B))")
-        assert same("(det(A) * (A (+) B))") != same("(det(A) * (B (+) A))")
-
+class TestLocalPlannerOverHttp:
     @pytest.mark.parametrize("kind", ["miss", "hit"])
-    def test_equal_bodies_and_metric_deltas(self, both_planners, kind):
-        local, workers = both_planners
-        local_status, local_body, local_delta = local[kind]
-        worker_status, worker_body, worker_delta = workers[kind]
-        assert local_status == worker_status == 200
-        assert local_body["cache_hit"] is (kind == "hit")
-        assert "worker" not in local_body and worker_body.pop("worker") == 0
-        # Wall-clock fields differ run to run; everything else is the wire.
-        local_body.pop("timings")
-        worker_body.pop("timings")
-        # P1.4's plan has an equal-cost tie between (X + Y) and (Y + X) that
-        # follows the process hash seed, and the worker is a fresh process:
-        # the plans are compared as trees modulo commuted operands, the rest
-        # byte for byte.  The real fix is ROADMAP item 2 (plans that do not
-        # depend on the process); this comparison goes with it.
-        assert _modulo_commuted_operands(local_body.pop("plan")) == _modulo_commuted_operands(
-            worker_body.pop("plan")
-        )
-        assert json.dumps(local_body) == json.dumps(worker_body)
-        assert local_delta == worker_delta
-        assert local_delta["gateway_responses_2xx_total"] == 1
-        assert ("gateway_cache_hits_total" in local_delta) == (kind == "hit")
+    def test_miss_then_hit(self, miss_then_hit, kind):
+        status, body, delta = miss_then_hit[kind]
+        assert status == 200
+        assert body["cache_hit"] is (kind == "hit")
+        assert delta["gateway_responses_2xx_total"] == 1
+        assert ("gateway_cache_hits_total" in delta) == (kind == "hit")
 
 
 # ---------------------------------------------------------------------------
@@ -425,47 +322,3 @@ class TestLocalPlannerAnswersWarmPlansItself:
         # Raised to the gateway, which encodes it as the 422 "config" envelope.
         with pytest.raises(ConfigError, match="without a catalog"):
             self._submit(engine, ServiceRequest(expression=expression, execute=False))
-
-
-# ---------------------------------------------------------------------------
-# The worker's message handling, without a pipe
-# ---------------------------------------------------------------------------
-
-
-class TestWorkerMessages:
-    def test_inconsistent_delta_chain_is_counted_and_invalidates(self, small_catalog):
-        """A forwarded chain the worker's catalog rejects falls back to the
-        per-workspace invalidation — counted, and still serving right plans."""
-        expression = transpose(matrix("M") @ matrix("N"))
-        worker = _Worker(Engine(small_catalog), worker_id=0)
-        body = request_to_json(ServiceRequest(expression=expression, execute=False))
-
-        _, _, envelope = worker.handle(("req", 1, body))
-        assert envelope["ok"] and envelope["worker"] == 0
-        _, _, state = worker.handle(("introspect", 2))
-        assert state["warm_runtimes"] == ["default"] and state["delta_fallbacks"] == 0
-
-        # Built against a catalog that has the relation; this worker's has not.
-        chain = [CatalogDelta((DropRelation(name="NeverRegistered"),)).to_json()]
-        assert worker.handle(("apply_delta", "default", chain)) is None
-        _, _, state = worker.handle(("introspect", 3))
-        assert state["delta_fallbacks"] == 1
-        assert state["warm_runtimes"] == []  # invalidated instead
-
-        _, _, envelope = worker.handle(("req", 4, body))
-        expected = PlanSession(small_catalog).rewrite(expression).best.to_string()
-        assert envelope["ok"] and envelope["payload"]["plan"] == expected
-        assert not envelope["payload"]["cache_hit"]  # replanned on a fresh runtime
-        assert worker.served == 2
-
-    def test_request_conditions_travel_as_kinds(self, small_catalog):
-        worker = _Worker(Engine(small_catalog), worker_id=7)
-        body = request_to_json(ServiceRequest(expression=matrix("M"), execute=False))
-        _, _, envelope = worker.handle(("req", 1, dict(body, workspace="nope")))
-        assert (envelope["ok"], envelope["kind"], envelope["worker"]) == (
-            False, "unknown_workspace", 7,
-        )
-        _, _, envelope = _Worker(Engine(), worker_id=7).handle(("req", 1, body))
-        assert (envelope["ok"], envelope["kind"]) == (False, "config")
-        _, _, envelope = worker.handle(("req", 2, {"no": "expression"}))
-        assert (envelope["ok"], envelope["kind"]) == (False, "internal")

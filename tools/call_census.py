@@ -9,8 +9,8 @@ prints how many there are and how many source lines they span::
 
     PYTHONPATH=src:tools PYTHONHASHSEED=0 python -m pytest -q -p call_census
 
-It is a report, not a gate: it cannot see code that runs only in spawned
-worker processes, nor tests the default markers deselect
+It is a report, not a gate: it cannot see code that runs only in child
+processes, nor tests the default markers deselect
 (``-m "fuzz or slow"``).  The hook slows the run roughly threefold.
 """
 
