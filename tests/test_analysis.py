@@ -386,6 +386,50 @@ class TestLintRules:
         findings = lint_source(source, "mod.py")
         assert any(f.code == "RPA103" and "child" in f.message for f in findings)
 
+    def test_rpa103_closure_in_process_args(self):
+        source = textwrap.dedent(
+            """
+            import multiprocessing as mp
+
+            def child_main(callback):
+                callback()
+
+            def start():
+                def callback():
+                    pass
+                return mp.Process(target=child_main, args=(callback,))
+            """
+        )
+        findings = lint_source(source, "mod.py")
+        assert [f.code for f in findings] == ["RPA103"]
+        assert "'callback' passed as Process args" in findings[0].message
+
+    def test_rpa103_positional_lambda_target(self):
+        source = textwrap.dedent(
+            """
+            import multiprocessing as mp
+
+            def start():
+                return mp.Process(None, lambda: None)
+            """
+        )
+        findings = lint_source(source, "mod.py")
+        assert any(
+            f.code == "RPA103" and "lambda passed as Process target" in f.message
+            for f in findings
+        )
+
+    def test_rpa103_checks_process_calls_only(self):
+        """A lambda handed to anything but ``Process`` crosses no process
+        boundary, whatever the keyword is called."""
+        source = textwrap.dedent(
+            """
+            def start(engine):
+                return engine.serve(worker_factory=lambda: None, target=lambda: 1)
+            """
+        )
+        assert lint_source(source, "mod.py") == []
+
     def test_rpa103_module_level_target_is_clean(self):
         source = textwrap.dedent(
             """

@@ -166,6 +166,31 @@ class TestConfigValidation:
         assert f"{cls.__name__}.with_options" in message
         assert "['bogus']" in message and valid in message
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PlannerConfig(max_rounds=6, normalized_matrices={"M": ("S", "K", "R")}),
+            ServiceConfig(plan_workers=2),
+            GatewayConfig(port=8080, workspace_max_in_flight=3),
+            EngineConfig(planner={"max_rounds": 6}, gateway={"port": 8080}),
+        ],
+        ids=lambda config: type(config).__name__,
+    )
+    def test_with_options_accepts_every_field(self, config):
+        """The unknown-field check refuses nothing that is a field: every
+        field passed back as itself rebuilds an equal config."""
+        every = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+        assert config.with_options(**every) == config
+
+    @pytest.mark.parametrize(
+        "knob", ["planner_workers", "worker_retry_budget", "worker_backoff_seconds"]
+    )
+    def test_worker_knobs_are_unknown_options(self, knob):
+        fields = sorted(f.name for f in dataclasses.fields(GatewayConfig))
+        with pytest.raises(ConfigError, match=knob) as info:
+            GatewayConfig().with_options(**{knob: 1})
+        assert str(fields) in str(info.value)
+
     def test_gateway_config_has_five_fields(self, small_catalog):
         """No planner-worker knobs: a caller still passing one gets a
         ConfigError listing the five fields, from every way in."""

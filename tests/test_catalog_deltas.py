@@ -373,6 +373,27 @@ class TestRegistryDeltas:
         assert snapshot.version == v1 + 1
         assert registry.get("t") is snapshot
 
+    def test_successive_deltas_apply_in_order(self):
+        registry = WorkspaceRegistry()
+        registry.register("t", catalog=_mini_catalog())
+        v1 = registry.get("t").version
+        registry.apply_delta("t", CatalogDelta((ReStat(name="M", nnz=4),)))
+        registry.apply_delta("t", CatalogDelta((ReStat(name="M", nnz=6),)))
+        after = registry.get("t")
+        assert after.version == v1 + 2
+        assert after.catalog.meta("M").nnz == 6  # the later delta wins
+
+    def test_wholesale_update_after_a_delta_bumps_the_version(self):
+        registry = WorkspaceRegistry()
+        registry.register("t", catalog=_mini_catalog())
+        v1 = registry.get("t").version
+        registry.apply_delta("t", CatalogDelta((ReStat(name="M", nnz=4),)))
+        fresh = _mini_catalog(seed=1)
+        updated = registry.update("t", catalog=fresh)
+        assert updated.version == v1 + 2
+        assert registry.get("t").catalog is fresh
+        assert fresh.meta("M").nnz != 4  # the delta stayed with the old catalog
+
     def test_validation_errors(self):
         registry = WorkspaceRegistry()
         registry.register("t", catalog=_mini_catalog())
@@ -441,6 +462,17 @@ class TestEngineDeltas:
         assert _signature(handle.rewrite(_expr_cv())) == _signature(
             reference.rewrite(_expr_cv())
         )
+
+    def test_engine_apply_delta_bumps_the_registry_version(self):
+        engine = self._engine()
+        v1 = engine.workspaces.get("a").version
+        other = engine.workspaces.get("b").version
+        report = engine.apply_delta("a", CatalogDelta((ReStat(name="M", nnz=4),)))
+        # No warm runtime: nothing to keep or revalidate.
+        assert report.plans_kept_warm == 0 and report.plans_revalidated == 0
+        assert engine.workspaces.get("a").version == v1 + 1
+        assert engine.workspaces.get("a").catalog.meta("M").nnz == 4
+        assert engine.workspaces.get("b").version == other
 
     def _reference_registry_with_view(self, view):
         registry = WorkspaceRegistry()

@@ -11,7 +11,9 @@ things checkable:
   envelopes — status, body and ``/metrics`` delta each, without a socket;
 * what the local planner answers a client over real HTTP for a miss and
   then a hit: status, the ``cache_hit`` flag and the response counters;
-* the local planner's warm read path, answered on the event loop.
+* the local planner's warm read path, answered on the event loop;
+* the envelopes themselves: which exception becomes which failure kind,
+  and which keys a planned or failed request's envelope carries.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import json
 import pytest
 
 from repro.api import Engine, WorkspaceRegistry
-from repro.exceptions import ConfigError
+from repro.exceptions import ConfigError, UnknownWorkspaceError
 from repro.lang import matrix, transpose
 from repro.server import GatewayClient
+from repro.server.planner import LocalPlanner, Planner, PlannerClosed, error_envelope
 from repro.server.protocol import HttpRequest, expr_to_json
 from repro.service import ServiceRequest
 
@@ -234,6 +237,35 @@ class TestGatewayAgainstFakePlanner:
         assert answered == {"error": "RuntimeError: pipe burst"}
         assert gateway.in_flight == 0
 
+    def test_stats_dict_carries_the_planners_keys(self, small_catalog):
+        class Reporting(FakePlanner):
+            def stats_dict(self):
+                return {"workspace_pools": {"default": {"plans_computed": 3}}}
+
+        gateway = Engine(small_catalog).build_gateway()
+        gateway.planner = Reporting({})
+        stats = gateway.stats_dict()
+        assert stats["workspace_pools"] == {"default": {"plans_computed": 3}}
+        assert stats["max_in_flight"] == gateway.max_in_flight
+
+    def test_stop_closes_the_planner(self, small_catalog):
+        class Closing(FakePlanner):
+            closed = 0
+
+            async def close(self):
+                self.closed += 1
+
+        gateway = Engine(small_catalog).build_gateway()
+        gateway.planner = planner = Closing({})
+        asyncio.run(gateway.stop())
+        assert planner.closed == 1
+
+    def test_planners_provide_exactly_the_protocol(self):
+        members = {name for name in vars(Planner) if not name.startswith("_")}
+        assert members == {"submit", "stats_dict", "close"}
+        for planner in (LocalPlanner, FakePlanner):
+            assert all(callable(getattr(planner, name)) for name in members)
+
 
 # ---------------------------------------------------------------------------
 # The local planner over real HTTP
@@ -322,3 +354,84 @@ class TestLocalPlannerAnswersWarmPlansItself:
         # Raised to the gateway, which encodes it as the 422 "config" envelope.
         with pytest.raises(ConfigError, match="without a catalog"):
             self._submit(engine, ServiceRequest(expression=expression, execute=False))
+
+
+# ---------------------------------------------------------------------------
+# Envelopes
+# ---------------------------------------------------------------------------
+
+
+class TestEnvelopes:
+    @pytest.mark.parametrize(
+        "exc, kind, error",
+        [
+            (UnknownWorkspaceError("unknown workspace 'nope'"), "unknown_workspace", None),
+            (ConfigError("registered without a catalog"), "config", None),
+            (PlannerClosed("planner is closed"), "closed", None),
+            (RuntimeError("pipe burst"), "internal", "RuntimeError: pipe burst"),
+        ],
+        ids=["unknown_workspace", "config", "closed", "internal"],
+    )
+    def test_error_envelope_kind(self, exc, kind, error):
+        assert error_envelope(exc) == {
+            "ok": False,
+            "kind": kind,
+            "error": str(exc) if error is None else error,
+        }
+
+    @pytest.fixture
+    def local_envelopes(self, small_catalog) -> dict:
+        """``{"miss" | "hit": envelope}`` from a local planner, no socket."""
+        expression = transpose(matrix("M") @ matrix("N"))
+        engine = Engine(small_catalog)
+
+        async def main() -> dict:
+            planner = LocalPlanner(engine, batch_hook=lambda stats: None)
+            try:
+                return {
+                    kind: await planner.submit(
+                        "default", ServiceRequest(expression=expression, execute=False)
+                    )
+                    for kind in ("miss", "hit")
+                }
+            finally:
+                await planner.close()
+
+        return asyncio.run(main())
+
+    @pytest.mark.parametrize("kind", ["miss", "hit"])
+    def test_planned_envelope_keys(self, local_envelopes, kind):
+        envelope = local_envelopes[kind]
+        assert set(envelope) == {"ok", "payload", "pruned"}
+        assert envelope["ok"] is True
+        assert envelope["payload"]["cache_hit"] is (kind == "hit")
+        assert "worker" not in envelope["payload"]
+        assert len(envelope["pruned"]) == 2
+        if kind == "hit":
+            # Prunes were counted when the plan was made, not again.
+            assert envelope["pruned"] == [0, 0]
+
+    def test_unknown_workspace_is_raised_for_the_gateway_to_encode(self, small_catalog):
+        async def main():
+            planner = LocalPlanner(Engine(small_catalog), batch_hook=lambda stats: None)
+            try:
+                await planner.submit("nope", ServiceRequest(expression=matrix("M")))
+            finally:
+                await planner.close()
+
+        with pytest.raises(UnknownWorkspaceError) as raised:
+            asyncio.run(main())
+        assert error_envelope(raised.value)["kind"] == "unknown_workspace"
+
+    def test_local_stats_list_only_ready_runtimes(self):
+        registry = WorkspaceRegistry()
+        registry.register("cold")
+        registry.register("warm")
+        engine = Engine(workspaces=registry)
+        planner = LocalPlanner(engine, batch_hook=lambda stats: None)
+        try:
+            assert planner.stats_dict() == {}
+            engine.workspace("warm").rewrite(transpose(transpose(matrix("M"))))
+            assert list(planner.stats_dict()["workspace_pools"]) == ["warm"]
+        finally:
+            asyncio.run(planner.close())
