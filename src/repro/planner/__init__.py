@@ -17,7 +17,7 @@ The planner is
   a bare session owns one, a workspace's session pool owns one.
 
 The public entry point is :class:`repro.api.Engine`, which shares one
-session per workspace generation; a bare :class:`PlanSession` is the core
+session per workspace view set; a bare :class:`PlanSession` is the core
 the tests and benchmarks compare it against.  A session is frozen once
 built and each rewrite keeps its state in its own ``PlanContext``, so one
 session serves any number of planning threads.

@@ -14,10 +14,13 @@ its workspace (the session it shares caches nothing).
 Beside the LRU entries the store keeps a footprint index — catalog name →
 keys whose :class:`~repro.catalog.footprint.PlanFootprint` mentions it, plus
 a wildcard bucket for entries without one — so :meth:`PlanStore.revalidate`
-finds what a catalog delta can affect in time proportional to the delta,
+finds the plans a catalog delta can affect without scanning the others,
 and the in-flight events that make :meth:`PlanStore.get_or_plan` single
-flight.  One lock guards all of it.  Stored results are private copies and
-every hit is another copy, so callers may mutate what they are given.
+flight.  Revalidation as a whole is still linear in the store: every
+surviving plan is re-keyed, because keys carry the catalog version so that
+a request racing the delta misses.  One lock guards all of it.  Stored
+results are private copies and every hit is another copy, so callers may
+mutate what they are given.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ catalog and estimator references, the constraint set compiled once into a
 :class:`~repro.planner.cache.PlanStore` of finished plans — and runs the
 per-rewrite stages of :mod:`repro.planner.stages` over it.
 
-:class:`repro.api.Engine` shares one session per workspace generation;
+:class:`repro.api.Engine` shares one session per workspace view set;
 the hybrid optimizer, the benchmark harness and tests drive a session
 directly.
 
@@ -24,7 +24,7 @@ are idempotent: racing threads store equal values.  :meth:`rewrite` is
 safe too, its :class:`PlanStore` being lock-guarded and single-flight, and
 every result crossing a store boundary is a private copy
 (:meth:`RewriteResult.copy`).  :class:`repro.service.PlanSessionPool`
-shares one session per workspace generation and runs the uncached
+shares one session per workspace view set and runs the uncached
 :meth:`plan` on it, so that session holds no plans.
 
 Options
@@ -99,7 +99,7 @@ class PlanSession:
                 or bool(config.normalized_matrices),
             )
         self.base_constraints = list(constraints)
-        self._register_view_metadata()
+        self.register_view_metadata()
         self.view_constraints = constraints_for_views(self.views, catalog)
         #: Compiled once; every rewrite reuses the indexed program.
         self.program = ConstraintProgram(
@@ -132,7 +132,7 @@ class PlanSession:
         )
 
     # ------------------------------------------------------------------ setup
-    def _register_view_metadata(self) -> None:
+    def register_view_metadata(self) -> None:
         """Make every view's stored result costable.
 
         A materialized view is a file on disk accompanied by metadata
@@ -140,6 +140,8 @@ class PlanSession:
         storage name, metadata derived from the view definition is registered
         so that rewritings referencing the view can be costed (and so that the
         harness can later materialise the values under the same name).
+        Idempotent: :class:`repro.service.PlanSessionPool` runs it again after
+        the catalog moved, to restore metadata a change dropped.
         """
         if self.catalog is None:
             return

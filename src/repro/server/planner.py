@@ -148,7 +148,14 @@ class LocalPlanner:
             for name in self._engine.workspace_names()
             if self._engine.runtime_ready(name)
         }
-        return {"workspace_pools": pools} if pools else {}
+        summary = {"workspace_pools": pools} if pools else {}
+        if self._hooked_services:
+            # Errors the gateway's batch hook raised in the services it
+            # observes (live ones: a superseded service takes its count along).
+            summary["batch_hook_failures"] = sum(
+                service.batch_hook_failures for service in list(self._hooked_services)
+            )
+        return summary
 
     async def close(self) -> None:
         """Refuse new requests, then wait for the ones already planning."""

@@ -7,7 +7,7 @@ package closes the loop, mirroring HADAD's own end-to-end evaluation
 (rewritten pipelines executed on the LA / relational engines):
 
 * :class:`~repro.service.pool.PlanSessionPool` — one frozen plan session
-  per workspace generation (catalog version, view generation), shared by
+  per workspace view set (catalog changes keep it), shared by
   every planning thread, over one single-flight
   :class:`~repro.planner.PlanStore`, so N worker threads plan in parallel
   (each rewrite's mutable state is its own ``PlanContext`` and

@@ -1,4 +1,4 @@
-"""One shared plan session per workspace generation, over one plan store.
+"""One shared plan session per workspace view set, over one plan store.
 
 A :class:`~repro.planner.session.PlanSession` is frozen after construction:
 its :class:`~repro.config.PlannerConfig`, compiled constraint program and
@@ -7,13 +7,17 @@ writes lives in that rewrite's own
 :class:`~repro.planner.stages.PlanContext` and
 :class:`~repro.vrem.instance.VremInstance`.  Any number of threads may
 therefore plan on one session at once, and the :class:`PlanSessionPool`
-keeps exactly one per *generation* — the pair (catalog version, view
-generation):
+keeps exactly one per *view generation*, that is per view-touching delta:
 
-* **one session per generation** — the first planning leader after the
-  catalog or the view set moved rebuilds the session under the pool lock,
-  once; a build that raced further catalog changes plans its request but
-  is not installed;
+* **one session per view set** — a session is a function of its views,
+  config, estimator and base constraints only: view constraints drop
+  ``type`` atoms and carry no shapes, the estimators are stateless, and
+  every rewrite reads the catalog live.  A catalog change therefore keeps
+  the session; only a view-touching :meth:`apply_delta` rebuilds it, once.
+  The session's one write to the catalog — storage-name metadata for its
+  views — is re-run by the first planning leader after the catalog moved,
+  so a change that drops it (``DropRelation`` of a view's name) plans as
+  a cold engine would;
 * **one plan store** — :meth:`plan` goes through the pool's
   :class:`~repro.planner.cache.PlanStore`, which plans each key once; the
   leader runs the uncached :meth:`PlanSession.plan`, so the session holds
@@ -25,16 +29,17 @@ generation):
 * **selective revalidation** — :meth:`apply_delta` evicts the plans whose
   footprint a catalog delta touches and re-keys the rest.
 
-Keys are :meth:`PlanSession.cache_key` in the pool's ``workspace``, so
-a catalog change implicitly invalidates shared plans and two tenants never
-share a cached plan.
+Keys are :meth:`PlanSession.cache_key` in the pool's ``workspace``; they
+carry the catalog version, so a catalog change implicitly invalidates
+shared plans (and a plan racing one is never published), and two tenants
+never share a cached plan.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.config import PlannerConfig
 from repro.core.result import RewriteResult
@@ -83,17 +88,17 @@ class PoolStats:
 
 
 class PlanSessionPool:
-    """One shared plan session per workspace generation, over one plan store.
+    """One shared plan session per workspace view set, over one plan store.
 
     Parameters
     ----------
     session_factory:
         Zero-argument callable building a fresh, fully configured
-        :class:`PlanSession`.  Every session the pool plans on comes from
-        this factory, so all of them plan under identical options (same
-        views, constraints, budgets) and produce identical plans.  The
-        pool's :class:`PlanStore` takes its capacity from the first one's
-        ``cache_size``.
+        :class:`PlanSession` for the current view set.  The pool calls it
+        once at construction and once per view-touching delta; every
+        session plans under identical options (same constraints, budgets),
+        and the pool's :class:`PlanStore` takes its capacity from the first
+        one's ``cache_size``.
     workspace:
         Workspace identity set on every stored key (empty for the classic
         single-tenant pool).  The multi-workspace engine passes
@@ -105,52 +110,37 @@ class PlanSessionPool:
         self._factory = session_factory
         self.workspace = str(workspace)
         self._lock = threading.Lock()
-        #: Bumped whenever a delta swaps the view set: the catalog version
-        #: alone cannot see a pure view change (dropping a view leaves the
-        #: catalog untouched), so a generation is the pair.
-        self._view_generation = 0
-        #: ``(generation, session)`` in one attribute, so a reader without
-        #: the lock never pairs a session with another one's generation.
-        session = self._factory()
-        self._installed = (self._generation(session), session)
-        self.store = PlanStore(session.store.capacity)
+        self._session = self._factory()
+        #: Catalog version at which the session's view metadata was last
+        #: registered (see :meth:`_current_session`).
+        self._metadata_version = self._catalog_version()
+        self.store = PlanStore(self._session.store.capacity)
         self.stats = PoolStats(self.store, sessions_created=1)
 
     # ------------------------------------------------------------------ versioning
-    @property
-    def _session(self) -> PlanSession:
-        return self._installed[1]
-
-    def _generation(self, session: Optional[PlanSession] = None) -> Tuple[int, int]:
-        catalog = (session or self._session).catalog
-        return (catalog.version if catalog is not None else -1, self._view_generation)
+    def _catalog_version(self) -> int:
+        catalog = self._session.catalog
+        return catalog.version if catalog is not None else -1
 
     def _current_session(self) -> PlanSession:
-        """The session of the current generation, rebuilt once when it moved.
+        """The installed session, its views' storage metadata registered.
 
-        Construction itself may bump the catalog (first-time registration
-        of view metadata), and other threads may register matrices meanwhile;
-        a session whose build saw the version move may not reflect the final
-        catalog.  Retry until a build completes with the generation unchanged;
-        if churn outlasts the retries, the last build plans this request but
-        is not installed.
+        The session survives catalog changes, but the metadata it
+        registered for its views' storage names lives in the catalog and
+        may have been dropped since.  The first leader after the catalog
+        moved re-registers what is missing, under the pool lock.  That
+        bumps the catalog version when it registers anything, so the plan
+        this leader returns is not published (its key moved), exactly as
+        after a fresh build; the next miss publishes.
         """
-        built_for, session = self._installed
-        if built_for == self._generation():
+        session = self._session
+        if self._metadata_version == self._catalog_version():
             return session
         with self._lock:
-            built_for, session = self._installed
-            before = self._generation()
-            if built_for == before:
-                return session
-            for _ in range(3):
-                session = self._factory()
-                self.stats.sessions_created += 1
-                after = self._generation()
-                if after == before:
-                    self._installed = (after, session)
-                    break
-                before = after
+            session = self._session
+            if self._metadata_version != self._catalog_version():
+                session.register_view_metadata()
+                self._metadata_version = self._catalog_version()
             return session
 
     @property
@@ -184,8 +174,8 @@ class PlanSessionPool:
 
         Safe to call from any number of threads concurrently; single
         flight, hit copies and failure handling are
-        :meth:`PlanStore.get_or_plan`'s.  The leader plans on the current
-        generation's session (see :meth:`_current_session`).
+        :meth:`PlanStore.get_or_plan`'s.  The leader plans on the installed
+        session (see :meth:`_current_session`).
         """
         return self.store.get_or_plan(
             lambda: self._shared_key(expr), lambda: self._current_session().plan(expr)
@@ -209,7 +199,8 @@ class PlanSessionPool:
         non-selective — are evicted; all other plans are re-keyed under the
         new *(workspace, view-set, catalog-version)* coordinates and stay
         warm.  A view-touching delta additionally rebuilds the session at
-        once (the old compiled constraint program no longer matches).
+        once (the old compiled constraint program no longer matches); any
+        other delta keeps it.
 
         Soundness of keeping a plan rests on the footprint argument (see
         :mod:`repro.catalog.footprint`): a mutation touching none of the
@@ -226,16 +217,15 @@ class PlanSessionPool:
                 # The compiled view constraints changed shape: rebuild the
                 # session against the new view set (the factory reads the
                 # updated workspace snapshot).
-                self._view_generation += 1
-                session = self._factory()
+                self._session = self._factory()
                 self.stats.sessions_created += 1
-                self._installed = (self._generation(session), session)
+                self._metadata_version = self._catalog_version()
             session = self._session
             kept, revalidated = self.store.revalidate(
                 touched if delta.selective else None,
                 workspace=self.workspace,
                 viewset=session.viewset_key,
-                catalog_version=self._generation()[0],
+                catalog_version=self._catalog_version(),
                 options=session.options_key,
             )
             self.stats.plans_revalidated += revalidated

@@ -194,9 +194,12 @@ class AnalyticsService:
         self.pool = pool
         self.router = router
         #: Observers called with a :class:`BatchStats` after every
-        #: :meth:`submit_many`; hook errors are swallowed (observability must
-        #: never fail a batch).
+        #: :meth:`submit_many`; an error a hook raises never fails the batch
+        #: (observability must not), it is counted in
+        #: :attr:`batch_hook_failures` instead.
         self._batch_hooks: List[BatchHook] = []
+        self.batch_hook_failures = 0
+        self._hook_failures_lock = threading.Lock()
         self._hybrid_optimizer = None
         self._hybrid_executor = None
         #: Hybrid requests are serialized: the executor registers builder
@@ -206,7 +209,7 @@ class AnalyticsService:
         #: Catalog version at which builder matrices were last materialized;
         #: while it matches, repeated hybrid queries skip the RA rebuild so
         #: they never bump the catalog version — a bump would needlessly
-        #: rebuild the pool's LA session and evict every shared plan.
+        #: move every shared plan's key, so each would miss and replan.
         self._hybrid_builders_version: Optional[int] = None
 
     # ------------------------------------------------------------------ requests
@@ -378,7 +381,8 @@ class AnalyticsService:
             try:
                 hook(stats)
             except Exception:
-                continue
+                with self._hook_failures_lock:
+                    self.batch_hook_failures += 1
 
     def _plan_timed(
         self, expr: mx.Expr, enqueued: float

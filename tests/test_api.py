@@ -113,7 +113,7 @@ class TestConfigValidation:
         assert config.gateway.port == 8080
 
     def test_service_config_has_two_fields_and_rejects_others(self):
-        """Sessions are shared per workspace generation, so no option
+        """Sessions are shared per workspace view set, so no option
         sizes them: the service config is the worker count and the
         preferred backend, and any other key is an unknown option."""
         assert [f.name for f in dataclasses.fields(ServiceConfig)] == [

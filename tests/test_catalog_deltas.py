@@ -274,14 +274,13 @@ class TestPoolRevalidation:
         views = []
         pool = PlanSessionPool(lambda: PlanSession(catalog, views=tuple(views)))
         pool.plan(_expr_mn())
-        generation_before = pool._generation()
+        session_before = pool._session
 
         views.append(view)
         delta = CatalogDelta((AddView(view),))
         report = pool.apply_delta(delta)
-        assert pool._generation() != generation_before
+        assert pool._session is not session_before
         assert pool.stats.sessions_created == 2
-        assert pool._installed == (pool._generation(), pool._session)
         assert pool._session.views == (view,)
         # The MN plan's footprint misses {VC_inv, C}: it stays warm even
         # though the session was rebuilt against the new view set.
@@ -290,6 +289,7 @@ class TestPoolRevalidation:
         viewed = pool.plan(_expr_cv())
         cold = PlanSession(catalog, views=[view]).rewrite(_expr_cv())
         assert _signature(viewed) == _signature(cold)
+        assert pool.stats.sessions_created == 2
 
     def test_stats_expose_revalidation_counters(self):
         catalog = _mini_catalog()
@@ -302,6 +302,72 @@ class TestPoolRevalidation:
         assert stats["plans_revalidated"] == 1
         assert stats["plans_kept_warm"] == 0
         assert stats["revalidation_index"] == 0
+
+
+#: One change of each non-view kind; ``None`` registers a matrix directly.
+KEPT_SESSION_CHANGES = {
+    "restat": CatalogDelta((ReStat(name="C", nnz=30),)),
+    "add_relation": CatalogDelta((AddRelation(name="Fresh", rows=7, cols=7, nnz=12),)),
+    "drop_relation": CatalogDelta((DropRelation(name="v1"),)),
+    "update_constraint": CatalogDelta(
+        (UpdateConstraint(name="C", matrix_type=MatrixType.SYMMETRIC_PD),)
+    ),
+    "register_dense": None,
+}
+
+
+class TestKeptSession:
+    """A non-view change keeps the pool's session; it must stay equal to
+    a session built fresh at the new catalog state."""
+
+    VIEW = LAView("VC_inv", inv(matrix("C")))
+
+    @pytest.mark.parametrize("kind", sorted(KEPT_SESSION_CHANGES))
+    def test_kept_session_equals_a_fresh_one(self, kind):
+        catalog = _mini_catalog()
+        factory = lambda: PlanSession(catalog, views=[self.VIEW])  # noqa: E731
+        pool = PlanSessionPool(factory)
+        kept = pool._session
+        pool.plan(_expr_mn())
+        delta = KEPT_SESSION_CHANGES[kind]
+        if delta is None:
+            catalog.register_dense("Direct", np.ones((3, 3)))
+        else:
+            catalog.apply_delta(delta)
+            pool.apply_delta(delta)
+        pool.plan(_expr_mn())
+        assert pool._session is kept and pool.stats.sessions_created == 1
+        fresh = factory()
+        assert kept.program.constraints == fresh.program.constraints
+        assert kept.viewset_key == fresh.viewset_key
+        assert kept.options_key == fresh.options_key
+
+    def test_dropping_a_views_storage_metadata_plans_like_a_cold_engine(self):
+        def registry():
+            registry = WorkspaceRegistry()
+            registry.register("t", catalog=_mini_catalog(), views=[self.VIEW])
+            return registry
+
+        live = Engine(workspaces=registry())
+        handle = live.workspace("t")
+        assert handle.catalog.has_matrix("VC_inv")  # registered by the session
+        handle.rewrite(_expr_cv())
+        delta = CatalogDelta((DropRelation(name="VC_inv"),))
+        handle.apply_delta(delta)
+
+        # A cold engine's catalog lacks VC_inv too, until its session
+        # registers the view's metadata.
+        cold = Engine(workspaces=registry()).workspace("t")
+        expected = _signature(cold.rewrite(_expr_cv()))
+        assert "VC_inv" in expected[3]
+        first = handle.rewrite(_expr_cv())
+        assert not first.cache_hit and _signature(first) == expected
+        assert handle.catalog.has_matrix("VC_inv")
+        # Re-registering moved the catalog under the first miss, so it was
+        # not published; the second miss is, and the session was kept.
+        assert _signature(handle.rewrite(_expr_cv())) == expected
+        assert handle.rewrite(_expr_cv()).cache_hit
+        assert handle.pool.stats.sessions_created == 1
 
 
 NAMES = ("M", "N", "C", "v1")
@@ -334,7 +400,7 @@ class TestRevalidationProperty:
         pool = _hypothesis_pool()
         template = _HYP_TEMPLATE["result"]
         viewset = pool._session.viewset_key
-        version = pool._generation()[0]
+        version = _HYP_CATALOG.version
         options = pool._session.options_key
         for index, relations in enumerate(footprints):
             key = PlanKey("", f"synthetic-{index}", viewset, version, options)
@@ -348,7 +414,7 @@ class TestRevalidationProperty:
         report = pool.apply_delta(delta)
 
         new_viewset = pool._session.viewset_key
-        new_version = pool._generation()[0]
+        new_version = _HYP_CATALOG.version
         expected_kept = 0
         for index, relations in enumerate(footprints):
             new_key = PlanKey("", f"synthetic-{index}", new_viewset, new_version, options)

@@ -435,3 +435,21 @@ class TestEnvelopes:
             assert list(planner.stats_dict()["workspace_pools"]) == ["warm"]
         finally:
             asyncio.run(planner.close())
+
+    def test_local_stats_count_what_the_batch_hook_raised(self, small_catalog):
+        def broken_hook(stats):
+            raise RuntimeError("observer bug")
+
+        async def main():
+            planner = LocalPlanner(Engine(small_catalog), batch_hook=broken_hook)
+            try:
+                envelope = await planner.submit(
+                    "default", ServiceRequest(expression=matrix("M"), execute=False)
+                )
+                return envelope, planner.stats_dict()
+            finally:
+                await planner.close()
+
+        envelope, stats = asyncio.run(main())
+        assert envelope["ok"] is True
+        assert stats["batch_hook_failures"] == 1

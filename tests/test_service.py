@@ -4,9 +4,9 @@ Covers the behaviours the service layer promises:
 
 * single-flight concurrent planning — same-fingerprint requests from many
   threads compute the plan exactly once, everyone else gets a cache hit;
-* one shared session per generation — rebuilt once after a catalog
-  change, never by a lookup, and not installed when built while the
-  catalog moved;
+* one shared session per view set — kept across catalog changes (whose
+  keys still move, so plans miss), rebuilt once per view delta, never by
+  a lookup;
 * router fallback — a backend raising :class:`ExecutionError` is recorded
   and the next candidate runs the plan; one table pins the candidate order;
 * the analytics front door — ``submit_many`` plans are byte-identical to a
@@ -14,7 +14,6 @@ Covers the behaviours the service layer promises:
   timings add up, and hybrid queries report planning time in their total.
 """
 
-import itertools
 import sys
 import threading
 import time
@@ -76,20 +75,20 @@ class TestPlanSessionPool:
         assert isinstance(pool.estimator, MNCEstimator)
 
     def test_eviction_on_catalog_version_change(self, small_catalog, rng):
-        """A catalog change retires the session: the next miss plans on a
-        session built once for the new generation."""
+        """A catalog change moves every key, so the next request misses, but
+        the session is kept: it plans the miss without a rebuild."""
         pool = PlanSessionPool(_factory(small_catalog))
         pool.plan(_mn())
         old = pool._session
         small_catalog.register_dense("Fresh", rng.random((4, 4)))
         assert not pool.plan(_mn()).cache_hit
-        assert pool._session is not old
-        assert pool._installed[0] == pool._generation()
-        assert pool.stats.sessions_created == 2
+        assert pool._session is old
+        assert pool.plan(_mn()).cache_hit
         pool.plan(sum_all(matrix("M") @ matrix("N")))
-        assert pool.stats.sessions_created == 2
+        assert pool.stats.sessions_created == 1
+        assert pool.stats.plans_computed == 3
 
-    def test_concurrent_misses_after_a_catalog_change_build_one_session(
+    def test_concurrent_misses_after_a_catalog_change_keep_the_session(
         self, small_catalog, rng
     ):
         pool = PlanSessionPool(_factory(small_catalog))
@@ -108,33 +107,45 @@ class TestPlanSessionPool:
         for thread in threads:
             thread.join(timeout=30)
         assert all(r is not None and not r.cache_hit for r in results)
-        assert pool.stats.sessions_created == 2
+        assert pool.stats.sessions_created == 1
         assert pool.stats.plans_computed == len(exprs)
 
-    def test_a_session_built_while_the_catalog_moves_is_not_installed(
-        self, small_catalog, rng
-    ):
-        moving = threading.Event()
-        builds = itertools.count()
+    def test_only_a_view_delta_rebuilds_the_session(self, small_catalog, rng):
+        """Catalog churn, however much, keeps the session; each view delta
+        rebuilds it exactly once, and every change still moves the keys."""
+        from repro.catalog import AddView, CatalogDelta, DropView, ReStat
+        from repro.constraints.views import LAView
 
-        def churning_factory():
-            session = PlanSession(small_catalog)
-            if moving.is_set():  # another thread registers during the build
-                small_catalog.register_dense(f"Churn{next(builds)}", rng.random((2, 2)))
-            return session
+        views = []
+        pool = PlanSessionPool(lambda: PlanSession(small_catalog, views=tuple(views)))
+        view = LAView("V_MN", matrix("M") @ matrix("N"))
 
-        pool = PlanSessionPool(churning_factory)
-        installed = pool._installed
-        moving.set()
-        small_catalog.register_dense("Moved", rng.random((4, 4)))
-        result = pool.plan(_mn())
-        assert not result.cache_hit and result.best is not None
-        assert pool.stats.sessions_created == 4  # the first session + 3 tries
-        assert pool._installed is installed
-        moving.clear()
-        pool.plan(sum_all(matrix("M") @ matrix("N")))
-        assert pool.stats.sessions_created == 5
-        assert pool._installed[0] == pool._generation()
+        def restat():
+            delta = CatalogDelta((ReStat(name="M", nnz=200),))
+            small_catalog.apply_delta(delta)
+            pool.apply_delta(delta)
+
+        def add_view():
+            views.append(view)
+            pool.apply_delta(CatalogDelta((AddView(view),)))
+
+        def drop_view():
+            views.remove(view)
+            pool.apply_delta(CatalogDelta((DropView(view.name),)))
+
+        steps = [
+            (lambda: small_catalog.register_dense("Churn0", rng.random((2, 2))), 1),
+            (restat, 1),
+            (add_view, 2),
+            (lambda: small_catalog.register_dense("Churn1", rng.random((2, 2))), 2),
+            (drop_view, 3),
+        ]
+        for change, sessions in steps:
+            pool.plan(_mn())
+            change()
+            assert pool.lookup(_mn()) is None and not pool.plan(_mn()).cache_hit
+            assert pool.stats.sessions_created == sessions
+        assert pool._session.views == ()
 
     def test_lookup_after_a_catalog_change_never_builds_a_session(
         self, small_catalog, rng
@@ -665,8 +676,14 @@ class TestBatchHooksAndIsolation:
             raise RuntimeError("observer bug")
 
         service.add_batch_hook(broken_hook)
+        seen = []
+        service.add_batch_hook(seen.append)
         results = service.submit_many([_mn()], workers=1)
         assert len(results) == 1 and results[0].ok
+        assert service.batch_hook_failures == 1
+        assert len(seen) == 1  # the hooks after a raising one still run
+        service.submit_many([_mn(), _mn()], workers=2)
+        assert service.batch_hook_failures == 2
 
     def test_remove_batch_hook(self, small_catalog):
         service = _service(small_catalog)
