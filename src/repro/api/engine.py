@@ -29,9 +29,10 @@ Each workspace gets its **own** session pool, service and router, and every
 shared-cache key carries the workspace identity (``name@v<version>``) — so
 tenants never share a stale plan, while identical *(fingerprint, view-set,
 config)* requests still dedup within a tenant.  Updating a bundle through
-the registry bumps its version; the engine rebuilds that workspace's
-runtime on next access and leaves every other tenant's plan session and
-cached plans untouched.
+the registry bumps its version; the engine builds that workspace a fresh
+:class:`WorkspaceHandle` on next access and leaves every other tenant's
+plan session and cached plans untouched.  A catalog delta
+(:meth:`Engine.apply_delta`) keeps the handle and revalidates its plans.
 
 Options flow through one frozen, validated
 :class:`~repro.config.EngineConfig`; its ``service``/``gateway`` parts are
@@ -82,25 +83,32 @@ def _coerce_engine_config(config: object) -> EngineConfig:
     )
 
 
-class _WorkspaceRuntime:
-    """The per-workspace serving state the engine builds and caches.
+class WorkspaceHandle:
+    """One workspace's serving state, and the typed handle on it.
 
-    One pool (eager, so configuration errors surface at build time), one
-    router and one service (both lazy — plan-only workspaces never touch
-    backends).  Keyed to the workspace snapshot's version: a registry
-    update makes the engine build a fresh runtime and drop this one.
+    :meth:`Engine.workspace` builds one per registered bundle and caches
+    it: one pool (eager, so configuration errors surface at build time),
+    one router and one service (both lazy — plan-only workspaces never
+    touch backends).  It exposes ``rewrite`` / ``rewrite_all`` / ``submit``
+    / ``submit_many`` / ``submit_hybrid`` / ``execute``, scoped to this
+    workspace's catalog, views and planner config.  A handle resolved
+    before a :meth:`WorkspaceRegistry.update` keeps planning on the bundle
+    it was built with; :meth:`Engine.apply_delta` swaps the new snapshot
+    into the live handle instead.
     """
 
+    __slots__ = ("_engine", "_workspace", "pool", "_router", "_service", "_lock")
+
     def __init__(self, engine: "Engine", workspace: Workspace):
-        self.engine = engine
-        self.workspace = workspace
+        self._engine = engine
+        self._workspace = workspace
         self.pool = PlanSessionPool(self._session_factory, workspace=workspace.runtime_key)
         self._router: Optional[ExecutionRouter] = None
         self._service: Optional[AnalyticsService] = None
         self._lock = threading.Lock()
 
     def _session_factory(self) -> PlanSession:
-        workspace = self.workspace
+        workspace = self._workspace
         return PlanSession(
             catalog=workspace.catalog,
             views=list(workspace.views),
@@ -109,13 +117,40 @@ class _WorkspaceRuntime:
         )
 
     def _require_catalog(self, what: str) -> Catalog:
-        if self.workspace.catalog is None:
+        if self._workspace.catalog is None:
             raise ConfigError(
-                f"workspace {self.workspace.name!r} was registered without a "
+                f"workspace {self._workspace.name!r} was registered without a "
                 f"catalog, which {what} requires; register it with one to "
                 f"execute or serve plans"
             )
-        return self.workspace.catalog
+        return self._workspace.catalog
+
+    # ------------------------------------------------------------------ identity
+    @property
+    def name(self) -> str:
+        return self._workspace.name
+
+    @property
+    def version(self) -> int:
+        return self._workspace.version
+
+    @property
+    def catalog(self) -> Optional[Catalog]:
+        return self._workspace.catalog
+
+    @property
+    def views(self) -> Tuple[LAView, ...]:
+        return self._workspace.views
+
+    @property
+    def config(self) -> PlannerConfig:
+        """This workspace's planner config (engine-wide knobs live on
+        :attr:`Engine.config`)."""
+        return self._workspace.config  # type: ignore[return-value]
+
+    @property
+    def estimator(self) -> Optional[object]:
+        return self._workspace.estimator
 
     @property
     def router(self) -> ExecutionRouter:
@@ -124,8 +159,8 @@ class _WorkspaceRuntime:
                 catalog = self._require_catalog("execution routing")
                 self._router = ExecutionRouter(
                     catalog,
-                    self.engine.registry.create_all(catalog),
-                    preferred=self.engine.config.service.preferred_backend,
+                    self._engine.registry.create_all(catalog),
+                    preferred=self._engine.config.service.preferred_backend,
                 )
             return self._router
 
@@ -138,72 +173,16 @@ class _WorkspaceRuntime:
                 if self._service is None:
                     self._service = AnalyticsService(
                         catalog,
-                        views=list(self.workspace.views),
+                        views=list(self._workspace.views),
                         pool=self.pool,
                         router=router,
-                        config=self.engine.config.service,
-                        workspace=self.workspace.name,
+                        config=self._engine.config.service,
+                        workspace=self._workspace.name,
                     )
         return self._service
 
-
-class WorkspaceHandle:
-    """A lightweight typed handle on one workspace of a multi-tenant engine.
-
-    Returned by :meth:`Engine.workspace`; exposes the full ladder —
-    ``rewrite`` / ``rewrite_all`` / ``submit`` / ``submit_many`` /
-    ``submit_hybrid`` / ``execute`` — scoped to this workspace's catalog,
-    views and planner config.  Handles are snapshots: one resolved before a
-    registry update keeps planning against the bundle it was resolved with
-    (``engine.workspace(name)`` again returns the updated one).
-    """
-
-    __slots__ = ("_runtime",)
-
-    def __init__(self, runtime: _WorkspaceRuntime):
-        self._runtime = runtime
-
-    # ------------------------------------------------------------------ identity
-    @property
-    def name(self) -> str:
-        return self._runtime.workspace.name
-
-    @property
-    def version(self) -> int:
-        return self._runtime.workspace.version
-
-    @property
-    def catalog(self) -> Optional[Catalog]:
-        return self._runtime.workspace.catalog
-
-    @property
-    def views(self) -> Tuple[LAView, ...]:
-        return self._runtime.workspace.views
-
-    @property
-    def config(self) -> PlannerConfig:
-        """This workspace's planner config (engine-wide knobs live on
-        :attr:`Engine.config`)."""
-        return self._runtime.workspace.config  # type: ignore[return-value]
-
-    @property
-    def estimator(self) -> Optional[object]:
-        return self._runtime.workspace.estimator
-
-    @property
-    def pool(self) -> PlanSessionPool:
-        return self._runtime.pool
-
-    @property
-    def router(self) -> ExecutionRouter:
-        return self._runtime.router
-
-    @property
-    def service(self) -> AnalyticsService:
-        return self._runtime.service
-
     def describe(self) -> dict:
-        return self._runtime.workspace.describe()
+        return self._workspace.describe()
 
     # ------------------------------------------------------------------ planning
     def rewrite(self, expr: mx.Expr) -> RewriteResult:
@@ -213,11 +192,11 @@ class WorkspaceHandle:
         sessions and its single-flight shared cache (whose keys carry the
         workspace identity).
         """
-        return self._runtime.pool.plan(expr)
+        return self.pool.plan(expr)
 
     def rewrite_all(self, expressions: Iterable[mx.Expr]) -> List[RewriteResult]:
         """Rewrite a batch, planning each distinct fingerprint exactly once."""
-        return [self._runtime.pool.plan(expr) for expr in expressions]
+        return [self.pool.plan(expr) for expr in expressions]
 
     # ------------------------------------------------------------------ deltas
     def apply_delta(self, delta):
@@ -225,7 +204,7 @@ class WorkspaceHandle:
         :meth:`Engine.apply_delta`); plans whose footprint the delta does
         not touch stay warm.  Returns the
         :class:`~repro.catalog.delta.RevalidationReport`."""
-        return self._runtime.engine.apply_delta(self.name, delta)
+        return self._engine.apply_delta(self.name, delta)
 
     # ------------------------------------------------------------------ service path
     def submit(self, item: RequestLike) -> ServiceResult:
@@ -269,7 +248,7 @@ class WorkspaceHandle:
     # ------------------------------------------------------------------ stats
     def stats_dict(self) -> dict:
         """JSON-ready snapshot of this workspace's planning-pool counters."""
-        return self._runtime.pool.stats_dict()
+        return self.pool.stats_dict()
 
 
 class Engine:
@@ -313,8 +292,8 @@ class Engine:
     ):
         self.config = _coerce_engine_config(config)
         self.registry = registry if registry is not None else BackendRegistry.with_defaults()
-        self._runtimes: Dict[str, _WorkspaceRuntime] = {}
-        self._runtimes_lock = threading.Lock()
+        self._handles: Dict[str, WorkspaceHandle] = {}
+        self._handles_lock = threading.Lock()
         #: Per-workspace build serialization: N racers for one cold tenant
         #: must not each compile a constraint program only to discard all
         #: but one — they wait on the single build instead.  Per-name so
@@ -357,74 +336,72 @@ class Engine:
     def workspace(self, name: Optional[str] = None) -> WorkspaceHandle:
         """A typed handle on the named workspace (default: the default one).
 
-        Resolves the current bundle from the registry; when its version
-        moved since the last access (a :meth:`WorkspaceRegistry.update`),
-        the workspace's runtime — pool, sessions, cached plans — is rebuilt
-        fresh while every other workspace's runtime is left untouched.
-        Unknown names raise
+        Resolves the current bundle from the registry and answers the
+        cached handle while it still holds that bundle, so repeated calls
+        return the same object.  When the bundle moved since the last
+        access (a :meth:`WorkspaceRegistry.update`), a fresh handle — pool,
+        sessions, cached plans — is built while every other workspace's
+        handle is left untouched.  Unknown names raise
         :class:`~repro.exceptions.UnknownWorkspaceError`.
         """
         if name is None:
             name = self.workspaces.default_name
         while True:
-            try:
-                snapshot = self.workspaces.get(name)
-            except UnknownWorkspaceError:
-                # Reap the state of a workspace removed from the registry —
-                # its pool, sessions and cached plans must not outlive it.
-                with self._runtimes_lock:
-                    self._runtimes.pop(name, None)
-                    self._build_locks.pop(name, None)
-                raise
-            # The registry hands out the stored Workspace object itself, so
-            # object identity — not version numbers — decides whether the
-            # cached runtime still reflects the registered bundle.
-            with self._runtimes_lock:
-                runtime = self._runtimes.get(name)
-                if runtime is not None and runtime.workspace is snapshot:
-                    return WorkspaceHandle(runtime)
-            # Built OUTSIDE _runtimes_lock (one tenant's build must not
+            snapshot = self._snapshot(name)
+            handle = self._cached(name, snapshot)
+            if handle is not None:
+                return handle
+            # Built OUTSIDE _handles_lock (one tenant's build must not
             # stall another's handle resolution) but UNDER this name's
             # build lock, so concurrent cold-start racers wait on a single
             # compile instead of each burning one.
             with self._build_lock_for(name):
-                with self._runtimes_lock:
-                    runtime = self._runtimes.get(name)
-                    if runtime is not None and runtime.workspace is snapshot:
-                        return WorkspaceHandle(runtime)  # built while we waited
+                handle = self._cached(name, snapshot)
+                if handle is not None:
+                    return handle  # built while we waited
                 # Re-read before compiling: the bundle may have moved while
                 # we waited on the lock, and a superseded snapshot must not
                 # cost a constraint-program compile just to be discarded.
+                if self._snapshot(name) is not snapshot:
+                    continue
+                fresh = WorkspaceHandle(self, snapshot)
                 try:
-                    if self.workspaces.get(name) is not snapshot:
-                        continue
+                    with self._handles_lock:
+                        if self.workspaces.get(name) is snapshot:
+                            self._handles[name] = fresh
+                            return fresh
                 except UnknownWorkspaceError:
-                    with self._runtimes_lock:
-                        self._runtimes.pop(name, None)
-                        self._build_locks.pop(name, None)
+                    self._reap(name)
                     raise
-                fresh = _WorkspaceRuntime(self, snapshot)
-                with self._runtimes_lock:
-                    try:
-                        current = self.workspaces.get(name)
-                    except UnknownWorkspaceError:
-                        self._runtimes.pop(name, None)
-                        self._build_locks.pop(name, None)
-                        raise
-                    if current is snapshot:
-                        self._runtimes[name] = fresh
-                        return WorkspaceHandle(fresh)
             # The bundle moved while we were building (update or
-            # remove+re-register): never install — or serve — a runtime for
+            # remove+re-register): never install — or serve — a handle for
             # a superseded snapshot; resolve the current one instead.
 
+    def _snapshot(self, name: str) -> Workspace:
+        """The registered bundle of ``name``; an unknown name reaps its handle
+        (pool, sessions, cached plans) and raises ``UnknownWorkspaceError``."""
+        try:
+            return self.workspaces.get(name)
+        except UnknownWorkspaceError:
+            self._reap(name)
+            raise
+
+    def _reap(self, name: str) -> None:
+        with self._handles_lock:
+            self._handles.pop(name, None)
+            self._build_locks.pop(name, None)
+
+    def _cached(self, name: str, snapshot: Workspace) -> Optional[WorkspaceHandle]:
+        """The cached handle of ``name`` if it holds ``snapshot``: the registry
+        hands out the stored Workspace object itself, so identity, not the
+        version number, decides whether a handle reflects the bundle."""
+        with self._handles_lock:
+            handle = self._handles.get(name)
+            return handle if handle is not None and handle._workspace is snapshot else None
+
     def _build_lock_for(self, name: str) -> threading.Lock:
-        with self._runtimes_lock:
-            lock = self._build_locks.get(name)
-            if lock is None:
-                lock = threading.Lock()
-                self._build_locks[name] = lock
-            return lock
+        with self._handles_lock:
+            return self._build_locks.setdefault(name, threading.Lock())
 
     def workspace_names(self) -> Tuple[str, ...]:
         """The registered workspace names, sorted."""
@@ -434,20 +411,18 @@ class Engine:
         """Whether ``name`` is registered (cheap; never builds anything)."""
         return name in self.workspaces
 
-    def runtime_ready(self, name: str) -> bool:
-        """Whether ``name``'s runtime is built for its current bundle.
+    def handle_ready(self, name: str) -> bool:
+        """Whether ``name``'s handle is built for its current bundle.
 
         A cheap probe (two dict lookups, no building): the gateway uses it
-        to keep cached-runtime resolution inline on the event loop while
+        to keep cached-handle resolution inline on the event loop while
         offloading first-request/post-update builds to a worker thread.
         """
         try:
             snapshot = self.workspaces.get(name)
         except UnknownWorkspaceError:
             return False
-        with self._runtimes_lock:
-            runtime = self._runtimes.get(name)
-            return runtime is not None and runtime.workspace is snapshot
+        return self._cached(name, snapshot) is not None
 
     def register_workspace(self, name: str, **fields) -> WorkspaceHandle:
         """Register a workspace bundle and return its handle (convenience
@@ -462,7 +437,7 @@ class Engine:
     def describe_workspace(self, name: str) -> dict:
         """JSON-ready summary of one workspace.
 
-        Reads the registry snapshot only — no runtime (pool, sessions) is
+        Reads the registry snapshot only — no handle (pool, sessions) is
         built, so describing a registered-but-idle tenant stays cheap.
         """
         return self.workspaces.get(name).describe()
@@ -558,28 +533,28 @@ class Engine:
 
         The registry installs the new snapshot (catalog mutated in place,
         views re-derived, version bumped); if the
-        workspace has a warm runtime, it is *kept* — the engine swaps the
-        snapshot in and asks the runtime's pool to revalidate its shared
+        workspace has a built handle, it is *kept* — the engine swaps the
+        snapshot in and asks the handle's pool to revalidate its shared
         plan cache against the delta's footprint instead of rebuilding pool,
         sessions and cached plans from scratch (contrast
-        :meth:`WorkspaceRegistry.update`, which discards the runtime on next
+        :meth:`WorkspaceRegistry.update`, which discards the handle on next
         access).  Returns the pool's
         :class:`~repro.catalog.delta.RevalidationReport`; a workspace with
-        no warm runtime reports zero kept / zero revalidated.
+        no built handle reports zero kept / zero revalidated.
         """
         from repro.catalog.delta import RevalidationReport
 
         if name is None:
             name = self.workspaces.default_name
         snapshot = self.workspaces.apply_delta(name, delta)
-        with self._runtimes_lock:
-            runtime = self._runtimes.get(name)
-            if runtime is not None:
+        with self._handles_lock:
+            handle = self._handles.get(name)
+            if handle is not None:
                 # Adopt the new snapshot in place: identity is what
                 # :meth:`workspace` checks, so handle resolution keeps
-                # hitting this runtime instead of rebuilding it.
-                runtime.workspace = snapshot
-        if runtime is None:
+                # hitting this handle instead of rebuilding it.
+                handle._workspace = snapshot
+        if handle is None:
             return RevalidationReport(
                 workspace=snapshot.runtime_key,
                 touched=tuple(sorted(delta.touched_names())),
@@ -589,13 +564,13 @@ class Engine:
             # The lazily built service captured the old view list for its
             # hybrid path; drop it so the next use rebuilds against the new
             # snapshot (the router only holds the catalog, shared in place).
-            with runtime._lock:
-                runtime._service = None
-        # Outside _runtimes_lock: revalidation may rebuild the pool's
+            with handle._lock:
+                handle._service = None
+        # Outside _handles_lock: revalidation may rebuild the pool's
         # session (view-touching deltas), and one tenant's delta must not
         # stall another tenant's handle resolution.  Requests racing this
         # window simply miss (the catalog version already moved) and replan.
-        return runtime.pool.apply_delta(delta, workspace=snapshot.runtime_key)
+        return handle.pool.apply_delta(delta, workspace=snapshot.runtime_key)
 
     # ------------------------------------------------------------------ serving
     def build_gateway(self, **overrides):
@@ -661,23 +636,22 @@ class Engine:
         """JSON-ready snapshot of every built workspace's pool counters.
 
         Single-workspace engines keep the historical flat shape; engines
-        with more than one built runtime nest per-workspace summaries under
+        with more than one built handle nest per-workspace summaries under
         ``"workspaces"``.
         """
         registered = set(self.workspaces.names())
-        with self._runtimes_lock:
-            # Drop runtimes (and build locks) of workspaces removed from the
+        with self._handles_lock:
+            # Drop handles (and build locks) of workspaces removed from the
             # registry so the snapshot never reports or retains deleted tenants.
-            for name in (set(self._runtimes) | set(self._build_locks)) - registered:
-                self._runtimes.pop(name, None)
+            for name in (set(self._handles) | set(self._build_locks)) - registered:
+                self._handles.pop(name, None)
                 self._build_locks.pop(name, None)
-            runtimes = dict(self._runtimes)
-        if set(runtimes) == {self.workspaces.default_name}:
-            return runtimes[self.workspaces.default_name].pool.stats_dict()
+            handles = dict(self._handles)
+        if set(handles) == {self.workspaces.default_name}:
+            return handles[self.workspaces.default_name].pool.stats_dict()
         return {
             "workspaces": {
-                name: runtime.pool.stats_dict()
-                for name, runtime in sorted(runtimes.items())
+                name: handle.pool.stats_dict() for name, handle in sorted(handles.items())
             }
         }
 

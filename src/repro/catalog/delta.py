@@ -43,12 +43,14 @@ Touched-name soundness
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, replace
 from typing import FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.constraints.views import LAView
 from repro.data.matrix import MatrixMeta, MatrixType
-from repro.exceptions import CatalogError, ConfigError
+from repro.exceptions import CatalogError, ConfigError, ViewError
 from repro.lang.visitor import collect_refs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,6 +63,23 @@ def _require_name(op: str, name: object) -> str:
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{op} needs a non-empty relation name, got {name!r}")
     return name
+
+
+def _validate_counts(op: "DeltaOp", *keys: str) -> None:
+    """Check that each of ``keys`` is ``None`` or a non-negative finite
+    integer, and store it as an ``int``."""
+    for key in keys:
+        value = getattr(op, key)
+        if value is None:
+            continue
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise ConfigError(
+                f"{op.op} {op.name!r}: {key} must be a non-negative integer, "
+                f"got {getattr(op, key)!r}"
+            )
+        object.__setattr__(op, key, int(value))
 
 
 class DeltaOp:
@@ -125,17 +144,30 @@ class AddRelation(DeltaOp):
                     f"add_relation {self.name!r} needs rows and cols (metadata "
                     f"is what the optimizer plans from)"
                 )
+            _validate_counts(self, "rows", "cols", "nnz")
             # Validates dimensions / nnz bounds / the type tag eagerly.
-            self._meta()
+            try:
+                self._meta()
+            except CatalogError as exc:
+                raise ConfigError(f"add_relation {self.name!r}: {exc}") from exc
         elif self.value is None:
             raise ConfigError(f"add_relation scalar {self.name!r} needs a value")
+        elif (
+            isinstance(self.value, bool)
+            or not isinstance(self.value, numbers.Real)
+            or not math.isfinite(self.value)
+        ):
+            raise ConfigError(
+                f"add_relation scalar {self.name!r}: value must be a finite "
+                f"number, got {self.value!r}"
+            )
 
     def _meta(self) -> MatrixMeta:
         return MatrixMeta(
             name=self.name,
-            rows=int(self.rows),
-            cols=int(self.cols),
-            nnz=None if self.nnz is None else int(self.nnz),
+            rows=self.rows,
+            cols=self.cols,
+            nnz=self.nnz,
             matrix_type=self.matrix_type,
         )
 
@@ -224,6 +256,12 @@ class ReStat(DeltaOp):
         _require_name(self.op, self.name)
         if self.rows is None and self.cols is None and self.nnz is None:
             raise ConfigError(f"restat {self.name!r} changes nothing")
+        _validate_counts(self, "rows", "cols", "nnz")
+
+    def _stats(self) -> dict:
+        """The statistics this op sets: its fields that are not ``None``."""
+        stats = {"rows": self.rows, "cols": self.cols, "nnz": self.nnz}
+        return {key: value for key, value in stats.items() if value is not None}
 
     def touched(self) -> FrozenSet[str]:
         return frozenset((self.name,))
@@ -239,21 +277,17 @@ class ReStat(DeltaOp):
                 f"restat: {self.name!r} is value-backed; its dimensions are "
                 f"fixed by the stored values (re-register the matrix instead)"
             )
+        # The refreshed statistics must make valid metadata (positive
+        # dimensions, nnz within them) before any op of the delta applies.
+        replace(catalog.meta(self.name), **self._stats())
 
     def apply(self, catalog, views):
         catalog = _require_catalog(self, catalog)
-        catalog.update_metadata(
-            self.name, rows=self.rows, cols=self.cols, nnz=self.nnz
-        )
+        catalog.update_metadata(self.name, **self._stats())
         return views
 
     def to_json(self) -> dict:
-        doc = {"op": self.op, "name": self.name}
-        for key in ("rows", "cols", "nnz"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = int(value)
-        return doc
+        return {"op": self.op, "name": self.name, **self._stats()}
 
 
 @dataclass(frozen=True)
@@ -464,9 +498,9 @@ class CatalogDelta:
                     )
                 else:
                     ops.append(op_type(**fields))
-            except (ConfigError, CatalogError):
+            except ConfigError:
                 raise
-            except Exception as exc:
+            except (TypeError, ValueError, OverflowError, ViewError) as exc:
                 raise ConfigError(f"delta op #{index} is malformed: {exc}") from exc
         if not ops:
             raise ConfigError("a catalog delta needs at least one op")

@@ -13,8 +13,9 @@ op to a scratch copy of the evolving state before emitting it — together
 with a set of probe expressions over the base catalog.
 :func:`check_delta_case` is the oracle: it warms one long-lived engine,
 applies the chain delta by delta, and after every step compares each
-probe's plan (structure, fingerprint, cost, used views) against a cold
-engine built from scratch and fast-forwarded through the same prefix.
+probe's plan (structure, fingerprint, cost, used views) and every view's
+storage metadata (rows, cols, nnz) against a cold engine built from
+scratch and fast-forwarded through the same prefix.
 
 Cases serialize to the same JSON wire formats the gateway uses
 (:meth:`repro.catalog.delta.CatalogDelta.to_json`,
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -261,6 +262,18 @@ def _plan_signature(result) -> Tuple[str, str, float, Tuple[str, ...]]:
     )
 
 
+def _view_metadata(handle) -> Dict[str, Optional[Tuple[int, ...]]]:
+    """``(rows, cols, nnz)`` of each view's storage name, ``None`` when the
+    catalog does not know it."""
+    catalog = handle.catalog
+    return {
+        view.name: catalog.meta(view.name).shape + (catalog.meta(view.name).nnz,)
+        if catalog.has_matrix(view.name)
+        else None
+        for view in handle.views
+    }
+
+
 def check_delta_case(case: DeltaCase) -> List[str]:
     """Run the byte-identity oracle over one chain; returns mismatches.
 
@@ -268,8 +281,9 @@ def check_delta_case(case: DeltaCase) -> List[str]:
     delta come from the warm cache); the *reference* engine is rebuilt from
     the spec before every comparison and fast-forwarded through the same
     delta prefix, so every reference plan is a cold re-plan against the
-    mutated catalog.  Any divergence — structure, fingerprint, cost or used
-    views — is one returned mismatch string.
+    mutated catalog.  Any divergence — a view's storage metadata, or a
+    plan's structure, fingerprint, cost or used views — is one returned
+    mismatch string.
     """
     probes = [expr_from_json(doc) for doc in case.probes]
     deltas = [CatalogDelta.from_json(doc) for doc in case.deltas]
@@ -289,6 +303,13 @@ def check_delta_case(case: DeltaCase) -> List[str]:
             reference.apply_delta(WORKSPACE, prior)
         reference_handle = reference.workspace(WORKSPACE)
 
+        live_metadata = _view_metadata(live_handle)
+        cold_metadata = _view_metadata(reference_handle)
+        if live_metadata != cold_metadata:
+            failures.append(
+                f"step {step} view metadata: live {live_metadata!r} != "
+                f"cold {cold_metadata!r} after delta {delta.to_json()}"
+            )
         for index, probe in enumerate(probes):
             live_sig = _plan_signature(live_plans[index])
             cold_sig = _plan_signature(reference_handle.rewrite(probe))

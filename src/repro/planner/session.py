@@ -38,7 +38,7 @@ options mean a new session or engine built from ``config.with_options(...)``.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.catalog.footprint import PlanFootprint
 from repro.chase.program import ConstraintProgram
@@ -50,6 +50,7 @@ from repro.constraints.views import LAView, constraints_for_views
 from repro.core.result import RewriteResult
 from repro.cost import estimator_name_for, resolve_estimator
 from repro.data.catalog import Catalog
+from repro.data.matrix import MatrixMeta
 from repro.exceptions import ConfigError, UnknownMatrixError
 from repro.lang import matrix_expr as mx
 from repro.planner.cache import PlanKey, PlanStore
@@ -99,6 +100,10 @@ class PlanSession:
                 or bool(config.normalized_matrices),
             )
         self.base_constraints = list(constraints)
+        #: The storage-name metadata this session registered, by view name:
+        #: the only entries :meth:`register_view_metadata` ever rewrites.  A
+        #: pool hands it on to the session that replaces this one.
+        self.view_metadata: Dict[str, MatrixMeta] = {}
         self.register_view_metadata()
         self.view_constraints = constraints_for_views(self.views, catalog)
         #: Compiled once; every rewrite reuses the indexed program.
@@ -132,41 +137,51 @@ class PlanSession:
         )
 
     # ------------------------------------------------------------------ setup
-    def register_view_metadata(self) -> None:
-        """Make every view's stored result costable.
+    def register_view_metadata(self) -> FrozenSet[str]:
+        """Make every view's stored result costable; returns the names written.
 
         A materialized view is a file on disk accompanied by metadata
         (dimensions, nnz); if the catalog does not already know the view's
         storage name, metadata derived from the view definition is registered
         so that rewritings referencing the view can be costed (and so that the
-        harness can later materialise the values under the same name).
-        Idempotent: :class:`repro.service.PlanSessionPool` runs it again after
-        the catalog moved, to restore metadata a change dropped.
+        harness can later materialise the values under the same name).  A
+        name this session registered is re-derived, and rewritten (or
+        dropped, once the definition no longer derives) only when it
+        changed: :class:`repro.service.PlanSessionPool` runs this after the
+        catalog moved, so the entry equals a fresh session's.
         """
-        if self.catalog is None:
-            return
+        catalog = self.catalog
+        if catalog is None:
+            return frozenset()
         from repro.cost.model import annotate_expression
-        from repro.data.matrix import MatrixMeta
 
+        written = []
         for view in self.views:
-            if self.catalog.has_matrix(view.name):
+            present = catalog.has_matrix(view.name)
+            # A caller's entry (registered, overwritten or backed with
+            # values) is not the object this session registered.
+            if present and self.view_metadata.get(view.name) is not catalog.meta(view.name):
+                self.view_metadata.pop(view.name, None)
                 continue
             try:
-                info = annotate_expression(view.definition, self.catalog, self.estimator)[
+                info = annotate_expression(view.definition, catalog, self.estimator)[
                     view.definition
                 ]
             except UnknownMatrixError:
+                info = None
+            if info is None or info.shape is None:
+                if present:  # a fresh session would register nothing here
+                    catalog.drop_matrix(view.name)
+                    del self.view_metadata[view.name]
+                    written.append(view.name)
                 continue
-            if info.shape is None:
-                continue
-            self.catalog.register_metadata(
-                MatrixMeta(
-                    name=view.name,
-                    rows=info.shape[0],
-                    cols=info.shape[1],
-                    nnz=int(round(info.nnz)),
-                )
+            meta = MatrixMeta(
+                name=view.name, rows=info.shape[0], cols=info.shape[1], nnz=int(round(info.nnz))
             )
+            if not present or meta != catalog.meta(view.name):
+                self.view_metadata[view.name] = catalog.register_metadata(meta, overwrite=present)
+                written.append(view.name)
+        return frozenset(written)
 
     # ------------------------------------------------------------------ cache
     def cache_key(self, expr: mx.Expr, workspace: str = "") -> PlanKey:

@@ -16,8 +16,9 @@ the production behaviours a load balancer assumes:
   without the field route to the default workspace;
 * **one planner seam** — every admitted request goes through
   ``gateway.planner`` (:class:`~repro.server.planner.LocalPlanner`, or a
-  fake a test assigns) and comes back as an envelope that one function
-  maps to the HTTP response and one records in the metrics;
+  fake a test assigns) and comes back as a ``ServiceResult`` that one
+  function maps to the HTTP response and one records in the metrics, or as
+  an exception whose type picks the status;
 * **graceful drain** — :meth:`stop` stops accepting connections, lets every
   admitted request finish, closes the planner, then closes; requests
   arriving on open connections during the drain get ``503``;
@@ -51,10 +52,10 @@ from repro.api.engine import Engine
 from repro.catalog.delta import CatalogDelta
 from repro.config import GatewayConfig
 from repro.exceptions import CatalogError, ConfigError, UnknownWorkspaceError
-from repro.service.service import AnalyticsService, BatchStats, ServiceRequest
+from repro.service.service import AnalyticsService, BatchStats, ServiceRequest, ServiceResult
 
 from repro.server.metrics import DEFAULT_SIZE_BUCKETS, MetricsRegistry
-from repro.server.planner import LocalPlanner, Planner, error_envelope
+from repro.server.planner import LocalPlanner, Planner, PlannerClosed
 from repro.server.protocol import (
     HttpRequest,
     ProtocolError,
@@ -62,6 +63,7 @@ from repro.server.protocol import (
     json_response,
     parse_plan_request,
     read_http_request,
+    result_to_json,
 )
 
 
@@ -201,11 +203,11 @@ class AnalyticsGateway:
         Resolved through the engine on every access — never pinned — so a
         registry update of the default workspace is reflected here and
         ``/healthz`` / :meth:`stats_dict` cannot report a superseded pool.
-        ``None`` when there is no default workspace, its runtime was never
+        ``None`` when there is no default workspace, its handle was never
         built (nothing to report yet), or it has no catalog.
         """
         default = self.engine.default_workspace_name
-        if default is None or not self.engine.runtime_ready(default):
+        if default is None or not self.engine.handle_ready(default):
             return None
         try:
             return self.engine.workspace(default).service
@@ -260,11 +262,28 @@ class AnalyticsGateway:
             keep_alive=keep_alive,
         )
 
+    def _draining_response(self) -> bytes:
+        """The ``503`` of a request arriving while the gateway drains."""
+        self._drain_rejected_total.inc()
+        return json_response(503, {"error": "gateway is draining"}, keep_alive=False)
+
+    def _unprocessable(self, exc: Exception, workspace: str, keep_alive: bool) -> bytes:
+        """The ``422`` of a condition the client must resolve."""
+        self._responses_4xx.inc()
+        body = {"error": str(exc), "workspace": workspace}
+        return json_response(422, body, keep_alive=keep_alive)
+
+    def _internal_error(self, exc: Exception, keep_alive: bool) -> bytes:
+        """The ``500`` of a bug, naming the exception's type."""
+        self._responses_5xx.inc()
+        body = {"error": f"{type(exc).__name__}: {exc}"}
+        return json_response(500, body, keep_alive=keep_alive)
+
     def _reap_workspace(self, name: str) -> None:
         """Drop the per-workspace state of a workspace no longer registered.
 
         Called when a lookup raises :class:`UnknownWorkspaceError` — the
-        same reap-on-access discipline the engine applies to its runtimes,
+        same reap-on-access discipline the engine applies to its handles,
         so tenant churn on a long-lived gateway never accumulates
         instruments or in-flight counters for deleted tenants.  The
         labeled series are removed from the registry too, so ``/metrics``
@@ -485,7 +504,7 @@ class AnalyticsGateway:
             )
         try:
             # Registry snapshot only — describing a registered-but-idle
-            # tenant must not build its runtime (pool, plan session).
+            # tenant must not build its handle (pool, plan session).
             description = self.engine.describe_workspace(suffix)
         except UnknownWorkspaceError as exc:
             self._reap_workspace(suffix)
@@ -507,10 +526,7 @@ class AnalyticsGateway:
         """
         keep_alive = request.keep_alive
         if self._draining:
-            self._drain_rejected_total.inc()
-            return json_response(
-                503, {"error": "gateway is draining"}, keep_alive=False
-            )
+            return self._draining_response()
         try:
             delta = CatalogDelta.from_json(request.json())
         except (ProtocolError, ConfigError) as exc:
@@ -535,17 +551,9 @@ class AnalyticsGateway:
             # A delta inconsistent with the live catalog (duplicate adds,
             # unknown names, dimension changes on value-backed matrices) is
             # the client's condition to resolve.
-            self._responses_4xx.inc()
-            return json_response(
-                422, {"error": str(exc), "workspace": name}, keep_alive=keep_alive
-            )
+            return self._unprocessable(exc, name, keep_alive)
         except Exception as exc:
-            self._responses_5xx.inc()
-            return json_response(
-                500,
-                {"error": f"{type(exc).__name__}: {exc}"},
-                keep_alive=keep_alive,
-            )
+            return self._internal_error(exc, keep_alive)
         self._catalog_deltas_total.inc()
         self._plans_revalidated_total.inc(report.plans_revalidated)
         self._plans_kept_warm_total.inc(report.plans_kept_warm)
@@ -555,10 +563,7 @@ class AnalyticsGateway:
     async def _handle_submit(self, request: HttpRequest, execute_default: bool) -> bytes:
         keep_alive = request.keep_alive
         if self._draining:
-            self._drain_rejected_total.inc()
-            return json_response(
-                503, {"error": "gateway is draining"}, keep_alive=False
-            )
+            return self._draining_response()
         if self._in_flight >= self.max_in_flight:
             self._rejected_total.inc()
             return json_response(
@@ -607,20 +612,30 @@ class AnalyticsGateway:
             )
 
         # Admitted BEFORE any await: requests parked on a cold-start
-        # runtime build count against (and are bounded by) the in-flight
+        # handle build count against (and are bounded by) the in-flight
         # bounds exactly like requests planning on a thread.
         instruments = self._admit(workspace_name)
+        # Each failure costs one response of its own status, never the
+        # connection; the request is released before it is answered.
         try:
-            envelope = await self.planner.submit(workspace_name, service_request)
-        except Exception as exc:  # noqa: BLE001 — unknown workspace, plan-only
-            # workspace, closed planner or a planner bug: each costs one
-            # response of its own status, never the connection.
-            envelope = error_envelope(exc)
-        finally:
-            self._release(workspace_name, instruments)
-        return self._respond(
-            envelope, service_request, workspace_name, instruments, keep_alive
-        )
+            try:
+                result = await self.planner.submit(workspace_name, service_request)
+            finally:
+                self._release(workspace_name, instruments)
+        except UnknownWorkspaceError as exc:
+            # Removed between the existence check and planning.
+            self._reap_workspace(workspace_name)
+            return self._unknown_workspace_response(exc, keep_alive)
+        except ConfigError as exc:
+            # A plan-only workspace (registered without a catalog) cannot
+            # go through the service path; a well-formed request against it
+            # is the client's condition to resolve.
+            return self._unprocessable(exc, workspace_name, keep_alive)
+        except PlannerClosed:
+            return self._draining_response()
+        except Exception as exc:  # noqa: BLE001 — a planner bug
+            return self._internal_error(exc, keep_alive)
+        return self._respond(result, service_request, workspace_name, instruments, keep_alive)
 
     # ------------------------------------------------------------------ accounting
     def _admit(self, workspace_name: str) -> dict:
@@ -658,68 +673,40 @@ class AnalyticsGateway:
 
     def _respond(
         self,
-        envelope: dict,
+        result: ServiceResult,
         service_request: ServiceRequest,
         workspace_name: str,
         instruments: dict,
         keep_alive: bool,
     ) -> bytes:
-        """Map a planner envelope to its HTTP response (404/422/503/500/200)
-        and count it — the one place a planning outcome becomes a status."""
-        if not envelope.get("ok"):
-            kind = envelope.get("kind")
-            error = envelope.get("error", "planner error")
-            if kind == "unknown_workspace":
-                # Removed between the existence check and planning.
-                self._reap_workspace(workspace_name)
-                return self._unknown_workspace_response(error, keep_alive)
-            if kind == "config":
-                # A plan-only workspace (registered without a catalog)
-                # cannot go through the service path; a well-formed request
-                # against it is the client's condition to resolve.
-                self._responses_4xx.inc()
-                return json_response(
-                    422,
-                    {"error": error, "workspace": workspace_name},
-                    keep_alive=keep_alive,
-                )
-            if kind == "closed":
-                self._drain_rejected_total.inc()
-                return json_response(
-                    503, {"error": "gateway is draining"}, keep_alive=False
-                )
-            self._responses_5xx.inc()
-            return json_response(500, {"error": error}, keep_alive=keep_alive)
-        payload = envelope["payload"]
-        if any(who == "planner" for who, _ in payload["failures"]):
+        """Map a planned request to its HTTP response (422/500/200) and
+        count it — the one place a planning outcome becomes a status."""
+        payload = result_to_json(result)
+        if any(who == "planner" for who, _ in result.failures):
             self._plan_failures_total.inc()
             self._responses_4xx.inc()
             return json_response(422, payload, keep_alive=keep_alive)
-        if (
-            service_request.execute
-            and payload.get("value") is None
-            and payload["failures"]
-        ):
+        if service_request.execute and result.value is None and result.failures:
             self._responses_5xx.inc()
             return json_response(500, payload, keep_alive=keep_alive)
-        self._observe(envelope, workspace_name, instruments)
+        self._observe(result, workspace_name, instruments)
         self._responses_2xx.inc()
         return json_response(200, payload, keep_alive=keep_alive)
 
-    def _observe(self, envelope: dict, workspace_name: str, instruments: dict) -> None:
+    def _observe(self, result: ServiceResult, workspace_name: str, instruments: dict) -> None:
         """Record one successfully answered request in the metrics."""
-        payload = envelope["payload"]
-        if payload.get("cache_hit"):
+        rewrite = result.rewrite
+        if rewrite.cache_hit:
             self._cache_hits_total.inc()
-        else:
-            pruned = envelope.get("pruned") or (0, 0)
-            self._chase_pruned_total.inc(pruned[0])
-            self._chase_pruned_tightening_total.inc(pruned[1])
-        timings = payload.get("timings") or {}
-        self._queue_seconds.observe(timings.get("queue_seconds", 0.0))
-        self._plan_seconds.observe(timings.get("plan_seconds", 0.0))
-        self._execute_seconds.observe(timings.get("execute_seconds", 0.0))
-        total = timings.get("total_seconds", 0.0)
+        elif rewrite.saturation is not None:
+            # Cache hits reuse a plan whose saturation already ran (and was
+            # already counted); only fresh rewrites contribute prune counts.
+            self._chase_pruned_total.inc(rewrite.saturation.pruned_applications)
+            self._chase_pruned_tightening_total.inc(rewrite.saturation.pruned_by_tightening)
+        self._queue_seconds.observe(result.queue_seconds)
+        self._plan_seconds.observe(result.plan_seconds)
+        self._execute_seconds.observe(result.execute_seconds)
+        total = result.total_seconds
         self._total_seconds.observe(total)
         if self._workspace_instruments.get(workspace_name) is instruments:
             instruments["total_seconds"].observe(total)

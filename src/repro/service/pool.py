@@ -15,9 +15,10 @@ keeps exactly one per *view generation*, that is per view-touching delta:
   every rewrite reads the catalog live.  A catalog change therefore keeps
   the session; only a view-touching :meth:`apply_delta` rebuilds it, once.
   The session's one write to the catalog — storage-name metadata for its
-  views — is re-run by the first planning leader after the catalog moved,
-  so a change that drops it (``DropRelation`` of a view's name) plans as
-  a cold engine would;
+  views — is re-run after the catalog moved (by :meth:`apply_delta`, or
+  by the first planning leader after any other change), so a change that
+  drops it (``DropRelation`` of a view's name) or makes it stale (a
+  ``ReStat`` of a matrix a view reads) plans as a cold engine would;
 * **one plan store** — :meth:`plan` goes through the pool's
   :class:`~repro.planner.cache.PlanStore`, which plans each key once; the
   leader runs the uncached :meth:`PlanSession.plan`, so the session holds
@@ -127,11 +128,11 @@ class PlanSessionPool:
 
         The session survives catalog changes, but the metadata it
         registered for its views' storage names lives in the catalog and
-        may have been dropped since.  The first leader after the catalog
-        moved re-registers what is missing, under the pool lock.  That
-        bumps the catalog version when it registers anything, so the plan
-        this leader returns is not published (its key moved), exactly as
-        after a fresh build; the next miss publishes.
+        may have been dropped or made stale since.  The first leader after
+        a catalog change :meth:`apply_delta` did not see re-registers it,
+        under the pool lock.  That bumps the catalog version when it writes
+        anything, so the plan this leader returns is not published (its key
+        moved), exactly as after a fresh build; the next miss publishes.
         """
         session = self._session
         if self._metadata_version == self._catalog_version():
@@ -200,7 +201,9 @@ class PlanSessionPool:
         new *(workspace, view-set, catalog-version)* coordinates and stay
         warm.  A view-touching delta additionally rebuilds the session at
         once (the old compiled constraint program no longer matches); any
-        other delta keeps it.
+        other delta keeps it.  Either way the session re-derives its views'
+        storage metadata first, and the names it rewrites count as touched:
+        a plan costed with a view's old numbers is evicted.
 
         Soundness of keeping a plan rests on the footprint argument (see
         :mod:`repro.catalog.footprint`): a mutation touching none of the
@@ -209,18 +212,21 @@ class PlanSessionPool:
         """
         from repro.catalog.delta import RevalidationReport
 
-        touched = delta.touched_names()
         with self._lock:
             if workspace is not None:
                 self.workspace = str(workspace)
             if delta.touches_views:
                 # The compiled view constraints changed shape: rebuild the
                 # session against the new view set (the factory reads the
-                # updated workspace snapshot).
-                self._session = self._factory()
+                # updated workspace snapshot).  The view metadata the old
+                # session registered stays the new one's to re-derive.
+                fresh = self._factory()
+                fresh.view_metadata = {**self._session.view_metadata, **fresh.view_metadata}
+                self._session = fresh
                 self.stats.sessions_created += 1
-                self._metadata_version = self._catalog_version()
             session = self._session
+            touched = delta.touched_names() | session.register_view_metadata()
+            self._metadata_version = self._catalog_version()
             kept, revalidated = self.store.revalidate(
                 touched if delta.selective else None,
                 workspace=self.workspace,

@@ -43,7 +43,7 @@ from repro.data.catalog import Catalog
 from repro.data.matrix import MatrixMeta, MatrixType
 from repro.exceptions import CatalogError
 from repro.fuzz.deltas import check_delta_case, load_delta_cases
-from repro.lang import inv, matrix, sum_all
+from repro.lang import inv, matrix, sum_all, transpose
 from repro.planner import PlanSession
 from repro.planner.cache import PlanKey
 from repro.server.client import GatewayClient
@@ -354,20 +354,85 @@ class TestKeptSession:
         handle.rewrite(_expr_cv())
         delta = CatalogDelta((DropRelation(name="VC_inv"),))
         handle.apply_delta(delta)
+        # The delta re-registered the view's metadata, as a cold engine's
+        # session registers it when built.
+        assert handle.catalog.has_matrix("VC_inv")
 
-        # A cold engine's catalog lacks VC_inv too, until its session
-        # registers the view's metadata.
         cold = Engine(workspaces=registry()).workspace("t")
         expected = _signature(cold.rewrite(_expr_cv()))
         assert "VC_inv" in expected[3]
         first = handle.rewrite(_expr_cv())
         assert not first.cache_hit and _signature(first) == expected
-        assert handle.catalog.has_matrix("VC_inv")
-        # Re-registering moved the catalog under the first miss, so it was
-        # not published; the second miss is, and the session was kept.
         assert _signature(handle.rewrite(_expr_cv())) == expected
         assert handle.rewrite(_expr_cv()).cache_hit
         assert handle.pool.stats.sessions_created == 1
+
+
+def _dense_400() -> Catalog:
+    rng = np.random.default_rng(44)
+    catalog = Catalog()
+    catalog.register_dense("M", rng.random((400, 400)))
+    catalog.register_dense("N", rng.random((400, 400)))
+    catalog.register_dense("C", rng.random((400, 400)))
+    return catalog
+
+
+class TestViewMetadataAfterDeltas:
+    """A kept session re-derives the storage metadata it registered for its
+    views when a delta changes the relations those views read."""
+
+    VIEW = LAView("V_MN", matrix("M") @ matrix("N"))
+    PROBE = (transpose(matrix("M") @ matrix("N")) @ (matrix("M") @ matrix("N"))) @ matrix("N")
+
+    def _engine(self, catalog: Catalog) -> Engine:
+        return Engine(catalog, views=[self.VIEW])
+
+    def test_live_engine_equals_a_cold_one(self):
+        live = self._engine(_dense_400())
+        live.rewrite(self.PROBE)
+        report = live.apply_delta(None, CatalogDelta((ReStat(name="M", nnz=50),)))
+        assert "V_MN" in report.touched  # plans costed with the old numbers go
+
+        cold_catalog = _dense_400()
+        cold_catalog.update_metadata("M", nnz=50)
+        cold = self._engine(cold_catalog)
+        assert live.catalog.meta("V_MN") == cold.catalog.meta("V_MN")
+        assert live.catalog.meta("V_MN").nnz == 20000
+        planned, expected = live.rewrite(self.PROBE), cold.rewrite(self.PROBE)
+        assert planned.best.to_string() == expected.best.to_string()
+        assert planned.best_cost == expected.best_cost
+        assert "V_MN" in planned.used_views
+
+    def test_restat_that_moves_no_view_keeps_the_cache_warm(self):
+        live = self._engine(_dense_400())
+        live.rewrite(self.PROBE)
+        before = live.catalog.meta("V_MN")
+        report = live.apply_delta(None, CatalogDelta((ReStat(name="C", nnz=7),)))
+        assert report.touched == ("C",)
+        assert report.plans_kept_warm == 1 and report.plans_revalidated == 0
+        assert live.catalog.meta("V_MN") is before
+        assert live.rewrite(self.PROBE).cache_hit
+
+    def test_metadata_a_caller_registered_is_never_rewritten(self):
+        catalog = _dense_400()
+        ours = catalog.register_metadata(MatrixMeta(name="V_MN", rows=400, cols=400, nnz=9))
+        live = self._engine(catalog)
+        report = live.apply_delta(None, CatalogDelta((ReStat(name="M", nnz=50),)))
+        assert report.touched == ("M",)
+        assert live.catalog.meta("V_MN") is ours
+
+    def test_dropping_a_matrix_the_view_reads_drops_its_derived_entry(self):
+        live = self._engine(_dense_400())
+        report = live.apply_delta(None, CatalogDelta((DropRelation(name="N"),)))
+        assert report.touched == ("N", "V_MN")
+        assert not live.catalog.has_matrix("V_MN")  # as in a cold engine
+
+    def test_a_view_rebuild_keeps_the_metadata_to_re_derive(self):
+        live = self._engine(_dense_400())
+        extra = LAView("V_C", transpose(matrix("C")))
+        live.apply_delta(None, CatalogDelta((AddView(extra),)))
+        live.apply_delta(None, CatalogDelta((ReStat(name="M", nnz=50),)))
+        assert live.catalog.meta("V_MN").nnz == 20000
 
 
 NAMES = ("M", "N", "C", "v1")
@@ -489,7 +554,6 @@ class TestEngineDeltas:
     def test_handle_apply_delta_revalidates_selectively(self):
         engine = self._engine()
         handle = engine.workspace("a")
-        runtime_before = handle._runtime
         handle.rewrite(_expr_mn())
         handle.rewrite(_expr_cv())
 
@@ -500,8 +564,8 @@ class TestEngineDeltas:
         assert not replanned.cache_hit
         cold = PlanSession(engine.workspaces.get("a").catalog).rewrite(_expr_cv())
         assert _signature(replanned) == _signature(cold)
-        # The runtime was adopted in place, not rebuilt.
-        assert engine.workspace("a")._runtime is runtime_before
+        # The handle adopted the new snapshot in place and was not rebuilt.
+        assert engine.workspace("a") is handle
 
     def test_delta_to_one_tenant_leaves_the_other_warm(self):
         engine = self._engine()
@@ -534,7 +598,7 @@ class TestEngineDeltas:
         v1 = engine.workspaces.get("a").version
         other = engine.workspaces.get("b").version
         report = engine.apply_delta("a", CatalogDelta((ReStat(name="M", nnz=4),)))
-        # No warm runtime: nothing to keep or revalidate.
+        # No built handle: nothing to keep or revalidate.
         assert report.plans_kept_warm == 0 and report.plans_revalidated == 0
         assert engine.workspaces.get("a").version == v1 + 1
         assert engine.workspaces.get("a").catalog.meta("M").nnz == 4
@@ -617,6 +681,84 @@ class TestGatewayDeltaEndpoint:
         assert unknown[0] == 404
         assert unprocessable[0] == 422 and "ghost" in unprocessable[1]["error"]
         assert wrong_method[0] == 405
+
+
+#: Delta documents whose values are malformed: each is refused at decode
+#: time, before anything is applied.
+MALFORMED_DOCUMENTS = {
+    "restat-nnz-string": [{"op": "restat", "name": "M", "nnz": "x"}],
+    "restat-nnz-list": [{"op": "restat", "name": "M", "nnz": [1]}],
+    "restat-nnz-nan": [{"op": "restat", "name": "M", "nnz": float("nan")}],
+    "restat-nnz-overflow": [{"op": "restat", "name": "M", "nnz": float("inf")}],
+    "restat-nnz-negative": [{"op": "restat", "name": "M", "nnz": -1}],
+    "restat-rows-fraction": [{"op": "restat", "name": "M", "rows": 2.5}],
+    "restat-nnz-bool": [{"op": "restat", "name": "M", "nnz": True}],
+    "add-scalar-string": [{"op": "add_relation", "name": "z", "kind": "scalar", "value": "abc"}],
+    "add-scalar-nan": [
+        {"op": "add_relation", "name": "z", "kind": "scalar", "value": float("nan")}
+    ],
+    "add-matrix-zero-rows": [{"op": "add_relation", "name": "Z", "rows": 0, "cols": 3}],
+    "add-view-unnamed": [
+        {"op": "add_view", "name": "", "definition": {"op": "name", "payload": [
+            {"t": "str", "v": "M"}], "children": []}}
+    ],
+    "half-applied": [
+        {"op": "restat", "name": "N", "nnz": 10},
+        {"op": "restat", "name": "M", "nnz": "x"},
+    ],
+}
+
+
+class TestMalformedDeltaValues:
+    def _state(self, engine: Engine) -> tuple:
+        catalog = engine.catalog
+        return (
+            catalog.version,
+            engine.workspaces.get("default").version,
+            catalog.meta("M"),
+            catalog.meta("N"),
+            catalog.has_scalar("z"),
+        )
+
+    @pytest.mark.parametrize(
+        "ops", list(MALFORMED_DOCUMENTS.values()), ids=list(MALFORMED_DOCUMENTS)
+    )
+    def test_refused_as_config_error(self, ops):
+        with pytest.raises(ConfigError):
+            CatalogDelta.from_json({"ops": ops})
+
+    @pytest.mark.parametrize(
+        "ops", list(MALFORMED_DOCUMENTS.values()), ids=list(MALFORMED_DOCUMENTS)
+    )
+    def test_gateway_answers_400_and_mutates_nothing(self, ops):
+        engine = Engine(_mini_catalog())
+        before = self._state(engine)
+
+        async def main():
+            gateway = await engine.serve()
+            try:
+                async with GatewayClient("127.0.0.1", gateway.port) as client:
+                    return await client.request(
+                        "POST", "/v1/workspaces/default/delta", {"ops": ops}
+                    )
+            finally:
+                await gateway.stop()
+
+        status, body = asyncio.run(main())
+        assert status == 400, body
+        assert self._state(engine) == before
+
+    def test_out_of_range_statistics_refuse_the_whole_delta(self):
+        engine = Engine(_mini_catalog())
+        before = self._state(engine)
+        delta = CatalogDelta((ReStat(name="N", nnz=10), ReStat(name="M", nnz=10**9)))
+        with pytest.raises(CatalogError, match="outside"):
+            engine.apply_delta(None, delta)
+        assert self._state(engine) == before
+
+    def test_integral_floats_are_counts(self):
+        assert ReStat(name="M", nnz=5.0).nnz == 5
+        assert type(AddRelation(name="F", rows=4.0, cols=2).rows) is int
 
 
 # ---------------------------------------------------------------------------

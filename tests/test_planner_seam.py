@@ -1,19 +1,20 @@
 """Tests of the planner seam: the gateway against a fake and the local
 planner.
 
-The gateway plans through one object (``gateway.planner``) and maps the
-envelope it answers to an HTTP response in one function.  That makes these
-things checkable:
+The gateway plans through one object (``gateway.planner``), which answers a
+``ServiceResult`` or raises, and maps that outcome to an HTTP response in
+one place.  That makes these things checkable:
 
 * every status the gateway can answer a submit with (200 hit, 200 miss,
   422 planner failure, 422 plan-only workspace, 404 unknown workspace, 500
-  execute failure, 503 closed), driven by a ``FakePlanner`` returning canned
-  envelopes — status, body and ``/metrics`` delta each, without a socket;
+  execute failure, 503 closed, 500 planner bug), driven by a
+  ``FakePlanner`` returning a canned result or raising a canned exception —
+  status, body and ``/metrics`` delta each, without a socket;
 * what the local planner answers a client over real HTTP for a miss and
   then a hit: status, the ``cache_hit`` flag and the response counters;
 * the local planner's warm read path, answered on the event loop;
-* the envelopes themselves: which exception becomes which failure kind,
-  and which keys a planned or failed request's envelope carries.
+* the exception contract: which exception the local planner raises for an
+  unknown workspace, a plan-only workspace and a closed planner.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ import json
 import pytest
 
 from repro.api import Engine, WorkspaceRegistry
+from repro.chase.saturation import SaturationResult
+from repro.core.result import RewriteResult
 from repro.exceptions import ConfigError, UnknownWorkspaceError
 from repro.lang import matrix, transpose
 from repro.server import GatewayClient
-from repro.server.planner import LocalPlanner, Planner, PlannerClosed, error_envelope
+from repro.server.planner import LocalPlanner, Planner, PlannerClosed
 from repro.server.protocol import HttpRequest, expr_to_json
-from repro.service import ServiceRequest
+from repro.service import ServiceRequest, ServiceResult
 
 
 def _flat(metrics) -> dict:
@@ -57,15 +60,18 @@ def _delta(before: dict, after: dict) -> dict:
 
 
 class FakePlanner:
-    """Answers every submit with one canned envelope."""
+    """Answers every submit with one canned result, or raises one canned
+    exception."""
 
-    def __init__(self, envelope: dict):
-        self.envelope = envelope
+    def __init__(self, outcome):
+        self.outcome = outcome
         self.submitted = []
 
-    async def submit(self, workspace, request) -> dict:
+    async def submit(self, workspace, request) -> ServiceResult:
         self.submitted.append((workspace, request))
-        return self.envelope
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return self.outcome
 
     def stats_dict(self) -> dict:
         return {}
@@ -74,7 +80,32 @@ class FakePlanner:
         pass
 
 
+def _result(cache_hit: bool = False, failures=()) -> ServiceResult:
+    """A planned ``M -> t(M)`` whose chase pruned 5 applications, 2 of them
+    by tightening."""
+    original = matrix("M")
+    rewrite = RewriteResult(
+        original=original,
+        best=transpose(original),
+        original_cost=2.0,
+        best_cost=1.0,
+        changed=True,
+        rewrite_seconds=0.002,
+        saturation=SaturationResult(pruned_applications=5, pruned_by_tightening=2),
+        cache_hit=cache_hit,
+        fingerprint="f" * 16,
+    )
+    return ServiceResult(
+        request=ServiceRequest(expression=original, name="q"),
+        rewrite=rewrite,
+        queue_seconds=0.001,
+        plan_seconds=0.002,
+        failures=list(failures),
+    )
+
+
 def _payload(**overrides) -> dict:
+    """The response body of :func:`_result` with the same overrides."""
     payload = {
         "name": "q",
         "fingerprint": "f" * 16,
@@ -123,28 +154,26 @@ OBSERVED = {
     "gateway_total_seconds:count": 1,
     f"gateway_workspace_total_seconds{WS}:count": 1,
 }
-HIT = _payload(cache_hit=True)
-MISS = _payload()
-UNPLANNABLE = _payload(failures=[["planner", "ShapeError: 40x6 @ 30x8"]])
-UNEXECUTABLE = _payload(failures=[["router", "every candidate failed"]])
+UNPLANNABLE = [("planner", "ShapeError: 40x6 @ 30x8")]
+UNEXECUTABLE = [("router", "every candidate failed")]
 
-#: (id, endpoint, envelope, status, body, metrics delta)
+#: (id, endpoint, planner outcome, status, body, metrics delta)
 CASES = [
     (
         "200-hit",
         "/v1/plan",
         # A hit's prune counters were counted when the plan was made.
-        {"ok": True, "payload": HIT, "pruned": [5, 2]},
+        _result(cache_hit=True),
         200,
-        HIT,
+        _payload(cache_hit=True),
         {**ADMITTED, **OBSERVED, "gateway_cache_hits_total": 1},
     ),
     (
         "200-miss",
         "/v1/plan",
-        {"ok": True, "payload": MISS, "pruned": [5, 2]},
+        _result(),
         200,
-        MISS,
+        _payload(),
         {
             **ADMITTED,
             **OBSERVED,
@@ -155,15 +184,15 @@ CASES = [
     (
         "422-planner-failure",
         "/v1/plan",
-        {"ok": True, "payload": UNPLANNABLE, "pruned": [0, 0]},
+        _result(failures=UNPLANNABLE),
         422,
-        UNPLANNABLE,
+        _payload(failures=[list(failure) for failure in UNPLANNABLE]),
         {**ADMITTED, "gateway_plan_failures_total": 1, "gateway_responses_4xx_total": 1},
     ),
     (
         "422-plan-only-workspace",
         "/v1/plan",
-        {"ok": False, "kind": "config", "error": "registered without a catalog"},
+        ConfigError("registered without a catalog"),
         422,
         {"error": "registered without a catalog", "workspace": "default"},
         {**ADMITTED, "gateway_responses_4xx_total": 1},
@@ -171,7 +200,7 @@ CASES = [
     (
         "404-unknown-workspace",
         "/v1/plan",
-        {"ok": False, "kind": "unknown_workspace", "error": "unknown workspace 'default'"},
+        UnknownWorkspaceError("unknown workspace 'default'"),
         404,
         {"error": "unknown workspace 'default'", "workspaces": ["default"]},
         # The tenant's labeled series are reaped with it.
@@ -184,33 +213,41 @@ CASES = [
     (
         "500-execute-failure",
         "/v1/pipeline",
-        {"ok": True, "payload": UNEXECUTABLE, "pruned": [0, 0]},
+        _result(failures=UNEXECUTABLE),
         500,
-        UNEXECUTABLE,
+        _payload(failures=[list(failure) for failure in UNEXECUTABLE]),
         {**ADMITTED, "gateway_responses_5xx_total": 1},
     ),
     (
         "503-closed",
         "/v1/plan",
-        {"ok": False, "kind": "closed", "error": "batcher is draining"},
+        PlannerClosed("planner is closed"),
         503,
         {"error": "gateway is draining"},
         {**ADMITTED, "gateway_drain_rejected_total": 1},
+    ),
+    (
+        "500-raising-planner",
+        "/v1/plan",
+        RuntimeError("pipe burst"),
+        500,
+        {"error": "RuntimeError: pipe burst"},
+        {**ADMITTED, "gateway_responses_5xx_total": 1},
     ),
 ]
 
 
 class TestGatewayAgainstFakePlanner:
     @pytest.mark.parametrize(
-        "endpoint, envelope, status, body, delta",
+        "endpoint, outcome, status, body, delta",
         [case[1:] for case in CASES],
         ids=[case[0] for case in CASES],
     )
-    def test_envelope_maps_to_status_body_and_metrics(
-        self, small_catalog, endpoint, envelope, status, body, delta
+    def test_outcome_maps_to_status_body_and_metrics(
+        self, small_catalog, endpoint, outcome, status, body, delta
     ):
         gateway = Engine(small_catalog).build_gateway()
-        gateway.planner = planner = FakePlanner(envelope)
+        gateway.planner = planner = FakePlanner(outcome)
         before = _flat(gateway.metrics)
         answered_status, head, answered = _submit(gateway, endpoint)
         assert answered_status == status
@@ -225,25 +262,13 @@ class TestGatewayAgainstFakePlanner:
         if status == 503:
             assert b"connection: close" in head
 
-    def test_a_raising_planner_costs_one_500(self, small_catalog):
-        class Broken(FakePlanner):
-            async def submit(self, workspace, request):
-                raise RuntimeError("pipe burst")
-
-        gateway = Engine(small_catalog).build_gateway()
-        gateway.planner = Broken({})
-        status, _, answered = _submit(gateway, "/v1/plan")
-        assert status == 500
-        assert answered == {"error": "RuntimeError: pipe burst"}
-        assert gateway.in_flight == 0
-
     def test_stats_dict_carries_the_planners_keys(self, small_catalog):
         class Reporting(FakePlanner):
             def stats_dict(self):
                 return {"workspace_pools": {"default": {"plans_computed": 3}}}
 
         gateway = Engine(small_catalog).build_gateway()
-        gateway.planner = Reporting({})
+        gateway.planner = Reporting(_result())
         stats = gateway.stats_dict()
         assert stats["workspace_pools"] == {"default": {"plans_computed": 3}}
         assert stats["max_in_flight"] == gateway.max_in_flight
@@ -256,7 +281,7 @@ class TestGatewayAgainstFakePlanner:
                 self.closed += 1
 
         gateway = Engine(small_catalog).build_gateway()
-        gateway.planner = planner = Closing({})
+        gateway.planner = planner = Closing(_result())
         asyncio.run(gateway.stop())
         assert planner.closed == 1
 
@@ -322,107 +347,87 @@ class TestLocalPlannerAnswersWarmPlansItself:
         async def main():
             gateway = engine.build_gateway()
             try:
-                envelope = await gateway.planner.submit("default", request)
+                result = await gateway.planner.submit("default", request)
                 histograms = gateway.metrics.as_dict()["histograms"]
-                return envelope, histograms["service_batch_size"]["count"]
+                return result, histograms["service_batch_size"]["count"]
             finally:
                 await gateway.planner.close()
 
         return asyncio.run(main())
 
-    def test_hit_envelope_has_no_queue_and_no_planner_thread(self, small_catalog):
+    def test_hit_has_no_queue_and_no_planner_thread(self, small_catalog):
         expression = transpose(matrix("M") @ matrix("N"))
         engine = Engine(small_catalog)
         cold = engine.rewrite(expression)
-        envelope, planned = self._submit(
+        result, planned = self._submit(
             engine, ServiceRequest(expression=expression, name="q", execute=False)
         )
-        assert envelope["ok"] and envelope["pruned"] == [0, 0]
+        assert isinstance(result, ServiceResult)
         assert planned == 0  # no service batch ran on a planner thread
-        payload = envelope["payload"]
-        assert payload["cache_hit"] and payload["name"] == "q"
-        assert payload["plan"] == cold.best.to_string()
-        assert payload["timings"]["queue_seconds"] == 0.0
-        assert payload["backend"] is None and payload["value"] is None
+        assert result.rewrite.cache_hit and result.request.name == "q"
+        assert result.rewrite.best.to_string() == cold.best.to_string()
+        assert result.queue_seconds == 0.0
+        assert result.backend is None and result.value is None
 
-    def test_plan_only_workspace_is_still_a_config_error_when_warm(self):
+
+# ---------------------------------------------------------------------------
+# The exception contract
+# ---------------------------------------------------------------------------
+
+
+def _local_submit(engine, workspace: str, *requests, close_first: bool = False):
+    """Submit ``requests`` in order through a fresh local planner; the
+    results, or the first exception raised."""
+
+    async def main():
+        planner = LocalPlanner(engine, batch_hook=lambda stats: None)
+        try:
+            if close_first:
+                await planner.close()
+            return [await planner.submit(workspace, request) for request in requests]
+        finally:
+            await planner.close()
+
+    return asyncio.run(main())
+
+
+class TestExceptionContract:
+    @pytest.mark.parametrize("kind", ["miss", "hit"])
+    def test_a_planned_request_answers_its_service_result(self, small_catalog, kind):
+        expression = transpose(matrix("M") @ matrix("N"))
+        request = ServiceRequest(expression=expression, execute=False)
+        miss, hit = _local_submit(Engine(small_catalog), "default", request, request)
+        result = {"miss": miss, "hit": hit}[kind]
+        assert isinstance(result, ServiceResult) and result.request is request
+        assert result.rewrite.cache_hit is (kind == "hit")
+        assert not result.failures
+
+    def test_unknown_workspace_raises(self, small_catalog):
+        with pytest.raises(UnknownWorkspaceError, match="nope"):
+            _local_submit(Engine(small_catalog), "nope", ServiceRequest(expression=matrix("M")))
+
+    def test_plan_only_workspace_raises_config_error_even_when_warm(self):
         """A workspace without a catalog cannot take the service path; a
         plan warmed through its handle does not change that answer."""
         expression = transpose(transpose(matrix("M")))
         engine = Engine()
         engine.workspace().rewrite(expression)
-        # Raised to the gateway, which encodes it as the 422 "config" envelope.
+        assert engine.workspace().pool.lookup(expression) is not None
         with pytest.raises(ConfigError, match="without a catalog"):
-            self._submit(engine, ServiceRequest(expression=expression, execute=False))
+            _local_submit(engine, "default", ServiceRequest(expression=expression, execute=False))
+
+    def test_closed_planner_raises_planner_closed(self, small_catalog):
+        with pytest.raises(PlannerClosed):
+            _local_submit(
+                Engine(small_catalog),
+                "default",
+                ServiceRequest(expression=matrix("M"), execute=False),
+                close_first=True,
+            )
 
 
-# ---------------------------------------------------------------------------
-# Envelopes
-# ---------------------------------------------------------------------------
 
-
-class TestEnvelopes:
-    @pytest.mark.parametrize(
-        "exc, kind, error",
-        [
-            (UnknownWorkspaceError("unknown workspace 'nope'"), "unknown_workspace", None),
-            (ConfigError("registered without a catalog"), "config", None),
-            (PlannerClosed("planner is closed"), "closed", None),
-            (RuntimeError("pipe burst"), "internal", "RuntimeError: pipe burst"),
-        ],
-        ids=["unknown_workspace", "config", "closed", "internal"],
-    )
-    def test_error_envelope_kind(self, exc, kind, error):
-        assert error_envelope(exc) == {
-            "ok": False,
-            "kind": kind,
-            "error": str(exc) if error is None else error,
-        }
-
-    @pytest.fixture
-    def local_envelopes(self, small_catalog) -> dict:
-        """``{"miss" | "hit": envelope}`` from a local planner, no socket."""
-        expression = transpose(matrix("M") @ matrix("N"))
-        engine = Engine(small_catalog)
-
-        async def main() -> dict:
-            planner = LocalPlanner(engine, batch_hook=lambda stats: None)
-            try:
-                return {
-                    kind: await planner.submit(
-                        "default", ServiceRequest(expression=expression, execute=False)
-                    )
-                    for kind in ("miss", "hit")
-                }
-            finally:
-                await planner.close()
-
-        return asyncio.run(main())
-
-    @pytest.mark.parametrize("kind", ["miss", "hit"])
-    def test_planned_envelope_keys(self, local_envelopes, kind):
-        envelope = local_envelopes[kind]
-        assert set(envelope) == {"ok", "payload", "pruned"}
-        assert envelope["ok"] is True
-        assert envelope["payload"]["cache_hit"] is (kind == "hit")
-        assert "worker" not in envelope["payload"]
-        assert len(envelope["pruned"]) == 2
-        if kind == "hit":
-            # Prunes were counted when the plan was made, not again.
-            assert envelope["pruned"] == [0, 0]
-
-    def test_unknown_workspace_is_raised_for_the_gateway_to_encode(self, small_catalog):
-        async def main():
-            planner = LocalPlanner(Engine(small_catalog), batch_hook=lambda stats: None)
-            try:
-                await planner.submit("nope", ServiceRequest(expression=matrix("M")))
-            finally:
-                await planner.close()
-
-        with pytest.raises(UnknownWorkspaceError) as raised:
-            asyncio.run(main())
-        assert error_envelope(raised.value)["kind"] == "unknown_workspace"
-
+class TestLocalPlannerStats:
     def test_local_stats_list_only_ready_runtimes(self):
         registry = WorkspaceRegistry()
         registry.register("cold")
@@ -443,13 +448,13 @@ class TestEnvelopes:
         async def main():
             planner = LocalPlanner(Engine(small_catalog), batch_hook=broken_hook)
             try:
-                envelope = await planner.submit(
+                result = await planner.submit(
                     "default", ServiceRequest(expression=matrix("M"), execute=False)
                 )
-                return envelope, planner.stats_dict()
+                return result, planner.stats_dict()
             finally:
                 await planner.close()
 
-        envelope, stats = asyncio.run(main())
-        assert envelope["ok"] is True
+        result, stats = asyncio.run(main())
+        assert isinstance(result, ServiceResult) and not result.failures
         assert stats["batch_hook_failures"] == 1

@@ -45,7 +45,7 @@ from repro.server import (
     parse_prometheus,
 )
 from repro.server.metrics import DEFAULT_SIZE_BUCKETS
-from repro.server.planner import LocalPlanner, PlannerClosed, error_envelope
+from repro.server.planner import LocalPlanner, PlannerClosed
 from repro.service import ServiceRequest
 
 
@@ -255,17 +255,16 @@ class TestLocalPlanner:
         async def main():
             planner = LocalPlanner(engine, batch_hook=lambda stats: None)
             request = ServiceRequest(expression=exprs[0], execute=False)
-            envelope = await planner.submit("default", request)
+            result = await planner.submit("default", request)
             await planner.close()
-            with pytest.raises(PlannerClosed) as closed:
+            with pytest.raises(PlannerClosed):
                 await planner.submit(
                     "default", ServiceRequest(expression=exprs[1], execute=False)
                 )
-            return envelope, closed.value
+            return result
 
-        envelope, exc = asyncio.run(main())
-        assert envelope["ok"] and envelope["payload"]["plan"]
-        assert error_envelope(exc)["kind"] == "closed"
+        result = asyncio.run(main())
+        assert result.rewrite.best.to_string() and not result.failures
 
     def test_a_held_tenant_does_not_hold_another_tenants_miss(self, small_catalog):
         """Tenants plan side by side: while tenant ``slow``'s batch is held,

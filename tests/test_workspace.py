@@ -210,8 +210,24 @@ class TestEngineWorkspaces:
         after = handle.rewrite(expr)
         assert not after.cache_hit  # the v1 plan cannot be served for v2
         assert "VC_inv" in after.used_views and before.used_views == []
-        # The untouched tenant keeps its very runtime (no rebuild).
+        # The untouched tenant keeps its very handle (no rebuild).
         assert engine.workspace("viewed").pool is viewed_pool
+
+    def test_handle_is_cached_until_an_update_and_keeps_its_bundle(self, small_catalog):
+        engine = _two_tenant_engine(small_catalog)
+        expr = _view_expr()
+        stale = engine.workspace("plain")
+        assert engine.workspace("plain") is stale
+        planned = stale.rewrite(expr)
+
+        engine.workspaces.update("plain", views=(LAView("VC_inv", inv(matrix("C"))),))
+        fresh = engine.workspace("plain")
+        assert fresh is not stale and engine.workspace("plain") is fresh
+        assert (stale.version, fresh.version) == (1, 2)
+        # The handle resolved before the update still plans on its bundle.
+        assert stale.views == () and stale.rewrite(expr).cache_hit
+        assert stale.rewrite(expr).best == planned.best and planned.used_views == []
+        assert "VC_inv" in fresh.rewrite(expr).used_views
 
     def test_engine_without_default_workspace_points_at_handles(self, small_catalog):
         registry = WorkspaceRegistry()
@@ -226,7 +242,7 @@ class TestEngineWorkspaces:
             Engine(small_catalog, workspaces=WorkspaceRegistry())
 
     def test_remove_and_reregister_never_serves_the_old_bundle(self, small_catalog):
-        """A name removed and re-registered gets a fresh runtime (and a
+        """A name removed and re-registered gets a fresh handle (and a
         continued — never recycled — version), even with no access between
         the remove and the re-register."""
         engine = _two_tenant_engine(small_catalog)
@@ -260,7 +276,7 @@ class TestEngineWorkspaces:
         assert "plain" in engine._build_locks
         engine.workspaces.remove("plain")
         engine.stats_dict()
-        assert "plain" not in engine._runtimes
+        assert "plain" not in engine._handles
         assert "plain" not in engine._build_locks
         assert "viewed" in engine._build_locks
 
@@ -528,14 +544,14 @@ class TestWorkspaceGateway:
 
     def test_gateway_service_follows_default_workspace_updates(self, small_catalog):
         """The gateway never pins a superseded default service: /healthz
-        and stats_dict reflect the current runtime after registry updates."""
+        and stats_dict reflect the current handle after registry updates."""
         engine = Engine(small_catalog)
         gateway = engine.build_gateway()
         before = gateway.service
         assert before is engine.workspace().service
 
         engine.workspaces.update(DEFAULT_WORKSPACE, config={"max_rounds": 2})
-        assert gateway.service is None  # stale runtime, nothing to report yet
+        assert gateway.service is None  # stale handle, nothing to report yet
         rebuilt = engine.workspace().service
         assert gateway.service is rebuilt and rebuilt is not before
 
