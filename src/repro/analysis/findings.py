@@ -144,6 +144,14 @@ RULES: Dict[str, Tuple[str, str, str]] = {
         "variable that is no operation's output).  A shipped rule newly "
         "listed as searched fell off the fast path.",
     ),
+    "RPA012": (
+        "implied-constraint",
+        ERROR,
+        "The other rules of the program imply this one: chasing its frozen "
+        "premise with them for a few rounds makes its conclusion hold.  The "
+        "rule states a fact twice; delete it, or waive it with the measured "
+        "ablation that shows the shortcut pays.",
+    ),
     # ------------------------------------------------------------- linter
     "RPA101": (
         "unguarded-shared-mutation",

@@ -29,6 +29,16 @@ integrity-constraint programs that drive the chase; this module checks them
   set where an existential-receiving position still reaches a positional
   cycle is reported one tier lower (``RPA009``).
 
+* **Implication** — the chase is also the standard test of whether a
+  dependency follows from others.  Each rule's premise is frozen into a
+  fresh instance (a class per class variable, a constant per value
+  variable, a shape only where the premise has a ``size`` atom) and chased
+  for :data:`IMPLICATION_ROUNDS` rounds with every *other* rule of the
+  program; a rule whose conclusion then holds under the premise binding
+  says nothing the others do not, and is an error (``RPA012``).  The
+  check runs here and in ``python -m repro.analysis``, never on the
+  planning path.
+
 Besides the checks, one info-level finding per program (``RPA011``) reports
 how many TGD conclusions the compiled chase tests by keyed probes and names
 the ones it has to search (:mod:`repro.chase.kernel`).
@@ -44,10 +54,13 @@ from collections import defaultdict
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
+from repro.chase.homomorphism import is_satisfied
 from repro.chase.kernel import kernel_for
+from repro.chase.saturation import SaturationEngine
 from repro.constraints.core import Constraint, EGD, TGD
 from repro.exceptions import ChaseError
 from repro.vrem.atoms import Atom, Const, Var
+from repro.vrem.instance import VremInstance
 from repro.vrem.schema import COMMUTATIVE_RELATIONS, VREM_SCHEMA
 
 #: A node of the position graph: (relation, argument position).
@@ -622,19 +635,24 @@ def _check_footprint_recordable(program: str, compiled) -> List[Finding]:
     return findings
 
 
-def _report_conclusion_tests(program: str, constraints: Sequence[Constraint]) -> List[Finding]:
-    """RPA011 (info): how the compiled chase tests each TGD's conclusion.
+def _kernel(constraint: Constraint):
+    """The constraint's compiled kernel, or None when the kernel refuses it.
+    Such a constraint already carries an RPA003; RPA011 and RPA012 leave
+    it out."""
+    try:
+        return kernel_for(constraint)
+    except ChaseError:
+        return None
 
-    One finding per program.  Constraints the kernel refuses to compile are
-    left out — they already carry an RPA003."""
+
+def _report_conclusion_tests(program: str, constraints: Sequence[Constraint]) -> List[Finding]:
+    """RPA011 (info): how the compiled chase tests each TGD's conclusion,
+    one finding per program."""
     keyed = 0
     searched: List[str] = []
     for constraint in constraints:
-        if not isinstance(constraint, TGD):
-            continue
-        try:
-            kernel = kernel_for(constraint)
-        except ChaseError:
+        kernel = _kernel(constraint) if isinstance(constraint, TGD) else None
+        if kernel is None:
             continue
         if kernel.keyed:
             keyed += 1
@@ -644,6 +662,75 @@ def _report_conclusion_tests(program: str, constraints: Sequence[Constraint]) ->
     if searched:
         message += ": " + ", ".join(searched)
     return [Finding(code="RPA011", target=program, message=message)]
+
+
+# ---------------------------------------------------------------------------
+# Implication: a rule the other rules derive
+# ---------------------------------------------------------------------------
+
+#: Chase rounds the implication check grants the other rules.
+IMPLICATION_ROUNDS = 4
+
+#: Argument positions that hold values (names, constants, type tags,
+#: dimensions, ``mat_pow``'s exponent) rather than classes.
+_VALUE_SLOTS: Dict[str, Tuple[int, ...]] = {
+    "name": (1,), "scalar_const": (1,), "scalar_name": (1,), "type": (1,),
+    "size": (1, 2), "mat_pow": (1,),
+}
+
+
+def _implied(constraint: Constraint, others: Sequence[Constraint]) -> bool:
+    """Whether chasing ``constraint``'s frozen premise with ``others`` makes
+    its conclusion hold under the premise binding.  Each class variable
+    becomes a fresh class and each value variable a fresh constant; only the
+    premise's ``size`` atoms give shapes, so the test never assumes more."""
+    instance = VremInstance()
+    binding: Dict[Var, object] = {}
+    for atom in constraint.premise:
+        for position, arg in enumerate(atom.args):
+            if isinstance(arg, Var) and arg not in binding:
+                # Fresh values lie clear of the constants rules write (1).
+                value_slot = position in _VALUE_SLOTS.get(atom.relation, ())
+                binding[arg] = Const(1000 + len(binding)) if value_slot else instance.new_class()
+    try:
+        for atom in constraint.premise:
+            instance.add_atom(atom.relation, [binding.get(arg, arg) for arg in atom.args])
+        SaturationEngine(others, max_rounds=IMPLICATION_ROUNDS).saturate(instance)
+    except ChaseError:
+        return False
+    if isinstance(constraint, TGD):
+        return is_satisfied(constraint.conclusion, instance, binding)
+    for left, right in constraint.equalities:
+        left, right = binding.get(left, left), binding.get(right, right)
+        if isinstance(left, Const):
+            left, right = right, left
+        if isinstance(left, int) and isinstance(right, int):
+            holds = instance.same_class(left, right)
+        elif isinstance(left, int):
+            holds = any(atom.args[1] == right
+                        for atom in instance.atoms_with("scalar_const", 0, left))
+        else:
+            holds = left == right
+        if not holds:
+            return False
+    return True
+
+
+def _check_implication(program: str, constraints: Sequence[Constraint]) -> List[Finding]:
+    """RPA012: rules the program's other rules imply."""
+    compilable = [c for c in constraints if _kernel(c) is not None]
+    findings: List[Finding] = []
+    for index, constraint in enumerate(compilable):
+        if _implied(constraint, compilable[:index] + compilable[index + 1:]):
+            findings.append(Finding(
+                code="RPA012", target=f"{program}:{constraint.name}",
+                message=(
+                    f"{constraint.name} is implied: {IMPLICATION_ROUNDS} chase "
+                    f"rounds of the other rules over its premise make its "
+                    f"conclusion hold"
+                ),
+            ))
+    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -658,6 +745,7 @@ def verify_constraints(
     findings.extend(_check_safety(program, constraints))
     findings.extend(_check_commutativity(program, constraints))
     findings.extend(_check_termination(program, constraints))
+    findings.extend(_check_implication(program, constraints))
     findings.extend(_report_conclusion_tests(program, constraints))
     return findings
 

@@ -50,7 +50,14 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.constraints.views import LAView
 from repro.data.matrix import MatrixMeta, MatrixType
-from repro.exceptions import CatalogError, ConfigError, ViewError
+from repro.exceptions import (
+    CatalogError,
+    ConfigError,
+    ShapeError,
+    UnknownMatrixError,
+    ViewError,
+)
+from repro.lang.shapes import check_expr
 from repro.lang.visitor import collect_refs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -355,6 +362,14 @@ class AddView(DeltaOp):
     def check(self, catalog, views) -> None:
         if any(view.name == self.view.name for view in views):
             raise CatalogError(f"add_view: view {self.view.name!r} already exists")
+        if catalog is not None:
+            # The session built for the new view set derives the view's
+            # metadata from this shape: a definition that fails here would
+            # fail there, after the views had changed.
+            try:
+                check_expr(self.view.definition, catalog)
+            except (ShapeError, UnknownMatrixError) as exc:
+                raise CatalogError(f"add_view {self.view.name!r}: {exc}") from exc
 
     def apply(self, catalog, views):
         return views + (self.view,)

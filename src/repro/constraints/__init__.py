@@ -5,7 +5,9 @@ constraints — Tuple Generating Dependencies (TGDs) and Equality Generating
 Dependencies (EGDs) — over the virtual relations of :mod:`repro.vrem`:
 
 * :mod:`repro.constraints.core` — the constraint objects and a compact
-  textual DSL for writing them;
+  textual DSL for writing them; :func:`~repro.constraints.core.equation`
+  states a two-way law ``lhs = rhs`` once and yields its ``-fwd`` and
+  ``-rev`` TGDs, so the two directions cannot drift apart;
 * :mod:`repro.constraints.matrix_model` — MMC_m: key constraints on names,
   sizes, zero and identity matrices (§6.2.1);
 * :mod:`repro.constraints.la_properties` — MMC_LAprop: the textbook LA
@@ -21,7 +23,10 @@ Dependencies (EGDs) — over the virtual relations of :mod:`repro.vrem`:
   constraints (V_IO / V_OI, Figure 3).
 
 :func:`default_constraints` bundles the constraint sets the optimizer uses
-out of the box.
+out of the box.  Each fact is stated once: ``python -m repro.analysis
+constraints`` rejects a rule the others imply (``RPA012``, see
+:mod:`repro.analysis.verifier`), unless a waiver records why the shortcut
+stays.
 """
 
 from functools import lru_cache
@@ -37,7 +42,7 @@ from repro.constraints.morpheus_rules import morpheus_rule_constraints
 
 @lru_cache(maxsize=None)
 def _shipped_constraints(
-    include_decompositions: bool, include_systemml: bool, include_morpheus: bool
+    include_decompositions: bool, include_morpheus: bool
 ) -> Tuple[Constraint, ...]:
     """The shipped rules, parsed once per process.
 
@@ -49,8 +54,7 @@ def _shipped_constraints(
     constraints.extend(la_property_constraints())
     if include_decompositions:
         constraints.extend(decomposition_constraints())
-    if include_systemml:
-        constraints.extend(systemml_rule_constraints())
+    constraints.extend(systemml_rule_constraints())
     if include_morpheus:
         constraints.extend(morpheus_rule_constraints())
     return tuple(constraints)
@@ -58,7 +62,6 @@ def _shipped_constraints(
 
 def default_constraints(
     include_decompositions: bool = True,
-    include_systemml: bool = True,
     include_morpheus: bool = False,
     extra: Optional[Sequence[Constraint]] = None,
 ) -> List[Constraint]:
@@ -70,9 +73,7 @@ def default_constraints(
     own; the constraint objects in it are shared process-wide.
     """
     constraints = list(
-        _shipped_constraints(
-            bool(include_decompositions), bool(include_systemml), bool(include_morpheus)
-        )
+        _shipped_constraints(bool(include_decompositions), bool(include_morpheus))
     )
     if extra:
         constraints.extend(extra)

@@ -16,6 +16,11 @@ Example — commutativity of addition (TGD 1 of Figure 2)::
 
     tgd("add-commutes", "add_m(M, N, R) -> add_m(N, M, R)")
 
+Example — a two-way law, one TGD per direction (``-fwd`` / ``-rev``)::
+
+    equation("tr-add", "add_m(M, N, R1) & tr(R1, R2)",
+             "tr(M, R3) & tr(N, R4) & add_m(R3, R4, R2)")
+
 Example — the key constraint on names (I_name of §6.2.1)::
 
     egd("name-key", "name(M, n) & name(N, n) -> M = N")
@@ -149,6 +154,12 @@ def tgd(name: str, text: str) -> TGD:
     except ValueError as exc:
         raise ChaseError(f"TGD {name!r} must contain exactly one '->'") from exc
     return TGD(name=name, premise=parse_atoms(premise_text), conclusion=parse_atoms(conclusion_text))
+
+
+def equation(name: str, lhs: str, rhs: str) -> List[TGD]:
+    """A two-way law ``lhs = rhs`` as its two chase directions, named
+    ``{name}-fwd`` (``lhs -> rhs``) and ``{name}-rev`` (``rhs -> lhs``)."""
+    return [tgd(f"{name}-fwd", f"{lhs} -> {rhs}"), tgd(f"{name}-rev", f"{rhs} -> {lhs}")]
 
 
 def egd(name: str, text: str) -> EGD:

@@ -6,8 +6,9 @@ multiplication, the transposition and inversion laws, determinant, adjoint
 and trace identities, direct-sum laws and the matrix-exponential rules.
 
 Where a property is an equation ``lhs = rhs`` whose two orientations both
-produce useful rewritings (the chase is directional), *both* TGD directions
-are included, suffixed ``-fwd`` / ``-rev``.  Properties whose natural
+produce useful rewritings (the chase is directional), it is written once
+with :func:`~repro.constraints.core.equation`, which yields both TGD
+directions, suffixed ``-fwd`` / ``-rev``.  Properties whose natural
 encoding is an equality of classes (involutions, neutral elements,
 cancellation) are written as EGDs, which is both sound and far cheaper than
 their generative TGD variant.
@@ -17,41 +18,28 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.constraints.core import Constraint, egd, tgd
+from repro.constraints.core import Constraint, egd, equation, tgd
 
 
 def _addition() -> List[Constraint]:
     return [
         tgd("add-commutes", "add_m(M, N, R) -> add_m(N, M, R)"),
-        tgd(
-            "add-assoc-fwd",
-            "add_m(M, N, R1) & add_m(R1, D, R2) -> add_m(N, D, R3) & add_m(M, R3, R2)",
-        ),
-        tgd(
-            "add-assoc-rev",
-            "add_m(N, D, R3) & add_m(M, R3, R2) -> add_m(M, N, R1) & add_m(R1, D, R2)",
+        *equation(
+            "add-assoc",
+            "add_m(M, N, R1) & add_m(R1, D, R2)",
+            "add_m(N, D, R3) & add_m(M, R3, R2)",
         ),
         # c (M + N) = c M + c N
-        tgd(
-            "scalar-over-add-fwd",
-            "add_m(M, N, R1) & multi_ms(c, R1, R2) -> "
+        *equation(
+            "scalar-over-add",
+            "add_m(M, N, R1) & multi_ms(c, R1, R2)",
             "multi_ms(c, M, R3) & multi_ms(c, N, R4) & add_m(R3, R4, R2)",
         ),
-        tgd(
-            "scalar-over-add-rev",
-            "multi_ms(c, M, R3) & multi_ms(c, N, R4) & add_m(R3, R4, R2) -> "
-            "add_m(M, N, R1) & multi_ms(c, R1, R2)",
-        ),
         # (c + d) M = c M + d M
-        tgd(
-            "scalar-sum-over-matrix-fwd",
-            "add_s(c, d, s) & multi_ms(s, M, R1) -> "
-            "multi_ms(c, M, R2) & multi_ms(d, M, R3) & add_m(R2, R3, R1)",
-        ),
-        tgd(
-            "scalar-sum-over-matrix-rev",
-            "multi_ms(c, M, R2) & multi_ms(d, M, R3) & add_m(R2, R3, R1) -> "
+        *equation(
+            "scalar-sum-over-matrix",
             "add_s(c, d, s) & multi_ms(s, M, R1)",
+            "multi_ms(c, M, R2) & multi_ms(d, M, R3) & add_m(R2, R3, R1)",
         ),
     ]
 
@@ -59,65 +47,39 @@ def _addition() -> List[Constraint]:
 def _product() -> List[Constraint]:
     return [
         # (M N) D = M (N D)
-        tgd(
-            "mult-assoc-fwd",
-            "multi_m(M, N, R1) & multi_m(R1, D, R2) -> multi_m(N, D, R3) & multi_m(M, R3, R2)",
-        ),
-        tgd(
-            "mult-assoc-rev",
-            "multi_m(N, D, R3) & multi_m(M, R3, R2) -> multi_m(M, N, R1) & multi_m(R1, D, R2)",
+        *equation(
+            "mult-assoc",
+            "multi_m(M, N, R1) & multi_m(R1, D, R2)",
+            "multi_m(N, D, R3) & multi_m(M, R3, R2)",
         ),
         # M (N + D) = M N + M D
-        tgd(
-            "mult-left-distributes-add-fwd",
-            "add_m(N, D, R1) & multi_m(M, R1, R2) -> "
+        *equation(
+            "mult-left-distributes-add",
+            "add_m(N, D, R1) & multi_m(M, R1, R2)",
             "multi_m(M, N, R3) & multi_m(M, D, R4) & add_m(R3, R4, R2)",
         ),
-        tgd(
-            "mult-left-distributes-add-rev",
-            "multi_m(M, N, R3) & multi_m(M, D, R4) & add_m(R3, R4, R2) -> "
-            "add_m(N, D, R1) & multi_m(M, R1, R2)",
-        ),
         # (M + N) D = M D + N D
-        tgd(
-            "mult-right-distributes-add-fwd",
-            "add_m(M, N, R1) & multi_m(R1, D, R2) -> "
+        *equation(
+            "mult-right-distributes-add",
+            "add_m(M, N, R1) & multi_m(R1, D, R2)",
             "multi_m(M, D, R3) & multi_m(N, D, R4) & add_m(R3, R4, R2)",
         ),
-        tgd(
-            "mult-right-distributes-add-rev",
-            "multi_m(M, D, R3) & multi_m(N, D, R4) & add_m(R3, R4, R2) -> "
-            "add_m(M, N, R1) & multi_m(R1, D, R2)",
-        ),
         # Distribution over subtraction (used e.g. by the ALS pipeline P2.25).
-        tgd(
-            "mult-right-distributes-sub-fwd",
-            "sub_m(M, N, R1) & multi_m(R1, D, R2) -> "
+        *equation(
+            "mult-right-distributes-sub",
+            "sub_m(M, N, R1) & multi_m(R1, D, R2)",
             "multi_m(M, D, R3) & multi_m(N, D, R4) & sub_m(R3, R4, R2)",
         ),
-        tgd(
-            "mult-right-distributes-sub-rev",
-            "multi_m(M, D, R3) & multi_m(N, D, R4) & sub_m(R3, R4, R2) -> "
-            "sub_m(M, N, R1) & multi_m(R1, D, R2)",
-        ),
-        tgd(
-            "mult-left-distributes-sub-fwd",
-            "sub_m(N, D, R1) & multi_m(M, R1, R2) -> "
+        *equation(
+            "mult-left-distributes-sub",
+            "sub_m(N, D, R1) & multi_m(M, R1, R2)",
             "multi_m(M, N, R3) & multi_m(M, D, R4) & sub_m(R3, R4, R2)",
         ),
-        tgd(
-            "mult-left-distributes-sub-rev",
-            "multi_m(M, N, R3) & multi_m(M, D, R4) & sub_m(R3, R4, R2) -> "
-            "sub_m(N, D, R1) & multi_m(M, R1, R2)",
-        ),
         # d (M N) = (d M) N
-        tgd(
-            "scalar-assoc-product-fwd",
-            "multi_m(M, N, R1) & multi_ms(d, R1, R2) -> multi_ms(d, M, R3) & multi_m(R3, N, R2)",
-        ),
-        tgd(
-            "scalar-assoc-product-rev",
-            "multi_ms(d, M, R3) & multi_m(R3, N, R2) -> multi_m(M, N, R1) & multi_ms(d, R1, R2)",
+        *equation(
+            "scalar-assoc-product",
+            "multi_m(M, N, R1) & multi_ms(d, R1, R2)",
+            "multi_ms(d, M, R3) & multi_m(R3, N, R2)",
         ),
         # c (d M) = (c d) M
         tgd(
@@ -133,60 +95,36 @@ def _product() -> List[Constraint]:
 def _transpose() -> List[Constraint]:
     return [
         # (M N)^T = N^T M^T
-        tgd(
-            "tr-product-fwd",
-            "multi_m(M, N, R1) & tr(R1, R2) -> tr(M, R3) & tr(N, R4) & multi_m(R4, R3, R2)",
-        ),
-        tgd(
-            "tr-product-rev",
-            "tr(M, R3) & tr(N, R4) & multi_m(R4, R3, R2) -> multi_m(M, N, R1) & tr(R1, R2)",
+        *equation(
+            "tr-product",
+            "multi_m(M, N, R1) & tr(R1, R2)",
+            "tr(M, R3) & tr(N, R4) & multi_m(R4, R3, R2)",
         ),
         # (M + N)^T = M^T + N^T
-        tgd(
-            "tr-add-fwd",
-            "add_m(M, N, R1) & tr(R1, R2) -> tr(M, R3) & tr(N, R4) & add_m(R3, R4, R2)",
+        *equation(
+            "tr-add",
+            "add_m(M, N, R1) & tr(R1, R2)",
+            "tr(M, R3) & tr(N, R4) & add_m(R3, R4, R2)",
         ),
-        tgd(
-            "tr-add-rev",
-            "tr(M, R3) & tr(N, R4) & add_m(R3, R4, R2) -> add_m(M, N, R1) & tr(R1, R2)",
-        ),
-        tgd(
-            "tr-sub-fwd",
-            "sub_m(M, N, R1) & tr(R1, R2) -> tr(M, R3) & tr(N, R4) & sub_m(R3, R4, R2)",
-        ),
-        tgd(
-            "tr-sub-rev",
-            "tr(M, R3) & tr(N, R4) & sub_m(R3, R4, R2) -> sub_m(M, N, R1) & tr(R1, R2)",
+        *equation(
+            "tr-sub",
+            "sub_m(M, N, R1) & tr(R1, R2)",
+            "tr(M, R3) & tr(N, R4) & sub_m(R3, R4, R2)",
         ),
         # (c M)^T = c (M^T)
-        tgd(
-            "tr-scalar-fwd",
-            "multi_ms(c, M, R1) & tr(R1, R2) -> tr(M, R3) & multi_ms(c, R3, R2)",
-        ),
-        tgd(
-            "tr-scalar-rev",
-            "tr(M, R3) & multi_ms(c, R3, R2) -> multi_ms(c, M, R1) & tr(R1, R2)",
+        *equation(
+            "tr-scalar", "multi_ms(c, M, R1) & tr(R1, R2)", "tr(M, R3) & multi_ms(c, R3, R2)"
         ),
         # (M ⊙ N)^T = M^T ⊙ N^T
-        tgd(
-            "tr-hadamard-fwd",
-            "multi_e(M, N, R1) & tr(R1, R2) -> tr(M, R3) & tr(N, R4) & multi_e(R3, R4, R2)",
-        ),
-        tgd(
-            "tr-hadamard-rev",
-            "tr(M, R3) & tr(N, R4) & multi_e(R3, R4, R2) -> multi_e(M, N, R1) & tr(R1, R2)",
+        *equation(
+            "tr-hadamard",
+            "multi_e(M, N, R1) & tr(R1, R2)",
+            "tr(M, R3) & tr(N, R4) & multi_e(R3, R4, R2)",
         ),
         # ((M)^T)^T = M
         egd("tr-involution", "tr(M, R1) & tr(R1, R2) -> R2 = M"),
         # (M^k)^T = (M^T)^k
-        tgd(
-            "tr-matpow-fwd",
-            "mat_pow(M, k, R1) & tr(R1, R2) -> tr(M, R3) & mat_pow(R3, k, R2)",
-        ),
-        tgd(
-            "tr-matpow-rev",
-            "tr(M, R3) & mat_pow(R3, k, R2) -> mat_pow(M, k, R1) & tr(R1, R2)",
-        ),
+        *equation("tr-matpow", "mat_pow(M, k, R1) & tr(R1, R2)", "tr(M, R3) & mat_pow(R3, k, R2)"),
     ]
 
 
@@ -205,14 +143,7 @@ def _inverse() -> List[Constraint]:
             "inv_m(M, R3) & inv_m(N, R4) & multi_m(R4, R3, R2) -> multi_m(M, N, R1) & inv_m(R1, R2)",
         ),
         # ((M)^T)^{-1} = ((M)^{-1})^T
-        tgd(
-            "inv-transpose-fwd",
-            "tr(M, R1) & inv_m(R1, R2) -> inv_m(M, R3) & tr(R3, R2)",
-        ),
-        tgd(
-            "inv-transpose-rev",
-            "inv_m(M, R3) & tr(R3, R2) -> tr(M, R1) & inv_m(R1, R2)",
-        ),
+        *equation("inv-transpose", "tr(M, R1) & inv_m(R1, R2)", "inv_m(M, R3) & tr(R3, R2)"),
         # (k M)^{-1} = k^{-1} M^{-1}
         tgd(
             "inv-scalar",
@@ -280,8 +211,7 @@ def _direct_sum_and_exp() -> List[Constraint]:
             "multi_m(R1, R2, R3) -> multi_m(M, C, R4) & multi_m(N, D, R5) & sum_d(R4, R5, R3)",
         ),
         tgd("exp-zero", "zero(O) & exp(O, R1) -> identity(R1)"),
-        tgd("exp-transpose-fwd", "tr(M, R1) & exp(R1, R2) -> exp(M, R3) & tr(R3, R2)"),
-        tgd("exp-transpose-rev", "exp(M, R3) & tr(R3, R2) -> tr(M, R1) & exp(R1, R2)"),
+        *equation("exp-transpose", "tr(M, R1) & exp(R1, R2)", "exp(M, R3) & tr(R3, R2)"),
     ]
 
 

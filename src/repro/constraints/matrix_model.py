@@ -27,8 +27,7 @@ def matrix_model_constraints() -> List[Constraint]:
             "mm-identity-key",
             "identity(I1) & size(I1, k, k) & identity(I2) & size(I2, k, k) -> I1 = I2",
         ),
-        # M + 0 = M and 0 + M = M.
-        egd("mm-add-zero-right", "zero(O) & add_m(M, O, R) -> R = M"),
+        # 0 + M = M (and M + 0 = M, through `add-commutes`).
         egd("mm-add-zero-left", "zero(O) & add_m(O, M, R) -> R = M"),
         egd("mm-sub-zero-right", "zero(O) & sub_m(M, O, R) -> R = M"),
         # I M = M and M I = M.

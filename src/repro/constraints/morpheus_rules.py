@@ -11,6 +11,9 @@ V5 = [C·T, (C·K)·U]).
 
 The ``factorized(M, S, K, R)`` fact states that class M is such a normalized
 matrix with factors S, K, R.
+Operators over ``M^T`` need no rules of their own: the general SystemML
+transpose rules (``sml-sum-transpose``, ``sml-*-of-transpose``) turn them
+into operators over ``M``.
 """
 
 from __future__ import annotations
@@ -51,20 +54,5 @@ def morpheus_rule_constraints() -> List[Constraint]:
         tgd(
             "morpheus-materialize",
             "factorized(M, S, K, R) -> multi_m(K, R, KR) & cbind(S, KR, M)",
-        ),
-        # Transpose-aware variants (Morpheus replaces ops on M^T by ops on M).
-        tgd(
-            "morpheus-sum-transpose",
-            "factorized(M, S, K, R) & tr(M, MT) & sum(MT, s) -> sum(M, s)",
-        ),
-        tgd(
-            "morpheus-colsums-transpose",
-            "factorized(M, S, K, R) & tr(M, MT) & col_sums(MT, X) -> "
-            "row_sums(M, X1) & tr(X1, X)",
-        ),
-        tgd(
-            "morpheus-rowsums-transpose",
-            "factorized(M, S, K, R) & tr(M, MT) & row_sums(MT, X) -> "
-            "col_sums(M, X1) & tr(X1, X)",
         ),
     ]

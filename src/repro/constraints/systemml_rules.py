@@ -87,14 +87,11 @@ def _matrix_product_aggregates() -> List[Constraint]:
             "sml-rowsums-matmult-rev",
             "row_sums(N, R3) & multi_m(M, R3, R2) -> multi_m(M, N, R1) & row_sums(R1, R2)",
         ),
-        # sum(M + N) = sum(M) + sum(N)   /   sum(M - N) = sum(M) - sum(N)
+        # sum(M + N) = sum(M) + sum(N); trace(M + N) is `trace-add`
+        # (constraints/la_properties.py).
         tgd(
             "sml-sum-of-add",
             "add_m(M, N, R1) & sum(R1, s1) -> sum(M, s2) & sum(N, s3) & add_s(s2, s3, s1)",
-        ),
-        tgd(
-            "sml-trace-of-add",
-            "add_m(M, N, R1) & trace(R1, s1) -> trace(M, s2) & trace(N, s3) & add_s(s2, s3, s1)",
         ),
         # colSums(M ⊙ N) = M^T N when N is a column vector
         tgd(

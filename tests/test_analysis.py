@@ -27,6 +27,7 @@ from repro.analysis import (
 from repro.analysis.cli import main as analysis_main
 from repro.analysis.cli import shipped_programs, verify_shipped
 from repro.chase.program import ConstraintProgram
+from repro.constraints import default_constraints
 from repro.constraints.core import EGD, TGD, egd, tgd
 from repro.exceptions import ConfigError
 from repro.planner.session import PlanSession
@@ -47,9 +48,8 @@ def codes(findings):
 class TestShippedPrograms:
     @pytest.mark.parametrize("name", sorted(shipped_programs()))
     def test_no_error_findings(self, name):
-        findings = verify_shipped([name])
-        errors = [f for f in findings if f.severity == ERROR]
-        assert errors == []
+        report = apply_waivers(verify_shipped([name]), load_waivers(WAIVER_FILE))
+        assert failing(report, strict=False) == []
 
     def test_strict_clean_with_shipped_waivers(self):
         findings = verify_shipped()
@@ -69,9 +69,9 @@ class TestShippedPrograms:
             ("default", "info"),
             ("views", "info"),
         ]
-        assert findings[0].message == "114 TGD conclusions keyed, 0 searched"
+        assert findings[0].message == "110 TGD conclusions keyed, 0 searched"
         assert findings[1].message.startswith(
-            "126 TGD conclusions keyed, 12 searched: view-oi:V1, view-oi:V2, "
+            "122 TGD conclusions keyed, 12 searched: view-oi:V1, view-oi:V2, "
         )
         # Info findings are reported beside the rest: never failing, not waivable.
         report = apply_waivers(findings, [Waiver("RPA011", "*", "nothing to accept")])
@@ -216,6 +216,54 @@ class TestConstraintRules:
         findings = verify_constraints(constraints, "t")
         assert "RPA008" not in codes(findings)
         assert any(f.code == "RPA009" and f.target == "t:feed" for f in findings)
+
+    def test_rpa012_same_rule_under_two_names(self):
+        constraints = [
+            tgd(name, "add_m(M, N, R) & sum(R, s) -> sum(M, a) & sum(N, b) & add_s(a, b, s)")
+            for name in ("sum-of-add", "sum-of-add-again")
+        ] + [tgd("tr-twice", "tr(M, T) -> tr(T, M)")]
+        flagged = {f.target for f in verify_constraints(constraints, "t") if f.code == "RPA012"}
+        assert flagged == {"t:sum-of-add", "t:sum-of-add-again"}
+
+    def test_rpa012_rule_implied_through_a_two_step_chain(self):
+        constraints = [
+            tgd("exp-has-adj", "exp(M, E) -> adj(M, A)"),
+            tgd("adj-has-cho", "adj(M, A) -> cho(M, L)"),
+            tgd("exp-has-cho", "exp(M, E) -> cho(M, L)"),
+        ]
+        findings = [f for f in verify_constraints(constraints, "t") if f.code == "RPA012"]
+        assert [f.target for f in findings] == ["t:exp-has-cho"]
+        assert findings[0].severity == ERROR and "exp-has-cho" in findings[0].message
+
+    def test_rpa012_independent_rules_are_clean(self):
+        constraints = [
+            tgd("add-commutes", "add_m(M, N, R) -> add_m(N, M, R)"),
+            tgd("tr-add", "add_m(M, N, R1) & tr(R1, R2) -> "
+                "tr(M, R3) & tr(N, R4) & add_m(R3, R4, R2)"),
+            egd("tr-involution", "tr(M, R1) & tr(R1, R2) -> R2 = M"),
+            egd("det-identity", "identity(I) & det(I, d) -> d = 1"),
+        ]
+        assert "RPA012" not in codes(verify_constraints(constraints, "t"))
+
+    def test_rpa012_reports_each_deleted_rule_put_back(self):
+        """The rules the shipped set dropped as implied are each reported
+        when put back next to it, beside the rules they duplicate."""
+        deleted = [
+            egd("mm-add-zero-right", "zero(O) & add_m(M, O, R) -> R = M"),
+            tgd("sml-trace-of-add", "add_m(M, N, R1) & trace(R1, s1) -> "
+                "trace(M, s2) & trace(N, s3) & add_s(s2, s3, s1)"),
+            tgd("morpheus-sum-transpose",
+                "factorized(M, S, K, R) & tr(M, MT) & sum(MT, s) -> sum(M, s)"),
+            tgd("morpheus-colsums-transpose", "factorized(M, S, K, R) & tr(M, MT) & "
+                "col_sums(MT, X) -> row_sums(M, X1) & tr(X1, X)"),
+            tgd("morpheus-rowsums-transpose", "factorized(M, S, K, R) & tr(M, MT) & "
+                "row_sums(MT, X) -> col_sums(M, X1) & tr(X1, X)"),
+        ]
+        program = default_constraints(include_morpheus=True) + deleted
+        flagged = {f.target for f in verify_constraints(program, "d") if f.code == "RPA012"}
+        assert flagged == {f"d:{c.name}" for c in deleted} | {
+            "d:mm-add-zero-left", "d:trace-add", "d:add-assoc-fwd", "d:add-assoc-rev",
+        }
 
     def test_rpa010_trigger_outside_recordable_set(self):
         # Selective delta revalidation is sound only while every compiled
@@ -549,8 +597,8 @@ class TestProgramVerification:
 
     def test_default_session_program_has_no_errors(self, small_catalog):
         session = PlanSession(catalog=small_catalog)
-        findings = session.program.verify("session")
-        assert not [f for f in findings if f.severity == ERROR]
+        report = apply_waivers(session.program.verify("session"), load_waivers(WAIVER_FILE))
+        assert failing(report, strict=False) == []
 
     def test_benchkit_plans_identical_after_verification(self):
         """Verification reads the program and never rewrites it."""

@@ -761,6 +761,54 @@ class TestMalformedDeltaValues:
         assert type(AddRelation(name="F", rows=4.0, cols=2).rows) is int
 
 
+class TestNonConformableView:
+    """A view whose definition does not shape-check against the catalog is
+    refused before anything applies: the views and the workspace version
+    stay as they were, and the next valid view delta still applies."""
+
+    BAD = LAView("V_bad", matrix("M") @ matrix("M"))  # 40x6 by 40x6
+    OK = LAView("V_ok", matrix("M") @ matrix("N"))
+
+    def _state(self, engine: Engine) -> tuple:
+        return engine.views, engine.workspaces.get("default").version
+
+    def test_engine_refuses_it_and_takes_the_next_view(self):
+        engine = Engine(_mini_catalog())
+        engine.rewrite(_expr_mn())
+        before = self._state(engine)
+        with pytest.raises(CatalogError, match="V_bad"):
+            engine.apply_delta(None, CatalogDelta((AddView(self.BAD),)))
+        assert self._state(engine) == before
+        engine.apply_delta(None, CatalogDelta((AddView(self.OK),)))
+        assert engine.views == [self.OK]
+
+    def test_gateway_answers_422_and_mutates_nothing(self):
+        engine = Engine(_mini_catalog())
+        before = self._state(engine)
+
+        async def main():
+            gateway = await engine.serve()
+            try:
+                async with GatewayClient("127.0.0.1", gateway.port) as client:
+                    bad = await client.request(
+                        "POST", "/v1/workspaces/default/delta",
+                        CatalogDelta((AddView(self.BAD),)).to_json(),
+                    )
+                    unchanged = self._state(engine)
+                    ok = await client.request(
+                        "POST", "/v1/workspaces/default/delta",
+                        CatalogDelta((AddView(self.OK),)).to_json(),
+                    )
+                    return bad, unchanged, ok
+            finally:
+                await gateway.stop()
+
+        bad, unchanged, ok = asyncio.run(main())
+        assert bad[0] == 422 and "V_bad" in bad[1]["error"]
+        assert unchanged == before
+        assert ok[0] == 200 and engine.views == [self.OK]
+
+
 # ---------------------------------------------------------------------------
 # Concurrency: deltas racing planning
 # ---------------------------------------------------------------------------

@@ -353,7 +353,7 @@ class TestKernelTraps:
         _, _, with_views = benchkit  # the planner's default program + the V_exp views
         tgds = [c for c in with_views.program.constraints if isinstance(c, TGD)]
         searched = [c.name for c in tgds if not kernel_for(c).keyed]
-        assert (len(tgds) - len(searched), len(searched)) == (106, 12)
+        assert (len(tgds) - len(searched), len(searched)) == (105, 12)
         assert all(name.startswith("view-oi:") for name in searched)
         # Rule sets the default program leaves out are keyed throughout.
         everything = default_constraints(include_decompositions=True, include_morpheus=True)

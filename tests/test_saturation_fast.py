@@ -363,11 +363,11 @@ PLAN_COLD_TOTALS = {
     "class_count": 966,
     "pruned_by_tightening": 56,
     "threshold_tightenings": 81,
-    "constraints_skipped": 30346,
+    "constraints_skipped": 29819,
     "final_threshold": 13936824.631999997,
-    "matches_attempted": 3768,
+    "matches_attempted": 3758,
     "atoms_materialized": 1550,
-    "delta_attempts": 460,
+    "delta_attempts": 457,
     "rules_benched": 7,
     "applications": 1101,
 }
@@ -417,7 +417,7 @@ def test_plan_cold_saturation_totals_are_pinned():
 #: ``PYTHONHASHSEED=0``: the data generators seed matrices from name hashes.
 HYBRID_TOTALS = {
     "rounds": 68,
-    "tgd_applications": 539,
+    "tgd_applications": 543,
     "egd_applications": 12,
     "pruned_applications": 159,
     "reached_fixpoint": 11,
@@ -425,13 +425,13 @@ HYBRID_TOTALS = {
     "class_count": 640,
     "pruned_by_tightening": 125,
     "threshold_tightenings": 26,
-    "constraints_skipped": 6872,
+    "constraints_skipped": 6608,
     "final_threshold": 1551353.099,
-    "matches_attempted": 2458,
-    "atoms_materialized": 962,
-    "delta_attempts": 394,
+    "matches_attempted": 2452,
+    "atoms_materialized": 966,
+    "delta_attempts": 375,
     "rules_benched": 0,
-    "applications": 551,
+    "applications": 555,
 }
 
 _HYBRID_TOTALS_SCRIPT = """

@@ -392,11 +392,11 @@ class TestConstraintLibraries:
         assert len(constraints) > 100
 
     def test_library_composition(self):
-        assert len(matrix_model_constraints()) >= 10
-        assert len(la_property_constraints()) >= 40
-        assert len(systemml_rule_constraints()) >= 40
-        assert len(decomposition_constraints()) >= 10
-        assert len(morpheus_rule_constraints()) >= 6
+        assert len(matrix_model_constraints()) == 11
+        assert len(la_property_constraints()) == 57
+        assert len(systemml_rule_constraints()) == 44
+        assert len(decomposition_constraints()) == 12
+        assert len(morpheus_rule_constraints()) == 5
 
     def test_both_directions_present_for_key_properties(self):
         names = {c.name for c in la_property_constraints()}
