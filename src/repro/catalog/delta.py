@@ -50,13 +50,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.constraints.views import LAView
 from repro.data.matrix import MatrixMeta, MatrixType
-from repro.exceptions import (
-    CatalogError,
-    ConfigError,
-    ShapeError,
-    UnknownMatrixError,
-    ViewError,
-)
+from repro.exceptions import CatalogError, ConfigError, ShapeError, ViewError
 from repro.lang.shapes import check_expr
 from repro.lang.visitor import collect_refs
 
@@ -362,13 +356,15 @@ class AddView(DeltaOp):
     def check(self, catalog, views) -> None:
         if any(view.name == self.view.name for view in views):
             raise CatalogError(f"add_view: view {self.view.name!r} already exists")
-        if catalog is not None:
-            # The session built for the new view set derives the view's
-            # metadata from this shape: a definition that fails here would
-            # fail there, after the views had changed.
+        # The session built for the new view set derives the view's metadata
+        # from this shape: a definition that fails here would fail there,
+        # after the views had changed.  A definition over a name the catalog
+        # does not hold derives no metadata and is accepted.
+        refs = collect_refs(self.view.definition)
+        if catalog is not None and all(name in catalog for name in refs):
             try:
                 check_expr(self.view.definition, catalog)
-            except (ShapeError, UnknownMatrixError) as exc:
+            except ShapeError as exc:
                 raise CatalogError(f"add_view {self.view.name!r}: {exc}") from exc
 
     def apply(self, catalog, views):

@@ -51,7 +51,7 @@ from repro.core.result import RewriteResult
 from repro.cost import estimator_name_for, resolve_estimator
 from repro.data.catalog import Catalog
 from repro.data.matrix import MatrixMeta
-from repro.exceptions import ConfigError, UnknownMatrixError
+from repro.exceptions import ConfigError, ShapeError, UnknownMatrixError
 from repro.lang import matrix_expr as mx
 from repro.planner.cache import PlanKey, PlanStore
 from repro.planner.stages import DEFAULT_STAGES, PlanContext
@@ -167,7 +167,10 @@ class PlanSession:
                 info = annotate_expression(view.definition, catalog, self.estimator)[
                     view.definition
                 ]
-            except UnknownMatrixError:
+            except (ShapeError, UnknownMatrixError):
+                # A definition over a missing name, or one a later delta made
+                # non-conformable, derives nothing (AddView refuses a bad
+                # shape it can see up front).
                 info = None
             if info is None or info.shape is None:
                 if present:  # a fresh session would register nothing here

@@ -37,8 +37,19 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WAIVER_FILE = os.path.join(REPO_ROOT, "tools", "analysis_waivers.json")
 
 
+# The one error-severity finding the shipped rules carry on purpose: the
+# add-assoc pair is implied through add-commutes, and kept (and waived)
+# because it shortens the chase.
+WAIVED_IMPLIED_PAIR = {("RPA012", "add-assoc-fwd"), ("RPA012", "add-assoc-rev")}
+
+
 def codes(findings):
     return {f.code for f in findings}
+
+
+def error_pairs(findings):
+    """(code, rule name) of every error-severity finding."""
+    return {(f.code, f.target.split(":", 1)[1]) for f in findings if f.severity == ERROR}
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +59,7 @@ def codes(findings):
 class TestShippedPrograms:
     @pytest.mark.parametrize("name", sorted(shipped_programs()))
     def test_no_error_findings(self, name):
-        report = apply_waivers(verify_shipped([name]), load_waivers(WAIVER_FILE))
-        assert failing(report, strict=False) == []
+        assert error_pairs(verify_shipped([name])) <= WAIVED_IMPLIED_PAIR
 
     def test_strict_clean_with_shipped_waivers(self):
         findings = verify_shipped()
@@ -597,8 +607,7 @@ class TestProgramVerification:
 
     def test_default_session_program_has_no_errors(self, small_catalog):
         session = PlanSession(catalog=small_catalog)
-        report = apply_waivers(session.program.verify("session"), load_waivers(WAIVER_FILE))
-        assert failing(report, strict=False) == []
+        assert error_pairs(session.program.verify("session")) == WAIVED_IMPLIED_PAIR
 
     def test_benchkit_plans_identical_after_verification(self):
         """Verification reads the program and never rewrites it."""

@@ -808,6 +808,44 @@ class TestNonConformableView:
         assert unchanged == before
         assert ok[0] == 200 and engine.views == [self.OK]
 
+    def test_a_view_over_an_unregistered_name_is_still_accepted(self):
+        engine = Engine(_mini_catalog())
+        unknown = LAView("V_u", matrix("U") @ matrix("M"))
+        engine.apply_delta(None, CatalogDelta((AddView(unknown),)))
+        assert engine.views == [unknown]
+        cold = Engine(_mini_catalog()).rewrite(_expr_mn()).best
+        assert str(engine.rewrite(_expr_mn()).best) == str(cold)
+
+    @staticmethod
+    def _metadata_engine(views=()) -> Engine:
+        catalog = Catalog()
+        for name in ("M", "N"):
+            catalog.register_metadata(MatrixMeta(name=name, rows=4, cols=3, nnz=12))
+        return Engine(catalog, views=list(views))
+
+    def test_shapes_a_delta_breaks_later_apply_whole(self):
+        """Shapes the pre-state check cannot see (a relation added in the
+        same delta, a restat of a view's operand) apply whole: the view
+        derives no metadata, and the workspace keeps taking deltas."""
+        engine = self._metadata_engine()
+        late = LAView("V_x", matrix("X") @ matrix("M"))  # 5x5 by 4x3
+        engine.apply_delta(None, CatalogDelta((
+            AddRelation(name="X", rows=5, cols=5), AddView(late),
+        )))
+        engine.apply_delta(None, CatalogDelta((AddView(LAView("V_ok", matrix("M") + matrix("N"))),)))
+        assert [view.name for view in engine.views] == ["V_x", "V_ok"]
+        catalog = engine.workspaces.get("default").catalog
+        assert not catalog.has_matrix("V_x") and catalog.has_matrix("V_ok")
+
+        engine = self._metadata_engine([LAView("V_mn", matrix("M") + matrix("N"))])
+        expr = sum_all(matrix("M") + matrix("N"))
+        assert str(engine.rewrite(expr).best) == "sum(V_mn)"
+        version = engine.workspaces.get("default").version
+        engine.apply_delta(None, CatalogDelta((ReStat(name="N", rows=5, cols=5),)))
+        assert engine.workspaces.get("default").version == version + 1
+        assert not engine.workspaces.get("default").catalog.has_matrix("V_mn")
+        assert str(engine.rewrite(sum_all(matrix("M"))).best) == "sum(M)"
+
 
 # ---------------------------------------------------------------------------
 # Concurrency: deltas racing planning
